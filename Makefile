@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-sweep bench-race bench-compare fuzz e2e e2e-recover e2e-failover e2e-interactive e2e-chaos scenario-matrix lint docs clean-data
+.PHONY: check build vet test race bench-smoke bench bench-sweep bench-race bench-compare fuzz e2e e2e-recover e2e-failover e2e-interactive e2e-chaos scenario-matrix lint docs clean-data
 
-check: build vet race
+check: build vet race bench-smoke
 
 # lint is the fast CI gate: gofmt drift fails loudly, then go vet.
 lint:
@@ -25,6 +25,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench-smoke vets and tests the repo benchmark's module. bench/ is a
+# module of its own (replace => ../), so `go build ./...` at the root
+# does not notice when an internal/ signature it calls changes; this
+# does, in a few seconds.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 0.5s .

@@ -11,7 +11,7 @@
 // most-caught-up replica promotes itself under a freshly minted
 // *fencing epoch*. Every write path compares fencing epochs, so a
 // zombie primary — alive but deposed — can install nothing that gets
-// acknowledged: its verdicts fail at the commit-sync fence exactly like
+// acknowledged: its verdicts fail at the commit-boundary fence exactly like
 // a failed WAL sync ("installed but never acknowledged").
 //
 // The protocol is deliberately not a quorum consensus: with the

@@ -8,7 +8,7 @@
 //
 // Checkpointing is value-cognizant: the background checkpointer ranks
 // shards by the summed transaction value committed since their last
-// checkpoint (the engine's ValuedCommitLog hook carries it), so the
+// checkpoint (every engine.CommitRecord carries it), so the
 // highest-value working set becomes durable — and its log replay
 // shortest — first. Recovery itself replays each shard in strict index
 // order; value decides what is checkpointed when, never what is kept.
@@ -139,9 +139,8 @@ func (m *Manager) fail(err error) {
 }
 
 // managedShard is one shard's durability state. It implements
-// engine.CommitLog, engine.ValuedCommitLog and engine.CommitSyncer: the
-// engine hands it every installed write set under the shard latch and
-// calls Sync at each commit-batch boundary.
+// engine.CommitLog: the engine hands it every installed write set under
+// the shard latch and calls Sync at each commit-batch boundary.
 //
 // Sync-before-ship: a record reaches the in-memory replication log —
 // and through it any live REPL subscriber — only after the WAL has it
@@ -413,7 +412,7 @@ func (m *Manager) replayShard(i int, b *shardBoot, discard map[uint64]bool) erro
 	eng.LockCommit()
 	defer eng.UnlockCommit()
 	if len(b.kvs) > 0 {
-		eng.ApplyLocked(b.kvs)
+		eng.ApplyLocked(b.kvs, 0)
 	}
 	head, lastEpoch := b.ckptIdx, b.ckptEpoch
 	for _, e := range b.entries {
@@ -433,7 +432,7 @@ func (m *Manager) replayShard(i int, b *shardBoot, discard map[uint64]bool) erro
 			m.opts.Flight.Shard(i).Record(flight.EvReconcileDiscard, 0, i, rec.Epoch)
 			continue
 		}
-		eng.ApplyLocked(rec.Writes)
+		eng.ApplyLocked(rec.Writes, 0)
 		if rec.Epoch > lastEpoch {
 			lastEpoch = rec.Epoch
 		}
@@ -442,29 +441,17 @@ func (m *Manager) replayShard(i int, b *shardBoot, discard map[uint64]bool) erro
 	return nil
 }
 
-// Append implements engine.CommitLog (unvalued installs).
-func (ms *managedShard) Append(writes map[string][]byte) { ms.AppendValued(writes, 0) }
-
-// AppendValued implements engine.ValuedCommitLog: called under the shard
+// AppendCommit implements engine.CommitLog: called under the shard
 // latch for every install, it writes the WAL and accrues the shard's
 // pending-value for checkpoint prioritization. Publication to the
 // replication log is deferred to the Sync boundary (see the type
 // comment); under FsyncAlways the append itself synced, so the record
-// ships immediately unless queued behind a gated cross-shard record.
-func (ms *managedShard) AppendValued(writes map[string][]byte, value float64) {
-	ms.appendRecord(writes, value, 0, nil)
-}
-
-// AppendCross implements engine.CrossCommitLog: one shard's part of a
-// cross-shard commit, stamped with the combiner's pre-allocated epoch
-// and participant set. The record is gated — it ships only after
-// ReleaseCross reports the epoch's decision durable.
-func (ms *managedShard) AppendCross(writes map[string][]byte, value float64, epoch uint64, shards []int) {
-	ms.appendRecord(writes, value, epoch, shards)
-}
-
-func (ms *managedShard) appendRecord(writes map[string][]byte, value float64, epoch uint64, shards []int) {
-	cross := len(shards) > 1
+// ships immediately unless queued behind a gated cross-shard record. One
+// shard's part of a cross-shard commit arrives stamped with the
+// combiner's pre-allocated epoch and participant set and is gated — it
+// ships only after ReleaseCross reports the epoch's decision durable.
+func (ms *managedShard) AppendCommit(c engine.CommitRecord) uint64 {
+	epoch, cross := c.Epoch, len(c.Shards) > 1
 	ms.mu.Lock()
 	idx := ms.next
 	ms.next++
@@ -479,11 +466,11 @@ func (ms *managedShard) appendRecord(writes map[string][]byte, value float64, ep
 		ms.maxEpoch = epoch
 	}
 	ms.appendsSince++
-	if value > 0 {
-		ms.pendingValue += value
+	if c.Value > 0 {
+		ms.pendingValue += c.Value
 	}
 	due := ms.m.opts.CkptEvery > 0 && ms.appendsSince >= ms.m.opts.CkptEvery
-	rec := repl.Record{Index: idx, Epoch: epoch, Shards: shards, Writes: writes}
+	rec := repl.Record{Index: idx, Epoch: epoch, Shards: c.Shards, Writes: c.Writes}
 	err := ms.wal.Append(rec)
 	if err != nil {
 		ms.m.errs.Add(1)
@@ -509,37 +496,34 @@ func (ms *managedShard) appendRecord(writes map[string][]byte, value float64, ep
 		default:
 		}
 	}
+	return epoch
 }
 
-// AppendIntent implements engine.IntentLogger: the INTENT record a
-// cross-shard commit writes to every participant ahead of the epoch's
-// data records, under this shard's commit latch.
-func (ms *managedShard) AppendIntent(epoch uint64, shards []int) error {
-	err := ms.wal.AppendIntent(epoch, shards)
-	if err != nil {
-		ms.m.errs.Add(1)
-		ms.flight.Record(flight.EvWalError, 0, ms.idx, epoch)
-		ms.m.fail(err)
-		return err
-	}
-	ms.flight.Record(flight.EvIntent, 0, ms.idx, epoch)
-	return nil
+// AppendIntent writes the INTENT record a cross-shard commit puts on
+// every participant ahead of the epoch's data records, under this
+// shard's commit latch.
+func (ms *managedShard) AppendIntent(epoch uint64, shards []int) {
+	ms.control(ms.wal.AppendIntent(epoch, shards), flight.EvIntent, epoch)
 }
 
 // AppendDecision writes the epoch's decision record — the cross-shard
 // commit point. Called without the shard latch, strictly after round 1
 // made every participant's intents and data durable; the caller syncs
 // this WAL afterwards (round 2).
-func (ms *managedShard) AppendDecision(epoch uint64) error {
-	err := ms.wal.AppendDecision(epoch)
+func (ms *managedShard) AppendDecision(epoch uint64) {
+	ms.control(ms.wal.AppendDecision(epoch), flight.EvDecision, epoch)
+}
+
+// control books one control-record append. A failure leaves the WAL
+// sticky-broken, so the commit pipeline meets it again at the next Sync.
+func (ms *managedShard) control(err error, event string, epoch uint64) {
 	if err != nil {
 		ms.m.errs.Add(1)
 		ms.flight.Record(flight.EvWalError, 0, ms.idx, epoch)
 		ms.m.fail(err)
-		return err
+		return
 	}
-	ms.flight.Record(flight.EvDecision, 0, ms.idx, epoch)
-	return nil
+	ms.flight.Record(event, 0, ms.idx, epoch)
 }
 
 // ReleaseCross un-gates the epoch's record for replication shipping: its
@@ -581,17 +565,10 @@ func (ms *managedShard) shipLocked() {
 	}
 }
 
-// LastEpoch implements engine.EpochReporter: the newest commit epoch
-// appended to this shard's WAL. The engine reads it under the shard
-// latch right after an install, so for a standalone commit it is
-// exactly the epoch appendRecord just allocated for that install.
-func (ms *managedShard) LastEpoch() uint64 {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return ms.maxEpoch
-}
+// Durable implements engine.CommitLog: Sync is an fsync.
+func (ms *managedShard) Durable() bool { return true }
 
-// Sync implements engine.CommitSyncer: one WAL sync per commit batch,
+// Sync implements engine.CommitLog: one WAL sync per commit batch,
 // then publication of the newly covered records to the replication log.
 // The engine (and the cross-shard/replica apply paths) call it before
 // any commit of the batch is acknowledged, so subscribers only ever

@@ -64,7 +64,7 @@ func TestRecoverRoundTrip(t *testing.T) {
 	for i := 0; i < n; i++ {
 		put(t, st, "k"+strconv.Itoa(i), strconv.Itoa(i*i), 0)
 	}
-	// A cross-shard transfer exercises the ApplyValuedLocked log path.
+	// A cross-shard transfer exercises the cross-shard install path.
 	err := st.Update([]string{"k0", "k1", "k2", "k3"}, func(tx shard.Tx) error {
 		for _, k := range []string{"k0", "k1", "k2", "k3"} {
 			if err := tx.Set(k, []byte("777")); err != nil {

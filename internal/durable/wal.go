@@ -9,7 +9,7 @@
 // Fsync policy decides when appended bytes are forced to stable storage:
 // FsyncAlways syncs inside every Append (before the commit is
 // acknowledged, under the shard latch), FsyncGroup syncs once per commit
-// batch via the engine's CommitSyncer hook (durability rides the
+// batch at the engine's commit boundary (durability rides the
 // group-commit boundary: one fsync covers the whole flush, and verdicts
 // are delivered only after it), FsyncOff never syncs (the OS page cache
 // is the only durability — survives process death, not machine crash).
@@ -38,8 +38,8 @@ import (
 type FsyncPolicy int
 
 const (
-	// FsyncGroup syncs once per commit batch (the engine's CommitSyncer
-	// hook), before the batch's commits are acknowledged. The default.
+	// FsyncGroup syncs once per commit batch (the engine's commit
+	// boundary), before the batch's commits are acknowledged. The default.
 	FsyncGroup FsyncPolicy = iota
 	// FsyncAlways syncs inside every append, before the commit is
 	// acknowledged — one fsync per committed transaction.

@@ -14,7 +14,8 @@
 //
 // Commits coalesce under group commit (groupcommit.go), and every
 // install is appended to Config.CommitLog under the store latch — the
-// total commit order replication ships (internal/repl). Layer map:
+// total commit order replication ships (internal/repl) — and crosses one
+// commit boundary before its verdict (commit.go). Layer map:
 // docs/ARCHITECTURE.md.
 package engine
 
@@ -73,10 +74,8 @@ type Config struct {
 	// CommitLog, when non-nil, receives every installed write set under
 	// the store's commit latch — the store's total commit order, suitable
 	// for replication log shipping (internal/repl) and write-ahead
-	// logging (internal/durable). The map handed to Append is retained;
-	// callers of the engine never mutate a write set after commit, and
-	// neither must the log. It can also be installed after Open with
-	// SetCommitLog, which recovery uses to replay history unlogged.
+	// logging (internal/durable). It can also be installed after Open
+	// with SetCommitLog, which recovery uses to replay history unlogged.
 	CommitLog CommitLog
 	// Metrics, when non-nil, receives hot-path observations (group-commit
 	// batch sizes and flush latency, speculative-shadow park waits,
@@ -105,88 +104,6 @@ type Metrics struct {
 	// expensive under load.
 	ConflictScans *obs.Counter
 }
-
-// CommitLog records installed write sets in commit order. Append is called
-// with the store latch held, so calls are serialized and their order IS
-// the store's version order; implementations must be fast and must not
-// call back into the store.
-type CommitLog interface {
-	Append(writes map[string][]byte)
-}
-
-// ValuedCommitLog is an optional CommitLog extension: when implemented,
-// the engine calls AppendValued instead of Append, passing the committing
-// transaction's value alongside its write set (zero for replicated or
-// unvalued installs). The durability layer uses it to rank shards by the
-// value of work pending a checkpoint.
-type ValuedCommitLog interface {
-	CommitLog
-	AppendValued(writes map[string][]byte, value float64)
-}
-
-// EpochReporter is an optional CommitLog extension: LastEpoch returns
-// the global commit epoch of the newest record the sink has accepted.
-// Sinks that allocate standalone epochs (repl.Log, the durable WAL
-// sink) implement it; the engine reads it right after an install, still
-// under the commit latch, to stamp the committing transaction's trace
-// with its epoch — the join key between a client-held trace and the
-// flight recorder's cross-node timeline.
-type EpochReporter interface {
-	LastEpoch() uint64
-}
-
-// CommitSyncer is an optional CommitLog extension: when implemented, the
-// engine calls Sync once per commit batch that installed writes — after
-// releasing the store latch and before any commit verdict of the batch is
-// delivered to its caller. A write-ahead log uses this to make durability
-// ride the batch boundary: one fsync per group-commit flush covers every
-// commit acknowledged by it.
-//
-// A Sync error FAILS the batch's verdicts: the engine cannot un-commit
-// installed writes, but it can — and does — refuse to acknowledge them,
-// surfacing a *SyncError to every committer of the batch instead of
-// success. No caller ever sees an OK verdict for an unsynced batch.
-// Implementations must additionally make failures sticky (refuse further
-// appends — see durable.Manager), and the operator policy decides what a
-// broken log means; sccserve fail-stops inline.
-type CommitSyncer interface {
-	Sync() error
-}
-
-// CrossCommitLog is an optional CommitLog extension for multi-store
-// installs: AppendCross records the write set stamped with the
-// coordinator-assigned commit epoch and the full participant shard set,
-// instead of a sink-assigned standalone epoch. Sinks without it fall back
-// to AppendValued/Append (losing the atomicity metadata — acceptable only
-// for in-memory test sinks).
-type CrossCommitLog interface {
-	CommitLog
-	AppendCross(writes map[string][]byte, value float64, epoch uint64, shards []int)
-}
-
-// IntentLogger is an optional CommitLog extension implemented by
-// write-ahead sinks. A cross-shard commit writes one intent record per
-// participant WAL before the data records, and one decision record to the
-// coordinator's WAL only after every participant's data is durable; boot
-// recovery treats the decision as the commit point and reconciles
-// intent-without-decision epochs to all-or-nothing (internal/durable).
-// ReleaseCross un-gates the epoch's records for replication shipping once
-// the decision is durable.
-type IntentLogger interface {
-	AppendIntent(epoch uint64, shards []int) error
-	AppendDecision(epoch uint64) error
-	ReleaseCross(epoch uint64)
-}
-
-// SyncError wraps a commit-log Sync failure delivered as a commit
-// verdict: the transaction's writes are installed in memory but were
-// never acknowledged as durable. Callers must report failure (the serving
-// layer answers ERR and books the value as lost to wal_error) and must
-// not retry — the writes are in place and the log is sticky-broken.
-type SyncError struct{ Err error }
-
-func (e *SyncError) Error() string { return "engine: commit not durable: " + e.Err.Error() }
-func (e *SyncError) Unwrap() error { return e.Err }
 
 // Stats are cumulative engine counters.
 type Stats struct {
@@ -221,7 +138,10 @@ type Store struct {
 	gc  *groupCommitter // nil unless Config.GroupCommit.Enabled
 
 	mu        sync.Mutex
-	epochRep  EpochReporter // cfg.CommitLog's epoch view, cached (nil if none)
+	log       CommitLog      // never nil: nopLog without a commit log
+	fence     func() error   // the commit boundary's last check (SetFence); may be nil
+	dirty     bool           // installed since the last commit boundary
+	undecided []crossInstall // cross-store installs this store coordinates, same window
 	committed map[string]versioned
 	active    map[*txnHandle]struct{}
 	stats     Stats
@@ -243,7 +163,7 @@ func Open(cfg Config) *Store {
 		committed: make(map[string]versioned),
 		active:    make(map[*txnHandle]struct{}),
 	}
-	s.epochRep, _ = cfg.CommitLog.(EpochReporter)
+	s.SetCommitLog(cfg.CommitLog)
 	if cfg.GroupCommit.Enabled {
 		s.gc = newGroupCommitter(s, cfg.GroupCommit)
 	}
@@ -717,29 +637,32 @@ func (h *txnHandle) runAttempt(sh *attempt) {
 // committed first); the caller falls back to its shadow or restarts. With
 // group commit enabled the attempt joins the current flush batch instead
 // of acquiring the latch itself. A successful commit is reported only
-// after the commit log's Sync hook (if any) returns: the caller's ack
-// implies durability under the configured fsync policy. A Sync failure
+// once it has crossed the commit boundary (Commit): a boundary failure
 // returns (true, *SyncError) — installed, but never to be acknowledged.
 func (s *Store) tryCommit(a *attempt) (bool, error) {
 	if s.gc != nil {
 		return s.gc.commit(a)
 	}
-	s.mu.Lock()
-	s.stats.CommitBatches++
-	ok := s.commitLocked(a)
-	syncer, _ := s.cfg.CommitLog.(CommitSyncer)
-	s.mu.Unlock()
+	ok := false
+	err := s.commitBatch(func() {
+		s.stats.CommitBatches++
+		ok = s.commitLocked(a)
+	})
 	if met := s.cfg.Metrics; met != nil {
 		// The per-commit path is a batch of one; FlushSeconds is left to
 		// the group-commit path so this stays a single atomic add.
 		met.BatchSize.Observe(1)
 	}
-	if ok && syncer != nil {
-		if err := syncer.Sync(); err != nil {
-			return true, &SyncError{Err: err}
-		}
+	if !ok {
+		return false, nil // nothing of this attempt's installed: the error is not its
 	}
-	return ok, nil
+	return true, err
+}
+
+// commitBatch is Commit over this store alone: the engine's own two
+// callers (per-commit, group flush) are batches on one store.
+func (s *Store) commitBatch(step func()) error {
+	return Commit([]*Store{s}, []int{0}, step)
 }
 
 // commitLocked is the commit critical section: validate the attempt's
@@ -767,35 +690,28 @@ func (s *Store) commitLocked(a *attempt) bool {
 		s.stats.Promotions++
 		h.tr.Event(obs.StagePromotion)
 	}
-	s.installLocked(a.writes, h.value, 0, nil)
+	// Stamp the epoch the log gave this install before the install stage,
+	// so the flight event carries it too.
+	h.tr.SetEpoch(s.installLocked(CommitRecord{Writes: a.writes, Value: h.value}))
 	s.stats.Commits++
-	if h.tr != nil && s.epochRep != nil && len(a.writes) > 0 {
-		// The sink allocated this install's standalone epoch under the
-		// latch we hold, so its newest epoch IS ours. Stamp it before
-		// the install stage so the flight event carries it too.
-		h.tr.SetEpoch(s.epochRep.LastEpoch())
-	}
 	h.tr.Event(obs.StageInstall)
 	return true
 }
 
-// installLocked installs writes with bumped versions and broadcasts the
-// commit: in-flight optimistic shadows that read what was written are
-// aborted. Their speculative shadows (often gated on the committer) take
-// over — the gate opens when the committing handle's done channel closes.
-// epoch 0 is a standalone install (the sink stamps its own epoch);
-// non-zero carries a cross-shard commit's pre-allocated epoch and
-// participant set to a CrossCommitLog sink. Callers hold s.mu.
-func (s *Store) installLocked(writes map[string][]byte, value float64, epoch uint64, shards []int) {
-	if s.cfg.CommitLog != nil && len(writes) > 0 {
-		if cl, ok := s.cfg.CommitLog.(CrossCommitLog); ok && epoch != 0 {
-			cl.AppendCross(writes, value, epoch, shards)
-		} else if vl, ok := s.cfg.CommitLog.(ValuedCommitLog); ok {
-			vl.AppendValued(writes, value)
-		} else {
-			s.cfg.CommitLog.Append(writes)
-		}
+// installLocked logs and installs rec's writes with bumped versions and
+// broadcasts the commit: in-flight optimistic shadows that read what was
+// written are aborted. Their speculative shadows (often gated on the
+// committer) take over — the gate opens when the committing handle's
+// done channel closes. It returns the epoch the log stamped on the record
+// (0 for an empty write set) and marks the store as owing a commit
+// boundary. Callers hold s.mu.
+func (s *Store) installLocked(rec CommitRecord) uint64 {
+	writes := rec.Writes
+	if len(writes) == 0 {
+		return 0
 	}
+	s.dirty = true
+	epoch := s.log.AppendCommit(rec)
 	for key, val := range writes {
 		s.committed[key] = versioned{val: val, ver: s.committed[key].ver + 1}
 	}
@@ -814,6 +730,7 @@ func (s *Store) installLocked(writes map[string][]byte, value float64, epoch uin
 			other.opt.abortLocked(s)
 		}
 	}
+	return epoch
 }
 
 // Close marks the store closed; subsequent Updates fail. In-flight

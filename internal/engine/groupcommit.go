@@ -142,39 +142,30 @@ func (g *groupCommitter) flush() {
 	}
 	s := g.s
 	flushStart := time.Now()
-	s.mu.Lock()
-	// Starvation control: when a batch carries several conflicting
-	// read-modify-writes of one key, only the first to validate commits —
-	// the rest restart and meet again next flush, so plain FIFO order can
-	// starve the same transaction round after round. Processing the
-	// most-restarted transactions first (stable otherwise, so FIFO within
-	// a generation) guarantees a transaction's wait is bounded: once it is
-	// the oldest in its batch, its fresh re-read validates unless a commit
-	// landed before this flush even started.
-	sort.SliceStable(batch, func(i, j int) bool {
-		return batch[i].a.h.attempts > batch[j].a.h.attempts
-	})
-	s.stats.CommitBatches++
 	verdicts := make([]bool, len(batch))
-	installed := false
-	for i, req := range batch {
-		verdicts[i] = s.commitLocked(req.a)
-		installed = installed || verdicts[i]
-	}
-	syncer, _ := s.cfg.CommitLog.(CommitSyncer)
-	s.mu.Unlock()
-	// Durability rides the batch boundary: one Sync covers every commit of
-	// the flush, and no committer learns its verdict before the log is
-	// synced (the done channels are buffered, so delivery order is the only
-	// thing deferred). A Sync failure converts every committed verdict of
-	// the batch to an error: the writes are installed but must never be
-	// acknowledged as durable.
-	var syncErr error
-	if installed && syncer != nil {
-		if err := syncer.Sync(); err != nil {
-			syncErr = &SyncError{Err: err}
+	// One commit boundary covers every commit of the flush, and no
+	// committer learns its verdict before the batch has crossed it (the
+	// done channels are buffered, so delivery order is the only thing
+	// deferred). A boundary failure converts every committed verdict of the
+	// batch to an error: the writes are installed but must never be
+	// acknowledged.
+	err := s.commitBatch(func() {
+		// Starvation control: when a batch carries several conflicting
+		// read-modify-writes of one key, only the first to validate commits —
+		// the rest restart and meet again next flush, so plain FIFO order can
+		// starve the same transaction round after round. Processing the
+		// most-restarted transactions first (stable otherwise, so FIFO within
+		// a generation) guarantees a transaction's wait is bounded: once it is
+		// the oldest in its batch, its fresh re-read validates unless a commit
+		// landed before this flush even started.
+		sort.SliceStable(batch, func(i, j int) bool {
+			return batch[i].a.h.attempts > batch[j].a.h.attempts
+		})
+		s.stats.CommitBatches++
+		for i, req := range batch {
+			verdicts[i] = s.commitLocked(req.a)
 		}
-	}
+	})
 	if met := s.cfg.Metrics; met != nil {
 		met.BatchSize.Observe(int64(len(batch)))
 		met.FlushSeconds.Observe(int64(time.Since(flushStart)))
@@ -182,7 +173,7 @@ func (g *groupCommitter) flush() {
 	for i, req := range batch {
 		v := verdict{committed: verdicts[i]}
 		if verdicts[i] {
-			v.err = syncErr
+			v.err = err
 		}
 		req.done <- v
 	}

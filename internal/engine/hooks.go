@@ -1,21 +1,12 @@
-// Cross-store commit hooks. A single Store resolves conflicts internally
-// (shadows, broadcast commit); a sharded deployment (internal/shard) needs
-// to commit one transaction atomically across several Stores. These hooks
-// expose the minimal latch-and-validate surface that makes a multi-store
-// optimistic commit possible without giving callers access to engine
-// internals:
-//
-//	for each involved store, in deterministic (shard-index) order:
-//	        st.LockCommit()
-//	validate every read via st.ValidateLocked
-//	if valid: st.ApplyLocked(writes) on each store
-//	for each involved store: st.UnlockCommit()
-//
-// Locking the stores in a globally agreed order makes concurrent
-// multi-store commits deadlock-free; holding every latch across validate
-// and apply makes the commit atomic with respect to both other multi-store
-// commits and this store's own live transactions (whose tryCommit takes
-// the same latch).
+// Cross-store hooks: the latch-level surface internal/shard, recovery and
+// snapshots build on without access to engine internals. A multi-store
+// commit latches the involved stores in shard-index order through Commit
+// (commit.go), validates every read via ValidateLocked and installs via
+// ApplyLocked / InstallCrossLocked inside its step; holding every latch
+// across validate and install makes the commit atomic with respect to
+// other multi-store commits and to each store's own live transactions.
+// LockCommit/UnlockCommit serve the read-only and boot-time users (views,
+// checkpoints, SNAP, recovery replay).
 
 package engine
 
@@ -66,69 +57,15 @@ func (s *Store) ValidateLocked(reads map[string]uint64) bool {
 	return true
 }
 
-// ApplyLocked installs writes with bumped versions and broadcast-aborts
-// this store's in-flight optimistic shadows that read what was written —
-// exactly the visibility a native commit has. It does not touch the
-// store's Commits counter: cross-store transactions are counted once by
-// the coordinator, not once per shard. The caller holds the commit latch.
-func (s *Store) ApplyLocked(writes map[string][]byte) {
-	s.installLocked(writes, 0, 0, nil)
-}
-
-// ApplyValuedLocked is ApplyLocked carrying the installing transaction's
-// value through to a ValuedCommitLog — the cross-store committer uses it
-// so multi-shard commits count toward each shard's pending-value like
-// native ones. The caller holds the commit latch.
-func (s *Store) ApplyValuedLocked(writes map[string][]byte, value float64) {
-	s.installLocked(writes, value, 0, nil)
-}
-
-// ApplyCrossLocked is ApplyValuedLocked for one shard's part of a
-// cross-shard commit: the install is stamped with the coordinator's
-// pre-allocated epoch and the full participant set, so the commit-log
-// record (WAL and replication) carries the atomicity metadata recovery
-// and the replica apply barrier need. The caller holds the commit latch
-// of every participant.
-func (s *Store) ApplyCrossLocked(writes map[string][]byte, value float64, epoch uint64, shards []int) {
-	s.installLocked(writes, value, epoch, shards)
-}
-
-// AppendIntentLocked writes a cross-shard intent record (epoch +
-// participant set) to the store's commit log, if the sink is an
-// IntentLogger — a WAL. Called before the epoch's data records, under
-// this store's commit latch. A nil or non-durable sink is a no-op.
-func (s *Store) AppendIntentLocked(epoch uint64, shards []int) error {
-	if il, ok := s.cfg.CommitLog.(IntentLogger); ok {
-		return il.AppendIntent(epoch, shards)
-	}
-	return nil
-}
-
-// AppendCrossDecision writes the epoch's single decision record to this
-// store's (the coordinator's) commit log. It is called WITHOUT the commit
-// latch, after every participant's intent and data records are durable —
-// the decision is the commit point, so it must never become durable
-// before the data it decides. No-op on non-durable sinks.
-func (s *Store) AppendCrossDecision(epoch uint64) error {
-	s.mu.Lock()
-	il, _ := s.cfg.CommitLog.(IntentLogger)
-	s.mu.Unlock()
-	if il != nil {
-		return il.AppendDecision(epoch)
-	}
-	return nil
-}
-
-// ReleaseCross un-gates the epoch's record for replication shipping on
-// this store's sink, once the decision record is durable. No-op on
-// non-durable sinks. Called without the commit latch.
-func (s *Store) ReleaseCross(epoch uint64) {
-	s.mu.Lock()
-	il, _ := s.cfg.CommitLog.(IntentLogger)
-	s.mu.Unlock()
-	if il != nil {
-		il.ReleaseCross(epoch)
-	}
+// ApplyLocked installs writes as one standalone commit of the given
+// transaction value, with exactly the visibility a native commit has
+// (bumped versions, broadcast abort). It does not touch the store's
+// Commits counter: cross-store transactions are counted once by the
+// coordinator, not once per shard. The caller holds the commit latch —
+// inside a Commit step, or via LockCommit before the commit log is wired
+// (recovery replay, which must not re-log its own past).
+func (s *Store) ApplyLocked(writes map[string][]byte, value float64) {
+	s.installLocked(CommitRecord{Writes: writes, Value: value})
 }
 
 // RangeLocked calls fn for every committed key until fn returns false.
@@ -144,42 +81,37 @@ func (s *Store) RangeLocked(fn func(key string, val []byte) bool) {
 	}
 }
 
-// SetCommitLog installs (or replaces) the store's commit log. Recovery
-// opens the store with no log, replays history through ApplyLocked —
-// unlogged, so a restart never re-appends its own past — and only then
-// wires the log, from which point every install is recorded again.
+// SetCommitLog installs (or replaces) the store's commit log; nil
+// detaches it. Recovery opens the store with no log, replays history
+// through ApplyLocked and only then wires the log, from which point every
+// install is recorded again.
 func (s *Store) SetCommitLog(cl CommitLog) {
+	if cl == nil {
+		cl = nopLog{}
+	}
 	s.mu.Lock()
-	s.cfg.CommitLog = cl
-	s.epochRep, _ = cl.(EpochReporter)
+	s.log = cl
 	s.mu.Unlock()
 }
 
-// NeedsCommitSync reports whether the store's commit log has a Sync
-// hook — lets multi-store callers skip sync fan-out entirely on
-// in-memory deployments.
-func (s *Store) NeedsCommitSync() bool {
+// SetFence installs the last check of the commit boundary: f runs once
+// per installing batch, after the batch is durable and before any of its
+// verdicts is delivered, and a non-nil error fails them all — installed,
+// never acknowledged. The cluster layer uses it so a deposed primary
+// never acks, whatever its commit log is. nil removes the check.
+func (s *Store) SetFence(f func() error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.cfg.CommitLog.(CommitSyncer)
-	return ok
+	s.fence = f
+	s.mu.Unlock()
 }
 
-// SyncCommitLog invokes the commit log's Sync hook, if it has one, and
-// returns its error. Multi-store commit paths (cross-shard combiner,
-// replica batch apply) call it after releasing the latches and before
-// acknowledging, giving their installs the same durability boundary
-// tryCommit gives native commits — and like tryCommit, a failure must
-// convert the caller's verdicts to errors. Callers must NOT hold the
+// SyncCommitLog flushes the commit log outside any commit: the
+// durability flush a snapshot needs before state that may include
+// not-yet-synced installs leaves the server. Callers must NOT hold the
 // commit latch.
 func (s *Store) SyncCommitLog() error {
 	s.mu.Lock()
-	syncer, _ := s.cfg.CommitLog.(CommitSyncer)
+	log := s.log
 	s.mu.Unlock()
-	if syncer != nil {
-		if err := syncer.Sync(); err != nil {
-			return &SyncError{Err: err}
-		}
-	}
-	return nil
+	return syncLogs([]CommitLog{log})
 }

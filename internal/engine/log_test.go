@@ -10,14 +10,16 @@ import (
 // so no locking of its own is needed for the engine's calls, but the
 // test reads it after the fact.
 type recLog struct {
+	nopLog
 	mu   sync.Mutex
 	recs []map[string][]byte
 }
 
-func (l *recLog) Append(w map[string][]byte) {
+func (l *recLog) AppendCommit(rec CommitRecord) uint64 {
 	l.mu.Lock()
-	l.recs = append(l.recs, w)
+	l.recs = append(l.recs, rec.Writes)
 	l.mu.Unlock()
+	return 0
 }
 
 // TestCommitLogOrderMatchesState: replaying the commit log against a

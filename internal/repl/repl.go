@@ -61,9 +61,9 @@ type Record struct {
 // commit (and therefore subject to the replica apply barrier).
 func (r Record) Cross() bool { return len(r.Shards) > 1 }
 
-// Log is the ordered commit log of one shard. Append implements
-// engine.CommitLog: the engine calls it under the shard's commit latch,
-// so append order is the shard's version order.
+// Log is the ordered commit log of one shard. It implements
+// engine.CommitLog: the engine appends under the shard's commit latch, so
+// append order is the shard's version order.
 type Log struct {
 	epochs *engine.Epochs // stamps standalone appends; nil = epoch 0 (legacy sinks)
 
@@ -87,27 +87,34 @@ func NewLog(epochs *engine.Epochs) *Log {
 	return &Log{epochs: epochs, wake: make(chan struct{}), ackFloor: unbounded, durFloor: unbounded}
 }
 
-// Append records one installed write set and wakes blocked readers. The
-// map is retained, not copied; the engine guarantees committed write sets
-// are never mutated afterwards. The record's epoch is allocated here —
-// Append runs under the shard's commit latch, so per-shard epoch order
-// matches log order.
+// Append records one standalone write set (AppendCommit with no epoch).
 func (l *Log) Append(writes map[string][]byte) {
-	var epoch uint64
-	if l.epochs != nil {
-		epoch = l.epochs.Next()
-	}
-	l.AppendStamped(writes, epoch, nil)
+	l.AppendCommit(engine.CommitRecord{Writes: writes})
 }
 
-// AppendCross implements engine.CrossCommitLog for in-memory sinks: with
-// no WAL there is no decision record to gate on, so the record ships
-// immediately with its pre-allocated epoch and participant set. (The
-// value is accepted for interface compatibility; an in-memory log has no
-// pending-value accounting.)
-func (l *Log) AppendCross(writes map[string][]byte, value float64, epoch uint64, shards []int) {
-	l.AppendStamped(writes, epoch, shards)
+// AppendCommit implements engine.CommitLog: it records one installed
+// write set and wakes blocked readers. The map is retained, not copied;
+// the engine guarantees committed write sets are never mutated
+// afterwards. A standalone record's epoch is allocated here — under the
+// shard's commit latch, so per-shard epoch order matches log order; a
+// cross-shard record ships with its pre-allocated epoch and participant
+// set.
+func (l *Log) AppendCommit(rec engine.CommitRecord) uint64 {
+	if rec.Epoch == 0 && l.epochs != nil {
+		rec.Epoch = l.epochs.Next()
+	}
+	l.AppendStamped(rec.Writes, rec.Epoch, rec.Shards)
+	return rec.Epoch
 }
+
+// The durability half of engine.CommitLog is a no-op in memory: with no
+// WAL there is no decision record to gate shipping on and nothing to
+// sync.
+func (l *Log) AppendIntent(uint64, []int) {}
+func (l *Log) AppendDecision(uint64)      {}
+func (l *Log) ReleaseCross(uint64)        {}
+func (l *Log) Sync() error                { return nil }
+func (l *Log) Durable() bool              { return false }
 
 // AppendStamped records one write set with a pre-assigned epoch and (for
 // cross-shard commits) participant set — the publication path durable

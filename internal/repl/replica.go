@@ -684,14 +684,10 @@ func (r *Replica) drainShard(shardIdx int) (bool, error) {
 		members = append(members, p)
 		heads = append(heads, r.pending[p][0])
 	}
+	// When every other participant already holds its part (resumed past
+	// it), what's left is one part — which ApplyReplicatedCross installs
+	// as an ordinary single-shard commit.
 	install := func() error { return r.store.ApplyReplicatedCross(parts) }
-	if len(parts) == 1 {
-		// Every other participant already holds its part (resumed past
-		// it); what's left is an ordinary single-shard install.
-		install = func() error {
-			return r.store.ApplyReplicated(members[0], []map[string][]byte{parts[members[0]]})
-		}
-	}
 	if err := r.install(install, len(members), members, heads); err != nil {
 		return false, err
 	}

@@ -30,7 +30,7 @@ const failoverLease = 100 * time.Millisecond
 
 // listenLoopback reserves a loopback listener up front, so both nodes'
 // advertised cluster addresses are known before either server opens
-// (the fenced commit-log sinks bind to the state at Open).
+// (the commit fence binds to the state at Open).
 func listenLoopback() (net.Listener, string, error) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -1,10 +1,11 @@
 // Cluster integration: fencing epochs on the commit path, the promotion
 // and demotion transitions, and the TOPO/PLACE verbs. The cluster
 // package owns topology decisions (leases, elections, placement plans);
-// this file is where those decisions meet the engine — the fenced
-// commit-log sink that turns a deposed primary's verdicts into errors,
-// and the replica-to-primary handoff that rebases the replication feed
-// onto the applied prefix.
+// this file is where those decisions meet the engine — the two fence
+// layers (the entry fence before admission, the commit-boundary fence
+// that turns a deposed primary's verdicts into errors) and the
+// replica-to-primary handoff that rebases the replication feed onto the
+// applied prefix.
 package server
 
 import (
@@ -17,13 +18,13 @@ import (
 	"repro/internal/repl"
 )
 
-// errFenced is the commit-sync failure a deposed node's in-flight
+// errFenced is the commit-boundary failure a deposed node's in-flight
 // commits surface: the write may be installed in local memory, but the
 // verdict becomes ERR — installed but never acknowledged, exactly the
 // WAL-failure contract — so nothing a zombie primary accepts after
 // deposition is ever acked as durable.
 type errFenced struct {
-	installed uint64 // fencing epoch the sink was installed under
+	installed uint64 // fencing epoch the fence was installed under
 	current   uint64 // fencing epoch the cluster has moved to
 	primary   string
 }
@@ -32,38 +33,26 @@ func (e *errFenced) Error() string {
 	return fmt.Sprintf("fenced: epoch %d deposed by %d (primary %s)", e.installed, e.current, primaryToken(e.primary))
 }
 
-// fencedLog wraps a clustered primary's per-shard replication log with
-// the fencing check, implementing CommitSyncer so the engine consults
-// the cluster state once per commit batch — after install, before any
-// verdict. Appends pass through untouched (they run under the store
-// latch and must stay fast); the fence is enforced where it matters,
-// at the acknowledgement boundary.
-type fencedLog struct {
-	log   *repl.Log
-	state *cluster.State
-	epoch uint64 // fencing epoch this sink was installed under
-	fl    *flight.Recorder
-	shard int
-}
-
-func (f *fencedLog) Append(writes map[string][]byte) { f.log.Append(writes) }
-
-func (f *fencedLog) AppendCross(writes map[string][]byte, value float64, epoch uint64, shards []int) {
-	f.log.AppendCross(writes, value, epoch, shards)
-}
-
-func (f *fencedLog) LastEpoch() uint64 { return f.log.LastEpoch() }
-
-// Sync is the fence: it fails when the cluster moved past the fencing
-// epoch this sink was installed under (or the node stopped being
-// primary), converting every verdict of the batch to an error.
-func (f *fencedLog) Sync() error {
-	epoch, role, primary := f.state.Snapshot()
-	if role == cluster.RolePrimary && epoch == f.epoch {
-		return nil
+// installFence arms the commit-boundary fence under epoch on every
+// shard: the engine's commit pipeline runs it once per installing batch,
+// after the batch is durable and before any verdict is delivered —
+// whatever the commit log is, and whichever path (one-shot, live
+// session, cross-shard) installed. It fails when the cluster moved past
+// epoch or the node stopped being primary, converting every verdict of
+// the batch to an error. Only a primary is fenced: a replica's apply
+// path runs through the same pipeline and must keep passing.
+func (s *Server) installFence(epoch uint64) {
+	fence := func() error {
+		current, role, primary := s.cluster.Snapshot()
+		if role == cluster.RolePrimary && current == epoch {
+			return nil
+		}
+		s.flight.Server().Record(flight.EvFenceReject, 0, -1, epoch)
+		return &errFenced{installed: epoch, current: current, primary: primary}
 	}
-	f.fl.Server().Record(flight.EvFenceReject, 0, f.shard, f.epoch)
-	return &errFenced{installed: f.epoch, current: epoch, primary: primary}
+	for i := 0; i < s.store.NumShards(); i++ {
+		s.store.Shard(i).SetFence(fence)
+	}
 }
 
 // primaryToken renders a primary address for ERR not-primary replies:
@@ -112,23 +101,20 @@ func (s *Server) fencedReplVerb() (string, bool) {
 //  1. stop the apply stream (the barrier queue has already delivered
 //     every complete epoch; incomplete trailing epochs are discarded —
 //     they were never applied, so the store is a clean prefix),
-//  2. claim the state (writes arriving now pass the entry fence but
-//     commit through the fenced sink installed next — until it is
-//     installed the old gate still rejects them),
-//  3. rebase a fresh replication feed at the applied indices and epoch
-//     watermarks, so downstream joiners resume the primary numbering,
-//  4. install the fenced commit-log sinks under the new epoch,
+//  2. claim the state (writes arriving now pass the entry fence, but
+//     until step 5 the lag gate still rejects them),
+//  3. on an in-memory node without a feed of its own, rebase a fresh
+//     replication feed at the applied indices and epoch watermarks, so
+//     downstream joiners resume the primary numbering, and make it the
+//     commit log; a node that already logs (a chained replica's feed, a
+//     durable replica's WAL — which keeps feeding its -repl-log feed)
+//     keeps its sinks untouched,
+//  4. arm the commit-boundary fence under the new epoch,
 //  5. lift the lag gate and publish the feed.
 func (s *Server) Promote(rep *repl.Replica, epoch uint64) error {
 	cs := s.cluster
 	if cs == nil {
 		return fmt.Errorf("server: not clustered")
-	}
-	if s.durable != nil {
-		// Promotion installs the in-memory fenced sinks, which would
-		// silently replace the WAL sink — refuse rather than drop
-		// durability; the monitor keeps this node a replica.
-		return fmt.Errorf("server: promoting a durable replica is not supported (WAL sink would be replaced)")
 	}
 	var applied, marks []uint64
 	if rep != nil {
@@ -141,7 +127,7 @@ func (s *Server) Promote(rep *repl.Replica, epoch uint64) error {
 	}
 	shards := s.store.NumShards()
 	feed := s.Feed()
-	if feed == nil {
+	if feed == nil && s.durable == nil {
 		feed = repl.NewFeed(shards, s.epochs)
 		if s.retain > 0 {
 			feed.SetRetention(s.retain)
@@ -164,12 +150,11 @@ func (s *Server) Promote(rep *repl.Replica, epoch uint64) error {
 		// history used, or the apply barrier downstream would conflate
 		// old and new cross-shard commits.
 		s.epochs.Observe(maxMark)
+		for i := 0; i < shards; i++ {
+			s.store.Shard(i).SetCommitLog(feed.Log(i))
+		}
 	}
-	for i := 0; i < shards; i++ {
-		s.store.Shard(i).SetCommitLog(&fencedLog{
-			log: feed.Log(i), state: cs, epoch: epoch, fl: s.flight, shard: i,
-		})
-	}
+	s.installFence(epoch)
 	s.feedP.Store(feed)
 	s.gateP.Store(nil)
 	s.flight.Server().Record(flight.EvPromote, 0, -1, epoch)
@@ -179,9 +164,9 @@ func (s *Server) Promote(rep *repl.Replica, epoch uint64) error {
 // Demote records a deposed primary's fencing into the flight ring. The
 // cluster state has already flipped to RoleFenced (the Node's Observe
 // did it atomically with discovering the higher epoch); from that
-// instant every in-flight commit fails at the fenced sink and every new
-// write bounces at the entry fence — this is bookkeeping, not the
-// fence itself.
+// instant every in-flight commit fails at the commit-boundary fence and
+// every new write bounces at the entry fence — this is bookkeeping, not
+// the fence itself.
 func (s *Server) Demote(epoch uint64, primary string) {
 	s.flight.Server().Record(flight.EvDemote, 0, -1, epoch)
 }

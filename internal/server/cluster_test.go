@@ -1,22 +1,21 @@
 // Cluster fencing and failover tests: the deterministic deposed-epoch
-// proofs (entry fence and commit-sync fence), the TOPO/PLACE verb
+// proofs (entry fence and commit-boundary fence), the TOPO/PLACE verb
 // surfaces, and an in-process replica-to-primary promotion over a live
 // replication stream.
 package server
 
 import (
-	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/durable"
-	"repro/internal/engine"
 	"repro/internal/repl"
 	"repro/internal/server/client"
-	"repro/internal/shard"
+	"repro/internal/server/opts"
 )
 
 // clusteredPrimary starts an in-memory clustered primary claiming
@@ -32,72 +31,87 @@ func clusteredPrimary(t *testing.T, shards int, peers []string) (*Server, string
 }
 
 // TestDeposedEpochWriteNeverAcked is the fencing invariant's
-// deterministic proof, layer by layer:
+// deterministic proof, layer by layer, on an in-memory and on a durable
+// clustered primary:
 //
 //  1. entry fence — after deposition every new write draws the
 //     not-primary redirect and installs nothing;
-//  2. commit-sync fence — a commit already past the entry fence when
+//  2. commit-boundary fence — a commit already past the entry fence when
 //     deposition lands (the zombie-primary window) installs through the
-//     engine but its verdict is converted to an error at the
-//     commit-sync boundary, so it is never acknowledged.
+//     engine but its verdict is converted to an error at the commit
+//     boundary, so it is never acknowledged. Both commit paths cross that
+//     boundary: a one-shot execution and a live session's TXN COMMIT,
+//     whatever the commit log is.
 //
 // Together: a write under a deposed fencing epoch can never install
 // silently or be acked durable.
 func TestDeposedEpochWriteNeverAcked(t *testing.T) {
-	srv, addr, cs := clusteredPrimary(t, 2, nil)
+	for _, node := range []string{"in-memory", "durable"} {
+		t.Run(node, func(t *testing.T) {
+			cs := cluster.NewState("127.0.0.1:0", nil)
+			if err := cs.BecomePrimary(1); err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Shards: 2, Repl: ReplOptions{Primary: true}, Cluster: cs}
+			if node == "durable" {
+				cfg.Durable = durable.Options{Dir: t.TempDir()}
+			}
+			srv, addr := startDurableServer(t, cfg)
+			t.Cleanup(srv.Close)
 
-	// While primary, writes commit normally.
-	if got := srv.dispatchLine("ADD fencekey 7"); got != "OK 7" {
-		t.Fatalf("write on live primary = %q", got)
-	}
+			// While primary, writes commit normally — and a live session
+			// binds its engine transaction, passing the entry fence.
+			if got := srv.dispatchLine("ADD fencekey 7"); got != "OK 7" {
+				t.Fatalf("write on live primary = %q", got)
+			}
+			live := strings.TrimPrefix(srv.dispatchLine("TXN BEGIN"), "OK ")
+			if got := srv.dispatchLine("TXN W " + live + " sesskey 5"); got != "OK 5" {
+				t.Fatalf("TXN W on live primary = %q", got)
+			}
 
-	// Depose: a peer claims epoch 2.
-	if !cs.Observe(2, "10.0.0.9:7070") {
-		t.Fatal("Observe(2) must depose the primary")
-	}
+			// Depose: a peer claims epoch 2.
+			if !cs.Observe(2, "10.0.0.9:7070") {
+				t.Fatal("Observe(2) must depose the primary")
+			}
 
-	// Layer 1: the entry fence. The write is refused with a redirect
-	// before admission; nothing installs.
-	got := srv.dispatchLine("ADD fencekey 1")
-	if got != "ERR not-primary 10.0.0.9:7070" {
-		t.Fatalf("write on deposed node = %q, want ERR not-primary 10.0.0.9:7070", got)
-	}
-	if got := srv.dispatchLine("GET fencekey"); got != "OK 7" {
-		t.Fatalf("fenced write mutated state: GET = %q, want OK 7", got)
-	}
-	// TXN writes hit the same fence.
-	begin := srv.dispatchLine("TXN BEGIN")
-	id := strings.TrimPrefix(begin, "OK ")
-	if got := srv.dispatchLine("TXN W " + id + " fencekey 1"); got != "ERR not-primary 10.0.0.9:7070" {
-		t.Fatalf("TXN W on deposed node = %q", got)
-	}
+			// Layer 1: the entry fence. The write is refused with a redirect
+			// before admission; nothing installs.
+			got := srv.dispatchLine("ADD fencekey 1")
+			if got != "ERR not-primary 10.0.0.9:7070" {
+				t.Fatalf("write on deposed node = %q, want ERR not-primary 10.0.0.9:7070", got)
+			}
+			if got := srv.dispatchLine("GET fencekey"); got != "OK 7" {
+				t.Fatalf("fenced write mutated state: GET = %q, want OK 7", got)
+			}
+			// TXN writes hit the same fence.
+			id := strings.TrimPrefix(srv.dispatchLine("TXN BEGIN"), "OK ")
+			if got := srv.dispatchLine("TXN W " + id + " fencekey 1"); got != "ERR not-primary 10.0.0.9:7070" {
+				t.Fatalf("TXN W on deposed node = %q", got)
+			}
 
-	// Layer 2: the commit-sync fence. Drive a commit directly through
-	// the store — the deterministic stand-in for a request that passed
-	// the entry fence before deposition landed. The install goes
-	// through, but the fenced sink fails Sync, so the verdict is a
-	// *engine.SyncError: installed, never acknowledged — exactly the
-	// failed-WAL-sync contract.
-	_, err := srv.Store().UpdateTracedResult(1.0, []string{"fencekey"}, func(int) error { return nil }, nil,
-		func(tx shard.Tx) error { return tx.Set("fencekey", []byte("99")) })
-	if err == nil {
-		t.Fatal("zombie commit was acknowledged")
-	}
-	var se *engine.SyncError
-	if !errors.As(err, &se) {
-		t.Fatalf("zombie commit error = %v (%T), want *engine.SyncError", err, err)
-	}
-	if !strings.Contains(err.Error(), "fenced") {
-		t.Fatalf("zombie commit error %q does not name the fence", err)
-	}
+			// Layer 2, one-shot: drive the admitted executor directly — the
+			// deterministic stand-in for a request that passed the entry
+			// fence before deposition landed. The install goes through, the
+			// verdict is an error naming the fence.
+			out := srv.execAdmitted(srv.adm.FnOf(opts.T{}), []op{{key: "fencekey", delta: 99, write: true, set: true}}, nil)
+			if out.err == nil || !strings.Contains(out.err.Error(), "fenced") {
+				t.Fatalf("zombie one-shot commit: err = %v, want a fenced error (nil is an acknowledged zombie write)", out.err)
+			}
+			// Layer 2, live session: the session bound before deposition
+			// commits through the engine's own per-commit path.
+			if got := srv.dispatchLine("TXN COMMIT " + live); !strings.HasPrefix(got, "ERR") || !strings.Contains(got, "fenced") {
+				t.Fatalf("zombie TXN COMMIT = %q, want ERR naming the fence", got)
+			}
 
-	// The fenced node's replication surface is frozen too.
-	for _, verb := range []string{"HEAD", "SNAP 0", "REPL 0 1", "ACK 0 1"} {
-		rc := dialRaw(t, addr)
-		rc.send(verb)
-		if got := rc.recv(); got != "ERR not-primary 10.0.0.9:7070" {
-			t.Errorf("%s on fenced node = %q, want ERR not-primary", verb, got)
-		}
+			// The fenced node's replication surface is frozen too.
+			for _, verb := range []string{"HEAD", "SNAP 0", "REPL 0 1", "ACK 0 1"} {
+				rc := dialRaw(t, addr)
+				rc.send(verb)
+				if got := rc.recv(); got != "ERR not-primary 10.0.0.9:7070" {
+					t.Errorf("%s on fenced node = %q, want ERR not-primary", verb, got)
+				}
+			}
+		})
 	}
 }
 
@@ -290,19 +304,103 @@ func TestPromoteTakesOver(t *testing.T) {
 	}
 }
 
-// TestSyncAcksDegradesWithoutSubscriber proves a semi-sync primary with
-// no tracking replica does not stall: WaitAcked degrades to async
-// immediately and the write acks.
+// TestPromoteDurableReplica promotes a durable replica: it keeps its WAL
+// as the commit log (new commits are logged and survive a restart beside
+// the replicated history) and gains the commit-boundary fence (deposed
+// again, an in-flight commit is never acknowledged).
+func TestPromoteDurableReplica(t *testing.T) {
+	pri, priAddr := startServer(t, Config{Shards: 4, Repl: ReplOptions{Primary: true}})
+	gate := repl.NewLagGate(4, time.Hour, time.Millisecond)
+	cs := cluster.NewState("127.0.0.1:0", nil)
+	cs.SetReplica(priAddr)
+	dir := t.TempDir()
+	rep, _ := startDurableServer(t, Config{
+		Shards:  4,
+		Repl:    ReplOptions{Primary: true, Gate: gate},
+		Cluster: cs,
+		Durable: durable.Options{Dir: dir},
+	})
+	r, err := repl.StartReplica(repl.ReplicaConfig{Primary: priAddr, Store: rep.Store(), Gate: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	keys := driveMixedLoad(t, priAddr, 3)
+	waitCaughtUp(t, pri, r)
+	want := snapshotKeys(t, priAddr, keys)
+	pri.Close()
+
+	if err := rep.Promote(r, 2); err != nil {
+		t.Fatalf("promoting a durable replica: %v", err)
+	}
+	logged := rep.Durable().Stats().WALAppends
+	if got := rep.dispatchLine("ADD " + keys[0] + " 100"); got != "OK "+strconv.FormatInt(want[keys[0]]+100, 10) {
+		t.Fatalf("write on promoted durable node = %q", got)
+	}
+	want[keys[0]] += 100
+	if got := rep.dispatchLine("UPD w:" + keys[1] + ":-1 w:" + keys[2] + ":1"); !strings.HasPrefix(got, "OK") {
+		t.Fatalf("cross-shard write on promoted durable node = %q", got)
+	}
+	want[keys[1]]--
+	want[keys[2]]++
+	if now := rep.Durable().Stats().WALAppends; now <= logged {
+		t.Fatalf("promoted node's commits bypassed the WAL: appends %d -> %d", logged, now)
+	}
+
+	// Deposed again: a commit already past the entry fence is never acked.
+	cs.Observe(3, "10.0.0.9:7070")
+	out := rep.execAdmitted(rep.adm.FnOf(opts.T{}), []op{{key: "zombie", delta: 1, write: true, set: true}}, nil)
+	if out.err == nil || !strings.Contains(out.err.Error(), "fenced") {
+		t.Fatalf("commit on re-deposed durable node: err = %v, want a fenced error", out.err)
+	}
+	rep.Close()
+
+	// Restart over the same directory: replicated history and the
+	// promoted node's own acknowledged commits are all recovered.
+	back, backAddr := startDurableServer(t, Config{Shards: 4, Durable: durable.Options{Dir: dir}})
+	defer back.Close()
+	if got := snapshotKeys(t, backAddr, keys); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recovered state %v, want %v", got, want)
+	}
+}
+
+// TestSyncAcksDegradesWithoutSubscriber pins the semi-sync wait on both
+// commit paths (one-shot and live session): with no replica ever
+// tracking, the wait degrades to async immediately — a lone primary does
+// not stall; once a shard is tracked, every commit waits for an ack and a
+// silent subscriber costs it the timeout, counted in repl_sync_degraded.
 func TestSyncAcksDegradesWithoutSubscriber(t *testing.T) {
-	srv, _ := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true, SyncAcks: true, SyncTimeout: 30 * time.Second}})
-	done := make(chan string, 1)
-	go func() { done <- srv.dispatchLine("ADD sk 1") }()
-	select {
-	case got := <-done:
-		if got != "OK 1" {
-			t.Fatalf("semi-sync lone write = %q", got)
+	srv, _ := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true, SyncAcks: true, SyncTimeout: 50 * time.Millisecond}})
+	paths := []struct {
+		name   string
+		commit func(key string) string
+	}{
+		{"one-shot", func(key string) string { return srv.dispatchLine("ADD " + key + " 1") }},
+		{"live-session", func(key string) string {
+			id := strings.TrimPrefix(srv.dispatchLine("TXN BEGIN"), "OK ")
+			srv.dispatchLine("TXN W " + id + " " + key + " 1")
+			return srv.dispatchLine("TXN COMMIT " + id)
+		}},
+	}
+	for _, p := range paths {
+		if got := p.commit("sk-" + p.name); got != "OK 1" {
+			t.Fatalf("%s: semi-sync lone write = %q", p.name, got)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("semi-sync write stalled with no subscriber")
+		if n := srv.syncDegraded.Load(); n != 0 {
+			t.Fatalf("%s: lone primary waited out %d semi-sync timeouts, want none", p.name, n)
+		}
+	}
+	sub := srv.Feed().Subscribe()
+	defer sub.Close()
+	sub.Track(0)
+	sub.Track(1)
+	for _, p := range paths {
+		before := srv.syncDegraded.Load()
+		if got := p.commit("sk-" + p.name); got != "OK 2" {
+			t.Fatalf("%s: semi-sync write under a silent subscriber = %q", p.name, got)
+		}
+		if n := srv.syncDegraded.Load() - before; n != 1 {
+			t.Fatalf("%s: %d degraded waits, want 1 (the commit must wait for a replica ack)", p.name, n)
+		}
 	}
 }

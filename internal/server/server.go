@@ -63,7 +63,7 @@ type Config struct {
 	// fencing epoch and role, the TOPO/PLACE verbs come alive, and the
 	// server can be promoted from replica to primary at runtime. The
 	// state's role and epoch must be set (BecomePrimary/SetReplica)
-	// before Open so the initial commit-log sinks carry the right fence.
+	// before Open so a primary boots with its commit fence armed.
 	Cluster *cluster.State
 	// Txn configures interactive transaction sessions (the TXN verbs):
 	// idle cap and reaper cadence. See session.go.
@@ -247,21 +247,7 @@ func Open(cfg Config) (*Server, error) {
 		}
 	} else if feed != nil {
 		for i := 0; i < cfg.Shards; i++ {
-			if cfg.Cluster != nil && cfg.Cluster.IsPrimary() {
-				// Clustered in-memory primary: the commit-log sink is the
-				// fencing wrapper, so the engine's per-batch Sync consults
-				// the cluster state before any verdict is delivered — a
-				// deposed primary's commits install but never ack. A
-				// clustered *replica* keeps the plain sink (its apply path
-				// re-logs and syncs every batch, which must keep passing);
-				// Promote swaps in the fenced sinks at takeover.
-				store.Shard(i).SetCommitLog(&fencedLog{
-					log: feed.Log(i), state: cfg.Cluster,
-					epoch: cfg.Cluster.Epoch(), fl: fl, shard: i,
-				})
-			} else {
-				store.Shard(i).SetCommitLog(feed.Log(i))
-			}
+			store.Shard(i).SetCommitLog(feed.Log(i))
 		}
 	}
 	if cfg.Repl.SyncTimeout <= 0 {
@@ -287,6 +273,9 @@ func Open(cfg Config) (*Server, error) {
 	srv.gateP.Store(cfg.Repl.Gate)
 	if cfg.Cluster != nil {
 		srv.assign = cluster.NewAssignment(cfg.Shards, cfg.Cluster.Self())
+		if cfg.Cluster.IsPrimary() {
+			srv.installFence(cfg.Cluster.Epoch())
+		}
 	}
 	srv.sessions = newSessionTable(srv, cfg.Txn)
 	srv.registerDerived()
@@ -1274,43 +1263,41 @@ func (s *Server) execAdmitted(f value.Fn, ops []op, tr *obs.Trace) execOutcome {
 		out.err = err
 		return out
 	}
-	if cs := s.cluster; cs != nil && !cs.IsPrimary() {
-		// Deposition landed mid-commit. The in-memory fenced sink already
-		// fails such batches at Sync, but a durable primary's WAL sink
-		// cannot be wrapped — this re-check closes that path too: the
-		// write may be installed locally, the verdict is still an error,
-		// so nothing a deposed node accepted is ever acknowledged.
-		epoch, _, primary := cs.Snapshot()
-		s.flight.Server().Record(flight.EvFenceReject, 0, -1, epoch)
-		out.err = &errFenced{installed: epoch, current: epoch, primary: primary}
-		return out
-	}
-	if s.syncAcks {
-		if feed := s.Feed(); feed != nil {
-			// Semi-sync: wait for one tracking replica to ack each written
-			// shard's log head (which covers this commit's record) before
-			// the OK leaves. The wait is replication latency, not engine
-			// service — fold it into readmitWait so the admission queue's
-			// per-op estimate stays about the engine.
-			t0 := time.Now()
-			seen := make(map[int]bool, len(ops))
-			for _, o := range ops {
-				if !o.write || seen[s.store.ShardOf(o.key)] {
-					continue
-				}
-				si := s.store.ShardOf(o.key)
-				seen[si] = true
-				if err := feed.WaitAcked(si, feed.Log(si).Head(), s.syncTimeout); err != nil {
-					// Degrade to async rather than fail a commit that is
-					// locally durable: the lapse is counted, the OK stands.
-					s.syncDegraded.Add(1)
-				}
-			}
-			out.readmitWait += time.Since(t0)
-		}
-	}
+	out.readmitWait += s.awaitReplicaAcks(ops)
 	out.results, _ = res.([]int64)
 	return out
+}
+
+// awaitReplicaAcks is the semi-sync wait both commit paths (one-shot and
+// deferred commits in execAdmitted, live-session commits in txnCommit)
+// run between a successful commit and its OK: one tracking replica must
+// ack the log head of every shard ops wrote — which covers this commit's
+// records — before the OK leaves. It returns the time spent: replication
+// latency, not engine service, which callers keep out of the admission
+// queue's per-op estimate.
+func (s *Server) awaitReplicaAcks(ops []op) time.Duration {
+	feed := s.Feed()
+	if !s.syncAcks || feed == nil {
+		return 0
+	}
+	t0 := time.Now()
+	seen := make(map[int]bool, len(ops))
+	for _, o := range ops {
+		if !o.write {
+			continue
+		}
+		si := s.store.ShardOf(o.key)
+		if seen[si] {
+			continue
+		}
+		seen[si] = true
+		if err := feed.WaitAcked(si, feed.Log(si).Head(), s.syncTimeout); err != nil {
+			// Degrade to async rather than fail a commit that is locally
+			// durable: the lapse is counted, the OK stands.
+			s.syncDegraded.Add(1)
+		}
+	}
+	return time.Since(t0)
 }
 
 // applyOp executes one operation against a transactional view and

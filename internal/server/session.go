@@ -596,13 +596,16 @@ func (s *Server) txnCommit(ss *session) string {
 		<-ld
 		ss.mu.Lock()
 		mode = ss.mode // rebind or failure may have happened meanwhile
-		switch {
-		case ss.liveCommitted:
-			reply = okResults(ss.liveRes)
-		case mode == sessFailed:
+		committed, ops, res := ss.liveCommitted, ss.ops, ss.liveRes
+		if mode == sessFailed {
 			reply = txnCommitErr(ss.failErr)
 		}
 		ss.mu.Unlock()
+		if committed {
+			// Semi-sync covers interactive commits like one-shot ones.
+			s.awaitReplicaAcks(ops)
+			reply = okResults(res)
+		}
 	}
 	released := false
 	if reply == "" {

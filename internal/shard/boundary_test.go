@@ -1,0 +1,198 @@
+package shard
+
+import (
+	"errors"
+	"runtime"
+	"strconv"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/engine"
+)
+
+// faultLog is a durable commit log that counts what the pipeline hands it
+// and fails Sync on demand.
+type faultLog struct {
+	syncErr                      error
+	intents, decisions, released atomic.Int64
+}
+
+func (l *faultLog) AppendCommit(rec engine.CommitRecord) uint64 { return rec.Epoch }
+func (l *faultLog) AppendIntent(uint64, []int)                  { l.intents.Add(1) }
+func (l *faultLog) AppendDecision(uint64)                       { l.decisions.Add(1) }
+func (l *faultLog) ReleaseCross(uint64)                         { l.released.Add(1) }
+func (l *faultLog) Sync() error                                 { return l.syncErr }
+func (l *faultLog) Durable() bool                               { return true }
+
+// TestCommitBoundaryContract drives every caller of the engine's commit
+// pipeline — per-commit, group-commit flush, cross-shard combine with
+// single- and multi-shard installs, and both replica applies — against a
+// failing commit log and against a tripped fence, and holds each to the
+// same contract: the writes are installed, every installed verdict of the
+// batch is a *engine.SyncError wrapping the cause, and a request of the
+// same batch that failed validation is not failed by it.
+func TestCommitBoundaryContract(t *testing.T) {
+	// outcome is what one caller shape reports back.
+	type outcome struct {
+		installed []error           // verdict errors of requests that installed
+		rejected  []crossVerdict    // verdicts of requests that failed validation
+		want      map[string]string // committed state afterwards
+		epochs    int64             // two-participant commit epochs the shape minted
+	}
+	set := func(tx Tx, kv ...string) error {
+		for i := 0; i < len(kv); i += 2 {
+			if err := tx.Set(kv[i], []byte(kv[i+1])); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// combine serves one hand-built combiner batch over both shards: a
+	// request whose read is stale (must fail validation) ahead of one that
+	// installs writes.
+	combine := func(s *Store, stale string, writes map[int]map[string][]byte, want map[string]string) outcome {
+		bad := crossReq{reads: s.groupReads(map[string]uint64{stale: 99}), done: make(chan crossVerdict, 1)}
+		good := crossReq{writes: writes, value: 1, done: make(chan crossVerdict, 1)}
+		s.combineCross(&crossQueue{involved: []int{0, 1}, leading: true, pending: []crossReq{bad, good}})
+		return outcome{installed: []error{(<-good.done).err}, rejected: []crossVerdict{<-bad.done},
+			want: want, epochs: int64(len(writes) - 1)}
+	}
+	shapes := []struct {
+		name string
+		eng  engine.Config
+		run  func(t *testing.T, s *Store, k0, k1 string) outcome
+	}{
+		{name: "per-commit", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
+			err := s.UpdateValued(1, []string{k0}, func(tx Tx) error { return set(tx, k0, "1") })
+			return outcome{installed: []error{err}, want: map[string]string{k0: "1"}}
+		}},
+		// OCC-BC keeps the flush population exact: no speculative shadow
+		// enqueues a commit of its own between the two triggers.
+		{name: "group-flush", eng: engine.Config{Mode: engine.OCCBC,
+			GroupCommit: engine.GroupCommit{Enabled: true, Window: time.Hour, MaxBatch: 1 << 20}},
+			run: func(t *testing.T, s *Store, k0, k1 string) outcome {
+				// Two increments of one key share a flush: the first to
+				// validate installs, the other fails validation. Were the
+				// batch's error stamped on the loser too it would give up
+				// with its write missing; instead it re-executes and
+				// installs in a flush of its own — k0 ends at 2.
+				eng := s.Shard(s.ShardOf(k0))
+				errs := make(chan error, 2)
+				for i := 0; i < 2; i++ {
+					go func() {
+						errs <- s.Update([]string{k0}, func(tx Tx) error {
+							v, err := tx.Get(k0)
+							if err != nil {
+								return err
+							}
+							return set(tx, k0, string(bytes8(num(v)+1)))
+						})
+					}()
+				}
+				var out outcome
+				for flush := 0; flush < 2; flush++ {
+					deadline := time.Now().Add(10 * time.Second)
+					for eng.PendingCommits() < 2-flush {
+						if time.Now().After(deadline) {
+							t.Fatalf("flush %d: pending commits stuck at %d", flush, eng.PendingCommits())
+						}
+						runtime.Gosched()
+					}
+					eng.TriggerFlush()
+					out.installed = append(out.installed, <-errs)
+				}
+				out.want = map[string]string{k0: string(bytes8(2))}
+				return out
+			}},
+		{name: "cross-combine-multi-shard", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
+			return combine(s, k0, map[int]map[string][]byte{0: {k0: []byte("2")}, 1: {k1: []byte("2")}},
+				map[string]string{k0: "2", k1: "2"})
+		}},
+		{name: "cross-combine-single-shard", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
+			return combine(s, k0, map[int]map[string][]byte{1: {k1: []byte("3")}}, map[string]string{k1: "3"})
+		}},
+		{name: "cross-update", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
+			err := s.Update([]string{k0, k1}, func(tx Tx) error { return set(tx, k0, "4", k1, "4") })
+			return outcome{installed: []error{err}, want: map[string]string{k0: "4", k1: "4"}, epochs: 1}
+		}},
+		{name: "apply-replicated", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
+			err := s.ApplyReplicated(0, []map[string][]byte{{k0: []byte("5")}, {k0: []byte("6")}})
+			return outcome{installed: []error{err}, want: map[string]string{k0: "6"}}
+		}},
+		{name: "apply-replicated-cross", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
+			err := s.ApplyReplicatedCross(map[int]map[string][]byte{0: {k0: []byte("7")}, 1: {k1: []byte("7")}})
+			return outcome{installed: []error{err}, want: map[string]string{k0: "7", k1: "7"}, epochs: 1}
+		}},
+	}
+	cause := errors.New("injected boundary failure")
+	for _, fault := range []string{"sync", "fence"} {
+		for _, shape := range shapes {
+			t.Run(fault+"/"+shape.name, func(t *testing.T) {
+				logs := []*faultLog{{}, {}}
+				s := Open(Config{
+					Shards:       2,
+					Engine:       shape.eng,
+					CommitLogFor: func(i int) engine.CommitLog { return logs[i] },
+				})
+				defer s.Close()
+				for i, l := range logs {
+					if fault == "sync" {
+						l.syncErr = cause
+					} else {
+						s.Shard(i).SetFence(func() error { return cause })
+					}
+				}
+				k0, k1 := keyOn(t, s, 0), keyOn(t, s, 1)
+				out := shape.run(t, s, k0, k1)
+
+				for i, err := range out.installed {
+					var se *engine.SyncError
+					if !errors.As(err, &se) || !errors.Is(err, cause) {
+						t.Errorf("installed verdict %d = %v, want *engine.SyncError wrapping the injected cause (an OK here is an acknowledged commit that never crossed the boundary)", i, err)
+					}
+				}
+				for i, v := range out.rejected {
+					if v.ok || v.err != nil {
+						t.Errorf("validation-failed verdict %d = %+v, want {ok:false err:nil}: the batch's error belongs to installed verdicts only", i, v)
+					}
+				}
+				for k, want := range out.want {
+					if got, _ := s.Get(k); string(got) != want {
+						t.Errorf("%s = %q, want %q (installed, though never acknowledged)", k, got, want)
+					}
+				}
+				// The two-round protocol is the pipeline's, whoever calls it:
+				// every epoch puts an intent on both participants; a failed
+				// round 1 never decides it, while a batch only the fence
+				// failed was decided once and released on both.
+				var intents, decisions, released int64
+				for _, l := range logs {
+					intents += l.intents.Load()
+					decisions += l.decisions.Load()
+					released += l.released.Load()
+				}
+				wantDecisions, wantReleased := out.epochs, 2*out.epochs
+				if fault == "sync" {
+					wantDecisions, wantReleased = 0, 0
+				}
+				if intents != 2*out.epochs || decisions != wantDecisions || released != wantReleased {
+					t.Errorf("intents=%d decisions=%d released=%d, want %d/%d/%d",
+						intents, decisions, released, 2*out.epochs, wantDecisions, wantReleased)
+				}
+			})
+		}
+	}
+}
+
+// keyOn returns a key owned by the given shard.
+func keyOn(t *testing.T, s *Store, shard int) string {
+	t.Helper()
+	for i := 0; i < 100000; i++ {
+		if k := "bk" + strconv.Itoa(i); s.ShardOf(k) == shard {
+			return k
+		}
+	}
+	t.Fatalf("no key found on shard %d", shard)
+	return ""
+}

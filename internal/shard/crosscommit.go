@@ -16,26 +16,12 @@
 // commit log (engine.Config.CommitLog) is a single total order.
 //
 // Crash atomicity. A commit whose writes span several shards spans
-// several WALs, so durability is a two-round presumed-abort protocol
-// keyed by a global commit epoch:
-//
-//	under the latches: allocate an epoch, append INTENT(epoch, shards)
-//	    to every participant's log, then the epoch-stamped data records
-//	round 1: fsync every participant — intents and data are durable,
-//	    but the commit is not yet decided
-//	append DECISION(epoch) to the coordinator (lowest participant
-//	    shard) — strictly after round 1, so the decision can never be
-//	    durable before the data it decides
-//	round 2: fsync the coordinator — this is the commit point
-//	release the epoch's records for replication shipping
-//
-// Recovery reconciles: an epoch with intents but no durable decision is
-// discarded on every shard; one with a decision is kept on every shard.
-// Either way the commit is all-or-nothing — a crash between the fsyncs
-// can lose an unacknowledged commit but can never tear one. Verdicts are
-// delivered only after round 2; any failure along the way converts every
-// installed verdict of the batch to an error (the writes are in memory
-// but were never decided durable, so they must not be acknowledged).
+// several WALs; the two-round presumed-abort protocol that keeps it
+// all-or-nothing across a crash lives in the engine's commit pipeline
+// (engine/commit.go), which the combiner's batch runs through like every
+// other install path. Verdicts are delivered only after the batch has
+// crossed that boundary; a failure converts every installed verdict of
+// the batch to an error.
 
 package shard
 
@@ -45,6 +31,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -64,14 +51,6 @@ type crossReq struct {
 	value  float64                   // transaction value, forwarded to the shards' commit logs
 	tr     *obs.Trace                // epoch-stamped by the combiner (nil-safe)
 	done   chan crossVerdict
-}
-
-// crossInstall records one installed multi-shard commit of a batch: the
-// epoch allocated under the latches and its ascending participant set
-// (the shards that received writes — the intent/decision scope).
-type crossInstall struct {
-	epoch uint64
-	parts []int
 }
 
 // crossQueue is the pending work for one involved-shard signature.
@@ -163,73 +142,29 @@ func (s *Store) combineCross(q *crossQueue) {
 	}
 	s.cross.mu.Unlock()
 
-	for _, idx := range q.involved {
-		s.shards[idx].LockCommit()
-	}
-	s.crossBatches.Add(1)
 	verdicts := make([]bool, len(batch))
-	applied := make([]bool, len(batch)) // installed writes (needs the durability boundary)
-	var installs []crossInstall
-	for i, req := range batch {
-		ok := true
-		for idx, reads := range req.reads {
-			if !s.shards[idx].ValidateLocked(reads) {
-				ok = false
-				break
-			}
-		}
-		if ok && len(req.writes) > 0 {
-			applied[i] = true
-			parts := make([]int, 0, len(req.writes))
-			for idx := range req.writes {
-				parts = append(parts, idx)
-			}
-			sort.Ints(parts)
-			if len(parts) == 1 {
-				// All writes landed on one shard: an ordinary valued
-				// install — single-WAL, needs no intent/decision dance.
-				s.shards[parts[0]].ApplyValuedLocked(req.writes[parts[0]], req.value)
-			} else {
-				// Intents first, then the epoch-stamped data records, on
-				// every participant, all under the held latches — so each
-				// WAL sees INTENT before its data and no other commit
-				// interleaves.
-				epoch := s.epochs.Next()
-				req.tr.SetEpoch(epoch)
-				for _, idx := range parts {
-					s.shards[idx].AppendIntentLocked(epoch, parts)
+	applied := make([]bool, len(batch)) // installed writes (owes the commit boundary)
+	err := engine.Commit(s.shards, q.involved, func() {
+		s.crossBatches.Add(1)
+		for i, req := range batch {
+			ok := true
+			for idx, reads := range req.reads {
+				if !s.shards[idx].ValidateLocked(reads) {
+					ok = false
+					break
 				}
-				for _, idx := range parts {
-					s.shards[idx].ApplyCrossLocked(req.writes[idx], req.value, epoch, parts)
-				}
-				installs = append(installs, crossInstall{epoch: epoch, parts: parts})
 			}
+			if ok && len(req.writes) > 0 {
+				applied[i] = true
+				s.installLocked(req.writes, req.value, req.tr)
+			}
+			verdicts[i] = ok
 		}
-		verdicts[i] = ok
-	}
-	installed := false
-	for _, a := range applied {
-		installed = installed || a
-	}
-	for _, idx := range q.involved {
-		s.shards[idx].UnlockCommit()
-	}
-	// Durability boundary (outside the latches; the logs have their own
-	// ordering): round 1 syncs every involved shard — after it, all the
-	// batch's intents and data are durable; then each multi-shard install's
-	// decision record lands on its coordinator and round 2 syncs it — the
-	// commit point. Only then do verdicts go out and the epochs' records
-	// un-gate for replication shipping. Any failure fails every installed
-	// verdict of the batch: without a durable decision, recovery discards
-	// the writes.
-	var syncErr error
-	if installed {
-		syncErr = s.finishCross(q.involved, installs)
-	}
+	})
 	for i, req := range batch {
 		v := crossVerdict{ok: verdicts[i]}
 		if applied[i] {
-			v.err = syncErr
+			v.err = err
 		}
 		req.done <- v
 	}
@@ -245,75 +180,24 @@ func (s *Store) combineCross(q *crossQueue) {
 	}
 }
 
-// finishCross drives the post-latch durability boundary for one batch:
-// round-1 sync of every involved shard, decision records, round-2 sync of
-// the coordinators, then replication release. installs may be empty (the
-// batch only had single-shard valued installs), in which case round 1 is
-// the whole boundary. Returns the first error; on error the un-decided
-// epochs stay gated — the WAL is sticky-broken at that point and the
-// server fail-stops, so the gate never starves a healthy pipeline.
-func (s *Store) finishCross(involved []int, installs []crossInstall) error {
-	if err := s.syncShards(involved); err != nil {
-		return err
-	}
-	if len(installs) == 0 {
-		return nil
-	}
-	coordSet := make(map[int]struct{}, 1)
-	for _, in := range installs {
-		coord := in.parts[0]
-		if err := s.shards[coord].AppendCrossDecision(in.epoch); err != nil {
-			return err
+// installLocked installs one transaction's writes, grouped by shard,
+// inside a Commit step that latched every shard written. Writes that all
+// landed on one shard are an ordinary valued install; writes spanning
+// several mint a global commit epoch (stamped on tr) and install as one
+// cross-store commit the pipeline decides atomically.
+func (s *Store) installLocked(writes map[int]map[string][]byte, value float64, tr *obs.Trace) {
+	if len(writes) <= 1 {
+		for idx, w := range writes {
+			s.shards[idx].ApplyLocked(w, value)
 		}
-		coordSet[coord] = struct{}{}
+		return
 	}
-	coords := make([]int, 0, len(coordSet))
-	for idx := range coordSet {
-		coords = append(coords, idx)
+	parts := make([]int, 0, len(writes))
+	for idx := range writes {
+		parts = append(parts, idx)
 	}
-	sort.Ints(coords)
-	if err := s.syncShards(coords); err != nil {
-		return err
-	}
-	for _, in := range installs {
-		for _, idx := range in.parts {
-			s.shards[idx].ReleaseCross(in.epoch)
-		}
-	}
-	return nil
-}
-
-// syncShards syncs the commit logs of idxs and returns the first error.
-// Shards without a sync hook are skipped up front — the in-memory path
-// pays nothing — and multiple syncs target independent WAL files, so they
-// run concurrently: the caller waits one fsync, not len(idxs) of them.
-func (s *Store) syncShards(idxs []int) error {
-	var toSync []int
-	for _, idx := range idxs {
-		if s.shards[idx].NeedsCommitSync() {
-			toSync = append(toSync, idx)
-		}
-	}
-	switch len(toSync) {
-	case 0:
-		return nil
-	case 1:
-		return s.shards[toSync[0]].SyncCommitLog()
-	}
-	errs := make([]error, len(toSync))
-	var syncs sync.WaitGroup
-	for i, idx := range toSync {
-		syncs.Add(1)
-		go func(i, idx int) {
-			defer syncs.Done()
-			errs[i] = s.shards[idx].SyncCommitLog()
-		}(i, idx)
-	}
-	syncs.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	sort.Ints(parts)
+	epoch := s.epochs.Next()
+	tr.SetEpoch(epoch)
+	engine.InstallCrossLocked(s.shards, epoch, parts, writes, value)
 }

@@ -428,29 +428,23 @@ func (s *Store) groupReads(reads map[string]uint64) map[int]map[string]uint64 {
 }
 
 // ApplyReplicated installs a batch of replicated commit records on one
-// shard: the shard is latched once and each record's writes are applied
-// in slice order through the same ApplyLocked path cross-shard commits
-// use, so replicated installs bump versions and broadcast-abort exactly
-// like native ones. This is the replica side of log shipping
-// (internal/repl); records must arrive in log order.
+// shard: one batch through the commit pipeline with no validation, each
+// record's writes applied in slice order through the same ApplyLocked
+// path cross-shard commits use, so replicated installs bump versions and
+// broadcast-abort exactly like native ones. This is the replica side of
+// log shipping (internal/repl); records must arrive in log order. The
+// replica's ACK covering these records follows this call, so an acked
+// record is a durable one on a durable replica — and a failed boundary
+// fails the apply before any ACK is cut.
 func (s *Store) ApplyReplicated(shard int, records []map[string][]byte) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("shard: ApplyReplicated to unknown shard %d of %d", shard, len(s.shards))
 	}
-	sh := s.shards[shard]
-	sh.LockCommit()
-	for _, writes := range records {
-		sh.ApplyLocked(writes)
-	}
-	sh.UnlockCommit()
-	// One durability sync per applied batch (a no-op without a syncing
-	// commit log): the replica's ACK covering these records follows this
-	// call, so an acked record is a durable one on a durable replica — and
-	// a failed sync must therefore fail the apply before any ACK is cut.
-	if len(records) > 0 {
-		return sh.SyncCommitLog()
-	}
-	return nil
+	return engine.Commit(s.shards, []int{shard}, func() {
+		for _, writes := range records {
+			s.shards[shard].ApplyLocked(writes, 0)
+		}
+	})
 }
 
 // ApplyReplicatedCross installs one replicated cross-shard commit: parts
@@ -472,20 +466,7 @@ func (s *Store) ApplyReplicatedCross(parts map[int]map[string][]byte) error {
 		involved = append(involved, idx)
 	}
 	sort.Ints(involved)
-	for _, idx := range involved {
-		s.shards[idx].LockCommit()
-	}
-	epoch := s.epochs.Next()
-	for _, idx := range involved {
-		s.shards[idx].AppendIntentLocked(epoch, involved)
-	}
-	for _, idx := range involved {
-		s.shards[idx].ApplyCrossLocked(parts[idx], 0, epoch, involved)
-	}
-	for _, idx := range involved {
-		s.shards[idx].UnlockCommit()
-	}
-	return s.finishCross(involved, []crossInstall{{epoch: epoch, parts: involved}})
+	return engine.Commit(s.shards, involved, func() { s.installLocked(parts, 0, nil) })
 }
 
 // View runs fn as a serializable read-only transaction over the declared
