@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench-smoke bench bench-sweep bench-race bench-compare fuzz e2e e2e-recover e2e-failover e2e-interactive e2e-chaos scenario-matrix lint docs clean-data
+.PHONY: check build vet test race bench-smoke bench bench-sweep bench-race bench-compare fuzz e2e e2e-recover e2e-failover e2e-interactive e2e-chaos scenario-matrix lint docs loc clean-data
 
 check: build vet race bench-smoke
 
@@ -13,6 +13,14 @@ lint:
 # docs checks every tracked markdown file for broken relative links.
 docs:
 	$(GO) test -run '^TestDocLinks$$' .
+
+# loc prints non-test Go lines per top-level package of the root module
+# (bench/ is its own module), so a code-diet PR quotes a command's
+# before/after instead of hand-counting.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' | xargs wc -l | \
+		awk '$$2 != "total" { n = split($$2, p, "/"); k = n > 3 ? p[2] "/" p[3] : n > 2 ? p[2] : "."; \
+			loc[k] += $$1; sum += $$1 } END { for (k in loc) printf "%7d %s\n", loc[k], k; printf "%7d total\n", sum }' | sort -k2
 
 build:
 	$(GO) build ./...

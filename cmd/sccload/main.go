@@ -1,53 +1,26 @@
-// Command sccload is a concurrent closed-loop load generator for sccserve.
+// Command sccload is the command-line front end of internal/loadgen, the
+// concurrent closed-loop load generator for sccserve.
 //
 //	sccload -addr :7070 -clients 64 -ops 200 -mix low
 //	sccload -addr :7070 -clients 64 -ops 200 -mix low -pipeline 16
 //
-// Each client drives one TCP connection: it draws transactions from an
-// internal/workload mix (the paper's Sec. 4 transaction model — access
-// lists, write probabilities, deadlines, value functions), converts each
-// into one UPD wire transaction (reads become read dependencies, writes
-// become balanced ± deltas so the keyspace total is conserved, plus a
-// per-client commit counter key), and reports throughput, latency
-// percentiles, and value accrued via internal/stats.
+// Flags select the worker shape (one blocking round trip per
+// transaction; -pipeline n in flight per connection; -interactive TXN
+// sessions with -think time), the workload mix, and the run's key
+// namespace. Every run audits itself — see the loadgen package comment
+// for the transaction rendering and the two invariants — and exits
+// non-zero on a violation.
 //
-// With -pipeline n each client switches from one round trip per
-// transaction to the REQ/RES pipelined framing, keeping up to n
-// transactions in flight on its connection via the multiplexing client;
-// every transaction's latency, deadline, and value accounting is still
-// measured on its own request/response pair.
-//
-// With -interactive each transaction becomes a server-side TXN session:
-// BEGIN enters the admission queue, every operation is its own round
-// trip preceded by -think of client think time (the engine's SCC
-// shadows stay live in between), and COMMIT returns the committed write
-// results. Combined with -pipeline n, each client drives n concurrent
-// sessions over one multiplexed connection. Sessions whose value
-// functions cross zero mid-think are reaped server-side and count as
-// shed. This is the workload the one-shot verbs cannot express: open
-// transactions holding speculative state across client latency.
-//
-// Two built-in invariants make every run a correctness check, not just a
-// stopwatch: the balanced deltas mean the final SUM over value keys must
-// be zero (a torn cross-shard commit breaks it), and each client's
-// counter keys (one per in-flight slot, so a pipelined client never
-// self-conflicts on its own audit key) must sum to its
-// committed-transaction count (a lost update breaks it).
-//
-// Against a cluster, -addr takes the comma-separated member list. The
-// per-round-trip path then follows ERR not-primary redirects: when the
-// primary dies mid-run and a replica promotes, every worker re-points at
-// the member the redirect names (re-dialing around dead connections with
-// a bounded budget) and the summary reports how many redirects and
-// reconnects the failover cost. A retried transaction that double-lands
-// is exactly the counter > acked case the audit tolerates.
+// Against a cluster, -addr takes the comma-separated member list: the
+// per-round-trip path then follows ERR not-primary redirects across a
+// failover and the summary reports the redirects and reconnects it cost.
 //
 // The conservation invariant also audits crash recovery: run a load with
 // a pinned -run-id against a durable server, SIGKILL and restart the
 // server, then re-run with -verify-only -run-id <id> (plus
 // -expect-recovered to assert the restart actually replayed a data
-// directory) — the balanced deltas must still sum to zero over the
-// recovered keyspace. scripts/e2e_recover.sh automates the cycle.
+// directory, and -acked-in to audit the ledger a previous -acked-out
+// recorded). scripts/e2e_recover.sh automates the cycle.
 //
 // Mixes: low (Sec. 4 baseline spread over -keys pages), high (the same
 // class squeezed onto 16 hot pages with 4 accesses), two (the Fig. 14(b)
@@ -61,21 +34,17 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"sort"
 	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/dist"
+	"repro/internal/loadgen"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/scenario"
 	"repro/internal/server/client"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -100,157 +69,6 @@ func mixConfig(mix string, keys int, seed int64) workload.Config {
 	}
 	log.Fatalf("sccload: unknown -mix %q (want low, high, two, or single)", mix)
 	return workload.Config{}
-}
-
-// cntSlotKey names one audit-counter key. Counters are sharded per
-// in-flight slot: every transaction of a pipelined batch (or every
-// concurrent interactive session) writes a different counter, so a
-// client's own pipeline never self-conflicts on its audit key. Slot is
-// always 0 in per-round-trip mode.
-func cntSlotKey(runID int64, w, slot int) string {
-	return fmt.Sprintf("cnt%d.%d.%d", runID, w, slot)
-}
-
-// txnBeginner opens interactive transaction sessions: both the blocking
-// Client and the pipelined Mux qualify, so -interactive composes with
-// -pipeline.
-type txnBeginner interface {
-	Begin(client.TxOpts) (*client.Txn, error)
-}
-
-// traceAgg pools sampled lifecycle traces across all clients. For each
-// stage it keeps the offsets (seconds since submit) at which traced
-// transactions reached it, so the report can show where server-side time
-// went — queueing, speculation, parking, commit — not just the
-// end-to-end round trip.
-type traceAgg struct {
-	mu      sync.Mutex
-	sampled int                      // transactions issued with trace=1
-	carried int                      // replies that actually carried a timeline
-	stages  map[string]*stats.Sample // stage -> submit-relative offsets (s)
-}
-
-func newTraceAgg() *traceAgg {
-	return &traceAgg{stages: make(map[string]*stats.Sample)}
-}
-
-// add books one traced transaction's reply timeline (empty for verdicts
-// that carry no trace, e.g. sheds and errors — still counted as sampled).
-func (a *traceAgg) add(trace string) {
-	events := obs.ParseTrace(trace)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.sampled++
-	if len(events) == 0 {
-		return
-	}
-	a.carried++
-	for _, e := range events {
-		s := a.stages[e.Stage]
-		if s == nil {
-			s = stats.NewSample(0, int64(len(a.stages)))
-			a.stages[e.Stage] = s
-		}
-		s.Add(e.At.Seconds())
-	}
-}
-
-// stageOrder is the lifecycle order for the trace report; stages outside
-// it (future additions) sort after, alphabetically.
-var stageOrder = []string{
-	obs.StageEnqueue, obs.StageAdmit, obs.StageFork, obs.StagePark,
-	obs.StageResume, obs.StagePromotion, obs.StageRestart, obs.StageDefer,
-	obs.StageDeferred, obs.StageInstall, obs.StageCommit, obs.StageAbort,
-	obs.StageShed, obs.StageReap,
-}
-
-// orderedStages returns the observed stage names in lifecycle order.
-func (a *traceAgg) orderedStages() []string {
-	rank := make(map[string]int, len(stageOrder))
-	for i, s := range stageOrder {
-		rank[s] = i
-	}
-	names := make([]string, 0, len(a.stages))
-	for s := range a.stages {
-		names = append(names, s)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		ri, iok := rank[names[i]]
-		rj, jok := rank[names[j]]
-		switch {
-		case iok && jok:
-			return ri < rj
-		case iok != jok:
-			return iok
-		default:
-			return names[i] < names[j]
-		}
-	})
-	return names
-}
-
-// benchStage is one stage's summary in the -bench-out artifact.
-type benchStage struct {
-	N     int64   `json:"n"`
-	P50Ms float64 `json:"p50_ms"`
-	P99Ms float64 `json:"p99_ms"`
-}
-
-// benchOutput is the machine-readable run summary written by -bench-out.
-// BENCH_<n>.json artifacts checked into the repo use this schema; the CI
-// nightly bench job uploads one per run, so the fields are append-only.
-type benchOutput struct {
-	Timestamp  string  `json:"timestamp"`
-	Mix        string  `json:"mix"`
-	Clients    int     `json:"clients"`
-	OpsClient  int     `json:"ops_per_client"`
-	Pipeline   int     `json:"pipeline"`
-	Interact   bool    `json:"interactive"`
-	ThinkMs    float64 `json:"think_ms"`
-	RunID      int64   `json:"run_id"`
-	ElapsedSec float64 `json:"elapsed_sec"`
-	Committed  int64   `json:"committed"`
-	Shed       int     `json:"shed"`
-	Errors     int     `json:"errors"`
-	Throughput float64 `json:"throughput_txn_per_sec"`
-	P50Ms      float64 `json:"latency_p50_ms"`
-	P99Ms      float64 `json:"latency_p99_ms"`
-	MeanMs     float64 `json:"latency_mean_ms"`
-	MissedPct  float64 `json:"deadline_missed_pct"`
-	ValuePct   float64 `json:"value_pct_of_max"`
-	ValueSum   float64 `json:"value_sum"`
-	MaxValue   float64 `json:"value_max"`
-
-	// Failover accounting for multi-address -addr runs: redirects the
-	// load followed and connections it re-dialed across a promotion.
-	Redirects  int64 `json:"redirects_followed,omitempty"`
-	Reconnects int64 `json:"reconnects,omitempty"`
-
-	// Server-side counters snapshot (STATS verb) after the run.
-	Server map[string]string `json:"server,omitempty"`
-
-	// Per-stage submit-relative offsets from -trace-sample, lifecycle
-	// order preserved via the stage name keys.
-	TraceSampled int                   `json:"trace_sampled,omitempty"`
-	TraceCarried int                   `json:"trace_carried,omitempty"`
-	Stages       map[string]benchStage `json:"stages,omitempty"`
-}
-
-// clientResult accumulates one client's outcomes.
-type clientResult struct {
-	m         stats.Metrics
-	lat       *stats.Sample
-	shed      int
-	errors    int
-	committed int64 // successful transactions, cross-checked against cnt<i>
-
-	// Read-replica mix outcomes (with -replica): read-only snapshot
-	// transactions served by the replica, kept out of the primary's
-	// commit/conservation accounting.
-	replReads  int
-	replShed   int // reads shed on replica lag (repl_shed server-side)
-	replErrors int
-	replLat    *stats.Sample
 }
 
 func main() {
@@ -279,23 +97,11 @@ func main() {
 	flag.Parse()
 
 	if *eventsMerge {
-		if flag.NArg() == 0 {
-			log.Fatal("sccload: -events-merge needs one or more dump files (usage: sccload -events-merge <dump.events>...)")
-		}
-		dumps := make([]flight.Dump, 0, flag.NArg())
-		for _, path := range flag.Args() {
-			d, err := flight.ParseDumpFile(path)
-			if err != nil {
-				log.Fatalf("sccload: -events-merge: %v", err)
-			}
-			dumps = append(dumps, d)
-		}
-		if err := flight.MergeTimeline(dumps, os.Stdout); err != nil {
+		if err := mergeEvents(flag.Args()); err != nil {
 			log.Fatalf("sccload: -events-merge: %v", err)
 		}
 		return
 	}
-
 	if *matrix != "" {
 		if err := runMatrix(*matrix, *cellDuration, *matrixOut); err != nil {
 			log.Fatalf("sccload: matrix: %v", err)
@@ -303,423 +109,16 @@ func main() {
 		return
 	}
 
-	pool := newAddrPool(*addr)
-	if len(pool.addrs) == 0 {
+	pool := loadgen.NewPool(*addr)
+	if pool.Len() == 0 {
 		log.Fatal("sccload: -addr needs at least one address")
 	}
-
-	// Every key carries a per-run nonce: counters so each run audits its
-	// own commits, and value keys so each run's conservation sum is
-	// self-contained — a prior run on the same server balances its
-	// deltas only over its own full span, so sharing pages across runs
-	// would leave residue in any narrower window. A pinned -run-id makes
-	// the namespace reproducible, so a later -verify-only invocation can
-	// re-audit the same keys — across a server crash and recovery.
+	// A pinned -run-id makes the key namespace reproducible, so a later
+	// -verify-only invocation can re-audit the same keys.
 	runID := *runIDFlag
 	if runID == 0 {
 		runID = time.Now().UnixNano() % 1e9
 	}
-
-	if *verifyOnly {
-		if *runIDFlag == 0 {
-			log.Fatal("sccload: -verify-only needs the -run-id of the run to audit")
-		}
-		pages := 0
-		if *mix != "single" {
-			pages = mixConfig(*mix, *keys, 0).DBPages
-		}
-		if pages <= 0 && *keys > 0 {
-			// -mix single writes no value keys: summing zero keys would
-			// "pass" while auditing nothing. (-keys 0 stays allowed as
-			// the documented connectivity probe.)
-			log.Fatalf("sccload: -verify-only has nothing to audit for -mix %s (no value keys); rerun with the mix the load used", *mix)
-		}
-		// No per-client results survive a restart unless the load phase
-		// recorded them with -acked-out: the baseline audit is the
-		// conservation invariant (balanced deltas must still sum to zero
-		// over the run's keyspace — all-or-nothing recovery of cross-shard
-		// commits is exactly what keeps it true), plus, optionally, the
-		// server's own recovery report. With -acked-in the counter audit
-		// runs too, against the recorded acked counts: a counter below its
-		// client's acked count is a lost acknowledged commit (the
-		// durability lie, always a failure), while a counter above it is a
-		// commit whose ack the crash swallowed — correct behavior, whether
-		// the write survived recovery or was reconciled away as an
-		// undecided cross-shard epoch.
-		slots := 1
-		var acked []int64
-		if *ackedIn != "" {
-			var err error
-			acked, slots, err = loadAcked(*ackedIn, runID)
-			if err != nil {
-				log.Fatalf("sccload: -acked-in: %v", err)
-			}
-		}
-		if failed := verify(pool, pages, runID, slots, acked); failed {
-			fmt.Println("  invariants FAIL")
-			os.Exit(1)
-		}
-		fmt.Printf("sccload: verify-only run %d: conservation holds over %d keys\n", runID, pages)
-		if acked != nil {
-			fmt.Printf("sccload: acked-commit audit over %d clients: no acked commit lost\n", len(acked))
-		}
-		if *expectRecovered {
-			if failed := checkRecovered(pool); failed {
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	// Lifecycle trace sampling: a global sequence across all clients
-	// traces every nth transaction, so the sample spreads over the whole
-	// run rather than front-loading one client's burst.
-	traces := newTraceAgg()
-	var traceSeq atomic.Int64
-	sampleTrace := func() bool {
-		return *traceSample > 0 && (traceSeq.Add(1)-1)%int64(*traceSample) == 0
-	}
-
-	results := make([]clientResult, *clients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < *clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			res := &results[w]
-			res.lat = stats.NewSample(0, int64(w))
-			gen := workload.NewGenerator(mixConfig(*mix, *keys, *seed+int64(w)))
-			keyPrefix := fmt.Sprintf("k%d.", runID)
-			single := *mix == "single"
-			wireOpsFor := func(t *model.Txn, slot int) []client.Op {
-				cnt := cntSlotKey(runID, w, slot)
-				if single {
-					return []client.Op{{Key: cnt, Delta: 1, Write: true}}
-				}
-				return toWireOps(t, keyPrefix, cnt)
-			}
-
-			// record books one transaction's outcome; lat is the observed
-			// completion latency in seconds.
-			record := func(t *model.Txn, lat float64, err error) {
-				res.m.MaxValueSum += t.Class.Value
-				switch err {
-				case nil:
-					res.lat.Add(lat)
-					res.committed++
-					res.m.Committed++
-					// Value at commit: full value inside the relative
-					// deadline, penalty-decayed past it.
-					v := t.Class.Value
-					if rel := t.RelDeadline(); lat > rel {
-						res.m.Missed++
-						res.m.TardinessSum += lat - rel
-						v -= (lat - rel) * t.PenaltyGradient()
-					}
-					res.m.ValueSum += v
-				case client.ErrShed:
-					res.shed++
-				default:
-					res.errors++
-				}
-			}
-			txOpts := func(t *model.Txn) client.TxOpts {
-				return client.TxOpts{
-					Value:    t.Class.Value,
-					Deadline: time.Duration(t.RelDeadline() * float64(time.Second)),
-					Gradient: t.PenaltyGradient(),
-				}
-			}
-
-			// Read-replica mix: a fraction of transactions is converted to
-			// a read-only snapshot of the same access list and served by
-			// the replica, exercising its value-cognizant lag shedding.
-			// Replica reads always use one blocking round trip each.
-			var replC *client.Client
-			var replRng *rand.Rand
-			if *replicaAddr != "" {
-				var err error
-				replC, err = client.Dial(*replicaAddr)
-				if err != nil {
-					log.Printf("sccload: client %d: replica: %v", w, err)
-				} else {
-					defer replC.Close()
-					res.replLat = stats.NewSample(0, int64(w)+7)
-					replRng = rand.New(rand.NewSource(*seed + int64(w)*31 + 17))
-				}
-			}
-			// replMu guards the replica accounting fields: concurrent
-			// interactive sessions of one client share them. The network
-			// round trip itself runs unlocked (Client serializes its own
-			// connection), so sessions never stall behind each other's
-			// replica RTT.
-			var replMu sync.Mutex
-			replicaRead := func(t *model.Txn) {
-				ops := make([]client.Op, 0, len(t.Ops))
-				for _, o := range t.Ops {
-					ops = append(ops, client.Op{Key: fmt.Sprintf("%s%d", keyPrefix, o.Page)})
-				}
-				t0 := time.Now()
-				_, err := replC.Update(ops, txOpts(t))
-				lat := time.Since(t0).Seconds()
-				replMu.Lock()
-				defer replMu.Unlock()
-				switch err {
-				case nil:
-					res.replReads++
-					res.replLat.Add(lat)
-				case client.ErrShed:
-					res.replShed++
-				default:
-					res.replErrors++
-				}
-			}
-			takeReplica := func() bool {
-				return replC != nil && replRng.Float64() < *replicaReads
-			}
-
-			if *interactive {
-				// Interactive mode: every transaction is a TXN session —
-				// BEGIN enters the admission queue, each op is its own
-				// round trip (with think time before it), COMMIT carries
-				// the committed write results. The conservation and
-				// lost-update invariants audit these exactly like UPDs.
-				// With -pipeline n, n sessions run concurrently over one
-				// Mux (each on its own audit-counter slot); generation
-				// and accounting are serialized on mu, the session round
-				// trips are not.
-				var mu sync.Mutex
-				runSession := func(b txnBeginner, slot int) {
-					mu.Lock()
-					t := gen.Next()
-					takeRepl := takeReplica()
-					mu.Unlock()
-					if takeRepl {
-						replicaRead(t)
-						return
-					}
-					wireOps := wireOpsFor(t, slot)
-					opt := txOpts(t)
-					traced := sampleTrace()
-					opt.Trace = traced
-					t0 := time.Now()
-					tx, err := b.Begin(opt)
-					if err == nil {
-						for _, o := range wireOps {
-							if *think > 0 {
-								time.Sleep(*think)
-							}
-							if o.Write {
-								_, err = tx.Add(o.Key, o.Delta)
-							} else {
-								_, err = tx.Get(o.Key)
-							}
-							if err != nil {
-								tx.Abort() // best effort; the reaper covers failures
-								break
-							}
-						}
-						if err == nil {
-							_, err = tx.Commit()
-						}
-					}
-					lat := time.Since(t0).Seconds()
-					if traced {
-						tr := ""
-						if tx != nil {
-							tr = tx.Trace()
-						}
-						traces.add(tr)
-					}
-					mu.Lock()
-					record(t, lat, err)
-					mu.Unlock()
-				}
-
-				if *pipeline > 0 {
-					m, err := client.DialMux(pool.primary())
-					if err != nil {
-						log.Printf("sccload: client %d: %v", w, err)
-						res.errors = *ops
-						return
-					}
-					defer m.Close()
-					var swg sync.WaitGroup
-					for slot := 0; slot < *pipeline; slot++ {
-						n := *ops / *pipeline
-						if slot < *ops%*pipeline {
-							n++
-						}
-						swg.Add(1)
-						go func(slot, n int) {
-							defer swg.Done()
-							for i := 0; i < n; i++ {
-								runSession(m, slot)
-							}
-						}(slot, n)
-					}
-					swg.Wait()
-					return
-				}
-				c, err := client.Dial(pool.primary())
-				if err != nil {
-					log.Printf("sccload: client %d: %v", w, err)
-					res.errors = *ops
-					return
-				}
-				defer c.Close()
-				for i := 0; i < *ops; i++ {
-					runSession(c, 0)
-				}
-				return
-			}
-
-			if *pipeline > 0 {
-				m, err := client.DialMux(pool.primary())
-				if err != nil {
-					log.Printf("sccload: client %d: %v", w, err)
-					res.errors = *ops
-					return
-				}
-				defer m.Close()
-				// Batch keeps -pipeline transactions in flight per
-				// connection in one write burst; each entry's Elapsed is
-				// its own response time (stamped at RES arrival), so the
-				// latency/deadline/value accounting stays per-transaction.
-				for done := 0; done < *ops; {
-					n := min(*pipeline, *ops-done)
-					reqs := make([]client.UpdateReq, 0, n)
-					txns := make([]*model.Txn, 0, n)
-					tracedReq := make([]bool, 0, n)
-					for j := 0; j < n; j++ {
-						t := gen.Next()
-						if takeReplica() {
-							replicaRead(t)
-							continue
-						}
-						opt := txOpts(t)
-						traced := sampleTrace()
-						opt.Trace = traced
-						txns = append(txns, t)
-						tracedReq = append(tracedReq, traced)
-						reqs = append(reqs, client.UpdateReq{
-							Ops:  wireOpsFor(t, len(reqs)),
-							Opts: opt,
-						})
-					}
-					for j, o := range m.Batch(reqs) {
-						if tracedReq[j] {
-							traces.add(o.Trace)
-						}
-						record(txns[j], o.Elapsed.Seconds(), o.Err)
-					}
-					done += n
-				}
-				return
-			}
-
-			fc := &failoverClient{pool: pool}
-			defer fc.close()
-			for i := 0; i < *ops; i++ {
-				t := gen.Next()
-				if takeReplica() {
-					replicaRead(t)
-					continue
-				}
-				wireOps := wireOpsFor(t, 0)
-				t0 := time.Now()
-				var err error
-				if sampleTrace() {
-					var tr string
-					err = fc.do(func(c *client.Client) error {
-						var e error
-						_, tr, e = c.UpdateTraced(wireOps, txOpts(t))
-						return e
-					})
-					traces.add(tr)
-				} else {
-					err = fc.do(func(c *client.Client) error {
-						_, e := c.Update(wireOps, txOpts(t))
-						return e
-					})
-				}
-				record(t, time.Since(t0).Seconds(), err)
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	// Pool per-client outcomes.
-	var m stats.Metrics
-	all := stats.NewSample(0, 0)
-	replAll := stats.NewSample(0, 0)
-	var shed, errs int
-	var committed int64
-	var replReads, replShed, replErrs int
-	for i := range results {
-		r := &results[i]
-		m.Merge(&r.m)
-		shed += r.shed
-		errs += r.errors
-		committed += r.committed
-		replReads += r.replReads
-		replShed += r.replShed
-		replErrs += r.replErrors
-		if r.lat != nil {
-			for _, x := range r.lat.Raw() {
-				all.Add(x)
-			}
-		}
-		if r.replLat != nil {
-			for _, x := range r.replLat.Raw() {
-				replAll.Add(x)
-			}
-		}
-	}
-
-	framing := "per-round-trip"
-	if *pipeline > 0 {
-		framing = fmt.Sprintf("pipelined(depth=%d)", *pipeline)
-	}
-	if *interactive {
-		framing = fmt.Sprintf("interactive(think=%s", *think)
-		if *pipeline > 0 {
-			framing += fmt.Sprintf(", sessions=%d", *pipeline)
-		}
-		framing += ")"
-	}
-	fmt.Printf("sccload: mix=%s clients=%d ops/client=%d wire=%s run-id=%d\n", *mix, *clients, *ops, framing, runID)
-	fmt.Printf("  committed  %d (shed %d, errors %d) in %.2fs\n", committed, shed, errs, elapsed.Seconds())
-	fmt.Printf("  throughput %.0f txn/s\n", float64(committed)/elapsed.Seconds())
-	if all.N() > 0 {
-		fmt.Printf("  latency    p50 %.2fms  p99 %.2fms  mean %.2fms\n",
-			all.Percentile(50)*1000, all.Percentile(99)*1000, all.Mean()*1000)
-	}
-	fmt.Printf("  deadlines  missed %.1f%%  avg tardiness %.2fms\n", m.MissedRatio(), m.AvgTardiness()*1000)
-	fmt.Printf("  value      accrued %.1f%% of max (%.0f / %.0f)\n", m.SystemValuePct(), m.ValueSum, m.MaxValueSum)
-	if pool.multi() {
-		fmt.Printf("  failover   redirects followed %d, reconnects %d (primary %s)\n",
-			pool.redirects.Load(), pool.reconns.Load(), pool.primary())
-	}
-	if *replicaAddr != "" {
-		fmt.Printf("  replica    reads %d (shed %d, errors %d)", replReads, replShed, replErrs)
-		if replAll.N() > 0 {
-			fmt.Printf("  p50 %.2fms  p99 %.2fms", replAll.Percentile(50)*1000, replAll.Percentile(99)*1000)
-		}
-		fmt.Println()
-	}
-	if *traceSample > 0 {
-		fmt.Printf("  traces     sampled %d, carried %d; stage offsets from submit:\n",
-			traces.sampled, traces.carried)
-		for _, stage := range traces.orderedStages() {
-			smp := traces.stages[stage]
-			fmt.Printf("    %-10s n=%-6d p50 %8.3fms  p99 %8.3fms\n",
-				stage, smp.N(), smp.Percentile(50)*1000, smp.Percentile(99)*1000)
-		}
-	}
-
 	// Conservation must be checked over the page span the mix actually
 	// wrote (the high mix pins DBPages=16 regardless of -keys; the
 	// single mix writes no value keys at all).
@@ -727,277 +126,250 @@ func main() {
 	if *mix != "single" {
 		pages = mixConfig(*mix, *keys, 0).DBPages
 	}
-	slots := 1
+
+	if *verifyOnly {
+		if *runIDFlag == 0 {
+			log.Fatal("sccload: -verify-only needs the -run-id of the run to audit")
+		}
+		if pages <= 0 && *keys > 0 {
+			// -mix single writes no value keys: summing zero keys would
+			// "pass" while auditing nothing. (-keys 0 stays allowed as
+			// the documented connectivity probe.)
+			log.Fatalf("sccload: -verify-only has nothing to audit for -mix %s (no value keys); rerun with the mix the load used", *mix)
+		}
+		if !verify(pool, runID, pages, *ackedIn) || (*expectRecovered && !checkRecovered(pool)) {
+			os.Exit(1)
+		}
+		return
+	}
+
+	res, runErr := loadgen.Run(loadgen.Config{
+		Pool:        pool,
+		Clients:     *clients,
+		Ops:         *ops,
+		Pipeline:    *pipeline,
+		Interactive: *interactive,
+		Workload: func(seed int64) workload.Config {
+			cfg := mixConfig(*mix, *keys, seed)
+			if *think > 0 {
+				cfg.Think = workload.ThinkTime{Kind: workload.ThinkFixed, Mean: think.Seconds()}
+			}
+			return cfg
+		},
+		Opts: func(t *model.Txn, _ *dist.RNG) client.TxOpts {
+			return client.TxOpts{
+				Value:    t.Class.Value,
+				Deadline: time.Duration(t.RelDeadline() * float64(time.Second)),
+				Gradient: t.PenaltyGradient(),
+			}
+		},
+		Pages:        pages,
+		Seed:         *seed,
+		RunID:        runID,
+		TraceEvery:   *traceSample,
+		Replica:      *replicaAddr,
+		ReplicaReads: *replicaReads,
+	})
+
+	framing := "per-round-trip"
 	if *pipeline > 0 {
-		slots = *pipeline
+		framing = fmt.Sprintf("pipelined(depth=%d)", *pipeline)
 	}
-	ackedCounts := make([]int64, len(results))
-	for i := range results {
-		ackedCounts[i] = results[i].committed
+	if *interactive {
+		framing = fmt.Sprintf("interactive(think=%s, sessions=%d)", *think, max(1, *pipeline))
 	}
+	fmt.Printf("sccload: mix=%s clients=%d ops/client=%d wire=%s run-id=%d\n", *mix, *clients, *ops, framing, runID)
+	printSummary(res, pool)
+
 	// Record the acked counts before verifying: when a chaos harness
-	// kills the server mid-run, this run's verify fails on the dead
+	// kills the server mid-run, this run's audit fails on the dead
 	// connection, but the acked file must still reach the post-restart
 	// -verify-only -acked-in audit.
 	if *ackedOut != "" {
-		if err := saveAcked(*ackedOut, runID, slots, ackedCounts); err != nil {
+		if err := res.Acked.Save(*ackedOut); err != nil {
 			log.Printf("sccload: -acked-out: %v", err)
 		}
 	}
-	if failed := verify(pool, pages, runID, slots, ackedCounts); failed {
+	if runErr != nil {
+		log.Printf("sccload: %v", runErr)
+	}
+	// The exact ledger form needs every ack accounted for: an errored
+	// round trip or a failover retry may have committed unacknowledged.
+	atLeast := res.Errors > 0 || res.Redirects > 0 || res.Reconnects > 0
+	if runErr != nil || !audit(pool, runID, pages, &res.Acked, atLeast) {
 		fmt.Println("  invariants FAIL")
 		os.Exit(1)
 	}
 	fmt.Println("  invariants PASS (value conserved, no lost updates)")
-	var serverStats map[string]string
-	if c, err := pool.dial(); err == nil {
-		if st, err := c.Stats(); err == nil {
-			serverStats = st
-			fmt.Printf("  server     cross=%s cross_restarts=%s cross_shed=%s shed=%s commit_batches=%s commits=%s\n",
-				st["cross"], st["cross_restarts"], st["cross_shed"], st["shed"], st["commit_batches"], st["commits"])
-			if wa, ok := st["wal_appends"]; ok {
-				fmt.Printf("  durability wal_appends=%s wal_fsyncs=%s ckpt_count=%s recovered_index=%s\n",
-					wa, st["wal_fsyncs"], st["ckpt_count"], st["recovered_index"])
-			}
-		}
-		c.Close()
-	}
+	printServer(pool)
 	if *benchOut != "" {
-		out := benchOutput{
-			Timestamp:  time.Now().UTC().Format(time.RFC3339),
-			Mix:        *mix,
-			Clients:    *clients,
-			OpsClient:  *ops,
-			Pipeline:   *pipeline,
-			Interact:   *interactive,
-			ThinkMs:    think.Seconds() * 1000,
-			RunID:      runID,
-			ElapsedSec: elapsed.Seconds(),
-			Committed:  committed,
-			Shed:       shed,
-			Errors:     errs,
-			Throughput: float64(committed) / elapsed.Seconds(),
-			MissedPct:  m.MissedRatio(),
-			ValuePct:   m.SystemValuePct(),
-			ValueSum:   m.ValueSum,
-			MaxValue:   m.MaxValueSum,
-			Redirects:  pool.redirects.Load(),
-			Reconnects: pool.reconns.Load(),
-			Server:     serverStats,
-		}
-		if all.N() > 0 {
-			out.P50Ms = all.Percentile(50) * 1000
-			out.P99Ms = all.Percentile(99) * 1000
-			out.MeanMs = all.Mean() * 1000
-		}
-		if *traceSample > 0 {
-			out.TraceSampled = traces.sampled
-			out.TraceCarried = traces.carried
-			out.Stages = make(map[string]benchStage, len(traces.stages))
-			for stage, smp := range traces.stages {
-				out.Stages[stage] = benchStage{
-					N:     int64(smp.N()),
-					P50Ms: smp.Percentile(50) * 1000,
-					P99Ms: smp.Percentile(99) * 1000,
-				}
-			}
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			log.Fatalf("sccload: -bench-out: %v", err)
-		}
-		if err := os.WriteFile(*benchOut, append(data, '\n'), 0o644); err != nil {
+		if err := writeJSON(*benchOut, res); err != nil {
 			log.Fatalf("sccload: -bench-out: %v", err)
 		}
 		fmt.Printf("  bench-out  %s\n", *benchOut)
 	}
-	if *expectRecovered && checkRecovered(pool) {
+	if *expectRecovered && !checkRecovered(pool) {
 		os.Exit(1)
 	}
 }
 
-// checkRecovered asserts the server reports a nonzero recovered_index —
-// the kill-and-restart e2e's proof that the serving process actually
-// rebuilt its state from the data directory. Returns true on failure.
-func checkRecovered(pool *addrPool) bool {
-	c, err := pool.dial()
+// printSummary prints the run's client-side account.
+func printSummary(res *loadgen.Result, pool *loadgen.Pool) {
+	fmt.Printf("  committed  %d (shed %d, errors %d) in %.2fs\n", res.Committed, res.Shed, res.Errors, res.ElapsedSec)
+	fmt.Printf("  throughput %.0f txn/s\n", res.Throughput)
+	if res.Committed > 0 {
+		fmt.Printf("  latency    p50 %.2fms  p99 %.2fms  mean %.2fms\n", res.P50Ms, res.P99Ms, res.MeanMs)
+	}
+	fmt.Printf("  deadlines  missed %.1f%%  avg tardiness %.2fms\n", res.MissedPct, res.TardinessMs)
+	fmt.Printf("  value      accrued %.1f%% of max (%.0f / %.0f)\n", res.ValuePct, res.ValueSum, res.MaxValue)
+	if pool.Len() > 1 {
+		fmt.Printf("  failover   redirects followed %d, reconnects %d (primary %s)\n",
+			res.Redirects, res.Reconnects, pool.Primary())
+	}
+	if r := res.Replica; r != nil {
+		fmt.Printf("  replica    reads %d (shed %d, errors %d)", r.Committed, r.Shed, r.Errors)
+		if r.Committed > 0 {
+			fmt.Printf("  p50 %.2fms  p99 %.2fms", r.P50Ms, r.P99Ms)
+		}
+		fmt.Println()
+	}
+	if res.TraceSampled > 0 {
+		fmt.Printf("  traces     sampled %d, carried %d; stage offsets from submit:\n",
+			res.TraceSampled, res.TraceCarried)
+		// Offsets are submit-relative, so ordering by median offset (ties
+		// by name) lays the stages out in lifecycle order.
+		names := make([]string, 0, len(res.Stages))
+		for name := range res.Stages {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		sort.SliceStable(names, func(i, j int) bool { return res.Stages[names[i]].P50Ms < res.Stages[names[j]].P50Ms })
+		for _, name := range names {
+			st := res.Stages[name]
+			fmt.Printf("    %-10s n=%-6d p50 %8.3fms  p99 %8.3fms\n", name, st.N, st.P50Ms, st.P99Ms)
+		}
+	}
+}
+
+// printServer prints the server-side counters the run moved.
+func printServer(pool *loadgen.Pool) {
+	st, err := pool.Stats()
 	if err != nil {
-		log.Printf("sccload: recovered check: %v", err)
-		return true
+		log.Printf("sccload: STATS: %v", err)
+		return
 	}
-	defer c.Close()
-	st, err := c.Stats()
-	if err != nil {
-		log.Printf("sccload: recovered check STATS: %v", err)
-		return true
+	fmt.Printf("  server     cross=%s cross_restarts=%s cross_shed=%s shed=%s commit_batches=%s commits=%s\n",
+		st["cross"], st["cross_restarts"], st["cross_shed"], st["shed"], st["commit_batches"], st["commits"])
+	if wa, ok := st["wal_appends"]; ok {
+		fmt.Printf("  durability wal_appends=%s wal_fsyncs=%s ckpt_count=%s recovered_index=%s\n",
+			wa, st["wal_fsyncs"], st["ckpt_count"], st["recovered_index"])
 	}
-	rec, ok := st["recovered_index"]
-	if !ok {
-		log.Printf("sccload: server reports no recovered_index (durability off?)")
-		return true
-	}
-	n, err := strconv.ParseInt(rec, 10, 64)
-	if err != nil || n <= 0 {
-		log.Printf("sccload: recovered_index=%s, want > 0", rec)
-		return true
-	}
-	fmt.Printf("sccload: server recovered_index=%d\n", n)
-	return false
 }
 
-// toWireOps converts a workload transaction into wire ops: reads become
-// dependencies, writes become balanced ± deltas (sum zero), and the
-// client's counter key is incremented — one extra write that turns every
-// committed transaction into an auditable event.
-func toWireOps(t *model.Txn, keyPrefix, cntKey string) []client.Op {
-	var ops []client.Op
-	sign := int64(1)
-	writes := 0
-	for _, o := range t.Ops {
-		if o.Write {
-			writes++
-		}
-	}
-	left := writes
-	for _, o := range t.Ops {
-		key := fmt.Sprintf("%s%d", keyPrefix, o.Page)
-		if !o.Write {
-			ops = append(ops, client.Op{Key: key})
-			continue
-		}
-		delta := sign * int64(1+t.ID%7)
-		sign = -sign
-		left--
-		if left == 0 && writes%2 == 1 {
-			delta = 0 // odd write count: last write carries no delta
-		}
-		ops = append(ops, client.Op{Key: key, Delta: delta, Write: true})
-	}
-	return append(ops, client.Op{Key: cntKey, Delta: 1, Write: true})
-}
-
-// saveAcked persists per-client acknowledged-commit counts for a later
-// -verify-only -acked-in audit: one whitespace-separated line, "v1
-// <runID> <slots> <n> <count>...". tmp+rename so a concurrent kill
-// leaves either nothing or a complete file.
-func saveAcked(path string, runID int64, slots int, counts []int64) error {
-	var b []byte
-	b = fmt.Appendf(b, "v1 %d %d %d", runID, slots, len(counts))
-	for _, c := range counts {
-		b = fmt.Appendf(b, " %d", c)
-	}
-	b = append(b, '\n')
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// loadAcked reads a saveAcked file, validating it against the run being
-// audited.
-func loadAcked(path string, runID int64) ([]int64, int, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	var fileRun int64
-	var slots, n int
-	fields := strings.Fields(string(raw))
-	if len(fields) < 4 || fields[0] != "v1" {
-		return nil, 0, fmt.Errorf("malformed acked file %s", path)
-	}
-	if fileRun, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
-		return nil, 0, fmt.Errorf("malformed acked file %s", path)
-	}
-	if fileRun != runID {
-		return nil, 0, fmt.Errorf("acked file %s records run %d, auditing run %d", path, fileRun, runID)
-	}
-	if slots, err = strconv.Atoi(fields[2]); err != nil || slots <= 0 {
-		return nil, 0, fmt.Errorf("malformed acked file %s", path)
-	}
-	if n, err = strconv.Atoi(fields[3]); err != nil || n < 0 || len(fields) != 4+n {
-		return nil, 0, fmt.Errorf("malformed acked file %s", path)
-	}
-	counts := make([]int64, n)
-	for i := range counts {
-		if counts[i], err = strconv.ParseInt(fields[4+i], 10, 64); err != nil {
-			return nil, 0, fmt.Errorf("malformed acked file %s", path)
-		}
-	}
-	return counts, slots, nil
-}
-
-// verify checks the two invariants against the live server. slots is the
-// number of per-client audit-counter keys (the pipeline depth); acked is
-// each client's acknowledged-commit count (nil skips the counter audit —
-// the bare -verify-only shape, where no acks survived the restart).
-func verify(pool *addrPool, keys int, runID int64, slots int, acked []int64) bool {
-	c, err := pool.dial()
+// audit checks the two invariants against any live member: the run's
+// page keys must sum to zero, and (acked nil skips it — the bare
+// -verify-only shape, where no acks survived the restart) every client's
+// counters must cover its acknowledged commits. It reports whether both
+// held.
+func audit(pool *loadgen.Pool, runID int64, pages int, acked *loadgen.Acked, atLeast bool) bool {
+	c, err := pool.Dial()
 	if err != nil {
 		log.Printf("sccload: verify: %v", err)
-		return true
+		return false
 	}
 	defer c.Close()
-	failed := false
-
-	// Invariant 1: balanced deltas conserve the keyspace total at zero.
-	// Summed in chunks to stay under the server's request-line bound;
-	// chunking is sound because this run's namespaced keys are quiescent
-	// once its clients have finished.
-	const chunk = 2048
-	var total int64
-	for lo := 0; lo < keys && !failed; lo += chunk {
-		hi := lo + chunk
-		if hi > keys {
-			hi = keys
-		}
-		valueKeys := make([]string, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			valueKeys = append(valueKeys, fmt.Sprintf("k%d.%d", runID, i))
-		}
-		sum, err := c.Sum(valueKeys...)
+	ok := true
+	switch sum, err := loadgen.AuditConservation(c, runID, pages); {
+	case err != nil:
+		log.Printf("sccload: verify SUM: %v", err)
+		ok = false
+	case sum != 0:
+		log.Printf("sccload: CONSERVATION VIOLATED: sum over %d keys = %d, want 0", pages, sum)
+		ok = false
+	}
+	if acked != nil {
+		violations, err := loadgen.AuditLedger(c, *acked, atLeast)
 		if err != nil {
-			log.Printf("sccload: verify SUM: %v", err)
-			failed = true
-			break
+			log.Printf("sccload: verify %v", err)
+			ok = false
 		}
-		total += sum
+		for _, v := range violations {
+			log.Printf("sccload: %s", v)
+			ok = false
+		}
 	}
-	if !failed && total != 0 {
-		log.Printf("sccload: CONSERVATION VIOLATED: sum over %d keys = %d, want 0", keys, total)
-		failed = true
-	}
+	return ok
+}
 
-	// Invariant 2: every acknowledged transaction bumped one of its
-	// client's slot counters. counter < acks is a genuine lost acked
-	// commit; counter > acks means the server committed but the ack never
-	// reached the client — lost in transit, or swallowed by a crash
-	// (after which the write either survived recovery or was discarded as
-	// an undecided cross-shard epoch; both are correct for unacked work)
-	// — warn without failing.
-	for w := range acked {
-		want := acked[w]
-		slotKeys := make([]string, slots)
-		for slot := range slotKeys {
-			slotKeys[slot] = cntSlotKey(runID, w, slot)
-		}
-		// One snapshot request per client; unwritten slot keys read as 0.
-		got, err := c.Sum(slotKeys...)
+// verify is the -verify-only audit of a finished run's keyspace. No
+// per-client results survive a restart unless the load phase recorded
+// them with -acked-out: the baseline audit is the conservation invariant
+// (all-or-nothing recovery of cross-shard commits is exactly what keeps
+// it true). With -acked-in the ledger audit runs too, in its atLeast
+// form: the crash may have swallowed acks.
+func verify(pool *loadgen.Pool, runID int64, pages int, ackedIn string) bool {
+	var acked *loadgen.Acked
+	if ackedIn != "" {
+		a, err := loadgen.LoadAcked(ackedIn, runID)
 		if err != nil {
-			log.Printf("sccload: verify counters of client %d: %v", w, err)
-			failed = true
-			continue
+			log.Fatalf("sccload: -acked-in: %v", err)
 		}
-		switch {
-		case got < want:
-			log.Printf("sccload: LOST UPDATES: client %d got %d acks but counters show %d", w, want, got)
-			failed = true
-		case got > want:
-			log.Printf("sccload: warning: client %d counters %d exceed %d acks (OK responses lost in transit)", w, got, want)
-		}
+		acked = &a
 	}
-	return failed
+	if !audit(pool, runID, pages, acked, true) {
+		fmt.Println("  invariants FAIL")
+		return false
+	}
+	fmt.Printf("sccload: verify-only run %d: conservation holds over %d keys\n", runID, pages)
+	if acked != nil {
+		fmt.Printf("sccload: acked-commit audit over %d clients: no acked commit lost\n", len(acked.Counts))
+	}
+	return true
+}
+
+// checkRecovered asserts the server reports a nonzero recovered_index —
+// the kill-and-restart e2e's proof that the serving process actually
+// rebuilt its state from the data directory.
+func checkRecovered(pool *loadgen.Pool) bool {
+	st, err := pool.Stats()
+	n, _ := strconv.ParseInt(st["recovered_index"], 10, 64)
+	if err != nil || n <= 0 {
+		log.Printf("sccload: recovered_index=%q (STATS error: %v), want > 0 (durability off, or a cold start?)", st["recovered_index"], err)
+		return false
+	}
+	fmt.Printf("sccload: server recovered_index=%d\n", n)
+	return true
+}
+
+// writeJSON writes v, indented, to path ("" = stdout).
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if path == "" {
+		_, err = os.Stdout.Write(data)
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
+// mergeEvents joins flight-recorder dump files into one causal timeline
+// on stdout.
+func mergeEvents(paths []string) error {
+	if len(paths) == 0 {
+		return fmt.Errorf("needs one or more dump files (usage: sccload -events-merge <dump.events>...)")
+	}
+	dumps := make([]flight.Dump, 0, len(paths))
+	for _, path := range paths {
+		d, err := flight.ParseDumpFile(path)
+		if err != nil {
+			return err
+		}
+		dumps = append(dumps, d)
+	}
+	return flight.MergeTimeline(dumps, os.Stdout)
 }
 
 // runMatrix drives a scenario-matrix preset: internal/scenario boots a
@@ -1022,18 +394,11 @@ func runMatrix(preset string, cellDuration time.Duration, out string) error {
 				row.Cell, row.ConservationOK, row.LedgerOK)
 		}
 	}
-	enc, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
+	if err := writeJSON(out, art); err != nil {
 		return err
 	}
-	enc = append(enc, '\n')
 	if out != "" {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			return err
-		}
 		fmt.Fprintf(os.Stderr, "sccload: matrix artifact (%d cells) written to %s\n", len(art.Cells), out)
-	} else {
-		os.Stdout.Write(enc)
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d of %d cells failed audits", failed, len(art.Cells))

@@ -97,98 +97,6 @@ func TestTopoReplyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPlanPlacementDeterministicAndBalancing(t *testing.T) {
-	values := []float64{90, 10, 5, 5, 40, 30}
-	assign := []string{"a", "a", "a", "a", "a", "b"}
-	nodes := []string{"a", "b"}
-	plan := PlanPlacement(values, assign, nodes)
-	if len(plan) == 0 {
-		t.Fatal("imbalanced cluster must yield moves")
-	}
-	// Plans are ranked most-valuable first.
-	for i := 1; i < len(plan); i++ {
-		if plan[i].Value > plan[i-1].Value {
-			t.Fatalf("plan not ranked by value: %+v", plan)
-		}
-	}
-	// Applying the plan strictly shrinks the value spread.
-	load := func(owner []string) (la, lb float64) {
-		for i, o := range owner {
-			if o == "a" {
-				la += values[i]
-			} else {
-				lb += values[i]
-			}
-		}
-		return
-	}
-	owner := append([]string(nil), assign...)
-	la0, lb0 := load(owner)
-	for _, m := range plan {
-		if owner[m.Shard] != m.From {
-			t.Fatalf("move %+v from wrong owner %s", m, owner[m.Shard])
-		}
-		owner[m.Shard] = m.To
-	}
-	la1, lb1 := load(owner)
-	spread0, spread1 := la0-lb0, la1-lb1
-	if spread0 < 0 {
-		spread0 = -spread0
-	}
-	if spread1 < 0 {
-		spread1 = -spread1
-	}
-	if spread1 >= spread0 {
-		t.Fatalf("plan did not shrink spread: %v -> %v", spread0, spread1)
-	}
-	// Determinism: identical inputs plan the identical sequence.
-	again := PlanPlacement(values, assign, nodes)
-	if len(again) != len(plan) {
-		t.Fatalf("plan not deterministic: %v vs %v", plan, again)
-	}
-	for i := range plan {
-		if plan[i] != again[i] {
-			t.Fatalf("plan not deterministic at %d: %+v vs %+v", i, plan[i], again[i])
-		}
-	}
-	// Balanced input plans nothing.
-	if p := PlanPlacement([]float64{10, 10}, []string{"a", "b"}, nodes); len(p) != 0 {
-		t.Fatalf("balanced cluster planned %v", p)
-	}
-	// Single node cannot rebalance.
-	if p := PlanPlacement(values, assign, []string{"a"}); p != nil {
-		t.Fatalf("single node planned %v", p)
-	}
-}
-
-func TestAssignmentEpochFence(t *testing.T) {
-	a := NewAssignment(4, "n1")
-	m := Move{Shard: 2, From: "n1", To: "n2", Value: 5}
-	if err := a.Apply(m, 3); err != nil {
-		t.Fatalf("Apply epoch 3: %v", err)
-	}
-	if a.Owner(2) != "n2" {
-		t.Fatalf("owner = %q, want n2", a.Owner(2))
-	}
-	// A move stamped with a deposed epoch is refused: the zombie
-	// primary's leftover plan can never flip ownership.
-	stale := Move{Shard: 1, From: "n1", To: "n3", Value: 1}
-	if err := a.Apply(stale, 2); err == nil {
-		t.Fatal("deposed-epoch move must be refused")
-	}
-	if a.Owner(1) != "n1" {
-		t.Fatalf("refused move mutated table: owner = %q", a.Owner(1))
-	}
-	// Stale From (shard moved since planning) is refused as well.
-	if err := a.Apply(Move{Shard: 2, From: "n1", To: "n3"}, 4); err == nil {
-		t.Fatal("stale-From move must be refused")
-	}
-	table, epoch := a.Table()
-	if epoch != 3 || table[2] != "n2" {
-		t.Fatalf("table = %v epoch = %d", table, epoch)
-	}
-}
-
 // fakePeer answers TOPO with a fixed reply, counting probes.
 func fakePeer(t *testing.T, reply TopoReply) (addr string, stop func()) {
 	t.Helper()

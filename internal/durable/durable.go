@@ -826,20 +826,6 @@ func (m *Manager) CheckpointIndex(shard int) uint64 {
 	return ms.ckptIdx
 }
 
-// PendingValues returns each shard's summed transaction value since
-// its last checkpoint — the same accounting the checkpoint scheduler
-// ranks shards by. The cluster placement planner consumes it to rank
-// shard moves by expected value at stake.
-func (m *Manager) PendingValues() []float64 {
-	out := make([]float64, len(m.shards))
-	for i, ms := range m.shards {
-		ms.mu.Lock()
-		out[i] = ms.pendingValue
-		ms.mu.Unlock()
-	}
-	return out
-}
-
 // RecoveredIndex reports the sum of per-shard commit-log indices
 // restored at Open — zero for a cold start, the total acknowledged
 // commit count survived for a restart.

@@ -289,19 +289,22 @@ func TestSerializableHistory(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var observed int64
-			err := s.Update(func(tx *Tx) error {
+			// Shadows run the closure concurrently, so the observation
+			// goes through Tx.Stash: only the committed execution's
+			// value comes back, and no captured variable is shared.
+			res, err := s.UpdateResult(func(tx *Tx) error {
 				v, err := getInt(tx, "seq")
 				if err != nil {
 					return err
 				}
-				observed = v
+				tx.Stash(v)
 				return setInt(tx, "seq", v+1)
 			})
 			if err != nil {
 				t.Error(err)
 				return
 			}
+			observed := res.(int64)
 			mu.Lock()
 			defer mu.Unlock()
 			if seen[observed] {

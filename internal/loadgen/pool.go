@@ -1,11 +1,4 @@
-// Failover-aware dialing for sccload: -addr accepts a comma-separated
-// list of cluster members, and the per-round-trip load path follows the
-// servers' ERR not-primary redirects — re-pointing every worker at the
-// new primary when a replica promotes mid-run — instead of booking them
-// as errors. Redirects followed and connections re-dialed are counted
-// and reported in the run summary, so a failover run shows exactly how
-// much client-visible churn the promotion caused.
-package main
+package loadgen
 
 import (
 	"errors"
@@ -25,11 +18,11 @@ import (
 // replay (default lease 750ms; e2e runs use shorter ones).
 const retryBudget = 20 * time.Second
 
-// addrPool is the shared view of the cluster across all load workers:
-// the -addr list plus the index of the member currently believed to be
+// Pool is the shared view of the cluster across all load workers: the
+// member list plus the index of the member currently believed to be
 // primary. A redirect observed by any worker re-points the whole pool,
 // so the rest stop burning a round trip each on the deposed node.
-type addrPool struct {
+type Pool struct {
 	mu    sync.Mutex
 	addrs []string
 	cur   int
@@ -38,8 +31,9 @@ type addrPool struct {
 	reconns   atomic.Int64 // transport failures survived by re-dialing
 }
 
-func newAddrPool(list string) *addrPool {
-	p := &addrPool{}
+// NewPool parses a comma-separated member list, believed primary first.
+func NewPool(list string) *Pool {
+	p := &Pool{}
 	for _, a := range strings.Split(list, ",") {
 		if a = strings.TrimSpace(a); a != "" {
 			p.addrs = append(p.addrs, a)
@@ -48,13 +42,15 @@ func newAddrPool(list string) *addrPool {
 	return p
 }
 
-// multi reports whether failover handling is active: with a single
-// address there is nowhere to redirect to, and the classic
-// fail-fast behavior (which the chaos harness depends on) is kept.
-func (p *addrPool) multi() bool { return len(p.addrs) > 1 }
+// Len returns the number of known members (redirects may grow it).
+func (p *Pool) Len() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.addrs)
+}
 
-// primary returns the member currently believed to be primary.
-func (p *addrPool) primary() string {
+// Primary returns the member currently believed to be primary.
+func (p *Pool) Primary() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.addrs[p.cur]
@@ -64,7 +60,7 @@ func (p *addrPool) primary() string {
 // reply; a member not yet in the list is adopted. An empty addr (the
 // replying node knows no primary — mid-election) rotates to the next
 // candidate instead.
-func (p *addrPool) redirect(addr string) {
+func (p *Pool) redirect(addr string) {
 	p.redirects.Add(1)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -84,7 +80,7 @@ func (p *addrPool) redirect(addr string) {
 
 // rotate moves past a member whose connection died, unless another
 // worker already re-pointed the pool elsewhere.
-func (p *addrPool) rotate(failed string) {
+func (p *Pool) rotate(failed string) {
 	p.reconns.Add(1)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -93,13 +89,13 @@ func (p *addrPool) rotate(failed string) {
 	}
 }
 
-// dial connects to the believed primary, falling back through the rest
-// of the list; used by the verify/stats paths, which need any live
+// Dial connects to the believed primary, falling back through the rest
+// of the list; the audit and stats paths use it, which need any live
 // member rather than a write-accepting one.
-func (p *addrPool) dial() (*client.Client, error) {
+func (p *Pool) Dial() (*client.Client, error) {
 	var lastErr error
-	for range p.snapshot() {
-		addr := p.primary()
+	for range p.Len() {
+		addr := p.Primary()
 		c, err := client.DialTimeout(addr, 2*time.Second)
 		if err == nil {
 			return c, nil
@@ -110,10 +106,14 @@ func (p *addrPool) dial() (*client.Client, error) {
 	return nil, lastErr
 }
 
-func (p *addrPool) snapshot() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]string(nil), p.addrs...)
+// Stats fetches any live member's STATS counters.
+func (p *Pool) Stats() (map[string]string, error) {
+	c, err := p.Dial()
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	return c.Stats()
 }
 
 // transient reports whether err is a transport failure worth re-dialing
@@ -127,15 +127,14 @@ func transient(err error) bool {
 // failoverClient is one worker's connection with redirect-following: do
 // runs a round trip against the believed primary, chasing ERR
 // not-primary redirects and re-dialing around dead connections until
-// the exchange lands or retryBudget runs out. Verdicts (OK/SHED) and
-// ordinary protocol errors pass straight through.
-//
-// A retried transaction can double-apply when the crash swallowed the
-// first attempt's ack: that is exactly the counter > acked case the
-// audit tolerates, and the balanced deltas keep conservation at zero
-// regardless of how many times they land.
+// the exchange lands, retryBudget runs out, or the run's deadline
+// passes. Verdicts (OK/SHED) and ordinary protocol errors pass straight
+// through. A retried transaction can double-apply when the crash
+// swallowed the first attempt's ack: AuditLedger's atLeast form
+// tolerates exactly that, and balanced deltas conserve however often
+// they land.
 type failoverClient struct {
-	pool *addrPool
+	pool *Pool
 	c    *client.Client
 	addr string
 }
@@ -147,71 +146,55 @@ func (f *failoverClient) close() {
 	}
 }
 
-func (f *failoverClient) do(fn func(*client.Client) error) error {
-	if !f.pool.multi() {
-		// Single-address runs keep the classic fail-fast contract: no
-		// retries, a dead connection just gets re-dialed next call.
-		if f.c == nil {
-			addr := f.pool.primary()
-			c, err := client.DialTimeout(addr, 2*time.Second)
-			if err != nil {
-				return err
-			}
-			f.c, f.addr = c, addr
-		}
-		err := fn(f.c)
-		if err != nil && transient(err) {
-			f.close()
-		}
-		return err
+// do reports sent=false when fn never ran — no member could be dialed
+// before the budget or deadline expired. There is then no outcome to
+// account: booking such a transaction (worst of all its zero-value nil
+// error, as a commit) would corrupt the acked-commit ledger with work
+// that never left the client.
+func (f *failoverClient) do(deadline time.Time, fn func(*client.Client) error) (sent bool, err error) {
+	// Failover handling needs somewhere to redirect to: with a single
+	// address the classic fail-fast behavior (which the chaos harness
+	// depends on) is kept — no retries, a dead connection just gets
+	// re-dialed next call.
+	multi := f.pool.Len() > 1
+	limit := time.Now().Add(retryBudget)
+	if !deadline.IsZero() && deadline.Before(limit) {
+		limit = deadline
 	}
-	deadline := time.Now().Add(retryBudget)
 	backoff := 25 * time.Millisecond
-	retry := func(err error) (bool, error) {
-		if time.Now().After(deadline) {
-			return false, err
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > 250*time.Millisecond {
-			backoff = 250 * time.Millisecond
-		}
-		return true, nil
-	}
 	for {
+		if err != nil {
+			if !multi || !time.Now().Add(backoff).Before(limit) {
+				return sent, err
+			}
+			time.Sleep(backoff)
+			backoff = min(2*backoff, 250*time.Millisecond)
+		}
 		if f.c == nil {
-			addr := f.pool.primary()
-			c, err := client.DialTimeout(addr, 2*time.Second)
-			if err != nil {
+			addr := f.pool.Primary()
+			if f.c, err = client.DialTimeout(addr, 2*time.Second); err != nil {
 				f.pool.rotate(addr)
-				if again, err := retry(err); !again {
-					return err
-				}
 				continue
 			}
-			f.c, f.addr = c, addr
+			f.addr = addr
 		}
-		err := fn(f.c)
+		sent = true
+		err = fn(f.c)
 		var np *client.NotPrimaryError
 		switch {
 		case err == nil, errors.Is(err, client.ErrShed):
-			return err
-		case errors.As(err, &np):
+			return true, err
+		case multi && errors.As(err, &np):
 			// The deposed node answered cleanly but cannot take writes;
 			// drop the connection so the next attempt dials the member
 			// it named (or the next candidate, when it named none).
 			f.close()
 			f.pool.redirect(np.Addr)
-			if again, err := retry(err); !again {
-				return err
-			}
 		case transient(err):
 			f.close()
 			f.pool.rotate(f.addr)
-			if again, err := retry(err); !again {
-				return err
-			}
 		default:
-			return err
+			return true, err
 		}
 	}
 }

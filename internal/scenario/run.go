@@ -1,12 +1,12 @@
 package scenario
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -17,8 +17,8 @@ import (
 	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/history"
+	"repro/internal/loadgen"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -38,22 +38,12 @@ type cluster struct {
 	dir     string
 
 	// Failover-cell machinery: the replica's lease monitor, the instant
-	// the primary was killed, the measured kill-to-promotion latency
-	// (delivered once via promoted), and the redirects workers followed.
-	node      *clusterpkg.Node
-	killNano  atomic.Int64
-	promoted  chan time.Duration
-	redirects atomic.Int64
-}
-
-// auditAddr is where post-run audits read: the replica when the cell has
-// one — auditing replicated state is the point of the role — else the
-// primary.
-func (cl *cluster) auditAddr() string {
-	if cl.repAddr != "" {
-		return cl.repAddr
-	}
-	return cl.addr
+	// the primary was killed, and the measured kill-to-promotion latency
+	// (delivered once via promoted, kept by driveFailover).
+	node           *clusterpkg.Node
+	killNano       atomic.Int64
+	promoted       chan time.Duration
+	promoteLatency time.Duration
 }
 
 func (cl *cluster) close() {
@@ -107,45 +97,21 @@ func bootCluster(c Cell) (*cluster, error) {
 		cl.pri = server.New(cfg)
 		cl.addr = serve(cl.pri)
 	case RoleDurable:
-		dir, err := os.MkdirTemp("", "scc-scenario-")
-		if err != nil {
+		var err error
+		if cl.dir, err = os.MkdirTemp("", "scc-scenario-"); err != nil {
 			return nil, err
 		}
-		cl.dir = dir
-		cfg.Durable = durable.Options{Dir: dir, Fsync: durable.FsyncGroup, CkptEvery: 1024}
-		srv, err := server.Open(cfg)
-		if err != nil {
-			os.RemoveAll(dir)
+		cfg.Durable = durable.Options{Dir: cl.dir, Fsync: durable.FsyncGroup, CkptEvery: 1024}
+		if cl.pri, err = server.Open(cfg); err != nil {
+			os.RemoveAll(cl.dir)
 			return nil, fmt.Errorf("cell %q: durable open: %w", c.Name, err)
 		}
-		cl.pri = srv
 		cl.addr = serve(cl.pri)
-	case RolePrimaryReplica:
-		pcfg := cfg
-		pcfg.Repl = server.ReplOptions{Primary: true}
-		cl.pri = server.New(pcfg)
-		cl.addr = serve(cl.pri)
-		gate := repl.NewLagGate(cfg.Shards, 50*time.Millisecond, 0)
-		rcfg := server.Config{Shards: cfg.Shards, Mode: cfg.Mode, Repl: server.ReplOptions{Gate: gate}}
-		cl.rep = server.New(rcfg)
-		cl.repAddr = serve(cl.rep)
-		rep, err := repl.StartReplica(repl.ReplicaConfig{
-			Primary: cl.addr,
-			Store:   cl.rep.Store(),
-			Gate:    gate,
-		})
-		if err != nil {
-			cl.close()
-			return nil, fmt.Errorf("cell %q: replica: %w", c.Name, err)
-		}
-		cl.replica = rep
-	case RoleFailover:
-		if err := bootFailover(c, cfg, cl); err != nil {
+	case RolePrimaryReplica, RoleFailover:
+		if err := bootPair(c, cfg, cl); err != nil {
 			cl.close()
 			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("cell %q: unknown role %q", c.Name, c.Role)
 	}
 	return cl, nil
 }
@@ -171,11 +137,8 @@ func (cl *cluster) waitCaughtUp(timeout time.Duration) error {
 	}
 }
 
-// Key layout. Page keys carry the balanced deltas the conservation audit
-// sums; one ledger counter per worker counts acked commits.
-func pageKey(p model.PageID) string { return "p" + strconv.Itoa(int(p)) }
-func counterKey(w, s int) string    { return fmt.Sprintf("cnt.%d.%d", w, s) }
-func hotKeyName(k int) string       { return "ohot" + strconv.Itoa(k) }
+// Oracle-cell keys (page keys and ledger counters are loadgen's).
+func hotKeyName(k int) string { return "ohot" + strconv.Itoa(k) }
 
 const oracleSeqKey = "oseq"
 
@@ -187,137 +150,14 @@ type pobs struct {
 	hval int64
 }
 
-// pageOps renders one generated transaction as wire ops: reads stay
-// reads, writes carry alternating ±delta so each transaction's net
-// effect on the page keyspace is zero (an odd write count parks a zero
-// delta on the last write), and a trailing +1 on the worker's ledger
-// counter records the ack.
-func pageOps(tx *model.Txn, w, s int) []client.Op {
-	writes := 0
-	for _, o := range tx.Ops {
-		if o.Write {
-			writes++
-		}
-	}
-	ops := make([]client.Op, 0, len(tx.Ops)+1)
-	sign := int64(1)
-	wi := 0
-	for _, o := range tx.Ops {
-		op := client.Op{Key: pageKey(o.Page)}
-		if o.Write {
-			wi++
-			d := sign * 3
-			sign = -sign
-			if wi == writes && writes%2 == 1 {
-				d = 0
-			}
-			op.Write, op.Delta = true, d
-		}
-		ops = append(ops, op)
-	}
-	return append(ops, client.Op{Key: counterKey(w, s), Delta: 1, Write: true})
-}
-
-// realizedValue re-evaluates the request's value function at its
-// observed latency — the client-side Def. 7 account, family-aware
-// because it goes through the same opts.T → value.Fn mapping the server
-// admission uses.
-func realizedValue(o client.TxOpts, elapsed time.Duration) float64 {
-	w := opts.T{Value: o.Value, Deadline: o.Deadline, Gradient: o.Gradient, Family: o.Family}
-	v := w.Fn(0).At(elapsed.Seconds())
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// traceSampleEvery asks every nth transaction per worker for a
+// traceSampleEvery asks every nth transaction of a cell for a
 // server-side lifecycle trace; the sampled timelines become the row's
 // per-stage latency attribution at negligible load cost.
 const traceSampleEvery = 20
 
-// workerResult accumulates one driver goroutine's client-side account.
-type workerResult struct {
-	requests, committed, shed, errs int64
-	submitted, realized             float64
-	lats                            []float64 // committed latencies, ms
-	perTenant                       map[string]*TenantRow
-	ledger                          map[string]int64     // counter key -> acked commits
-	stages                          map[string][]float64 // stage -> sampled offsets, ms
-}
-
-func newWorkerResult() *workerResult {
-	return &workerResult{perTenant: map[string]*TenantRow{}, ledger: map[string]int64{},
-		stages: map[string][]float64{}}
-}
-
-// accountTrace folds one sampled trace= timeline into the per-stage
-// offset samples. Malformed or empty tokens parse to nil and are dropped.
-func (r *workerResult) accountTrace(token string) {
-	for _, ev := range obs.ParseTrace(token) {
-		r.stages[ev.Stage] = append(r.stages[ev.Stage], float64(ev.At)/float64(time.Millisecond))
-	}
-}
-
-func (r *workerResult) account(o client.TxOpts, cnt string, err error, elapsed time.Duration) {
-	r.requests++
-	r.submitted += o.Value
-	var tr *TenantRow
-	if o.Tenant != "" {
-		tr = r.perTenant[o.Tenant]
-		if tr == nil {
-			tr = &TenantRow{Name: o.Tenant}
-			r.perTenant[o.Tenant] = tr
-		}
-		tr.Requests++
-	}
-	switch {
-	case err == nil:
-		r.committed++
-		r.ledger[cnt]++
-		v := realizedValue(o, elapsed)
-		r.realized += v
-		r.lats = append(r.lats, float64(elapsed)/float64(time.Millisecond))
-		if tr != nil {
-			tr.Committed++
-			tr.ValueRealized += v
-		}
-	case errors.Is(err, client.ErrShed):
-		r.shed++
-		if tr != nil {
-			tr.Shed++
-		}
-	default:
-		r.errs++
-	}
-}
-
-func (r *workerResult) merge(o *workerResult) {
-	r.requests += o.requests
-	r.committed += o.committed
-	r.shed += o.shed
-	r.errs += o.errs
-	r.submitted += o.submitted
-	r.realized += o.realized
-	r.lats = append(r.lats, o.lats...)
-	for k, v := range o.ledger {
-		r.ledger[k] += v
-	}
-	for stage, samples := range o.stages {
-		r.stages[stage] = append(r.stages[stage], samples...)
-	}
-	for name, t := range o.perTenant {
-		agg := r.perTenant[name]
-		if agg == nil {
-			agg = &TenantRow{Name: name}
-			r.perTenant[name] = agg
-		}
-		agg.Requests += t.Requests
-		agg.Committed += t.Committed
-		agg.Shed += t.Shed
-		agg.ValueRealized += t.ValueRealized
-	}
-}
+// cellRunID namespaces the cell's keys. Every cell boots fresh servers,
+// so one fixed id serves them all.
+const cellRunID = 1
 
 // Run boots the cell's topology, drives it for the cell duration, audits
 // the store, and returns the cell's Row. Audit failures are reported in
@@ -328,65 +168,49 @@ func Run(c Cell) (Row, error) {
 	if err := c.validate(); err != nil {
 		return Row{}, err
 	}
-	fam, err := c.family()
-	if err != nil {
-		return Row{}, err
-	}
+	fam, _ := c.family() // validate has parsed it once already
 	cl, err := bootCluster(c)
 	if err != nil {
 		return Row{}, err
 	}
 	defer cl.close()
 
-	var agg *workerResult
+	var res *loadgen.Result
 	var oracleErr error
-	hasOracle := false
-	start := time.Now()
-	switch {
-	case c.Oracle:
-		agg, oracleErr, err = driveOracle(c, cl)
-		hasOracle = true
-	case c.Role == RoleFailover:
-		agg, err = driveFailover(c, cl, fam)
-	default:
-		agg, err = driveLoad(c, cl, fam)
+	if c.Oracle {
+		res, oracleErr, err = driveOracle(c, cl)
+	} else {
+		res, err = driveLoad(c, cl, fam)
 	}
 	if err != nil {
-		return Row{}, err
+		return Row{}, fmt.Errorf("cell %q: %w", c.Name, err)
 	}
-	elapsed := time.Since(start)
 
 	row := Row{
-		Cell:        c.Name,
-		Skew:        skewLabel(c.Skew),
-		Family:      familyLabel(c.Family),
-		Session:     sessionLabel(c.Interactive),
-		Role:        c.Role,
-		DurationSec: elapsed.Seconds(),
-		Clients:     c.Clients,
-		Requests:    agg.requests,
-		Committed:   agg.committed,
-		Shed:        agg.shed,
-		Errors:      agg.errs,
+		Cell:           c.Name,
+		Skew:           skewLabel(c.Skew),
+		Family:         cmp.Or(c.Family, "linear"),
+		Session:        sessionLabel(c.Interactive),
+		Role:           c.Role,
+		DurationSec:    res.ElapsedSec,
+		Clients:        c.Clients,
+		Requests:       res.Requests,
+		Committed:      res.Committed,
+		Shed:           res.Shed,
+		Errors:         res.Errors,
+		ThroughputTPS:  res.Throughput,
+		P50Ms:          res.P50Ms,
+		P99Ms:          res.P99Ms,
+		ValueSubmitted: res.MaxValue,
+		ValueRealized:  res.ValueSum,
+		Tenants:        res.Tenants,
+		Stages:         res.Stages,
+		// Zero (and omitted) outside failover cells.
+		PromoteMs: float64(cl.promoteLatency) / float64(time.Millisecond),
+		Redirects: res.Redirects,
 	}
-	if elapsed > 0 {
-		row.ThroughputTPS = float64(agg.committed) / elapsed.Seconds()
-	}
-	row.P50Ms, row.P99Ms = quantiles(agg.lats)
-	row.ValueSubmitted = agg.submitted
-	row.ValueRealized = agg.realized
-	if agg.submitted > 0 {
-		row.ValueRatio = agg.realized / agg.submitted
-	}
-	for _, name := range sortedTenants(agg.perTenant) {
-		row.Tenants = append(row.Tenants, *agg.perTenant[name])
-	}
-	if len(agg.stages) > 0 {
-		row.Stages = make(map[string]StageRow, len(agg.stages))
-		for stage, samples := range agg.stages {
-			p50, p99 := quantiles(samples)
-			row.Stages[stage] = StageRow{N: len(samples), P50Ms: p50, P99Ms: p99}
-		}
+	if res.MaxValue > 0 {
+		row.ValueRatio = res.ValueSum / res.MaxValue
 	}
 
 	if cl.replica != nil && c.Role != RoleFailover {
@@ -397,7 +221,7 @@ func Run(c Cell) (Row, error) {
 			return Row{}, fmt.Errorf("cell %q: %w", c.Name, err)
 		}
 	}
-	if hasOracle {
+	if c.Oracle {
 		ok := oracleErr == nil
 		row.OracleOK = &ok
 		// The oracle driver's conservation/ledger analogues are encoded
@@ -407,50 +231,35 @@ func Run(c Cell) (Row, error) {
 		row.ConservationOK = ok
 		row.LedgerOK = ok
 	} else {
-		aud, err := client.Dial(cl.auditAddr())
+		// Audits read the replica when the cell has one — auditing
+		// replicated state is the point of the role — else the primary.
+		aud, err := client.Dial(cmp.Or(cl.repAddr, cl.addr))
 		if err != nil {
 			return Row{}, fmt.Errorf("cell %q: audit dial: %w", c.Name, err)
 		}
 		defer aud.Close()
-		row.ConservationOK, err = auditConservation(aud, c.Keys)
+		sum, err := loadgen.AuditConservation(aud, cellRunID, c.Keys)
 		if err != nil {
 			return Row{}, fmt.Errorf("cell %q: conservation audit: %w", c.Name, err)
 		}
-		// Failover cells audit the ledger with >= instead of ==: a retry
-		// whose first attempt committed but lost its ack to the kill
-		// double-lands legitimately. A counter below its acked count is
-		// still a lost acked commit and still fails.
-		row.LedgerOK, err = auditLedger(aud, agg.ledger, c.Role == RoleFailover)
+		row.ConservationOK = sum == 0
+		// Failover cells audit the ledger in its atLeast form: a retry
+		// whose first attempt lost its ack to the kill double-lands.
+		violations, err := loadgen.AuditLedger(aud, res.Acked, c.Role == RoleFailover)
 		if err != nil {
 			return Row{}, fmt.Errorf("cell %q: ledger audit: %w", c.Name, err)
 		}
+		row.LedgerOK = len(violations) == 0
 	}
 
-	statsAddr := cl.addr
-	if c.Role == RoleFailover {
-		// The original primary is dead; the promoted replica reports.
-		statsAddr = cl.repAddr
-	}
-	stats, err := serverStats(statsAddr)
+	// The primary reports; in failover cells it is dead and the pool
+	// falls through to the promoted replica.
+	row.Server, err = loadgen.NewPool(cl.addr + "," + cl.repAddr).Stats()
 	if err != nil {
 		return Row{}, fmt.Errorf("cell %q: stats: %w", c.Name, err)
 	}
-	row.Server = stats
-	if ts, ok := stats["tenant_shed"]; ok {
-		row.TenantShed, _ = strconv.ParseInt(ts, 10, 64)
-	}
-	if c.Role == RoleFailover {
-		row.PromoteMs = float64(cl.promoteLatency()) / float64(time.Millisecond)
-		row.Redirects = cl.redirects.Load()
-	}
+	row.TenantShed, _ = strconv.ParseInt(row.Server["tenant_shed"], 10, 64) // absent = 0
 	return row, nil
-}
-
-func familyLabel(f string) string {
-	if f == "" {
-		return "linear"
-	}
-	return f
 }
 
 func sessionLabel(interactive bool) string {
@@ -460,239 +269,104 @@ func sessionLabel(interactive bool) string {
 	return "oneshot"
 }
 
-func sortedTenants(m map[string]*TenantRow) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
+// driveLoad runs the cell's closed load through loadgen: Clients
+// connections, each either streaming Sessions-sized pipelined Batch
+// bursts (one-shot) or running Sessions concurrent interactive TXN
+// sessions with think time. Failover cells add the kill timer and the
+// redirect-following shape (see driveFailover).
+func driveLoad(c Cell, cl *cluster, fam opts.Family) (*loadgen.Result, error) {
+	cfg := loadgen.Config{
+		Pool:        loadgen.NewPool(cl.addr),
+		Clients:     c.Clients,
+		Duration:    c.Duration,
+		Pipeline:    c.Sessions,
+		Interactive: c.Interactive,
+		Workload:    c.workloadConfig,
+		Opts: func(t *model.Txn, rng *dist.RNG) client.TxOpts {
+			return client.TxOpts{Value: t.Class.Value, Deadline: c.Deadline, Family: fam, Tenant: c.pickTenant(rng)}
+		},
+		Pages:      c.Keys,
+		Seed:       c.Seed,
+		RunID:      cellRunID,
+		TraceEvery: traceSampleEvery,
 	}
-	sort.Strings(names)
-	return names
-}
-
-// quantiles returns the p50 and p99 of the sample (ms).
-func quantiles(lats []float64) (p50, p99 float64) {
-	if len(lats) == 0 {
-		return 0, 0
+	if c.Role == RoleFailover {
+		return driveFailover(c, cl, cfg)
 	}
-	s := append([]float64(nil), lats...)
-	sort.Float64s(s)
-	at := func(q float64) float64 {
-		i := int(q * float64(len(s)-1))
-		return s[i]
-	}
-	return at(0.50), at(0.99)
-}
-
-// driveLoad runs the cell's closed load: Clients connections, each
-// either streaming Sessions-sized pipelined Batch bursts (one-shot) or
-// running Sessions concurrent interactive TXN sessions with think time.
-func driveLoad(c Cell, cl *cluster, fam opts.Family) (*workerResult, error) {
-	deadline := time.Now().Add(c.Duration)
-	results := make([]*workerResult, c.Clients)
-	errs := make([]error, c.Clients)
-	var wg sync.WaitGroup
-	for w := 0; w < c.Clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			m, err := client.DialMux(cl.addr)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			defer m.Close()
-			if c.Interactive {
-				results[w], errs[w] = driveInteractive(c, m, fam, w, deadline)
-			} else {
-				results[w], errs[w] = driveOneShot(c, m, fam, w, deadline)
-			}
-		}(w)
-	}
-	wg.Wait()
-	agg := newWorkerResult()
-	for w := 0; w < c.Clients; w++ {
-		if errs[w] != nil {
-			return nil, fmt.Errorf("cell %q: worker %d: %w", c.Name, w, errs[w])
-		}
-		agg.merge(results[w])
-	}
-	return agg, nil
-}
-
-func driveOneShot(c Cell, m *client.Mux, fam opts.Family, w int, deadline time.Time) (*workerResult, error) {
-	gen := workload.NewGenerator(c.workloadConfig(c.Seed + int64(w)*7919))
-	pick := dist.NewRNG(c.Seed*1_000_003 + int64(w))
-	r := newWorkerResult()
-	reqs := make([]client.UpdateReq, 0, c.Sessions)
-	seq := 0
-	for time.Now().Before(deadline) {
-		reqs = reqs[:0]
-		for i := 0; i < c.Sessions; i++ {
-			tx := gen.Next()
-			seq++
-			reqs = append(reqs, client.UpdateReq{
-				Ops: pageOps(tx, w, 0),
-				Opts: client.TxOpts{
-					Value:    tx.Class.Value,
-					Deadline: c.Deadline,
-					Family:   fam,
-					Tenant:   c.pickTenant(pick),
-					Trace:    seq%traceSampleEvery == 0,
-				},
-			})
-		}
-		for i, out := range m.Batch(reqs) {
-			r.account(reqs[i].Opts, counterKey(w, 0), out.Err, out.Elapsed)
-			if out.Trace != "" {
-				r.accountTrace(out.Trace)
-			}
-		}
-	}
-	return r, nil
-}
-
-func driveInteractive(c Cell, m *client.Mux, fam opts.Family, w int, deadline time.Time) (*workerResult, error) {
-	results := make([]*workerResult, c.Sessions)
-	var wg sync.WaitGroup
-	for s := 0; s < c.Sessions; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			gen := workload.NewGenerator(c.workloadConfig(c.Seed + int64(w)*7919 + int64(s)*104_729))
-			pick := dist.NewRNG(c.Seed*1_000_003 + int64(w)*257 + int64(s))
-			r := newWorkerResult()
-			cnt := counterKey(w, s)
-			seq := 0
-			for time.Now().Before(deadline) {
-				tx := gen.Next()
-				ops := pageOps(tx, w, s)
-				seq++
-				o := client.TxOpts{
-					Value:    tx.Class.Value,
-					Deadline: c.Deadline,
-					Family:   fam,
-					Tenant:   c.pickTenant(pick),
-					Trace:    seq%traceSampleEvery == 0,
-				}
-				t0 := time.Now()
-				var trace string
-				err := m.Do(o, func(t *client.Txn) error {
-					for _, op := range ops {
-						if th := gen.NextThink(); th > 0 {
-							time.Sleep(time.Duration(th * float64(time.Second)))
-						}
-						var err error
-						if op.Write {
-							_, err = t.Add(op.Key, op.Delta)
-						} else {
-							_, err = t.Get(op.Key)
-						}
-						if err != nil {
-							return err
-						}
-					}
-					_, err := t.Commit()
-					trace = t.Trace()
-					return err
-				})
-				r.account(o, cnt, err, time.Since(t0))
-				if trace != "" {
-					r.accountTrace(trace)
-				}
-			}
-			results[s] = r
-		}(s)
-	}
-	wg.Wait()
-	agg := newWorkerResult()
-	for _, r := range results {
-		agg.merge(r)
-	}
-	return agg, nil
+	return loadgen.Run(cfg)
 }
 
 // driveOracle runs the high-contention serializability cell: every
 // session increments the shared sequencer and one Zipf-hot key inside an
 // interactive transaction, and the commit results are replayed through
 // the history oracle. The returned oracleErr carries the first violated
-// invariant (lost update, phantom ack, or a conflict-graph cycle).
-func driveOracle(c Cell, cl *cluster) (*workerResult, error, error) {
+// invariant (lost update, phantom ack, or a conflict-graph cycle). The
+// session body is the cell's own; outcomes are booked in loadgen's
+// account.
+func driveOracle(c Cell, cl *cluster) (*loadgen.Result, error, error) {
 	const hotKeys = 8
 	theta := c.Skew.Theta
 	if c.Skew.Kind != workload.KeyZipf {
 		theta = 0.99
 	}
-	var mu sync.Mutex
+	var mu sync.Mutex // guards all and total
 	var all []pobs
-	deadline := time.Now().Add(c.Duration)
-	results := make([]*workerResult, c.Clients)
-	errs := make([]error, c.Clients)
+	total := loadgen.NewResult()
+	start := time.Now()
+	deadline := start.Add(c.Duration)
+	muxes := make([]*client.Mux, c.Clients)
+	for w := range muxes {
+		m, err := client.DialMux(cl.addr)
+		if err != nil {
+			return nil, nil, fmt.Errorf("worker %d: %w", w, err)
+		}
+		defer m.Close()
+		muxes[w] = m
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < c.Clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			m, err := client.DialMux(cl.addr)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			defer m.Close()
-			wr := make([]*workerResult, c.Sessions)
-			var swg sync.WaitGroup
-			for s := 0; s < c.Sessions; s++ {
-				swg.Add(1)
-				go func(s int) {
-					defer swg.Done()
-					z := dist.NewRNG(c.Seed+int64(w)*7919+int64(s)*104_729).Zipf(hotKeys, theta)
-					gen := workload.NewGenerator(c.workloadConfig(c.Seed + int64(w)*31 + int64(s)))
-					r := newWorkerResult()
-					o := client.TxOpts{Value: 1, Deadline: c.Deadline}
-					for time.Now().Before(deadline) {
-						hk := z.Next()
-						var res []int64
-						t0 := time.Now()
-						err := m.Do(o, func(t *client.Txn) error {
-							if _, err := t.Add(oracleSeqKey, 1); err != nil {
-								return err
-							}
-							if th := gen.NextThink(); th > 0 {
-								time.Sleep(time.Duration(th * float64(time.Second)))
-							}
-							if _, err := t.Add(hotKeyName(hk), 1); err != nil {
-								return err
-							}
-							var err error
-							res, err = t.Commit()
+	for w, m := range muxes {
+		for s := 0; s < c.Sessions; s++ {
+			wg.Add(1)
+			go func(w, s int) {
+				defer wg.Done()
+				z := dist.NewRNG(c.Seed+int64(w)*7919+int64(s)*104_729).Zipf(hotKeys, theta)
+				gen := workload.NewGenerator(c.workloadConfig(c.Seed + int64(w)*31 + int64(s)))
+				account := loadgen.NewResult()
+				var seen []pobs
+				o := client.TxOpts{Value: 1, Deadline: c.Deadline}
+				for time.Now().Before(deadline) {
+					hk := z.Next()
+					var res []int64
+					t0 := time.Now()
+					err := m.Do(o, func(t *client.Txn) error {
+						if _, err := t.Add(oracleSeqKey, 1); err != nil {
 							return err
-						})
-						r.account(o, counterKey(w, s), err, time.Since(t0))
-						if err == nil && len(res) == 2 {
-							mu.Lock()
-							all = append(all, pobs{gval: res[0], hkey: hk, hval: res[1]})
-							mu.Unlock()
 						}
+						if th := gen.NextThink(); th > 0 {
+							time.Sleep(time.Duration(th * float64(time.Second)))
+						}
+						if _, err := t.Add(hotKeyName(hk), 1); err != nil {
+							return err
+						}
+						var err error
+						res, err = t.Commit()
+						return err
+					})
+					account.Book(o, err, time.Since(t0), "")
+					if err == nil && len(res) == 2 {
+						seen = append(seen, pobs{gval: res[0], hkey: hk, hval: res[1]})
 					}
-					wr[s] = r
-				}(s)
-			}
-			swg.Wait()
-			agg := newWorkerResult()
-			for _, r := range wr {
-				agg.merge(r)
-			}
-			results[w] = agg
-		}(w)
+				}
+				mu.Lock()
+				all = append(all, seen...)
+				total.Merge(account)
+				mu.Unlock()
+			}(w, s)
+		}
 	}
 	wg.Wait()
-	agg := newWorkerResult()
-	for w := 0; w < c.Clients; w++ {
-		if errs[w] != nil {
-			return nil, nil, fmt.Errorf("cell %q: worker %d: %w", c.Name, w, errs[w])
-		}
-		agg.merge(results[w])
-	}
-	return agg, checkOracle(all, agg.committed), nil
+	total.Finish(time.Since(start))
+	return total, checkOracle(all, total.Committed), nil
 }
 
 // checkOracle rebuilds read versions from the cumulative-sum results
@@ -758,59 +432,6 @@ func checkOracle(all []pobs, committed int64) error {
 		})
 	}
 	return rec.Check()
-}
-
-// auditConservation sums the page keyspace (in SUM-verb chunks): every
-// committed transaction's deltas were balanced, so any nonzero total is
-// a torn or double-applied write.
-func auditConservation(aud *client.Client, keys int) (bool, error) {
-	total := int64(0)
-	const chunk = 64
-	for lo := 0; lo < keys; lo += chunk {
-		hi := lo + chunk
-		if hi > keys {
-			hi = keys
-		}
-		ks := make([]string, 0, chunk)
-		for p := lo; p < hi; p++ {
-			ks = append(ks, pageKey(model.PageID(p)))
-		}
-		s, err := aud.Sum(ks...)
-		if err != nil {
-			return false, err
-		}
-		total += s
-	}
-	return total == 0, nil
-}
-
-// auditLedger re-reads every worker's commit counter: the stored count
-// must equal the client's acked commits — no lost acks, no phantom
-// acks. With atLeast the check relaxes to >=, the failover contract: a
-// counter above its acked count is a commit whose ack the kill
-// swallowed before the client retried, while a counter below it is a
-// lost acknowledged commit either way.
-func auditLedger(aud *client.Client, ledger map[string]int64, atLeast bool) (bool, error) {
-	for key, want := range ledger {
-		got, _, err := aud.Get(key)
-		if err != nil {
-			return false, err
-		}
-		if got < want || (!atLeast && got != want) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// serverStats fetches the primary's STATS map.
-func serverStats(addr string) (map[string]string, error) {
-	c, err := client.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	return c.Stats()
 }
 
 // RunGrid runs every cell of the named preset sequentially and assembles

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/loadgen"
 	"repro/internal/server/opts"
 	"repro/internal/workload"
 )
@@ -232,25 +233,12 @@ func skewLabel(k workload.KeyDist) string {
 	}
 }
 
-// StageRow is one lifecycle stage's latency contribution within a cell,
-// aggregated over the cell's sampled traces (every traceSampleEvery-th
-// committed transaction asks for trace=1): N samples, p50/p99 of the
-// stage's offset from submit in milliseconds.
-type StageRow struct {
-	N     int     `json:"n"`
-	P50Ms float64 `json:"p50_ms"`
-	P99Ms float64 `json:"p99_ms"`
-}
-
-// TenantRow is one tenant's slice of a cell's outcome, as seen from the
-// client side (sheds here are replies to this tenant's tagged requests).
-type TenantRow struct {
-	Name          string  `json:"name"`
-	Requests      int64   `json:"requests"`
-	Committed     int64   `json:"committed"`
-	Shed          int64   `json:"shed"`
-	ValueRealized float64 `json:"value_realized"`
-}
+// StageRow and TenantRow are the load driver's own row types; the
+// artifact embeds them unchanged.
+type (
+	StageRow  = loadgen.StageRow
+	TenantRow = loadgen.TenantRow
+)
 
 // Row is one cell's emitted result.
 type Row struct {

@@ -1,17 +1,14 @@
 // Cluster integration: fencing epochs on the commit path, the promotion
-// and demotion transitions, and the TOPO/PLACE verbs. The cluster
-// package owns topology decisions (leases, elections, placement plans);
-// this file is where those decisions meet the engine — the two fence
-// layers (the entry fence before admission, the commit-boundary fence
-// that turns a deposed primary's verdicts into errors) and the
-// replica-to-primary handoff that rebases the replication feed onto the
-// applied prefix.
+// and demotion transitions, and the TOPO verb. The cluster package owns
+// topology decisions (leases, elections); this file is where those
+// decisions meet the engine — the two fence layers (the entry fence
+// before admission, the commit-boundary fence that turns a deposed
+// primary's verdicts into errors) and the replica-to-primary handoff
+// that rebases the replication feed onto the applied prefix.
 package server
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/obs/flight"
@@ -198,39 +195,4 @@ func (s *Server) handleTopo() string {
 		Watermark: watermark,
 		Applied:   applied,
 	}.Format()
-}
-
-// handlePlace serves the PLACE verb: plan value-cognizant shard moves
-// from the durability layer's per-shard pending-value accounting and
-// apply them to the epoch-fenced assignment table. The reply lists the
-// applied moves, most valuable first:
-//
-//	OK <n> [<shard>|<from>|<to>|<value> ...]
-//
-// Placement needs the pending-value signal, which only the checkpoint
-// scheduler maintains — so like CKPT, PLACE requires durability.
-func (s *Server) handlePlace() string {
-	cs := s.cluster
-	if cs == nil {
-		return "ERR not clustered"
-	}
-	if s.durable == nil {
-		return "ERR durability disabled"
-	}
-	if !cs.IsPrimary() {
-		return s.notPrimary()
-	}
-	assign, _ := s.assign.Table()
-	moves := cluster.PlanPlacement(s.durable.PendingValues(), assign, cs.Members())
-	epoch := cs.Epoch()
-	var b strings.Builder
-	applied := 0
-	for _, m := range moves {
-		if err := s.assign.Apply(m, epoch); err != nil {
-			continue
-		}
-		applied++
-		fmt.Fprintf(&b, " %d|%s|%s|%s", m.Shard, m.From, m.To, strconv.FormatFloat(m.Value, 'g', -1, 64))
-	}
-	return "OK " + strconv.Itoa(applied) + b.String()
 }

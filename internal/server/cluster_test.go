@@ -1,5 +1,5 @@
 // Cluster fencing and failover tests: the deterministic deposed-epoch
-// proofs (entry fence and commit-boundary fence), the TOPO/PLACE verb
+// proofs (entry fence and commit-boundary fence), the TOPO verb
 // surfaces, and an in-process replica-to-primary promotion over a live
 // replication stream.
 package server
@@ -145,63 +145,16 @@ func TestTopoVerb(t *testing.T) {
 		t.Fatalf("TOPO after deposition = %+v", rep)
 	}
 
+	// The PLACE planner had no executor and is gone: the verb is unknown.
+	if got := srv.dispatchLine("PLACE"); got != "ERR unknown verb PLACE" {
+		t.Fatalf("PLACE = %q", got)
+	}
+
 	// TOPO is single-line, so REQ framing is allowed.
 	rc := dialRaw(t, addr)
 	rc.send("REQ 7 TOPO")
 	if got := rc.recv(); !strings.HasPrefix(got, "RES 7 OK role=fenced") {
 		t.Fatalf("framed TOPO = %q", got)
-	}
-}
-
-// TestPlaceVerb pins the PLACE surface: ERR off-cluster, ERR without
-// durability (no pending-value signal), and a value-ranked,
-// epoch-fenced plan on a durable clustered primary.
-func TestPlaceVerb(t *testing.T) {
-	plain, _ := startServer(t, Config{Shards: 2})
-	if got := plain.dispatchLine("PLACE"); got != "ERR not clustered" {
-		t.Fatalf("PLACE off-cluster = %q", got)
-	}
-
-	mem, _, _ := clusteredPrimary(t, 2, []string{"10.0.0.9:7070"})
-	if got := mem.dispatchLine("PLACE"); got != "ERR durability disabled" {
-		t.Fatalf("PLACE without durability = %q", got)
-	}
-
-	cs := cluster.NewState("127.0.0.1:0", []string{"10.0.0.9:7070"})
-	if err := cs.BecomePrimary(1); err != nil {
-		t.Fatal(err)
-	}
-	srv, _ := startServer(t, Config{
-		Shards:  2,
-		Repl:    ReplOptions{Primary: true},
-		Cluster: cs,
-		Durable: durable.Options{Dir: t.TempDir()},
-	})
-	// Accrue pending value on the local shards, then plan: with a
-	// zero-loaded peer every loaded shard is a candidate move.
-	for i := 0; i < 16; i++ {
-		if got := srv.dispatchLine(fmt.Sprintf("ADD pk%d 1", i)); !strings.HasPrefix(got, "OK") {
-			t.Fatalf("seed write = %q", got)
-		}
-	}
-	got := srv.dispatchLine("PLACE")
-	if !strings.HasPrefix(got, "OK ") {
-		t.Fatalf("PLACE on durable clustered primary = %q", got)
-	}
-	fields := strings.Fields(got)
-	if fields[1] == "0" {
-		t.Fatalf("PLACE planned no moves against an empty peer: %q", got)
-	}
-	for _, mv := range fields[2:] {
-		if !strings.Contains(mv, "|127.0.0.1:0|10.0.0.9:7070|") {
-			t.Fatalf("move %q does not go self -> peer", mv)
-		}
-	}
-
-	// A deposed node cannot plan.
-	cs.Observe(2, "10.0.0.9:7070")
-	if got := srv.dispatchLine("PLACE"); got != "ERR not-primary 10.0.0.9:7070" {
-		t.Fatalf("PLACE on deposed node = %q", got)
 	}
 }
 

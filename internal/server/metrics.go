@@ -37,7 +37,7 @@ import (
 // storm cannot mint unbounded label values.
 var metricVerbs = []string{
 	"PING", "GET", "PUT", "ADD", "UPD", "SUM", "STATS", "HEAD", "CKPT", "TXN",
-	"TOPO", "PLACE",
+	"TOPO",
 }
 
 // serverMetrics owns the registry and the pre-resolved hot-path series.

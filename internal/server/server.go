@@ -60,7 +60,7 @@ type Config struct {
 	Repl ReplOptions
 	// Cluster, when non-nil, makes the server a member of a failover
 	// cluster (internal/cluster): writes are fenced by the state's
-	// fencing epoch and role, the TOPO/PLACE verbs come alive, and the
+	// fencing epoch and role, the TOPO verb comes alive, and the
 	// server can be promoted from replica to primary at runtime. The
 	// state's role and epoch must be set (BecomePrimary/SetReplica)
 	// before Open so a primary boots with its commit fence armed.
@@ -143,7 +143,6 @@ type Server struct {
 	feedP        atomic.Pointer[repl.Feed]    // non-nil on replication primaries
 	gateP        atomic.Pointer[repl.LagGate] // non-nil on read replicas
 	cluster      *cluster.State               // non-nil on cluster members
-	assign       *cluster.Assignment          // shard-ownership table (clustered only)
 	retain       uint64                       // Repl.Retain, reused by promotion's fresh feed
 	syncAcks     bool
 	syncTimeout  time.Duration
@@ -271,11 +270,8 @@ func Open(cfg Config) (*Server, error) {
 	}
 	srv.feedP.Store(feed)
 	srv.gateP.Store(cfg.Repl.Gate)
-	if cfg.Cluster != nil {
-		srv.assign = cluster.NewAssignment(cfg.Shards, cfg.Cluster.Self())
-		if cfg.Cluster.IsPrimary() {
-			srv.installFence(cfg.Cluster.Epoch())
-		}
+	if cfg.Cluster != nil && cfg.Cluster.IsPrimary() {
+		srv.installFence(cfg.Cluster.Epoch())
 	}
 	srv.sessions = newSessionTable(srv, cfg.Txn)
 	srv.registerDerived()
@@ -913,10 +909,6 @@ func (s *Server) dispatchVerb(verb string, args []string) string {
 		// Topology discovery: role, fencing epoch, best-known primary,
 		// and catch-up position as one k=v line (cluster.TopoReply).
 		return s.handleTopo()
-	case "PLACE":
-		// Value-cognizant placement planning over the live pending-value
-		// accounting; epoch-fenced application (cluster.Assignment).
-		return s.handlePlace()
 	case "CKPT":
 		// Operator-triggered checkpoint: capture every shard with records
 		// since its last checkpoint, highest pending-value first, and
