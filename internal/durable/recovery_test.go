@@ -237,7 +237,7 @@ func TestFailedSyncNoOKVerdict(t *testing.T) {
 	})
 
 	t.Run("group-flush", func(t *testing.T) {
-		st, m, onErr := newStore(t, engine.GroupCommit{Enabled: true, Window: time.Millisecond, MaxBatch: 8})
+		st, m, onErr := newStore(t, engine.GroupCommit{Enabled: true, MaxBatch: 8})
 		breakWAL(m, st.ShardOf(k0), errDisk)
 		err := st.UpdateValued(1, []string{k0}, func(tx shard.Tx) error {
 			return tx.Set(k0, []byte("1"))

@@ -67,9 +67,9 @@ type Config struct {
 	// MaxAttempts bounds closure re-executions per transaction
 	// (0 = 100). Exhausted attempts surface as an error.
 	MaxAttempts int
-	// GroupCommit coalesces commit critical sections: many finished
-	// transactions commit under one store-latch acquisition per flush
-	// window. See groupcommit.go.
+	// GroupCommit coalesces commit critical sections: transactions that
+	// finish while a flush is running commit together under one store-latch
+	// acquisition and one log sync when it completes. See groupcommit.go.
 	GroupCommit GroupCommit
 	// CommitLog, when non-nil, receives every installed write set under
 	// the store's commit latch — the store's total commit order, suitable
@@ -94,7 +94,8 @@ type Metrics struct {
 	// (1 on the per-commit path); the coalescing win is its mean.
 	BatchSize *obs.Histogram
 	// FlushSeconds observes group-commit flush latency: latch acquisition
-	// through WAL sync, the window every commit in the batch waits out.
+	// through log sync and fence — how long the commits queueing behind the
+	// flush wait for theirs to start.
 	FlushSeconds *obs.Histogram
 	// ParkSeconds observes how long speculative shadows sit parked at
 	// their gate — the park→promotion gap when the shadow goes on to win.
@@ -207,7 +208,9 @@ type txnHandle struct {
 	writes   map[string][]byte // optimistic shadow's write buffer
 	resolved bool
 	result   any // the committed attempt's stashed result
-	attempts int // restarts so far; group commit orders batches by it
+	// attempts counts restarts so far; group commit orders batches by it.
+	// Written only between rounds (no attempt of h is queued then).
+	attempts int
 }
 
 // attempt is one shadow: a single run of the closure.
@@ -228,8 +231,8 @@ type attempt struct {
 	readAt  map[string]int // first-read ordinal per key
 	readSeq int
 	writes  map[string][]byte
-	result  any // written only by this attempt's goroutine via Tx.Stash
-	report  chan verdict
+	result  any          // written only by this attempt's goroutine via Tx.Stash
+	report  chan verdict // speculative shadows only: the one verdict, buffered
 }
 
 func (a *attempt) abortLocked(s *Store) {
@@ -386,6 +389,7 @@ func (s *Store) forkShadowLocked(h, gateOn *txnHandle, gateIdx int) {
 		h: h, spec: true, gateIdx: gateIdx, gateOn: gateOn, gateAtt: gateOn.opt,
 		aborted: make(chan struct{}),
 		writes:  make(map[string][]byte),
+		report:  make(chan verdict, 1),
 	}
 	h.shadow = sh
 	s.stats.Forks++
@@ -472,75 +476,81 @@ func (s *Store) UpdateTracedResult(value float64, tr *obs.Trace, fn func(*Tx) er
 				// Installed but never made durable (Sync failed): the
 				// verdict is an error, not success — no ack may race a
 				// failed sync. The transaction must not be retried.
-				s.retire(h)
+				s.handOff(h, false)
 				return nil, v.err
 			}
 			return h.result, nil
 		}
-		if v.err != nil && !errors.Is(v.err, ErrAborted) {
-			// A shadow may have already committed the transaction while
-			// the optimistic run surfaced an error; the commit wins.
-			// Retire first — it aborts the shadow under s.mu, after which
-			// no commit can happen — so the resolved flag read next is
-			// final, not a racy sample.
-			s.mu.Lock()
-			sh := h.shadow
-			s.mu.Unlock()
-			s.retire(h)
-			s.mu.Lock()
-			resolved := h.resolved
-			s.mu.Unlock()
-			if resolved {
-				// The committing shadow's verdict is delivered only after
-				// the commit log's Sync (tryCommit/flush order); returning
-				// off the resolved flag alone would acknowledge a commit
-				// the WAL has not yet synced. Wait out the report — and
-				// honor its sync error: a shadow that installed writes the
-				// log could not sync must surface failure, not success.
-				if sh != nil {
-					if sv := <-h.shadowDone(sh); sv.committed && sv.err != nil {
-						return nil, sv.err
-					}
-				}
-				return h.result, nil
-			}
-			return nil, v.err
+		// The optimistic run did not commit: it lost a conflict (restart,
+		// unless a speculative shadow finishes the transaction first) or
+		// the closure failed (give up, unless a shadow already committed —
+		// the commit wins).
+		fnErr := v.err
+		if errors.Is(fnErr, ErrAborted) {
+			fnErr = nil
 		}
-		// Aborted: if a speculative shadow is running it may finish the
-		// transaction; wait for its verdict before restarting.
-		s.mu.Lock()
-		sh := h.shadow
-		s.mu.Unlock()
+		sh, resolved := s.handOff(h, fnErr == nil)
 		if sh != nil {
-			sv := <-h.shadowDone(sh)
-			if sv.committed {
-				s.retire(h)
+			// A committing shadow's verdict is delivered only after the
+			// commit boundary (tryCommit/flush order), so even a commit
+			// already visible as resolved is acknowledged off the report,
+			// never off the flag — and a boundary error on it must surface
+			// as failure, not success.
+			sv := <-sh.report
+			if !resolved {
+				_, resolved = s.handOff(h, false)
+			}
+			if resolved {
 				if sv.err != nil {
 					return nil, sv.err
 				}
 				return h.result, nil
 			}
-			if sv.err != nil && !errors.Is(sv.err, ErrAborted) {
-				s.retire(h)
-				return nil, sv.err
+			if fnErr == nil && !errors.Is(sv.err, ErrAborted) {
+				fnErr = sv.err
 			}
 		}
-		s.retire(h)
-		// Fall through to a fresh optimistic attempt (restart).
+		if fnErr != nil {
+			return nil, fnErr
+		}
+		// Detached and unresolved: fall through to a fresh optimistic
+		// attempt (restart).
 	}
-	s.retire(h)
 	return nil, &AttemptsError{Attempts: s.cfg.MaxAttempts}
 }
 
-// retire removes h from the active set.
-func (s *Store) retire(h *txnHandle) {
+// handOff is the one place a driver lets go of a round whose optimistic
+// run is over, and it decides in a single critical section. Split in two,
+// a fork landing between "do I have a shadow?" and "leave the active set"
+// can run and commit the transaction behind a driver that goes on to
+// restart it: every later attempt bounces off resolved and the caller is
+// told AttemptsError for an installed commit.
+//
+// With wait set and a shadow that has not committed, h stays active and
+// the shadow is returned for the driver to wait on; its slot stays
+// occupied, so nothing else can fork meanwhile. Otherwise h is detached —
+// what is left of the shadow is aborted and h leaves the active set, after
+// which neither the Read nor the Write Rule can fork for it — and resolved
+// says whether an attempt already committed; sh is then the committing
+// shadow, whose report the driver must still receive. Restarting, giving
+// up and returning a closure error are sound only on a detached,
+// unresolved handle.
+func (s *Store) handOff(h *txnHandle, wait bool) (sh *attempt, resolved bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if h.shadow != nil {
-		h.shadow.abortLocked(s)
+	sh, resolved = h.shadow, h.resolved
+	if sh != nil && wait && !resolved {
+		return sh, false
+	}
+	if sh != nil {
+		sh.abortLocked(s)
 		h.shadow = nil
 	}
 	delete(s.active, h)
+	if !resolved {
+		sh = nil
+	}
+	return sh, resolved
 }
 
 type verdict struct {
@@ -563,6 +573,13 @@ func (h *txnHandle) runSync(a *attempt) verdict {
 // higher-value transaction conflicts with the finished attempt, wait for
 // it to resolve (bounded rounds keep the engine robust against value
 // churn). The subsequent validation handles whatever happened meanwhile.
+//
+// What a deferral protects is the other transaction's optimistic run,
+// which this commit would abort. Once that run is aborted anyway there is
+// nothing left to protect — and its driver may by then be waiting on a
+// shadow that is parked on this very transaction, so holding on would
+// deadlock the three of them. Such handles are skipped, and a deferral in
+// progress ends when the protected run aborts.
 func (s *Store) deferForValue(a *attempt) {
 	for round := 0; round < 3; round++ {
 		s.mu.Lock()
@@ -570,6 +587,11 @@ func (s *Store) deferForValue(a *attempt) {
 		for other := range s.active {
 			if other == a.h || other.resolved || other.value <= a.h.value || other.opt == nil {
 				continue
+			}
+			select {
+			case <-other.opt.aborted:
+				continue
+			default:
 			}
 			conflict := false
 			for key := range a.writes {
@@ -590,7 +612,9 @@ func (s *Store) deferForValue(a *attempt) {
 				wait = other
 			}
 		}
+		var protected *attempt
 		if wait != nil {
+			protected = wait.opt
 			s.stats.Deferrals++
 			a.h.tr.Event(obs.StageDefer)
 		}
@@ -600,21 +624,11 @@ func (s *Store) deferForValue(a *attempt) {
 		}
 		select {
 		case <-wait.done:
+		case <-protected.aborted:
 		case <-a.aborted:
 			return
 		}
 	}
-}
-
-// shadowDone runs nothing; it returns the channel the shadow goroutine
-// reports on. (The goroutine was started at fork time.)
-func (h *txnHandle) shadowDone(sh *attempt) chan verdict {
-	h.store.mu.Lock()
-	defer h.store.mu.Unlock()
-	if sh.report == nil {
-		sh.report = make(chan verdict, 1)
-	}
-	return sh.report
 }
 
 // runAttempt executes a speculative shadow to completion and reports.
@@ -624,11 +638,6 @@ func (h *txnHandle) runAttempt(sh *attempt) {
 	if err == nil {
 		committed, err = h.store.tryCommit(sh)
 	}
-	h.store.mu.Lock()
-	if sh.report == nil {
-		sh.report = make(chan verdict, 1)
-	}
-	h.store.mu.Unlock()
 	sh.report <- verdict{err: err, committed: committed}
 }
 

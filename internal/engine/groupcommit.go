@@ -1,29 +1,32 @@
-// Group commit: coalescing commit critical sections.
+// Group commit: coalescing commit critical sections behind the running
+// flush.
 //
 // Every commit of a Store must hold the store latch (s.mu) while it
-// validates its read set and installs its writes. On the per-commit path
-// that is one latch acquisition per commit attempt; under many concurrent
-// connections the latch handoffs themselves become the hot path (Larson et
-// al.'s observation that commit critical sections dominate once the engine
-// is fast). Group commit batches them: committers enqueue their finished
-// attempt with a flat-combining committer, the first enqueuer becomes the
-// flush leader, gathers more commits for one flush window (or until the
-// batch cap), then acquires the latch once and processes the whole batch
-// under that single hold. Validation semantics are unchanged — each
-// attempt in the batch validates against the state left by the attempts
-// processed before it, exactly as if they had taken the latch back to
-// back — only the number of latch acquisitions drops.
+// validates its read set and installs its writes, and must cross the
+// commit boundary (log sync, fence — commit.go) before its verdict. On
+// the per-commit path that is one latch acquisition and one sync per
+// attempt. Group commit batches them with a completion-driven flat
+// combiner, the shape shard.combineCross has: committers enqueue their
+// finished attempt; the first to find no flush running becomes the leader
+// and flushes at once; commits that arrive while a flush is between latch
+// and verdict queue up and form the next batch, taken when the running
+// one completes. Batching is therefore exactly as deep as the commit
+// boundary is slow — deep behind a real fsync, one or two in memory — and
+// no commit ever waits for a clock (Hekaton's group commit batches behind
+// log I/O already in flight, never behind a timer). Validation semantics
+// are unchanged: each attempt in a batch validates against the state left
+// by the attempts processed before it, exactly as if they had taken the
+// latch back to back — only the number of latch acquisitions and syncs
+// drops.
 //
-// The flush window is a latency/throughput trade: a commit waits up to
-// Window for company. Tests inject the trigger instead of the clock:
-// TriggerFlush wakes the gathering leader immediately, and PendingCommits
-// exposes the queue depth, so coalescing behaviour is testable without
-// timing sleeps.
+// The seam tests use is the boundary itself: a CommitLog whose Sync
+// blocks holds a flush open for as long as the test likes, and
+// PendingCommits exposes the queue forming behind it.
 
 package engine
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -33,169 +36,145 @@ type GroupCommit struct {
 	// Enabled turns group commit on. Off, every commit attempt acquires
 	// the store latch itself.
 	Enabled bool
-	// Window is the longest a flush leader gathers commits before
-	// flushing (default 100µs). Commits wait at most this long for
-	// company.
+	// Window is ignored: flushes are driven by the completion of the one
+	// before, not by a timer. The field is kept for source compatibility
+	// with bench/ (frozen outside a [benchmark] PR, which is where its
+	// removal is queued).
 	Window time.Duration
-	// MaxBatch flushes early once this many commits are pending
-	// (default 64).
+	// MaxBatch caps how many queued commits one flush takes (default 64);
+	// the remainder is the next batch.
 	MaxBatch int
-}
-
-func (g *GroupCommit) defaults() {
-	if g.Window <= 0 {
-		g.Window = 100 * time.Microsecond
-	}
-	if g.MaxBatch <= 0 {
-		g.MaxBatch = 64
-	}
 }
 
 // commitReq is one finished attempt awaiting its commit verdict.
 type commitReq struct {
 	a    *attempt
+	ok   bool // validated and installed; written by the flush that serves it
 	done chan verdict
 }
 
 // groupCommitter is the flat-combining commit queue of one Store.
 type groupCommitter struct {
 	s        *Store
-	window   time.Duration
 	maxBatch int
 
-	// kick wakes the gathering leader early: followers send when the
-	// batch cap is reached, TriggerFlush sends from tests.
-	kick chan struct{}
+	mu       sync.Mutex
+	pending  []commitReq
+	flushing bool // a leader owns the queue; cleared only on seeing it empty
 
-	mu        sync.Mutex
-	pending   []commitReq
-	gathering bool // a leader is collecting the current batch
+	// spare is the leader's: the array of the batch it served last, which
+	// becomes the queue when it takes the next one, so a steady stream of
+	// flushes allocates no queue storage.
+	spare []commitReq
 }
 
 func newGroupCommitter(s *Store, cfg GroupCommit) *groupCommitter {
-	cfg.defaults()
-	return &groupCommitter{
-		s:        s,
-		window:   cfg.Window,
-		maxBatch: cfg.MaxBatch,
-		kick:     make(chan struct{}, 1),
+	if cfg.MaxBatch <= 0 {
+		cfg.MaxBatch = 64
 	}
+	return &groupCommitter{s: s, maxBatch: cfg.MaxBatch}
 }
 
 // commit enqueues a finished attempt and blocks until a flush delivers its
-// verdict. The first enqueuer of a batch becomes the leader: it waits out
-// the flush window (cut short by a kick) and then processes the whole
-// batch under one latch acquisition. Followers just wait; a follower that
-// fills the batch wakes the leader early.
+// verdict. An enqueuer that finds no flush running leads: its own request
+// is at the head of the queue and is flushed immediately.
 func (g *groupCommitter) commit(a *attempt) (bool, error) {
 	req := commitReq{a: a, done: make(chan verdict, 1)}
 	g.mu.Lock()
 	g.pending = append(g.pending, req)
-	n := len(g.pending)
-	leader := !g.gathering
-	if leader {
-		g.gathering = true
-	}
+	lead := !g.flushing
+	g.flushing = true
 	g.mu.Unlock()
-
-	if leader {
-		if n < g.maxBatch {
-			t := time.NewTimer(g.window)
-			select {
-			case <-t.C:
-			case <-g.kick:
-			}
-			t.Stop()
-		}
-		g.flush()
-	} else if n >= g.maxBatch {
-		select {
-		case g.kick <- struct{}{}:
-		default:
-		}
+	if lead {
+		g.drain()
 	}
 	v := <-req.done
 	return v.committed, v.err
 }
 
-// flush takes the gathered batch and commits it under one store-latch
-// acquisition. Requests enqueued after the batch is taken elect their own
-// leader (the gathering flag is cleared in the same critical section), so
-// no request is ever orphaned.
-func (g *groupCommitter) flush() {
-	g.mu.Lock()
-	batch := g.pending
-	g.pending = nil
-	g.gathering = false
-	// Drop a stale kick inside the critical section: until gathering is
-	// cleared no new leader can exist, so any buffered kick was aimed at
-	// this flush and is already satisfied. Draining it later could
-	// swallow the next leader's batch-cap kick and leave a full batch
-	// sleeping out its whole window.
-	select {
-	case <-g.kick:
-	default:
+// drain flushes the queue, at most maxBatch commits per flush, until it
+// is empty. Leadership is cleared only in the critical section that
+// observes the empty queue, so no request is ever orphaned. The leader is
+// an ordinary transaction whose verdict was delivered in its first batch;
+// draining what queued behind it inline saves the followers a goroutine
+// start per batch, but under sustained load would hold its caller hostage
+// for as long as work keeps arriving, so after its own batch it serves at
+// most maxBatch further commits and then passes the queue to a detached
+// drainer.
+func (g *groupCommitter) drain() {
+	budget := -1 // the first batch carries the leader's own commit and is free
+	for {
+		g.mu.Lock()
+		n := min(len(g.pending), g.maxBatch)
+		if n == 0 {
+			g.flushing = false
+			g.mu.Unlock()
+			return
+		}
+		if budget == 0 {
+			g.mu.Unlock()
+			go g.drain()
+			return
+		}
+		if budget > 0 {
+			n = min(n, budget)
+		}
+		batch := g.pending[:n]
+		g.pending = append(g.spare[:0], g.pending[n:]...)
+		g.mu.Unlock()
+
+		g.flush(batch)
+		clear(batch)
+		g.spare = batch[:0]
+		if budget < 0 {
+			budget = g.maxBatch
+		} else {
+			budget -= n
+		}
 	}
-	g.mu.Unlock()
-	if len(batch) == 0 {
-		return
-	}
+}
+
+// flush commits batch under one store-latch acquisition and one commit
+// boundary.
+func (g *groupCommitter) flush(batch []commitReq) {
 	s := g.s
+	// Starvation control: when a batch carries several conflicting
+	// read-modify-writes of one key, only the first to validate commits —
+	// the rest restart and meet again in a later flush, so plain FIFO order
+	// can starve the same transaction round after round. Processing the
+	// most-restarted transactions first (stable otherwise, so FIFO within
+	// a generation) bounds a transaction's wait: once it is the oldest in
+	// its batch, its fresh re-read validates unless a commit landed before
+	// this flush even started.
+	slices.SortStableFunc(batch, func(x, y commitReq) int {
+		return y.a.h.attempts - x.a.h.attempts
+	})
 	flushStart := time.Now()
-	verdicts := make([]bool, len(batch))
 	// One commit boundary covers every commit of the flush, and no
-	// committer learns its verdict before the batch has crossed it (the
-	// done channels are buffered, so delivery order is the only thing
-	// deferred). A boundary failure converts every committed verdict of the
-	// batch to an error: the writes are installed but must never be
-	// acknowledged.
+	// committer learns its verdict before the batch has crossed it. A
+	// boundary failure converts every committed verdict of the batch to an
+	// error: the writes are installed but must never be acknowledged.
 	err := s.commitBatch(func() {
-		// Starvation control: when a batch carries several conflicting
-		// read-modify-writes of one key, only the first to validate commits —
-		// the rest restart and meet again next flush, so plain FIFO order can
-		// starve the same transaction round after round. Processing the
-		// most-restarted transactions first (stable otherwise, so FIFO within
-		// a generation) guarantees a transaction's wait is bounded: once it is
-		// the oldest in its batch, its fresh re-read validates unless a commit
-		// landed before this flush even started.
-		sort.SliceStable(batch, func(i, j int) bool {
-			return batch[i].a.h.attempts > batch[j].a.h.attempts
-		})
 		s.stats.CommitBatches++
-		for i, req := range batch {
-			verdicts[i] = s.commitLocked(req.a)
+		for i := range batch {
+			batch[i].ok = s.commitLocked(batch[i].a)
 		}
 	})
 	if met := s.cfg.Metrics; met != nil {
 		met.BatchSize.Observe(int64(len(batch)))
 		met.FlushSeconds.Observe(int64(time.Since(flushStart)))
 	}
-	for i, req := range batch {
-		v := verdict{committed: verdicts[i]}
-		if verdicts[i] {
+	for _, req := range batch {
+		v := verdict{committed: req.ok}
+		if req.ok {
 			v.err = err
 		}
 		req.done <- v
 	}
 }
 
-// TriggerFlush wakes a gathering group-commit leader immediately instead
-// of waiting out its flush window. It is the injected flush trigger for
-// deterministic tests; a no-op when group commit is disabled. With no
-// leader gathering, the kick is buffered and at worst shortens the next
-// leader's window (each flush clears stale kicks).
-func (s *Store) TriggerFlush() {
-	if s.gc == nil {
-		return
-	}
-	select {
-	case s.gc.kick <- struct{}{}:
-	default:
-	}
-}
-
-// PendingCommits reports how many finished attempts are queued for the
-// next group-commit flush (0 when group commit is disabled).
+// PendingCommits reports how many finished attempts are queued behind the
+// running group-commit flush (0 when group commit is disabled).
 func (s *Store) PendingCommits() int {
 	if s.gc == nil {
 		return 0

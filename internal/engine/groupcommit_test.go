@@ -8,8 +8,27 @@ import (
 	"time"
 )
 
-// waitPending spins (no sleeps — the flush trigger is injected, not
-// timed) until n commits are queued for the next flush.
+// stallLog is a durable commit log whose Sync blocks until the test lets
+// it go — the deterministic seam for "batch behind a running sync": each
+// Sync announces itself on syncing and returns on a token from release.
+type stallLog struct {
+	nopLog
+	syncing, release chan struct{}
+}
+
+func newStallLog() *stallLog {
+	return &stallLog{syncing: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (l *stallLog) Durable() bool { return true }
+func (l *stallLog) Sync() error {
+	l.syncing <- struct{}{}
+	<-l.release
+	return nil
+}
+
+// waitPending spins (no sleeps — the flush in front is held open by the
+// log, not by a clock) until n commits are queued behind it.
 func waitPending(t *testing.T, s *Store, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -21,123 +40,138 @@ func waitPending(t *testing.T, s *Store, n int) {
 	}
 }
 
-// TestGroupCommitCoalesces is the deterministic coalescing test: with an
-// effectively infinite window and batch cap, n concurrent commits park in
-// the queue until the injected trigger fires, and the whole batch then
-// commits under ONE latch acquisition — versus n on the per-commit path.
+// setAll starts one blind single-key write per key and returns the group
+// to wait on.
+func setAll(t *testing.T, s *Store, keys ...string) *sync.WaitGroup {
+	var wg sync.WaitGroup
+	for _, key := range keys {
+		wg.Add(1)
+		go func(key string) {
+			defer wg.Done()
+			if err := s.Update(func(tx *Tx) error { return tx.Set(key, []byte{1}) }); err != nil {
+				t.Errorf("update %s: %v", key, err)
+			}
+		}(key)
+	}
+	return &wg
+}
+
+func keysN(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	return keys
+}
+
+// TestGroupCommitCoalesces is the deterministic coalescing test: a lone
+// commit flushes at once and stalls in its log sync; the n commits that
+// finish meanwhile queue behind it and, when it completes, commit under
+// ONE further latch acquisition and one sync — versus n on the per-commit
+// path.
 func TestGroupCommitCoalesces(t *testing.T) {
 	const n = 8
-	run := func(grouped bool) Stats {
-		cfg := Config{}
-		if grouped {
-			cfg.GroupCommit = GroupCommit{Enabled: true, Window: time.Hour, MaxBatch: 1 << 20}
-		}
-		s := Open(cfg)
-		defer s.Close()
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				key := fmt.Sprintf("k%d", i)
-				if err := s.Update(func(tx *Tx) error { return tx.Set(key, []byte{1}) }); err != nil {
-					t.Errorf("update %d: %v", i, err)
-				}
-			}(i)
-		}
-		if grouped {
-			waitPending(t, s, n)
-			s.TriggerFlush()
-		}
-		wg.Wait()
-		return s.Stats()
+	log := newStallLog()
+	s := Open(Config{CommitLog: log, GroupCommit: GroupCommit{Enabled: true, MaxBatch: 1 << 20}})
+	defer s.Close()
+	first := setAll(t, s, "first")
+	<-log.syncing // nothing to wait for: the lone commit is already at its boundary
+	rest := setAll(t, s, keysN(n)...)
+	waitPending(t, s, n)
+	log.release <- struct{}{}
+	<-log.syncing
+	if got := s.PendingCommits(); got != 0 {
+		t.Errorf("pending behind the second flush = %d, want 0 (it took the whole queue)", got)
+	}
+	log.release <- struct{}{}
+	first.Wait()
+	rest.Wait()
+	if st := s.Stats(); st.Commits != n+1 || st.CommitBatches != 2 {
+		t.Errorf("grouped: commits = %d, batches = %d, want %d commits under 2 latch acquisitions",
+			st.Commits, st.CommitBatches, n+1)
 	}
 
-	grouped := run(true)
-	if grouped.Commits != n {
-		t.Fatalf("grouped commits = %d, want %d", grouped.Commits, n)
-	}
-	if grouped.CommitBatches != 1 {
-		t.Errorf("grouped commit batches = %d, want 1 (single flush)", grouped.CommitBatches)
-	}
-
-	perCommit := run(false)
-	if perCommit.Commits != n {
-		t.Fatalf("per-commit commits = %d, want %d", perCommit.Commits, n)
-	}
-	if perCommit.CommitBatches != n {
-		t.Errorf("per-commit commit batches = %d, want %d (one latch per commit)", perCommit.CommitBatches, n)
-	}
-	if grouped.CommitBatches >= perCommit.CommitBatches {
-		t.Errorf("group commit did not cut latch acquisitions: %d vs %d",
-			grouped.CommitBatches, perCommit.CommitBatches)
+	p := Open(Config{})
+	defer p.Close()
+	setAll(t, p, keysN(n)...).Wait()
+	if st := p.Stats(); st.Commits != n || st.CommitBatches != n {
+		t.Errorf("per-commit: commits = %d, batches = %d, want %d each (one latch per commit)",
+			st.Commits, st.CommitBatches, n)
 	}
 }
 
-// TestGroupCommitMaxBatchKicks: with a huge window, hitting the batch cap
-// must wake the leader without any external trigger.
-func TestGroupCommitMaxBatchKicks(t *testing.T) {
-	const n = 4
-	s := Open(Config{GroupCommit: GroupCommit{Enabled: true, Window: time.Hour, MaxBatch: n}})
+// TestGroupCommitMaxBatch: a flush takes at most MaxBatch queued commits
+// and the remainder is the next batch — and a leader that has served
+// MaxBatch commits beyond its own batch passes the queue on instead of
+// draining it to the end.
+func TestGroupCommitMaxBatch(t *testing.T) {
+	const max = 4
+	log := newStallLog()
+	s := Open(Config{CommitLog: log, GroupCommit: GroupCommit{Enabled: true, MaxBatch: max}})
 	defer s.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			key := fmt.Sprintf("k%d", i)
-			if err := s.Update(func(tx *Tx) error { return tx.Set(key, []byte{1}) }); err != nil {
-				t.Errorf("update %d: %v", i, err)
-			}
-		}(i)
+	first := setAll(t, s, "first")
+	<-log.syncing
+	rest := setAll(t, s, keysN(2*max+1)...)
+	waitPending(t, s, 2*max+1)
+	// Behind the stalled flush: 9 queued. The leader takes 4, then has
+	// spent its budget; its successor takes 4 and then the last 1.
+	for _, want := range []int{max + 1, 1, 0} {
+		log.release <- struct{}{}
+		<-log.syncing
+		if got := s.PendingCommits(); got != want {
+			t.Errorf("pending behind a capped flush = %d, want %d", got, want)
+		}
 	}
-	wg.Wait() // completes only if the cap kicked the leader
-	st := s.Stats()
-	if st.Commits != n {
-		t.Fatalf("commits = %d, want %d", st.Commits, n)
-	}
-	if st.CommitBatches >= n {
-		t.Errorf("commit batches = %d, want < %d (coalesced)", st.CommitBatches, n)
+	log.release <- struct{}{}
+	first.Wait()
+	rest.Wait()
+	if st := s.Stats(); st.Commits != 2*max+2 || st.CommitBatches != 4 {
+		t.Errorf("commits = %d, batches = %d, want %d commits in 4 flushes (1, %d, %d, 1)",
+			st.Commits, st.CommitBatches, 2*max+2, max, max)
 	}
 }
 
 // TestGroupCommitConflicts drives contended read-modify-writes through the
-// group path with a real (short) window: correctness must be identical to
-// the per-commit path — every increment lands exactly once.
+// group path: correctness must be identical to the per-commit path under
+// both protocols — every increment lands exactly once.
 func TestGroupCommitConflicts(t *testing.T) {
-	s := Open(Config{GroupCommit: GroupCommit{Enabled: true, Window: 200 * time.Microsecond, MaxBatch: 8}})
-	defer s.Close()
-	const workers, iters = 8, 25
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				err := s.Update(func(tx *Tx) error {
-					v, err := tx.Get("hot")
-					if err != nil {
-						return err
+	for _, mode := range []Mode{SCC2S, OCCBC} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := Open(Config{Mode: mode, GroupCommit: GroupCommit{Enabled: true, MaxBatch: 8}})
+			defer s.Close()
+			const workers, iters = 8, 25
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < iters; i++ {
+						err := s.Update(func(tx *Tx) error {
+							v, err := tx.Get("hot")
+							if err != nil {
+								return err
+							}
+							var n byte
+							if len(v) > 0 {
+								n = v[0]
+							}
+							return tx.Set("hot", []byte{n + 1})
+						})
+						if err != nil {
+							t.Errorf("update: %v", err)
+						}
 					}
-					var n byte
-					if len(v) > 0 {
-						n = v[0]
-					}
-					return tx.Set("hot", []byte{n + 1})
-				})
-				if err != nil {
-					t.Errorf("update: %v", err)
-				}
+				}()
 			}
-		}()
-	}
-	wg.Wait()
-	v, ok := s.Get("hot")
-	if !ok || len(v) == 0 || v[0] != workers*iters {
-		t.Fatalf("hot = %v (ok=%v), want [%d]", v, ok, workers*iters)
-	}
-	st := s.Stats()
-	if st.CommitBatches == 0 || st.Commits < workers*iters {
-		t.Fatalf("stats = %+v", st)
+			wg.Wait()
+			v, ok := s.Get("hot")
+			if !ok || len(v) == 0 || v[0] != workers*iters {
+				t.Fatalf("hot = %v (ok=%v), want [%d]", v, ok, workers*iters)
+			}
+			st := s.Stats()
+			if st.CommitBatches == 0 || st.Commits < workers*iters {
+				t.Fatalf("stats = %+v", st)
+			}
+		})
 	}
 }

@@ -4,8 +4,10 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestLowValueDefersToHighValue forces the paper's Fig. 10 situation: a
@@ -160,4 +162,49 @@ func TestNoDeferralCycle(t *testing.T) {
 		t.Fatal("no writes landed")
 	}
 	_ = fmt.Sprintf
+}
+
+// TestDeferralEndsWhenProtectedRunAborts builds the park ⇄ defer cycle
+// step by step: low-value D finishes and defers to high-value H, whose
+// shadow is parked on D; a third commit then aborts H's optimistic run,
+// so H's driver falls back to waiting on that shadow. Unless D lets go of
+// a deferral that no longer protects anything, D waits for H, H for its
+// shadow and the shadow for D, forever.
+func TestDeferralEndsWhenProtectedRunAborts(t *testing.T) {
+	s := Open(Config{Mode: SCC2S})
+	hRead, hGo := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	done := make(chan error, 2)
+	go func() { // H: reads k, then stalls mid-closure (first run only)
+		done <- s.UpdateValued(2, func(tx *Tx) error {
+			v, err := getInt(tx, "k")
+			if err != nil {
+				return err
+			}
+			once.Do(func() { close(hRead); <-hGo })
+			return setInt(tx, "h", v)
+		})
+	}()
+	<-hRead
+	go func() { // D: overwrites k — forks H's shadow, gated on D — and defers to H
+		done <- s.UpdateValued(1, func(tx *Tx) error { return setInt(tx, "k", 1) })
+	}()
+	for s.Stats().Deferrals == 0 {
+		runtime.Gosched()
+	}
+	// A commit outranking both aborts H's optimistic run (it read k).
+	if err := s.UpdateValued(3, func(tx *Tx) error { return setInt(tx, "k", 3) }); err != nil {
+		t.Fatal(err)
+	}
+	close(hGo)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("deadlock: D defers to H, H waits for its shadow, the shadow is parked on D")
+		}
+	}
 }

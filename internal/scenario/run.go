@@ -89,7 +89,7 @@ func bootCluster(c Cell) (*cluster, error) {
 			MaxQueue:      4096,
 			TenantBudget:  c.TenantBudget,
 		},
-		GroupCommit: engine.GroupCommit{Enabled: true, Window: 100 * time.Microsecond, MaxBatch: 64},
+		GroupCommit: engine.GroupCommit{Enabled: true, MaxBatch: 64},
 	}
 	cl := &cluster{}
 	switch c.Role {

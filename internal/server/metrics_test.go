@@ -54,7 +54,7 @@ func TestMetricsExposition(t *testing.T) {
 	srv, addr := startServer(t, Config{
 		Shards:      4,
 		Mode:        engine.SCC2S,
-		GroupCommit: engine.GroupCommit{Enabled: true, Window: 100 * time.Microsecond, MaxBatch: 16},
+		GroupCommit: engine.GroupCommit{Enabled: true, MaxBatch: 16},
 	})
 	c, err := client.Dial(addr)
 	if err != nil {
@@ -344,7 +344,7 @@ func TestMetricsConformance(t *testing.T) {
 func TestMetricsConcurrentStress(t *testing.T) {
 	srv, addr := startServer(t, Config{
 		Shards:      4,
-		GroupCommit: engine.GroupCommit{Enabled: true, Window: 50 * time.Microsecond, MaxBatch: 8},
+		GroupCommit: engine.GroupCommit{Enabled: true, MaxBatch: 8},
 	})
 	const workers, iters = 8, 60
 	var wg sync.WaitGroup

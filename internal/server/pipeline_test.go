@@ -250,7 +250,7 @@ func TestPipelinedSerializableHistory(t *testing.T) {
 		{"group-commit", Config{
 			Shards:      8,
 			Mode:        engine.SCC2S,
-			GroupCommit: engine.GroupCommit{Enabled: true, Window: 200 * time.Microsecond, MaxBatch: 16},
+			GroupCommit: engine.GroupCommit{Enabled: true, MaxBatch: 16},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,9 +12,13 @@ import (
 )
 
 // faultLog is a durable commit log that counts what the pipeline hands it
-// and fails Sync on demand.
+// and fails Sync on demand. With stall set, every Sync first announces
+// itself on syncing (buffered; extra announcements are dropped) and then
+// waits for stall to be closed — the seam that holds a group-commit flush
+// open while the next batch forms behind it.
 type faultLog struct {
 	syncErr                      error
+	syncing, stall               chan struct{}
 	intents, decisions, released atomic.Int64
 }
 
@@ -22,8 +26,17 @@ func (l *faultLog) AppendCommit(rec engine.CommitRecord) uint64 { return rec.Epo
 func (l *faultLog) AppendIntent(uint64, []int)                  { l.intents.Add(1) }
 func (l *faultLog) AppendDecision(uint64)                       { l.decisions.Add(1) }
 func (l *faultLog) ReleaseCross(uint64)                         { l.released.Add(1) }
-func (l *faultLog) Sync() error                                 { return l.syncErr }
 func (l *faultLog) Durable() bool                               { return true }
+func (l *faultLog) Sync() error {
+	if l.stall != nil {
+		select {
+		case l.syncing <- struct{}{}:
+		default:
+		}
+		<-l.stall
+	}
+	return l.syncErr
+}
 
 // TestCommitBoundaryContract drives every caller of the engine's commit
 // pipeline — per-commit, group-commit flush, cross-shard combine with
@@ -58,6 +71,7 @@ func TestCommitBoundaryContract(t *testing.T) {
 		return outcome{installed: []error{(<-good.done).err}, rejected: []crossVerdict{<-bad.done},
 			want: want, epochs: int64(len(writes) - 1)}
 	}
+	var logs []*faultLog // this subtest's commit logs, one per shard
 	shapes := []struct {
 		name string
 		eng  engine.Config
@@ -68,17 +82,27 @@ func TestCommitBoundaryContract(t *testing.T) {
 			return outcome{installed: []error{err}, want: map[string]string{k0: "1"}}
 		}},
 		// OCC-BC keeps the flush population exact: no speculative shadow
-		// enqueues a commit of its own between the two triggers.
+		// enqueues a commit of its own behind the stalled flush.
 		{name: "group-flush", eng: engine.Config{Mode: engine.OCCBC,
-			GroupCommit: engine.GroupCommit{Enabled: true, Window: time.Hour, MaxBatch: 1 << 20}},
+			GroupCommit: engine.GroupCommit{Enabled: true, MaxBatch: 1 << 20}},
 			run: func(t *testing.T, s *Store, k0, k1 string) outcome {
-				// Two increments of one key share a flush: the first to
-				// validate installs, the other fails validation. Were the
-				// batch's error stamped on the loser too it would give up
-				// with its write missing; instead it re-executes and
-				// installs in a flush of its own — k0 ends at 2.
-				eng := s.Shard(s.ShardOf(k0))
-				errs := make(chan error, 2)
+				// A lone commit flushes at once and stalls in its sync; two
+				// increments of one key queue behind it and share the next
+				// flush: the first to validate installs, the other fails
+				// validation. Were the batch's error stamped on the loser
+				// too it would give up with its write missing; instead it
+				// re-executes and installs in a flush of its own — k0 ends
+				// at 2.
+				idx := s.ShardOf(k0)
+				eng, log := s.Shard(idx), logs[idx]
+				log.syncing, log.stall = make(chan struct{}, 1), make(chan struct{})
+				lone := k0 // a second key on k0's shard
+				for i := 0; lone == k0 || s.ShardOf(lone) != idx; i++ {
+					lone = "lone" + strconv.Itoa(i)
+				}
+				errs := make(chan error, 3)
+				go func() { errs <- s.Update([]string{lone}, func(tx Tx) error { return set(tx, lone, "1") }) }()
+				<-log.syncing
 				for i := 0; i < 2; i++ {
 					go func() {
 						errs <- s.Update([]string{k0}, func(tx Tx) error {
@@ -90,19 +114,18 @@ func TestCommitBoundaryContract(t *testing.T) {
 						})
 					}()
 				}
-				var out outcome
-				for flush := 0; flush < 2; flush++ {
-					deadline := time.Now().Add(10 * time.Second)
-					for eng.PendingCommits() < 2-flush {
-						if time.Now().After(deadline) {
-							t.Fatalf("flush %d: pending commits stuck at %d", flush, eng.PendingCommits())
-						}
-						runtime.Gosched()
+				deadline := time.Now().Add(10 * time.Second)
+				for eng.PendingCommits() < 2 {
+					if time.Now().After(deadline) {
+						t.Fatalf("pending commits stuck at %d behind the stalled flush", eng.PendingCommits())
 					}
-					eng.TriggerFlush()
+					runtime.Gosched()
+				}
+				close(log.stall)
+				out := outcome{want: map[string]string{k0: string(bytes8(2)), lone: "1"}}
+				for i := 0; i < 3; i++ {
 					out.installed = append(out.installed, <-errs)
 				}
-				out.want = map[string]string{k0: string(bytes8(2))}
 				return out
 			}},
 		{name: "cross-combine-multi-shard", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
@@ -129,7 +152,7 @@ func TestCommitBoundaryContract(t *testing.T) {
 	for _, fault := range []string{"sync", "fence"} {
 		for _, shape := range shapes {
 			t.Run(fault+"/"+shape.name, func(t *testing.T) {
-				logs := []*faultLog{{}, {}}
+				logs = []*faultLog{{}, {}}
 				s := Open(Config{
 					Shards:       2,
 					Engine:       shape.eng,
