@@ -230,7 +230,7 @@ func TestFailedSyncNoOKVerdict(t *testing.T) {
 	t.Run("per-commit", func(t *testing.T) {
 		st, m, onErr := newStore(t, engine.GroupCommit{})
 		breakWAL(m, st.ShardOf(k0), errDisk)
-		err := st.UpdateValued(1, []string{k0}, func(tx shard.Tx) error {
+		_, err := st.UpdateTracedResult(1, []string{k0}, nil, nil, func(tx shard.Tx) error {
 			return tx.Set(k0, []byte("1"))
 		})
 		wantSyncErr(t, "single-shard commit", err, onErr)
@@ -239,7 +239,7 @@ func TestFailedSyncNoOKVerdict(t *testing.T) {
 	t.Run("group-flush", func(t *testing.T) {
 		st, m, onErr := newStore(t, engine.GroupCommit{Enabled: true, MaxBatch: 8})
 		breakWAL(m, st.ShardOf(k0), errDisk)
-		err := st.UpdateValued(1, []string{k0}, func(tx shard.Tx) error {
+		_, err := st.UpdateTracedResult(1, []string{k0}, nil, nil, func(tx shard.Tx) error {
 			return tx.Set(k0, []byte("1"))
 		})
 		wantSyncErr(t, "group-commit flush", err, onErr)

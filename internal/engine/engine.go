@@ -336,9 +336,9 @@ func (tx *Tx) Get(key string) ([]byte, error) {
 // Stash records v as this execution's result. A closure may run several
 // times concurrently (shadows); each execution must Stash into its own
 // freshly built value, and only the execution that commits has its stash
-// returned by UpdateResult. This is the race-free way to get data out of
-// a transaction: captured variables are shared across shadow runs,
-// stashes are not.
+// returned by UpdateTracedResult. This is the race-free way to get data
+// out of a transaction: captured variables are shared across shadow
+// runs, stashes are not.
 func (tx *Tx) Stash(v any) { tx.a.result = v }
 
 // Set buffers a write.
@@ -399,44 +399,34 @@ func (s *Store) forkShadowLocked(h, gateOn *txnHandle, gateIdx int) {
 
 // Update executes fn transactionally and blocks until an execution of fn
 // commits (or the attempt budget is exhausted / fn returns a non-conflict
-// error). All Update transactions have equal worth; see UpdateValued for
-// the value-cognizant variant.
+// error). All Update transactions have equal worth and run untraced; it
+// is UpdateTracedResult(0, nil, fn) with the stash dropped.
 func (s *Store) Update(fn func(*Tx) error) error {
-	return s.UpdateValued(0, fn)
-}
-
-// UpdateResult is Update returning the committed execution's Tx.Stash
-// value (nil if it never stashed).
-func (s *Store) UpdateResult(fn func(*Tx) error) (any, error) {
-	return s.UpdateValuedResult(0, fn)
-}
-
-// UpdateValued is Update with a transaction value, the live-engine
-// counterpart of SCC-VW's commit deferment: a finished transaction whose
-// in-flight conflicters include one of strictly higher value yields to it
-// (waits for it to resolve, then revalidates) instead of committing
-// immediately and destroying the more valuable work. Strict value
-// dominance makes deferral cycles impossible. Zero-value transactions
-// never defer and are never yielded to.
-func (s *Store) UpdateValued(value float64, fn func(*Tx) error) error {
-	_, err := s.UpdateValuedResult(value, fn)
+	_, err := s.UpdateTracedResult(0, nil, fn)
 	return err
 }
 
-// UpdateValuedResult is UpdateValued returning the committed execution's
-// Tx.Stash value. h.result is published under the store latch by the
-// winning attempt's tryCommit before resolved is set, so reading it after
-// observing the commit is race-free even if a losing shadow is still
-// executing the closure.
-func (s *Store) UpdateValuedResult(value float64, fn func(*Tx) error) (any, error) {
-	return s.UpdateTracedResult(value, nil, fn)
-}
-
-// UpdateTracedResult is UpdateValuedResult with a lifecycle trace: when
-// tr is non-nil, every stage the transaction passes through inside the
-// engine — fork, park, resume, promotion, restart, defer, install — is
-// stamped onto it, from whichever shadow goroutine reaches the stage.
+// UpdateTracedResult is the full form of Update: it returns the
+// committed execution's Tx.Stash value (nil if it never stashed), and
+// takes a transaction value and a lifecycle trace.
+//
+// value is the live-engine counterpart of SCC-VW's commit deferment: a
+// finished transaction whose in-flight conflicters include one of
+// strictly higher value yields to it (waits for it to resolve, then
+// revalidates) instead of committing immediately and destroying the more
+// valuable work. Strict value dominance makes deferral cycles
+// impossible. Zero-value transactions never defer and are never yielded
+// to.
+//
+// When tr is non-nil, every stage the transaction passes through inside
+// the engine — fork, park, resume, promotion, restart, defer, install —
+// is stamped onto it, from whichever shadow goroutine reaches the stage.
 // A nil tr costs one predictable branch per site.
+//
+// h.result is published under the store latch by the winning attempt's
+// tryCommit before resolved is set, so reading it after observing the
+// commit is race-free even if a losing shadow is still executing the
+// closure.
 func (s *Store) UpdateTracedResult(value float64, tr *obs.Trace, fn func(*Tx) error) (any, error) {
 	h := &txnHandle{
 		store:  s,

@@ -1,6 +1,7 @@
 package engine
 
-// Tests for UpdateValued: the live engine's VW-style commit deferment.
+// Tests for the transaction value UpdateTracedResult takes: the live
+// engine's VW-style commit deferment.
 
 import (
 	"fmt"
@@ -9,6 +10,12 @@ import (
 	"testing"
 	"time"
 )
+
+// updateValued runs fn at the given transaction value, untraced.
+func updateValued(s *Store, value float64, fn func(*Tx) error) error {
+	_, err := s.UpdateTracedResult(value, nil, fn)
+	return err
+}
 
 // TestLowValueDefersToHighValue forces the paper's Fig. 10 situation: a
 // low-value transaction finishes first but its commit would abort a
@@ -27,7 +34,7 @@ func TestLowValueDefersToHighValue(t *testing.T) {
 	// High-value transaction: reads "pos", then (after the low-value one
 	// finished and is deferring) writes its result.
 	go func() {
-		hiDone <- s.UpdateValued(100, func(tx *Tx) error {
+		hiDone <- updateValued(s, 100, func(tx *Tx) error {
 			v, err := getInt(tx, "pos")
 			if err != nil {
 				return err
@@ -44,7 +51,7 @@ func TestLowValueDefersToHighValue(t *testing.T) {
 	// observable, then check commit order.
 	loDone := make(chan error, 1)
 	go func() {
-		loDone <- s.UpdateValued(1, func(tx *Tx) error {
+		loDone <- updateValued(s, 1, func(tx *Tx) error {
 			return setInt(tx, "pos", 999)
 		})
 	}()
@@ -112,7 +119,7 @@ func TestValuedMixedLoadConserves(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := s.UpdateValued(val, func(tx *Tx) error {
+			err := updateValued(s, val, func(tx *Tx) error {
 				v, err := getInt(tx, "total")
 				if err != nil {
 					return err
@@ -141,7 +148,7 @@ func TestNoDeferralCycle(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = s.UpdateValued(v, func(tx *Tx) error {
+			_ = updateValued(s, v, func(tx *Tx) error {
 				a, err := getInt(tx, "x")
 				if err != nil {
 					return err
@@ -176,7 +183,7 @@ func TestDeferralEndsWhenProtectedRunAborts(t *testing.T) {
 	var once sync.Once
 	done := make(chan error, 2)
 	go func() { // H: reads k, then stalls mid-closure (first run only)
-		done <- s.UpdateValued(2, func(tx *Tx) error {
+		done <- updateValued(s, 2, func(tx *Tx) error {
 			v, err := getInt(tx, "k")
 			if err != nil {
 				return err
@@ -187,13 +194,13 @@ func TestDeferralEndsWhenProtectedRunAborts(t *testing.T) {
 	}()
 	<-hRead
 	go func() { // D: overwrites k — forks H's shadow, gated on D — and defers to H
-		done <- s.UpdateValued(1, func(tx *Tx) error { return setInt(tx, "k", 1) })
+		done <- updateValued(s, 1, func(tx *Tx) error { return setInt(tx, "k", 1) })
 	}()
 	for s.Stats().Deferrals == 0 {
 		runtime.Gosched()
 	}
 	// A commit outranking both aborts H's optimistic run (it read k).
-	if err := s.UpdateValued(3, func(tx *Tx) error { return setInt(tx, "k", 3) }); err != nil {
+	if err := updateValued(s, 3, func(tx *Tx) error { return setInt(tx, "k", 3) }); err != nil {
 		t.Fatal(err)
 	}
 	close(hGo)

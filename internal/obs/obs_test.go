@@ -73,6 +73,47 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantile pins Quantile to the estimator the benchmark
+// applies to the exposition (bench/metrics.go:histQuantile): geometric
+// interpolation inside the power-of-two bucket holding the rank, so the
+// answer is always within one bucket of the true quantile — and an empty
+// histogram answers 0, never NaN (an idle server's p50_us/p99_us).
+func TestHistogramQuantile(t *testing.T) {
+	r := NewRegistry()
+	h := r.NsHistogram("scc_test_q_seconds", "test")
+	for _, q := range []float64{0.5, 0.99, 1} {
+		if got := h.Quantile(q); got != 0 {
+			t.Errorf("empty Quantile(%v) = %v, want 0", q, got)
+		}
+	}
+	// 1000 observations uniform over 1µs..1000µs: true p50 = 500µs,
+	// p99 = 990µs.
+	for i := int64(1); i <= 1000; i++ {
+		h.Observe(i * 1000)
+	}
+	for _, c := range []struct{ q, want float64 }{{0.5, 500e-6}, {0.99, 990e-6}} {
+		got := h.Quantile(c.q)
+		if got < c.want/2 || got > c.want*2 {
+			t.Errorf("Quantile(%v) = %v, want within one bucket of %v", c.q, got, c.want)
+		}
+	}
+	// Exact interpolation: 4 observations in (2^19, 2^20] ns and nothing
+	// else — the median rank sits halfway through that bucket, i.e. at
+	// 2^19.5 ns.
+	h2 := r.NsHistogram("scc_test_q2_seconds", "test")
+	for i := 0; i < 4; i++ {
+		h2.Observe(1 << 20)
+	}
+	if got, want := h2.Quantile(0.5), 1e-9*math.Exp2(19.5); math.Abs(got-want) > 1e-12 {
+		t.Errorf("Quantile(0.5) = %v, want %v", got, want)
+	}
+	// Ranks in the +Inf bucket report the top finite bound.
+	h2.Observe(1 << 40)
+	if got, want := h2.Quantile(1), 1e-9*math.Ldexp(1, NsMaxExp); got != want {
+		t.Errorf("Quantile(1) in +Inf = %v, want %v", got, want)
+	}
+}
+
 func TestHistogramVecSharesLayout(t *testing.T) {
 	r := NewRegistry()
 	v := r.NsHistogramVec("scc_test_stage_seconds", "per stage", "stage")

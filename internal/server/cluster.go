@@ -68,16 +68,20 @@ func (s *Server) notPrimary() string {
 	return "ERR not-primary " + primaryToken(s.cluster.Primary())
 }
 
-// fenceWrite is the entry fence: every write on a clustered node checks
-// it before touching admission. Non-nil means the caller must return
-// the redirect reply instead of executing.
-func (s *Server) fenceWrite(id uint64) (string, bool) {
-	cs := s.cluster
-	if cs == nil || cs.IsPrimary() {
-		return "", false
+// refuseWrite is the entry fence every write — a one-shot verb or a
+// session's TXN W — passes before it touches admission or an op log: a
+// clustered non-primary redirects it (and records fence_reject), a read
+// replica rejects it. Non-empty means the caller must answer with that
+// reply instead of executing.
+func (s *Server) refuseWrite(id uint64) string {
+	if cs := s.cluster; cs != nil && !cs.IsPrimary() {
+		s.flight.Server().Record(flight.EvFenceReject, id, -1, cs.Epoch())
+		return s.notPrimary()
 	}
-	s.flight.Server().Record(flight.EvFenceReject, id, -1, cs.Epoch())
-	return s.notPrimary(), true
+	if s.replGate() != nil {
+		return "ERR read-only replica"
+	}
+	return ""
 }
 
 // fencedReplVerb reports whether a replication-serving verb (REPL, ACK,

@@ -93,9 +93,9 @@ func TestDeposedEpochWriteNeverAcked(t *testing.T) {
 			// deterministic stand-in for a request that passed the entry
 			// fence before deposition landed. The install goes through, the
 			// verdict is an error naming the fence.
-			out := srv.execAdmitted(srv.adm.FnOf(opts.T{}), []op{{key: "fencekey", delta: 99, write: true, set: true}}, nil)
-			if out.err == nil || !strings.Contains(out.err.Error(), "fenced") {
-				t.Fatalf("zombie one-shot commit: err = %v, want a fenced error (nil is an acknowledged zombie write)", out.err)
+			_, err := srv.execAdmitted(&request{s: srv, f: srv.adm.FnOf(opts.T{})}, []op{{key: "fencekey", delta: 99, write: true, set: true}}, time.Now())
+			if err == nil || !strings.Contains(err.Error(), "fenced") {
+				t.Fatalf("zombie one-shot commit: err = %v, want a fenced error (nil is an acknowledged zombie write)", err)
 			}
 			// Layer 2, live session: the session bound before deposition
 			// commits through the engine's own per-commit path.
@@ -302,9 +302,9 @@ func TestPromoteDurableReplica(t *testing.T) {
 
 	// Deposed again: a commit already past the entry fence is never acked.
 	cs.Observe(3, "10.0.0.9:7070")
-	out := rep.execAdmitted(rep.adm.FnOf(opts.T{}), []op{{key: "zombie", delta: 1, write: true, set: true}}, nil)
-	if out.err == nil || !strings.Contains(out.err.Error(), "fenced") {
-		t.Fatalf("commit on re-deposed durable node: err = %v, want a fenced error", out.err)
+	_, err = rep.execAdmitted(&request{s: rep, f: rep.adm.FnOf(opts.T{})}, []op{{key: "zombie", delta: 1, write: true, set: true}}, time.Now())
+	if err == nil || !strings.Contains(err.Error(), "fenced") {
+		t.Fatalf("commit on re-deposed durable node: err = %v, want a fenced error", err)
 	}
 	rep.Close()
 
@@ -339,7 +339,7 @@ func TestSyncAcksDegradesWithoutSubscriber(t *testing.T) {
 		if got := p.commit("sk-" + p.name); got != "OK 1" {
 			t.Fatalf("%s: semi-sync lone write = %q", p.name, got)
 		}
-		if n := srv.syncDegraded.Load(); n != 0 {
+		if n := srv.met.syncDegraded.Value(); n != 0 {
 			t.Fatalf("%s: lone primary waited out %d semi-sync timeouts, want none", p.name, n)
 		}
 	}
@@ -348,11 +348,11 @@ func TestSyncAcksDegradesWithoutSubscriber(t *testing.T) {
 	sub.Track(0)
 	sub.Track(1)
 	for _, p := range paths {
-		before := srv.syncDegraded.Load()
+		before := srv.met.syncDegraded.Value()
 		if got := p.commit("sk-" + p.name); got != "OK 2" {
 			t.Fatalf("%s: semi-sync write under a silent subscriber = %q", p.name, got)
 		}
-		if n := srv.syncDegraded.Load() - before; n != 1 {
+		if n := srv.met.syncDegraded.Value() - before; n != 1 {
 			t.Fatalf("%s: %d degraded waits, want 1 (the commit must wait for a replica ack)", p.name, n)
 		}
 	}

@@ -140,15 +140,104 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("value leak: submitted %v != realized %v + lost %v (diff %v)", sub, real, lost, diff)
 	}
 
-	// STATS and METRICS sample the same counters.
-	st, err := c.Stats()
-	if err != nil {
+	// STATS and METRICS sample the same counters, row by row.
+	checkStatsTable(t, "traffic", srv, "")
+}
+
+// checkStatsTable walks statRows on a quiescent server: every row with
+// both a STATS key and a metric family reports the same number on both
+// surfaces, and the role-conditional keys emitted are exactly roleKeys —
+// what docs/PROTOCOL.md "STATS keys" promises for the roles the caller
+// configured.
+func checkStatsTable(t *testing.T, name string, srv *Server, roleKeys string) {
+	t.Helper()
+	roleKey := make(map[string]bool) // repl_lag is keyed by two rows
+	for _, row := range statRows {
+		roleKey[row.key] = roleKey[row.key] || row.when != nil
+	}
+	stats := make(map[string]string)
+	var emittedRoleKeys []string
+	for _, kv := range strings.Fields(strings.TrimPrefix(srv.statsLine(), "OK ")) {
+		k, v, _ := strings.Cut(kv, "=")
+		if _, dup := stats[k]; dup {
+			t.Errorf("%s: STATS emits %s twice", name, k)
+		}
+		stats[k] = v
+		if roleKey[k] {
+			emittedRoleKeys = append(emittedRoleKeys, k)
+		}
+	}
+	if got := strings.Join(emittedRoleKeys, " "); got != roleKeys {
+		t.Errorf("%s: role-conditional STATS keys = %q, want %q", name, got, roleKeys)
+	}
+	var b strings.Builder
+	srv.Metrics().Expose(&b)
+	samples := parseExposition(t, b.String())
+	sn := srv.snap()
+	for _, row := range statRows {
+		got, emitted := stats[row.key]
+		if !emitted || row.family == "" || row.when != nil && !row.when(sn) {
+			continue
+		}
+		sample, ok := samples[row.family]
+		if !ok {
+			t.Errorf("%s: STATS emits %s but METRICS has no %s", name, row.key, row.family)
+		} else if want := strconv.FormatInt(int64(sample), 10); got != want {
+			t.Errorf("%s: STATS %s=%s disagrees with %s=%s", name, row.key, got, row.family, want)
+		}
+	}
+}
+
+// TestStatsTableOneSource holds STATS and METRICS to one source on each
+// server role, after traffic that moves the role's own counters.
+func TestStatsTableOneSource(t *testing.T) {
+	cstate := cluster.NewState("127.0.0.1:0", nil)
+	if err := cstate.BecomePrimary(1); err != nil {
 		t.Fatal(err)
 	}
-	if st["commits"] != strconv.Itoa(int(samples["scc_commits_total"])) {
-		t.Errorf("STATS commits=%s disagrees with scc_commits_total=%v", st["commits"], samples["scc_commits_total"])
+	const primaryKeys = "repl_subs repl_lag log_trimmed"
+	for _, c := range []struct {
+		name     string
+		cfg      Config
+		roleKeys string
+	}{
+		{"plain", Config{Shards: 2}, ""},
+		{"primary", Config{Shards: 2, Repl: ReplOptions{Primary: true}}, primaryKeys},
+		{"durable", Config{Shards: 2, Durable: durable.Options{Dir: t.TempDir()}},
+			"wal_appends wal_fsyncs ckpt_count recovered_index dur_errors dur_intents dur_reconciled"},
+		{"replica", Config{Shards: 2, Repl: ReplOptions{Gate: repl.NewLagGate(2, 50*time.Millisecond, 0)}},
+			"repl_applied repl_lag repl_shed"},
+		{"clustered", Config{Shards: 2, Repl: ReplOptions{Primary: true, SyncAcks: true, SyncTimeout: time.Millisecond}, Cluster: cstate},
+			primaryKeys + " repl_sync_degraded cluster_epoch cluster_role"},
+	} {
+		srv, err := Open(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		if c.name == "clustered" {
+			// A tracked, silent subscriber: commits wait out the semi-sync
+			// timeout, so repl_sync_degraded moves too.
+			sub := srv.Feed().Subscribe()
+			t.Cleanup(sub.Close)
+			sub.Track(0)
+			sub.Track(1)
+		}
+		for _, line := range []string{
+			"ADD a 1", "UPD v=1 dl=60000 w:a:1 w:b:2 r:c", "SUM a b", "UPD v=1 dl=0.000001 grad=1e9 w:a:1",
+		} {
+			srv.dispatchLine(line)
+		}
+		for _, verdict := range []string{"ABORT", "COMMIT"} {
+			id := strings.TrimPrefix(srv.dispatchLine("TXN BEGIN v=1"), "OK ")
+			srv.dispatchLine("TXN R " + id + " a")
+			srv.dispatchLine("TXN " + verdict + " " + id)
+		}
+		if srv.Durable() != nil {
+			srv.dispatchLine("CKPT")
+		}
+		checkStatsTable(t, c.name, srv, c.roleKeys)
 	}
-	_ = srv
 }
 
 // TestMetricsWireFraming exercises the verb's framing rules raw: bare

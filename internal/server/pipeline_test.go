@@ -210,7 +210,7 @@ func TestCrossShedOverWire(t *testing.T) {
 	if st.CrossRestarts == 0 {
 		t.Error("no cross-shard restart recorded")
 	}
-	if got := srv.crossShed.Load(); got != 1 {
+	if got := srv.met.crossShed.Value(); got != 1 {
 		t.Errorf("crossShed = %d, want 1", got)
 	}
 	// The counter the operator sees must agree.

@@ -21,7 +21,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -32,13 +31,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/durable"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/repl"
 	"repro/internal/server/opts"
 	"repro/internal/shard"
-	"repro/internal/stats"
-	"repro/internal/value"
 )
 
 // Config configures a Server.
@@ -146,7 +142,6 @@ type Server struct {
 	retain       uint64                       // Repl.Retain, reused by promotion's fresh feed
 	syncAcks     bool
 	syncTimeout  time.Duration
-	syncDegraded atomic.Int64     // SyncAcks waits that timed out (commit acked anyway)
 	durable      *durable.Manager // non-nil with a data directory
 	met          *serverMetrics   // telemetry registry (metrics.go), always non-nil
 	flight       *flight.Recorder // always-on black-box event journal, always non-nil
@@ -160,17 +155,7 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 
-	latMu     sync.Mutex
-	lat       *stats.Sample
-	requests  atomic.Int64
-	crossShed atomic.Int64 // cross-shard retries shed past their zero-crossing
-
-	// Interactive transaction sessions (session.go).
-	sessions     *sessionTable
-	txnBegun     atomic.Int64
-	txnCommitted atomic.Int64
-	txnAborted   atomic.Int64
-	txnReaped    atomic.Int64
+	sessions *sessionTable // interactive transaction sessions (session.go)
 
 	wg sync.WaitGroup
 }
@@ -266,7 +251,6 @@ func Open(cfg Config) (*Server, error) {
 		flight:        fl,
 		flightSample:  uint64(cfg.FlightSample),
 		conns:         make(map[net.Conn]struct{}),
-		lat:           stats.NewSample(4096, 1),
 	}
 	srv.feedP.Store(feed)
 	srv.gateP.Store(cfg.Repl.Gate)
@@ -274,7 +258,7 @@ func Open(cfg Config) (*Server, error) {
 		srv.installFence(cfg.Cluster.Epoch())
 	}
 	srv.sessions = newSessionTable(srv, cfg.Txn)
-	srv.registerDerived()
+	srv.registerStats()
 	return srv, nil
 }
 
@@ -719,7 +703,7 @@ func (s *Server) handleSnap(args []string, sub **repl.Sub, out chan<- string) {
 // lines. STATS is untouched: its k=v line stays the stable,
 // byte-conservative surface, METRICS the complete one.
 func (s *Server) handleMetrics(out chan<- string) {
-	s.requests.Add(1)
+	s.met.requests.Inc()
 	var buf bytes.Buffer
 	s.met.reg.Expose(&buf)
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -735,7 +719,7 @@ func (s *Server) handleMetrics(out chan<- string) {
 // line format, docs/PROTOCOL.md "Flight recorder"). An optional
 // argument caps the reply at the newest that many events.
 func (s *Server) handleEvents(args []string, out chan<- string) {
-	s.requests.Add(1)
+	s.met.requests.Inc()
 	max := 0
 	if len(args) > 1 {
 		out <- "ERR usage: EVENTS [n]"
@@ -814,7 +798,7 @@ func (s *Server) dispatch(fields []string) string {
 }
 
 func (s *Server) dispatchVerb(verb string, args []string) string {
-	s.requests.Add(1)
+	s.met.requests.Inc()
 	switch verb {
 	case "PING":
 		return "OK pong"
@@ -1067,177 +1051,60 @@ func (s *Server) handleTXN(args []string) string {
 }
 
 // runUpdate admits, executes, and answers one one-shot transactional
-// update (PUT/ADD/UPD) — the legacy verbs, routed through the same
-// admitted executor interactive session commits use. Value accounting
-// (metrics.go) brackets the whole path: the submit-time value enters
-// scc_value_submitted_total here, and every exit attributes what was
-// realized and what was lost, so the conservation invariant holds.
+// update (PUT/ADD/UPD): the request lifecycle (request.go) around one
+// call of the admitted executor interactive session commits share.
 func (s *Server) runUpdate(o opts.T, ops []op) string {
-	f := s.adm.FnOf(o)
-	// trace=1 requests always record their lifecycle into the flight
-	// recorder's server ring; untraced requests record a deterministic
-	// 1-in-FlightSample slice (by request id) so the black box always
-	// holds recent full lifecycles at near-zero per-request cost. The
-	// rest carry a nil trace — every stamp is a no-op branch. The trace=
-	// reply token stays opt-in (retain only when asked).
-	id := s.reqID.Add(1)
-	var tr *obs.Trace
-	if o.Trace || id%s.flightSample == 0 {
-		tr = obs.NewRecordedTrace(time.Now(), s.flight.Server(), id, o.Trace)
-		defer tr.Flush()
-	}
-	if o.Trace {
-		s.met.traces.Inc()
-	}
-	v0 := clampValue(f.At(s.adm.now()))
-	s.met.submitted.Add(v0)
-	hasWrite := false
+	write := false
 	for _, o := range ops {
 		if o.write {
-			hasWrite = true
+			write = true
 			break
 		}
 	}
-	if hasWrite && s.cluster != nil {
-		// Cluster entry fence: a write on a non-primary is refused with
-		// a redirect before it touches admission — clients follow the
-		// address to the current primary.
-		if reply, fenced := s.fenceWrite(id); fenced {
-			s.met.lostValue(obs.LossError, v0)
-			return reply
-		}
+	r, refused := s.begin(o, len(ops), write, false)
+	if refused != "" {
+		return refused
 	}
-	if gate := s.replGate(); gate != nil {
-		// Read replica: writes are rejected, and a read-only transaction
-		// is shed when its value function would cross zero before the
-		// replica's estimated catch-up — a stale read it could never
-		// deliver while it still carries value.
-		if hasWrite {
-			s.met.lostValue(obs.LossError, v0)
-			return "ERR read-only replica"
-		}
-		if err := gate.Admit(f, s.adm.now()); err != nil {
-			s.met.lostValue(obs.LossReplicaLag, v0)
-			s.flight.Admission().Record(flight.EvReplShed, id, -1, 0)
-			return "SHED"
-		}
-	}
-	// The enqueue stamp is the submit instant — the trace's own start,
-	// no clock read needed.
-	tr.EventOff(obs.StageEnqueue, 0)
-	admitStart := time.Now()
-	if err := s.adm.AcquireTenant(f, len(ops), o.Tenant); err != nil {
-		if errors.Is(err, ErrTenantShed) {
-			s.met.lostValue(obs.LossTenantBudget, v0)
-		} else {
-			s.met.lostValue(obs.LossAdmissionShed, v0)
-		}
-		s.flight.Admission().Record(obs.StageShed, id, -1, 0)
-		return "SHED"
-	}
-	start := time.Now()
-	s.met.admitWait.Observe(int64(start.Sub(admitStart)))
-	tr.EventAt(obs.StageAdmit, start)
-	out := s.execAdmitted(f, ops, tr)
-	elapsed := time.Since(start)
-	if out.holding {
-		// Queue time spent in readmissions is not service time: feeding
-		// it into the per-op estimate would make admission increasingly
-		// pessimistic exactly when the server is loaded.
-		s.adm.Release(elapsed-out.readmitWait, len(ops))
-	}
-	s.latMu.Lock()
-	s.lat.Add(elapsed.Seconds())
-	s.latMu.Unlock()
-	if out.err != nil {
-		if errors.Is(out.err, ErrShed) {
-			s.met.lostValue(obs.LossCrossShed, v0)
-			s.flight.Admission().Record(obs.StageShed, id, -1, 0)
-			return "SHED"
-		}
-		s.met.lostValue(lossReason(out.err), v0)
-		return "ERR " + out.err.Error()
-	}
-	vEnd := clampValue(f.At(s.adm.now()))
-	s.met.realized.Add(vEnd)
-	s.met.lostValue(obs.LossExecution, v0-vEnd)
-	tr.Event(obs.StageCommit)
-	reply := okResults(out.results)
-	if tr.Retained() {
-		reply += " trace=" + tr.String()
-	}
-	return reply
+	return r.finish(s.execAdmitted(&r, ops, r.admitAt))
 }
 
-// clampValue floors a value-function sample at zero: a request past its
-// zero-crossing has no value left to account, not negative value.
-func clampValue(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// lossReason maps a failed execution's error to the lost-value reason:
-// exhausted conflict-retry budgets are conflict losses, a failed WAL
-// sync (the verdict converted to ERR because the batch never became
-// durable) is a wal_error loss, anything else (bad keys, closed store)
-// is an error loss.
-func lossReason(err error) string {
-	var ea *engine.AttemptsError
-	var sa *shard.AttemptsError
-	if errors.As(err, &ea) || errors.As(err, &sa) {
-		return obs.LossConflictAbort
-	}
-	var se *engine.SyncError
-	if errors.As(err, &se) {
-		return obs.LossWALError
-	}
-	return obs.LossError
-}
-
-// execOutcome is one admitted transaction execution's result.
-type execOutcome struct {
-	results []int64 // new value of each write op, in op order
-	err     error
-	holding bool // the admission slot is still held by the caller
-	// readmitWait is queue time spent re-entering admission on
-	// cross-shard retries — the caller subtracts it from its service-time
-	// measurement (queueing is not service).
-	readmitWait time.Duration
-}
-
-// execAdmitted executes ops as one serializable transaction under an
+// execAdmitted executes ops as one serializable transaction under r's
 // already-held admission slot: the single engine-facing commit path for
-// every path that commits client work — one-shot verbs and interactive
-// TXN COMMIT alike. Cross-shard validation failures surrender the slot
-// and re-enter the admission queue by expected value (Readmit), where a
-// transaction whose value function crossed zero is shed (cross_shed).
-// tr, when non-nil, receives the engine-side lifecycle events (fork,
-// park, promotion, install) of the execution.
-func (s *Server) execAdmitted(f value.Fn, ops []op, tr *obs.Trace) execOutcome {
-	out := execOutcome{holding: true}
+// every path that commits client work — one-shot verbs and deferred
+// TXN COMMIT alike — timed from start into the service stage. Cross-shard
+// validation failures surrender the slot and re-enter the admission
+// queue by expected value (Readmit), where a transaction whose value
+// function crossed zero is shed (cross_shed). r's trace, when non-nil,
+// receives the engine-side lifecycle events (fork, park, promotion,
+// install) of the execution.
+func (s *Server) execAdmitted(r *request, ops []op, start time.Time) ([]int64, error) {
 	keys := make([]string, len(ops))
 	for i, o := range ops {
 		keys[i] = o.key
 	}
-	// The transaction value the engine's commit deferment sees is the
-	// request's current value.
-	txValue := f.At(s.adm.now())
+	// Queue time spent in readmissions (and replication latency) is not
+	// service time: feeding it into the per-op estimate would make
+	// admission increasingly pessimistic exactly when the server is loaded.
+	var retry struct {
+		queued time.Duration
+		shed   bool
+	}
+	f := r.f
 	gate := func(int) error {
 		t0 := time.Now()
 		if err := s.adm.Readmit(f, len(ops)); err != nil {
-			out.holding = false
-			s.crossShed.Add(1)
+			retry.shed = true
 			return err
 		}
-		out.readmitWait += time.Since(t0)
+		retry.queued += time.Since(t0)
 		return nil
 	}
-	// The closure may run several times concurrently (engine shadows), so
-	// it must not mutate captured state: each execution builds a fresh
-	// result slice and stashes it; the committed execution's stash wins.
-	res, err := s.store.UpdateTracedResult(txValue, keys, gate, tr, func(tx shard.Tx) error {
+	// The transaction value the engine's commit deferment sees is the
+	// request's current value. The closure may run several times
+	// concurrently (engine shadows), so it must not mutate captured state:
+	// each execution builds a fresh result slice and stashes it; the
+	// committed execution's stash wins.
+	res, err := s.store.UpdateTracedResult(f.At(s.adm.now()), keys, gate, r.tr, func(tx shard.Tx) error {
 		results := make([]int64, 0, len(ops))
 		for _, o := range ops {
 			n, err := applyOp(tx, o)
@@ -1251,13 +1118,14 @@ func (s *Server) execAdmitted(f value.Fn, ops []op, tr *obs.Trace) execOutcome {
 		tx.Stash(results)
 		return nil
 	})
-	if err != nil {
-		out.err = err
-		return out
+	if err == nil {
+		retry.queued += s.awaitReplicaAcks(ops)
 	}
-	out.readmitWait += s.awaitReplicaAcks(ops)
-	out.results, _ = res.([]int64)
-	return out
+	elapsed := time.Since(start)
+	s.met.service.Observe(int64(elapsed))
+	r.shed, r.service, r.numOps = retry.shed, elapsed-retry.queued, len(ops)
+	results, _ := res.([]int64)
+	return results, err
 }
 
 // awaitReplicaAcks is the semi-sync wait both commit paths (one-shot and
@@ -1286,7 +1154,7 @@ func (s *Server) awaitReplicaAcks(ops []op) time.Duration {
 		if err := feed.WaitAcked(si, feed.Log(si).Head(), s.syncTimeout); err != nil {
 			// Degrade to async rather than fail a commit that is locally
 			// durable: the lapse is counted, the OK stands.
-			s.syncDegraded.Add(1)
+			s.met.syncDegraded.Inc()
 		}
 	}
 	return time.Since(t0)
@@ -1328,58 +1196,6 @@ func okResults(results []int64) string {
 		b.WriteString(strconv.FormatInt(n, 10))
 	}
 	return b.String()
-}
-
-func (s *Server) statsLine() string {
-	st := s.store.Stats()
-	ad := s.adm.Stats()
-	reqs := s.requests.Load()
-	s.latMu.Lock()
-	qs := s.lat.Percentiles(50, 99)
-	s.latMu.Unlock()
-	p50, p99 := qs[0], qs[1]
-	// An idle server has no latency observations; report zeros rather
-	// than NaN-poisoning parsers of the k=v line.
-	if math.IsNaN(p50) {
-		p50, p99 = 0, 0
-	}
-	line := fmt.Sprintf(
-		"OK shards=%d reqs=%d commits=%d fast=%d cross=%d cross_restarts=%d cross_shed=%d cross_batches=%d "+
-			"aborts=%d restarts=%d forks=%d promotions=%d deferrals=%d commit_batches=%d views=%d "+
-			"admitted=%d shed=%d tenant_shed=%d readmits=%d depth=%d inflight=%d op_time_us=%.1f p50_us=%.0f p99_us=%.0f",
-		s.store.NumShards(), reqs, st.TotalCommits(), st.FastPath, st.CrossCommits,
-		st.CrossRestarts, s.crossShed.Load(), st.CrossBatches, st.Engine.Aborts, st.Engine.Restarts, st.Engine.Forks,
-		st.Engine.Promotions, st.Engine.Deferrals, st.Engine.CommitBatches, st.Views,
-		ad.Admitted, ad.Shed, ad.TenantShed, ad.Readmits, ad.Depth, ad.InFlight, ad.OpTime*1e6,
-		p50*1e6, p99*1e6)
-	line += fmt.Sprintf(" txn_active=%d txn_begun=%d txn_committed=%d txn_aborted=%d txn_reaped=%d",
-		s.sessions.active(), s.txnBegun.Load(), s.txnCommitted.Load(),
-		s.txnAborted.Load(), s.txnReaped.Load())
-	// Replication keys appear only in the role that owns them; a chained
-	// primary-and-replica reports the replica-side repl_lag (last key
-	// wins in k=v parsers).
-	if feed := s.Feed(); feed != nil {
-		line += fmt.Sprintf(" repl_subs=%d repl_lag=%d log_trimmed=%d",
-			feed.Subscribers(), feed.MaxLag(), feed.Trimmed())
-		if s.syncAcks {
-			line += fmt.Sprintf(" repl_sync_degraded=%d", s.syncDegraded.Load())
-		}
-	}
-	if gate := s.replGate(); gate != nil {
-		line += fmt.Sprintf(" repl_applied=%d repl_lag=%d repl_shed=%d",
-			gate.Applied(), gate.LagRecords(), gate.Shed())
-	}
-	if cs := s.cluster; cs != nil {
-		epoch, role, _ := cs.Snapshot()
-		line += fmt.Sprintf(" cluster_epoch=%d cluster_role=%s", epoch, role)
-	}
-	if s.durable != nil {
-		d := s.durable.Stats()
-		line += fmt.Sprintf(" wal_appends=%d wal_fsyncs=%d ckpt_count=%d recovered_index=%d dur_errors=%d dur_intents=%d dur_reconciled=%d",
-			d.WALAppends, d.WALFsyncs, d.Checkpoints, d.RecoveredIndex, d.Errors,
-			d.Intents, d.Reconciled)
-	}
-	return line
 }
 
 // validKey enforces the protocol's key lexical rule: non-empty and free

@@ -39,16 +39,12 @@ import (
 	"encoding/hex"
 	"errors"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 	"repro/internal/server/opts"
 	"repro/internal/shard"
-	"repro/internal/value"
 )
 
 // TxnConfig configures interactive transaction sessions.
@@ -71,10 +67,6 @@ func (c *TxnConfig) defaults() {
 		c.ReapEvery = 25 * time.Millisecond
 	}
 }
-
-// errTxnAborted is the session closure's "stop executing" sentinel: the
-// session was aborted by the client, reaped, or the server is closing.
-var errTxnAborted = errors.New("server: txn session aborted")
 
 type sessMode int
 
@@ -104,9 +96,8 @@ type session struct {
 	// cannot drive another's transaction by enumerating ids.
 	token string
 	srv   *Server
-	f     value.Fn   // Def. 2 value function fixed at BEGIN
-	val   float64    // f at BEGIN: the engine-facing transaction value
-	tr    *obs.Trace // lifecycle trace (nil unless BEGIN carried trace=1)
+	req   request // the ledger entry BEGIN opened; COMMIT, ABORT or the reaper finishes it
+	val   float64 // value function at the admission grant: the engine-facing deferment value
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -165,12 +156,11 @@ func newSessionTable(srv *Server, cfg TxnConfig) *sessionTable {
 }
 
 // add registers a new session whose BEGIN already holds an admission slot.
-func (st *sessionTable) add(f value.Fn, val float64, tr *obs.Trace) *session {
+func (st *sessionTable) add(req request) *session {
 	ss := &session{
 		srv:     st.srv,
-		f:       f,
-		val:     val,
-		tr:      tr,
+		req:     req,
+		val:     req.f.At(st.srv.adm.now()),
 		overlay: make(map[string]int64),
 		lastOp:  time.Now(),
 	}
@@ -264,7 +254,7 @@ func (st *sessionTable) reapLoop() {
 		now := st.srv.adm.now()
 		for _, ss := range st.snapshot() {
 			ss.mu.Lock()
-			expired := ss.fin == finNone && ss.f.At(now) <= 0
+			expired := ss.fin == finNone && ss.req.f.At(now) <= 0
 			idle := ss.fin == finNone && st.cfg.MaxIdle > 0 && time.Since(ss.lastOp) > st.cfg.MaxIdle
 			if !expired && !idle {
 				ss.mu.Unlock()
@@ -274,19 +264,12 @@ func (st *sessionTable) reapLoop() {
 			ss.cond.Broadcast()
 			ld := ss.liveDone
 			ss.mu.Unlock()
-			// The session realizes nothing, so its whole submitted value
-			// is lost to the reap — counting only the residual would leak
-			// the decayed part out of the conservation invariant.
-			st.srv.met.lostValue(obs.LossReap, clampValue(ss.val))
-			ss.tr.Event(obs.StageReap)
-			ss.tr.Flush()
 			go func(ss *session, ld chan struct{}) {
 				if ld != nil {
 					<-ld // let the engine transaction unwind first
 				}
-				st.srv.adm.Release(0, 0)
 				st.remove(ss.id, true)
-				st.srv.txnReaped.Add(1)
+				ss.req.finish(nil, errTxnReaped)
 			}(ss, ld)
 		}
 	}
@@ -328,14 +311,14 @@ func (st *sessionTable) close() {
 // the bound shard, so the session falls back to deferred cross-shard
 // execution and re-serves the log speculatively.
 func (ss *session) runLive(firstKey string) {
-	res, err := ss.srv.store.UpdateTracedResult(ss.val, []string{firstKey}, nil, ss.tr, ss.liveFn)
+	res, err := ss.srv.store.UpdateTracedResult(ss.val, []string{firstKey}, nil, ss.req.tr, ss.liveFn)
 	ss.mu.Lock()
 	switch {
 	case err == nil:
 		ss.liveRes, _ = res.([]int64)
 		ss.liveCommitted = true
 	case errors.Is(err, shard.ErrKeyNotDeclared):
-		ss.tr.Event(obs.StageDeferred)
+		ss.req.tr.Event(obs.StageDeferred)
 		ss.mode = sessDeferred
 		ss.replaySpecLocked()
 	case errors.Is(err, errTxnAborted):
@@ -445,47 +428,18 @@ func (ss *session) replaySpecLocked() {
 // fixed here; on a replica the lag gate prices the whole session before
 // the admission queue sees it.
 func (s *Server) txnBegin(o opts.T) string {
-	f := s.adm.FnOf(o)
-	// Sessions sample into the flight recorder like one-shot requests:
-	// trace=1 always records, untraced sessions record 1-in-FlightSample
-	// (the rest carry a nil trace), the trace= reply stays opt-in.
-	id := s.reqID.Add(1)
-	var tr *obs.Trace
-	if o.Trace || id%s.flightSample == 0 {
-		tr = obs.NewRecordedTrace(time.Now(), s.flight.Server(), id, o.Trace)
-		defer tr.Flush()
-	}
-	if o.Trace {
-		s.met.traces.Inc()
-	}
-	v0 := clampValue(f.At(s.adm.now()))
-	s.met.submitted.Add(v0)
-	if gate := s.replGate(); gate != nil {
-		if err := gate.Admit(f, s.adm.now()); err != nil {
-			s.met.lostValue(obs.LossReplicaLag, v0)
-			s.flight.Admission().Record(flight.EvReplShed, id, -1, 0)
-			return "SHED"
-		}
-	}
-	tr.EventOff(obs.StageEnqueue, 0)
-	admitStart := time.Now()
 	// The slot estimate for an interactive transaction is a guess (the
 	// op list does not exist yet); 2 ops is the workload's short-txn
 	// shape. The estimate only orders the wait, it reserves nothing.
-	if err := s.adm.AcquireTenant(f, 2, o.Tenant); err != nil {
-		if errors.Is(err, ErrTenantShed) {
-			s.met.lostValue(obs.LossTenantBudget, v0)
-		} else {
-			s.met.lostValue(obs.LossAdmissionShed, v0)
-		}
-		s.flight.Admission().Record(obs.StageShed, id, -1, 0)
-		return "SHED"
+	r, refused := s.begin(o, 2, false, true)
+	if refused != "" {
+		return refused
 	}
-	admitEnd := time.Now()
-	s.met.admitWait.Observe(int64(admitEnd.Sub(admitStart)))
-	tr.EventAt(obs.StageAdmit, admitEnd)
-	ss := s.sessions.add(f, f.At(s.adm.now()), tr)
-	s.txnBegun.Add(1)
+	// The enqueue and admit stamps reach the flight ring now, not at a
+	// verdict that may be a long think time away.
+	r.tr.Flush()
+	ss := s.sessions.add(r)
+	s.met.txnBegun.Inc()
 	return "OK " + ss.wireID()
 }
 
@@ -516,20 +470,15 @@ func newSessionToken() string {
 func (s *Server) txnOp(ss *session, o op) string {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	switch ss.fin {
-	case finReap:
-		return "SHED"
-	case finCommit, finAbort:
-		return "ERR txn " + strconv.FormatUint(ss.id, 10) + " is finishing"
+	if late := ss.verdictLocked(); late != "" {
+		return late
 	}
-	if o.write && s.cluster != nil && !s.cluster.IsPrimary() {
-		// Cluster entry fence for interactive sessions: same redirect as
-		// the one-shot verbs, so clients re-run the transaction against
-		// the current primary.
-		return s.notPrimary()
-	}
-	if s.replGate() != nil && o.write {
-		return "ERR read-only replica"
+	if o.write {
+		// The entry fence of the one-shot verbs: same redirect, so clients
+		// re-run the transaction against the current primary.
+		if reply := s.refuseWrite(ss.req.id); reply != "" {
+			return reply
+		}
 	}
 	if ss.mode == sessFailed {
 		return "ERR " + ss.failErr.Error()
@@ -563,11 +512,41 @@ func (s *Server) txnOp(ss *session, o op) string {
 		return "OK " + strconv.FormatInt(ss.res[i], 10)
 	case ss.mode == sessFailed:
 		return "ERR " + ss.failErr.Error()
-	case ss.fin == finReap:
-		return "SHED"
 	default:
-		return "ERR txn " + strconv.FormatUint(ss.id, 10) + " is finishing"
+		return ss.verdictLocked()
 	}
+}
+
+// verdictLocked answers a verb that arrives after the session's verdict
+// was claimed; "" while the session is still open. Caller holds ss.mu.
+func (ss *session) verdictLocked() string {
+	switch ss.fin {
+	case finNone:
+		return ""
+	case finReap:
+		return "SHED"
+	}
+	return "ERR txn " + strconv.FormatUint(ss.id, 10) + " is finishing"
+}
+
+// claim takes the session's one verdict for fin — COMMIT, ABORT and the
+// reaper race for it; the winner owes the request its finish — hands it
+// to the parked executions, and waits for a live engine transaction to
+// return. A late caller gets the reply to send instead.
+func (ss *session) claim(fin sessFin) (late string) {
+	ss.mu.Lock()
+	if late = ss.verdictLocked(); late != "" {
+		ss.mu.Unlock()
+		return late
+	}
+	ss.fin = fin
+	ss.cond.Broadcast()
+	ld := ss.liveDone
+	ss.mu.Unlock()
+	if ld != nil {
+		<-ld
+	}
+	return ""
 }
 
 // txnCommit finishes the session with a commit verdict and replies in
@@ -576,154 +555,48 @@ func (s *Server) txnOp(ss *session, o op) string {
 // await the engine's outcome; deferred sessions replay their op log
 // through the same admitted executor one-shot verbs use.
 func (s *Server) txnCommit(ss *session) string {
-	ss.mu.Lock()
-	switch ss.fin {
-	case finReap:
-		ss.mu.Unlock()
-		return "SHED"
-	case finCommit, finAbort:
-		ss.mu.Unlock()
-		return "ERR txn " + strconv.FormatUint(ss.id, 10) + " is finishing"
+	if late := ss.claim(finCommit); late != "" {
+		return late
 	}
-	ss.fin = finCommit
-	ss.cond.Broadcast()
-	mode := ss.mode
-	ld := ss.liveDone
+	ss.mu.Lock()
+	mode := ss.mode // by now a live run has committed, rebound to deferred, or failed
+	ops, committed, res, failErr := ss.ops, ss.liveCommitted, ss.liveRes, ss.failErr
 	ss.mu.Unlock()
 
-	var reply string
-	if mode == sessLive {
-		<-ld
-		ss.mu.Lock()
-		mode = ss.mode // rebind or failure may have happened meanwhile
-		committed, ops, res := ss.liveCommitted, ss.ops, ss.liveRes
-		if mode == sessFailed {
-			reply = txnCommitErr(ss.failErr)
-		}
-		ss.mu.Unlock()
-		if committed {
-			// Semi-sync covers interactive commits like one-shot ones.
-			s.awaitReplicaAcks(ops)
-			reply = okResults(res)
-		}
-	}
-	released := false
-	if reply == "" {
-		switch mode {
-		case sessIdle:
-			// An empty transaction commits trivially.
-			reply = "OK"
-		case sessDeferred:
-			ss.mu.Lock()
-			ops := ss.ops
-			ss.mu.Unlock()
-			// The deferred replay is pure engine service time (no think
-			// time in it), so unlike the live path it feeds the
-			// admission estimate and the latency sample like a one-shot.
-			start := time.Now()
-			out := s.execAdmitted(ss.f, ops, ss.tr)
-			elapsed := time.Since(start)
-			if out.holding {
-				s.adm.Release(elapsed-out.readmitWait, len(ops))
-			}
-			released = true
-			s.latMu.Lock()
-			s.lat.Add(elapsed.Seconds())
-			s.latMu.Unlock()
-			if out.err != nil {
-				reply = txnCommitErr(out.err)
-			} else {
-				reply = okResults(out.results)
-			}
-		case sessFailed:
-			reply = txnCommitErr(ss.failErr)
-		default:
-			reply = "ERR txn aborted"
-		}
-	}
-	if !released {
-		// Live sessions free their slot without refining the
-		// service-time estimate: the engine work was interleaved with
-		// client think time, which is not service time.
-		s.adm.Release(0, 0)
+	var err error
+	switch {
+	case committed:
+		// Semi-sync covers interactive commits like one-shot ones. The
+		// slot is freed without refining the service-time estimate: the
+		// engine work was interleaved with client think time.
+		s.awaitReplicaAcks(ops)
+	case mode == sessIdle:
+		// An empty transaction commits trivially.
+	case mode == sessDeferred:
+		// The deferred replay is pure engine service time (no think
+		// time in it), so unlike the live path it feeds the admission
+		// estimate and the service stage like a one-shot.
+		res, err = s.execAdmitted(&ss.req, ops, time.Now())
+	case mode == sessFailed:
+		err = failErr
+	default:
+		err = errors.New("txn aborted")
 	}
 	s.sessions.remove(ss.id, false)
-	ss.mu.Lock()
-	nOps := len(ss.ops)
-	ss.mu.Unlock()
-	s.met.sessionOps.Observe(int64(nOps))
-	if len(reply) >= 2 && reply[:2] == "OK" {
-		s.txnCommitted.Add(1)
-		vEnd := clampValue(ss.f.At(s.adm.now()))
-		s.met.realized.Add(vEnd)
-		s.met.lostValue(obs.LossExecution, clampValue(ss.val)-vEnd)
-		ss.tr.Event(obs.StageCommit)
-		if ss.tr.Retained() {
-			reply += " trace=" + ss.tr.String()
-		}
-	} else {
-		s.txnAborted.Add(1)
-		ss.tr.Event(obs.StageAbort)
-		s.met.lostValue(commitLossReason(reply), clampValue(ss.val))
-	}
-	ss.tr.Flush()
-	return reply
-}
-
-// commitLossReason classifies a failed TXN COMMIT reply for the
-// lost-value meter: cross-shard sheds, exhausted conflict budgets, and
-// everything else.
-func commitLossReason(reply string) string {
-	switch {
-	case reply == "SHED":
-		return obs.LossCrossShed
-	case strings.HasPrefix(reply, "ERR conflict"):
-		return obs.LossConflictAbort
-	default:
-		return obs.LossError
-	}
-}
-
-// txnCommitErr renders a commit failure, marking retryable conflicts
-// (attempt budgets exhausted under contention) distinctly so clients can
-// re-run the transaction, mirroring Store.Update's internal retry.
-func txnCommitErr(err error) string {
-	if errors.Is(err, ErrShed) {
-		return "SHED"
-	}
-	var ea *engine.AttemptsError
-	var sa *shard.AttemptsError
-	if errors.As(err, &ea) || errors.As(err, &sa) {
-		return "ERR conflict: " + err.Error()
-	}
-	return "ERR " + err.Error()
+	s.met.sessionOps.Observe(int64(len(ops)))
+	return ss.req.finish(res, err)
 }
 
 // txnAbort finishes the session with an abort verdict.
 func (s *Server) txnAbort(ss *session) string {
-	ss.mu.Lock()
-	switch ss.fin {
-	case finReap:
-		ss.mu.Unlock()
-		return "SHED"
-	case finCommit, finAbort:
-		ss.mu.Unlock()
-		return "ERR txn " + strconv.FormatUint(ss.id, 10) + " is finishing"
+	if late := ss.claim(finAbort); late != "" {
+		return late
 	}
-	ss.fin = finAbort
-	ss.cond.Broadcast()
-	ld := ss.liveDone
+	ss.mu.Lock()
 	nOps := len(ss.ops)
 	ss.mu.Unlock()
-	if ld != nil {
-		<-ld
-	}
-	s.adm.Release(0, 0)
 	s.sessions.remove(ss.id, false)
-	s.txnAborted.Add(1)
 	s.met.sessionOps.Observe(int64(nOps))
-	s.met.lostValue(obs.LossClientAbort, clampValue(ss.val))
-	ss.tr.Event(obs.StageAbort)
-	ss.tr.Flush()
+	ss.req.finish(nil, errTxnAborted)
 	return "OK"
 }

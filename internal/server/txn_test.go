@@ -292,7 +292,7 @@ func TestTxnReap(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.txnReaped.Load() == 0 {
+	for srv.met.txnReaped.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("session never reaped past its zero-crossing")
 		}
@@ -341,7 +341,7 @@ func TestTxnIdleReap(t *testing.T) {
 		t.Fatalf("BEGIN -> %q", got)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.txnReaped.Load() == 0 {
+	for srv.met.txnReaped.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("idle session never reaped")
 		}
@@ -542,7 +542,7 @@ func TestTxnCtxDeadlineMapsToReap(t *testing.T) {
 	}
 	// Value 1, deadline ~20ms, default gradient => zero-crossing ~40ms.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.txnReaped.Load() == 0 {
+	for srv.met.txnReaped.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("ctx-deadline session never reaped: dl= was not mapped")
 		}

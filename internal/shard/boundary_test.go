@@ -78,7 +78,7 @@ func TestCommitBoundaryContract(t *testing.T) {
 		run  func(t *testing.T, s *Store, k0, k1 string) outcome
 	}{
 		{name: "per-commit", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
-			err := s.UpdateValued(1, []string{k0}, func(tx Tx) error { return set(tx, k0, "1") })
+			_, err := s.UpdateTracedResult(1, []string{k0}, nil, nil, func(tx Tx) error { return set(tx, k0, "1") })
 			return outcome{installed: []error{err}, want: map[string]string{k0: "1"}}
 		}},
 		// OCC-BC keeps the flush population exact: no speculative shadow

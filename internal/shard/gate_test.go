@@ -43,10 +43,10 @@ func TestRetryGateInvoked(t *testing.T) {
 	shed := errors.New("shed: value crossed zero")
 	var gateCalls []int
 	execs := 0
-	_, err := s.UpdateGatedResult(1, keys, func(attempt int) error {
+	_, err := s.UpdateTracedResult(1, keys, func(attempt int) error {
 		gateCalls = append(gateCalls, attempt)
 		return shed
-	}, func(tx Tx) error {
+	}, nil, func(tx Tx) error {
 		execs++
 		if _, err := tx.Get(a); err != nil {
 			return err
@@ -87,10 +87,10 @@ func TestRetryGateGrantsRetry(t *testing.T) {
 
 	grants := 0
 	execs := 0
-	res, err := s.UpdateGatedResult(1, keys, func(int) error {
+	res, err := s.UpdateTracedResult(1, keys, func(int) error {
 		grants++
 		return nil
-	}, func(tx Tx) error {
+	}, nil, func(tx Tx) error {
 		execs++
 		if _, err := tx.Get(a); err != nil {
 			return err
@@ -132,7 +132,7 @@ func TestNilGateKeepsBound(t *testing.T) {
 	keys := []string{a, b}
 
 	execs := 0
-	_, err := s.UpdateGatedResult(0, keys, nil, func(tx Tx) error {
+	_, err := s.UpdateTracedResult(0, keys, nil, nil, func(tx Tx) error {
 		execs++
 		if _, err := tx.Get(a); err != nil {
 			return err

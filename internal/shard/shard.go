@@ -34,7 +34,7 @@ import (
 // a transaction: a closure may execute several times concurrently (engine
 // shadows), so it must not mutate captured variables — it stashes a
 // freshly built value instead, and the committed execution's stash is
-// what UpdateResult returns.
+// what UpdateTracedResult returns.
 type Tx interface {
 	Get(key string) ([]byte, error)
 	Set(key string, val []byte) error
@@ -222,40 +222,30 @@ func (s *Store) shardSet(keys []string) []int {
 
 // Update executes fn transactionally over the declared keys and blocks
 // until it commits. keys must cover every key the closure may touch (extra
-// keys are harmless); see UpdateValued for the value-cognizant variant.
+// keys are harmless). It is UpdateTracedResult with no value, no retry
+// gate and no trace, the stash dropped.
 func (s *Store) Update(keys []string, fn func(Tx) error) error {
-	_, err := s.UpdateValuedResult(0, keys, fn)
+	_, err := s.UpdateTracedResult(0, keys, nil, nil, fn)
 	return err
 }
 
-// UpdateValued is Update with a transaction value. On the single-shard
-// fast path the value feeds the engine's VW-style commit deferment; on the
-// cross-shard path it is currently advisory (cross-shard commits validate
-// optimistically and do not defer).
-func (s *Store) UpdateValued(value float64, keys []string, fn func(Tx) error) error {
-	_, err := s.UpdateValuedResult(value, keys, fn)
-	return err
-}
-
-// UpdateValuedResult is UpdateValued returning the committed execution's
-// Tx.Stash value (nil if it never stashed).
-func (s *Store) UpdateValuedResult(value float64, keys []string, fn func(Tx) error) (any, error) {
-	return s.UpdateGatedResult(value, keys, nil, fn)
-}
-
-// UpdateGatedResult is UpdateValuedResult with a cross-shard retry gate:
-// after a cross-shard validation failure, gate is consulted before the
+// UpdateTracedResult is the full form of Update: it returns the
+// committed execution's Tx.Stash value (nil if it never stashed), and
+// takes a transaction value, a cross-shard retry gate and a lifecycle
+// trace.
+//
+// On the single-shard fast path value feeds the engine's VW-style commit
+// deferment; on the cross-shard path it is currently advisory
+// (cross-shard commits validate optimistically and do not defer).
+//
+// After a cross-shard validation failure, gate is consulted before the
 // re-execution and can abandon the transaction (value crossed zero) or
 // delay it (re-queue through admission by expected value). A nil gate
 // retries immediately; either way MaxAttempts still bounds the loop. The
 // gate plays no part on the single-shard fast path, whose conflicts the
 // engine resolves internally with shadows.
-func (s *Store) UpdateGatedResult(value float64, keys []string, gate RetryGate, fn func(Tx) error) (any, error) {
-	return s.UpdateTracedResult(value, keys, gate, nil, fn)
-}
-
-// UpdateTracedResult is UpdateGatedResult with a lifecycle trace: a
-// non-nil tr is threaded into the fast-path engine (which stamps fork/
+//
+// A non-nil tr is threaded into the fast-path engine (which stamps fork/
 // park/resume/promotion/restart/install) and stamped by the cross-shard
 // loop's own restarts and install. nil means untraced, at the cost of
 // one branch per stage site.
