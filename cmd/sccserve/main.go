@@ -77,8 +77,7 @@ func main() {
 	concurrency := flag.Int("concurrency", 64, "admission slots (transactions in the engine at once)")
 	queue := flag.Int("queue", 1024, "admission queue bound; overflow sheds the lowest-value waiter")
 	tenantBudget := flag.Float64("tenant-budget", 0, "per-tenant admitted-value budget in value/sec over a rolling 1s window; requests carrying tenant= from a tenant over budget are shed (0 = off)")
-	gcWindow := flag.Duration("gc-window", 0, "non-zero enables group commit per shard (0 = off): commits that finish while a flush is running share the next latch acquisition and log sync; the duration itself is no longer used — no commit waits for a timer")
-	gcBatch := flag.Int("gc-batch", 64, "group-commit batch cap: one flush takes at most this many queued commits")
+	gcBatch := flag.Int("gc-batch", 64, "group-commit batch cap per shard: commits that finish while a flush is running share the next latch acquisition and log sync, at most this many per flush (1 = no coalescing)")
 	pipelineDepth := flag.Int("pipeline-depth", 128, "max concurrently dispatched REQ-framed requests per connection")
 	replicaOf := flag.String("replica-of", "", "primary address to replicate from; makes this server a read replica")
 	replLagBudget := flag.Duration("repl-lag-budget", 50*time.Millisecond, "replica: estimated catch-up time tolerated before lag-based value shedding")
@@ -86,7 +85,7 @@ func main() {
 	replRetain := flag.Uint64("repl-retain", 65536, "in-memory commit-log retention per shard: records acked by every subscriber are trimmed past this many (0 = no retention bound; checkpoints on a durable server still trim; trimmed joiners bootstrap via SNAP)")
 	replSnapshot := flag.Bool("repl-snapshot", true, "replica: bootstrap via SNAP snapshot + log suffix instead of replaying the primary's log from index 1")
 	dataDir := flag.String("data-dir", "", "durability directory: per-shard WAL + checkpoints, recovered on boot (empty = in-memory only)")
-	fsync := flag.String("fsync", "group", "WAL fsync policy: always (per commit) | group (per commit batch: with -gc-window set, commits queue behind the running fsync and share the next) | off (OS page cache only)")
+	fsync := flag.String("fsync", "group", "WAL fsync policy: always (per commit) | group (per commit batch: commits queue behind the running fsync and share the next) | off (OS page cache only)")
 	ckptEvery := flag.Int("ckpt-every", 4096, "checkpoint a shard after this many WAL records, highest pending-value shard first (0 = only on the CKPT verb)")
 	txnIdle := flag.Duration("txn-idle", 30*time.Second, "reap interactive TXN sessions with no operation for this long (negative = no idle cap — an abandoned no-deadline session then pins its admission slot; value zero-crossing reaping always runs)")
 	statsEvery := flag.Duration("stats", 0, "log engine stats at this interval (0 = off)")
@@ -174,7 +173,7 @@ func main() {
 			TenantBudget:  *tenantBudget,
 		},
 		GroupCommit: engine.GroupCommit{
-			Enabled:  *gcWindow > 0,
+			Enabled:  true,
 			MaxBatch: *gcBatch,
 		},
 		PipelineDepth: *pipelineDepth,
@@ -310,10 +309,6 @@ func main() {
 	if err != nil {
 		fatal("sccserve: listen", "err", err)
 	}
-	gc := "off"
-	if *gcWindow > 0 {
-		gc = fmt.Sprintf("window=%s batch=%d", *gcWindow, *gcBatch)
-	}
 	role := "primary"
 	if *replicaOf != "" {
 		role = fmt.Sprintf("replica of %s (lag budget %s)", *replicaOf, *replLagBudget)
@@ -323,7 +318,7 @@ func main() {
 			*clusterSelf, len(cstate.Peers()), *clusterLease, cstate.Epoch())
 	}
 	slog.Info("sccserve: serving", "mode", m.String(), "shards", *shards, "addr", lis.Addr().String(),
-		"role", role, "slots", *concurrency, "queue", *queue, "group_commit", gc)
+		"role", role, "slots", *concurrency, "queue", *queue, "gc_batch", *gcBatch)
 
 	if *statsEvery > 0 {
 		go func() {

@@ -171,11 +171,14 @@ func TestNodeElectsSelfWhenPrimaryDies(t *testing.T) {
 		Lease:    100 * time.Millisecond,
 		Interval: 25 * time.Millisecond,
 		Hooks: Hooks{Promote: func(epoch uint64) error {
+			// Flip the state first, signal second: the test asserts
+			// IsPrimary as soon as it receives.
+			err := st.BecomePrimary(epoch)
 			select {
 			case promoted <- epoch:
 			default:
 			}
-			return st.BecomePrimary(epoch)
+			return err
 		}},
 	})
 	n.Start()

@@ -1,9 +1,9 @@
 // The commit pipeline: the one place that knows what must be true
 // between an install and its verdict. Every path that installs writes —
-// the per-commit path and the group-commit flush (this package), the
-// cross-shard combiner and the two replica applies (internal/shard) —
-// is a caller of Commit, which runs the paper's Commit Rule as one
-// staged batch:
+// a commit-queue flush (commitqueue.go: a store's own commits, and
+// internal/shard's cross-shard ones) and the two replica applies
+// (internal/shard) — is a caller of Commit, which runs the paper's Commit
+// Rule as one staged batch:
 //
 //	latch the stores, ascending
 //	run the caller's validate+install step
@@ -16,8 +16,9 @@
 //	check the fence
 //
 // and hands back one error the caller stamps onto its installed verdicts.
-// Callers keep what really differs between them — queues, leader
-// election, starvation ordering — and share the boundary.
+// How commits wait for each other — queueing, leader election, drain,
+// ordering — is the commit queue's; its callers keep only their
+// validate+install step and a priority.
 //
 // Crash atomicity of a cross-store install is presumed-abort, keyed by
 // its commit epoch: INTENT(epoch, participants) lands on every

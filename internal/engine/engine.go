@@ -12,7 +12,7 @@
 // (the paper's baseline). Closures must be deterministic and side-effect
 // free before Update returns: all but one concurrent run is discarded.
 //
-// Commits coalesce under group commit (groupcommit.go), and every
+// Commits coalesce in the store's commit queue (commitqueue.go), and every
 // install is appended to Config.CommitLog under the store latch — the
 // total commit order replication ships (internal/repl) — and crosses one
 // commit boundary before its verdict (commit.go). Layer map:
@@ -69,7 +69,7 @@ type Config struct {
 	MaxAttempts int
 	// GroupCommit coalesces commit critical sections: transactions that
 	// finish while a flush is running commit together under one store-latch
-	// acquisition and one log sync when it completes. See groupcommit.go.
+	// acquisition and one log sync when it completes. See commitqueue.go.
 	GroupCommit GroupCommit
 	// CommitLog, when non-nil, receives every installed write set under
 	// the store's commit latch — the store's total commit order, suitable
@@ -90,10 +90,10 @@ type Config struct {
 // counters aggregate; the per-shard split is not worth the label
 // cardinality).
 type Metrics struct {
-	// BatchSize observes commits processed per commit-latch acquisition
-	// (1 on the per-commit path); the coalescing win is its mean.
+	// BatchSize observes commits processed per commit-latch acquisition;
+	// the coalescing win is its mean.
 	BatchSize *obs.Histogram
-	// FlushSeconds observes group-commit flush latency: latch acquisition
+	// FlushSeconds observes commit-queue flush latency: latch acquisition
 	// through log sync and fence — how long the commits queueing behind the
 	// flush wait for theirs to start.
 	FlushSeconds *obs.Histogram
@@ -115,8 +115,8 @@ type Stats struct {
 	Promotions int64 // speculative shadows that finished the transaction
 	Deferrals  int64 // commits deferred for a higher-value conflicter
 	// CommitBatches counts commit-latch acquisitions spent processing
-	// commit attempts: one per attempt on the per-commit path, one per
-	// flush under group commit — the coalescing win is Commits/CommitBatches.
+	// commit attempts, one per flush of the commit queue — the coalescing
+	// win is Commits/CommitBatches.
 	CommitBatches int64
 }
 
@@ -135,8 +135,8 @@ func (s *Stats) Add(other Stats) {
 
 // Store is the engine.
 type Store struct {
-	cfg Config
-	gc  *groupCommitter // nil unless Config.GroupCommit.Enabled
+	cfg   Config
+	queue *CommitQueue // over this store alone; every commit attempt goes through it
 
 	mu        sync.Mutex
 	log       CommitLog      // never nil: nopLog without a commit log
@@ -165,9 +165,7 @@ func Open(cfg Config) *Store {
 		active:    make(map[*txnHandle]struct{}),
 	}
 	s.SetCommitLog(cfg.CommitLog)
-	if cfg.GroupCommit.Enabled {
-		s.gc = newGroupCommitter(s, cfg.GroupCommit)
-	}
+	s.queue = NewCommitQueue([]*Store{s}, []int{0}, cfg.GroupCommit, func() { s.stats.CommitBatches++ }, cfg.Metrics)
 	return s
 }
 
@@ -208,7 +206,7 @@ type txnHandle struct {
 	writes   map[string][]byte // optimistic shadow's write buffer
 	resolved bool
 	result   any // the committed attempt's stashed result
-	// attempts counts restarts so far; group commit orders batches by it.
+	// attempts counts restarts so far: the commit queue's priority.
 	// Written only between rounds (no attempt of h is queued then).
 	attempts int
 }
@@ -231,8 +229,11 @@ type attempt struct {
 	readAt  map[string]int // first-read ordinal per key
 	readSeq int
 	writes  map[string][]byte
-	result  any          // written only by this attempt's goroutine via Tx.Stash
-	report  chan verdict // speculative shadows only: the one verdict, buffered
+	result  any // written only by this attempt's goroutine via Tx.Stash
+	// committed is set by commitLocked, in the flush that serves this
+	// attempt; tryCommit reads it once the queue has delivered the verdict.
+	committed bool
+	report    chan verdict // speculative shadows only: the one verdict, buffered
 }
 
 func (a *attempt) abortLocked(s *Store) {
@@ -550,13 +551,11 @@ type verdict struct {
 
 // runSync runs an attempt in the calling goroutine.
 func (h *txnHandle) runSync(a *attempt) verdict {
-	err := h.fn(&Tx{a: a})
-	if err != nil {
+	if err := h.fn(&Tx{a: a}); err != nil {
 		return verdict{err: err}
 	}
 	h.store.deferForValue(a)
-	committed, err := h.store.tryCommit(a)
-	return verdict{err: err, committed: committed}
+	return h.store.tryCommit(a)
 }
 
 // deferForValue implements the VW-style Termination Rule: while a strictly
@@ -623,46 +622,27 @@ func (s *Store) deferForValue(a *attempt) {
 
 // runAttempt executes a speculative shadow to completion and reports.
 func (h *txnHandle) runAttempt(sh *attempt) {
-	err := h.fn(&Tx{a: sh})
-	committed := false
-	if err == nil {
-		committed, err = h.store.tryCommit(sh)
+	if err := h.fn(&Tx{a: sh}); err != nil {
+		sh.report <- verdict{err: err}
+		return
 	}
-	sh.report <- verdict{err: err, committed: committed}
+	sh.report <- h.store.tryCommit(sh)
 }
 
-// tryCommit validates and installs an attempt's writes. It returns
-// (false, nil) if the attempt read stale data (a conflicting transaction
-// committed first); the caller falls back to its shadow or restarts. With
-// group commit enabled the attempt joins the current flush batch instead
-// of acquiring the latch itself. A successful commit is reported only
-// once it has crossed the commit boundary (Commit): a boundary failure
-// returns (true, *SyncError) — installed, but never to be acknowledged.
-func (s *Store) tryCommit(a *attempt) (bool, error) {
-	if s.gc != nil {
-		return s.gc.commit(a)
-	}
-	ok := false
-	err := s.commitBatch(func() {
-		s.stats.CommitBatches++
-		ok = s.commitLocked(a)
-	})
-	if met := s.cfg.Metrics; met != nil {
-		// The per-commit path is a batch of one; FlushSeconds is left to
-		// the group-commit path so this stays a single atomic add.
-		met.BatchSize.Observe(1)
-	}
-	if !ok {
-		return false, nil // nothing of this attempt's installed: the error is not its
-	}
-	return true, err
+// tryCommit validates and installs an attempt's writes through the commit
+// queue. The verdict is not committed if the attempt read stale data (a
+// conflicting transaction committed first); the caller falls back to its
+// shadow or restarts. A successful commit is reported only once it has
+// crossed the commit boundary (Commit): a boundary failure reports
+// committed with a *SyncError — installed, but never to be acknowledged.
+func (s *Store) tryCommit(a *attempt) verdict {
+	err := s.queue.Commit(a.h.attempts, func() bool { return s.commitLocked(a) })
+	return verdict{err: err, committed: a.committed}
 }
 
-// commitBatch is Commit over this store alone: the engine's own two
-// callers (per-commit, group flush) are batches on one store.
-func (s *Store) commitBatch(step func()) error {
-	return Commit([]*Store{s}, []int{0}, step)
-}
+// PendingCommits reports how many finished attempts are queued behind the
+// running commit-queue flush.
+func (s *Store) PendingCommits() int { return s.queue.Pending() }
 
 // commitLocked is the commit critical section: validate the attempt's
 // reads against committed state and install its writes. Caller holds s.mu.
@@ -676,11 +656,9 @@ func (s *Store) commitLocked(a *attempt) bool {
 	if h.resolved {
 		return false // another shadow of this transaction already won
 	}
-	for key, ver := range a.reads {
-		if s.committed[key].ver != ver {
-			a.abortLocked(s)
-			return false
-		}
+	if !s.ValidateLocked(a.reads) {
+		a.abortLocked(s)
+		return false
 	}
 	h.resolved = true
 	h.result = a.result
@@ -694,6 +672,7 @@ func (s *Store) commitLocked(a *attempt) bool {
 	h.tr.SetEpoch(s.installLocked(CommitRecord{Writes: a.writes, Value: h.value}))
 	s.stats.Commits++
 	h.tr.Event(obs.StageInstall)
+	a.committed = true
 	return true
 }
 

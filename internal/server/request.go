@@ -19,7 +19,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/server/opts"
-	"repro/internal/shard"
 	"repro/internal/value"
 )
 
@@ -180,8 +179,7 @@ func (r *request) finish(results []int64, err error) string {
 // to ERR because the batch never became durable), or anything else (bad
 // keys, closed store, a fenced commit).
 func lossReason(err error) string {
-	var ea *engine.AttemptsError
-	var sa *shard.AttemptsError
+	var ae *engine.AttemptsError
 	var se *engine.SyncError
 	switch {
 	case errors.Is(err, ErrShed):
@@ -190,7 +188,7 @@ func lossReason(err error) string {
 		return obs.LossClientAbort
 	case errors.Is(err, errTxnReaped):
 		return obs.LossReap
-	case errors.As(err, &ea), errors.As(err, &sa):
+	case errors.As(err, &ae):
 		return obs.LossConflictAbort
 	case errors.As(err, &se):
 		return obs.LossWALError

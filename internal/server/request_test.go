@@ -16,7 +16,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/server/opts"
-	"repro/internal/shard"
 )
 
 // valueLedger reads the three value families off a quiescent server:
@@ -157,10 +156,9 @@ func TestLossAttributionParity(t *testing.T) {
 		reason         string
 		oneShot, inTxn string // replies
 	}{
-		{"engine conflict budget", &engine.AttemptsError{Attempts: 7}, obs.LossConflictAbort,
-			"ERR engine: transaction exceeded 7 attempts", "ERR conflict: engine: transaction exceeded 7 attempts"},
-		{"cross-shard conflict budget", &shard.AttemptsError{Attempts: 7}, obs.LossConflictAbort,
-			"ERR shard: cross-shard transaction exceeded 7 attempts", "ERR conflict: shard: cross-shard transaction exceeded 7 attempts"},
+		{"conflict budget", fmt.Errorf("shard: cross-shard transaction: %w", &engine.AttemptsError{Attempts: 7}), obs.LossConflictAbort,
+			"ERR shard: cross-shard transaction: engine: transaction exceeded 7 attempts",
+			"ERR conflict: shard: cross-shard transaction: engine: transaction exceeded 7 attempts"},
 		{"sync error", &engine.SyncError{Err: errors.New("boom")}, obs.LossWALError,
 			"ERR engine: commit not durable: boom", "ERR engine: commit not durable: boom"},
 		{"cross-shed", fmt.Errorf("retry 2: %w", ErrShed), obs.LossCrossShed, "SHED", "SHED"},

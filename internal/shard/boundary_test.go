@@ -39,17 +39,23 @@ func (l *faultLog) Sync() error {
 }
 
 // TestCommitBoundaryContract drives every caller of the engine's commit
-// pipeline — per-commit, group-commit flush, cross-shard combine with
-// single- and multi-shard installs, and both replica applies — against a
-// failing commit log and against a tripped fence, and holds each to the
-// same contract: the writes are installed, every installed verdict of the
-// batch is a *engine.SyncError wrapping the cause, and a request of the
-// same batch that failed validation is not failed by it.
+// pipeline — commit-queue flushes of one (per-commit), of a store's own
+// batch, and of a cross-shard batch with single- and multi-shard
+// installs, and both replica applies — against a failing commit log and
+// against a tripped fence, and holds each to the same contract: the
+// writes are installed, every installed verdict of the batch is a
+// *engine.SyncError wrapping the cause, and a request of the same batch
+// that failed validation is not failed by it.
 func TestCommitBoundaryContract(t *testing.T) {
+	// verdict is what commitCross reports for one request.
+	type verdict struct {
+		ok  bool
+		err error
+	}
 	// outcome is what one caller shape reports back.
 	type outcome struct {
 		installed []error           // verdict errors of requests that installed
-		rejected  []crossVerdict    // verdicts of requests that failed validation
+		rejected  []verdict         // verdicts of requests that failed validation
 		want      map[string]string // committed state afterwards
 		epochs    int64             // two-participant commit epochs the shape minted
 	}
@@ -61,17 +67,37 @@ func TestCommitBoundaryContract(t *testing.T) {
 		}
 		return nil
 	}
-	// combine serves one hand-built combiner batch over both shards: a
-	// request whose read is stale (must fail validation) ahead of one that
-	// installs writes.
-	combine := func(s *Store, stale string, writes map[int]map[string][]byte, want map[string]string) outcome {
-		bad := crossReq{reads: s.groupReads(map[string]uint64{stale: 99}), done: make(chan crossVerdict, 1)}
-		good := crossReq{writes: writes, value: 1, done: make(chan crossVerdict, 1)}
-		s.combineCross(&crossQueue{involved: []int{0, 1}, leading: true, pending: []crossReq{bad, good}})
-		return outcome{installed: []error{(<-good.done).err}, rejected: []crossVerdict{<-bad.done},
-			want: want, epochs: int64(len(writes) - 1)}
+	// combine serves one hand-built batch of the shard pair's commit queue:
+	// a request whose read is stale (must fail validation) ahead of one that
+	// installs writes. A leader parked inside its own step (it installs
+	// nothing) holds a flush open while the two queue up behind it, in
+	// order, and share the next one.
+	combine := func(s *Store, stale string, writes map[string][]byte, want map[string]string) outcome {
+		involved := []int{0, 1}
+		q, entered, gate := s.queueFor(involved), make(chan struct{}), make(chan struct{})
+		go q.Commit(0, func() bool { close(entered); <-gate; return false })
+		<-entered
+		submit := func(c *crossTx, queued int) chan verdict {
+			out := make(chan verdict, 1)
+			go func() {
+				ok, err := s.commitCross(involved, c, true, nil)
+				out <- verdict{ok, err}
+			}()
+			for q.Pending() < queued {
+				runtime.Gosched()
+			}
+			return out
+		}
+		bad := submit(&crossTx{reads: map[string]uint64{stale: 99}}, 1)
+		good := submit(&crossTx{writes: writes, value: 1}, 2)
+		close(gate)
+		return outcome{installed: []error{(<-good).err}, rejected: []verdict{<-bad},
+			want: want, epochs: int64(len(groupByShard(s, writes)) - 1)}
 	}
 	var logs []*faultLog // this subtest's commit logs, one per shard
+	// OCC-BC keeps the flush population exact: no speculative shadow
+	// enqueues a commit of its own behind the stalled flush.
+	grouped := engine.Config{Mode: engine.OCCBC, GroupCommit: engine.GroupCommit{Enabled: true, MaxBatch: 1 << 20}}
 	shapes := []struct {
 		name string
 		eng  engine.Config
@@ -81,10 +107,7 @@ func TestCommitBoundaryContract(t *testing.T) {
 			_, err := s.UpdateTracedResult(1, []string{k0}, nil, nil, func(tx Tx) error { return set(tx, k0, "1") })
 			return outcome{installed: []error{err}, want: map[string]string{k0: "1"}}
 		}},
-		// OCC-BC keeps the flush population exact: no speculative shadow
-		// enqueues a commit of its own behind the stalled flush.
-		{name: "group-flush", eng: engine.Config{Mode: engine.OCCBC,
-			GroupCommit: engine.GroupCommit{Enabled: true, MaxBatch: 1 << 20}},
+		{name: "group-flush", eng: grouped,
 			run: func(t *testing.T, s *Store, k0, k1 string) outcome {
 				// A lone commit flushes at once and stalls in its sync; two
 				// increments of one key queue behind it and share the next
@@ -128,12 +151,12 @@ func TestCommitBoundaryContract(t *testing.T) {
 				}
 				return out
 			}},
-		{name: "cross-combine-multi-shard", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
-			return combine(s, k0, map[int]map[string][]byte{0: {k0: []byte("2")}, 1: {k1: []byte("2")}},
+		{name: "cross-combine-multi-shard", eng: grouped, run: func(t *testing.T, s *Store, k0, k1 string) outcome {
+			return combine(s, k0, map[string][]byte{k0: []byte("2"), k1: []byte("2")},
 				map[string]string{k0: "2", k1: "2"})
 		}},
-		{name: "cross-combine-single-shard", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
-			return combine(s, k0, map[int]map[string][]byte{1: {k1: []byte("3")}}, map[string]string{k1: "3"})
+		{name: "cross-combine-single-shard", eng: grouped, run: func(t *testing.T, s *Store, k0, k1 string) outcome {
+			return combine(s, k0, map[string][]byte{k1: []byte("3")}, map[string]string{k1: "3"})
 		}},
 		{name: "cross-update", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
 			err := s.Update([]string{k0, k1}, func(tx Tx) error { return set(tx, k0, "4", k1, "4") })

@@ -7,9 +7,9 @@
 // engine with the full SCC machinery and zero coordination. Keys on
 // several shards run against a cross-shard optimistic view (committed
 // reads with recorded versions, buffered writes) and commit atomically
-// through a flat-combining committer per shard set (crosscommit.go):
-// involved shards are latched in ascending index order — deadlock-free —
-// and every read is validated and every write installed under that hold.
+// through one engine.CommitQueue per shard set (crosscommit.go): involved
+// shards are latched in ascending index order — deadlock-free — and every
+// read is validated and every write installed under that hold.
 // Because every install, native or cross-shard, happens under its shard's
 // commit latch, each shard has a single total commit order, which
 // Config.CommitLogFor exposes as a replication log (internal/repl).
@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/engine"
@@ -50,16 +51,6 @@ var ErrKeyNotDeclared = errors.New("shard: access to key outside declared shard 
 // ErrReadOnly is returned by Set inside a View.
 var ErrReadOnly = errors.New("shard: Set inside read-only View")
 
-// AttemptsError reports a cross-shard transaction that exhausted its
-// validation-retry budget — the multi-shard counterpart of
-// engine.AttemptsError, kept a distinct type for the same reason:
-// callers classify it as a retryable conflict, not a protocol error.
-type AttemptsError struct{ Attempts int }
-
-func (e *AttemptsError) Error() string {
-	return fmt.Sprintf("shard: cross-shard transaction exceeded %d attempts", e.Attempts)
-}
-
 // RetryGate decides whether a cross-shard transaction may re-execute
 // after a validation failure. It is called with the 1-based retry number
 // before each re-execution; returning a non-nil error abandons the
@@ -78,7 +69,8 @@ type Config struct {
 	Shards int
 	// Engine configures every shard's engine identically.
 	Engine engine.Config
-	// MaxAttempts bounds cross-shard validation retries (0 = 100).
+	// MaxAttempts bounds cross-shard validation retries (0 = 100);
+	// exhausting it surfaces as an *engine.AttemptsError.
 	MaxAttempts int
 	// CommitLogFor, when non-nil, gives each shard's engine a commit log
 	// (shard index -> log): every install on that shard, native or
@@ -115,7 +107,10 @@ type Store struct {
 	epochs      *engine.Epochs
 	maxAttempts int
 	closed      atomic.Bool
-	cross       crossFC
+	groupCommit engine.GroupCommit // every shard's, and every cross-shard queue's
+	countBatch  func()             // crossBatches++: one closure for every queue's per-flush hook
+	queuesMu    sync.Mutex
+	queues      map[string]*engine.CommitQueue // by shard-set signature
 
 	fastPath      atomic.Int64
 	crossCommits  atomic.Int64
@@ -139,8 +134,10 @@ func Open(cfg Config) *Store {
 		shards:      make([]*engine.Store, cfg.Shards),
 		epochs:      cfg.Epochs,
 		maxAttempts: cfg.MaxAttempts,
-		cross:       crossFC{queues: make(map[string]*crossQueue)},
+		groupCommit: cfg.Engine.GroupCommit,
+		queues:      make(map[string]*engine.CommitQueue),
 	}
+	s.countBatch = func() { s.crossBatches.Add(1) }
 	for i := range s.shards {
 		ecfg := cfg.Engine
 		if cfg.CommitLogFor != nil {
@@ -399,22 +396,7 @@ func (s *Store) updateCross(value float64, involved []int, gate RetryGate, tr *o
 		}
 		s.crossRestarts.Add(1)
 	}
-	return nil, &AttemptsError{Attempts: s.maxAttempts}
-}
-
-// groupReads splits a transaction's read set by owning shard.
-func (s *Store) groupReads(reads map[string]uint64) map[int]map[string]uint64 {
-	out := make(map[int]map[string]uint64)
-	for key, ver := range reads {
-		idx := s.ShardOf(key)
-		m := out[idx]
-		if m == nil {
-			m = make(map[string]uint64)
-			out[idx] = m
-		}
-		m[key] = ver
-	}
-	return out
+	return nil, fmt.Errorf("shard: cross-shard transaction: %w", &engine.AttemptsError{Attempts: s.maxAttempts})
 }
 
 // ApplyReplicated installs a batch of replicated commit records on one

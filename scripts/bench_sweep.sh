@@ -65,22 +65,22 @@ run() {
 }
 
 run pipelined-low \
-    "-shards 16 -gc-window 200us" \
+    "-shards 16" \
     "-clients 32 -ops 200 -mix low -pipeline 16"
 run pipelined-high-contention \
-    "-shards 16 -gc-window 200us" \
+    "-shards 16" \
     "-clients 32 -ops 200 -mix high -pipeline 16"
 run interactive-two-class \
     "-shards 16" \
     "-clients 32 -ops 100 -mix two -interactive -pipeline 8"
 run single-shard-group-commit \
-    "-shards 16 -gc-window 200us" \
+    "-shards 16" \
     "-clients 32 -ops 200 -mix single -pipeline 16"
 # Same load as pipelined-low but durable: the delta against it prices
 # the WAL write path, and since PR 7 that includes the cross-shard
 # intent + decision records (2PC round per multi-shard commit).
 run durable-cross-intents \
-    "-shards 16 -gc-window 200us -fsync group -data-dir $SCRATCH/dur-data" \
+    "-shards 16 -fsync group -data-dir $SCRATCH/dur-data" \
     "-clients 32 -ops 200 -mix low -pipeline 16"
 
 {

@@ -66,7 +66,7 @@ kill_server() {
 }
 
 SERVE_FLAGS=(-addr "$ADDR" -shards 8 -data-dir "$DATA"
-    -fsync group -gc-window 200us -ckpt-every 256 -log-level warn)
+    -fsync group -ckpt-every 256 -log-level warn)
 
 # ---- Round 1: kill -9 mid-cross-shard-commit, three times over. -------
 # The fsync delay stretches the window between a cross commit's round-1

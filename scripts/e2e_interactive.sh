@@ -42,7 +42,7 @@ wait_ready() {
 }
 
 echo "e2e-interactive: starting server"
-"$SCRATCH/sccserve" -addr "$ADDR" -shards 8 -gc-window 200us &
+"$SCRATCH/sccserve" -addr "$ADDR" -shards 8 &
 SERVER_PID=$!
 wait_ready
 

@@ -39,7 +39,7 @@ wait_ready() {
 
 echo "e2e-recover: starting durable server"
 "$SCRATCH/sccserve" -addr "$ADDR" -shards 8 -data-dir "$DATA" \
-    -fsync group -gc-window 200us -ckpt-every 512 &
+    -fsync group -ckpt-every 512 &
 SERVER_PID=$!
 wait_ready
 
@@ -54,7 +54,7 @@ SERVER_PID=
 
 echo "e2e-recover: restarting over $DATA"
 "$SCRATCH/sccserve" -addr "$ADDR" -shards 8 -data-dir "$DATA" \
-    -fsync group -gc-window 200us -ckpt-every 512 &
+    -fsync group -ckpt-every 512 &
 SERVER_PID=$!
 wait_ready
 
