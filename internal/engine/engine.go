@@ -22,6 +22,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -144,7 +145,7 @@ type Store struct {
 	dirty     bool           // installed since the last commit boundary
 	undecided []crossInstall // cross-store installs this store coordinates, same window
 	committed map[string]versioned
-	active    map[*txnHandle]struct{}
+	active    []*txnHandle // in flight, in arrival order
 	stats     Stats
 	closed    bool
 }
@@ -162,7 +163,6 @@ func Open(cfg Config) *Store {
 	s := &Store{
 		cfg:       cfg,
 		committed: make(map[string]versioned),
-		active:    make(map[*txnHandle]struct{}),
 	}
 	s.SetCommitLog(cfg.CommitLog)
 	s.queue = NewCommitQueue([]*Store{s}, []int{0}, cfg.GroupCommit, func() { s.stats.CommitBatches++ }, cfg.Metrics)
@@ -316,7 +316,7 @@ func (tx *Tx) Get(key string) ([]byte, error) {
 	// Read Rule: this read conflicts with every in-flight writer of key.
 	if !a.spec && s.cfg.Mode == SCC2S {
 		scanned := 0
-		for other := range s.active {
+		for _, other := range s.active {
 			if other == a.h || other.resolved {
 				continue
 			}
@@ -361,7 +361,7 @@ func (tx *Tx) Set(key string, val []byte) error {
 		// Write Rule: in-flight readers of key gain a conflict with us.
 		if s.cfg.Mode == SCC2S {
 			scanned := 0
-			for other := range s.active {
+			for _, other := range s.active {
 				if other == a.h || other.resolved || other.opt == nil {
 					continue
 				}
@@ -454,7 +454,9 @@ func (s *Store) UpdateTracedResult(value float64, tr *obs.Trace, fn func(*Tx) er
 		h.shadow = nil
 		h.writes = make(map[string][]byte)
 		h.attempts = attempts
-		s.active[h] = struct{}{}
+		if !slices.Contains(s.active, h) {
+			s.active = append(s.active, h)
+		}
 		if attempts > 0 {
 			s.stats.Restarts++
 			h.tr.Event(obs.StageRestart)
@@ -537,11 +539,19 @@ func (s *Store) handOff(h *txnHandle, wait bool) (sh *attempt, resolved bool) {
 		sh.abortLocked(s)
 		h.shadow = nil
 	}
-	delete(s.active, h)
+	s.leaveLocked(h)
 	if !resolved {
 		sh = nil
 	}
 	return sh, resolved
+}
+
+// leaveLocked takes h out of the in-flight set, keeping arrival order; a
+// handle already out stays out. Caller holds s.mu.
+func (s *Store) leaveLocked(h *txnHandle) {
+	if i := slices.Index(s.active, h); i >= 0 {
+		s.active = slices.Delete(s.active, i, i+1)
+	}
 }
 
 type verdict struct {
@@ -573,7 +583,7 @@ func (s *Store) deferForValue(a *attempt) {
 	for round := 0; round < 3; round++ {
 		s.mu.Lock()
 		var wait *txnHandle
-		for other := range s.active {
+		for _, other := range s.active {
 			if other == a.h || other.resolved || other.value <= a.h.value || other.opt == nil {
 				continue
 			}
@@ -662,7 +672,7 @@ func (s *Store) commitLocked(a *attempt) bool {
 	}
 	h.resolved = true
 	h.result = a.result
-	delete(s.active, h)
+	s.leaveLocked(h)
 	if a.spec {
 		s.stats.Promotions++
 		h.tr.Event(obs.StagePromotion)
@@ -693,7 +703,7 @@ func (s *Store) installLocked(rec CommitRecord) uint64 {
 	for key, val := range writes {
 		s.committed[key] = versioned{val: val, ver: s.committed[key].ver + 1}
 	}
-	for other := range s.active {
+	for _, other := range s.active {
 		if other.resolved || other.opt == nil {
 			continue
 		}

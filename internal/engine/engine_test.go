@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func itob(v int64) []byte {
@@ -30,6 +31,27 @@ func getInt(tx *Tx, key string) (int64, error) {
 }
 
 func setInt(tx *Tx, key string, v int64) error { return tx.Set(key, itob(v)) }
+
+// checkQuiesced is the end-of-stress invariant: once every Update has
+// returned, no handle is left in the in-flight set (a leaked one would be
+// scanned by every later Read/Write Rule and could be forked for, forever)
+// and the commit queue drains. The queue is given a moment: a losing
+// shadow nobody waits for may still be on its way through it.
+func checkQuiesced(t *testing.T, s *Store) {
+	t.Helper()
+	s.mu.Lock()
+	n := len(s.active)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Errorf("%d handles still in the in-flight set after every Update returned", n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.PendingCommits() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("PendingCommits() = %d after every Update returned", s.PendingCommits())
+			return
+		}
+	}
+}
 
 func modes(t *testing.T, f func(t *testing.T, mode Mode)) {
 	for _, m := range []Mode{SCC2S, OCCBC} {
@@ -129,6 +151,7 @@ func TestConcurrentCounter(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		checkQuiesced(t, s)
 		close(errs)
 		for err := range errs {
 			if err != nil {
@@ -190,6 +213,7 @@ func TestBankTransfers(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		checkQuiesced(t, s)
 		total := int64(0)
 		for i := 0; i < accounts; i++ {
 			b, _ := s.Get(fmt.Sprintf("acct%d", i))

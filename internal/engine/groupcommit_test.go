@@ -164,6 +164,7 @@ func TestGroupCommitConflicts(t *testing.T) {
 				}()
 			}
 			wg.Wait()
+			checkQuiesced(t, s)
 			v, ok := s.Get("hot")
 			if !ok || len(v) == 0 || v[0] != workers*iters {
 				t.Fatalf("hot = %v (ok=%v), want [%d]", v, ok, workers*iters)

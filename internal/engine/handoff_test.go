@@ -96,6 +96,7 @@ func TestHandOffNeverLosesACommit(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	checkQuiesced(t, s)
 	for i := range acked {
 		b, _ := s.Get(key(i))
 		if got, want := btoi(b), acked[i].Load(); got != want {

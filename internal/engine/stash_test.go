@@ -54,6 +54,7 @@ func TestStashUnderContention(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	checkQuiesced(t, s)
 	close(results)
 	seen := make(map[uint64]bool)
 	for n := range results {

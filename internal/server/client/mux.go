@@ -3,8 +3,10 @@
 // without waiting for earlier responses, and a reader goroutine matches
 // each "RES <id> ..." line back to its caller. Against a server on the
 // same protocol this removes the round trip per request that dominates
-// Client throughput — requests stream, responses stream back, and the
-// Batch API amortizes even the write syscalls across a whole burst.
+// Client throughput — requests stream, responses stream back, and write
+// syscalls are shared: a Batch is one write for its whole burst, and one
+// flush rule (Mux.write) lets every caller that is runnable at the same
+// instant — Batch or single request alike — ride one write(2) together.
 
 package client
 
@@ -14,10 +16,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -31,9 +34,9 @@ var ErrClosed = errors.New("client: mux closed")
 type Mux struct {
 	conn net.Conn
 
-	wmu     sync.Mutex // serializes writes to the connection
-	w       *bufio.Writer
-	writers atomic.Int32 // requests between write intent and flush decision
+	wmu  sync.Mutex // guards w and owed
+	w    *bufio.Writer
+	owed bool // a caller has taken on flushing w and has not done so yet (see write)
 
 	mu      sync.Mutex
 	pending map[uint64]chan resp
@@ -70,6 +73,11 @@ func DialMuxContext(ctx context.Context, addr string) (*Mux, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newMux(conn), nil
+}
+
+// newMux starts a Mux (and its read loop) over an established connection.
+func newMux(conn net.Conn) *Mux {
 	m := &Mux{
 		conn:    conn,
 		w:       bufio.NewWriter(conn),
@@ -77,7 +85,7 @@ func DialMuxContext(ctx context.Context, addr string) (*Mux, error) {
 		done:    make(chan struct{}),
 	}
 	go m.readLoop()
-	return m, nil
+	return m
 }
 
 // Close tears down the connection; in-flight and future calls return
@@ -223,12 +231,9 @@ func (m *Mux) awaitCtx(ctx context.Context, ch chan resp) (resp, error) {
 // satisfies the doer interface, so Mux serves every protocol verb through
 // the same implementations as Client.
 //
-// Flushes coalesce across concurrent callers: each caller announces its
-// write intent before taking the write lock, and only the caller that
-// observes no later intent flushes. A caller that skips the flush is
-// covered by a later one — the chain always terminates at the last
-// concurrent writer — so a burst of goroutines shares one syscall while
-// a lone request still flushes immediately.
+// Returning from send does not mean the frame has left the process: it may
+// be riding a flush another caller owes (see write). Should that flush
+// fail, fail wakes this caller's await with the error.
 func (m *Mux) do(line string) (string, error) {
 	id, ch, err := m.register()
 	if err != nil {
@@ -262,22 +267,51 @@ func (m *Mux) doCtx(ctx context.Context, line string) (string, error) {
 	return r.body, err
 }
 
-// send writes one framed request, coalescing flushes across concurrent
-// callers (see the do comment).
+// appendFrame appends "REQ <id> <line>\n" to buf, growing it once.
+func appendFrame(buf []byte, id uint64, line string) []byte {
+	buf = slices.Grow(buf, len("REQ 18446744073709551615 \n")+len(line))
+	buf = append(buf, "REQ "...)
+	buf = strconv.AppendUint(buf, id, 10)
+	buf = append(buf, ' ')
+	buf = append(buf, line...)
+	return append(buf, '\n')
+}
+
+// send writes one framed request.
 func (m *Mux) send(id uint64, line string) error {
-	m.writers.Add(1)
+	return m.write(appendFrame(nil, id, line))
+}
+
+// write is the one path onto the connection. The caller appends its
+// already encoded frames to the shared buffer; then, if no flush is owed,
+// it owes one — it lets go of the buffer, yields the processor once, and
+// flushes whatever has been appended by then. A caller that appends while
+// a flush is owed just returns and rides it: the owner clears owed under
+// the same lock hold as its Flush, so a frame is either in the buffer that
+// Flush drains or its caller saw owed false and flushes itself — none is
+// stranded. The yield is what makes callers share: everything runnable at
+// that instant appends before the owner runs again, so a burst of
+// goroutines costs one write(2), while a lone caller pays an empty yield
+// and flushes at once. No clock, no size threshold.
+//
+// An owner's failed flush is returned to it and, through fail, to the
+// await of every caller whose frames rode it.
+func (m *Mux) write(frames []byte) error {
 	m.wmu.Lock()
-	_, err := fmt.Fprintf(m.w, "REQ %d %s\n", id, line)
-	last := m.writers.Add(-1) == 0
-	if err == nil && last {
+	_, err := m.w.Write(frames)
+	if err == nil && !m.owed {
+		m.owed = true
+		m.wmu.Unlock()
+		runtime.Gosched()
+		m.wmu.Lock()
+		m.owed = false
 		err = m.w.Flush()
 	}
 	m.wmu.Unlock()
 	if err != nil {
 		m.fail(fmt.Errorf("client: write failed: %w", err))
-		return err
 	}
-	return nil
+	return err
 }
 
 // Ping checks liveness.
@@ -326,7 +360,7 @@ type UpdateResult struct {
 	// comma-separated, offsets from submit.
 	Trace string
 	// Elapsed is the entry's own request/response time: from this
-	// entry's write into the burst to the arrival of its RES line
+	// entry's encoding into the burst to the arrival of its RES line
 	// (stamped in the read loop, not when the caller got around to
 	// collecting it) — so later batch entries are not charged for the
 	// serialization of earlier ones. Zero when the entry failed before
@@ -335,16 +369,17 @@ type UpdateResult struct {
 }
 
 // Batch streams every update in one write burst — a single flush for the
-// whole slice — then collects all responses. Slot i of the result
+// whole slice, shared with whichever other callers are writing at that
+// instant — then collects all responses. Slot i of the result
 // corresponds to reqs[i]; one failing entry (bad key, SHED, conflict
 // error) does not abort the others. The server dispatches pipelined
 // requests concurrently, so entries of one batch execute in no
 // particular order relative to each other — each is individually
 // serializable, but entries with data dependencies between them belong
 // in one entry's op list, not in separate entries. This is the
-// lowest-overhead way to drive the server: n transactions cost one
-// writev-sized syscall out and however few reads the kernel coalesces
-// back.
+// lowest-overhead way to drive the server: n transactions cost at most
+// one writev-sized syscall out and however few reads the kernel
+// coalesces back.
 func (m *Mux) Batch(reqs []UpdateReq) []UpdateResult {
 	out := make([]UpdateResult, len(reqs))
 	type inflight struct {
@@ -354,16 +389,11 @@ func (m *Mux) Batch(reqs []UpdateReq) []UpdateResult {
 	}
 	pend := make([]inflight, len(reqs))
 
-	m.wmu.Lock()
-	var werr error
+	var frames []byte
 	for i, r := range reqs {
 		line, writes, err := updateLine(r.Ops, r.Opts)
 		if err != nil {
 			out[i].Err = err
-			continue
-		}
-		if werr != nil {
-			out[i].Err = werr
 			continue
 		}
 		id, ch, err := m.register()
@@ -371,22 +401,13 @@ func (m *Mux) Batch(reqs []UpdateReq) []UpdateResult {
 			out[i].Err = err
 			continue
 		}
-		sent := time.Now()
-		if _, err := fmt.Fprintf(m.w, "REQ %d %s\n", id, line); err != nil {
-			werr = err
-			out[i].Err = err
-			continue
-		}
-		pend[i] = inflight{ch: ch, writes: writes, sent: sent}
+		frames = appendFrame(frames, id, line)
+		pend[i] = inflight{ch: ch, writes: writes, sent: time.Now()}
 	}
-	if werr == nil {
-		werr = m.w.Flush()
-	}
-	m.wmu.Unlock()
-	if werr != nil {
-		// Registered-but-unsent (or torn) requests resolve through the
-		// failure path: fail wakes every await below.
-		m.fail(fmt.Errorf("client: write failed: %w", werr))
+	if len(frames) > 0 {
+		// A failed write needs no handling here: write has called fail,
+		// which resolves every registered entry's await below.
+		_ = m.write(frames)
 	}
 
 	for i := range pend {

@@ -135,6 +135,54 @@ func TestMuxOversizedDiagnostic(t *testing.T) {
 	}
 }
 
+// TestResponseWriterSharesFlushes reads the flush rule off the server's own
+// counters: a lone request is one line and one flush — it is not held back
+// for company — while verdicts produced by concurrently running workers
+// share flushes.
+func TestResponseWriterSharesFlushes(t *testing.T) {
+	srv, addr := startServer(t, Config{Shards: 2})
+	m, err := client.DialMux(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	// wire_responses moves before the flush that carries the lines and
+	// wire_flushes just after it, so the client can hold the reply a moment
+	// before the second counter moves: give it that moment.
+	for deadline := time.Now().Add(5 * time.Second); srv.met.wireFlushes.Value() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if r, f := srv.met.wireResponses.Value(), srv.met.wireFlushes.Value(); r != 1 || f != 1 {
+		t.Fatalf("a lone PING: wire_responses = %d, wire_flushes = %d, want 1 and 1", r, f)
+	}
+
+	const workers, iters = 32, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				if err := m.Ping(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	responses, flushes := srv.met.wireResponses.Value(), srv.met.wireFlushes.Value()
+	if responses != 1+workers*iters {
+		t.Fatalf("wire_responses = %d, want %d", responses, 1+workers*iters)
+	}
+	if flushes >= responses {
+		t.Fatalf("wire_flushes = %d for wire_responses = %d: concurrent verdicts never shared a flush", flushes, responses)
+	}
+}
+
 // TestCrossShedOverWire forces a cross-shard validation failure on a
 // transaction whose value function has by then crossed zero, and asserts
 // the retry is shed — SHED on the wire, cross_shed in STATS — instead of

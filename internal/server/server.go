@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -383,11 +384,18 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 
-	// All responses funnel through one writer goroutine, which batches:
-	// it writes every response already queued, then flushes once — under
-	// pipelined load many responses share one syscall. On a write error
-	// it keeps draining (discarding) so workers never block on a dead
-	// connection.
+	// All responses funnel through one writer goroutine (it is what keeps
+	// workers off a dead or slow socket, and what REPL/SNAP/METRICS/EVENTS
+	// push through). Its flush rule is the Mux's: on finding the channel
+	// empty it owes a flush, yields the processor once, drains whatever
+	// was produced meanwhile, then flushes. "Drain what is queued, then
+	// flush" alone almost never batches: a channel send parks the woken
+	// writer in the sender's runnext slot, so it runs — and finds the
+	// channel empty again — before the sibling workers that were already
+	// runnable. The yield puts the writer behind them; every verdict they
+	// produce shares the one write(2), and a lone response pays an empty
+	// yield and flushes at once. On a write error the writer keeps
+	// draining (discarding) so workers never block on a dead connection.
 	out := make(chan string, 4*s.pipelineDepth)
 	wdone := make(chan struct{})
 	var connDead atomic.Bool
@@ -399,38 +407,43 @@ func (s *Server) serveConn(conn net.Conn) {
 		// executing requests: the dead flag stops the reader loop even
 		// for lines already sitting in its scanner buffer, and closing
 		// the connection unblocks a reader parked in a Read syscall.
-		// The writer itself keeps draining (discarding) so workers
-		// never block on the channel.
 		die := func() {
 			dead = true
 			connDead.Store(true)
 			conn.Close()
 		}
+		poll := func() (string, bool) {
+			select {
+			case line, ok := <-out:
+				return line, ok
+			default:
+				return "", false
+			}
+		}
 		for line := range out {
-			for {
+			lines, yielded := int64(0), false
+			for more := true; more; {
 				if !dead {
+					lines++
 					if _, err := w.WriteString(line); err != nil {
 						die()
-					} else if _, err := w.WriteString("\n"); err != nil {
+					} else if err := w.WriteByte('\n'); err != nil {
 						die()
 					}
 				}
-				select {
-				case next, ok := <-out:
-					if !ok {
-						if !dead {
-							w.Flush()
-						}
-						return
-					}
-					line = next
-					continue
-				default:
+				if line, more = poll(); !more && !yielded {
+					yielded = true
+					runtime.Gosched()
+					line, more = poll()
 				}
-				break
 			}
-			if !dead && w.Flush() != nil {
-				die()
+			if !dead {
+				s.met.wireResponses.Add(lines)
+				if w.Flush() != nil {
+					die()
+				} else {
+					s.met.wireFlushes.Inc()
+				}
 			}
 		}
 	}()
