@@ -304,11 +304,12 @@ func startWireServer(b *testing.B) string {
 	return lis.Addr().String()
 }
 
-// BenchmarkPerRoundTrip is the legacy wire path: every transaction costs
-// one blocking round trip on its connection.
+// BenchmarkPerRoundTrip is a lone Mux caller: every transaction costs one
+// blocking round trip on its connection, the same path
+// probe.server.ping_rtt_us times with PING.
 func BenchmarkPerRoundTrip(b *testing.B) {
 	addr := startWireServer(b)
-	c, err := client.Dial(addr)
+	c, err := client.DialMux(addr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -322,9 +323,9 @@ func BenchmarkPerRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelined is the same transaction stream over REQ/RES framing:
-// one multiplexed connection keeps a window of transactions in flight via
-// Batch, so the per-transaction round trip disappears.
+// BenchmarkPipelined is the same transaction stream with a window of
+// transactions in flight on the connection via Batch, so the
+// per-transaction round trip disappears.
 func BenchmarkPipelined(b *testing.B) {
 	addr := startWireServer(b)
 	m, err := client.DialMux(addr)

@@ -61,7 +61,7 @@ func Render(t *model.Txn, runID int64, pages bool, w, slot int) []client.Op {
 // half-visible cross-shard commit. Summed in chunks to stay under the
 // server's request-line bound; chunking is sound because the run's
 // namespaced keys are quiescent once its clients have finished.
-func AuditConservation(c *client.Client, runID int64, pages int) (sum int64, err error) {
+func AuditConservation(c *client.Mux, runID int64, pages int) (sum int64, err error) {
 	const chunk = 2048
 	for lo := 0; lo < pages; lo += chunk {
 		keys := make([]string, 0, chunk)
@@ -94,7 +94,7 @@ type Acked struct {
 // cross-shard epoch), or double-landed by a failover retry. That is
 // correct for unacked work, so atLeast tolerates it; the exact form is
 // for runs where nothing was killed and it can only be a phantom commit.
-func AuditLedger(c *client.Client, a Acked, atLeast bool) (violations []string, err error) {
+func AuditLedger(c *client.Mux, a Acked, atLeast bool) (violations []string, err error) {
 	for w, want := range a.Counts {
 		keys := make([]string, a.Slots)
 		for slot := range keys {

@@ -41,8 +41,9 @@ import (
 
 // Config describes one run.
 type Config struct {
-	// Pool is the cluster under load. Mux-based shapes dial its believed
-	// primary once; blocking round trips follow its redirects.
+	// Pool is the cluster under load. Pipelined and interactive shapes
+	// dial its believed primary once; blocking round trips follow its
+	// redirects.
 	Pool    *Pool
 	Clients int
 	// Ops or Duration bounds the run (set exactly one): every client
@@ -124,11 +125,10 @@ func Run(cfg Config) (*Result, error) {
 // client runs client w's connection in the configured shape and returns
 // its account.
 func (r *run) client(w int) (*Result, error) {
-	var repl *client.Client
-	var m *client.Mux
+	var repl, m *client.Mux
 	var err error
 	if r.Replica != "" {
-		if repl, err = client.Dial(r.Replica); err != nil {
+		if repl, err = client.DialMux(r.Replica); err != nil {
 			return NewResult(), fmt.Errorf("loadgen: client %d: replica: %w", w, err)
 		}
 		defer repl.Close()
@@ -182,12 +182,12 @@ type stream struct {
 	w, slot int
 	gen     *workload.Generator
 	rng     *dist.RNG
-	left    int            // transactions still to issue (Ops-bounded runs)
-	repl    *client.Client // nil without a replica mix
+	left    int         // transactions still to issue (Ops-bounded runs)
+	repl    *client.Mux // nil without a replica mix
 	account *Result
 }
 
-func (r *run) stream(w, slot, quota int, repl *client.Client) *stream {
+func (r *run) stream(w, slot, quota int, repl *client.Mux) *stream {
 	seed := r.Seed + int64(w)*7919 + int64(slot)*104_729
 	s := &stream{run: r, w: w, slot: slot, left: quota, repl: repl, account: NewResult(),
 		gen: workload.NewGenerator(r.Workload(seed)), rng: dist.NewRNG(seed*1_000_003 + 17)}
@@ -257,20 +257,18 @@ func (s *stream) loop(burst int, issue func([]client.UpdateReq) []client.UpdateR
 }
 
 // roundTrip issues one blocking UPD through the redirect-following
-// pool. (Mux.Batch is the pipelined issuer: a burst in one write, each
-// entry's Elapsed stamped at its own RES arrival.)
+// pool: a Batch of one per attempt, timed from the first attempt so
+// Elapsed spans every redirect and re-dial. (Mux.Batch of Pipeline
+// entries is the pipelined issuer: a burst in one write, each entry's
+// Elapsed stamped at its own RES arrival.)
 func (s *stream) roundTrip(fc *failoverClient) func([]client.UpdateReq) []client.UpdateResult {
 	return func(reqs []client.UpdateReq) (outs []client.UpdateResult) {
-		for _, r := range reqs {
+		for i := range reqs {
 			var out client.UpdateResult
 			t0 := time.Now()
-			sent, err := fc.do(s.deadline, func(c *client.Client) (err error) {
-				if r.Opts.Trace {
-					_, out.Trace, err = c.UpdateTraced(r.Ops, r.Opts)
-				} else {
-					_, err = c.Update(r.Ops, r.Opts)
-				}
-				return err
+			sent, err := fc.do(s.deadline, func(m *client.Mux) error {
+				out = m.Batch(reqs[i : i+1])[0]
+				return out.Err
 			})
 			if !sent {
 				break

@@ -42,9 +42,9 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
-func dial(t *testing.T, addr string) *client.Client {
+func dial(t *testing.T, addr string) *client.Mux {
 	t.Helper()
-	c, err := client.Dial(addr)
+	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func testConfig(addrs string, runID int64) Config {
 
 // audits runs both audits in the exact ledger form and fails the test
 // on any violation.
-func audits(t *testing.T, c *client.Client, res *Result) {
+func audits(t *testing.T, c *client.Mux, res *Result) {
 	t.Helper()
 	if sum, err := AuditConservation(c, res.RunID, testPages); err != nil || sum != 0 {
 		t.Errorf("conservation: sum=%d err=%v", sum, err)
@@ -240,7 +240,7 @@ func fencedServer(t *testing.T, primary string) string {
 	return addr
 }
 
-func update(c *client.Client) error {
+func update(c *client.Mux) error {
 	_, err := c.Update([]client.Op{{Key: "k", Delta: 1, Write: true}}, client.TxOpts{})
 	return err
 }
@@ -312,7 +312,7 @@ func TestUnsentTransactionsAreNotBooked(t *testing.T) {
 	p := NewPool(deadAddr(t) + "," + deadAddr(t))
 	fc := &failoverClient{pool: p}
 	called := false
-	sent, err := fc.do(time.Now().Add(80*time.Millisecond), func(*client.Client) error {
+	sent, err := fc.do(time.Now().Add(80*time.Millisecond), func(*client.Mux) error {
 		called = true
 		return nil
 	})

@@ -92,11 +92,11 @@ func (p *Pool) rotate(failed string) {
 // Dial connects to the believed primary, falling back through the rest
 // of the list; the audit and stats paths use it, which need any live
 // member rather than a write-accepting one.
-func (p *Pool) Dial() (*client.Client, error) {
+func (p *Pool) Dial() (*client.Mux, error) {
 	var lastErr error
 	for range p.Len() {
 		addr := p.Primary()
-		c, err := client.DialTimeout(addr, 2*time.Second)
+		c, err := client.DialMuxTimeout(addr, 2*time.Second)
 		if err == nil {
 			return c, nil
 		}
@@ -118,10 +118,11 @@ func (p *Pool) Stats() (map[string]string, error) {
 
 // transient reports whether err is a transport failure worth re-dialing
 // around, as opposed to a clean protocol error on a healthy connection.
+// The Mux wraps the connection's read or write error with %w, so the
+// type checks see through its message.
 func transient(err error) bool {
 	var ne net.Error
-	return errors.Is(err, io.EOF) || errors.As(err, &ne) ||
-		strings.Contains(err.Error(), "connection desynced")
+	return errors.Is(err, io.EOF) || errors.As(err, &ne)
 }
 
 // failoverClient is one worker's connection with redirect-following: do
@@ -135,7 +136,7 @@ func transient(err error) bool {
 // they land.
 type failoverClient struct {
 	pool *Pool
-	c    *client.Client
+	c    *client.Mux
 	addr string
 }
 
@@ -151,7 +152,7 @@ func (f *failoverClient) close() {
 // account: booking such a transaction (worst of all its zero-value nil
 // error, as a commit) would corrupt the acked-commit ledger with work
 // that never left the client.
-func (f *failoverClient) do(deadline time.Time, fn func(*client.Client) error) (sent bool, err error) {
+func (f *failoverClient) do(deadline time.Time, fn func(*client.Mux) error) (sent bool, err error) {
 	// Failover handling needs somewhere to redirect to: with a single
 	// address the classic fail-fast behavior (which the chaos harness
 	// depends on) is kept — no retries, a dead connection just gets
@@ -172,7 +173,7 @@ func (f *failoverClient) do(deadline time.Time, fn func(*client.Client) error) (
 		}
 		if f.c == nil {
 			addr := f.pool.Primary()
-			if f.c, err = client.DialTimeout(addr, 2*time.Second); err != nil {
+			if f.c, err = client.DialMuxTimeout(addr, 2*time.Second); err != nil {
 				f.pool.rotate(addr)
 				continue
 			}

@@ -233,7 +233,7 @@ func Run(c Cell) (Row, error) {
 	} else {
 		// Audits read the replica when the cell has one — auditing
 		// replicated state is the point of the role — else the primary.
-		aud, err := client.Dial(cmp.Or(cl.repAddr, cl.addr))
+		aud, err := client.DialMux(cmp.Or(cl.repAddr, cl.addr))
 		if err != nil {
 			return Row{}, fmt.Errorf("cell %q: audit dial: %w", c.Name, err)
 		}

@@ -1,20 +1,21 @@
 // Package client is the Go client for the sccserve wire protocol
-// (internal/server): a blocking, connection-per-client API mirroring the
-// protocol verbs. A Client is safe for concurrent use; requests are
-// serialized on the single connection, so concurrent load wants one
-// Client per goroutine.
+// (internal/server). It has one transport, Mux (mux.go): a connection
+// any number of goroutines share, every request framed "REQ <id> ..."
+// and its "RES <id> ..." reply routed back to the caller by id. A lone
+// caller therefore gets a plain blocking round trip — its frame is
+// flushed at once — and many callers pipeline over the same code. This
+// file holds the one-shot verbs and the request encoding they share with
+// Batch; txn.go holds the interactive sessions.
 package client
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
+	"unicode"
 
 	"repro/internal/server/opts"
 )
@@ -38,125 +39,6 @@ func (e *NotPrimaryError) Error() string {
 		return "client: not primary (no known primary)"
 	}
 	return "client: not primary, redirect to " + e.Addr
-}
-
-// Client is one protocol connection.
-type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-	err  error // first round-trip failure; the stream is desynced after it
-}
-
-// Dial connects to a sccserve instance.
-func Dial(addr string) (*Client, error) {
-	return DialContext(context.Background(), addr)
-}
-
-// DialTimeout is Dial bounded by a connect timeout.
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return DialContext(ctx, addr)
-}
-
-// DialContext is Dial governed by ctx: the connect is abandoned when ctx
-// expires or is canceled.
-func DialContext(ctx context.Context, addr string) (*Client, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{
-		conn: conn,
-		r:    bufio.NewReader(conn),
-		w:    bufio.NewWriter(conn),
-	}, nil
-}
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-// do sends one request line and reads one response line. Together with
-// doCtx it satisfies the doer interface shared with Mux, so both
-// transports reuse the same verb implementations.
-func (c *Client) do(line string) (string, error) {
-	return c.doCtx(context.Background(), line)
-}
-
-// doCtx is do with a per-call deadline and cancelation: ctx's deadline
-// is applied to the connection for the round trip, and canceling ctx
-// interrupts an in-flight one. A failed, timed-out, or canceled
-// exchange leaves the request/response stream desynced (the reply may
-// still arrive and would be mistaken for the next call's), so the first
-// failure is sticky and every later call returns it.
-func (c *Client) doCtx(ctx context.Context, line string) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return "", c.err
-	}
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	if done := ctx.Done(); done != nil {
-		if dl, ok := ctx.Deadline(); ok {
-			c.conn.SetDeadline(dl)
-		}
-		// Cancelation interrupts the blocking I/O by expiring the
-		// connection deadline under it. The watcher is joined before the
-		// deadline resets so a late fire cannot poison the next call.
-		stop := make(chan struct{})
-		watchDone := make(chan struct{})
-		go func() {
-			defer close(watchDone)
-			select {
-			case <-done:
-				c.conn.SetDeadline(time.Unix(1, 0))
-			case <-stop:
-			}
-		}()
-		defer func() {
-			close(stop)
-			<-watchDone
-			c.conn.SetDeadline(time.Time{})
-		}()
-	}
-	resp, err := c.exchangeLocked(line)
-	if err != nil {
-		c.err = fmt.Errorf("client: connection desynced: %w", err)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			// Surface the caller's deadline/cancelation, not the
-			// i/o-timeout artifact it was implemented with.
-			return "", ctxErr
-		}
-		return "", err
-	}
-	return resp, nil
-}
-
-func (c *Client) exchangeLocked(line string) (string, error) {
-	if _, err := c.w.WriteString(line + "\n"); err != nil {
-		return "", err
-	}
-	if err := c.w.Flush(); err != nil {
-		return "", err
-	}
-	resp, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimSpace(resp), nil
-}
-
-// doer abstracts one request/response exchange: Client performs a
-// blocking round trip, Mux a pipelined one. Every verb implementation is
-// written against it once and served by both transports.
-type doer interface {
-	do(line string) (string, error)
-	doCtx(ctx context.Context, line string) (string, error)
 }
 
 // parse splits a response into its kind and payload, surfacing protocol
@@ -184,31 +66,20 @@ func parse(resp string) (string, error) {
 	}
 }
 
+// checkKey refuses a key the server would not read back as the same one
+// key: empty, containing ':' (the op and log encodings' separator), or
+// containing any rune strings.Fields splits on — the server tokenises
+// request lines with it, so "a\tb" would arrive as two keys.
 func checkKey(key string) error {
-	if key == "" || strings.ContainsAny(key, " :\n") {
+	if key == "" || strings.ContainsFunc(key, func(r rune) bool { return r == ':' || unicode.IsSpace(r) }) {
 		return fmt.Errorf("client: invalid key %q", key)
 	}
 	return nil
 }
 
 // Ping checks liveness.
-func (c *Client) Ping() error { return ping(c) }
-
-// Get reads a committed value; ok is false for a missing key.
-func (c *Client) Get(key string) (n int64, ok bool, err error) { return get(c, key) }
-
-// Put sets key to n.
-func (c *Client) Put(key string, n int64) error { return put(c, key, n) }
-
-// Add atomically adds delta to key and returns the new value.
-func (c *Client) Add(key string, delta int64) (int64, error) { return add(c, key, delta) }
-
-// Sum returns the total of the given keys as one consistent cross-shard
-// snapshot.
-func (c *Client) Sum(keys ...string) (int64, error) { return sum(c, keys) }
-
-func ping(d doer) error {
-	resp, err := d.do("PING")
+func (m *Mux) Ping() error {
+	resp, err := m.do("PING")
 	if err != nil {
 		return err
 	}
@@ -216,11 +87,12 @@ func ping(d doer) error {
 	return err
 }
 
-func get(d doer, key string) (int64, bool, error) {
+// Get reads a committed value; ok is false for a missing key.
+func (m *Mux) Get(key string) (int64, bool, error) {
 	if err := checkKey(key); err != nil {
 		return 0, false, err
 	}
-	resp, err := d.do("GET " + key)
+	resp, err := m.do("GET " + key)
 	if err != nil {
 		return 0, false, err
 	}
@@ -235,11 +107,12 @@ func get(d doer, key string) (int64, bool, error) {
 	return n, err == nil, err
 }
 
-func put(d doer, key string, n int64) error {
+// Put sets key to n.
+func (m *Mux) Put(key string, n int64) error {
 	if err := checkKey(key); err != nil {
 		return err
 	}
-	resp, err := d.do(fmt.Sprintf("PUT %s %d", key, n))
+	resp, err := m.do(fmt.Sprintf("PUT %s %d", key, n))
 	if err != nil {
 		return err
 	}
@@ -247,11 +120,12 @@ func put(d doer, key string, n int64) error {
 	return err
 }
 
-func add(d doer, key string, delta int64) (int64, error) {
+// Add atomically adds delta to key and returns the new value.
+func (m *Mux) Add(key string, delta int64) (int64, error) {
 	if err := checkKey(key); err != nil {
 		return 0, err
 	}
-	resp, err := d.do(fmt.Sprintf("ADD %s %d", key, delta))
+	resp, err := m.do(fmt.Sprintf("ADD %s %d", key, delta))
 	if err != nil {
 		return 0, err
 	}
@@ -262,13 +136,15 @@ func add(d doer, key string, delta int64) (int64, error) {
 	return strconv.ParseInt(body, 10, 64)
 }
 
-func sum(d doer, keys []string) (int64, error) {
+// Sum returns the total of the given keys as one consistent cross-shard
+// snapshot.
+func (m *Mux) Sum(keys ...string) (int64, error) {
 	for _, k := range keys {
 		if err := checkKey(k); err != nil {
 			return 0, err
 		}
 	}
-	resp, err := d.do("SUM " + strings.Join(keys, " "))
+	resp, err := m.do("SUM " + strings.Join(keys, " "))
 	if err != nil {
 		return 0, err
 	}
@@ -302,7 +178,7 @@ type TxOpts struct {
 	Tenant string
 	// Trace asks the server for a lifecycle trace: the verdict reply's
 	// trace= token ("stage:ns,..." offsets from submit) is surfaced by
-	// UpdateTraced and Txn.Trace.
+	// UpdateResult.Trace and Txn.Trace.
 	Trace bool
 }
 
@@ -391,127 +267,34 @@ func parseUpdateResults(body string, writes int) ([]int64, error) {
 
 // Update executes ops as one serializable transaction and returns the new
 // value of each write op, in op order.
-func (c *Client) Update(ops []Op, opts TxOpts) ([]int64, error) {
-	return update(context.Background(), c, ops, opts)
+func (m *Mux) Update(ops []Op, opts TxOpts) ([]int64, error) {
+	return m.UpdateContext(context.Background(), ops, opts)
 }
 
 // UpdateContext is Update with a per-call deadline: the context's
-// deadline bounds the round trip client-side and, when opts carries no
+// deadline bounds the wait client-side and, when opts carries no
 // explicit deadline, becomes the request's dl= so the server stops
 // spending capacity on it at the same moment the caller stops waiting.
-func (c *Client) UpdateContext(ctx context.Context, ops []Op, opts TxOpts) ([]int64, error) {
-	return update(ctx, c, ops, opts)
-}
-
-func update(ctx context.Context, d doer, ops []Op, opts TxOpts) ([]int64, error) {
-	res, _, err := updateTraced(ctx, d, ops, opts)
-	return res, err
-}
-
-func updateTraced(ctx context.Context, d doer, ops []Op, opts TxOpts) ([]int64, string, error) {
+func (m *Mux) UpdateContext(ctx context.Context, ops []Op, opts TxOpts) ([]int64, error) {
 	line, writes, err := updateLine(ops, opts.withCtxDeadline(ctx))
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	resp, err := d.doCtx(ctx, line)
+	resp, err := m.doCtx(ctx, line)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	body, err := parse(resp)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	body, trace := cutTrace(body)
-	res, err := parseUpdateResults(body, writes)
-	return res, trace, err
-}
-
-// UpdateTraced is Update with lifecycle tracing forced on: it also
-// returns the server's trace= stage timeline ("stage:ns,..." offsets
-// from submit; see docs/PROTOCOL.md, "Lifecycle traces").
-func (c *Client) UpdateTraced(ops []Op, opts TxOpts) ([]int64, string, error) {
-	opts.Trace = true
-	return updateTraced(context.Background(), c, ops, opts)
+	body, _ = cutTrace(body)
+	return parseUpdateResults(body, writes)
 }
 
 // Stats fetches the server's counters as a string map.
-func (c *Client) Stats() (map[string]string, error) { return statsCall(c) }
-
-// Metrics fetches the server's telemetry registry as Prometheus text
-// exposition (the METRICS verb: "OK <nlines>" then that many exposition
-// lines). The verb is bare-framing only, so it exists on Client, not Mux.
-func (c *Client) Metrics() (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return "", c.err
-	}
-	resp, err := c.exchangeLocked("METRICS")
-	if err != nil {
-		c.err = fmt.Errorf("client: connection desynced: %w", err)
-		return "", err
-	}
-	body, err := parse(resp)
-	if err != nil {
-		return "", err
-	}
-	n, err := strconv.Atoi(body)
-	if err != nil || n < 0 {
-		return "", fmt.Errorf("client: malformed METRICS header %q", resp)
-	}
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			c.err = fmt.Errorf("client: connection desynced: %w", err)
-			return "", err
-		}
-		b.WriteString(line)
-	}
-	return b.String(), nil
-}
-
-// Events fetches up to max flight-recorder events (the EVENTS verb:
-// "OK <nlines>" then that many event lines, oldest first; max <= 0 asks
-// for the server's full retained window). Like METRICS it is
-// bare-framing only, so it exists on Client, not Mux.
-func (c *Client) Events(max int) ([]string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return nil, c.err
-	}
-	req := "EVENTS"
-	if max > 0 {
-		req += " " + strconv.Itoa(max)
-	}
-	resp, err := c.exchangeLocked(req)
-	if err != nil {
-		c.err = fmt.Errorf("client: connection desynced: %w", err)
-		return nil, err
-	}
-	body, err := parse(resp)
-	if err != nil {
-		return nil, err
-	}
-	n, err := strconv.Atoi(body)
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("client: malformed EVENTS header %q", resp)
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			c.err = fmt.Errorf("client: connection desynced: %w", err)
-			return nil, err
-		}
-		out = append(out, strings.TrimSpace(line))
-	}
-	return out, nil
-}
-
-func statsCall(d doer) (map[string]string, error) {
-	resp, err := d.do("STATS")
+func (m *Mux) Stats() (map[string]string, error) {
+	resp, err := m.do("STATS")
 	if err != nil {
 		return nil, err
 	}

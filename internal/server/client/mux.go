@@ -1,12 +1,13 @@
-// The pipelined transport. A Mux shares one TCP connection between any
-// number of goroutines: every request is sent as "REQ <id> <verb> ..."
-// without waiting for earlier responses, and a reader goroutine matches
-// each "RES <id> ..." line back to its caller. Against a server on the
-// same protocol this removes the round trip per request that dominates
-// Client throughput — requests stream, responses stream back, and write
-// syscalls are shared: a Batch is one write for its whole burst, and one
-// flush rule (Mux.write) lets every caller that is runnable at the same
-// instant — Batch or single request alike — ride one write(2) together.
+// The transport. A Mux shares one TCP connection between any number of
+// goroutines: every request is sent as "REQ <id> <verb> ..." without
+// waiting for earlier responses, and a reader goroutine matches each
+// "RES <id> ..." line back to its caller. A lone caller's frame is
+// flushed at once, so one goroutine on a Mux makes ordinary blocking
+// round trips; many goroutines stream requests and responses without a
+// round trip each, and share write syscalls: a Batch is one write for its
+// whole burst, and one flush rule (Mux.write) lets every caller that is
+// runnable at the same instant — Batch or single request alike — ride
+// one write(2) together.
 
 package client
 
@@ -27,10 +28,10 @@ import (
 // ErrClosed is returned by Mux calls after Close.
 var ErrClosed = errors.New("client: mux closed")
 
-// Mux is a concurrent, pipelined protocol client. All methods are safe
-// for concurrent use from any number of goroutines; requests multiplex
-// onto one connection in flight order and responses are correlated by id,
-// so slow requests never head-of-line block fast ones issued after them.
+// Mux is the protocol client. All methods are safe for concurrent use
+// from any number of goroutines; requests multiplex onto one connection
+// in flight order and responses are correlated by id, so slow requests
+// never head-of-line block fast ones issued after them.
 type Mux struct {
 	conn net.Conn
 
@@ -227,9 +228,7 @@ func (m *Mux) awaitCtx(ctx context.Context, ch chan resp) (resp, error) {
 	}
 }
 
-// do issues one pipelined request and waits for its response. It
-// satisfies the doer interface, so Mux serves every protocol verb through
-// the same implementations as Client.
+// do issues one pipelined request and waits for its response.
 //
 // Returning from send does not mean the frame has left the process: it may
 // be riding a flush another caller owes (see write). Should that flush
@@ -313,37 +312,6 @@ func (m *Mux) write(frames []byte) error {
 	}
 	return err
 }
-
-// Ping checks liveness.
-func (m *Mux) Ping() error { return ping(m) }
-
-// Get reads a committed value; ok is false for a missing key.
-func (m *Mux) Get(key string) (int64, bool, error) { return get(m, key) }
-
-// Put sets key to n.
-func (m *Mux) Put(key string, n int64) error { return put(m, key, n) }
-
-// Add atomically adds delta to key and returns the new value.
-func (m *Mux) Add(key string, delta int64) (int64, error) { return add(m, key, delta) }
-
-// Sum returns the total of the given keys as one consistent cross-shard
-// snapshot.
-func (m *Mux) Sum(keys ...string) (int64, error) { return sum(m, keys) }
-
-// Update executes ops as one serializable transaction and returns the new
-// value of each write op, in op order.
-func (m *Mux) Update(ops []Op, opts TxOpts) ([]int64, error) {
-	return update(context.Background(), m, ops, opts)
-}
-
-// UpdateContext is Update with a per-call deadline (see
-// Client.UpdateContext for the dl= mapping).
-func (m *Mux) UpdateContext(ctx context.Context, ops []Op, opts TxOpts) ([]int64, error) {
-	return update(ctx, m, ops, opts)
-}
-
-// Stats fetches the server's counters as a string map.
-func (m *Mux) Stats() (map[string]string, error) { return statsCall(m) }
 
 // UpdateReq is one transactional update of a Batch.
 type UpdateReq struct {

@@ -2,11 +2,11 @@
 // server-side session: operations issued through it execute inside an
 // open transaction on the server — with the engine's SCC speculation
 // live between round trips — and take effect atomically at Commit.
-// Client.Do / Mux.Do wrap the begin/run/commit cycle in a retry loop
-// that mirrors engine.Store.Update, so embedded-engine and network
-// callers share one API shape:
+// Mux.Do wraps the begin/run/commit cycle in a retry loop that mirrors
+// engine.Store.Update, so embedded-engine and network callers share one
+// API shape:
 //
-//	err := c.Do(client.TxOpts{Value: 5, Deadline: time.Second}, func(tx *client.Txn) error {
+//	err := m.Do(client.TxOpts{Value: 5, Deadline: time.Second}, func(tx *client.Txn) error {
 //	        bal, err := tx.Get("acct")
 //	        if err != nil {
 //	                return err
@@ -49,7 +49,7 @@ var ErrTxnFinished = errors.New("client: transaction already finished")
 // concurrent use; pipelining across transactions comes from running many
 // Txns over one Mux, not from racing one Txn.
 type Txn struct {
-	d     doer
+	m     *Mux
 	ctx   context.Context
 	id    string
 	fin   bool
@@ -67,36 +67,21 @@ func (t *Txn) Trace() string { return t.trace }
 // Begin opens an interactive transaction session carrying opts' value
 // function: it competes in the server's admission queue like any
 // transaction and is reaped server-side once its value crosses zero.
-func (c *Client) Begin(opts TxOpts) (*Txn, error) {
-	return begin(context.Background(), c, opts)
+// Many Txns may run concurrently over one Mux: their TXN ops pipeline
+// on the shared connection.
+func (m *Mux) Begin(opts TxOpts) (*Txn, error) {
+	return m.BeginContext(context.Background(), opts)
 }
 
 // BeginContext is Begin with ctx governing every round trip of the
 // session; ctx's deadline maps onto the session's dl= when opts carries
 // no explicit deadline, so the server reaps the session at the same
 // moment the caller stops waiting.
-func (c *Client) BeginContext(ctx context.Context, opts TxOpts) (*Txn, error) {
-	return begin(ctx, c, opts)
-}
-
-// Begin opens an interactive transaction session (see Client.Begin).
-// Many Txns may run concurrently over one Mux: their TXN ops pipeline
-// on the shared connection.
-func (m *Mux) Begin(opts TxOpts) (*Txn, error) {
-	return begin(context.Background(), m, opts)
-}
-
-// BeginContext is Begin with ctx governing the session (see
-// Client.BeginContext).
 func (m *Mux) BeginContext(ctx context.Context, opts TxOpts) (*Txn, error) {
-	return begin(ctx, m, opts)
-}
-
-func begin(ctx context.Context, d doer, o TxOpts) (*Txn, error) {
 	var b strings.Builder
 	b.WriteString("TXN BEGIN")
-	o.withCtxDeadline(ctx).wire().Encode(&b)
-	resp, err := d.doCtx(ctx, b.String())
+	opts.withCtxDeadline(ctx).wire().Encode(&b)
+	resp, err := m.doCtx(ctx, b.String())
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +92,7 @@ func begin(ctx context.Context, d doer, o TxOpts) (*Txn, error) {
 	if body == "" || strings.ContainsRune(body, ' ') {
 		return nil, fmt.Errorf("client: malformed TXN BEGIN reply %q", resp)
 	}
-	return &Txn{d: d, ctx: ctx, id: body}, nil
+	return &Txn{m: m, ctx: ctx, id: body}, nil
 }
 
 // op issues one session verb and parses the single-integer reply.
@@ -115,7 +100,7 @@ func (t *Txn) op(line string) (int64, error) {
 	if t.fin {
 		return 0, ErrTxnFinished
 	}
-	resp, err := t.d.doCtx(t.ctx, line)
+	resp, err := t.m.doCtx(t.ctx, line)
 	if err != nil {
 		return 0, err
 	}
@@ -165,7 +150,7 @@ func (t *Txn) Commit() ([]int64, error) {
 		return nil, ErrTxnFinished
 	}
 	t.fin = true
-	resp, err := t.d.doCtx(t.ctx, "TXN COMMIT "+t.id)
+	resp, err := t.m.doCtx(t.ctx, "TXN COMMIT "+t.id)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +183,7 @@ func (t *Txn) Abort() error {
 		return ErrTxnFinished
 	}
 	t.fin = true
-	resp, err := t.d.doCtx(t.ctx, "TXN ABORT "+t.id)
+	resp, err := t.m.doCtx(t.ctx, "TXN ABORT "+t.id)
 	if err != nil {
 		return err
 	}
@@ -216,33 +201,18 @@ const maxDoAttempts = 4
 // side effects of a run that did not commit. A non-conflict error from
 // fn aborts the transaction and is returned as-is; ErrShed is terminal
 // (the work's value is gone — retrying cannot restore it).
-func (c *Client) Do(opts TxOpts, fn func(*Txn) error) error {
-	return doTxn(context.Background(), c, opts, fn)
+func (m *Mux) Do(opts TxOpts, fn func(*Txn) error) error {
+	return m.DoContext(context.Background(), opts, fn)
 }
 
 // DoContext is Do governed by ctx (deadline mapping as in BeginContext).
-func (c *Client) DoContext(ctx context.Context, opts TxOpts, fn func(*Txn) error) error {
-	return doTxn(ctx, c, opts, fn)
-}
-
-// Do runs fn inside an interactive transaction over the pipelined
-// transport (see Client.Do).
-func (m *Mux) Do(opts TxOpts, fn func(*Txn) error) error {
-	return doTxn(context.Background(), m, opts, fn)
-}
-
-// DoContext is Do governed by ctx (see Client.DoContext).
 func (m *Mux) DoContext(ctx context.Context, opts TxOpts, fn func(*Txn) error) error {
-	return doTxn(ctx, m, opts, fn)
-}
-
-func doTxn(ctx context.Context, d doer, o TxOpts, fn func(*Txn) error) error {
 	var last error
 	for attempt := 0; attempt < maxDoAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		tx, err := begin(ctx, d, o)
+		tx, err := m.BeginContext(ctx, opts)
 		if err != nil {
 			return err
 		}

@@ -176,7 +176,7 @@ func TestPromoteTakesOver(t *testing.T) {
 	}
 	defer r.Close()
 
-	c, err := client.Dial(priAddr)
+	c, err := client.DialMux(priAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestPromoteTakesOver(t *testing.T) {
 	}
 
 	// Replicated state retained, gate lifted, writes accepted.
-	rc, err := client.Dial(repAddr)
+	rc, err := client.DialMux(repAddr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func startDurableServer(t *testing.T, cfg Config) (*Server, string) {
 // returns the expected key set.
 func driveMixedLoad(t *testing.T, addr string, rounds int) []string {
 	t.Helper()
-	c, err := client.Dial(addr)
+	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func driveMixedLoad(t *testing.T, addr string, rounds int) []string {
 // snapshotKeys reads every key through a fresh client.
 func snapshotKeys(t *testing.T, addr string, keys []string) map[string]int64 {
 	t.Helper()
-	c, err := client.Dial(addr)
+	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestServerCrashRecovery(t *testing.T) {
 		t.Fatalf("STATS %q lacks durability counters", st)
 	}
 	// New commits append above the recovered history.
-	c, err := client.Dial(addr2)
+	c, err := client.DialMux(addr2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestRetentionTrimsWithoutDurability(t *testing.T) {
 	}
 	defer r.Close()
 
-	c, err := client.Dial(priAddr)
+	c, err := client.DialMux(priAddr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func canonicalEventNames() []string {
 // usable; a cap caps it; bad args and REQ framing are refused.
 func TestEventsWireFraming(t *testing.T) {
 	_, addr := startServer(t, Config{Shards: 2, FlightSample: 1})
-	c, err := client.Dial(addr)
+	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,12 @@ func TestEventsWireFraming(t *testing.T) {
 	}
 }
 
-// TestClientEvents drives the verb through the Go client and checks the
+// TestClientEvents reads the verb the way a client program would — a
+// dedicated bare-framed connection beside its Mux — and checks the
 // events cover the request lifecycle without any trace= opt-in.
 func TestClientEvents(t *testing.T) {
 	_, addr := startServer(t, Config{Shards: 2, FlightSample: 1})
-	c, err := client.Dial(addr)
+	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestClientEvents(t *testing.T) {
 		client.TxOpts{Value: 1, Deadline: time.Minute}); err != nil {
 		t.Fatal(err)
 	}
-	lines, err := c.Events(0)
+	lines, err := bareMultiLine(addr, "EVENTS")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +129,12 @@ func TestClientEvents(t *testing.T) {
 			t.Errorf("always-on event journal is missing stage %q:\n%s", stage, joined)
 		}
 	}
-	capped, err := c.Events(2)
+	capped, err := bareMultiLine(addr, "EVENTS 2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(capped) > 2 {
-		t.Errorf("Events(2) returned %d lines", len(capped))
+		t.Errorf("EVENTS 2 returned %d lines", len(capped))
 	}
 }
 
@@ -144,7 +145,7 @@ func TestClientEvents(t *testing.T) {
 // the ring.
 func TestFlightSampling(t *testing.T) {
 	_, addr := startServer(t, Config{Shards: 2})
-	c, err := client.Dial(addr)
+	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestFlightSampling(t *testing.T) {
 	}
 	stageLines := func() int {
 		t.Helper()
-		lines, err := c.Events(0)
+		lines, err := bareMultiLine(addr, "EVENTS")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,7 +56,7 @@ func TestMetricsExposition(t *testing.T) {
 		Mode:        engine.SCC2S,
 		GroupCommit: engine.GroupCommit{Enabled: true, MaxBatch: 16},
 	})
-	c, err := client.Dial(addr)
+	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +68,10 @@ func TestMetricsExposition(t *testing.T) {
 			{Key: fmt.Sprintf("m%d", i%5), Delta: 1, Write: true},
 			{Key: fmt.Sprintf("m%d", (i+1)%5), Delta: -1, Write: true},
 		}
-		opts := client.TxOpts{Value: 2, Deadline: time.Minute}
+		opts := client.TxOpts{Value: 2, Deadline: time.Minute, Trace: i == 0}
 		if i == 0 {
-			if _, tr, err := c.UpdateTraced(ops, opts); err != nil || tr == "" {
-				t.Fatalf("UpdateTraced = trace %q, %v", tr, err)
+			if r := c.Batch([]client.UpdateReq{{Ops: ops, Opts: opts}})[0]; r.Err != nil || r.Trace == "" {
+				t.Fatalf("traced update = trace %q, %v", r.Trace, r.Err)
 			}
 		} else if _, err := c.Update(ops, opts); err != nil {
 			t.Fatal(err)
@@ -89,10 +89,11 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	text, err := c.Metrics()
+	lines, err := bareMultiLine(addr, "METRICS")
 	if err != nil {
 		t.Fatal(err)
 	}
+	text := strings.Join(lines, "\n") + "\n"
 	if !strings.HasPrefix(text, "# HELP ") {
 		t.Fatalf("exposition does not open with # HELP: %q", text[:min(len(text), 80)])
 	}
@@ -289,12 +290,12 @@ func TestMetricsWireFraming(t *testing.T) {
 // the Blocking Rule visible from the client.
 func TestTraceLifecyclePromotion(t *testing.T) {
 	_, addr := startServer(t, Config{Shards: 1, Mode: engine.SCC2S})
-	a, err := client.Dial(addr)
+	a, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := client.Dial(addr)
+	b, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +442,7 @@ func TestMetricsConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := client.Dial(addr)
+			c, err := client.DialMux(addr)
 			if err != nil {
 				t.Error(err)
 				return
@@ -453,7 +454,7 @@ func TestMetricsConcurrentStress(t *testing.T) {
 				case 0:
 					ops := []client.Op{{Key: key, Delta: 1, Write: true}}
 					if i%2 == 0 {
-						_, _, err = c.UpdateTraced(ops, client.TxOpts{Value: 1, Deadline: time.Minute})
+						err = c.Batch([]client.UpdateReq{{Ops: ops, Opts: client.TxOpts{Value: 1, Deadline: time.Minute, Trace: true}}})[0].Err
 					} else {
 						_, err = c.Update(ops, client.TxOpts{})
 					}
@@ -464,7 +465,7 @@ func TestMetricsConcurrentStress(t *testing.T) {
 				case 3:
 					_, err = c.Stats()
 				case 4:
-					_, err = c.Metrics()
+					_, err = bareMultiLine(addr, "METRICS")
 				}
 				if err != nil {
 					t.Errorf("worker %d op %d: %v", w, i, err)

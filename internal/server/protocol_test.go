@@ -47,6 +47,39 @@ func (rc *rawConn) recv() string {
 	return strings.TrimSpace(resp)
 }
 
+// bareMultiLine sends one bare-framing-only verb (METRICS, EVENTS) on a
+// fresh connection and returns the lines of its "OK <n>" reply. It
+// reports failures as errors, so stress workers can call it.
+func bareMultiLine(addr, req string) ([]string, error) {
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := fmt.Fprintf(c, "%s\n", req); err != nil {
+		return nil, err
+	}
+	r := bufio.NewReader(c)
+	header, err := r.ReadString('\n')
+	if err != nil {
+		return nil, err
+	}
+	var n int
+	if _, err := fmt.Sscanf(header, "OK %d", &n); err != nil || n < 0 {
+		return nil, fmt.Errorf("%s header = %q", req, header)
+	}
+	lines := make([]string, n)
+	for i := range lines {
+		line, err := r.ReadString('\n')
+		if err != nil {
+			return nil, err
+		}
+		lines[i] = strings.TrimRight(line, "\r\n")
+	}
+	return lines, nil
+}
+
 // TestProtocolConformance covers every verb's happy path and the error
 // surface, with exact responses where the protocol pins them down.
 func TestProtocolConformance(t *testing.T) {
@@ -81,6 +114,7 @@ func TestProtocolConformance(t *testing.T) {
 	exact("UPD r:a w:b:1", "OK 1")
 	exact("UPD v=2 dl=50 grad=0.1 w:a:0", "OK 10")
 	exact("UPD v=2 dl=50 w:a:0 w:b:0", "OK 10 1")
+	prefix("UPD trace=1 w:a:0", "OK 10 trace=enqueue:") // results, then the timeline
 	exact("SUM a b", "OK 11")
 	exact("SUM a a", "OK 20") // duplicate keys count twice
 	prefix("STATS", "OK shards=4 ")

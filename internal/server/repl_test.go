@@ -75,7 +75,7 @@ func waitCaughtUp(t *testing.T, pri *Server, r *repl.Replica) {
 // log reproduces the replica's state, and ack bookkeeping is sane.
 func TestReplicationConverges(t *testing.T) {
 	pri, priAddr, _, repAddr, r, _ := startReplicaPair(t, 4)
-	c, err := client.Dial(priAddr)
+	c, err := client.DialMux(priAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestReplicationConverges(t *testing.T) {
 	}
 	waitCaughtUp(t, pri, r)
 
-	rc, err := client.Dial(repAddr)
+	rc, err := client.DialMux(repAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestLagShedOnLivePath(t *testing.T) {
 	})
 	<-viewHeld
 
-	c, err := client.Dial(priAddr)
+	c, err := client.DialMux(priAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestLagShedOnLivePath(t *testing.T) {
 // replica — it keeps serving its last consistent snapshot.
 func TestReplicaFailover(t *testing.T) {
 	pri, priAddr, _, repAddr, r, _ := startReplicaPair(t, 2)
-	c, err := client.Dial(priAddr)
+	c, err := client.DialMux(priAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestReplicaFailover(t *testing.T) {
 	if r.Err() == nil {
 		t.Fatal("stream end after primary loss reported no error")
 	}
-	rc, err := client.Dial(repAddr)
+	rc, err := client.DialMux(repAddr)
 	if err != nil {
 		t.Fatal(err)
 	}

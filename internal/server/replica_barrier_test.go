@@ -27,12 +27,12 @@ func TestReplicaCrossShardAtomicVisibility(t *testing.T) {
 			k1 = k
 		}
 	}
-	pc, err := client.Dial(priAddr)
+	pc, err := client.DialMux(priAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	rc, err := client.Dial(repAddr)
+	rc, err := client.DialMux(repAddr)
 	if err != nil {
 		t.Fatal(err)
 	}

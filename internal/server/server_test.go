@@ -28,7 +28,7 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 
 func TestProtocol(t *testing.T) {
 	_, addr := startServer(t, Config{Shards: 4})
-	c, err := client.Dial(addr)
+	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestProtocolErrors(t *testing.T) {
 
 func TestShedOverWire(t *testing.T) {
 	_, addr := startServer(t, Config{Shards: 2})
-	c, err := client.Dial(addr)
+	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +158,11 @@ func TestE2EConservation(t *testing.T) {
 		keys[i] = fmt.Sprintf("acct%d", i)
 	}
 
-	seed, err := client.Dial(addr)
+	seed, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer seed.Close()
 	for _, k := range keys {
 		if err := seed.Put(k, initial); err != nil {
 			t.Fatal(err)
@@ -171,7 +172,7 @@ func TestE2EConservation(t *testing.T) {
 	stop := make(chan struct{})
 	checkerDone := make(chan error, 1)
 	go func() {
-		c, err := client.Dial(addr)
+		c, err := client.DialMux(addr)
 		if err != nil {
 			checkerDone <- err
 			return
@@ -206,7 +207,7 @@ func TestE2EConservation(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := client.Dial(addr)
+			c, err := client.DialMux(addr)
 			if err != nil {
 				errs <- err
 				return
@@ -286,7 +287,7 @@ func TestE2EModeComparison(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				c, err := client.Dial(addr)
+				c, err := client.DialMux(addr)
 				if err != nil {
 					t.Error(err)
 					return

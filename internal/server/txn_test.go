@@ -149,6 +149,14 @@ func TestTxnProtocolConformance(t *testing.T) {
 	}
 	exact("TXN ABORT "+id6, "OK")
 
+	// A traced session's COMMIT carries its timeline after the results.
+	id7 := begin("trace=1", 7)
+	exact("TXN W "+id7+" tr 1", "OK 1")
+	rc.send("TXN COMMIT " + id7)
+	if got := rc.recv(); !strings.HasPrefix(got, "OK 1 trace=enqueue:") {
+		t.Errorf("traced COMMIT -> %q, want OK 1 trace=enqueue:...", got)
+	}
+
 	// The connection survived the whole barrage.
 	exact("PING", "OK pong")
 }
@@ -163,12 +171,12 @@ func TestTxnProtocolConformance(t *testing.T) {
 // restart, exactly the paper's Sec. 2 mechanism.
 func TestTxnSpeculationAcrossRoundTrips(t *testing.T) {
 	srv, addr := startServer(t, Config{Shards: 1, Mode: engine.SCC2S})
-	a, err := client.Dial(addr)
+	a, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := client.Dial(addr)
+	b, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +241,7 @@ func TestTxnCrossShardFallback(t *testing.T) {
 			k2 = k
 		}
 	}
-	c, err := client.Dial(addr)
+	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +422,7 @@ func TestTxnReplica(t *testing.T) {
 	pri, priAddr, _, repAddr, r := startReplicaPairGated(t, 4, gate, 0)
 
 	// Seed the primary and let the replica catch up.
-	pc, err := client.Dial(priAddr)
+	pc, err := client.DialMux(priAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +432,7 @@ func TestTxnReplica(t *testing.T) {
 	}
 	waitCaughtUp(t, pri, r)
 
-	c, err := client.Dial(repAddr)
+	c, err := client.DialMux(repAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +474,7 @@ func TestTxnReplica(t *testing.T) {
 // inside a session, a clean return commits, an error aborts.
 func TestTxnClientDo(t *testing.T) {
 	_, addr := startServer(t, Config{Shards: 4})
-	c, err := client.Dial(addr)
+	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +537,7 @@ func TestTxnCtxDeadlineMapsToReap(t *testing.T) {
 		Shards: 2,
 		Txn:    TxnConfig{ReapEvery: time.Millisecond, MaxIdle: -1},
 	})
-	c, err := client.Dial(addr)
+	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,7 +681,7 @@ func TestCloseUnblocksSessions(t *testing.T) {
 		Admission: AdmissionConfig{MaxConcurrent: 1},
 		Txn:       TxnConfig{MaxIdle: -1}, // no idle cap: only Close can unwedge
 	})
-	c1, err := client.Dial(addr)
+	c1, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,7 +696,7 @@ func TestCloseUnblocksSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second BEGIN queues behind the held slot.
-	c2, err := client.Dial(addr)
+	c2, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -726,7 +734,7 @@ func TestCloseUnblocksSessions(t *testing.T) {
 // suite; this checks end-to-end equivalence of the two surfaces.)
 func TestUPDMatchesTxn(t *testing.T) {
 	_, addr := startServer(t, Config{Shards: 4})
-	c, err := client.Dial(addr)
+	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -862,7 +870,7 @@ func TestTxnSessionsNeverLoseAnAck(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	c, err := client.Dial(addr)
+	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
