@@ -92,12 +92,6 @@ func (s *State) Self() string { return s.self }
 // Peers returns the other nodes' client addresses.
 func (s *State) Peers() []string { return s.peers }
 
-// Members returns every known node address, self first — the node set
-// the placement planner balances over.
-func (s *State) Members() []string {
-	return append([]string{s.self}, s.peers...)
-}
-
 // Epoch returns the current fencing epoch.
 func (s *State) Epoch() uint64 {
 	s.mu.Lock()

@@ -154,9 +154,6 @@ func (c *SCC) Attach(rt *rtdbs.Runtime) {
 	}
 }
 
-// K returns the shadow budget.
-func (c *SCC) K() int { return c.k }
-
 // budget returns the shadow budget of one transaction: the fixed k, or the
 // adaptive per-transaction budget when configured.
 func (c *SCC) budget(t *model.Txn) int {

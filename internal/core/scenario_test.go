@@ -166,7 +166,7 @@ func TestFig4DonorFork(t *testing.T) {
 	if spB.sh.NextOp != 2 {
 		t.Fatalf("T3-shadow re-executed to %d, want block point 2", spB.sh.NextOp)
 	}
-	if !spB.sh.Log.ReadPage(pY) {
+	if spB.sh.Log.FirstReadIndex(pY) < 0 {
 		t.Fatal("T3-shadow missing inherited read of y")
 	}
 

@@ -58,11 +58,6 @@ func (g *RNG) Exp(mean float64) float64 {
 	return g.r.ExpFloat64() * mean
 }
 
-// Norm returns a normal draw with the given mean and standard deviation.
-func (g *RNG) Norm(mean, sigma float64) float64 {
-	return g.r.NormFloat64()*sigma + mean
-}
-
 // TruncNormal returns a normal draw with the given mean and relative
 // standard deviation, truncated by rejection to [lo, hi]. It is used for
 // the per-transaction execution-rate jitter factor, where sigma is

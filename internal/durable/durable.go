@@ -817,15 +817,6 @@ func (ms *managedShard) waitReleased(epochs []uint64) error {
 	}
 }
 
-// CheckpointIndex returns shard's newest checkpoint log index (0 before
-// the first checkpoint).
-func (m *Manager) CheckpointIndex(shard int) uint64 {
-	ms := m.shards[shard]
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return ms.ckptIdx
-}
-
 // RecoveredIndex reports the sum of per-shard commit-log indices
 // restored at Open — zero for a cold start, the total acknowledged
 // commit count survived for a restart.

@@ -635,13 +635,6 @@ func (w *WAL) TrimSegments(idx uint64) int {
 	return removed
 }
 
-// NextIndex returns the index the next append will carry.
-func (w *WAL) NextIndex() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.next
-}
-
 // Err returns the sticky failure that broke the WAL, if any.
 func (w *WAL) Err() error {
 	w.mu.Lock()

@@ -62,12 +62,15 @@ func (e *AttemptsError) Error() string {
 	return fmt.Sprintf("engine: transaction exceeded %d attempts", e.Attempts)
 }
 
-// Config configures a Store.
+// MaxAttempts bounds a transaction's executions — closure re-executions
+// here, cross-shard validation retries in internal/shard. Exhausting it
+// surfaces as an *AttemptsError.
+const MaxAttempts = 100
+
+// Config configures a Store. The attempt budget is not part of it: every
+// store bounds a transaction by MaxAttempts.
 type Config struct {
 	Mode Mode
-	// MaxAttempts bounds closure re-executions per transaction
-	// (0 = 100). Exhausted attempts surface as an error.
-	MaxAttempts int
 	// GroupCommit coalesces commit critical sections: transactions that
 	// finish while a flush is running commit together under one store-latch
 	// acquisition and one log sync when it completes. See commitqueue.go.
@@ -157,9 +160,6 @@ type versioned struct {
 
 // Open returns an empty store.
 func Open(cfg Config) *Store {
-	if cfg.MaxAttempts == 0 {
-		cfg.MaxAttempts = 100
-	}
 	s := &Store{
 		cfg:       cfg,
 		committed: make(map[string]versioned),
@@ -439,7 +439,7 @@ func (s *Store) UpdateTracedResult(value float64, tr *obs.Trace, fn func(*Tx) er
 	}
 	defer close(h.done)
 
-	for attempts := 0; attempts < s.cfg.MaxAttempts; attempts++ {
+	for attempts := 0; attempts < MaxAttempts; attempts++ {
 		a := &attempt{
 			h:       h,
 			aborted: make(chan struct{}),
@@ -509,7 +509,7 @@ func (s *Store) UpdateTracedResult(value float64, tr *obs.Trace, fn func(*Tx) er
 		// Detached and unresolved: fall through to a fresh optimistic
 		// attempt (restart).
 	}
-	return nil, &AttemptsError{Attempts: s.cfg.MaxAttempts}
+	return nil, &AttemptsError{Attempts: MaxAttempts}
 }
 
 // handOff is the one place a driver lets go of a round whose optimistic

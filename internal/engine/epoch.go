@@ -23,9 +23,6 @@ type Epochs struct{ n atomic.Uint64 }
 // per-shard log order agrees with epoch order.
 func (e *Epochs) Next() uint64 { return e.n.Add(1) }
 
-// Current returns the most recently allocated epoch (0 if none).
-func (e *Epochs) Current() uint64 { return e.n.Load() }
-
 // Observe raises the counter to at least n. Recovery calls it with the
 // largest epoch found on disk so fresh allocations never collide with
 // history.

@@ -99,13 +99,6 @@ type Txn struct {
 	OpTime float64
 }
 
-// ExecTime returns the actual total service demand of the transaction.
-func (t *Txn) ExecTime() float64 { return float64(len(t.Ops)) * t.OpTime }
-
-// EstExecTime returns the class-mean execution time, the estimate
-// available to deadline assignment and to SCC-DC/VW.
-func (t *Txn) EstExecTime() float64 { return t.Class.MeanExec() }
-
 // RelDeadline returns D - A, the relative deadline.
 func (t *Txn) RelDeadline() float64 { return float64(t.Deadline - t.Arrival) }
 
@@ -196,20 +189,8 @@ func (l *AccessLog) FirstReadIndex(p PageID) int {
 	return -1
 }
 
-// Wrote reports whether page p is in the write set.
-func (l *AccessLog) Wrote(p PageID) bool {
-	_, ok := l.writes[p]
-	return ok
-}
-
 // WritePages returns the write set in first-write order.
 func (l *AccessLog) WritePages() []PageID { return l.writeOrder }
-
-// ReadPages reports whether page p is in the read set.
-func (l *AccessLog) ReadPage(p PageID) bool {
-	_, ok := l.firstRead[p]
-	return ok
-}
 
 // Prefix returns a copy of the log truncated to ops with index < upto.
 // This is the fork operation of the paper's Read/Write rules: a new shadow

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -109,10 +110,10 @@ func TestAccessLogBasics(t *testing.T) {
 	if got := l.FirstReadIndex(99); got != -1 {
 		t.Fatalf("FirstReadIndex(absent) = %d, want -1", got)
 	}
-	if !l.Wrote(9) || l.Wrote(5) {
+	if w := l.WritePages(); !slices.Contains(w, 9) || slices.Contains(w, 5) {
 		t.Fatal("write set wrong")
 	}
-	if !l.ReadPage(7) || l.ReadPage(9) {
+	if l.FirstReadIndex(7) < 0 || l.FirstReadIndex(9) >= 0 {
 		t.Fatal("read set wrong")
 	}
 	if got := len(l.WritePages()); got != 1 {
@@ -139,14 +140,14 @@ func TestPrefix(t *testing.T) {
 	l.AddWrite(3, 2)
 	l.AddRead(4, 3, 7)
 	p := l.Prefix(2)
-	if !p.ReadPage(1) || !p.ReadPage(2) {
+	if p.FirstReadIndex(1) < 0 || p.FirstReadIndex(2) < 0 {
 		t.Fatal("prefix dropped early reads")
 	}
-	if p.Wrote(3) || p.ReadPage(4) {
+	if slices.Contains(p.WritePages(), 3) || p.FirstReadIndex(4) >= 0 {
 		t.Fatal("prefix kept accesses at or past the cut")
 	}
 	// Original unchanged.
-	if !l.Wrote(3) {
+	if !slices.Contains(l.WritePages(), 3) {
 		t.Fatal("Prefix mutated the donor log")
 	}
 }
@@ -203,15 +204,5 @@ func TestOpString(t *testing.T) {
 	}
 	if s := (Op{Page: 4, Write: true}).String(); s != "W4" {
 		t.Fatalf("write op String = %q", s)
-	}
-}
-
-func TestExecTime(t *testing.T) {
-	tx := mkTxn(1, 0, 1)
-	if got := tx.ExecTime(); math.Abs(got-0.03) > 1e-12 {
-		t.Fatalf("ExecTime = %v, want 0.03", got)
-	}
-	if got := tx.EstExecTime(); math.Abs(got-0.24) > 1e-12 {
-		t.Fatalf("EstExecTime = %v, want class mean 0.24", got)
 	}
 }

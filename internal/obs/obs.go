@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -114,20 +113,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// CounterVec is a family of counters keyed by one label.
-type CounterVec struct{ fam *family }
-
-// CounterVec registers a counter family with one label key. Series are
-// created on first With; hot paths should cache the returned *Counter.
-func (r *Registry) CounterVec(name, help, labelKey string) *CounterVec {
-	return &CounterVec{fam: r.register(name, help, "counter", labelKey)}
-}
-
-// With returns the counter for the given label value.
-func (v *CounterVec) With(label string) *Counter {
-	return v.fam.get(label, func() series { return &Counter{} }).(*Counter)
-}
-
 // FloatCounter is a monotonically increasing float64 (value accounting
 // is in value units, not integers). Add is a CAS loop on the bit
 // pattern — wait-free in practice at our update rates.
@@ -217,19 +202,6 @@ func (r *Registry) Expose(w io.Writer) {
 			s.expose(w, f, label)
 		}
 	}
-}
-
-// Names returns every registered family name, sorted — the conformance
-// test's view of the metrics surface.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.fams))
-	for _, f := range r.fams {
-		names = append(names, f.name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func labelPart(fam *family, label string) string {

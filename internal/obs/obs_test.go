@@ -13,9 +13,9 @@ func TestCounterExposition(t *testing.T) {
 	c := r.Counter("scc_test_total", "test counter")
 	c.Inc()
 	c.Add(2)
-	v := r.CounterVec("scc_test_by_verb_total", "labeled", "verb")
+	v := r.FloatCounterVec("scc_test_by_verb_total", "labeled", "verb")
 	v.With("GET").Add(5)
-	v.With("PUT").Inc()
+	v.With("PUT").Add(1)
 	var b strings.Builder
 	r.Expose(&b)
 	want := "# HELP scc_test_total test counter\n" +

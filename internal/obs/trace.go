@@ -128,14 +128,6 @@ func (t *Trace) Epoch() uint64 {
 	return t.epoch.Load()
 }
 
-// Txn returns the request id flight events are tagged with (nil-safe).
-func (t *Trace) Txn() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.txn
-}
-
 // Retained reports whether the trace keeps events for the trace= reply
 // (false for flight-only traces; nil-safe).
 func (t *Trace) Retained() bool { return t != nil && t.retain }

@@ -34,7 +34,7 @@ func TestTraceEpochToken(t *testing.T) {
 	}
 	var nilTr *Trace
 	nilTr.SetEpoch(7)
-	if nilTr.Epoch() != 0 || nilTr.Retained() || nilTr.Txn() != 0 {
+	if nilTr.Epoch() != 0 || nilTr.Retained() {
 		t.Fatal("nil trace accessors must return zero values")
 	}
 }

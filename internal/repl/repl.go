@@ -201,22 +201,16 @@ func (l *Log) From(from uint64, max int) ([]Record, <-chan struct{}, error) {
 	return recs, wake, nil
 }
 
-// TrimBelow drops every record with Index <= idx (clamped to the head)
-// and returns how many were dropped. The records' memory is released;
-// readers below the new base get ErrCompacted.
-func (l *Log) TrimBelow(idx uint64) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.trimBelowLocked(idx)
-}
-
-func (l *Log) trimBelowLocked(idx uint64) int {
+// trimBelowLocked drops every record with Index <= idx (clamped to the
+// head). The records' memory is released; readers below the new base
+// get ErrCompacted. Caller holds l.mu.
+func (l *Log) trimBelowLocked(idx uint64) {
 	head := l.base + uint64(len(l.recs))
 	if idx > head {
 		idx = head
 	}
 	if idx <= l.base {
-		return 0
+		return
 	}
 	n := int(idx - l.base)
 	// Reslice now (O(1) — at steady state auto-trim drops one record per
@@ -235,7 +229,6 @@ func (l *Log) trimBelowLocked(idx uint64) int {
 	}
 	l.base = idx
 	l.trimmed += int64(n)
-	return n
 }
 
 // SetRetention enables retention-bounded auto-trim: every append trims
@@ -379,15 +372,9 @@ func (f *Feed) Trimmed() int64 {
 	return n
 }
 
-// AckFloor returns the minimum acked index over subscribers tracking
-// shard, or the unbounded max when none tracks it — the safe trim limit
-// from the subscriber side.
-func (f *Feed) AckFloor(shard int) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ackFloorLocked(shard)
-}
-
+// ackFloorLocked returns the minimum acked index over subscribers
+// tracking shard, or the unbounded max when none tracks it — the safe
+// trim limit from the subscriber side. Caller holds f.mu.
 func (f *Feed) ackFloorLocked(shard int) uint64 {
 	floor := uint64(unbounded)
 	for s := range f.subs {
@@ -576,15 +563,6 @@ func (s *Sub) Ack(shard int, index uint64) {
 	if advanced {
 		s.feed.refloor(shard)
 	}
-}
-
-// Acked returns the acked index per shard.
-func (s *Sub) Acked() []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]uint64, len(s.acked))
-	copy(out, s.acked)
-	return out
 }
 
 // Close unregisters the subscriber from its feed and releases the trim

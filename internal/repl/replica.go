@@ -111,7 +111,6 @@ type Replica struct {
 
 	mu        sync.Mutex
 	applied   []uint64
-	acked     []uint64
 	lastEpoch []uint64 // per-shard commit-epoch watermark (wire epochs)
 	err       error
 	closed    bool
@@ -160,7 +159,6 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 		met:        cfg.Metrics,
 		flight:     cfg.Flight,
 		applied:    make([]uint64, cfg.Store.NumShards()),
-		acked:      make([]uint64, cfg.Store.NumShards()),
 		lastEpoch:  make([]uint64, cfg.Store.NumShards()),
 		pending:    make([][]Record, cfg.Store.NumShards()),
 		nextIdx:    make([]uint64, cfg.Store.NumShards()),
@@ -184,7 +182,6 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 			"err", err)
 		for i := range r.applied {
 			r.applied[i] = 0
-			r.acked[i] = 0
 			r.lastEpoch[i] = 0
 		}
 		br, pre, err = r.connect(cfg.Primary, true)
@@ -364,9 +361,6 @@ func (r *Replica) handshake(br *bufio.Reader, snapshot bool) (map[int][]Record, 
 			if _, err := fmt.Fprintf(r.w, "ACK %d %d\n", i, a); err != nil {
 				return nil, err
 			}
-			r.mu.Lock()
-			r.acked[i] = a
-			r.mu.Unlock()
 			acked = true
 		}
 	}
@@ -629,9 +623,6 @@ func (r *Replica) apply(batch map[int][]Record) error {
 		if _, err := fmt.Fprintf(r.w, "ACK %d %d\n", shardIdx, after[shardIdx]); err != nil {
 			return fmt.Errorf("repl: ack: %w", err)
 		}
-		r.mu.Lock()
-		r.acked[shardIdx] = after[shardIdx]
-		r.mu.Unlock()
 	}
 	// One offsets write per apply round, after the batch's local commit-
 	// log sync inside ApplyReplicated: the file can trail durable state
@@ -792,16 +783,6 @@ func (r *Replica) Watermarks() []uint64 {
 	defer r.mu.Unlock()
 	out := make([]uint64, len(r.lastEpoch))
 	copy(out, r.lastEpoch)
-	return out
-}
-
-// Acked returns the acked log index per shard; acks trail applies, never
-// lead them.
-func (r *Replica) Acked() []uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]uint64, len(r.acked))
-	copy(out, r.acked)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package rtdbs
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -174,17 +175,17 @@ func TestForkPrefixSemantics(t *testing.T) {
 	if f.StartOp != 2 || f.NextOp != 2 {
 		t.Fatalf("fork Start/Next = %d/%d, want 2/2", f.StartOp, f.NextOp)
 	}
-	if !f.Log.ReadPage(1) || !f.Log.ReadPage(2) {
+	if f.Log.FirstReadIndex(1) < 0 || f.Log.FirstReadIndex(2) < 0 {
 		t.Fatal("fork missing inherited prefix reads")
 	}
-	if f.Log.Wrote(3) {
+	if slices.Contains(f.Log.WritePages(), 3) {
 		t.Fatal("fork inherited an access past the cut")
 	}
 	if f.OwnExecTime() != 0 {
 		t.Fatalf("fresh fork OwnExecTime = %v, want 0", f.OwnExecTime())
 	}
 	full := rt.Fork(sh)
-	if full.NextOp != 3 || !full.Log.Wrote(3) {
+	if full.NextOp != 3 || !slices.Contains(full.Log.WritePages(), 3) {
 		t.Fatal("Fork must clone donor's full progress")
 	}
 }

@@ -39,24 +39,27 @@ type AdmissionConfig struct {
 	// MaxQueue bounds the waiting room; a full queue evicts the
 	// lowest-expected-value waiter (default 1024).
 	MaxQueue int
-	// InitOpTime seeds the per-operation service-time estimate in seconds
-	// (default 200µs). The estimate is refined online from observed
-	// completions — the live analogue of class statistics "obtained
-	// off-line from the previous history of the system" (Sec. 3.2).
-	InitOpTime float64
-	// RelSigma is the relative standard deviation assumed for execution
-	// times (default 0.2, the workload model's jitter).
-	RelSigma float64
 	// TenantBudget caps the value each tenant (the tenant= wire token)
-	// may have admitted per second, measured over a rolling TenantWindow.
+	// may have admitted per second, measured over a rolling tenantWindow.
 	// A tenant over its budget is shed exactly where zero-crossed waiters
 	// are shed — at the door and in every dispatch sweep — so a hog
 	// tenant saturates its own budget instead of the whole queue. 0
 	// disables budgets; untagged requests are never budget-shed.
 	TenantBudget float64
-	// TenantWindow is the rolling-budget window (default 1s).
-	TenantWindow time.Duration
 }
+
+// The execution-time model and the budget window are not configurable.
+// The per-operation service-time estimate starts at initOpTime and is
+// refined online from observed completions — the live analogue of class
+// statistics "obtained off-line from the previous history of the
+// system" (Sec. 3.2); execution times are assumed to spread by relSigma
+// of their mean (the workload model's jitter); tenant budgets are
+// metered over a rolling tenantWindow.
+const (
+	initOpTime   = 200e-6 // seconds
+	relSigma     = 0.2
+	tenantWindow = time.Second
+)
 
 func (c *AdmissionConfig) defaults() {
 	if c.MaxConcurrent <= 0 {
@@ -64,15 +67,6 @@ func (c *AdmissionConfig) defaults() {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 1024
-	}
-	if c.InitOpTime <= 0 {
-		c.InitOpTime = 200e-6
-	}
-	if c.RelSigma <= 0 {
-		c.RelSigma = 0.2
-	}
-	if c.TenantWindow <= 0 {
-		c.TenantWindow = time.Second
 	}
 }
 
@@ -160,7 +154,7 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 		cfg:    cfg,
 		epoch:  time.Now(),
 		slots:  cfg.MaxConcurrent,
-		opTime: cfg.InitOpTime,
+		opTime: initOpTime,
 	}
 }
 
@@ -168,22 +162,9 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 // value functions are expressed in.
 func (a *Admission) now() float64 { return time.Since(a.epoch).Seconds() }
 
-// FnFor builds a Def. 2 value function for a request arriving now: value v
-// until the deadline (relative, seconds; <= 0 means none), then declining
-// at gradient per second. A zero gradient with a deadline defaults to
-// losing the full value one relative deadline past it — the "45 degrees"
-// convention of the workload model. The semantics live in opts.T.Fn, the
-// one codec every value-carrying path shares; this wrapper just anchors
-// it to the queue's clock.
-func (a *Admission) FnFor(v, deadline, gradient float64) value.Fn {
-	return a.FnOf(opts.T{
-		Value:    v,
-		Deadline: opts.ClampDuration(deadline * float64(time.Second)),
-		Gradient: gradient,
-	})
-}
-
-// FnOf anchors parsed wire options to the queue's clock.
+// FnOf anchors parsed wire options to the queue's clock: the Def. 2
+// value function of a request arriving now (opts.T.Fn holds the
+// semantics every value-carrying path shares).
 func (a *Admission) FnOf(o opts.T) value.Fn { return o.Fn(a.now()) }
 
 // distFor builds the Def. 3 execution-time distribution for a request of
@@ -193,7 +174,7 @@ func (a *Admission) distFor(numOps int) value.ExecDist {
 		numOps = 1
 	}
 	mean := float64(numOps) * a.opTime
-	return value.ExecDist{Mean: mean, Sigma: a.cfg.RelSigma * mean}
+	return value.ExecDist{Mean: mean, Sigma: relSigma * mean}
 }
 
 // score is the Def. 7 expected value of dispatching w now: its value
@@ -228,7 +209,7 @@ func (a *Admission) meterLocked(tenant string, now float64) *tenantMeter {
 	if a.tenants == nil {
 		a.tenants = make(map[string]*tenantMeter)
 	}
-	bucket := int64(now / (a.cfg.TenantWindow.Seconds() / tenantBuckets))
+	bucket := int64(now / (tenantWindow.Seconds() / tenantBuckets))
 	m := a.tenants[tenant]
 	if m == nil {
 		if len(a.tenants) >= 4096 {
@@ -252,7 +233,7 @@ func (a *Admission) overBudgetLocked(tenant string, now float64) bool {
 	if a.cfg.TenantBudget <= 0 || tenant == "" {
 		return false
 	}
-	return a.meterLocked(tenant, now).total() >= a.cfg.TenantBudget*a.cfg.TenantWindow.Seconds()
+	return a.meterLocked(tenant, now).total() >= a.cfg.TenantBudget*tenantWindow.Seconds()
 }
 
 // chargeLocked records v admitted value against tenant's budget.

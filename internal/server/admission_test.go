@@ -6,12 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/server/opts"
 	"repro/internal/value"
 )
 
 func TestAdmissionFastPath(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{MaxConcurrent: 2})
-	f := a.FnFor(1, 0, 0)
+	f := a.FnOf(opts.T{Value: 1})
 	if err := a.Acquire(f, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestAdmissionShedsExpired(t *testing.T) {
 
 func TestAdmissionOrdersByExpectedValue(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1})
-	if err := a.Acquire(a.FnFor(1, 0, 0), 1); err != nil {
+	if err := a.Acquire(a.FnOf(opts.T{Value: 1}), 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -58,7 +59,7 @@ func TestAdmissionOrdersByExpectedValue(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := a.Acquire(a.FnFor(v, 10, 0), 1)
+			err := a.Acquire(a.FnOf(opts.T{Value: v, Deadline: 10 * time.Second}), 1)
 			results <- result{name, err}
 			if err == nil {
 				a.Release(time.Millisecond, 1)
@@ -88,16 +89,16 @@ func TestAdmissionOrdersByExpectedValue(t *testing.T) {
 
 func TestAdmissionQueueOverflowEvictsLowestValue(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 1})
-	if err := a.Acquire(a.FnFor(1, 0, 0), 1); err != nil {
+	if err := a.Acquire(a.FnOf(opts.T{Value: 1}), 1); err != nil {
 		t.Fatal(err)
 	}
 	lowDone := make(chan error, 1)
-	go func() { lowDone <- a.Acquire(a.FnFor(1, 10, 0), 1) }()
+	go func() { lowDone <- a.Acquire(a.FnOf(opts.T{Value: 1, Deadline: 10 * time.Second}), 1) }()
 	waitDepth(t, a, 1)
 	// Queue is full; a higher-value arrival evicts the parked low-value
 	// waiter.
 	highDone := make(chan error, 1)
-	go func() { highDone <- a.Acquire(a.FnFor(100, 10, 0), 1) }()
+	go func() { highDone <- a.Acquire(a.FnOf(opts.T{Value: 100, Deadline: 10 * time.Second}), 1) }()
 	if err := <-lowDone; !errors.Is(err, ErrShed) {
 		t.Fatalf("low waiter: err = %v, want ErrShed", err)
 	}
@@ -109,7 +110,7 @@ func TestAdmissionQueueOverflowEvictsLowestValue(t *testing.T) {
 
 func TestReadmitShedsExpired(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{MaxConcurrent: 2})
-	f := a.FnFor(1, 0, 0)
+	f := a.FnOf(opts.T{Value: 1})
 	if err := a.Acquire(f, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestReadmitShedsExpired(t *testing.T) {
 
 func TestReadmitKeepsLiveTransaction(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1})
-	f := a.FnFor(5, 0, 0)
+	f := a.FnOf(opts.T{Value: 5})
 	if err := a.Acquire(f, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -143,17 +144,17 @@ func TestReadmitKeepsLiveTransaction(t *testing.T) {
 
 func TestReadmitCompetesByExpectedValue(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1})
-	if err := a.Acquire(a.FnFor(10, 10, 0), 1); err != nil {
+	if err := a.Acquire(a.FnOf(opts.T{Value: 10, Deadline: 10 * time.Second}), 1); err != nil {
 		t.Fatal(err)
 	}
 	lowDone := make(chan error, 1)
-	go func() { lowDone <- a.Acquire(a.FnFor(1, 10, 0), 1) }()
+	go func() { lowDone <- a.Acquire(a.FnOf(opts.T{Value: 1, Deadline: 10 * time.Second}), 1) }()
 	waitDepth(t, a, 1)
 
 	// The retrying transaction outvalues the parked waiter, so it must
 	// win its own freed slot in the same sweep — not hand it to the
 	// low-value waiter and queue behind it.
-	if err := a.Readmit(a.FnFor(100, 10, 0), 1); err != nil {
+	if err := a.Readmit(a.FnOf(opts.T{Value: 100, Deadline: 10 * time.Second}), 1); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -180,9 +181,9 @@ func waitDepth(t *testing.T, a *Admission, depth int) {
 }
 
 func TestAdmissionOpTimeLearning(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, InitOpTime: 1e-3})
+	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1})
 	for i := 0; i < 200; i++ {
-		if err := a.Acquire(a.FnFor(1, 0, 0), 4); err != nil {
+		if err := a.Acquire(a.FnOf(opts.T{Value: 1}), 4); err != nil {
 			t.Fatal(err)
 		}
 		a.Release(8*time.Millisecond, 4) // 2ms per op observed
@@ -197,11 +198,11 @@ func TestTenantBudgetShedsHogAtDoor(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{MaxConcurrent: 64, TenantBudget: 10})
 	// Two admits of value 5 fill the hog's 10/sec budget exactly.
 	for i := 0; i < 2; i++ {
-		if err := a.AcquireTenant(a.FnFor(5, 10, 0), 1, "hog"); err != nil {
+		if err := a.AcquireTenant(a.FnOf(opts.T{Value: 5, Deadline: 10 * time.Second}), 1, "hog"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := a.AcquireTenant(a.FnFor(5, 10, 0), 1, "hog")
+	err := a.AcquireTenant(a.FnOf(opts.T{Value: 5, Deadline: 10 * time.Second}), 1, "hog")
 	if !errors.Is(err, ErrTenantShed) {
 		t.Fatalf("over-budget acquire = %v, want ErrTenantShed", err)
 	}
@@ -209,10 +210,10 @@ func TestTenantBudgetShedsHogAtDoor(t *testing.T) {
 		t.Fatal("ErrTenantShed must wrap ErrShed")
 	}
 	// A light tenant and untagged requests are unaffected.
-	if err := a.AcquireTenant(a.FnFor(5, 10, 0), 1, "light"); err != nil {
+	if err := a.AcquireTenant(a.FnOf(opts.T{Value: 5, Deadline: 10 * time.Second}), 1, "light"); err != nil {
 		t.Fatalf("light tenant shed alongside the hog: %v", err)
 	}
-	if err := a.Acquire(a.FnFor(5, 10, 0), 1); err != nil {
+	if err := a.Acquire(a.FnOf(opts.T{Value: 5, Deadline: 10 * time.Second}), 1); err != nil {
 		t.Fatalf("untagged request budget-shed: %v", err)
 	}
 	st := a.Stats()
@@ -225,33 +226,33 @@ func TestTenantBudgetShedsHogAtDoor(t *testing.T) {
 }
 
 func TestTenantBudgetRollsOver(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{MaxConcurrent: 4, TenantBudget: 5, TenantWindow: 50 * time.Millisecond})
-	if err := a.AcquireTenant(a.FnFor(5, 10, 0), 1, "t"); err != nil {
+	a := NewAdmission(AdmissionConfig{MaxConcurrent: 4, TenantBudget: 5})
+	if err := a.AcquireTenant(a.FnOf(opts.T{Value: 5, Deadline: 10 * time.Second}), 1, "t"); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AcquireTenant(a.FnFor(5, 10, 0), 1, "t"); !errors.Is(err, ErrTenantShed) {
+	if err := a.AcquireTenant(a.FnOf(opts.T{Value: 5, Deadline: 10 * time.Second}), 1, "t"); !errors.Is(err, ErrTenantShed) {
 		t.Fatalf("budget not enforced: %v", err)
 	}
 	// The window rolls; the tenant earns fresh budget.
-	time.Sleep(120 * time.Millisecond)
-	if err := a.AcquireTenant(a.FnFor(5, 10, 0), 1, "t"); err != nil {
+	time.Sleep(tenantWindow + 2*tenantWindow/tenantBuckets)
+	if err := a.AcquireTenant(a.FnOf(opts.T{Value: 5, Deadline: 10 * time.Second}), 1, "t"); err != nil {
 		t.Fatalf("budget did not roll over: %v", err)
 	}
 }
 
 func TestTenantBudgetShedsParkedWaiters(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, TenantBudget: 5})
-	if err := a.Acquire(a.FnFor(1, 0, 0), 1); err != nil {
+	if err := a.Acquire(a.FnOf(opts.T{Value: 1}), 1); err != nil {
 		t.Fatal(err)
 	}
 	// Two hog waiters park behind the held slot, both under budget at
 	// enqueue time. The high-value one is granted first (and its charge
 	// blows the budget); the next dispatch sweep must shed the other.
 	lowDone := make(chan error, 1)
-	go func() { lowDone <- a.AcquireTenant(a.FnFor(3, 10, 0), 1, "hog") }()
+	go func() { lowDone <- a.AcquireTenant(a.FnOf(opts.T{Value: 3, Deadline: 10 * time.Second}), 1, "hog") }()
 	waitDepth(t, a, 1)
 	highDone := make(chan error, 1)
-	go func() { highDone <- a.AcquireTenant(a.FnFor(100, 10, 0), 1, "hog") }()
+	go func() { highDone <- a.AcquireTenant(a.FnOf(opts.T{Value: 100, Deadline: 10 * time.Second}), 1, "hog") }()
 	waitDepth(t, a, 2)
 
 	a.Release(time.Millisecond, 1)

@@ -407,7 +407,6 @@ func TestInvalidKeysNeverReachTheWire(t *testing.T) {
 		"Batch":         func(k string) error { return m.Batch([]UpdateReq{{Ops: write(k)}})[0].Err },
 		"Txn.Get":       func(k string) error { _, err := tx.Get(k); return err },
 		"Txn.Add":       func(k string) error { _, err := tx.Add(k, 1); return err },
-		"Txn.Set":       func(k string) error { return tx.Set(k, 1) },
 	}
 	for _, sep := range []string{"\t", "\r", "\v", "\f", "\u0085", "\u00a0", " ", "\n", ":"} {
 		key := "a" + sep + "b"

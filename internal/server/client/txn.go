@@ -56,9 +56,6 @@ type Txn struct {
 	trace string
 }
 
-// ID returns the server-assigned session id.
-func (t *Txn) ID() string { return t.id }
-
 // Trace returns the lifecycle trace the commit reply carried ("" unless
 // the session was begun with TxOpts.Trace and committed): "stage:ns"
 // pairs, comma-separated, offsets from BEGIN.
@@ -130,15 +127,6 @@ func (t *Txn) Add(key string, delta int64) (int64, error) {
 		return 0, err
 	}
 	return t.op(fmt.Sprintf("TXN W %s %s %d", t.id, key, delta))
-}
-
-// Set blind-writes key to n (no read dependency — it never conflicts).
-func (t *Txn) Set(key string, n int64) error {
-	if err := checkKey(key); err != nil {
-		return err
-	}
-	_, err := t.op(fmt.Sprintf("TXN W %s %s =%d", t.id, key, n))
-	return err
 }
 
 // Commit finishes the transaction and returns the committed execution's

@@ -372,8 +372,10 @@ func TestMetricsConformance(t *testing.T) {
 
 	registered := make(map[string]bool)
 	for _, s := range []*Server{primary, dsrv, gsrv, csrv} {
-		for _, name := range s.Metrics().Names() {
-			registered[name] = true
+		var b strings.Builder
+		s.Metrics().Expose(&b)
+		for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(b.String(), -1) {
+			registered[m[1]] = true
 		}
 	}
 

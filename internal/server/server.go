@@ -271,9 +271,6 @@ func (s *Server) Feed() *repl.Feed { return s.feedP.Load() }
 // (or was never a replica).
 func (s *Server) replGate() *repl.LagGate { return s.gateP.Load() }
 
-// Cluster exposes the node's cluster state (nil unless clustered).
-func (s *Server) Cluster() *cluster.State { return s.cluster }
-
 // Durable exposes the durability manager (nil without a data directory).
 func (s *Server) Durable() *durable.Manager { return s.durable }
 
@@ -286,15 +283,6 @@ func (s *Server) Admission() *Admission { return s.adm }
 // Flight exposes the always-on flight recorder (EVENTS verb source;
 // operator binaries dump it on fault signals and serve /debug/events).
 func (s *Server) Flight() *flight.Recorder { return s.flight }
-
-// ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(lis)
-}
 
 // Serve accepts connections on lis until Close. Each connection is served
 // by its own goroutine, requests on it strictly in order.
@@ -329,16 +317,6 @@ func (s *Server) Serve(lis net.Listener) error {
 		s.wg.Add(1)
 		go s.serveConn(conn)
 	}
-}
-
-// Addr returns the listening address (nil before Serve).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lis == nil {
-		return nil
-	}
-	return s.lis.Addr()
 }
 
 // Close stops accepting, closes every connection, and closes the store.

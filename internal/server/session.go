@@ -47,7 +47,8 @@ import (
 	"repro/internal/shard"
 )
 
-// TxnConfig configures interactive transaction sessions.
+// TxnConfig configures interactive transaction sessions. The reaper
+// scans every reapEvery while sessions exist; that interval is fixed.
 type TxnConfig struct {
 	// MaxIdle reaps a session that has seen no operation for this long
 	// even while its value function is still positive — a dead client's
@@ -55,16 +56,16 @@ type TxnConfig struct {
 	// engine state forever. Default 30s; negative disables the idle cap
 	// (zero-crossing reaping still runs).
 	MaxIdle time.Duration
-	// ReapEvery is the reaper's scan interval (default 25ms).
-	ReapEvery time.Duration
 }
+
+// reapEvery is the reaper's scan interval: it notices a session whose
+// value function crossed zero, or whose idle cap expired, at most this
+// long after the fact.
+const reapEvery = 25 * time.Millisecond
 
 func (c *TxnConfig) defaults() {
 	if c.MaxIdle == 0 {
 		c.MaxIdle = 30 * time.Second
-	}
-	if c.ReapEvery <= 0 {
-		c.ReapEvery = 25 * time.Millisecond
 	}
 }
 
@@ -232,7 +233,7 @@ func (st *sessionTable) snapshot() []*session {
 // stall the sweep.
 func (st *sessionTable) reapLoop() {
 	defer close(st.done)
-	timer := time.NewTimer(st.cfg.ReapEvery)
+	timer := time.NewTimer(reapEvery)
 	defer timer.Stop()
 	for {
 		// Park entirely while no sessions exist: an idle (or
@@ -245,7 +246,7 @@ func (st *sessionTable) reapLoop() {
 			case <-st.wake:
 			}
 		}
-		timer.Reset(st.cfg.ReapEvery)
+		timer.Reset(reapEvery)
 		select {
 		case <-st.stop:
 			return
@@ -268,8 +269,7 @@ func (st *sessionTable) reapLoop() {
 				if ld != nil {
 					<-ld // let the engine transaction unwind first
 				}
-				st.remove(ss.id, true)
-				ss.req.finish(nil, errTxnReaped)
+				ss.end(true, nil, errTxnReaped)
 			}(ss, ld)
 		}
 	}
@@ -582,9 +582,7 @@ func (s *Server) txnCommit(ss *session) string {
 	default:
 		err = errors.New("txn aborted")
 	}
-	s.sessions.remove(ss.id, false)
-	s.met.sessionOps.Observe(int64(len(ops)))
-	return ss.req.finish(res, err)
+	return ss.end(false, res, err)
 }
 
 // txnAbort finishes the session with an abort verdict.
@@ -592,11 +590,19 @@ func (s *Server) txnAbort(ss *session) string {
 	if late := ss.claim(finAbort); late != "" {
 		return late
 	}
-	ss.mu.Lock()
-	nOps := len(ss.ops)
-	ss.mu.Unlock()
-	s.sessions.remove(ss.id, false)
-	s.met.sessionOps.Observe(int64(nOps))
-	ss.req.finish(nil, errTxnAborted)
+	ss.end(false, nil, errTxnAborted)
 	return "OK"
+}
+
+// end is the one way out of a claimed session — COMMIT, ABORT and the
+// reaper all take it: drop the session from the table (a reaped one
+// leaves a tombstone), observe its length in scc_txn_session_ops, and
+// finish its request, returning the reply.
+func (ss *session) end(reaped bool, res []int64, err error) string {
+	ss.mu.Lock()
+	n := len(ss.ops)
+	ss.mu.Unlock()
+	ss.srv.sessions.remove(ss.id, reaped)
+	ss.srv.met.sessionOps.Observe(int64(n))
+	return ss.req.finish(res, err)
 }

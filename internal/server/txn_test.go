@@ -283,7 +283,7 @@ func TestTxnCrossShardFallback(t *testing.T) {
 func TestTxnReap(t *testing.T) {
 	srv, addr := startServer(t, Config{
 		Shards: 2,
-		Txn:    TxnConfig{ReapEvery: time.Millisecond, MaxIdle: -1},
+		Txn:    TxnConfig{MaxIdle: -1},
 	})
 	rc := dialRaw(t, addr)
 
@@ -339,7 +339,7 @@ func TestTxnReap(t *testing.T) {
 func TestTxnIdleReap(t *testing.T) {
 	srv, addr := startServer(t, Config{
 		Shards: 2,
-		Txn:    TxnConfig{ReapEvery: time.Millisecond, MaxIdle: 20 * time.Millisecond},
+		Txn:    TxnConfig{MaxIdle: 20 * time.Millisecond},
 	})
 	rc := dialRaw(t, addr)
 	rc.send("TXN BEGIN") // no deadline: only the idle cap can reap it
@@ -535,7 +535,7 @@ func TestTxnClientDo(t *testing.T) {
 func TestTxnCtxDeadlineMapsToReap(t *testing.T) {
 	srv, addr := startServer(t, Config{
 		Shards: 2,
-		Txn:    TxnConfig{ReapEvery: time.Millisecond, MaxIdle: -1},
+		Txn:    TxnConfig{MaxIdle: -1},
 	})
 	c, err := client.DialMux(addr)
 	if err != nil {

@@ -124,9 +124,10 @@ func TestRetryGateGrantsRetry(t *testing.T) {
 }
 
 // TestNilGateKeepsBound: without a gate the loop still honours
-// MaxAttempts, surfacing the bound as an error under perpetual conflict.
+// engine.MaxAttempts, surfacing the bound as an error under perpetual
+// conflict.
 func TestNilGateKeepsBound(t *testing.T) {
-	s := Open(Config{Shards: 8, MaxAttempts: 3, Engine: engine.Config{Mode: engine.SCC2S}})
+	s := Open(Config{Shards: 8, Engine: engine.Config{Mode: engine.SCC2S}})
 	defer s.Close()
 	a, b := crossKeys(t, s)
 	keys := []string{a, b}
@@ -145,7 +146,7 @@ func TestNilGateKeepsBound(t *testing.T) {
 		}
 		return tx.Set(b, []byte("1"))
 	})
-	if err == nil || execs != 3 {
-		t.Fatalf("err = %v after %d executions, want attempt-bound error after 3", err, execs)
+	if err == nil || execs != engine.MaxAttempts {
+		t.Fatalf("err = %v after %d executions, want attempt-bound error after %d", err, execs, engine.MaxAttempts)
 	}
 }

@@ -67,11 +67,11 @@ const DefaultShards = 16
 type Config struct {
 	// Shards is the number of partitions (default DefaultShards).
 	Shards int
-	// Engine configures every shard's engine identically.
+	// Engine configures every shard's engine identically. Cross-shard
+	// validation retries share the engine's attempt bound,
+	// engine.MaxAttempts; exhausting it surfaces as an
+	// *engine.AttemptsError.
 	Engine engine.Config
-	// MaxAttempts bounds cross-shard validation retries (0 = 100);
-	// exhausting it surfaces as an *engine.AttemptsError.
-	MaxAttempts int
 	// CommitLogFor, when non-nil, gives each shard's engine a commit log
 	// (shard index -> log): every install on that shard, native or
 	// cross-shard, is appended under its commit latch, yielding the
@@ -105,7 +105,6 @@ func (s Stats) TotalCommits() int64 { return s.Engine.Commits + s.CrossCommits }
 type Store struct {
 	shards      []*engine.Store
 	epochs      *engine.Epochs
-	maxAttempts int
 	closed      atomic.Bool
 	groupCommit engine.GroupCommit // every shard's, and every cross-shard queue's
 	countBatch  func()             // crossBatches++: one closure for every queue's per-flush hook
@@ -124,16 +123,12 @@ func Open(cfg Config) *Store {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
-	if cfg.MaxAttempts == 0 {
-		cfg.MaxAttempts = 100
-	}
 	if cfg.Epochs == nil {
 		cfg.Epochs = &engine.Epochs{}
 	}
 	s := &Store{
 		shards:      make([]*engine.Store, cfg.Shards),
 		epochs:      cfg.Epochs,
-		maxAttempts: cfg.MaxAttempts,
 		groupCommit: cfg.Engine.GroupCommit,
 		queues:      make(map[string]*engine.CommitQueue),
 	}
@@ -238,9 +233,9 @@ func (s *Store) Update(keys []string, fn func(Tx) error) error {
 // After a cross-shard validation failure, gate is consulted before the
 // re-execution and can abandon the transaction (value crossed zero) or
 // delay it (re-queue through admission by expected value). A nil gate
-// retries immediately; either way MaxAttempts still bounds the loop. The
-// gate plays no part on the single-shard fast path, whose conflicts the
-// engine resolves internally with shadows.
+// retries immediately; either way engine.MaxAttempts still bounds the
+// loop. The gate plays no part on the single-shard fast path, whose
+// conflicts the engine resolves internally with shadows.
 //
 // A non-nil tr is threaded into the fast-path engine (which stamps fork/
 // park/resume/promotion/restart/install) and stamped by the cross-shard
@@ -347,7 +342,7 @@ func (s *Store) updateCross(value float64, involved []int, gate RetryGate, tr *o
 	for _, i := range involved {
 		invSet[i] = struct{}{}
 	}
-	for attempt := 0; attempt < s.maxAttempts; attempt++ {
+	for attempt := 0; attempt < engine.MaxAttempts; attempt++ {
 		// Mirror the engine's Close semantics, which only the fast path
 		// would otherwise enforce: no new cross-shard commits either.
 		if s.closed.Load() {
@@ -396,7 +391,7 @@ func (s *Store) updateCross(value float64, involved []int, gate RetryGate, tr *o
 		}
 		s.crossRestarts.Add(1)
 	}
-	return nil, fmt.Errorf("shard: cross-shard transaction: %w", &engine.AttemptsError{Attempts: s.maxAttempts})
+	return nil, fmt.Errorf("shard: cross-shard transaction: %w", &engine.AttemptsError{Attempts: engine.MaxAttempts})
 }
 
 // ApplyReplicated installs a batch of replicated commit records on one

@@ -24,12 +24,6 @@ type Event struct {
 	index    int // heap index, -1 when popped
 }
 
-// At reports the virtual time this event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -76,10 +70,6 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Steps returns the number of events fired so far.
 func (k *Kernel) Steps() int64 { return k.steps }
-
-// Pending returns the number of events in the queue, including canceled
-// events that have not been reaped yet.
-func (k *Kernel) Pending() int { return len(k.q) }
 
 // At schedules fn at absolute time t. Scheduling in the past panics: it is
 // always a model bug and silently reordering time corrupts results.

@@ -61,9 +61,6 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
-	}
 }
 
 func TestCancelDuringRun(t *testing.T) {

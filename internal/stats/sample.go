@@ -54,15 +54,10 @@ func (s *Sample) Mean() float64 {
 // reservoir otherwise). The slice is shared; callers must not mutate it.
 func (s *Sample) Raw() []float64 { return s.xs }
 
-// Percentile returns the p-th percentile (p in [0, 100]) of the retained
-// observations by linear interpolation between order statistics. NaN with
-// no observations.
-func (s *Sample) Percentile(p float64) float64 {
-	return s.Percentiles(p)[0]
-}
-
-// Percentiles computes several percentiles with a single copy-and-sort of
-// the retained observations. NaN entries with no observations.
+// Percentiles returns the p-th percentiles (each p in [0, 100]) of the
+// retained observations by linear interpolation between order
+// statistics, with a single copy-and-sort. NaN entries with no
+// observations.
 func (s *Sample) Percentiles(ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	if len(s.xs) == 0 {

@@ -13,7 +13,7 @@ func TestSamplePercentile(t *testing.T) {
 	for _, tc := range []struct{ p, want float64 }{
 		{0, 1}, {100, 100}, {50, 50.5}, {99, 99.01},
 	} {
-		if got := s.Percentile(tc.p); math.Abs(got-tc.want) > 0.02 {
+		if got := s.Percentiles(tc.p)[0]; math.Abs(got-tc.want) > 0.02 {
 			t.Errorf("P%v = %v, want %v", tc.p, got, tc.want)
 		}
 	}
@@ -27,7 +27,7 @@ func TestSamplePercentile(t *testing.T) {
 
 func TestSampleEmpty(t *testing.T) {
 	s := NewSample(0, 1)
-	if !math.IsNaN(s.Percentile(50)) {
+	if !math.IsNaN(s.Percentiles(50)[0]) {
 		t.Error("empty percentile should be NaN")
 	}
 	if s.Mean() != 0 {
@@ -54,7 +54,7 @@ func TestSampleReservoir(t *testing.T) {
 	// The reservoir median of a uniform 0..999 stream should be near 500;
 	// a reservoir of 100 has standard error ~ 29, so ±150 is generous but
 	// catches a broken (biased) reservoir.
-	if med := s.Percentile(50); med < 350 || med > 650 {
+	if med := s.Percentiles(50)[0]; med < 350 || med > 650 {
 		t.Errorf("reservoir median = %v, want ~500", med)
 	}
 }

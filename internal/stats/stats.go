@@ -164,22 +164,3 @@ func Aggregate(xs []float64) Estimate {
 	}
 	return Estimate{Mean: w.Mean(), CI: w.CI90(), N: w.N()}
 }
-
-// Merge adds other's counters into m (used to pool warm-up-trimmed
-// segments or shard results).
-func (m *Metrics) Merge(other *Metrics) {
-	m.Committed += other.Committed
-	m.Missed += other.Missed
-	m.TardinessSum += other.TardinessSum
-	m.ValueSum += other.ValueSum
-	m.MaxValueSum += other.MaxValueSum
-	m.Restarts += other.Restarts
-	m.Promotions += other.Promotions
-	m.ShadowForks += other.ShadowForks
-	m.ShadowAborts += other.ShadowAborts
-	m.WastedTime += other.WastedTime
-	m.UsefulTime += other.UsefulTime
-	m.CommitWaits += other.CommitWaits
-	m.BlockedWaits += other.BlockedWaits
-	m.DeadlockAvert += other.DeadlockAvert
-}

@@ -135,18 +135,6 @@ func TestAggregate(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := &Metrics{Committed: 1, Missed: 1, TardinessSum: 2, ValueSum: 3, MaxValueSum: 4,
-		Restarts: 5, Promotions: 6, ShadowForks: 7, ShadowAborts: 8,
-		WastedTime: 9, UsefulTime: 10, CommitWaits: 11, BlockedWaits: 12, DeadlockAvert: 13}
-	b := &Metrics{}
-	b.Merge(a)
-	b.Merge(a)
-	if b.Committed != 2 || b.DeadlockAvert != 26 || b.WastedTime != 18 {
-		t.Fatalf("Merge result wrong: %+v", b)
-	}
-}
-
 // Property: Welford mean is always within [min, max] of inputs.
 func TestWelfordMeanBounds(t *testing.T) {
 	f := func(xs []float64) bool {

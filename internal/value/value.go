@@ -20,9 +20,9 @@ import (
 type Shape int
 
 const (
-	// ShapeLinear declines at Gradient per second past the deadline
+	// The zero Shape declines at Gradient per second past the deadline
 	// (Def. 2; may go negative, like model.Txn.Value).
-	ShapeLinear Shape = iota
+	_ Shape = iota
 	// ShapeCliff drops to zero immediately past the deadline (a hard
 	// firm-deadline transaction: late work is worthless).
 	ShapeCliff
@@ -41,7 +41,7 @@ const (
 type Fn struct {
 	V        float64 // value when committed on time
 	Deadline float64 // absolute soft deadline
-	Gradient float64 // ShapeLinear: value lost per second past the deadline
+	Gradient float64 // zero Shape: value lost per second past the deadline
 	Shape    Shape
 	Window   float64 // ShapeStep/ShapeRenewal: post-deadline window width, seconds
 	StepFrac float64 // ShapeStep: fraction of V retained during the window
