@@ -10,7 +10,8 @@
 // value-cognizant admission queue. A primary (default) keeps per-shard
 // commit logs and serves REPL/ACK replication subscriptions; started with
 // -replica-of it becomes a read replica: it bootstraps from a SNAP
-// snapshot, streams the primary's commit log into its own store, and
+// snapshot (a durable replica restarts from <data-dir>/replica.resume
+// instead), streams the primary's commit log into its own store, and
 // serves snapshot reads, shedding reads whose value functions would cross
 // zero before it catches up. With -data-dir the server is durable: every
 // commit is written to a per-shard WAL before it is acknowledged (fsync
@@ -21,9 +22,10 @@
 // With -cluster-self and -cluster-peers the server joins the failover
 // monitor: replicas heartbeat the primary and, when the lease expires,
 // the most-caught-up replica promotes itself under a freshly minted
-// fencing epoch; a deposed primary fences itself (dumping its flight
-// ring like a WAL failure) and redirects clients to the new primary via
-// ERR not-primary. -repl-sync makes the primary semi-synchronous: each
+// fencing epoch and the other replicas re-point their streams at it; a
+// deposed primary fences itself (dumping its flight ring like a WAL
+// failure) and redirects clients to the new primary via ERR
+// not-primary. -repl-sync makes the primary semi-synchronous: each
 // OK is held until a replica acked the commit's log records, degrading
 // to async past -repl-sync-timeout.
 //
@@ -42,16 +44,12 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/* on the -metrics-addr mux
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/durable"
 	"repro/internal/engine"
-	"repro/internal/repl"
 	"repro/internal/server"
 )
 
@@ -83,7 +81,6 @@ func main() {
 	replLagBudget := flag.Duration("repl-lag-budget", 50*time.Millisecond, "replica: estimated catch-up time tolerated before lag-based value shedding")
 	replLog := flag.Bool("repl-log", true, "keep per-shard commit logs and serve REPL subscriptions")
 	replRetain := flag.Uint64("repl-retain", 65536, "in-memory commit-log retention per shard: records acked by every subscriber are trimmed past this many (0 = no retention bound; checkpoints on a durable server still trim; trimmed joiners bootstrap via SNAP)")
-	replSnapshot := flag.Bool("repl-snapshot", true, "replica: bootstrap via SNAP snapshot + log suffix instead of replaying the primary's log from index 1")
 	dataDir := flag.String("data-dir", "", "durability directory: per-shard WAL + checkpoints, recovered on boot (empty = in-memory only)")
 	fsync := flag.String("fsync", "group", "WAL fsync policy: always (per commit) | group (per commit batch: commits queue behind the running fsync and share the next) | off (OS page cache only)")
 	ckptEvery := flag.Int("ckpt-every", 4096, "checkpoint a shard after this many WAL records, highest pending-value shard first (0 = only on the CKPT verb)")
@@ -92,7 +89,6 @@ func main() {
 	flightSample := flag.Int("flight-sample", 0, "flight recorder lifecycle sampling: 1-in-N untraced requests stamp their stages into the EVENTS ring (trace=1 requests and durability/replication/shed events always record; 0 = default 8, 1 = every request)")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address serving GET /metrics (Prometheus text exposition of the same registry as the METRICS wire verb) and /debug/pprof (empty = off)")
 	logLevel := flag.String("log-level", "info", "structured-log verbosity on stderr: debug | info | warn | error")
-	resumeFile := flag.String("repl-resume", "", "replica: file persisting the primary's per-shard applied indices so a restart resumes the stream instead of re-bootstrapping via SNAP (default <data-dir>/replica.resume when -data-dir is set)")
 	clusterSelf := flag.String("cluster-self", "", "this node's advertised client address, as peers should dial it; enables the cluster failover monitor (lease heartbeats, elections, fencing epochs)")
 	clusterPeers := flag.String("cluster-peers", "", "comma-separated client addresses of the other cluster members")
 	clusterLease := flag.Duration("cluster-lease", 750*time.Millisecond, "failover lease: how long the primary may go unreachable before replicas run an election")
@@ -129,31 +125,6 @@ func main() {
 	if err != nil {
 		fatal("sccserve: bad -fsync", "err", err)
 	}
-	var gate *repl.LagGate
-	if *replicaOf != "" {
-		gate = repl.NewLagGate(*shards, *replLagBudget, 0)
-	}
-	// The cluster state must exist before the server opens: the fenced
-	// commit-log sinks are installed at Open against the boot epoch.
-	var cstate *cluster.State
-	if *clusterSelf != "" {
-		var peers []string
-		for _, p := range strings.Split(*clusterPeers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peers = append(peers, p)
-			}
-		}
-		cstate = cluster.NewState(*clusterSelf, peers)
-		if *replicaOf == "" {
-			if err := cstate.BecomePrimary(1); err != nil {
-				fatal("sccserve: cluster", "err", err)
-			}
-		} else {
-			cstate.SetReplica(*replicaOf)
-		}
-	} else if *clusterPeers != "" {
-		fatal("sccserve: -cluster-peers needs -cluster-self (this node's advertised address)")
-	}
 	// Fail-stop on a broken WAL, synchronously: the durability manager
 	// invokes this the moment a sync fails, after the failing batch's
 	// verdicts have already been converted to ERR in-line — so no OK ever
@@ -177,14 +148,19 @@ func main() {
 			MaxBatch: *gcBatch,
 		},
 		PipelineDepth: *pipelineDepth,
+		ReplicaOf:     *replicaOf,
 		Repl: server.ReplOptions{
 			Primary:     *replLog,
-			Gate:        gate,
+			LagBudget:   *replLagBudget,
 			Retain:      *replRetain,
 			SyncAcks:    *replSync,
 			SyncTimeout: *replSyncTimeout,
 		},
-		Cluster:      cstate,
+		Cluster: server.ClusterConfig{
+			Self:  *clusterSelf,
+			Peers: strings.FieldsFunc(*clusterPeers, func(r rune) bool { return r == ',' || r == ' ' }),
+			Lease: *clusterLease,
+		},
 		Txn:          server.TxnConfig{MaxIdle: *txnIdle},
 		FlightSample: *flightSample,
 		Durable: durable.Options{
@@ -203,79 +179,6 @@ func main() {
 	if d := srv.Durable(); d != nil {
 		slog.Info("sccserve: durable", "dir", *dataDir, "fsync", fsyncPolicy.String(),
 			"ckpt_every", *ckptEvery, "recovered_records", d.RecoveredIndex())
-	}
-
-	// rep is the live replication stream; the failover hooks swap it (a
-	// promotion consumes it, a follow re-points it), so access goes
-	// through repMu. takeRep detaches it for a consumer.
-	var repMu sync.Mutex
-	var rep *repl.Replica
-	takeRep := func() *repl.Replica {
-		repMu.Lock()
-		defer repMu.Unlock()
-		r := rep
-		rep = nil
-		return r
-	}
-	startRepl := func(primary string) error {
-		resume := *resumeFile
-		if resume == "" && *dataDir != "" {
-			resume = filepath.Join(*dataDir, "replica.resume")
-		}
-		r, err := repl.StartReplica(repl.ReplicaConfig{
-			Primary:    primary,
-			Store:      srv.Store(),
-			Gate:       gate,
-			Snapshot:   *replSnapshot,
-			ResumePath: resume,
-			Metrics:    server.NewReplicaMetrics(srv.Metrics()),
-			Flight:     srv.Flight().Repl(),
-		})
-		if err != nil {
-			return err
-		}
-		repMu.Lock()
-		rep = r
-		repMu.Unlock()
-		go func() {
-			<-r.Done()
-			if err := r.Err(); err != nil {
-				slog.Warn("sccserve: replication stream ended; serving frozen snapshot", "err", err)
-			}
-		}()
-		return nil
-	}
-	if *replicaOf != "" {
-		if err := startRepl(*replicaOf); err != nil {
-			fatal("sccserve: replication", "err", err)
-		}
-		defer func() {
-			if r := takeRep(); r != nil {
-				r.Close()
-			}
-		}()
-	}
-	if cstate != nil {
-		// Elections rank candidates by catch-up position, read straight
-		// off the replication stream.
-		cstate.SetProgress(func() (uint64, uint64) {
-			repMu.Lock()
-			r := rep
-			repMu.Unlock()
-			if r == nil {
-				return 0, 0
-			}
-			var mark, sum uint64
-			for _, m := range r.Watermarks() {
-				if m > mark {
-					mark = m
-				}
-			}
-			for _, a := range r.Applied() {
-				sum += a
-			}
-			return mark, sum
-		})
 	}
 
 	if *metricsAddr != "" {
@@ -309,16 +212,9 @@ func main() {
 	if err != nil {
 		fatal("sccserve: listen", "err", err)
 	}
-	role := "primary"
-	if *replicaOf != "" {
-		role = fmt.Sprintf("replica of %s (lag budget %s)", *replicaOf, *replLagBudget)
-	}
-	if cstate != nil {
-		role += fmt.Sprintf(" [clustered self=%s peers=%d lease=%s epoch=%d]",
-			*clusterSelf, len(cstate.Peers()), *clusterLease, cstate.Epoch())
-	}
 	slog.Info("sccserve: serving", "mode", m.String(), "shards", *shards, "addr", lis.Addr().String(),
-		"role", role, "slots", *concurrency, "queue", *queue, "gc_batch", *gcBatch)
+		"replica_of", *replicaOf, "cluster_self", *clusterSelf, "cluster_peers", *clusterPeers,
+		"slots", *concurrency, "queue", *queue, "gc_batch", *gcBatch)
 
 	if *statsEvery > 0 {
 		go func() {
@@ -333,76 +229,21 @@ func main() {
 		}()
 	}
 
-	// dumpFlight pulls the flight recorder's retained window: to
-	// <data-dir>/flight when durable, stderr otherwise. Shared by the
-	// operator's SIGQUIT pull and the automatic dump on demotion.
-	dumpFlight := func(reason string) {
-		if *dataDir != "" {
-			if path, err := srv.Flight().DumpDir(filepath.Join(*dataDir, "flight"), reason); err != nil {
-				slog.Error("sccserve: flight dump failed", "err", err)
-			} else {
-				slog.Info("sccserve: flight dump", "path", path)
-			}
-		} else if err := srv.Flight().WriteTo(os.Stderr, reason); err != nil {
-			slog.Error("sccserve: flight dump failed", "err", err)
-		}
-	}
-
 	// SIGQUIT is the operator's black-box pull: dump the flight
-	// recorder's retained window and keep serving (unlike the Go
-	// runtime's default stack-dump-and-exit, which SIGABRT still gives).
+	// recorder's retained window (to <data-dir>/flight when durable,
+	// stderr otherwise) and keep serving (unlike the Go runtime's default
+	// stack-dump-and-exit, which SIGABRT still gives).
 	quit := make(chan os.Signal, 1)
 	signal.Notify(quit, syscall.SIGQUIT)
 	go func() {
 		for range quit {
-			dumpFlight("sigquit")
+			srv.DumpFlight("sigquit")
 		}
 	}()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	done := make(chan error, 1)
-
-	// The failover monitor starts between listen and serve: the listener
-	// already exists (early connections queue in the accept backlog), and
-	// Start's synchronous boot probe runs before the first write is
-	// served — a restarted old primary discovers the higher fencing epoch
-	// and fences itself before it can acknowledge anything.
-	if cstate != nil {
-		node := cluster.NewNode(cluster.Config{
-			State: cstate,
-			Lease: *clusterLease,
-			Hooks: cluster.Hooks{
-				Promote: func(epoch uint64) error {
-					if err := srv.Promote(takeRep(), epoch); err != nil {
-						return err
-					}
-					slog.Warn("sccserve: promoted to primary", "epoch", epoch)
-					return nil
-				},
-				Follow: func(primary string) error {
-					if r := takeRep(); r != nil {
-						r.Close()
-					}
-					slog.Info("sccserve: following new primary", "primary", primary)
-					return startRepl(primary)
-				},
-				Demote: func(epoch uint64, primary string) {
-					// The state already flipped to fenced; this is the
-					// black-box moment — record it like a WAL failure.
-					slog.Error("sccserve: deposed by higher fencing epoch; fenced",
-						"epoch", epoch, "primary", primary)
-					srv.Demote(epoch, primary)
-					dumpFlight("demote")
-				},
-				Logf: func(format string, args ...any) {
-					slog.Info(fmt.Sprintf(format, args...))
-				},
-			},
-		})
-		node.Start()
-		defer node.Close()
-	}
 	go func() { done <- srv.Serve(lis) }()
 
 	select {

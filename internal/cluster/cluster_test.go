@@ -45,12 +45,12 @@ func TestElectLeaderRanking(t *testing.T) {
 }
 
 func TestStateObserveAndFence(t *testing.T) {
-	st := NewState("n1:7070", []string{"n2:7070", "n1:7070"})
+	st := NewState("n1:7070", []string{"n2:7070", "n1:7070"}, "")
 	if got := st.Peers(); len(got) != 1 || got[0] != "n2:7070" {
 		t.Fatalf("peers = %v, want self filtered out", got)
 	}
-	if err := st.BecomePrimary(1); err != nil {
-		t.Fatalf("BecomePrimary(1): %v", err)
+	if e, r, p := st.Snapshot(); e != 1 || r != RolePrimary || p != "n1:7070" {
+		t.Fatalf("boot without a primary: epoch=%d role=%v primary=%q, want the primary at epoch 1", e, r, p)
 	}
 	if st.Observe(1, "n2:7070") {
 		t.Fatal("equal epoch must not depose")
@@ -134,10 +134,7 @@ func TestNodeBootProbeFencesRestartedPrimary(t *testing.T) {
 	// synchronous boot probe and fence itself before serving anything.
 	addr, stop := fakePeer(t, TopoReply{Role: "primary", Epoch: 2, Self: "new-primary", Watermark: 9, Applied: 9})
 	defer stop()
-	st := NewState("127.0.0.1:1", []string{addr})
-	if err := st.BecomePrimary(1); err != nil {
-		t.Fatal(err)
-	}
+	st := NewState("127.0.0.1:1", []string{addr}, "")
 	demoted := make(chan uint64, 1)
 	n := NewNode(Config{
 		State: st,
@@ -162,24 +159,24 @@ func TestNodeBootProbeFencesRestartedPrimary(t *testing.T) {
 func TestNodeElectsSelfWhenPrimaryDies(t *testing.T) {
 	// Single replica, primary address points nowhere: the lease expires
 	// and the lone candidate promotes itself at epoch 2.
-	st := NewState("127.0.0.1:9", nil)
-	st.SetReplica("127.0.0.1:1") // unreachable
-	st.SetProgress(func() (uint64, uint64) { return 1, 42 })
+	st := NewState("127.0.0.1:9", nil, "127.0.0.1:1") // the primary is unreachable
 	promoted := make(chan uint64, 1)
 	n := NewNode(Config{
-		State:    st,
-		Lease:    100 * time.Millisecond,
-		Interval: 25 * time.Millisecond,
-		Hooks: Hooks{Promote: func(epoch uint64) error {
-			// Flip the state first, signal second: the test asserts
-			// IsPrimary as soon as it receives.
-			err := st.BecomePrimary(epoch)
-			select {
-			case promoted <- epoch:
-			default:
-			}
-			return err
-		}},
+		State: st,
+		Lease: 100 * time.Millisecond,
+		Hooks: Hooks{
+			Progress: func() (uint64, uint64) { return 1, 42 },
+			Promote: func(epoch uint64) error {
+				// Flip the state first, signal second: the test asserts
+				// IsPrimary as soon as it receives.
+				err := st.BecomePrimary(epoch)
+				select {
+				case promoted <- epoch:
+				default:
+				}
+				return err
+			},
+		},
 	})
 	n.Start()
 	defer n.Close()
@@ -196,26 +193,66 @@ func TestNodeElectsSelfWhenPrimaryDies(t *testing.T) {
 	}
 }
 
+func TestNodeRetriesFailedFollow(t *testing.T) {
+	// A peer claims primaryship at epoch 2. The replica's first Follow
+	// fails (a just-promoted primary may not serve replication yet), so a
+	// later contact must retry it; once one succeeds it must not repeat.
+	addr, stop := fakePeer(t, TopoReply{Role: "primary", Epoch: 2, Self: "new-primary"})
+	defer stop()
+	st := NewState("127.0.0.1:9", []string{addr}, "127.0.0.1:1") // the old primary is gone
+	follows := make(chan string, 8)
+	n := NewNode(Config{
+		State: st,
+		Lease: 100 * time.Millisecond,
+		Hooks: Hooks{Follow: func(primary string) error {
+			follows <- primary
+			if len(follows) == 1 {
+				return fmt.Errorf("not serving replication yet")
+			}
+			return nil
+		}},
+	})
+	n.Start() // the boot probe learns the claim and fails its first Follow
+	defer n.Close()
+	if len(follows) != 1 {
+		t.Fatalf("boot probe ran %d Follows, want 1", len(follows))
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for len(follows) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("a failed Follow was never retried")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(300 * time.Millisecond) // several more contacts with the claimant
+	if got := len(follows); got != 2 {
+		t.Fatalf("%d Follows after one succeeded, want exactly 2", got)
+	}
+	if st.Primary() != "new-primary" || st.Role() != RoleReplica {
+		t.Fatalf("state = %s following %q", st.Role(), st.Primary())
+	}
+}
+
 func TestNodeElectionDefersToMoreCaughtUpPeer(t *testing.T) {
 	// A peer replica with a higher watermark exists: self must NOT
 	// promote; it defers and waits for the peer's claim.
 	addr, stop := fakePeer(t, TopoReply{Role: "replica", Epoch: 1, Self: "zz-but-more-caught-up", Watermark: 5, Applied: 500})
 	defer stop()
-	st := NewState("127.0.0.1:9", []string{addr})
-	st.SetReplica("127.0.0.1:1") // unreachable primary
-	st.SetProgress(func() (uint64, uint64) { return 1, 42 })
+	st := NewState("127.0.0.1:9", []string{addr}, "127.0.0.1:1") // unreachable primary
 	promoted := make(chan struct{}, 1)
 	n := NewNode(Config{
-		State:    st,
-		Lease:    100 * time.Millisecond,
-		Interval: 25 * time.Millisecond,
-		Hooks: Hooks{Promote: func(epoch uint64) error {
-			select {
-			case promoted <- struct{}{}:
-			default:
-			}
-			return st.BecomePrimary(epoch)
-		}},
+		State: st,
+		Lease: 100 * time.Millisecond,
+		Hooks: Hooks{
+			Progress: func() (uint64, uint64) { return 1, 42 },
+			Promote: func(epoch uint64) error {
+				select {
+				case promoted <- struct{}{}:
+				default:
+				}
+				return st.BecomePrimary(epoch)
+			},
+		},
 	})
 	n.Start()
 	defer n.Close()

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"fmt"
+	"log/slog"
 	"net"
 	"sort"
 	"strconv"
@@ -124,14 +125,17 @@ type Hooks struct {
 	// re-runs the election after the next lease period).
 	Promote func(epoch uint64) error
 	// Follow re-points this replica at a newly discovered primary
-	// (restart replication from the local position). Optional.
+	// (restart replication from the local position). A failed Follow is
+	// retried at the next contact with that primary. Optional.
 	Follow func(primary string) error
 	// Demote fires when a primary discovers it was deposed by a higher
 	// fencing epoch: dump the flight ring, log loudly. The State is
 	// already RoleFenced when this runs. Optional.
 	Demote func(epoch uint64, primary string)
-	// Logf receives monitor diagnostics. Optional.
-	Logf func(format string, args ...any)
+	// Progress reports this node's catch-up position — its replication
+	// stream's epoch watermark (max over shards) and total applied
+	// records — by which elections rank candidates. Optional (zeros).
+	Progress func() (watermark, applied uint64)
 }
 
 // Config parameterises a Node.
@@ -141,10 +145,6 @@ type Config struct {
 	// Lease is how long the primary may go unreachable before replicas
 	// start an election (default 750ms).
 	Lease time.Duration
-	// Interval is the probe cadence (default Lease/3).
-	Interval time.Duration
-	// DialTimeout bounds each peer probe (default Interval).
-	DialTimeout time.Duration
 }
 
 // Node runs the failover monitor for one server: replicas heartbeat
@@ -154,31 +154,31 @@ type Config struct {
 type Node struct {
 	cfg   Config
 	state *State
+	// The monitor's own view, touched only by Start's boot probe and then
+	// by the monitor goroutine: the primary the last successful Follow (or
+	// the boot wiring) pointed replication at, and the last successful
+	// contact with the primary.
+	following string
+	seen      time.Time
 
-	mu     sync.Mutex
-	seen   time.Time // last successful primary contact
 	closed chan struct{}
 	done   chan struct{}
 	once   sync.Once
 }
 
-// NewNode builds a Node around st. Call Start to begin monitoring.
+// NewNode builds a Node around st, whose boot primary the caller already
+// replicates from. Call Start to begin monitoring.
 func NewNode(cfg Config) *Node {
 	if cfg.Lease <= 0 {
 		cfg.Lease = 750 * time.Millisecond
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = cfg.Lease / 3
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = cfg.Interval
-	}
 	return &Node{
-		cfg:    cfg,
-		state:  cfg.State,
-		seen:   time.Now(),
-		closed: make(chan struct{}),
-		done:   make(chan struct{}),
+		cfg:       cfg,
+		state:     cfg.State,
+		following: cfg.State.Primary(),
+		seen:      time.Now(),
+		closed:    make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 }
 
@@ -190,21 +190,24 @@ func (n *Node) Start() {
 	go n.run()
 }
 
+// interval is the probe cadence and the bound on each probe: a third of
+// the lease, so a live primary answers several probes per lease.
+func (n *Node) interval() time.Duration { return n.cfg.Lease / 3 }
+
 // Close stops the monitor and waits for it to exit.
 func (n *Node) Close() {
 	n.once.Do(func() { close(n.closed) })
 	<-n.done
 }
 
-func (n *Node) logf(format string, args ...any) {
-	if n.cfg.Hooks.Logf != nil {
-		n.cfg.Hooks.Logf(format, args...)
-	}
+// logf records a monitor diagnostic in the process log.
+func logf(format string, args ...any) {
+	slog.Info(fmt.Sprintf(format, args...))
 }
 
 func (n *Node) run() {
 	defer close(n.done)
-	tick := time.NewTicker(n.cfg.Interval)
+	tick := time.NewTicker(n.interval())
 	defer tick.Stop()
 	for {
 		select {
@@ -226,12 +229,12 @@ func (n *Node) run() {
 // probe asks one peer for its topology. Nil error means the peer
 // answered a well-formed TOPO reply.
 func (n *Node) probe(addr string) (TopoReply, error) {
-	conn, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, n.interval())
 	if err != nil {
 		return TopoReply{}, err
 	}
 	defer conn.Close()
-	deadline := time.Now().Add(n.cfg.DialTimeout)
+	deadline := time.Now().Add(n.interval())
 	_ = conn.SetDeadline(deadline)
 	if _, err := fmt.Fprintf(conn, "TOPO\n"); err != nil {
 		return TopoReply{}, err
@@ -253,21 +256,22 @@ func (n *Node) fold(t TopoReply) {
 	if claim == "" || t.Epoch == 0 {
 		return
 	}
-	prevPrimary := n.state.Primary()
 	if deposed := n.state.Observe(t.Epoch, claim); deposed {
-		n.logf("cluster: deposed by %s at epoch %d, fencing self", claim, t.Epoch)
+		logf("cluster: deposed by %s at epoch %d, fencing self", claim, t.Epoch)
 		if n.cfg.Hooks.Demote != nil {
 			n.cfg.Hooks.Demote(t.Epoch, claim)
 		}
 		return
 	}
-	if n.state.Role() == RoleReplica && claim != prevPrimary && n.state.Primary() == claim {
-		n.logf("cluster: following new primary %s at epoch %d", claim, t.Epoch)
+	if n.state.Role() == RoleReplica && claim != n.following && n.state.Primary() == claim {
+		logf("cluster: following new primary %s at epoch %d", claim, t.Epoch)
 		if n.cfg.Hooks.Follow != nil {
 			if err := n.cfg.Hooks.Follow(claim); err != nil {
-				n.logf("cluster: follow %s: %v", claim, err)
+				logf("cluster: follow %s: %v", claim, err)
+				return
 			}
 		}
+		n.following = claim
 	}
 }
 
@@ -290,20 +294,14 @@ func (n *Node) heartbeat() {
 	primary := n.state.Primary()
 	if primary != "" {
 		if t, err := n.probe(primary); err == nil {
-			n.mu.Lock()
 			n.seen = time.Now()
-			n.mu.Unlock()
 			n.fold(t)
 			return
 		}
 	}
-	n.mu.Lock()
-	expired := time.Since(n.seen) >= n.cfg.Lease
-	n.mu.Unlock()
-	if !expired {
-		return
+	if time.Since(n.seen) >= n.cfg.Lease {
+		n.elect()
 	}
-	n.elect()
 }
 
 // elect runs one leaderless election round: poll the peers, rank every
@@ -312,7 +310,10 @@ func (n *Node) heartbeat() {
 // winner's claim to arrive via fold; if the winner dies too, the next
 // expiry re-runs the election without it.
 func (n *Node) elect() {
-	watermark, applied := n.state.Progress()
+	var watermark, applied uint64
+	if n.cfg.Hooks.Progress != nil {
+		watermark, applied = n.cfg.Hooks.Progress()
+	}
 	maxEpoch := n.state.Epoch()
 	cands := []candidate{{addr: n.state.Self(), watermark: watermark, applied: applied}}
 	for _, p := range n.state.Peers() {
@@ -326,9 +327,7 @@ func (n *Node) elect() {
 		if t.Role == "primary" {
 			// A live primary answered: no election needed after all.
 			n.fold(t)
-			n.mu.Lock()
 			n.seen = time.Now()
-			n.mu.Unlock()
 			return
 		}
 		if t.Role == "replica" {
@@ -338,21 +337,17 @@ func (n *Node) elect() {
 	sort.Slice(cands, func(i, j int) bool { return cands[i].addr < cands[j].addr })
 	winner := electLeader(cands)
 	if winner != n.state.Self() {
-		n.logf("cluster: election defers to %s (self watermark=%d applied=%d)", winner, watermark, applied)
-		n.mu.Lock()
+		logf("cluster: election defers to %s (self watermark=%d applied=%d)", winner, watermark, applied)
 		n.seen = time.Now().Add(-n.cfg.Lease / 2)
-		n.mu.Unlock()
 		return
 	}
 	epoch := maxEpoch + 1
-	n.logf("cluster: lease expired, promoting self at epoch %d (watermark=%d applied=%d)", epoch, watermark, applied)
+	logf("cluster: lease expired, promoting self at epoch %d (watermark=%d applied=%d)", epoch, watermark, applied)
 	if n.cfg.Hooks.Promote == nil {
 		return
 	}
 	if err := n.cfg.Hooks.Promote(epoch); err != nil {
-		n.logf("cluster: promote failed: %v", err)
-		n.mu.Lock()
+		logf("cluster: promote failed: %v", err)
 		n.seen = time.Now().Add(-n.cfg.Lease / 2)
-		n.mu.Unlock()
 	}
 }

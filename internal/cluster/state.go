@@ -66,24 +66,28 @@ type State struct {
 	self  string
 	peers []string
 
-	mu       sync.Mutex
-	epoch    uint64
-	role     Role
-	primary  string
-	progress func() (watermark, applied uint64)
+	mu      sync.Mutex
+	epoch   uint64
+	role    Role
+	primary string
 }
 
-// NewState returns a replica-role state at fencing epoch 1 with an
-// unknown primary. self is this node's client address as peers should
-// dial it; peers are the other nodes' client addresses.
-func NewState(self string, peers []string) *State {
+// NewState returns a node's boot state at fencing epoch 1. self is this
+// node's client address as peers should dial it; peers are the other
+// nodes' client addresses. primary is the address the node boots
+// following as a replica; empty boots it as the primary.
+func NewState(self string, peers []string, primary string) *State {
 	ps := make([]string, 0, len(peers))
 	for _, p := range peers {
 		if p != "" && p != self {
 			ps = append(ps, p)
 		}
 	}
-	return &State{self: self, peers: ps, epoch: 1, role: RoleReplica}
+	s := &State{self: self, peers: ps, epoch: 1, role: RoleReplica, primary: primary}
+	if primary == "" {
+		s.role, s.primary = RolePrimary, self
+	}
+	return s
 }
 
 // Self returns this node's advertised client address.
@@ -139,15 +143,6 @@ func (s *State) BecomePrimary(epoch uint64) error {
 	return nil
 }
 
-// SetReplica marks the node a replica following primary (boot wiring
-// for -replica-of servers).
-func (s *State) SetReplica(primary string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.role = RoleReplica
-	s.primary = primary
-}
-
 // Observe folds in another node's claim: a higher fencing epoch always
 // wins. If this node was primary, it is deposed to RoleFenced and the
 // return value is true — the caller must dump its flight ring and stop
@@ -170,26 +165,4 @@ func (s *State) Observe(epoch uint64, primary string) (deposed bool) {
 		s.role = RoleReplica
 	}
 	return false
-}
-
-// SetProgress installs the node's catch-up reporter: the replica's
-// epoch watermark (max over shards) and total applied records. The TOPO
-// verb and elections rank candidates by it. Safe to call any time; a
-// nil fn reports zeros.
-func (s *State) SetProgress(fn func() (watermark, applied uint64)) {
-	s.mu.Lock()
-	s.progress = fn
-	s.mu.Unlock()
-}
-
-// Progress returns the node's current catch-up position (zeros without
-// a reporter).
-func (s *State) Progress() (watermark, applied uint64) {
-	s.mu.Lock()
-	fn := s.progress
-	s.mu.Unlock()
-	if fn == nil {
-		return 0, 0
-	}
-	return fn()
 }

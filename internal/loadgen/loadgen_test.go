@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/dist"
 	"repro/internal/model"
 	"repro/internal/server"
@@ -20,7 +19,10 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 4
 	}
-	s := server.New(cfg)
+	s, err := server.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -230,13 +232,15 @@ func TestAckedFileRoundTrip(t *testing.T) {
 	}
 }
 
-// fencedServer starts a clustered node that is not the primary: it
-// answers every write with ERR not-primary <primary>.
+// fencedServer starts a clustered replica of primary whose lease never
+// runs out within a test: it answers every write with ERR not-primary
+// <primary>.
 func fencedServer(t *testing.T, primary string) string {
 	t.Helper()
-	cs := cluster.NewState("127.0.0.1:0", []string{primary})
-	cs.SetReplica(primary)
-	_, addr := startServer(t, server.Config{Cluster: cs})
+	_, addr := startServer(t, server.Config{
+		ReplicaOf: primary,
+		Cluster:   server.ClusterConfig{Self: "127.0.0.1:0", Lease: time.Hour},
+	})
 	return addr
 }
 
@@ -246,7 +250,7 @@ func update(c *client.Mux) error {
 }
 
 func TestPoolFollowsRedirects(t *testing.T) {
-	_, primary := startServer(t, server.Config{})
+	_, primary := startServer(t, server.Config{Repl: server.ReplOptions{Primary: true}})
 	fenced := fencedServer(t, primary)
 
 	// The redirect names a member already in the list.

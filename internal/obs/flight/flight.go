@@ -75,7 +75,7 @@ const (
 	EvPromote = "promote"
 	// EvDemote is a primary fencing itself after discovering a higher
 	// fencing epoch (a newer primary exists); the epoch is the deposing
-	// epoch. Operator binaries dump the flight ring on this event, like
+	// epoch. The server dumps the flight ring on this event, like
 	// the walfail path.
 	EvDemote = "demote"
 	// EvFenceReject is traffic refused because it reached a node that is

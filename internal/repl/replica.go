@@ -44,26 +44,10 @@ type ReplicaConfig struct {
 	// Gate, when non-nil, is kept current with the stream's head and
 	// apply progress so replica reads can be lag-gated.
 	Gate *LagGate
-	// MaxBatch caps records applied under one latch hold (default 256).
-	MaxBatch int
-	// HeadInterval is how often the replica polls the primary's log
-	// heads on a separate control connection (default 25ms; only with a
-	// Gate). The stream alone cannot carry this honestly: a backpressured
-	// replica reads the stream late by exactly the lag being measured,
-	// while the poll connection stays idle and current.
-	HeadInterval time.Duration
-	// Snapshot bootstraps the replica via the SNAP verb: each shard's
-	// current state is fetched atomically at its recorded commit-log
-	// index and installed in one batch, then the log is subscribed from
-	// the next index. Required when the primary has trimmed its log
-	// (retention, checkpoints), and cheaper than replay-from-1 against
-	// any long-running primary. Off, the replica replays from index 1 —
-	// which the primary refuses once trimmed.
-	Snapshot bool
 	// ResumePath, when non-empty, persists the PRIMARY's per-shard
 	// applied log indices to this file after each applied batch and
 	// resumes the subscription from them at the next start, skipping the
-	// snapshot bootstrap. The local store's own commit-log indices are
+	// SNAP bootstrap. The local store's own commit-log indices are
 	// useless for this — a snapshot installs as one local record, so
 	// local and primary numbering diverge — which is exactly the bug that
 	// made a durable replica re-SNAP every shard on restart. The file is
@@ -83,7 +67,7 @@ type ReplicaConfig struct {
 }
 
 // ReplicaMetrics are the replica's instruments, registered by the
-// operator binary (sccserve) in its obs registry.
+// replica server in its obs registry.
 type ReplicaMetrics struct {
 	// ApplySeconds observes each batch install (latch hold + local
 	// commit-log sync).
@@ -103,7 +87,6 @@ type Replica struct {
 	conn       net.Conn
 	store      *shard.Store
 	gate       *LagGate
-	maxBatch   int
 	w          *bufio.Writer
 	resumePath string
 	met        *ReplicaMetrics
@@ -123,6 +106,15 @@ type Replica struct {
 	nextIdx []uint64
 }
 
+// maxApplyBatch caps the records applied under one latch hold.
+const maxApplyBatch = 256
+
+// headInterval is how often a gated replica polls the primary's log heads
+// on a separate control connection. The stream alone cannot carry this
+// honestly: a backpressured replica reads the stream late by exactly the
+// lag being measured, while the poll connection stays idle and current.
+const headInterval = 25 * time.Millisecond
+
 // faultApplyDelay stalls the replica's apply loop before each install —
 // a chaos hook (SCC_FAULT_APPLY_DELAY_MS) that widens the window in
 // which a half-shipped cross-shard commit would be visible on a replica
@@ -138,23 +130,16 @@ var faultApplyDelay = func() time.Duration {
 
 // StartReplica connects to the primary, verifies the shard counts match,
 // subscribes every shard — from persisted primary offsets when
-// ResumePath holds them, from a snapshot bootstrap or index 1 otherwise
-// — and waits for every subscription to be confirmed (so a non-primary
-// target fails here, at startup), then starts the apply loop. A resumed
-// subscription the primary refuses (log trimmed past the resume point)
-// falls back to a fresh snapshot bootstrap before giving up. The stream
-// runs until Close or a connection error; Done/Err report the end.
+// ResumePath holds them, after a SNAP bootstrap otherwise — and waits
+// for every subscription to be confirmed (so a non-primary target fails
+// here, at startup), then starts the apply loop. A resumed subscription
+// the primary refuses (log trimmed past the resume point) falls back to
+// a fresh SNAP bootstrap before giving up. The stream runs until Close
+// or a connection error; Done/Err report the end.
 func StartReplica(cfg ReplicaConfig) (*Replica, error) {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 256
-	}
-	if cfg.HeadInterval <= 0 {
-		cfg.HeadInterval = 25 * time.Millisecond
-	}
 	r := &Replica{
 		store:      cfg.Store,
 		gate:       cfg.Gate,
-		maxBatch:   cfg.MaxBatch,
 		resumePath: cfg.ResumePath,
 		met:        cfg.Metrics,
 		flight:     cfg.Flight,
@@ -172,8 +157,8 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 			resumed = true
 		}
 	}
-	br, pre, err := r.connect(cfg.Primary, cfg.Snapshot && !resumed)
-	if err != nil && resumed && cfg.Snapshot && errors.As(err, new(*refusedError)) {
+	br, pre, err := r.connect(cfg.Primary)
+	if err != nil && resumed && errors.As(err, new(*refusedError)) {
 		// The primary trimmed its log past the resume point. The persisted
 		// offsets are durable truth about what was applied, but the
 		// primary can no longer serve the suffix — start over from a
@@ -184,7 +169,7 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 			r.applied[i] = 0
 			r.lastEpoch[i] = 0
 		}
-		br, pre, err = r.connect(cfg.Primary, true)
+		br, pre, err = r.connect(cfg.Primary)
 	}
 	if err != nil {
 		return nil, err
@@ -197,7 +182,7 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 	}
 	go r.run(br, pre)
 	if r.gate != nil {
-		go r.pollHeads(cfg.Primary, cfg.HeadInterval)
+		go r.pollHeads(cfg.Primary)
 	}
 	return r, nil
 }
@@ -205,7 +190,7 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 // connect dials the primary and runs the subscription handshake,
 // leaving r.conn/r.w bound to the new connection. On error the
 // connection is closed.
-func (r *Replica) connect(primary string, snapshot bool) (*bufio.Reader, map[int][]Record, error) {
+func (r *Replica) connect(primary string) (*bufio.Reader, map[int][]Record, error) {
 	conn, err := net.Dial("tcp", primary)
 	if err != nil {
 		return nil, nil, err
@@ -213,7 +198,7 @@ func (r *Replica) connect(primary string, snapshot bool) (*bufio.Reader, map[int
 	r.conn = conn
 	r.w = bufio.NewWriter(conn)
 	br := bufio.NewReaderSize(conn, 256*1024)
-	pre, err := r.handshake(br, snapshot)
+	pre, err := r.handshake(br)
 	if err != nil {
 		conn.Close()
 		return nil, nil, err
@@ -286,16 +271,17 @@ func (r *Replica) saveOffsets() {
 	os.Rename(tmp, r.resumePath)
 }
 
-// handshake checks the primary's shard count via STATS, optionally
-// snapshot-bootstraps every shard (SNAP), subscribes every shard from
-// just above its installed position, and reads until each subscription
-// is confirmed (OK <shard> <head>). LOG pushes of already-confirmed
-// shards may interleave with later confirmations; they are buffered and
-// returned for the run loop to apply first. Any ERR reply — e.g. "not a
-// replication primary", or "log trimmed" for a non-snapshot replica
-// joining a trimmed log — fails the handshake, so a misdirected replica
-// dies at startup instead of serving an empty snapshot.
-func (r *Replica) handshake(br *bufio.Reader, snapshot bool) (map[int][]Record, error) {
+// handshake checks the primary's shard count via STATS, SNAP-bootstraps
+// every shard nothing has been applied to yet, subscribes every shard
+// from just above its installed position, and reads until each
+// subscription is confirmed (OK <shard> <head>). LOG pushes of
+// already-confirmed shards may interleave with later confirmations; they
+// are buffered and returned for the run loop to apply first. Any ERR
+// reply — e.g. "not a replication primary", or "log trimmed" for a
+// resumed replica whose resume point the primary discarded — fails the
+// handshake, so a misdirected replica dies at startup instead of serving
+// an empty snapshot.
+func (r *Replica) handshake(br *bufio.Reader) (map[int][]Record, error) {
 	if _, err := fmt.Fprintf(r.w, "STATS\n"); err != nil {
 		return nil, err
 	}
@@ -321,10 +307,8 @@ func (r *Replica) handshake(br *bufio.Reader, snapshot bool) (map[int][]Record, 
 	if shards != r.store.NumShards() {
 		return nil, fmt.Errorf("repl: shard count mismatch: primary has %d, replica has %d", shards, r.store.NumShards())
 	}
-	if snapshot {
-		if err := r.bootstrap(br, shards); err != nil {
-			return nil, err
-		}
+	if err := r.bootstrap(br); err != nil {
+		return nil, err
 	}
 	for i := 0; i < shards; i++ {
 		if _, err := fmt.Fprintf(r.w, "REPL %d %d\n", i, r.appliedIdx(i)+1); err != nil {
@@ -372,26 +356,31 @@ func (r *Replica) handshake(br *bufio.Reader, snapshot bool) (map[int][]Record, 
 	return pre, nil
 }
 
-// bootstrap fetches and installs every shard's SNAP snapshot. Replies
-// are strictly ordered (nothing is subscribed yet, so no pushes
-// interleave): per shard, an "OK <shard> <index> <epoch> <n>" header,
-// then the n pairs across SNAPKV lines. The header's epoch is the
-// shard's commit-epoch watermark at the snapshot cut: every commit with
-// epoch <= it (cross-shard ones included) is folded into the snapshot,
-// which seeds the apply barrier's resumed-epoch escape. The snapshot is
-// installed through the same ApplyReplicated path as streamed records —
-// one batch, native commit visibility, and (on a durable or chaining
-// replica) one record in the local commit log.
-func (r *Replica) bootstrap(br *bufio.Reader, shards int) error {
-	for i := 0; i < shards; i++ {
-		if _, err := fmt.Fprintf(r.w, "SNAP %d\n", i); err != nil {
-			return err
+// bootstrap fetches and installs the SNAP snapshot of every shard with
+// nothing applied. Replies are strictly ordered (nothing is subscribed
+// yet, so no pushes interleave): per shard, an "OK <shard> <index>
+// <epoch> <n>" header, then the n pairs across SNAPKV lines. The
+// header's epoch is the shard's commit-epoch watermark at the snapshot
+// cut: every commit with epoch <= it (cross-shard ones included) is
+// folded into the snapshot, which seeds the apply barrier's
+// resumed-epoch escape. The snapshot is installed through the same
+// ApplyReplicated path as streamed records — one batch, native commit
+// visibility, and (on a durable or chaining replica) one record in the
+// local commit log.
+func (r *Replica) bootstrap(br *bufio.Reader) error {
+	var snap []int
+	for i := 0; i < r.store.NumShards(); i++ {
+		if r.appliedIdx(i) == 0 {
+			snap = append(snap, i)
+			if _, err := fmt.Fprintf(r.w, "SNAP %d\n", i); err != nil {
+				return err
+			}
 		}
 	}
 	if err := r.w.Flush(); err != nil {
 		return err
 	}
-	for i := 0; i < shards; i++ {
+	for _, i := range snap {
 		raw, err := br.ReadString('\n')
 		if err != nil {
 			return fmt.Errorf("repl: snapshot: %w", err)
@@ -453,7 +442,7 @@ func (r *Replica) bootstrap(br *bufio.Reader, shards int) error {
 // late as the lag being measured — so heads are polled out-of-band. Poll
 // failures are non-fatal: the stream still drives applies, the gate just
 // stops learning about new backlog.
-func (r *Replica) pollHeads(addr string, every time.Duration) {
+func (r *Replica) pollHeads(addr string) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return
@@ -464,7 +453,7 @@ func (r *Replica) pollHeads(addr string, every time.Duration) {
 		conn.Close() // unblock a read parked in the poll loop
 	}()
 	br := bufio.NewReader(conn)
-	t := time.NewTicker(every)
+	t := time.NewTicker(headInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -516,7 +505,7 @@ func (r *Replica) run(br *bufio.Reader, batch map[int][]Record) {
 				r.fail(err)
 				return
 			}
-			if br.Buffered() == 0 || r.batchLen(batch) >= r.maxBatch {
+			if br.Buffered() == 0 || r.batchLen(batch) >= maxApplyBatch {
 				break
 			}
 			line, err = br.ReadString('\n')

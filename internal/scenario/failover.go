@@ -3,9 +3,9 @@
 // the death, elects itself, and promotes under fencing epoch 2; the
 // cell's workers meanwhile follow ERR not-primary redirects onto the
 // new primary through loadgen's failover pool. The row reports the
-// measured kill-to-promotion latency and the redirects followed, and
-// the usual audits run against the promoted node — conservation exact,
-// the acked-commit ledger in its >= form.
+// kill-to-promotion latency read off the promoted node and the redirects
+// followed, and the usual audits run against the promoted node —
+// conservation exact, the acked-commit ledger in its >= form.
 package scenario
 
 import (
@@ -14,10 +14,9 @@ import (
 	"net"
 	"time"
 
-	clusterpkg "repro/internal/cluster"
 	"repro/internal/loadgen"
-	"repro/internal/repl"
 	"repro/internal/server"
+	"repro/internal/server/client"
 )
 
 // failoverLease is the cell's lease: short enough that the post-kill
@@ -26,14 +25,12 @@ import (
 const failoverLease = 100 * time.Millisecond
 
 // bootPair builds a primary and a replica streaming from it into cl.
-// For failover cells the pair is clustered — the primary at epoch 1,
-// the replica with a lease monitor that will take over when the primary
-// dies. Only the replica runs a Node: the primary's zombie detection is
-// pointless here, it is killed outright.
+// For failover cells both are cluster members — the primary at epoch 1,
+// the replica with a lease monitor that takes over when the primary
+// dies.
 func bootPair(c Cell, cfg server.Config, cl *cluster) error {
-	// Both listeners are reserved up front, so both nodes' advertised
-	// cluster addresses are known before either server opens (the commit
-	// fence binds to the state at Open).
+	// Both listeners are reserved up front, so both members' advertised
+	// addresses are known before either server opens.
 	plis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return fmt.Errorf("cell %q: %w", c.Name, err)
@@ -44,76 +41,26 @@ func bootPair(c Cell, cfg server.Config, cl *cluster) error {
 		return fmt.Errorf("cell %q: %w", c.Name, err)
 	}
 	paddr, raddr := plis.Addr().String(), rlis.Addr().String()
-	gate := repl.NewLagGate(cfg.Shards, 50*time.Millisecond, 0)
 	pcfg, rcfg := cfg, cfg
 	pcfg.Repl = server.ReplOptions{Primary: true}
-	rcfg.Repl = server.ReplOptions{Gate: gate}
-	failover := c.Role == RoleFailover
-	if failover {
-		pcfg.Cluster = clusterpkg.NewState(paddr, []string{raddr})
-		if err := pcfg.Cluster.BecomePrimary(1); err != nil {
-			plis.Close()
-			rlis.Close()
-			return fmt.Errorf("cell %q: %w", c.Name, err)
-		}
+	rcfg.ReplicaOf = paddr
+	if c.Role == RoleFailover {
 		// Semi-synchronous acks are what make the post-failover ledger
 		// hold: the primary acknowledges a commit only after the replica
 		// acked its log records, so nothing the clients booked as
 		// committed can be missing from the promoted node.
 		pcfg.Repl.SyncAcks, pcfg.Repl.SyncTimeout = true, 2*time.Second
-		rcfg.Cluster = clusterpkg.NewState(raddr, []string{paddr})
-		rcfg.Cluster.SetReplica(paddr)
+		pcfg.Cluster = server.ClusterConfig{Self: paddr, Peers: []string{raddr}, Lease: failoverLease}
+		rcfg.Cluster = server.ClusterConfig{Self: raddr, Peers: []string{paddr}, Lease: failoverLease}
 	}
 	cl.pri, cl.addr = server.New(pcfg), paddr
 	go cl.pri.Serve(plis)
-	cl.rep, cl.repAddr = server.New(rcfg), raddr
-	go cl.rep.Serve(rlis)
-
-	rep, err := repl.StartReplica(repl.ReplicaConfig{
-		Primary: paddr,
-		Store:   cl.rep.Store(),
-		Gate:    gate,
-	})
-	if err != nil {
+	if cl.rep, err = server.Open(rcfg); err != nil {
+		rlis.Close()
 		return fmt.Errorf("cell %q: replica: %w", c.Name, err)
 	}
-	cl.replica = rep
-	if !failover {
-		return nil
-	}
-	rcfg.Cluster.SetProgress(func() (uint64, uint64) {
-		var mark, sum uint64
-		for _, m := range rep.Watermarks() {
-			if m > mark {
-				mark = m
-			}
-		}
-		for _, a := range rep.Applied() {
-			sum += a
-		}
-		return mark, sum
-	})
-
-	cl.promoted = make(chan time.Duration, 1)
-	cl.node = clusterpkg.NewNode(clusterpkg.Config{
-		State: rcfg.Cluster,
-		Lease: failoverLease,
-		Hooks: clusterpkg.Hooks{
-			Promote: func(epoch uint64) error {
-				if err := cl.rep.Promote(rep, epoch); err != nil {
-					return err
-				}
-				if k := cl.killNano.Load(); k != 0 {
-					select {
-					case cl.promoted <- time.Since(time.Unix(0, k)):
-					default:
-					}
-				}
-				return nil
-			},
-		},
-	})
-	cl.node.Start()
+	cl.repAddr = raddr
+	go cl.rep.Serve(rlis)
 	return nil
 }
 
@@ -124,8 +71,16 @@ func bootPair(c Cell, cfg server.Config, cl *cluster) error {
 // member, dead connections rotate it, and only the final outcome of
 // each transaction is booked.
 func driveFailover(c Cell, cl *cluster, cfg loadgen.Config) (*loadgen.Result, error) {
+	promoted := make(chan error, 1)
 	kill := time.AfterFunc(c.Duration/2, func() {
-		cl.killNano.Store(time.Now().UnixNano())
+		killed := time.Now()
+		// Watch from the kill on: Close can block on the dead primary's
+		// semi-sync waits for a while after the replica has taken over.
+		go func() {
+			var err error
+			cl.promoteLatency, err = awaitPromotion(cl.repAddr, killed)
+			promoted <- err
+		}()
 		cl.pri.Close()
 	})
 	defer kill.Stop()
@@ -136,13 +91,27 @@ func driveFailover(c Cell, cl *cluster, cfg loadgen.Config) (*loadgen.Result, er
 	if err != nil {
 		return nil, err
 	}
-	// The cell is meaningless if the takeover never happened: the kill
-	// fired at Duration/2, so by now the promotion is minutes of leases
-	// overdue. Give the monitor one more grace period, then fail loudly.
-	select {
-	case cl.promoteLatency = <-cl.promoted:
-	case <-time.After(5 * time.Second):
-		return nil, errors.New("primary killed but the replica never promoted")
+	// The cell is meaningless if the takeover never happened.
+	if err := <-promoted; err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// awaitPromotion polls the replica's STATS until it reports itself the
+// cluster primary and returns how long after killed that was: the
+// kill-to-promotion latency, read off the promoted node.
+func awaitPromotion(addr string, killed time.Time) (time.Duration, error) {
+	m, err := client.DialMux(addr)
+	if err != nil {
+		return 0, err
+	}
+	defer m.Close()
+	for time.Since(killed) < 10*time.Second {
+		if st, err := m.Stats(); err == nil && st["cluster_role"] == "primary" {
+			return time.Since(killed), nil
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return 0, errors.New("primary killed but the replica never promoted")
 }

@@ -9,17 +9,14 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	clusterpkg "repro/internal/cluster"
 	"repro/internal/dist"
 	"repro/internal/durable"
 	"repro/internal/engine"
 	"repro/internal/history"
 	"repro/internal/loadgen"
 	"repro/internal/model"
-	"repro/internal/repl"
 	"repro/internal/server"
 	"repro/internal/server/client"
 	"repro/internal/server/opts"
@@ -27,33 +24,19 @@ import (
 )
 
 // cluster is one booted cell topology: the address load is driven at,
-// the address audits read from (the replica, when there is one), and
-// everything that must be torn down afterwards.
+// the address audits read from (the replica, when there is one), the
+// failover cell's measured kill-to-promotion latency, and everything
+// that must be torn down afterwards.
 type cluster struct {
-	pri     *server.Server
-	addr    string
-	rep     *server.Server
-	repAddr string
-	replica *repl.Replica
-	dir     string
-
-	// Failover-cell machinery: the replica's lease monitor, the instant
-	// the primary was killed, and the measured kill-to-promotion latency
-	// (delivered once via promoted, kept by driveFailover).
-	node           *clusterpkg.Node
-	killNano       atomic.Int64
-	promoted       chan time.Duration
+	pri            *server.Server
+	addr           string
+	rep            *server.Server
+	repAddr        string
+	dir            string
 	promoteLatency time.Duration
 }
 
 func (cl *cluster) close() {
-	if cl.node != nil {
-		// Stop the failover monitor first so no promotion races teardown.
-		cl.node.Close()
-	}
-	if cl.replica != nil {
-		cl.replica.Close()
-	}
 	if cl.rep != nil {
 		cl.rep.Close()
 	}
@@ -122,7 +105,7 @@ func (cl *cluster) waitCaughtUp(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		heads := cl.pri.Feed().Heads()
-		applied := cl.replica.Applied()
+		applied := cl.rep.Replica().Applied()
 		ok := len(applied) == len(heads)
 		for i := 0; ok && i < len(heads); i++ {
 			ok = applied[i] >= heads[i]
@@ -213,7 +196,7 @@ func Run(c Cell) (Row, error) {
 		row.ValueRatio = res.ValueSum / res.MaxValue
 	}
 
-	if cl.replica != nil && c.Role != RoleFailover {
+	if cl.rep != nil && c.Role != RoleFailover {
 		// Failover cells skip the catch-up barrier: the primary is dead
 		// and the replica already promoted past it; log records the kill
 		// cut off mid-flight were never acknowledged.

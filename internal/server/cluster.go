@@ -1,5 +1,6 @@
-// Cluster integration: fencing epochs on the commit path, the promotion
-// and demotion transitions, and the TOPO verb. The cluster package owns
+// Cluster integration: the replica's replication stream, fencing epochs
+// on the commit path, the failover monitor's promotion, follow and
+// demotion transitions, and the TOPO verb. The cluster package owns
 // topology decisions (leases, elections); this file is where those
 // decisions meet the engine — the two fence layers (the entry fence
 // before admission, the commit-boundary fence that turns a deposed
@@ -9,11 +10,125 @@ package server
 
 import (
 	"fmt"
+	"log/slog"
+	"os"
+	"path/filepath"
+	"slices"
+	"sync"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/obs/flight"
 	"repro/internal/repl"
 )
+
+// ClusterConfig makes a server a member of a failover cluster
+// (internal/cluster): writes are fenced by the member's fencing epoch and
+// role, the TOPO verb comes alive, and Serve runs the lease monitor that
+// promotes a replica when the primary dies, re-points the other replicas
+// at the winner, and fences a deposed primary. The boot role follows
+// Config.ReplicaOf: without it the member is the primary under fencing
+// epoch 1, with it a replica of that primary.
+type ClusterConfig struct {
+	// Self is this node's client address as peers dial it; empty means
+	// not clustered.
+	Self string
+	// Peers are the other members' client addresses.
+	Peers []string
+	// Lease is how long the primary may go unreachable before replicas
+	// run an election (default 750ms).
+	Lease time.Duration
+}
+
+// wiring is what Open assembles for a replica or cluster member — the
+// replication stream, its metrics, the failover monitor — plus the data
+// directory of the resume file and flight dumps. It sits behind one
+// pointer to keep Server in the 192-byte size class, whose objects start
+// on a cache line, so the fields every request touches (reqID and its
+// neighbours) share the same cache lines in every process
+// (TestServerStartsOnCacheLine).
+type wiring struct {
+	dataDir string               // Durable.Dir
+	lease   time.Duration        // Cluster.Lease, for the monitor Serve starts
+	replMet *repl.ReplicaMetrics // a replica's apply-path instruments, shared by its streams
+	node    *cluster.Node        // the failover monitor once Serve started it; guarded by Server.mu
+
+	// repMu guards rep, the replica's live replication stream, which the
+	// failover monitor swaps: promotion consumes it, a follow re-points it.
+	repMu sync.Mutex
+	rep   *repl.Replica
+}
+
+// startReplica streams primary's commit logs into the store: the stream
+// bootstraps by SNAP (a durable replica resumes from its resume file
+// instead), feeds the lag gate, and records into the replica metrics and
+// the repl flight ring. A stream that ends leaves the store serving its
+// last consistent snapshot.
+func (s *Server) startReplica(primary string) error {
+	w := s.wiring
+	resume := ""
+	if w.dataDir != "" {
+		resume = filepath.Join(w.dataDir, "replica.resume")
+	}
+	r, err := repl.StartReplica(repl.ReplicaConfig{
+		Primary:    primary,
+		Store:      s.store,
+		Gate:       s.replGate(),
+		ResumePath: resume,
+		Metrics:    w.replMet,
+		Flight:     s.flight.Repl(),
+	})
+	if err != nil {
+		return err
+	}
+	w.repMu.Lock()
+	w.rep = r
+	w.repMu.Unlock()
+	go func() {
+		<-r.Done()
+		if err := r.Err(); err != nil {
+			slog.Warn("server: replication stream ended; serving frozen snapshot", "primary", primary, "err", err)
+		}
+	}()
+	return nil
+}
+
+// Replica returns a replica's replication stream: nil on a primary and
+// once promoted.
+func (s *Server) Replica() *repl.Replica {
+	s.wiring.repMu.Lock()
+	defer s.wiring.repMu.Unlock()
+	return s.wiring.rep
+}
+
+// progress is this node's catch-up position, read off the replication
+// stream: its epoch watermark (max over shards) and total applied
+// records, by which elections rank candidates.
+func (s *Server) progress() (watermark, applied uint64) {
+	r := s.Replica()
+	if r == nil {
+		return 0, 0
+	}
+	for _, a := range r.Applied() {
+		applied += a
+	}
+	return slices.Max(r.Watermarks()), applied
+}
+
+// newNode builds the member's failover monitor with the server's
+// transitions as its hooks.
+func (s *Server) newNode() *cluster.Node {
+	return cluster.NewNode(cluster.Config{
+		State: s.cluster,
+		Lease: s.wiring.lease,
+		Hooks: cluster.Hooks{
+			Promote:  s.promote,
+			Follow:   s.follow,
+			Demote:   s.demote,
+			Progress: s.progress,
+		},
+	})
+}
 
 // errFenced is the commit-boundary failure a deposed node's in-flight
 // commits surface: the write may be installed in local memory, but the
@@ -94,16 +209,16 @@ func (s *Server) fencedReplVerb() (string, bool) {
 	return "", false
 }
 
-// Promote turns this replica server into the primary under the given
-// fencing epoch — the PROMOTE protocol's server half. rep is the
-// replication stream to tear down (nil if already stopped). The steps
-// are ordered so no window accepts unfenced writes:
+// promote turns this replica into the primary under the given fencing
+// epoch — the monitor's Promote hook. The steps are ordered so no window
+// accepts unfenced writes:
 //
 //  1. stop the apply stream (the barrier queue has already delivered
 //     every complete epoch; incomplete trailing epochs are discarded —
 //     they were never applied, so the store is a clean prefix),
 //  2. claim the state (writes arriving now pass the entry fence, but
-//     until step 5 the lag gate still rejects them),
+//     until step 5 the lag gate still rejects them); a refused claim
+//     keeps the stopped stream, whose position ranks the next election,
 //  3. on an in-memory node without a feed of its own, rebase a fresh
 //     replication feed at the applied indices and epoch watermarks, so
 //     downstream joiners resume the primary numbering, and make it the
@@ -112,20 +227,19 @@ func (s *Server) fencedReplVerb() (string, bool) {
 //     keeps its sinks untouched,
 //  4. arm the commit-boundary fence under the new epoch,
 //  5. lift the lag gate and publish the feed.
-func (s *Server) Promote(rep *repl.Replica, epoch uint64) error {
-	cs := s.cluster
-	if cs == nil {
-		return fmt.Errorf("server: not clustered")
-	}
+func (s *Server) promote(epoch uint64) error {
 	var applied, marks []uint64
-	if rep != nil {
+	if rep := s.Replica(); rep != nil {
 		rep.Close()
 		applied = rep.Applied()
 		marks = rep.Watermarks()
 	}
-	if err := cs.BecomePrimary(epoch); err != nil {
+	if err := s.cluster.BecomePrimary(epoch); err != nil {
 		return err
 	}
+	s.wiring.repMu.Lock()
+	s.wiring.rep = nil
+	s.wiring.repMu.Unlock()
 	shards := s.store.NumShards()
 	feed := s.Feed()
 	if feed == nil && s.durable == nil {
@@ -159,17 +273,52 @@ func (s *Server) Promote(rep *repl.Replica, epoch uint64) error {
 	s.feedP.Store(feed)
 	s.gateP.Store(nil)
 	s.flight.Server().Record(flight.EvPromote, 0, -1, epoch)
+	slog.Warn("server: promoted to primary", "epoch", epoch)
 	return nil
 }
 
-// Demote records a deposed primary's fencing into the flight ring. The
-// cluster state has already flipped to RoleFenced (the Node's Observe
-// did it atomically with discovering the higher epoch); from that
+// follow re-points this replica at a newly elected primary — the
+// monitor's Follow hook: the old stream stops and a new one bootstraps
+// off the new primary. On failure (the winner may not serve replication
+// yet) the monitor retries at its next contact with the winner.
+func (s *Server) follow(primary string) error {
+	if r := s.Replica(); r != nil {
+		r.Close()
+	}
+	slog.Info("server: following new primary", "primary", primary)
+	return s.startReplica(primary)
+}
+
+// demote is the monitor's Demote hook, the black-box moment of a deposed
+// primary, recorded like a WAL failure: a demote event, then a flight
+// dump. The cluster state has already flipped to RoleFenced (the Node's
+// Observe did it atomically with discovering the higher epoch); from that
 // instant every in-flight commit fails at the commit-boundary fence and
 // every new write bounces at the entry fence — this is bookkeeping, not
 // the fence itself.
-func (s *Server) Demote(epoch uint64, primary string) {
+func (s *Server) demote(epoch uint64, primary string) {
+	slog.Error("server: deposed by higher fencing epoch; fenced", "epoch", epoch, "primary", primary)
 	s.flight.Server().Record(flight.EvDemote, 0, -1, epoch)
+	s.DumpFlight("demote")
+}
+
+// DumpFlight writes the flight recorder's retained window, tagged with
+// reason, to <Durable.Dir>/flight on a durable server and to stderr
+// otherwise — the demotion's automatic dump and the operator's pull.
+func (s *Server) DumpFlight(reason string) {
+	dir := s.wiring.dataDir
+	if dir == "" {
+		if err := s.flight.WriteTo(os.Stderr, reason); err != nil {
+			slog.Error("server: flight dump failed", "err", err)
+		}
+		return
+	}
+	path, err := s.flight.DumpDir(filepath.Join(dir, "flight"), reason)
+	if err != nil {
+		slog.Error("server: flight dump failed", "err", err)
+		return
+	}
+	slog.Info("server: flight dump", "path", path)
 }
 
 // handleTopo serves the TOPO verb: one k=v line describing this node's
@@ -181,7 +330,7 @@ func (s *Server) handleTopo() string {
 		return "ERR not clustered"
 	}
 	epoch, role, primary := cs.Snapshot()
-	watermark, applied := cs.Progress()
+	watermark, applied := s.progress()
 	if feed := s.Feed(); feed != nil && role == cluster.RolePrimary {
 		// A primary's catch-up position is its own feed.
 		watermark = feed.EpochWatermark()

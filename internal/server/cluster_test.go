@@ -6,29 +6,23 @@ package server
 
 import (
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/durable"
-	"repro/internal/repl"
+	"repro/internal/obs/flight"
 	"repro/internal/server/client"
 	"repro/internal/server/opts"
 )
 
-// clusteredPrimary starts an in-memory clustered primary claiming
-// fencing epoch 1.
-func clusteredPrimary(t *testing.T, shards int, peers []string) (*Server, string, *cluster.State) {
-	t.Helper()
-	cs := cluster.NewState("127.0.0.1:0", peers)
-	if err := cs.BecomePrimary(1); err != nil {
-		t.Fatal(err)
-	}
-	srv, addr := startServer(t, Config{Shards: shards, Repl: ReplOptions{Primary: true}, Cluster: cs})
-	return srv, addr, cs
-}
+// member is a cluster membership whose lease never runs out within a
+// test, so only the test moves the member's role.
+var member = ClusterConfig{Self: "127.0.0.1:0", Lease: time.Hour}
 
 // TestDeposedEpochWriteNeverAcked is the fencing invariant's
 // deterministic proof, layer by layer, on an in-memory and on a durable
@@ -48,11 +42,7 @@ func clusteredPrimary(t *testing.T, shards int, peers []string) (*Server, string
 func TestDeposedEpochWriteNeverAcked(t *testing.T) {
 	for _, node := range []string{"in-memory", "durable"} {
 		t.Run(node, func(t *testing.T) {
-			cs := cluster.NewState("127.0.0.1:0", nil)
-			if err := cs.BecomePrimary(1); err != nil {
-				t.Fatal(err)
-			}
-			cfg := Config{Shards: 2, Repl: ReplOptions{Primary: true}, Cluster: cs}
+			cfg := Config{Shards: 2, Repl: ReplOptions{Primary: true}, Cluster: member}
 			if node == "durable" {
 				cfg.Durable = durable.Options{Dir: t.TempDir()}
 			}
@@ -70,22 +60,22 @@ func TestDeposedEpochWriteNeverAcked(t *testing.T) {
 			}
 
 			// Depose: a peer claims epoch 2.
-			if !cs.Observe(2, "10.0.0.9:7070") {
+			if !srv.cluster.Observe(2, "127.0.0.1:9") {
 				t.Fatal("Observe(2) must depose the primary")
 			}
 
 			// Layer 1: the entry fence. The write is refused with a redirect
 			// before admission; nothing installs.
 			got := srv.dispatchLine("ADD fencekey 1")
-			if got != "ERR not-primary 10.0.0.9:7070" {
-				t.Fatalf("write on deposed node = %q, want ERR not-primary 10.0.0.9:7070", got)
+			if got != "ERR not-primary 127.0.0.1:9" {
+				t.Fatalf("write on deposed node = %q, want ERR not-primary 127.0.0.1:9", got)
 			}
 			if got := srv.dispatchLine("GET fencekey"); got != "OK 7" {
 				t.Fatalf("fenced write mutated state: GET = %q, want OK 7", got)
 			}
 			// TXN writes hit the same fence.
 			id := strings.TrimPrefix(srv.dispatchLine("TXN BEGIN"), "OK ")
-			if got := srv.dispatchLine("TXN W " + id + " fencekey 1"); got != "ERR not-primary 10.0.0.9:7070" {
+			if got := srv.dispatchLine("TXN W " + id + " fencekey 1"); got != "ERR not-primary 127.0.0.1:9" {
 				t.Fatalf("TXN W on deposed node = %q", got)
 			}
 
@@ -107,7 +97,7 @@ func TestDeposedEpochWriteNeverAcked(t *testing.T) {
 			for _, verb := range []string{"HEAD", "SNAP 0", "REPL 0 1", "ACK 0 1"} {
 				rc := dialRaw(t, addr)
 				rc.send(verb)
-				if got := rc.recv(); got != "ERR not-primary 10.0.0.9:7070" {
+				if got := rc.recv(); got != "ERR not-primary 127.0.0.1:9" {
 					t.Errorf("%s on fenced node = %q, want ERR not-primary", verb, got)
 				}
 			}
@@ -123,7 +113,7 @@ func TestTopoVerb(t *testing.T) {
 		t.Fatalf("TOPO off-cluster = %q", got)
 	}
 
-	srv, addr, cs := clusteredPrimary(t, 2, []string{"10.0.0.9:7070"})
+	srv, addr := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true}, Cluster: member})
 	srv.dispatchLine("ADD topokey 1")
 	rep, err := cluster.ParseTopoReply(srv.dispatchLine("TOPO"))
 	if err != nil {
@@ -136,12 +126,12 @@ func TestTopoVerb(t *testing.T) {
 		t.Fatal("primary TOPO must report its feed position as applied")
 	}
 
-	cs.Observe(2, "10.0.0.9:7070")
+	srv.cluster.Observe(2, "127.0.0.1:9")
 	rep, err = cluster.ParseTopoReply(srv.dispatchLine("TOPO"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Role != "fenced" || rep.Epoch != 2 || rep.Primary != "10.0.0.9:7070" {
+	if rep.Role != "fenced" || rep.Epoch != 2 || rep.Primary != "127.0.0.1:9" {
 		t.Fatalf("TOPO after deposition = %+v", rep)
 	}
 
@@ -159,22 +149,14 @@ func TestTopoVerb(t *testing.T) {
 }
 
 // TestPromoteTakesOver wires a real primary/replica pair, kills the
-// primary, promotes the replica in-process (the server half the cluster
-// Node drives), and checks the full handoff: replicated state retained,
+// primary, promotes the replica in-process (the hook the cluster Node
+// drives), and checks the full handoff: replicated state retained,
 // gate lifted, writes accepted under the new fencing epoch, feed
 // rebased at the replica's applied indices, and the TOPO/HEAD surfaces
 // flipped to the primary shape.
 func TestPromoteTakesOver(t *testing.T) {
-	gate := repl.NewLagGate(4, time.Hour, time.Millisecond)
 	pri, priAddr := startServer(t, Config{Shards: 4, Repl: ReplOptions{Primary: true}})
-	cs := cluster.NewState("127.0.0.1:0", nil)
-	cs.SetReplica(priAddr)
-	rep, repAddr := startServer(t, Config{Shards: 4, Repl: ReplOptions{Gate: gate}, Cluster: cs})
-	r, err := repl.StartReplica(repl.ReplicaConfig{Primary: priAddr, Store: rep.Store(), Gate: gate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	rep, repAddr := startServer(t, Config{Shards: 4, ReplicaOf: priAddr, Cluster: member})
 
 	c, err := client.DialMux(priAddr)
 	if err != nil {
@@ -192,7 +174,7 @@ func TestPromoteTakesOver(t *testing.T) {
 	}, client.TxOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	waitCaughtUp(t, pri, r)
+	waitCaughtUp(t, pri, rep)
 	c.Close()
 	priHeads := pri.Feed().Heads()
 	pri.Close()
@@ -202,7 +184,7 @@ func TestPromoteTakesOver(t *testing.T) {
 		t.Fatalf("pre-promotion write = %q", got)
 	}
 
-	if err := rep.Promote(r, 2); err != nil {
+	if err := rep.promote(2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -244,14 +226,8 @@ func TestPromoteTakesOver(t *testing.T) {
 	if got := raw.recv(); !strings.HasPrefix(got, "OK ") || len(strings.Fields(got)) != 6 {
 		t.Fatalf("HEAD on promoted node = %q, want OK <watermark> + 4 heads", got)
 	}
-	gate2 := repl.NewLagGate(4, time.Hour, time.Millisecond)
-	rep2, _ := startServer(t, Config{Shards: 4, Repl: ReplOptions{Gate: gate2}})
-	r2, err := repl.StartReplica(repl.ReplicaConfig{Primary: repAddr, Store: rep2.Store(), Gate: gate2, Snapshot: true})
-	if err != nil {
-		t.Fatalf("joining the promoted primary: %v", err)
-	}
-	defer r2.Close()
-	waitCaughtUp(t, rep, r2)
+	rep2, _ := startServer(t, Config{Shards: 4, ReplicaOf: repAddr})
+	waitCaughtUp(t, rep, rep2)
 	if v, ok := rep2.Store().Get("ck5"); !ok || string(v) != "15" {
 		t.Fatalf("second-generation replica ck5 = %q, %v; want 15", v, ok)
 	}
@@ -263,27 +239,20 @@ func TestPromoteTakesOver(t *testing.T) {
 // again, an in-flight commit is never acknowledged).
 func TestPromoteDurableReplica(t *testing.T) {
 	pri, priAddr := startServer(t, Config{Shards: 4, Repl: ReplOptions{Primary: true}})
-	gate := repl.NewLagGate(4, time.Hour, time.Millisecond)
-	cs := cluster.NewState("127.0.0.1:0", nil)
-	cs.SetReplica(priAddr)
 	dir := t.TempDir()
 	rep, _ := startDurableServer(t, Config{
-		Shards:  4,
-		Repl:    ReplOptions{Primary: true, Gate: gate},
-		Cluster: cs,
-		Durable: durable.Options{Dir: dir},
+		Shards:    4,
+		ReplicaOf: priAddr,
+		Repl:      ReplOptions{Primary: true},
+		Cluster:   member,
+		Durable:   durable.Options{Dir: dir},
 	})
-	r, err := repl.StartReplica(repl.ReplicaConfig{Primary: priAddr, Store: rep.Store(), Gate: gate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
 	keys := driveMixedLoad(t, priAddr, 3)
-	waitCaughtUp(t, pri, r)
+	waitCaughtUp(t, pri, rep)
 	want := snapshotKeys(t, priAddr, keys)
 	pri.Close()
 
-	if err := rep.Promote(r, 2); err != nil {
+	if err := rep.promote(2); err != nil {
 		t.Fatalf("promoting a durable replica: %v", err)
 	}
 	logged := rep.Durable().Stats().WALAppends
@@ -301,8 +270,8 @@ func TestPromoteDurableReplica(t *testing.T) {
 	}
 
 	// Deposed again: a commit already past the entry fence is never acked.
-	cs.Observe(3, "10.0.0.9:7070")
-	_, err = rep.execAdmitted(&request{s: rep, f: rep.adm.FnOf(opts.T{})}, []op{{key: "zombie", delta: 1, write: true, set: true}}, time.Now())
+	rep.cluster.Observe(3, "127.0.0.1:9")
+	_, err := rep.execAdmitted(&request{s: rep, f: rep.adm.FnOf(opts.T{})}, []op{{key: "zombie", delta: 1, write: true, set: true}}, time.Now())
 	if err == nil || !strings.Contains(err.Error(), "fenced") {
 		t.Fatalf("commit on re-deposed durable node: err = %v, want a fenced error", err)
 	}
@@ -314,6 +283,152 @@ func TestPromoteDurableReplica(t *testing.T) {
 	defer back.Close()
 	if got := snapshotKeys(t, backAddr, keys); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("recovered state %v, want %v", got, want)
+	}
+}
+
+// TestFailoverFollowsNewPrimary is the three-node failover the cluster
+// monitors drive on their own: primary A (semi-sync) and replicas B and
+// C, all members of one cluster. A dies mid-load; exactly one of B and C
+// promotes, and the other follows it — its TOPO names the winner, and
+// writes made on the winner after the promotion stream to it, which only
+// a re-pointed stream can do. On the winner, transfers conserve value
+// and every acknowledged commit is present (the ledger's >= form: a
+// commit whose ack the kill cut off may have landed too). The follower's
+// pre-kill state is not compared: it may hold records the winner lacks.
+func TestFailoverFollowsNewPrimary(t *testing.T) {
+	const shards, keys, workers = 4, 16, 4
+	var lis [3]net.Listener
+	var addrs [3]string
+	for i := range lis {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lis[i], addrs[i] = l, l.Addr().String()
+	}
+	start := func(i int, cfg Config) *Server {
+		var peers []string
+		for j, a := range addrs {
+			if j != i {
+				peers = append(peers, a)
+			}
+		}
+		cfg.Shards = shards
+		cfg.Cluster = ClusterConfig{Self: addrs[i], Peers: peers, Lease: 100 * time.Millisecond}
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		go s.Serve(lis[i])
+		return s
+	}
+	// The sync timeout bounds how long closing A waits on acks that will
+	// never come; it is far above an ack's latency here.
+	a := start(0, Config{Repl: ReplOptions{Primary: true, SyncAcks: true, SyncTimeout: 500 * time.Millisecond}})
+	replicas := [2]*Server{start(1, Config{ReplicaOf: addrs[0]}), start(2, Config{ReplicaOf: addrs[0]})}
+
+	// Transfers between the fk keys, each booking one ledger increment for
+	// its worker, until the kill cuts the worker off.
+	var acked [workers]int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c, err := client.DialMux(addrs[0])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			for i := 0; ; i++ {
+				from := (7*w + i) % keys
+				to := (from + 1 + i%(keys-1)) % keys
+				if _, err := c.Update([]client.Op{
+					{Key: fmt.Sprintf("fk%d", from), Delta: -1, Write: true},
+					{Key: fmt.Sprintf("fk%d", to), Delta: 1, Write: true},
+					{Key: fmt.Sprintf("fledger%d", w), Delta: 1, Write: true},
+				}, client.TxOpts{}); err != nil {
+					return
+				}
+				acked[w]++
+			}
+		}(w)
+	}
+	time.Sleep(200 * time.Millisecond)
+	a.Close()
+	wg.Wait()
+
+	// Exactly one replica promotes; the other follows it under the same
+	// fencing epoch.
+	var winner, follower *Server
+	var winnerAddr string
+	deadline := time.Now().Add(10 * time.Second)
+	for winner == nil {
+		for i, s := range replicas {
+			if s.cluster.IsPrimary() && s.replGate() == nil {
+				winner, follower, winnerAddr = s, replicas[1-i], addrs[1+i]
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("neither replica promoted after the primary died")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for {
+		topo, err := cluster.ParseTopoReply(follower.dispatchLine("TOPO"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if topo.Role == "replica" && topo.Primary == winnerAddr && topo.Epoch == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the other replica never followed the winner %s: TOPO %+v", winnerAddr, topo)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if topo, _ := cluster.ParseTopoReply(winner.dispatchLine("TOPO")); topo.Role != "primary" || topo.Epoch != 2 {
+		t.Fatalf("winner TOPO = %+v, want the primary at epoch 2", topo)
+	}
+	for _, e := range follower.Flight().Snapshot(0) {
+		if e.Name == flight.EvPromote {
+			t.Fatal("both replicas promoted")
+		}
+	}
+
+	// A write made on the winner after the promotion reaches the follower.
+	if got := winner.dispatchLine("PUT follow-check 42"); got != "OK 42" {
+		t.Fatalf("write on the winner = %q", got)
+	}
+	for {
+		if v, ok := follower.Store().Get("follow-check"); ok && string(v) == "42" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the winner's new write never reached the follower: its stream was not re-pointed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	sum := "SUM"
+	for k := 0; k < keys; k++ {
+		sum += fmt.Sprintf(" fk%d", k)
+	}
+	if got := winner.dispatchLine(sum); got != "OK 0" {
+		t.Errorf("conservation on the winner: %s = %q, want OK 0", sum, got)
+	}
+	var total int64
+	for w, n := range acked {
+		total += n
+		got := parseNum([]byte(strings.TrimPrefix(winner.dispatchLine(fmt.Sprintf("GET fledger%d", w)), "OK ")))
+		if got < n {
+			t.Errorf("ledger on the winner: worker %d has %d commits, %d were acknowledged", w, got, n)
+		}
+	}
+	if total == 0 {
+		t.Fatal("no commit was acknowledged before the kill; the test degenerated")
 	}
 }
 

@@ -1,23 +1,20 @@
 // End-to-end durability and snapshot-bootstrap tests: crash recovery
 // through a real server (data directory reopened by a second instance),
 // the CKPT verb and its STATS counters, and the SNAP joiner path —
-// including the equivalence oracle of satellite 4: a replica bootstrapped
-// via SNAP converges to exactly the state of one that replayed the log
-// from index 1.
+// including the equivalence oracle: a replica that joined late via SNAP
+// converges to exactly the state of one that joined the empty primary
+// and streamed its log from index 1.
 package server
 
 import (
 	"fmt"
 	"net"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/durable"
-	obspkg "repro/internal/obs"
-	"repro/internal/repl"
 	"repro/internal/server/client"
 )
 
@@ -185,17 +182,7 @@ func TestCKPTVerbAndRecoveryFromCheckpoint(t *testing.T) {
 	}
 	// ...and a SNAP bootstrap succeeds despite the trimmed history.
 	want := snapshotKeys(t, addr1, keys)
-	repCfg := Config{Shards: 2}
-	rep, repAddr := startServer(t, repCfg)
-	r, err := repl.StartReplica(repl.ReplicaConfig{
-		Primary:  addr1,
-		Store:    rep.Store(),
-		Snapshot: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	_, repAddr := startServer(t, Config{Shards: 2, ReplicaOf: addr1})
 	if got := snapshotKeys(t, repAddr, keys); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("SNAP-bootstrapped replica state %v, want %v", got, want)
 	}
@@ -211,41 +198,32 @@ func TestCKPTVerbAndRecoveryFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestSnapBootstrapEquivalence is satellite 4's oracle: one replica
-// replays the primary's log from index 1, another joins later via SNAP;
-// both must converge to identical stores, and the SNAP joiner must never
-// have requested records below its snapshot index.
+// TestSnapBootstrapEquivalence is the bootstrap oracle: replica A joins
+// the empty primary (its snapshots are empty, so it streams the whole
+// log from index 1), replica B joins after load via SNAP; both must
+// converge to identical stores, and the SNAP joiner must never have
+// requested records below its snapshot index.
 func TestSnapBootstrapEquivalence(t *testing.T) {
 	pri, priAddr := startServer(t, Config{Shards: 4, Repl: ReplOptions{Primary: true}})
-	keys := driveMixedLoad(t, priAddr, 8)
 
-	// Replica A: full replay from index 1 (the PR 3 path).
-	repA, addrA := startServer(t, Config{Shards: 4})
-	rA, err := repl.StartReplica(repl.ReplicaConfig{Primary: priAddr, Store: repA.Store()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rA.Close()
+	// Replica A: every record from index 1.
+	repA, addrA := startServer(t, Config{Shards: 4, ReplicaOf: priAddr})
+	keys := driveMixedLoad(t, priAddr, 8)
 
 	// More load lands after A subscribed, before B joins.
 	driveMixedLoad(t, priAddr, 4)
 
 	// Replica B: SNAP bootstrap, subscribed only above the snapshot.
-	repB, addrB := startServer(t, Config{Shards: 4})
-	rB, err := repl.StartReplica(repl.ReplicaConfig{Primary: priAddr, Store: repB.Store(), Snapshot: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rB.Close()
+	repB, addrB := startServer(t, Config{Shards: 4, ReplicaOf: priAddr})
 
 	// B's applied positions start at its snapshot indices — strictly
 	// positive on every shard the load touched — and never regress.
-	snapIdx := rB.Applied()
+	snapIdx := repB.Replica().Applied()
 
 	// Final writes both replicas must stream.
 	driveMixedLoad(t, priAddr, 2)
-	waitCaughtUp(t, pri, rA)
-	waitCaughtUp(t, pri, rB)
+	waitCaughtUp(t, pri, repA)
+	waitCaughtUp(t, pri, repB)
 
 	stateA := snapshotKeys(t, addrA, keys)
 	stateB := snapshotKeys(t, addrB, keys)
@@ -288,7 +266,7 @@ func TestSnapBootstrapEquivalence(t *testing.T) {
 	var totalSnap uint64
 	for i, idx := range snapIdx {
 		totalSnap += idx
-		if final := rB.Applied()[i]; final < idx {
+		if final := repB.Replica().Applied()[i]; final < idx {
 			t.Fatalf("shard %d applied regressed below snapshot: %d < %d", i, final, idx)
 		}
 	}
@@ -338,12 +316,7 @@ func TestSnapVerbErrors(t *testing.T) {
 // index as its replica acks, without any data directory.
 func TestRetentionTrimsWithoutDurability(t *testing.T) {
 	pri, priAddr := startServer(t, Config{Shards: 1, Repl: ReplOptions{Primary: true, Retain: 4}})
-	rep, _ := startServer(t, Config{Shards: 1})
-	r, err := repl.StartReplica(repl.ReplicaConfig{Primary: priAddr, Store: rep.Store()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	rep, _ := startServer(t, Config{Shards: 1, ReplicaOf: priAddr})
 
 	c, err := client.DialMux(priAddr)
 	if err != nil {
@@ -356,7 +329,7 @@ func TestRetentionTrimsWithoutDurability(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitCaughtUp(t, pri, r)
+	waitCaughtUp(t, pri, rep)
 	log := pri.Feed().Log(0)
 	deadline := time.Now().Add(10 * time.Second)
 	for log.Base() < n-4 {
@@ -367,7 +340,7 @@ func TestRetentionTrimsWithoutDurability(t *testing.T) {
 		if _, err := c.Add("rk", 0); err != nil {
 			t.Fatal(err)
 		}
-		waitCaughtUp(t, pri, r)
+		waitCaughtUp(t, pri, rep)
 		time.Sleep(time.Millisecond)
 	}
 	if log.Trimmed() == 0 {
@@ -375,56 +348,31 @@ func TestRetentionTrimsWithoutDurability(t *testing.T) {
 	}
 }
 
-// newTestReplicaMetrics builds a ReplicaMetrics set on a throwaway
-// registry so resume tests can assert which bootstrap path ran.
-func newTestReplicaMetrics() *repl.ReplicaMetrics {
-	reg := obspkg.NewRegistry()
-	return &repl.ReplicaMetrics{
-		ApplySeconds: reg.NsHistogram("test_repl_apply_seconds", "test"),
-		ApplyBatch:   reg.Histogram("test_repl_apply_batch", "test", 0, 12, 1),
-		Resumes:      reg.Counter("test_repl_resumes", "test"),
-		Snapshots:    reg.Counter("test_repl_snapshots", "test"),
-	}
-}
-
 // TestDurableReplicaResumesWithoutReSnap is the regression test for the
 // restart bug: a durable replica recorded its own commit-log indices, but
 // a snapshot installs as ONE local record, so local and primary numbering
-// diverge and every restart re-SNAPped every shard. With ResumePath the
-// replica persists the primary's indices and a restart must resume the
-// stream — zero snapshot fetches — and still converge.
+// diverge and every restart re-SNAPped every shard. A durable replica
+// persists the primary's indices in <data-dir>/replica.resume, and a
+// restart must resume the stream — zero snapshot fetches — and still
+// converge.
 func TestDurableReplicaResumesWithoutReSnap(t *testing.T) {
 	priDir, repDir := t.TempDir(), t.TempDir()
-	priCfg := Config{
+	pri, priAddr := startDurableServer(t, Config{
 		Shards:  4,
 		Repl:    ReplOptions{Primary: true},
 		Durable: durable.Options{Dir: priDir},
-	}
-	pri, priAddr := startDurableServer(t, priCfg)
+	})
 	defer pri.Close()
 	keys := driveMixedLoad(t, priAddr, 6)
 
-	repCfg := Config{Shards: 4, Durable: durable.Options{Dir: repDir}}
-	resume := filepath.Join(repDir, "resume")
+	repCfg := Config{Shards: 4, ReplicaOf: priAddr, Durable: durable.Options{Dir: repDir}}
 	rep1, _ := startDurableServer(t, repCfg)
-	m1 := newTestReplicaMetrics()
-	r1, err := repl.StartReplica(repl.ReplicaConfig{
-		Primary:    priAddr,
-		Store:      rep1.Store(),
-		Snapshot:   true,
-		ResumePath: resume,
-		Metrics:    m1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// First start over an empty directory: snapshot bootstrap, no resume.
-	if m1.Snapshots.Value() == 0 || m1.Resumes.Value() != 0 {
+	if m := rep1.wiring.replMet; m.Snapshots.Value() == 0 || m.Resumes.Value() != 0 {
 		t.Fatalf("fresh start: snapshots=%d resumes=%d, want snapshots>0 resumes=0",
-			m1.Snapshots.Value(), m1.Resumes.Value())
+			m.Snapshots.Value(), m.Resumes.Value())
 	}
-	waitCaughtUp(t, pri, r1)
-	r1.Close()
+	waitCaughtUp(t, pri, rep1)
 	rep1.Close()
 
 	// The primary moves on while the replica is down.
@@ -434,25 +382,13 @@ func TestDurableReplicaResumesWithoutReSnap(t *testing.T) {
 	// persisted primary offsets, with no snapshot fetch at all.
 	rep2, repAddr2 := startDurableServer(t, repCfg)
 	defer rep2.Close()
-	m2 := newTestReplicaMetrics()
-	r2, err := repl.StartReplica(repl.ReplicaConfig{
-		Primary:    priAddr,
-		Store:      rep2.Store(),
-		Snapshot:   true,
-		ResumePath: resume,
-		Metrics:    m2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if m2.Resumes.Value() == 0 {
+	if rep2.wiring.replMet.Resumes.Value() == 0 {
 		t.Fatal("restart did not resume from persisted offsets")
 	}
-	if n := m2.Snapshots.Value(); n != 0 {
+	if n := rep2.wiring.replMet.Snapshots.Value(); n != 0 {
 		t.Fatalf("restart fetched %d shard snapshots, want 0 (the re-SNAP bug)", n)
 	}
-	waitCaughtUp(t, pri, r2)
+	waitCaughtUp(t, pri, rep2)
 	want := snapshotKeys(t, priAddr, keys)
 	if got := snapshotKeys(t, repAddr2, keys); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("resumed replica state %v, want %v", got, want)
@@ -461,7 +397,7 @@ func TestDurableReplicaResumesWithoutReSnap(t *testing.T) {
 
 // TestDurableReplicaResumeFallsBackToSnapshot: when the primary has
 // trimmed its log past the persisted resume point, the resumed
-// subscription is refused and StartReplica must fall back to a fresh
+// subscription is refused and the replica must fall back to a fresh
 // snapshot bootstrap instead of failing.
 func TestDurableReplicaResumeFallsBackToSnapshot(t *testing.T) {
 	priDir, repDir := t.TempDir(), t.TempDir()
@@ -473,20 +409,9 @@ func TestDurableReplicaResumeFallsBackToSnapshot(t *testing.T) {
 	defer pri.Close()
 	keys := driveMixedLoad(t, priAddr, 4)
 
-	repCfg := Config{Shards: 2, Durable: durable.Options{Dir: repDir}}
-	resume := filepath.Join(repDir, "resume")
+	repCfg := Config{Shards: 2, ReplicaOf: priAddr, Durable: durable.Options{Dir: repDir}}
 	rep1, _ := startDurableServer(t, repCfg)
-	r1, err := repl.StartReplica(repl.ReplicaConfig{
-		Primary:    priAddr,
-		Store:      rep1.Store(),
-		Snapshot:   true,
-		ResumePath: resume,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitCaughtUp(t, pri, r1)
-	r1.Close()
+	waitCaughtUp(t, pri, rep1)
 	rep1.Close()
 
 	// With the replica gone, more load plus a checkpoint trims the whole
@@ -500,22 +425,10 @@ func TestDurableReplicaResumeFallsBackToSnapshot(t *testing.T) {
 
 	rep2, repAddr2 := startDurableServer(t, repCfg)
 	defer rep2.Close()
-	m := newTestReplicaMetrics()
-	r2, err := repl.StartReplica(repl.ReplicaConfig{
-		Primary:    priAddr,
-		Store:      rep2.Store(),
-		Snapshot:   true,
-		ResumePath: resume,
-		Metrics:    m,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if m.Snapshots.Value() == 0 {
+	if rep2.wiring.replMet.Snapshots.Value() == 0 {
 		t.Fatal("trimmed-log restart did not fall back to snapshot bootstrap")
 	}
-	waitCaughtUp(t, pri, r2)
+	waitCaughtUp(t, pri, rep2)
 	want := snapshotKeys(t, priAddr, keys)
 	if got := snapshotKeys(t, repAddr2, keys); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("fallback replica state %v, want %v", got, want)

@@ -403,19 +403,17 @@ func (s *Server) statsLine() string {
 	return b.String()
 }
 
-// NewReplicaMetrics registers the replication client's instruments in
-// reg and returns the set repl.StartReplica observes into. cmd/sccserve
-// calls this with the serving Server's registry so a replica process
-// exposes its apply path next to its serving metrics.
-func NewReplicaMetrics(reg *obs.Registry) *repl.ReplicaMetrics {
+// replicaMetrics registers a replica's apply-path instruments, which
+// every stream the replica runs observes into.
+func (m *serverMetrics) replicaMetrics() *repl.ReplicaMetrics {
 	return &repl.ReplicaMetrics{
-		ApplySeconds: reg.NsHistogram("scc_repl_apply_seconds",
+		ApplySeconds: m.reg.NsHistogram("scc_repl_apply_seconds",
 			"Replica: one applied batch's latch hold plus local commit-log sync."),
-		ApplyBatch: reg.Histogram("scc_repl_apply_batch",
+		ApplyBatch: m.reg.Histogram("scc_repl_apply_batch",
 			"Replica: records installed per latch hold.", 0, 10, 1),
-		Resumes: reg.Counter("scc_repl_resumes_total",
+		Resumes: m.reg.Counter("scc_repl_resumes_total",
 			"Replica: shard subscriptions resumed from persisted primary offsets."),
-		Snapshots: reg.Counter("scc_repl_snapshots_total",
+		Snapshots: m.reg.Counter("scc_repl_snapshots_total",
 			"Replica: shard snapshot bootstraps fetched via SNAP."),
 	}
 }

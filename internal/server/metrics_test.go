@@ -17,11 +17,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/durable"
 	"repro/internal/engine"
 	obspkg "repro/internal/obs"
-	"repro/internal/repl"
 	"repro/internal/server/client"
 )
 
@@ -88,6 +86,7 @@ func TestMetricsExposition(t *testing.T) {
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
+	c.Close() // checkStatsTable samples once no connection is open
 
 	lines, err := bareMultiLine(addr, "METRICS")
 	if err != nil {
@@ -149,9 +148,21 @@ func TestMetricsExposition(t *testing.T) {
 // both a STATS key and a metric family reports the same number on both
 // surfaces, and the role-conditional keys emitted are exactly roleKeys —
 // what docs/PROTOCOL.md "STATS keys" promises for the roles the caller
-// configured.
+// configured. The caller closes its connections first; the walk waits
+// until the server has none open, because a connection's writer counts a
+// flush after it returns — the client may hold its reply by then.
 func checkStatsTable(t *testing.T, name string, srv *Server, roleKeys string) {
 	t.Helper()
+	open := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.conns)
+	}
+	for deadline := time.Now().Add(10 * time.Second); open() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d connections still open; the server never went quiescent", name, open())
+		}
+	}
 	roleKey := make(map[string]bool) // repl_lag is keyed by two rows
 	for _, row := range statRows {
 		roleKey[row.key] = roleKey[row.key] || row.when != nil
@@ -192,10 +203,7 @@ func checkStatsTable(t *testing.T, name string, srv *Server, roleKeys string) {
 // TestStatsTableOneSource holds STATS and METRICS to one source on each
 // server role, after traffic that moves the role's own counters.
 func TestStatsTableOneSource(t *testing.T) {
-	cstate := cluster.NewState("127.0.0.1:0", nil)
-	if err := cstate.BecomePrimary(1); err != nil {
-		t.Fatal(err)
-	}
+	_, priAddr := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true}})
 	const primaryKeys = "repl_subs repl_lag log_trimmed"
 	for _, c := range []struct {
 		name     string
@@ -206,9 +214,9 @@ func TestStatsTableOneSource(t *testing.T) {
 		{"primary", Config{Shards: 2, Repl: ReplOptions{Primary: true}}, primaryKeys},
 		{"durable", Config{Shards: 2, Durable: durable.Options{Dir: t.TempDir()}},
 			"wal_appends wal_fsyncs ckpt_count recovered_index dur_errors dur_intents dur_reconciled"},
-		{"replica", Config{Shards: 2, Repl: ReplOptions{Gate: repl.NewLagGate(2, 50*time.Millisecond, 0)}},
+		{"replica", Config{Shards: 2, ReplicaOf: priAddr},
 			"repl_applied repl_lag repl_shed"},
-		{"clustered", Config{Shards: 2, Repl: ReplOptions{Primary: true, SyncAcks: true, SyncTimeout: time.Millisecond}, Cluster: cstate},
+		{"clustered", Config{Shards: 2, Repl: ReplOptions{Primary: true, SyncAcks: true, SyncTimeout: time.Millisecond}, Cluster: ClusterConfig{Self: "127.0.0.1:0"}},
 			primaryKeys + " repl_sync_degraded cluster_epoch cluster_role"},
 	} {
 		srv, err := Open(c.cfg)
@@ -360,15 +368,10 @@ func TestMetricsConformance(t *testing.T) {
 	}
 
 	// The four server roles whose registries together cover every family.
-	primary, _ := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true}})
+	primary, priAddr := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true}})
 	dsrv, _ := startServer(t, Config{Shards: 2, Durable: durable.Options{Dir: t.TempDir()}})
-	gsrv, _ := startServer(t, Config{Shards: 2, Repl: ReplOptions{Gate: repl.NewLagGate(2, 50*time.Millisecond, 0)}})
-	NewReplicaMetrics(gsrv.Metrics()) // the replica apply-path instruments
-	cstate := cluster.NewState("127.0.0.1:0", nil)
-	if err := cstate.BecomePrimary(1); err != nil {
-		t.Fatal(err)
-	}
-	csrv, _ := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true, SyncAcks: true}, Cluster: cstate})
+	gsrv, _ := startServer(t, Config{Shards: 2, ReplicaOf: priAddr})
+	csrv, _ := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true, SyncAcks: true}, Cluster: ClusterConfig{Self: "127.0.0.1:0"}})
 
 	registered := make(map[string]bool)
 	for _, s := range []*Server{primary, dsrv, gsrv, csrv} {

@@ -15,43 +15,23 @@ import (
 	"repro/internal/shard"
 )
 
-// startReplicaPair starts a primary and a read replica connected by a
-// replication stream. The replica's lag budget is generous enough that
-// nothing sheds unless a test manipulates the gate.
-func startReplicaPair(t *testing.T, shards int) (pri *Server, priAddr string, rep *Server, repAddr string, r *repl.Replica, gate *repl.LagGate) {
-	gate = repl.NewLagGate(shards, time.Hour, time.Millisecond)
-	pri, priAddr, rep, repAddr, r = startReplicaPairGated(t, shards, gate, 0)
-	return pri, priAddr, rep, repAddr, r, gate
-}
-
-// startReplicaPairGated is startReplicaPair with an injected gate and
-// head-poll interval.
-func startReplicaPairGated(t *testing.T, shards int, gate *repl.LagGate, headEvery time.Duration) (pri *Server, priAddr string, rep *Server, repAddr string, r *repl.Replica) {
+// startReplicaPair starts a primary and a read replica streaming from
+// it, the replica with the given lag budget.
+func startReplicaPair(t *testing.T, shards int, lagBudget time.Duration) (pri *Server, priAddr string, rep *Server, repAddr string) {
 	t.Helper()
 	pri, priAddr = startServer(t, Config{Shards: shards, Repl: ReplOptions{Primary: true}})
-	rep, repAddr = startServer(t, Config{Shards: shards, Repl: ReplOptions{Gate: gate}})
-	var err error
-	r, err = repl.StartReplica(repl.ReplicaConfig{
-		Primary:      priAddr,
-		Store:        rep.Store(),
-		Gate:         gate,
-		HeadInterval: headEvery,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { r.Close() })
-	return pri, priAddr, rep, repAddr, r
+	rep, repAddr = startServer(t, Config{Shards: shards, ReplicaOf: priAddr, Repl: ReplOptions{LagBudget: lagBudget}})
+	return pri, priAddr, rep, repAddr
 }
 
 // waitCaughtUp blocks until the replica has applied every record the
 // primary's feed holds (the feed must be quiescent by then).
-func waitCaughtUp(t *testing.T, pri *Server, r *repl.Replica) {
+func waitCaughtUp(t *testing.T, pri, rep *Server) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		heads := pri.Feed().Heads()
-		applied := r.Applied()
+		applied := rep.Replica().Applied()
 		done := true
 		for i := range heads {
 			if applied[i] < heads[i] {
@@ -74,7 +54,7 @@ func waitCaughtUp(t *testing.T, pri *Server, r *repl.Replica) {
 // agrees byte-for-byte, SUM agrees, an independent replay of the shipped
 // log reproduces the replica's state, and ack bookkeeping is sane.
 func TestReplicationConverges(t *testing.T) {
-	pri, priAddr, _, repAddr, r, _ := startReplicaPair(t, 4)
+	pri, priAddr, rep, repAddr := startReplicaPair(t, 4, time.Hour)
 	c, err := client.DialMux(priAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +83,7 @@ func TestReplicationConverges(t *testing.T) {
 			}
 		}
 	}
-	waitCaughtUp(t, pri, r)
+	waitCaughtUp(t, pri, rep)
 
 	rc, err := client.DialMux(repAddr)
 	if err != nil {
@@ -167,7 +147,7 @@ func TestReplicationConverges(t *testing.T) {
 	// The replica applied the whole stream, and its STATS report it with
 	// zero lag.
 	var appliedTotal uint64
-	for _, a := range r.Applied() {
+	for _, a := range rep.Replica().Applied() {
 		appliedTotal += a
 	}
 	if appliedTotal != records {
@@ -200,9 +180,11 @@ func TestReplicationConverges(t *testing.T) {
 // repl_shed, value-bearing reads survive, and a served read always
 // reflects at least the acked log prefix.
 func TestReplicaLagAccounting(t *testing.T) {
-	// 10ms budget, 1ms per record.
+	// A replica with no stream, its lag injected: 10ms budget, 1ms per
+	// record.
+	rep, repAddr := startServer(t, Config{Shards: 4})
 	gate := repl.NewLagGate(4, 10*time.Millisecond, time.Millisecond)
-	rep, repAddr := startServer(t, Config{Shards: 4, Repl: ReplOptions{Gate: gate}})
+	rep.gateP.Store(gate)
 
 	// Ship five records for key x by hand, acking each: the replica's
 	// snapshot must always reflect the acked prefix.
@@ -264,11 +246,11 @@ func TestReplicaLagAccounting(t *testing.T) {
 // since the stalled stream is read exactly as late as the lag being
 // measured — must grow the gate's lag until a tight-deadline read sheds.
 func TestLagShedOnLivePath(t *testing.T) {
-	// 10ms budget, 1ms/record estimate; heads polled every 2ms. No
-	// record is applied before the stall lifts, so the 1ms estimate is
-	// not refined away by fast early applies.
-	gate := repl.NewLagGate(1, 10*time.Millisecond, time.Millisecond)
-	_, priAddr, rep, repAddr, r := startReplicaPairGated(t, 1, gate, 2*time.Millisecond)
+	// A 10ms budget. No record is applied before the stall lifts, so the
+	// per-record estimate keeps its seed and the backlog's catch-up time
+	// is backlog × 20µs.
+	_, priAddr, rep, repAddr := startReplicaPair(t, 1, 10*time.Millisecond)
+	gate := rep.replGate()
 
 	// Stall the replica's applies: a View holds the shard latch until
 	// released, so ApplyReplicated blocks behind it.
@@ -295,18 +277,18 @@ func TestLagShedOnLivePath(t *testing.T) {
 
 	// The poller must surface the backlog even though the stream is stuck.
 	deadline := time.Now().Add(10 * time.Second)
-	for gate.LagRecords() < backlog/2 {
+	for gate.LagRecords() < backlog {
 		if time.Now().After(deadline) {
 			t.Fatalf("head poller never surfaced the backlog: lag=%d", gate.LagRecords())
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// ~2s estimated catch-up >> 10ms budget: a read whose value crosses
-	// zero in ~0.2s sheds at the gate, before ever touching the store
+	// ~40ms estimated catch-up > 10ms budget: a read whose value crosses
+	// zero in 10ms sheds at the gate, before ever touching the store
 	// (whose latch the stall holds — an admitted read would block here).
 	rc := dialRaw(t, repAddr)
-	rc.send("UPD v=1 dl=100 r:k")
+	rc.send("UPD v=1 dl=5 r:k")
 	if got := rc.recv(); got != "SHED" {
 		t.Fatalf("tight read on live lagging replica = %q, want SHED", got)
 	}
@@ -319,8 +301,7 @@ func TestLagShedOnLivePath(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	_ = r // stream stays live throughout; pair cleanup closes it
-	rc.send("UPD v=1 dl=100 r:k")
+	rc.send("UPD v=1 dl=5 r:k")
 	if got := rc.recv(); got != "OK" {
 		t.Fatalf("tight read on drained replica = %q, want OK", got)
 	}
@@ -329,7 +310,7 @@ func TestLagShedOnLivePath(t *testing.T) {
 // TestReplicaFailover: losing the primary ends the stream but not the
 // replica — it keeps serving its last consistent snapshot.
 func TestReplicaFailover(t *testing.T) {
-	pri, priAddr, _, repAddr, r, _ := startReplicaPair(t, 2)
+	pri, priAddr, rep, repAddr := startReplicaPair(t, 2, time.Hour)
 	c, err := client.DialMux(priAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +318,8 @@ func TestReplicaFailover(t *testing.T) {
 	if err := c.Put("stable", 7); err != nil {
 		t.Fatal(err)
 	}
-	waitCaughtUp(t, pri, r)
+	waitCaughtUp(t, pri, rep)
+	r := rep.Replica()
 	c.Close()
 	pri.Close()
 
@@ -391,7 +373,7 @@ func TestReplVerbErrors(t *testing.T) {
 
 	// A non-primary has no feed to subscribe to or report heads for, and
 	// a replica pointed at it must fail at startup, not serve emptiness.
-	plain, plainAddr := startServer(t, Config{Shards: 2})
+	_, plainAddr := startServer(t, Config{Shards: 2})
 	pc := dialRaw(t, plainAddr)
 	for _, in := range []string{"REPL 0 1", "HEAD"} {
 		pc.send(in)
@@ -399,10 +381,7 @@ func TestReplVerbErrors(t *testing.T) {
 			t.Errorf("%q on non-primary -> %q", in, got)
 		}
 	}
-	if _, err := repl.StartReplica(repl.ReplicaConfig{
-		Primary: plainAddr,
-		Store:   plain.Store(), // any same-shard-count store works here
-	}); err == nil || !strings.Contains(err.Error(), "refused subscription") {
-		t.Errorf("StartReplica against non-primary = %v, want refused-subscription error", err)
+	if _, err := Open(Config{Shards: 2, ReplicaOf: plainAddr}); err == nil || !strings.Contains(err.Error(), "not a replication primary") {
+		t.Errorf("replica of a non-primary opened with %v, want a not-a-replication-primary error", err)
 	}
 }

@@ -16,7 +16,7 @@ import (
 )
 
 func TestReplicaCrossShardAtomicVisibility(t *testing.T) {
-	pri, priAddr, _, repAddr, r, _ := startReplicaPair(t, 4)
+	pri, priAddr, rep, repAddr := startReplicaPair(t, 4, time.Hour)
 
 	store := pri.Store()
 	k0 := "bar-a"
@@ -45,7 +45,7 @@ func TestReplicaCrossShardAtomicVisibility(t *testing.T) {
 	if err := pc.Put(k1, 100); err != nil {
 		t.Fatal(err)
 	}
-	waitCaughtUp(t, pri, r)
+	waitCaughtUp(t, pri, rep)
 	if sum, err := rc.Sum(k0, k1); err != nil || sum != 200 {
 		t.Fatalf("replica baseline sum = %d, %v", sum, err)
 	}
@@ -91,7 +91,7 @@ func TestReplicaCrossShardAtomicVisibility(t *testing.T) {
 			t.Fatalf("transfer %d results %v, want balanced", i, res)
 		}
 	}
-	waitCaughtUp(t, pri, r)
+	waitCaughtUp(t, pri, rep)
 	close(stop)
 	<-auditDone
 	if t.Failed() {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -259,13 +258,9 @@ func TestSessionDecayBooksUnderSession(t *testing.T) {
 // goes through the same entry fence as a one-shot write — same redirect,
 // same fence_reject event in the flight ring.
 func TestSessionWriteFenceRecordsReject(t *testing.T) {
-	cs := cluster.NewState("127.0.0.1:0", nil)
-	if err := cs.BecomePrimary(1); err != nil {
-		t.Fatal(err)
-	}
-	srv, _ := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true}, Cluster: cs})
+	srv, _ := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true}, Cluster: ClusterConfig{Self: "127.0.0.1:0"}})
 	id := strings.TrimPrefix(srv.dispatchLine("TXN BEGIN"), "OK ")
-	cs.Observe(2, "10.0.0.9:7070")
+	srv.cluster.Observe(2, "127.0.0.1:9")
 	rejects := func() (n int) {
 		for _, e := range srv.flight.Snapshot(0) {
 			if e.Name == flight.EvFenceReject {
@@ -275,7 +270,7 @@ func TestSessionWriteFenceRecordsReject(t *testing.T) {
 		return n
 	}
 	for i, line := range []string{"ADD k 1", "TXN W " + id + " k 1"} {
-		if got := srv.dispatchLine(line); got != "ERR not-primary 10.0.0.9:7070" {
+		if got := srv.dispatchLine(line); got != "ERR not-primary 127.0.0.1:9" {
 			t.Fatalf("%q on a deposed node -> %q", line, got)
 		}
 		if got := rejects(); got != i+1 {

@@ -53,15 +53,17 @@ type Config struct {
 	// connection (default 128). Past the cap the connection's reader
 	// stalls — TCP backpressure, not an error.
 	PipelineDepth int
+	// ReplicaOf, when set, makes the server a read replica of the primary
+	// at this address (docs/PROTOCOL.md, "Replication"): Open bootstraps
+	// the store from the primary's SNAP snapshots — or, on a durable
+	// replica, resumes from <Durable.Dir>/replica.resume — and keeps
+	// streaming the primary's commit logs into it; writes are rejected and
+	// valued reads are lag-gated (Repl.LagBudget).
+	ReplicaOf string
 	// Repl configures replication roles (docs/PROTOCOL.md, "Replication").
 	Repl ReplOptions
-	// Cluster, when non-nil, makes the server a member of a failover
-	// cluster (internal/cluster): writes are fenced by the state's
-	// fencing epoch and role, the TOPO verb comes alive, and the
-	// server can be promoted from replica to primary at runtime. The
-	// state's role and epoch must be set (BecomePrimary/SetReplica)
-	// before Open so a primary boots with its commit fence armed.
-	Cluster *cluster.State
+	// Cluster makes the server a member of a failover cluster (cluster.go).
+	Cluster ClusterConfig
 	// Txn configures interactive transaction sessions (the TXN verbs):
 	// idle cap and reaper cadence. See session.go.
 	Txn TxnConfig
@@ -87,28 +89,26 @@ type Config struct {
 // pays nothing for the always-on journal.
 const defaultFlightSample = 8
 
-// ReplOptions selects a server's replication role. Both may be set: a
-// primary-and-replica server relays its applied stream downstream
-// (chained replication).
+// ReplOptions tunes a server's replication roles. Primary and
+// Config.ReplicaOf may both be set: a primary-and-replica server relays
+// its applied stream downstream (chained replication).
 type ReplOptions struct {
 	// Primary keeps a per-shard commit log and serves REPL/ACK
 	// subscriptions from replicas.
 	Primary bool
-	// Gate marks the server a read replica: writes are rejected, and
-	// read-only transactions carrying value functions are shed when the
-	// gate estimates their value would cross zero before the replica
-	// catches up (repl_shed in STATS). The gate is fed by the
-	// repl.Replica streaming into this server's store.
-	Gate *repl.LagGate
+	// LagBudget is the estimated catch-up time a replica tolerates before
+	// lag-based value shedding (default 50ms): past it, a read-only
+	// transaction whose value function would cross zero before the
+	// replica catches up is shed (repl_shed in STATS) — the paper's Def. 2
+	// zero-crossing rule priced on replication lag (repl.LagGate).
+	LagBudget time.Duration
 	// Retain, when nonzero, bounds each in-memory commit log: records
 	// acked by every tracking subscriber are trimmed once the log holds
 	// more than Retain newer ones (with no subscribers, the newest
-	// Retain records are simply kept). Trimmed history is served to
-	// joiners via SNAP bootstrap instead of replay-from-1. Zero means
-	// no retention bound: on an in-memory server the log then grows
-	// unboundedly (the PR 3 behavior); on a durable server checkpoints
-	// still trim below min(checkpoint index, min acked), so replay-from-1
-	// joiners need a retention bound or SNAP.
+	// Retain records are simply kept); joiners bootstrap past trimmed
+	// history via SNAP. Zero means no retention bound: on an in-memory
+	// server the log then grows unboundedly; on a durable server
+	// checkpoints still trim below min(checkpoint index, min acked).
 	Retain uint64
 	// SyncAcks makes a primary semi-synchronous: each committed write
 	// waits (bounded by SyncTimeout) for at least one tracking replica
@@ -134,7 +134,7 @@ type Server struct {
 	epochs        *engine.Epochs // the store's global commit-epoch counter
 	// feedP/gateP hold the replication roles behind atomic pointers
 	// because promotion swaps them at runtime: a clustered replica
-	// starts with a gate and no feed, and Promote publishes a feed and
+	// starts with a gate and no feed, and promotion publishes a feed and
 	// retires the gate while requests are in flight. Read through
 	// Feed()/replGate(); never cache across a blocking wait.
 	feedP        atomic.Pointer[repl.Feed]    // non-nil on replication primaries
@@ -157,17 +157,18 @@ type Server struct {
 	closed bool
 
 	sessions *sessionTable // interactive transaction sessions (session.go)
+	wiring   *wiring       // replica stream, failover monitor, data directory (cluster.go)
 
 	wg sync.WaitGroup
 }
 
 // New returns a server over a fresh sharded store. It cannot fail for
-// in-memory configurations; a Config with durability enabled can, so it
-// must go through Open — New panics on it to make the misuse loud.
+// an in-memory primary; a Config with durability or ReplicaOf can, so
+// it must go through Open — New panics on it to make the misuse loud.
 func New(cfg Config) *Server {
 	s, err := Open(cfg)
 	if err != nil {
-		panic("server.New with durability must be server.Open: " + err.Error())
+		panic("server.New with durability or a primary to replicate must be server.Open: " + err.Error())
 	}
 	return s
 }
@@ -179,8 +180,13 @@ func New(cfg Config) *Server {
 // (nothing re-logs), and only then is each shard's commit-log sink
 // installed — with the replication feed's log bases reset to the
 // recovered indices, so a replica subscribed above the base streams
-// seamlessly across a primary restart.
+// seamlessly across a primary restart. A cluster member's state exists
+// before the server does, so a primary boots with its commit fence
+// armed; a replica's stream starts last, into the finished server.
 func Open(cfg Config) (*Server, error) {
+	if cfg.Cluster.Self == "" && len(cfg.Cluster.Peers) > 0 {
+		return nil, errors.New("server: Cluster.Peers needs Cluster.Self (this node's advertised address)")
+	}
 	if cfg.PipelineDepth <= 0 {
 		cfg.PipelineDepth = 128
 	}
@@ -238,12 +244,14 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.Repl.SyncTimeout <= 0 {
 		cfg.Repl.SyncTimeout = 5 * time.Second
 	}
+	if cfg.Repl.LagBudget <= 0 {
+		cfg.Repl.LagBudget = 50 * time.Millisecond
+	}
 	srv := &Server{
 		store:         store,
 		adm:           NewAdmission(cfg.Admission),
 		pipelineDepth: cfg.PipelineDepth,
 		epochs:        epochs,
-		cluster:       cfg.Cluster,
 		retain:        cfg.Repl.Retain,
 		syncAcks:      cfg.Repl.SyncAcks,
 		syncTimeout:   cfg.Repl.SyncTimeout,
@@ -252,14 +260,27 @@ func Open(cfg Config) (*Server, error) {
 		flight:        fl,
 		flightSample:  uint64(cfg.FlightSample),
 		conns:         make(map[net.Conn]struct{}),
+		wiring:        &wiring{dataDir: cfg.Durable.Dir, lease: cfg.Cluster.Lease},
 	}
 	srv.feedP.Store(feed)
-	srv.gateP.Store(cfg.Repl.Gate)
-	if cfg.Cluster != nil && cfg.Cluster.IsPrimary() {
-		srv.installFence(cfg.Cluster.Epoch())
+	if cfg.ReplicaOf != "" {
+		srv.gateP.Store(repl.NewLagGate(cfg.Shards, cfg.Repl.LagBudget, 0))
+		srv.wiring.replMet = met.replicaMetrics()
+	}
+	if cfg.Cluster.Self != "" {
+		srv.cluster = cluster.NewState(cfg.Cluster.Self, cfg.Cluster.Peers, cfg.ReplicaOf)
+		if srv.cluster.IsPrimary() {
+			srv.installFence(srv.cluster.Epoch())
+		}
 	}
 	srv.sessions = newSessionTable(srv, cfg.Txn)
 	srv.registerStats()
+	if cfg.ReplicaOf != "" {
+		if err := srv.startReplica(cfg.ReplicaOf); err != nil {
+			srv.Close()
+			return nil, err
+		}
+	}
 	return srv, nil
 }
 
@@ -285,7 +306,11 @@ func (s *Server) Admission() *Admission { return s.adm }
 func (s *Server) Flight() *flight.Recorder { return s.flight }
 
 // Serve accepts connections on lis until Close. Each connection is served
-// by its own goroutine, requests on it strictly in order.
+// by its own goroutine, requests on it strictly in order. A cluster
+// member's failover monitor starts first, between listen and serve:
+// early connections queue in the accept backlog while its synchronous
+// boot probe runs, so a restarted old primary discovers a higher fencing
+// epoch — and fences itself — before it serves a single write.
 func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -294,7 +319,15 @@ func (s *Server) Serve(lis net.Listener) error {
 		return errors.New("server: closed")
 	}
 	s.lis = lis
+	var node *cluster.Node
+	if s.cluster != nil && s.wiring.node == nil {
+		node = s.newNode()
+		s.wiring.node = node
+	}
 	s.mu.Unlock()
+	if node != nil {
+		node.Start()
+	}
 	for {
 		conn, err := lis.Accept()
 		if err != nil {
@@ -319,7 +352,9 @@ func (s *Server) Serve(lis net.Listener) error {
 	}
 }
 
-// Close stops accepting, closes every connection, and closes the store.
+// Close stops accepting, closes every connection, stops the failover
+// monitor (so no promotion, follow or demotion races teardown) and then
+// the replication stream, and closes the store.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -333,7 +368,14 @@ func (s *Server) Close() {
 	for c := range s.conns {
 		c.Close()
 	}
+	node := s.wiring.node
 	s.mu.Unlock()
+	if node != nil {
+		node.Close()
+	}
+	if r := s.Replica(); r != nil {
+		r.Close()
+	}
 	// Teardown order matters for liveness: connection handlers can be
 	// parked inside a session operation (waiting on a shadow gated by
 	// another session) or queued in admission behind slots that open

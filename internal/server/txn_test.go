@@ -22,7 +22,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/history"
 	"repro/internal/model"
-	"repro/internal/repl"
 	"repro/internal/server/client"
 )
 
@@ -418,8 +417,7 @@ func TestTxnSessionTokenAuth(t *testing.T) {
 // zero before the replica's estimated catch-up is shed at the door.
 func TestTxnReplica(t *testing.T) {
 	// A tight lag budget so manufactured lag actually sheds.
-	gate := repl.NewLagGate(4, 10*time.Millisecond, time.Millisecond)
-	pri, priAddr, _, repAddr, r := startReplicaPairGated(t, 4, gate, 0)
+	pri, priAddr, rep, repAddr := startReplicaPair(t, 4, 10*time.Millisecond)
 
 	// Seed the primary and let the replica catch up.
 	pc, err := client.DialMux(priAddr)
@@ -430,7 +428,7 @@ func TestTxnReplica(t *testing.T) {
 	if err := pc.Put("rt-k", 42); err != nil {
 		t.Fatal(err)
 	}
-	waitCaughtUp(t, pri, r)
+	waitCaughtUp(t, pri, rep)
 
 	c, err := client.DialMux(repAddr)
 	if err != nil {
@@ -452,7 +450,7 @@ func TestTxnReplica(t *testing.T) {
 	}
 
 	// Manufacture hopeless lag: BEGIN with a tight value function sheds.
-	gate.ObserveHead(0, 1_000_000)
+	rep.replGate().ObserveHead(0, 1_000_000)
 	_, err = c.Begin(client.TxOpts{Value: 1e-6, Deadline: time.Millisecond, Gradient: 1e9})
 	if !errors.Is(err, client.ErrShed) {
 		t.Fatalf("lagging BEGIN err = %v, want ErrShed", err)
