@@ -7,8 +7,8 @@
 //
 // prints the paper's comparison rows next to wall-clock cost. The full
 // sweeps (all rates, full 4000-commit runs, confidence intervals) are
-// produced by cmd/sccbench; these benchmarks are the scaled, repeatable
-// regression points.
+// produced by `sccsim -exp` (cmd/sccsim); these benchmarks are the
+// scaled, repeatable regression points.
 package repro
 
 import (
@@ -32,6 +32,7 @@ import (
 func benchPoint(b *testing.B, proto string, rate float64, twoClass bool,
 	metrics map[string]func(*stats.Metrics) float64) {
 	b.Helper()
+	spec := protocol(b, proto)
 	for i := 0; i < b.N; i++ {
 		wl := workload.Baseline(rate, int64(i)+1)
 		if twoClass {
@@ -39,11 +40,20 @@ func benchPoint(b *testing.B, proto string, rate float64, twoClass bool,
 		}
 		res := rtdbs.Run(rtdbs.Config{
 			Workload: wl, Target: 400, Warmup: 40, MaxActive: 4000,
-		}, harness.Protocol(proto).New())
+		}, spec.New())
 		for name, f := range metrics {
 			b.ReportMetric(f(res.Metrics), name)
 		}
 	}
+}
+
+func protocol(b *testing.B, name string) harness.ProtocolSpec {
+	b.Helper()
+	spec, err := harness.Protocol(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return spec
 }
 
 func missed(m *stats.Metrics) float64 { return m.MissedRatio() }
@@ -162,10 +172,11 @@ func BenchmarkAblationDelta(b *testing.B) {
 // BenchmarkSimulatorThroughput measures raw event throughput of the
 // discrete-event substrate (events/sec across a full SCC-2S run).
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	spec := protocol(b, "SCC-2S")
 	for i := 0; i < b.N; i++ {
 		rtdbs.Run(rtdbs.Config{
 			Workload: workload.Baseline(100, 1), Target: 400, Warmup: 0,
-		}, harness.Protocol("SCC-2S").New())
+		}, spec.New())
 	}
 }
 

@@ -75,18 +75,14 @@ func main() {
 	concurrency := flag.Int("concurrency", 64, "admission slots (transactions in the engine at once)")
 	queue := flag.Int("queue", 1024, "admission queue bound; overflow sheds the lowest-value waiter")
 	tenantBudget := flag.Float64("tenant-budget", 0, "per-tenant admitted-value budget in value/sec over a rolling 1s window; requests carrying tenant= from a tenant over budget are shed (0 = off)")
-	gcBatch := flag.Int("gc-batch", 64, "group-commit batch cap per shard: commits that finish while a flush is running share the next latch acquisition and log sync, at most this many per flush (1 = no coalescing)")
-	pipelineDepth := flag.Int("pipeline-depth", 128, "max concurrently dispatched REQ-framed requests per connection")
 	replicaOf := flag.String("replica-of", "", "primary address to replicate from; makes this server a read replica")
 	replLagBudget := flag.Duration("repl-lag-budget", 50*time.Millisecond, "replica: estimated catch-up time tolerated before lag-based value shedding")
-	replLog := flag.Bool("repl-log", true, "keep per-shard commit logs and serve REPL subscriptions")
 	replRetain := flag.Uint64("repl-retain", 65536, "in-memory commit-log retention per shard: records acked by every subscriber are trimmed past this many (0 = no retention bound; checkpoints on a durable server still trim; trimmed joiners bootstrap via SNAP)")
 	dataDir := flag.String("data-dir", "", "durability directory: per-shard WAL + checkpoints, recovered on boot (empty = in-memory only)")
 	fsync := flag.String("fsync", "group", "WAL fsync policy: always (per commit) | group (per commit batch: commits queue behind the running fsync and share the next) | off (OS page cache only)")
 	ckptEvery := flag.Int("ckpt-every", 4096, "checkpoint a shard after this many WAL records, highest pending-value shard first (0 = only on the CKPT verb)")
 	txnIdle := flag.Duration("txn-idle", 30*time.Second, "reap interactive TXN sessions with no operation for this long (negative = no idle cap — an abandoned no-deadline session then pins its admission slot; value zero-crossing reaping always runs)")
 	statsEvery := flag.Duration("stats", 0, "log engine stats at this interval (0 = off)")
-	flightSample := flag.Int("flight-sample", 0, "flight recorder lifecycle sampling: 1-in-N untraced requests stamp their stages into the EVENTS ring (trace=1 requests and durability/replication/shed events always record; 0 = default 8, 1 = every request)")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address serving GET /metrics (Prometheus text exposition of the same registry as the METRICS wire verb) and /debug/pprof (empty = off)")
 	logLevel := flag.String("log-level", "info", "structured-log verbosity on stderr: debug | info | warn | error")
 	clusterSelf := flag.String("cluster-self", "", "this node's advertised client address, as peers should dial it; enables the cluster failover monitor (lease heartbeats, elections, fencing epochs)")
@@ -143,14 +139,10 @@ func main() {
 			MaxQueue:      *queue,
 			TenantBudget:  *tenantBudget,
 		},
-		GroupCommit: engine.GroupCommit{
-			Enabled:  true,
-			MaxBatch: *gcBatch,
-		},
-		PipelineDepth: *pipelineDepth,
-		ReplicaOf:     *replicaOf,
+		GroupCommit: engine.GroupCommit{Enabled: true},
+		ReplicaOf:   *replicaOf,
 		Repl: server.ReplOptions{
-			Primary:     *replLog,
+			Primary:     true,
 			LagBudget:   *replLagBudget,
 			Retain:      *replRetain,
 			SyncAcks:    *replSync,
@@ -161,8 +153,7 @@ func main() {
 			Peers: strings.FieldsFunc(*clusterPeers, func(r rune) bool { return r == ',' || r == ' ' }),
 			Lease: *clusterLease,
 		},
-		Txn:          server.TxnConfig{MaxIdle: *txnIdle},
-		FlightSample: *flightSample,
+		Txn: server.TxnConfig{MaxIdle: *txnIdle},
 		Durable: durable.Options{
 			Dir:       *dataDir,
 			Fsync:     fsyncPolicy,
@@ -214,7 +205,7 @@ func main() {
 	}
 	slog.Info("sccserve: serving", "mode", m.String(), "shards", *shards, "addr", lis.Addr().String(),
 		"replica_of", *replicaOf, "cluster_self", *clusterSelf, "cluster_peers", *clusterPeers,
-		"slots", *concurrency, "queue", *queue, "gc_batch", *gcBatch)
+		"slots", *concurrency, "queue", *queue)
 
 	if *statsEvery > 0 {
 		go func() {

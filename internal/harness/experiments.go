@@ -1,5 +1,7 @@
 // This file holds the experiment registry: one entry per figure of the
-// paper's Sec. 4 plus the ablations DESIGN.md calls out.
+// paper's Sec. 4 plus ablations of the design choices Secs. 2-3 leave
+// open (shadow budget, replacement policy, adaptive budgets, the
+// Termination Rule's approximation).
 
 package harness
 
@@ -16,10 +18,16 @@ import (
 // transactions per second).
 var paperRates = []float64{10, 25, 50, 75, 100, 125, 150, 175, 200}
 
+// specs resolves the registry's protocol names, which are constants: an
+// unknown one is a bug in this file.
 func specs(names ...string) []ProtocolSpec {
 	out := make([]ProtocolSpec, len(names))
 	for i, n := range names {
-		out[i] = Protocol(n)
+		p, err := Protocol(n)
+		if err != nil {
+			panic("harness: " + err.Error())
+		}
+		out[i] = p
 	}
 	return out
 }
@@ -149,19 +157,19 @@ func Secondary(rate float64, target int, quick bool) []SecondaryRow {
 	if quick {
 		target = 300
 	}
-	names := []string{"SCC-2S", "SCC-VW", "OCC-BC", "WAIT-50", "2PL-PA"}
-	rows := make([]SecondaryRow, len(names))
-	for i, n := range names {
+	protos := specs("SCC-2S", "SCC-VW", "OCC-BC", "WAIT-50", "2PL-PA")
+	rows := make([]SecondaryRow, len(protos))
+	for i, p := range protos {
 		cfg := rtdbs.Config{
 			Workload:  workload.Baseline(rate, 1),
 			Target:    target,
 			Warmup:    target / 10,
 			MaxActive: 4000,
 		}
-		res := rtdbs.Run(cfg, Protocol(n).New())
+		res := rtdbs.Run(cfg, p.New())
 		m := res.Metrics
 		rows[i] = SecondaryRow{
-			Protocol:          n,
+			Protocol:          p.Name,
 			MissedRatio:       m.MissedRatio(),
 			AvgTardiness:      m.AvgTardiness(),
 			RestartsPerCommit: m.RestartsPerCommit(),
@@ -209,16 +217,16 @@ func ResourceAblation(rate float64, servers []int, quick bool) []ResourceRow {
 	}
 	var rows []ResourceRow
 	for _, n := range servers {
-		for _, p := range []string{"SCC-2S", "OCC-BC", "2PL-PA"} {
+		for _, p := range specs("SCC-2S", "OCC-BC", "2PL-PA") {
 			res := rtdbs.Run(rtdbs.Config{
 				Workload:  workload.Baseline(rate, 1),
 				Target:    target,
 				Warmup:    target / 10,
 				MaxActive: 3000,
 				Servers:   n,
-			}, Protocol(p).New())
+			}, p.New())
 			rows = append(rows, ResourceRow{
-				Protocol: p, Servers: n,
+				Protocol: p.Name, Servers: n,
 				MissedRatio: res.Metrics.MissedRatio(),
 				Truncated:   res.Truncated,
 			})

@@ -1,7 +1,8 @@
 // Package harness defines and runs the paper's experiments: one
 // Experiment per figure of Sec. 4, sweeping arrival rates over a set of
 // protocols with replicated seeds, and formatting the results as tables
-// and ASCII charts next to the paper's reported shapes.
+// and ASCII charts next to the paper's reported shapes. `sccsim -exp`
+// (cmd/sccsim) runs them.
 package harness
 
 import (
@@ -30,44 +31,59 @@ type ProtocolSpec struct {
 	New  func() rtdbs.CCM
 }
 
+// protocols are the protocols Protocol knows by a fixed name.
+var protocols = []struct {
+	name string
+	new  func() rtdbs.CCM
+}{
+	{"2PL-PA", func() rtdbs.CCM { return pcc.New() }},
+	{"OCC-BC", func() rtdbs.CCM { return occ.NewBC() }},
+	{"WAIT-50", func() rtdbs.CCM { return occ.NewWait50() }},
+	{"SCC-2S", func() rtdbs.CCM { return core.NewTwoShadow() }},
+	{"SCC-CB", func() rtdbs.CCM { return core.NewCB() }},
+	// Ration redundancy by worth: high-value classes get 4 shadows,
+	// routine ones 2 (Sec. 2.1's proposal).
+	{"SCC-AK", func() rtdbs.CCM { return core.NewAdaptive(core.ValueRationedK(200, 4, 2), core.LBFO) }},
+	{"SCC-VW", func() rtdbs.CCM { return core.NewVW(2, Delta) }},
+	{"SCC-DC", func() rtdbs.CCM { return core.NewDC(2, Delta) }},
+}
+
+// kShadowFamilies are the SCC-kS protocols, one per shadow replacement
+// policy: a name is the format with a shadow budget k >= 1 for %d.
+var kShadowFamilies = []struct {
+	format string
+	policy core.Policy
+}{
+	{"SCC-kS(%d)", core.LBFO},
+	{"SCC-kS-FIFO(%d)", core.FIFO},
+	{"SCC-kS-PRIO(%d)", core.Priority},
+}
+
 // Protocol returns the named protocol's spec. Valid names: 2PL-PA, OCC-BC,
-// WAIT-50, SCC-2S, SCC-CB, SCC-VW, SCC-DC, SCC-kS(<k>), SCC-kS-FIFO(<k>).
-func Protocol(name string) ProtocolSpec {
-	mk := func(f func() rtdbs.CCM) ProtocolSpec { return ProtocolSpec{Name: name, New: f} }
-	switch {
-	case name == "2PL-PA":
-		return mk(func() rtdbs.CCM { return pcc.New() })
-	case name == "OCC-BC":
-		return mk(func() rtdbs.CCM { return occ.NewBC() })
-	case name == "WAIT-50":
-		return mk(func() rtdbs.CCM { return occ.NewWait50() })
-	case name == "SCC-2S":
-		return mk(func() rtdbs.CCM { return core.NewTwoShadow() })
-	case name == "SCC-CB":
-		return mk(func() rtdbs.CCM { return core.NewCB() })
-	case name == "SCC-AK":
-		// Ration redundancy by worth: high-value classes get 4 shadows,
-		// routine ones 2 (Sec. 2.1's proposal).
-		return mk(func() rtdbs.CCM {
-			return core.NewAdaptive(core.ValueRationedK(200, 4, 2), core.LBFO)
-		})
-	case name == "SCC-VW":
-		return mk(func() rtdbs.CCM { return core.NewVW(2, Delta) })
-	case name == "SCC-DC":
-		return mk(func() rtdbs.CCM { return core.NewDC(2, Delta) })
-	default:
-		var k int
-		if _, err := fmt.Sscanf(name, "SCC-kS(%d)", &k); err == nil && k >= 1 {
-			return mk(func() rtdbs.CCM { return core.NewKS(k, core.LBFO) })
+// WAIT-50, SCC-2S, SCC-CB, SCC-AK, SCC-VW, SCC-DC, and SCC-kS(<k>),
+// SCC-kS-FIFO(<k>), SCC-kS-PRIO(<k>) for a shadow budget k >= 1. An
+// unknown name's error lists them.
+func Protocol(name string) (ProtocolSpec, error) {
+	for _, p := range protocols {
+		if p.name == name {
+			return ProtocolSpec{Name: name, New: p.new}, nil
 		}
-		if _, err := fmt.Sscanf(name, "SCC-kS-FIFO(%d)", &k); err == nil && k >= 1 {
-			return mk(func() rtdbs.CCM { return core.NewKS(k, core.FIFO) })
-		}
-		if _, err := fmt.Sscanf(name, "SCC-kS-PRIO(%d)", &k); err == nil && k >= 1 {
-			return mk(func() rtdbs.CCM { return core.NewKS(k, core.Priority) })
-		}
-		panic(fmt.Sprintf("harness: unknown protocol %q", name))
 	}
+	for _, f := range kShadowFamilies {
+		var k int
+		if _, err := fmt.Sscanf(name, f.format, &k); err == nil && k >= 1 && fmt.Sprintf(f.format, k) == name {
+			policy := f.policy
+			return ProtocolSpec{Name: name, New: func() rtdbs.CCM { return core.NewKS(k, policy) }}, nil
+		}
+	}
+	names := make([]string, 0, len(protocols)+len(kShadowFamilies))
+	for _, p := range protocols {
+		names = append(names, p.name)
+	}
+	for _, f := range kShadowFamilies {
+		names = append(names, strings.Replace(f.format, "%d", "<k>", 1))
+	}
+	return ProtocolSpec{}, fmt.Errorf("unknown protocol %q (valid: %s)", name, strings.Join(names, " "))
 }
 
 // Experiment is one figure-style sweep: metric vs arrival rate per

@@ -8,10 +8,14 @@ import (
 )
 
 func TestProtocolRegistry(t *testing.T) {
-	for _, name := range []string{"2PL-PA", "OCC-BC", "WAIT-50", "SCC-2S", "SCC-VW", "SCC-DC", "SCC-kS(3)", "SCC-kS-FIFO(2)"} {
-		p := Protocol(name)
-		if p.New() == nil {
-			t.Fatalf("%s: nil CCM", name)
+	for _, name := range []string{"2PL-PA", "OCC-BC", "WAIT-50", "SCC-2S", "SCC-CB", "SCC-AK", "SCC-VW", "SCC-DC",
+		"SCC-kS(3)", "SCC-kS-FIFO(2)", "SCC-kS-PRIO(2)"} {
+		p, err := Protocol(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Name != name || p.New() == nil {
+			t.Fatalf("%s: spec %q with a nil CCM", name, p.Name)
 		}
 		// Fresh instances each call.
 		if p.New() == p.New() {
@@ -20,13 +24,20 @@ func TestProtocolRegistry(t *testing.T) {
 	}
 }
 
-func TestUnknownProtocolPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown protocol did not panic")
+// TestUnknownProtocolErrors: a name Protocol does not parse is an error
+// that lists every valid name, budget families included.
+func TestUnknownProtocolErrors(t *testing.T) {
+	for _, name := range []string{"MVCC", "SCC-kS(0)", "SCC-kS(2)x", "SCC-kS-PRIO()"} {
+		_, err := Protocol(name)
+		if err == nil {
+			t.Fatalf("Protocol(%q) accepted", name)
 		}
-	}()
-	Protocol("MVCC")
+		for _, want := range []string{"SCC-AK", "SCC-DC", "SCC-kS(<k>)", "SCC-kS-PRIO(<k>)"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("Protocol(%q) error %q does not list %s", name, err, want)
+			}
+		}
+	}
 }
 
 func TestExperimentRegistryComplete(t *testing.T) {

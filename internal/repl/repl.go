@@ -308,6 +308,7 @@ type Feed struct {
 	subs        map[*Sub]struct{}
 	everTracked []bool        // shards some subscriber has tracked at least once
 	ackWake     chan struct{} // closed and replaced on every ack-state change
+	closed      bool          // Close was called: no ack is coming
 }
 
 // NewFeed returns a feed with one empty log per shard, all stamping
@@ -438,7 +439,7 @@ func (f *Feed) maxAckedLocked(shard int) (uint64, int) {
 // must not instantly open an unreplicated-ack window (the caller counts
 // the eventual timeout as a degrade) — by then a client whose
 // connection died with the failover has already treated the commit as
-// unacknowledged.
+// unacknowledged. After Close it fails at once instead of waiting.
 func (f *Feed) WaitAcked(shard int, index uint64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -446,6 +447,7 @@ func (f *Feed) WaitAcked(shard int, index uint64, timeout time.Duration) error {
 		best, tracking := f.maxAckedLocked(shard)
 		ever := f.everTracked[shard]
 		wake := f.ackWake
+		closed := f.closed
 		f.mu.Unlock()
 		if tracking > 0 && best >= index {
 			return nil
@@ -453,19 +455,36 @@ func (f *Feed) WaitAcked(shard int, index uint64, timeout time.Duration) error {
 		if tracking == 0 && !ever {
 			return nil
 		}
+		if closed {
+			return fmt.Errorf("repl: feed closed before shard %d record %d was acked (best %d)", shard, index, best)
+		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
 			return fmt.Errorf("repl: shard %d record %d not acked by any replica within %s (best %d)",
 				shard, index, timeout, best)
 		}
+		// Either way, the next pass re-checks: a wake-up may have brought
+		// the ack, and a timer that fired leaves no time remaining.
 		t := time.NewTimer(remain)
 		select {
 		case <-wake:
-			t.Stop()
 		case <-t.C:
-			return fmt.Errorf("repl: shard %d record %d not acked by any replica within %s (best %d)",
-				shard, index, timeout, best)
 		}
+		t.Stop()
+	}
+}
+
+// Close wakes every WaitAcked caller and makes later ones fail at once:
+// a closing server has closed its replicas' connections, so no ack can
+// arrive and a wait would only run out its timeout. The logs stay
+// usable.
+func (f *Feed) Close() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.closed {
+		f.closed = true
+		close(f.ackWake)
+		f.ackWake = make(chan struct{})
 	}
 }
 

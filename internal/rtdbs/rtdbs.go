@@ -144,7 +144,7 @@ type Runtime struct {
 	K       *sim.Kernel
 	Metrics *stats.Metrics
 	// Trace, when set, receives a line for every runtime event (spawn,
-	// access, block, abort, restart, commit); used by cmd/scctrace.
+	// access, block, abort, restart, commit); used by `sccsim -fig`.
 	Trace func(at sim.Time, format string, args ...any)
 
 	cfg       Config

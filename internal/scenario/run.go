@@ -72,7 +72,7 @@ func bootCluster(c Cell) (*cluster, error) {
 			MaxQueue:      4096,
 			TenantBudget:  c.TenantBudget,
 		},
-		GroupCommit: engine.GroupCommit{Enabled: true, MaxBatch: 64},
+		GroupCommit: engine.GroupCommit{Enabled: true},
 	}
 	cl := &cluster{}
 	switch c.Role {

@@ -223,7 +223,7 @@ func (s *Server) fencedReplVerb() (string, bool) {
 //     replication feed at the applied indices and epoch watermarks, so
 //     downstream joiners resume the primary numbering, and make it the
 //     commit log; a node that already logs (a chained replica's feed, a
-//     durable replica's WAL — which keeps feeding its -repl-log feed)
+//     durable replica's WAL — which keeps feeding its Repl.Primary feed)
 //     keeps its sinks untouched,
 //  4. arm the commit-boundary fence under the new epoch,
 //  5. lift the lag gate and publish the feed.

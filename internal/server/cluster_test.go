@@ -5,6 +5,7 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"strconv"
@@ -470,5 +471,42 @@ func TestSyncAcksDegradesWithoutSubscriber(t *testing.T) {
 		if n := srv.met.syncDegraded.Value() - before; n != 1 {
 			t.Fatalf("%s: %d degraded waits, want 1 (the commit must wait for a replica ack)", p.name, n)
 		}
+	}
+}
+
+// TestCloseWakesSemiSyncWait: a commit parked in the semi-sync wait
+// behind a subscriber that never acks does not hold Close for the whole
+// SyncTimeout. Closing the subscriber's connection alone does not end
+// the wait (a vanished subscriber is waited out); closing the feed does,
+// and the lapse counts as a degrade.
+func TestCloseWakesSemiSyncWait(t *testing.T) {
+	srv, addr := startServer(t, Config{Shards: 1, Repl: ReplOptions{Primary: true, SyncAcks: true, SyncTimeout: 5 * time.Second}})
+	sub, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	fmt.Fprintf(sub, "REPL 0 1\n")
+	if reply, err := bufio.NewReader(sub).ReadString('\n'); err != nil || !strings.HasPrefix(reply, "OK 0 ") {
+		t.Fatalf("REPL 0 1 -> %q, %v", reply, err)
+	}
+	writer, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	fmt.Fprintf(writer, "ADD k 1\n")
+	for deadline := time.Now().Add(5 * time.Second); srv.Feed().Log(0).Head() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the ADD never committed")
+		}
+	}
+	start := time.Now()
+	srv.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v with a commit in the semi-sync wait (SyncTimeout 5s)", d.Round(time.Millisecond))
+	}
+	if n := srv.met.syncDegraded.Value(); n != 1 {
+		t.Fatalf("%d degraded waits, want 1", n)
 	}
 }

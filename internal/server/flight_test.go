@@ -39,14 +39,15 @@ func canonicalEventNames() []string {
 // OK <n> plus exactly n parsable event lines and leaves the connection
 // usable; a cap caps it; bad args and REQ framing are refused.
 func TestEventsWireFraming(t *testing.T) {
-	_, addr := startServer(t, Config{Shards: 2, FlightSample: 1})
+	_, addr := startServer(t, Config{Shards: 2})
 	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Traffic with no trace=1 anywhere: the recorder is always on.
+	// trace=1 requests always record their lifecycle.
 	for i := 0; i < 8; i++ {
-		if _, err := c.Add(fmt.Sprintf("f%d", i), 1); err != nil {
+		if _, err := c.Update([]client.Op{{Key: fmt.Sprintf("f%d", i), Delta: 1, Write: true}},
+			client.TxOpts{Trace: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,16 +108,16 @@ func TestEventsWireFraming(t *testing.T) {
 
 // TestClientEvents reads the verb the way a client program would — a
 // dedicated bare-framed connection beside its Mux — and checks the
-// events cover the request lifecycle without any trace= opt-in.
+// events cover a traced request's lifecycle.
 func TestClientEvents(t *testing.T) {
-	_, addr := startServer(t, Config{Shards: 2, FlightSample: 1})
+	_, addr := startServer(t, Config{Shards: 2})
 	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	if _, err := c.Update([]client.Op{{Key: "ce", Delta: 1, Write: true}},
-		client.TxOpts{Value: 1, Deadline: time.Minute}); err != nil {
+		client.TxOpts{Value: 1, Deadline: time.Minute, Trace: true}); err != nil {
 		t.Fatal(err)
 	}
 	lines, err := bareMultiLine(addr, "EVENTS")
@@ -126,7 +127,7 @@ func TestClientEvents(t *testing.T) {
 	joined := strings.Join(lines, "\n")
 	for _, stage := range []string{obspkg.StageAdmit, obspkg.StageInstall, obspkg.StageCommit} {
 		if !strings.Contains(joined, " "+stage+" ") {
-			t.Errorf("always-on event journal is missing stage %q:\n%s", stage, joined)
+			t.Errorf("event journal is missing the traced request's stage %q:\n%s", stage, joined)
 		}
 	}
 	capped, err := bareMultiLine(addr, "EVENTS 2")
@@ -138,8 +139,8 @@ func TestClientEvents(t *testing.T) {
 	}
 }
 
-// TestFlightSampling pins the lifecycle sampling contract: with the
-// default 1-in-N rate a single untraced request records no stage
+// TestFlightSampling pins the lifecycle sampling contract: at the
+// 1-in-flightSample rate a single untraced request records no stage
 // stamps, a trace=1 request always records regardless of its sample
 // slot, and N untraced requests land at least one full lifecycle in
 // the ring.
@@ -180,12 +181,12 @@ func TestFlightSampling(t *testing.T) {
 	if got := stageLines(); got != 1 {
 		t.Fatalf("traced request recorded %d commit stamps, want exactly 1", got)
 	}
-	for i := 0; i < defaultFlightSample; i++ {
+	for i := 0; i < flightSample; i++ {
 		update(false) // one of these ids is ≡ 0 mod the sample rate
 	}
 	if got := stageLines(); got != 2 {
 		t.Fatalf("%d untraced requests recorded %d commit stamps, want exactly 2 (one sampled)",
-			defaultFlightSample, got)
+			flightSample, got)
 	}
 }
 

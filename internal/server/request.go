@@ -58,12 +58,12 @@ var (
 func (s *Server) begin(o opts.T, numOps int, write, session bool) (request, string) {
 	// trace=1 requests always record their lifecycle into the flight
 	// recorder's server ring; untraced requests record a deterministic
-	// 1-in-FlightSample slice (by request id) so the black box always
+	// 1-in-flightSample slice (by request id) so the black box always
 	// holds recent full lifecycles at near-zero per-request cost. The
 	// rest carry a nil trace — every stamp is a no-op branch. The trace=
 	// reply token stays opt-in (retain only when asked).
 	r := request{s: s, id: s.reqID.Add(1), f: s.adm.FnOf(o), session: session}
-	if o.Trace || r.id%s.flightSample == 0 {
+	if o.Trace || r.id%flightSample == 0 {
 		r.tr = obs.NewRecordedTrace(time.Now(), s.flight.Server(), r.id, o.Trace)
 	}
 	if o.Trace {

@@ -49,10 +49,6 @@ type Config struct {
 	// GroupCommit coalesces per-shard commit latch acquisitions across
 	// concurrent connections (disabled unless Enabled is set).
 	GroupCommit engine.GroupCommit
-	// PipelineDepth caps concurrently dispatched REQ-framed requests per
-	// connection (default 128). Past the cap the connection's reader
-	// stalls — TCP backpressure, not an error.
-	PipelineDepth int
 	// ReplicaOf, when set, makes the server a read replica of the primary
 	// at this address (docs/PROTOCOL.md, "Replication"): Open bootstraps
 	// the store from the primary's SNAP snapshots — or, on a durable
@@ -72,22 +68,19 @@ type Config struct {
 	// recovery of the data directory at startup — construction then goes
 	// through Open, which can fail on unreadable or corrupt directories.
 	Durable durable.Options
-	// FlightSample thins the flight recorder's lifecycle feed: one in
-	// every FlightSample untraced requests/sessions (deterministic, by
-	// request id) records its stage stamps into the server ring. trace=1
-	// requests always record, and durability, recovery, replication, and
-	// admission-shed events are always recorded regardless — sampling
-	// only applies to per-stage stamps of untraced requests. 0 uses the
-	// default (8); 1 records every request.
-	FlightSample int
 }
 
-// defaultFlightSample is the lifecycle sampling rate when
-// Config.FlightSample is unset: one in eight untraced requests stamps
-// its stages into the flight ring. Dense enough that the ring always
-// holds recent full lifecycles, sparse enough that the median request
-// pays nothing for the always-on journal.
-const defaultFlightSample = 8
+const (
+	// pipelineDepth caps concurrently dispatched REQ-framed requests per
+	// connection. Past the cap the connection's reader stalls — TCP
+	// backpressure, not an error.
+	pipelineDepth = 128
+	// flightSample: one in this many untraced requests records its
+	// lifecycle stamps into the flight recorder (begin, request.go).
+	// Dense enough that the ring always holds recent full lifecycles,
+	// sparse enough that the median request pays nothing for it.
+	flightSample = 8
+)
 
 // ReplOptions tunes a server's replication roles. Primary and
 // Config.ReplicaOf may both be set: a primary-and-replica server relays
@@ -128,26 +121,24 @@ type ReplOptions struct {
 
 // Server serves a sharded store over TCP.
 type Server struct {
-	store         *shard.Store
-	adm           *Admission
-	pipelineDepth int
-	epochs        *engine.Epochs // the store's global commit-epoch counter
+	store  *shard.Store
+	adm    *Admission
+	epochs *engine.Epochs // the store's global commit-epoch counter
 	// feedP/gateP hold the replication roles behind atomic pointers
 	// because promotion swaps them at runtime: a clustered replica
 	// starts with a gate and no feed, and promotion publishes a feed and
 	// retires the gate while requests are in flight. Read through
 	// Feed()/replGate(); never cache across a blocking wait.
-	feedP        atomic.Pointer[repl.Feed]    // non-nil on replication primaries
-	gateP        atomic.Pointer[repl.LagGate] // non-nil on read replicas
-	cluster      *cluster.State               // non-nil on cluster members
-	retain       uint64                       // Repl.Retain, reused by promotion's fresh feed
-	syncAcks     bool
-	syncTimeout  time.Duration
-	durable      *durable.Manager // non-nil with a data directory
-	met          *serverMetrics   // telemetry registry (metrics.go), always non-nil
-	flight       *flight.Recorder // always-on black-box event journal, always non-nil
-	flightSample uint64           // lifecycle stamps for 1-in-N untraced requests
-	reqID        atomic.Uint64    // request/session ids tagging flight events
+	feedP       atomic.Pointer[repl.Feed]    // non-nil on replication primaries
+	gateP       atomic.Pointer[repl.LagGate] // non-nil on read replicas
+	cluster     *cluster.State               // non-nil on cluster members
+	retain      uint64                       // Repl.Retain, reused by promotion's fresh feed
+	syncAcks    bool
+	syncTimeout time.Duration
+	durable     *durable.Manager // non-nil with a data directory
+	met         *serverMetrics   // telemetry registry (metrics.go), always non-nil
+	flight      *flight.Recorder // always-on black-box event journal, always non-nil
+	reqID       atomic.Uint64    // request/session ids tagging flight events
 
 	// mu guards connection lifecycle only; per-request counters use
 	// their own synchronization so requests never serialize on it.
@@ -160,6 +151,11 @@ type Server struct {
 	wiring   *wiring       // replica stream, failover monitor, data directory (cluster.go)
 
 	wg sync.WaitGroup
+
+	// Pads Server to 192 bytes. Without it Server is 176 bytes, a size
+	// class whose objects do not start on a cache line
+	// (TestServerStartsOnCacheLine).
+	_ [16]byte
 }
 
 // New returns a server over a fresh sharded store. It cannot fail for
@@ -187,16 +183,10 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.Cluster.Self == "" && len(cfg.Cluster.Peers) > 0 {
 		return nil, errors.New("server: Cluster.Peers needs Cluster.Self (this node's advertised address)")
 	}
-	if cfg.PipelineDepth <= 0 {
-		cfg.PipelineDepth = 128
-	}
 	if cfg.Shards <= 0 {
 		// Resolve the shard count here with shard.Open's own default, so
 		// the replication feed is sized to the store it logs.
 		cfg.Shards = shard.DefaultShards
-	}
-	if cfg.FlightSample <= 0 {
-		cfg.FlightSample = defaultFlightSample
 	}
 	met := newServerMetrics()
 	// The flight recorder exists before any subsystem so every layer —
@@ -248,19 +238,17 @@ func Open(cfg Config) (*Server, error) {
 		cfg.Repl.LagBudget = 50 * time.Millisecond
 	}
 	srv := &Server{
-		store:         store,
-		adm:           NewAdmission(cfg.Admission),
-		pipelineDepth: cfg.PipelineDepth,
-		epochs:        epochs,
-		retain:        cfg.Repl.Retain,
-		syncAcks:      cfg.Repl.SyncAcks,
-		syncTimeout:   cfg.Repl.SyncTimeout,
-		durable:       man,
-		met:           met,
-		flight:        fl,
-		flightSample:  uint64(cfg.FlightSample),
-		conns:         make(map[net.Conn]struct{}),
-		wiring:        &wiring{dataDir: cfg.Durable.Dir, lease: cfg.Cluster.Lease},
+		store:       store,
+		adm:         NewAdmission(cfg.Admission),
+		epochs:      epochs,
+		retain:      cfg.Repl.Retain,
+		syncAcks:    cfg.Repl.SyncAcks,
+		syncTimeout: cfg.Repl.SyncTimeout,
+		durable:     man,
+		met:         met,
+		flight:      fl,
+		conns:       make(map[net.Conn]struct{}),
+		wiring:      &wiring{dataDir: cfg.Durable.Dir, lease: cfg.Cluster.Lease},
 	}
 	srv.feedP.Store(feed)
 	if cfg.ReplicaOf != "" {
@@ -353,8 +341,9 @@ func (s *Server) Serve(lis net.Listener) error {
 }
 
 // Close stops accepting, closes every connection, stops the failover
-// monitor (so no promotion, follow or demotion races teardown) and then
-// the replication stream, and closes the store.
+// monitor (so no promotion, follow or demotion races teardown), then the
+// replication stream and the feed's semi-sync waits, and closes the
+// store.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -375,6 +364,12 @@ func (s *Server) Close() {
 	}
 	if r := s.Replica(); r != nil {
 		r.Close()
+	}
+	if f := s.Feed(); f != nil {
+		// The subscribers' connections are closed, so no ack is coming:
+		// wake the handlers parked in a semi-sync wait now rather than
+		// after SyncTimeout.
+		f.Close()
 	}
 	// Teardown order matters for liveness: connection handlers can be
 	// parked inside a session operation (waiting on a shadow gated by
@@ -416,7 +411,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// produce shares the one write(2), and a lone response pays an empty
 	// yield and flushes at once. On a write error the writer keeps
 	// draining (discarding) so workers never block on a dead connection.
-	out := make(chan string, 4*s.pipelineDepth)
+	out := make(chan string, 4*pipelineDepth)
 	wdone := make(chan struct{})
 	var connDead atomic.Bool
 	go func() {
@@ -517,7 +512,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				default:
 					// No idle worker: grow the pool up to the depth cap,
 					// then block (TCP backpressure, not an error).
-					if nWorkers < s.pipelineDepth {
+					if nWorkers < pipelineDepth {
 						nWorkers++
 						workers.Add(1)
 						go func() {
