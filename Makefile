@@ -26,7 +26,7 @@ loc:
 # when loc's total exceeds LOC_MAX, the total of the last PR that
 # lowered it. A diet PR sets LOC_MAX to its own result; a PR that must
 # raise it says why in CHANGES.md.
-LOC_MAX = 18958
+LOC_MAX = 18519
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_MAX) ]; then \
@@ -102,11 +102,11 @@ e2e-recover:
 e2e-failover:
 	bash scripts/e2e_failover.sh
 
-# e2e-chaos injects faults (kill -9 mid-cross-shard-commit loops, fsync
-# errors, stalled replica apply via the SCC_FAULT_* env hooks) and
-# audits crash-atomicity of cross-shard commits, sync-gated verdicts +
-# fail-stop, and barrier-consistent replica reads; see
-# scripts/e2e_chaos.sh.
+# e2e-chaos injects faults (a kill -9 mid cross-shard load, fsync errors
+# and stalled replica apply via the SCC_FAULT_* env hooks) and audits
+# crash-atomicity of cross-shard commits, sync-gated verdicts +
+# fail-stop, and barrier-consistent replica reads on real processes;
+# see scripts/e2e_chaos.sh.
 e2e-chaos:
 	bash scripts/e2e_chaos.sh
 

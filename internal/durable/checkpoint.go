@@ -6,11 +6,12 @@
 // over everything before it. Recovery loads the newest file whose CRC
 // verifies and falls back to older ones (a half-renamed or bit-rotted
 // checkpoint costs replay time, not correctness). For the fallback to be
-// real, the previous checkpoint — and the WAL suffix above it — must
+// real, the previous checkpoint — and the log records above it — must
 // outlive the new one: the manager prunes checkpoints below the
-// *previous* index only, and trims WAL segments below it likewise, so
-// at any instant the newest-but-one checkpoint plus surviving WAL can
-// still rebuild the shard.
+// *previous* index only, and trims a log segment only once every part in
+// it is at or below the previous checkpoint of its shard, so at any
+// instant the newest-but-one checkpoint plus the surviving log can still
+// rebuild the shard.
 
 package durable
 
@@ -39,13 +40,10 @@ func parseCkptName(name string) (uint64, bool) {
 
 // writeCheckpoint atomically writes shard's snapshot at log index to
 // dir. epoch is the shard's commit-epoch watermark at the capture: every
-// record the checkpoint covers has epoch <= it, and (because the manager
-// waits out undecided cross-shard epochs before writing) every covered
-// cross-shard epoch is decided — which is what lets recovery treat
-// "coordinator checkpoint epoch >= E" as a durable decision for E even
-// after the decision record's segment is trimmed. It deliberately
-// deletes nothing: pruning is pruneCheckpoints's job, under the
-// manager's keep-the-previous policy.
+// record the checkpoint covers has epoch <= it, so recovery allocates new
+// epochs above it even after the records themselves are trimmed. It
+// deliberately deletes nothing: pruning is pruneCheckpoints's job, under
+// the manager's keep-the-previous policy.
 func writeCheckpoint(dir string, shard int, index, epoch uint64, kvs map[string][]byte) error {
 	buf := make([]byte, 0, 1024)
 	buf = binary.LittleEndian.AppendUint32(buf, ckptMagic)

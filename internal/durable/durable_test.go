@@ -148,8 +148,8 @@ func TestCheckpointRecovery(t *testing.T) {
 	st.Close()
 	m.Close()
 
-	// Per shard: one segment covering (ckpt1, ckpt2], one active — the
-	// pre-ckpt1 segments are gone; and both checkpoint files survive.
+	// One segment covering (ckpt1, ckpt2], one active — the pre-ckpt1
+	// segment is gone; and both checkpoint files of each shard survive.
 	var segs, ckpts int
 	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err == nil && !d.IsDir() {
@@ -162,8 +162,8 @@ func TestCheckpointRecovery(t *testing.T) {
 		}
 		return nil
 	})
-	if segs != 4 {
-		t.Fatalf("%d WAL segments on disk after two checkpoints, want 4 (previous checkpoint's suffix kept)", segs)
+	if segs != 2 {
+		t.Fatalf("%d WAL segments on disk after two checkpoints, want 2 (previous checkpoint's suffix kept)", segs)
 	}
 	if ckpts != 4 {
 		t.Fatalf("%d checkpoint files on disk, want 4 (newest two per shard)", ckpts)
@@ -290,6 +290,33 @@ func TestAutoCheckpoint(t *testing.T) {
 	st.Close()
 }
 
+// TestIdleShardDoesNotPinTheLog: a shard that wrote once and went quiet
+// has a part in the log's oldest segment and never reaches CkptEvery
+// again. Checkpoint passes must still capture it once the sealed
+// segments pile up, so the busy shard's passes can trim the log.
+func TestIdleShardDoesNotPinTheLog(t *testing.T) {
+	idle, busy := shardKeys(t)
+	st, _, m := openStore(t, t.TempDir(), 2, Options{}, false)
+	defer m.Close()
+	defer st.Close()
+	put(t, st, idle, "1", 0)
+	for i := 0; i < 100; i++ {
+		put(t, st, busy, strconv.Itoa(i), 0)
+		if _, err := m.CheckpointAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.log.mu.Lock()
+	segs := len(m.log.segs)
+	m.log.mu.Unlock()
+	if limit := sealedPerShard*2 + 2; segs > limit {
+		t.Fatalf("%d log segments after 100 checkpoint passes, want at most %d: the idle shard pins the log", segs, limit)
+	}
+	if got := get(t, st, idle); got != "1" {
+		t.Fatalf("%s = %q, want 1", idle, got)
+	}
+}
+
 // TestStatsAndFsyncAccounting sanity-checks the counters the server
 // exports.
 func TestStatsAndFsyncAccounting(t *testing.T) {
@@ -352,7 +379,7 @@ func TestCorruptFallbackSegmentKeepsSuffix(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		put(t, st, "k"+strconv.Itoa(i), "1", 0)
 	}
-	if _, err := m.CheckpointAll(); err != nil { // ckpt at 10; wal-1 kept as fallback
+	if _, err := m.CheckpointAll(); err != nil { // ckpt at 10; the first segment kept as fallback
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -362,8 +389,8 @@ func TestCorruptFallbackSegmentKeepsSuffix(t *testing.T) {
 	m.Close()
 
 	// Bit-rot a record in the middle of the retained pre-checkpoint
-	// segment (wal-1, records 1..10).
-	seg := filepath.Join(dir, "shard-0000", segmentName(1))
+	// segment (the first, records 1..10).
+	seg := filepath.Join(dir, "wal", segmentName(0))
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -390,8 +417,8 @@ func TestCorruptFallbackSegmentKeepsSuffix(t *testing.T) {
 	}
 	// And the WAL accepts new appends contiguously after this recovery.
 	put(t, st2, "n0", "3", 0)
-	if m2.Err() != nil {
-		t.Fatalf("WAL broke on post-recovery append: %v", m2.Err())
+	if err := m2.log.err(); err != nil {
+		t.Fatalf("WAL broke on post-recovery append: %v", err)
 	}
 	st2.Close()
 }

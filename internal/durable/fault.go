@@ -1,22 +1,16 @@
 // Chaos fault injection. The e2e chaos harness (scripts/e2e_chaos.sh)
-// needs to land crashes and I/O failures inside windows that are
-// otherwise timing luck — mid-cross-shard-commit, between the two fsync
-// rounds, during a replica's apply. These env-gated hooks widen and
-// force those windows deterministically from outside the process:
+// needs fsync failures without real disk faults, forced from outside the
+// process by an env-gated hook:
 //
-//	SCC_FAULT_FSYNC_DELAY_MS   stretch every WAL fsync by this many
-//	                           milliseconds (widens the intent-durable/
-//	                           decision-durable window for kill -9)
-//	SCC_FAULT_FSYNC_ERR_AFTER  after N successful fsyncs (counted across
-//	                           every WAL in the process), every further
+//	SCC_FAULT_FSYNC_ERR_AFTER  after N successful fsyncs, every further
 //	                           fsync fails with an injected error —
 //	                           exercising the sync-gated verdict and
-//	                           fail-stop paths without real disk faults
+//	                           fail-stop paths
 //
 // The replica apply stall (SCC_FAULT_APPLY_DELAY_MS) lives in
-// internal/repl next to the apply loop it delays. Unset variables are
-// parsed once at init and cost one atomic add per fsync; production
-// processes simply never set them.
+// internal/repl next to the apply loop it delays. The variable is parsed
+// once at init and costs one atomic add per fsync when set; production
+// processes simply never set it.
 
 package durable
 
@@ -25,21 +19,16 @@ import (
 	"os"
 	"strconv"
 	"sync/atomic"
-	"time"
 )
 
 var errInjectedFsync = errors.New("durable: injected fsync fault (SCC_FAULT_FSYNC_ERR_AFTER)")
 
 var (
-	faultFsyncDelay time.Duration
 	faultFsyncArmed bool
 	faultFsyncLeft  atomic.Int64
 )
 
 func init() {
-	if ms, err := strconv.Atoi(os.Getenv("SCC_FAULT_FSYNC_DELAY_MS")); err == nil && ms > 0 {
-		faultFsyncDelay = time.Duration(ms) * time.Millisecond
-	}
 	if n, err := strconv.Atoi(os.Getenv("SCC_FAULT_FSYNC_ERR_AFTER")); err == nil && n >= 0 {
 		faultFsyncArmed = true
 		faultFsyncLeft.Store(int64(n))
@@ -47,9 +36,9 @@ func init() {
 }
 
 // faultFsyncErr reports whether this fsync must fail: true once the
-// process-wide countdown is spent. Called with the WAL lock held, right
-// before the real fsync, so an injected failure is indistinguishable
-// from a device error to everything above.
+// process-wide countdown is spent. Called right before the real fsync,
+// so an injected failure is indistinguishable from a device error to
+// everything above.
 func faultFsyncErr() bool {
 	return faultFsyncArmed && faultFsyncLeft.Add(-1) < 0
 }

@@ -1,9 +1,8 @@
-// Flight-recorder fault dumps, end to end: a cross-shard commit whose
-// participant WAL fails must auto-dump the black box before the
-// fail-stop hook fires, boot reconciliation of the resulting undecided
-// epoch must dump again, and the merge tool's epoch-joined timeline over
-// both dumps must tell the whole story — coordinator intent, failing
-// participant, reconciliation discard — with no operator intervention.
+// Flight-recorder fault dump, end to end: a cross-shard commit whose
+// record the node log cannot write must auto-dump the black box before
+// the fail-stop hook fires, the dump must name the failed commit's epoch,
+// and the restart must hold the store as it was before the fault — the
+// failed record never reached the log, so there is nothing to discard.
 package durable
 
 import (
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/shard"
 )
@@ -43,31 +43,32 @@ func waitForDump(t *testing.T, dir, reason string) string {
 func TestFlightDumpsAndMergedTimeline(t *testing.T) {
 	k0, k1 := shardKeys(t)
 	dir := t.TempDir()
-	flightDir := filepath.Join(dir, "flight")
 
-	// "Primary" process: a healthy cross commit, then a doomed one whose
-	// participant WAL is broken (as a device fault would leave it).
-	flA := flight.New(2, 0)
-	flA.SetNode("primary")
+	// A healthy cross commit, then a doomed one over a broken log (as a
+	// device fault would leave it).
+	fl := flight.New(2, 0)
+	fl.SetNode("primary")
 	onErr := make(chan error, 4)
 	st := shard.Open(shard.Config{Shards: 2})
-	m, err := Open(Options{Dir: dir, Flight: flA, OnError: func(e error) { onErr <- e }}, st, nil)
+	m, err := Open(Options{Dir: dir, Flight: fl, OnError: func(e error) { onErr <- e }}, st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	transfer := func(v0, v1 string) error {
-		return st.Update([]string{k0, k1}, func(tx shard.Tx) error {
+	transfer := func(v0, v1 string) (uint64, error) {
+		tr := obs.NewTrace(time.Now())
+		_, err := st.UpdateTracedResult(0, []string{k0, k1}, nil, tr, func(tx shard.Tx) error {
 			if err := tx.Set(k0, []byte(v0)); err != nil {
 				return err
 			}
 			return tx.Set(k1, []byte(v1))
 		})
+		return tr.Epoch(), err
 	}
-	if err := transfer("10", "10"); err != nil {
+	if _, err := transfer("10", "10"); err != nil {
 		t.Fatal(err)
 	}
-	breakWAL(m, 1, errors.New("injected device failure"))
-	err = transfer("3", "17")
+	breakWAL(m, errors.New("injected device failure"))
+	failed, err := transfer("3", "17")
 	var se *engine.SyncError
 	if !errors.As(err, &se) {
 		t.Fatalf("cross commit over broken WAL returned %v, want *engine.SyncError", err)
@@ -78,75 +79,44 @@ func TestFlightDumpsAndMergedTimeline(t *testing.T) {
 		t.Fatal("OnError fail-stop hook never fired")
 	}
 	// The walfail dump strictly precedes the hook, so it exists by now.
-	walfailPath := waitForDump(t, flightDir, "walfail")
+	d, err := flight.ParseDumpFile(waitForDump(t, filepath.Join(dir, "flight"), "walfail"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	st.Close()
-	m.Close() // the broken shard's close error is the fault itself
+	m.Close() // the log's close error is the fault itself
 
-	// "Recovery" process: boot reconciliation must discard the undecided
-	// epoch (coordinator holds intent + data, no decision) and dump.
-	flB := flight.New(2, 0)
-	flB.SetNode("recovery")
+	// The merged timeline puts the failed epoch's WAL error and fsync
+	// failure in one block.
+	var buf strings.Builder
+	if err := flight.MergeTimeline([]flight.Dump{d}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	_, block, found := strings.Cut(buf.String(), "epoch "+strconv.FormatUint(failed, 10)+"\n")
+	if !found {
+		t.Fatalf("merged timeline has no block for the failed epoch %d:\n%s", failed, buf.String())
+	}
+	if i := strings.Index(block, "\nepoch "); i >= 0 {
+		block = block[:i]
+	}
+	for _, event := range []string{flight.EvWalError, flight.EvFsyncError} {
+		if !strings.Contains(block, "primary") || !strings.Contains(block, event) {
+			t.Errorf("epoch %d timeline is missing %s on primary:\n%s", failed, event, block)
+		}
+	}
+
+	// The restart holds the pre-fault state and writes no dump of its own.
 	st2 := shard.Open(shard.Config{Shards: 2})
-	m2, err := Open(Options{Dir: dir, Flight: flB}, st2, nil)
+	m2, err := Open(Options{Dir: dir, Flight: flight.New(2, 0)}, st2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
 	defer m2.Close()
-	if got := m2.Stats().Reconciled; got != 1 {
-		t.Fatalf("reconciled = %d, want 1", got)
+	if got0, got1 := get(t, st2, k0), get(t, st2, k1); got0 != "10" || got1 != "10" {
+		t.Errorf("after recovery %s=%q %s=%q, want the pre-fault 10 and 10", k0, got0, k1, got1)
 	}
-	if got := get(t, st2, k0); got != "10" {
-		t.Errorf("%s = %q after recovery, want the pre-fault 10", k0, got)
-	}
-	reconcilePath := waitForDump(t, flightDir, "reconcile")
-
-	// Merge the two dumps the way an operator (or sccload -events-merge)
-	// would and read the failed epoch's causal story off the timeline.
-	var dumps []flight.Dump
-	for _, p := range []string{walfailPath, reconcilePath} {
-		d, err := flight.ParseDumpFile(p)
-		if err != nil {
-			t.Fatalf("parse %s: %v", p, err)
-		}
-		dumps = append(dumps, d)
-	}
-	discarded := uint64(0)
-	for _, e := range dumps[1].Events {
-		if e.Name == flight.EvReconcileDiscard {
-			discarded = e.Epoch
-		}
-	}
-	if discarded == 0 {
-		t.Fatalf("reconcile dump carries no %s event: %+v", flight.EvReconcileDiscard, dumps[1].Events)
-	}
-
-	var buf strings.Builder
-	if err := flight.MergeTimeline(dumps, &buf); err != nil {
-		t.Fatal(err)
-	}
-	timeline := buf.String()
-	_, epochBlock, found := strings.Cut(timeline, "epoch "+strconv.FormatUint(discarded, 10)+"\n")
-	if !found {
-		t.Fatalf("merged timeline has no block for discarded epoch %d:\n%s", discarded, timeline)
-	}
-	if i := strings.Index(epochBlock, "\nepoch "); i >= 0 {
-		epochBlock = epochBlock[:i]
-	}
-	for _, want := range []struct{ node, event string }{
-		{"primary", flight.EvIntent},            // coordinator wrote its intent
-		{"primary", flight.EvWalError},          // the participant's WAL failed
-		{"recovery", flight.EvReconcileDiscard}, // reconciliation discarded the epoch
-	} {
-		found := false
-		for _, line := range strings.Split(epochBlock, "\n") {
-			if strings.Contains(line, want.node) && strings.Contains(line, want.event) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("epoch %d timeline is missing %s on %s:\n%s", discarded, want.event, want.node, epochBlock)
-		}
+	if entries, _ := os.ReadDir(filepath.Join(dir, "flight")); len(entries) != 1 {
+		t.Errorf("flight dir holds %d dumps after the restart, want the walfail dump only", len(entries))
 	}
 }

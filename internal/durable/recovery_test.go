@@ -1,11 +1,9 @@
-// Torn cross-shard commit recovery: the WAL is cut at every point of
-// the two-round commit protocol (after each subset of per-shard intent
-// and data appends, before and after the decision record), and boot
-// reconciliation must recover all-or-nothing — a balanced transfer
-// never surfaces half-applied, on any shard, under any cut. The
-// companion sync-failure test pins the other half of the bugfix: a
-// commit whose WAL sync failed must never return an OK verdict, on any
-// install path.
+// Torn cross-shard commit recovery: a two-shard transfer is one log
+// record, and the log is cut at points inside it — recovery must keep the
+// transfer whole or drop it whole, never surface half of it. The
+// companion sync-failure test pins the other half: a commit whose log
+// sync failed must never return an OK verdict, on any install path.
+// crash_test.go enumerates every crash point of a whole workload.
 package durable
 
 import (
@@ -19,20 +17,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/shard"
-)
-
-// crossPiece identifies one durable artifact of a 2-shard cross commit,
-// in the order the protocol appends them: coordinator intent, then
-// coordinator data (both under the latches), participant intent,
-// participant data, and finally — after round 1 — the decision.
-type crossPiece int
-
-const (
-	pieceIntent0 crossPiece = iota
-	pieceData0
-	pieceIntent1
-	pieceData1
-	pieceDecision
 )
 
 // shardKeys finds one key routing to each of two shards.
@@ -70,65 +54,45 @@ func sumKeys(t *testing.T, st *shard.Store, keys ...string) int {
 	return total
 }
 
+func kv(k, v string) map[string][]byte { return map[string][]byte{k: []byte(v)} }
+
 func TestTornCrossShardRecovery(t *testing.T) {
 	k0, k1 := shardKeys(t)
-	const crossEpoch = 5
-	crossShards := []int{0, 1}
+	// Baseline: one standalone record per shard (k0=10, k1=10), then a
+	// transfer of 7 (k0=3, k1=17) as one two-part record.
+	base := encode(nil, frame{epoch: 1, parts: []part{{shard: 0, index: 1, writes: kv(k0, "10")}}})
+	base = encode(base, frame{epoch: 2, parts: []part{{shard: 1, index: 1, writes: kv(k1, "10")}}})
+	transfer := encode(nil, frame{epoch: 5, parts: []part{
+		{shard: 0, index: 2, writes: kv(k0, "3")},
+		{shard: 1, index: 2, writes: kv(k1, "17")},
+	}})
+	firstPart := recHeaderLen + 10 + 16 + 4 + len(k0) + 4 + 1
 
-	// The crash table: each case keeps a protocol-order prefix of the
-	// cross commit's durable artifacts (a kill -9 cannot reorder
-	// appends within one WAL). wantApplied: the transfer survived.
+	// The crash table of the two-phase protocol this log replaced, each
+	// point now a cut of the transfer's one record: not written, header
+	// only, through the first participant's part, into the second part,
+	// one byte short, and whole. wantApplied: the transfer survived.
 	cases := []struct {
 		name        string
-		pieces      []crossPiece
+		cut         int
 		wantApplied bool
-		wantRecon   int64 // epochs boot reconciliation must discard
 	}{
-		{"crash-before-intents", nil, false, 0},
-		{"crash-after-coord-intent", []crossPiece{pieceIntent0}, false, 0},
-		{"crash-after-coord-data", []crossPiece{pieceIntent0, pieceData0}, false, 1},
-		{"crash-after-part-intent", []crossPiece{pieceIntent0, pieceData0, pieceIntent1}, false, 1},
-		{"crash-before-decision", []crossPiece{pieceIntent0, pieceData0, pieceIntent1, pieceData1}, false, 1},
-		{"decision-durable", []crossPiece{pieceIntent0, pieceData0, pieceIntent1, pieceData1, pieceDecision}, true, 0},
+		{"crash-before-intents", 0, false},
+		{"crash-after-coord-intent", recHeaderLen + 10, false},
+		{"crash-after-coord-data", firstPart, false},
+		{"crash-after-part-intent", firstPart + 16, false},
+		{"crash-before-decision", len(transfer) - 1, false},
+		{"decision-durable", len(transfer), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			has := make(map[crossPiece]bool, len(tc.pieces))
-			for _, p := range tc.pieces {
-				has[p] = true
+			if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
+				t.Fatal(err)
 			}
-			// Baseline: one standalone record per shard (k0=10, k1=10),
-			// then the surviving pieces of a transfer of 7 (k0=3, k1=17).
-			buf0 := encodeRecord(nil, rec(1, k0, "10"))
-			buf1 := encodeRecord(nil, rec(1, k1, "10"))
-			if has[pieceIntent0] {
-				buf0 = encodeIntent(buf0, crossEpoch, crossShards)
-			}
-			if has[pieceData0] {
-				r := rec(2, k0, "3")
-				r.Epoch, r.Shards = crossEpoch, crossShards
-				buf0 = encodeRecord(buf0, r)
-			}
-			if has[pieceIntent1] {
-				buf1 = encodeIntent(buf1, crossEpoch, crossShards)
-			}
-			if has[pieceData1] {
-				r := rec(2, k1, "17")
-				r.Epoch, r.Shards = crossEpoch, crossShards
-				buf1 = encodeRecord(buf1, r)
-			}
-			if has[pieceDecision] {
-				buf0 = encodeDecision(buf0, crossEpoch)
-			}
-			for s, buf := range map[int][]byte{0: buf0, 1: buf1} {
-				sdir := filepath.Join(dir, fmt.Sprintf("shard-%04d", s))
-				if err := os.MkdirAll(sdir, 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(sdir, segmentName(1)), buf, 0o644); err != nil {
-					t.Fatal(err)
-				}
+			seg := append(append([]byte(nil), base...), transfer[:tc.cut]...)
+			if err := os.WriteFile(filepath.Join(dir, "wal", segmentName(0)), seg, 0o644); err != nil {
+				t.Fatal(err)
 			}
 
 			st, _, m := openStore(t, dir, 2, Options{}, true)
@@ -147,13 +111,16 @@ func TestTornCrossShardRecovery(t *testing.T) {
 			if s := sumKeys(t, st, k0, k1); s != 20 {
 				t.Errorf("sum(%s,%s) = %d after recovery, want 20 (half-applied cross commit)", k0, k1, s)
 			}
-			if got := m.Stats().Reconciled; got != tc.wantRecon {
-				t.Errorf("reconciled = %d, want %d", got, tc.wantRecon)
-			}
 
-			// The store stays writable, and a fresh cross-shard commit
-			// allocates above the torn epoch — its decision must not
-			// adopt the discarded epoch's dead data records.
+			// The store stays writable, and new epochs allocate above every
+			// epoch in the recovered log.
+			logged := uint64(2)
+			if tc.wantApplied {
+				logged = 5
+			}
+			if e := m.epochs.Next(); e <= logged {
+				t.Errorf("epoch allocation resumed at %d, at or below the logged epoch %d", e, logged)
+			}
 			err := st.Update([]string{k0, k1}, func(tx shard.Tx) error {
 				if err := tx.Set(k0, []byte("6")); err != nil {
 					return err
@@ -186,13 +153,12 @@ func TestTornCrossShardRecovery(t *testing.T) {
 	}
 }
 
-// breakWAL marks one shard's WAL sticky-broken, as a device error
-// would; everything above must observe the failure synchronously.
-func breakWAL(m *Manager, shard int, err error) {
-	w := m.shards[shard].wal
-	w.mu.Lock()
-	w.broken = err
-	w.mu.Unlock()
+// breakWAL marks the node log sticky-broken, as a device error would;
+// everything above must observe the failure synchronously.
+func breakWAL(m *Manager, err error) {
+	m.log.mu.Lock()
+	m.log.broken = err
+	m.log.mu.Unlock()
 }
 
 // TestFailedSyncNoOKVerdict: when the WAL cannot make a batch durable,
@@ -212,6 +178,7 @@ func TestFailedSyncNoOKVerdict(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { st.Close() })
+		breakWAL(m, errDisk)
 		return st, m, onErr
 	}
 	wantSyncErr := func(t *testing.T, path string, err error, onErr chan error) {
@@ -225,11 +192,15 @@ func TestFailedSyncNoOKVerdict(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%s: OnError fail-stop hook never fired", path)
 		}
+		select {
+		case e := <-onErr:
+			t.Fatalf("%s: OnError fired a second time (%v)", path, e)
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 
 	t.Run("per-commit", func(t *testing.T) {
-		st, m, onErr := newStore(t, engine.GroupCommit{})
-		breakWAL(m, st.ShardOf(k0), errDisk)
+		st, _, onErr := newStore(t, engine.GroupCommit{})
 		_, err := st.UpdateTracedResult(1, []string{k0}, nil, nil, func(tx shard.Tx) error {
 			return tx.Set(k0, []byte("1"))
 		})
@@ -237,8 +208,7 @@ func TestFailedSyncNoOKVerdict(t *testing.T) {
 	})
 
 	t.Run("group-flush", func(t *testing.T) {
-		st, m, onErr := newStore(t, engine.GroupCommit{Enabled: true, MaxBatch: 8})
-		breakWAL(m, st.ShardOf(k0), errDisk)
+		st, _, onErr := newStore(t, engine.GroupCommit{Enabled: true, MaxBatch: 8})
 		_, err := st.UpdateTracedResult(1, []string{k0}, nil, nil, func(tx shard.Tx) error {
 			return tx.Set(k0, []byte("1"))
 		})
@@ -246,9 +216,7 @@ func TestFailedSyncNoOKVerdict(t *testing.T) {
 	})
 
 	t.Run("cross-shard-combine", func(t *testing.T) {
-		st, m, onErr := newStore(t, engine.GroupCommit{})
-		// Break the non-coordinator participant: round 1 must catch it.
-		breakWAL(m, 1, errDisk)
+		st, _, onErr := newStore(t, engine.GroupCommit{})
 		err := st.Update([]string{k0, k1}, func(tx shard.Tx) error {
 			if err := tx.Set(k0, []byte("2")); err != nil {
 				return err
@@ -259,15 +227,13 @@ func TestFailedSyncNoOKVerdict(t *testing.T) {
 	})
 
 	t.Run("replica-apply", func(t *testing.T) {
-		st, m, onErr := newStore(t, engine.GroupCommit{})
-		breakWAL(m, 0, errDisk)
+		st, _, onErr := newStore(t, engine.GroupCommit{})
 		err := st.ApplyReplicated(0, []map[string][]byte{{k0: []byte("3")}})
 		wantSyncErr(t, "replica standalone apply", err, onErr)
 	})
 
 	t.Run("replica-apply-cross", func(t *testing.T) {
-		st, m, onErr := newStore(t, engine.GroupCommit{})
-		breakWAL(m, 1, errDisk)
+		st, _, onErr := newStore(t, engine.GroupCommit{})
 		err := st.ApplyReplicatedCross(map[int]map[string][]byte{
 			0: {k0: []byte("4")},
 			1: {k1: []byte("4")},

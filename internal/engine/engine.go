@@ -143,10 +143,9 @@ type Store struct {
 	queue *CommitQueue // over this store alone; every commit attempt goes through it
 
 	mu        sync.Mutex
-	log       CommitLog      // never nil: nopLog without a commit log
-	fence     func() error   // the commit boundary's last check (SetFence); may be nil
-	dirty     bool           // installed since the last commit boundary
-	undecided []crossInstall // cross-store installs this store coordinates, same window
+	log       CommitLog    // never nil: nopLog without a commit log
+	fence     func() error // the commit boundary's last check (SetFence); may be nil
+	dirty     bool         // installed since the last commit boundary
 	committed map[string]versioned
 	active    []*txnHandle // in flight, in arrival order
 	stats     Stats

@@ -3,8 +3,8 @@
 // increasing (every allocation happens under that shard's commit latch),
 // and a cross-shard commit carries ONE epoch on all of its per-shard
 // records — which is what lets a replica apply the commit on all shards
-// at once (the apply barrier in internal/repl) and lets boot recovery
-// reconcile a torn cross-shard write by epoch (internal/durable).
+// at once (the apply barrier in internal/repl) and lets the durable log
+// gather the parts into one record (internal/durable).
 //
 // The type lives in package engine, the bottom of the serving dependency
 // chain, so repl, shard, durable and server can all share one instance.

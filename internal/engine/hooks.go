@@ -4,7 +4,9 @@
 // (commit.go), validates every read via ValidateLocked and installs via
 // ApplyLocked / InstallCrossLocked inside its step; holding every latch
 // across validate and install makes the commit atomic with respect to
-// other multi-store commits and to each store's own live transactions.
+// other multi-store commits and to each store's own live transactions,
+// and hands a durable log all of its parts before any other install on
+// those stores — which is what lets it write them as one record.
 // LockCommit/UnlockCommit serve the read-only and boot-time users (views,
 // checkpoints, SNAP, recovery replay).
 
@@ -113,5 +115,5 @@ func (s *Store) SyncCommitLog() error {
 	s.mu.Lock()
 	log := s.log
 	s.mu.Unlock()
-	return syncLogs([]CommitLog{log})
+	return log.Sync()
 }

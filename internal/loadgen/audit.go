@@ -89,9 +89,8 @@ type Acked struct {
 // count and returns one line per violating client. A counter below the
 // acked count is a lost acknowledged commit — the durability lie, always
 // a violation. A counter above it is a commit whose ack never reached
-// the client: lost in transit, swallowed by a crash (after which the
-// write either survived recovery or was discarded as an undecided
-// cross-shard epoch), or double-landed by a failover retry. That is
+// the client: lost in transit, swallowed by a crash that its log record
+// survived, or double-landed by a failover retry. That is
 // correct for unacked work, so atLeast tolerates it; the exact form is
 // for runs where nothing was killed and it can only be a phantom commit.
 func AuditLedger(c *client.Mux, a Acked, atLeast bool) (violations []string, err error) {

@@ -3,20 +3,20 @@
 // leave running in production (ring slots are pointer-free so the
 // buffers are GC-noscan, and the serving layer batches a request's
 // lifecycle stamps into one ring write). When something goes
-// wrong — a sticky WAL failure, a boot-time reconciliation, an operator
-// SIGQUIT — the rings are dumped as a textual post-mortem artifact, the
-// black-box record of what the process did just before the fault.
+// wrong — a sticky WAL failure, a demotion, an operator SIGQUIT — the
+// rings are dumped as a textual post-mortem artifact, the black-box
+// record of what the process did just before the fault.
 //
 // Every event carries a node-wide monotonic sequence number (one shared
 // counter across all rings, so a dump merges into a single total order)
 // and the global commit epoch when one is in hand (0 otherwise). The
-// epoch is what joins events causally ACROSS nodes: a cross-shard
-// commit's intent, fsync, decision, and replica-apply events all carry
-// the same epoch, so dumps from a primary and its replicas merge into
-// one causal timeline (see MergeTimeline and `sccload -events-merge`).
+// epoch is what joins events causally ACROSS nodes: a commit's
+// lifecycle stamps, WAL error and replica-apply events all carry the
+// same epoch, so dumps from a primary and its replicas merge into one
+// causal timeline (see MergeTimeline and `sccload -events-merge`).
 //
 // The recorder keeps one ring per shard (durability events: WAL fsync,
-// intent, decision, checkpoint, reconciliation) plus three named rings:
+// WAL error, checkpoint) plus three named rings:
 // "server" (per-request lifecycle stamps via obs.Trace), "admission"
 // (shed decisions), and "repl" (replica apply batches). Rings are
 // independently mutex-guarded — writers to different rings never
@@ -43,28 +43,18 @@ import (
 // names). docs/PROTOCOL.md lists every name normatively; the
 // conformance test in internal/server keeps the two in sync.
 const (
-	// EvFsync is one successful WAL fsync on a shard; the epoch is the
-	// shard's high-water commit epoch covered by the sync.
+	// EvFsync is a shard's records made durable by a node-log sync; the
+	// epoch is the shard's high-water commit epoch covered by the sync.
 	EvFsync = "wal_fsync"
-	// EvFsyncError is a failed WAL fsync — recorded once with the
-	// shard's epoch watermark and once per cross-shard epoch still
-	// gated (undecided) on the shard, since those are exactly the
-	// epochs boot recovery will reconcile.
+	// EvFsyncError is a failed WAL fsync, recorded with the shard's
+	// epoch watermark.
 	EvFsyncError = "wal_fsync_error"
-	// EvWalError is a failed WAL append (non-fsync failure).
+	// EvWalError is a failed WAL append (non-fsync failure); the epoch
+	// is the commit whose record could not be written.
 	EvWalError = "wal_error"
-	// EvIntent is a cross-shard intent record append (one per
-	// participant shard, before the epoch's data records).
-	EvIntent = "intent"
-	// EvDecision is the cross-shard decision append on the coordinator
-	// — durable after the following fsync, which is the commit point.
-	EvDecision = "decision"
 	// EvCheckpoint is a completed shard checkpoint; the epoch is the
 	// shard's watermark at capture.
 	EvCheckpoint = "checkpoint"
-	// EvReconcileDiscard is boot recovery discarding an undecided
-	// cross-shard epoch (intents without a durable decision).
-	EvReconcileDiscard = "reconcile_discard"
 	// EvReplApply is one replica apply batch; the epoch is the newest
 	// epoch installed by the batch, the shard its (first) shard.
 	EvReplApply = "repl_apply"
@@ -139,8 +129,7 @@ func init() {
 	// keeps the steady state on the lock-free path.
 	names.Store(&nameTable{idx: make(map[string]uint32)})
 	for _, n := range []string{
-		EvFsync, EvFsyncError, EvWalError, EvIntent, EvDecision,
-		EvCheckpoint, EvReconcileDiscard, EvReplApply, EvReplShed,
+		EvFsync, EvFsyncError, EvWalError, EvCheckpoint, EvReplApply, EvReplShed,
 		EvPromote, EvDemote, EvFenceReject,
 		"enqueue", "admit", "fork", "park", "resume", "promotion",
 		"restart", "defer", "deferred", "install", "commit", "abort",
@@ -559,10 +548,10 @@ type mergedEvent struct {
 // MergeTimeline joins dumps (from the primary and any replicas, or from
 // before and after a restart) into one textual causal timeline, grouped
 // by commit epoch: for each epoch seen in any dump, the events carrying
-// it print in wall-clock order — coordinator intent, per-participant
-// fsync, decision, replica apply, or the reconciliation that discarded
-// it. Events with no epoch are summarized, not listed (the rings hold
-// thousands; the epoch-joined view is the post-mortem's spine).
+// it print in wall-clock order — lifecycle stages, the WAL error that
+// failed it, replica apply. Events with no epoch are summarized, not
+// listed (the rings hold thousands; the epoch-joined view is the
+// post-mortem's spine).
 func MergeTimeline(dumps []Dump, w io.Writer) error {
 	byEpoch := make(map[uint64][]mergedEvent)
 	unepoched := 0

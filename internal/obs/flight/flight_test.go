@@ -105,8 +105,8 @@ func TestDumpParseRoundTrip(t *testing.T) {
 	r := New(2, 16)
 	r.SetNode("127.0.0.1:7400")
 	r.Server().Record("enqueue", 42, -1, 0)
-	r.Shard(1).Record(EvIntent, 0, 1, 9)
-	r.Shard(0).Record(EvDecision, 0, 0, 9)
+	r.Shard(1).Record(EvWalError, 0, 1, 9)
+	r.Shard(0).Record(EvFsyncError, 0, 0, 9)
 
 	var buf bytes.Buffer
 	if err := r.WriteTo(&buf, "walfail"); err != nil {
@@ -119,7 +119,7 @@ func TestDumpParseRoundTrip(t *testing.T) {
 	if d.Node != "127.0.0.1:7400" || d.Reason != "walfail" || len(d.Events) != 3 {
 		t.Fatalf("round trip lost header or events: %+v", d)
 	}
-	if e := d.Events[1]; e.Name != EvIntent || e.Shard != 1 || e.Epoch != 9 {
+	if e := d.Events[1]; e.Name != EvWalError || e.Shard != 1 || e.Epoch != 9 {
 		t.Fatalf("event 1 round-tripped wrong: %+v", e)
 	}
 }
@@ -139,30 +139,30 @@ func TestParseDumpRejectsGarbage(t *testing.T) {
 
 func TestMergeTimeline(t *testing.T) {
 	primary := Dump{Node: "primary", Reason: "walfail", Events: []Event{
-		{Seq: 1, At: 100, Ring: "shard0", Name: EvIntent, Shard: 0, Epoch: 5},
-		{Seq: 2, At: 110, Ring: "shard1", Name: EvIntent, Shard: 1, Epoch: 5},
+		{Seq: 1, At: 100, Ring: "server", Name: "install", Txn: 7, Epoch: 5},
+		{Seq: 2, At: 110, Ring: "shard1", Name: EvWalError, Shard: 1, Epoch: 5},
 		{Seq: 3, At: 150, Ring: "shard0", Name: EvFsyncError, Shard: 0, Epoch: 5},
 		{Seq: 4, At: 90, Ring: "server", Name: "admit", Txn: 7},
 	}}
-	restart := Dump{Node: "primary", Reason: "reconcile", Events: []Event{
-		{Seq: 1, At: 900, Ring: "shard0", Name: EvReconcileDiscard, Shard: 0, Epoch: 5},
+	replica := Dump{Node: "replica", Reason: "sigquit", Events: []Event{
+		{Seq: 1, At: 900, Ring: "repl", Name: EvReplApply, Shard: 0, Epoch: 5},
 	}}
 	var buf bytes.Buffer
-	if err := MergeTimeline([]Dump{primary, restart}, &buf); err != nil {
+	if err := MergeTimeline([]Dump{primary, replica}, &buf); err != nil {
 		t.Fatalf("MergeTimeline: %v", err)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "epoch 5") {
 		t.Fatalf("timeline missing epoch block:\n%s", out)
 	}
-	for _, name := range []string{EvIntent, EvFsyncError, EvReconcileDiscard} {
+	for _, name := range []string{EvWalError, EvFsyncError, EvReplApply} {
 		if !strings.Contains(out, name) {
 			t.Fatalf("timeline missing %s:\n%s", name, out)
 		}
 	}
-	// Causal order within the epoch: intent before fsync error before
-	// the reconciliation decision.
-	if i, j := strings.Index(out, EvIntent), strings.Index(out, EvReconcileDiscard); i > j {
+	// Causal order within the epoch: the primary's WAL error before the
+	// replica's apply.
+	if i, j := strings.Index(out, EvWalError), strings.Index(out, EvReplApply); i > j {
 		t.Fatalf("timeline out of order:\n%s", out)
 	}
 	if !strings.Contains(out, "unepoched_events=1") {

@@ -108,13 +108,9 @@ func (l *Log) AppendCommit(rec engine.CommitRecord) uint64 {
 }
 
 // The durability half of engine.CommitLog is a no-op in memory: with no
-// WAL there is no decision record to gate shipping on and nothing to
-// sync.
-func (l *Log) AppendIntent(uint64, []int) {}
-func (l *Log) AppendDecision(uint64)      {}
-func (l *Log) ReleaseCross(uint64)        {}
-func (l *Log) Sync() error                { return nil }
-func (l *Log) Durable() bool              { return false }
+// WAL there is nothing to sync.
+func (l *Log) Sync() error   { return nil }
+func (l *Log) Durable() bool { return false }
 
 // AppendStamped records one write set with a pre-assigned epoch and (for
 // cross-shard commits) participant set — the publication path durable

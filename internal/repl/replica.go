@@ -62,7 +62,7 @@ type ReplicaConfig struct {
 	// Flight, when non-nil, receives one event per apply batch — the
 	// replica half of the cross-node causal timeline: the event carries
 	// the batch's newest commit epoch, so a merged flight dump joins it
-	// to the primary's intent/decision events for the same epoch.
+	// to the primary's events (fsync, WAL error) for the same epoch.
 	Flight *flight.Ring
 }
 

@@ -28,8 +28,7 @@ func canonicalEventNames() []string {
 		obspkg.StageResume, obspkg.StagePromotion, obspkg.StageRestart, obspkg.StageDefer,
 		obspkg.StageDeferred, obspkg.StageInstall, obspkg.StageCommit, obspkg.StageAbort,
 		obspkg.StageShed, obspkg.StageReap,
-		flight.EvFsync, flight.EvFsyncError, flight.EvWalError, flight.EvIntent,
-		flight.EvDecision, flight.EvCheckpoint, flight.EvReconcileDiscard,
+		flight.EvFsync, flight.EvFsyncError, flight.EvWalError, flight.EvCheckpoint,
 		flight.EvReplApply, flight.EvReplShed,
 		flight.EvPromote, flight.EvDemote, flight.EvFenceReject,
 	}

@@ -337,7 +337,7 @@ var statRows = []statRow{
 			return 0
 		}},
 
-	{key: "wal_appends", family: "scc_wal_appends_total", help: "Records appended to the per-shard WALs.", when: hasWAL,
+	{key: "wal_appends", family: "scc_wal_appends_total", help: "Records appended to the node WAL.", when: hasWAL,
 		read: func(sn *statSnap) float64 { return float64(sn.durable().WALAppends) }},
 	{key: "wal_fsyncs", family: "scc_wal_fsyncs_total", help: "WAL fsync batches.", when: hasWAL,
 		read: func(sn *statSnap) float64 { return float64(sn.durable().WALFsyncs) }},
@@ -347,10 +347,8 @@ var statRows = []statRow{
 		read: func(sn *statSnap) float64 { return float64(sn.durable().RecoveredIndex) }},
 	{key: "dur_errors", family: "scc_durable_errors_total", help: "Durability-layer errors (WAL or checkpoint failures).", when: hasWAL,
 		read: func(sn *statSnap) float64 { return float64(sn.durable().Errors) }},
-	{key: "dur_intents", family: "scc_wal_intents_total", help: "Cross-shard intent records appended to the per-shard WALs.", when: hasWAL,
+	{key: "dur_cross_records", family: "scc_wal_cross_records_total", help: "Cross-shard commits appended to the node WAL, one record each.", when: hasWAL,
 		read: func(sn *statSnap) float64 { return float64(sn.durable().Intents) }},
-	{key: "dur_reconciled", family: "scc_recovery_reconciled_total", help: "Undecided cross-shard epochs discarded by recovery reconciliation at the last boot.", when: hasWAL,
-		read: func(sn *statSnap) float64 { return float64(sn.durable().Reconciled) }},
 }
 
 // registerStats bridges statRows into the registry as func-backed

@@ -213,7 +213,7 @@ func TestStatsTableOneSource(t *testing.T) {
 		{"plain", Config{Shards: 2}, ""},
 		{"primary", Config{Shards: 2, Repl: ReplOptions{Primary: true}}, primaryKeys},
 		{"durable", Config{Shards: 2, Durable: durable.Options{Dir: t.TempDir()}},
-			"wal_appends wal_fsyncs ckpt_count recovered_index dur_errors dur_intents dur_reconciled"},
+			"wal_appends wal_fsyncs ckpt_count recovered_index dur_errors dur_cross_records"},
 		{"replica", Config{Shards: 2, ReplicaOf: priAddr},
 			"repl_applied repl_lag repl_shed"},
 		{"clustered", Config{Shards: 2, Repl: ReplOptions{Primary: true, SyncAcks: true, SyncTimeout: time.Millisecond}, Cluster: ClusterConfig{Self: "127.0.0.1:0"}},

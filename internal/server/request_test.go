@@ -126,9 +126,6 @@ func TestSessionOpsCountsEveryExit(t *testing.T) {
 type brokenLog struct{}
 
 func (brokenLog) AppendCommit(rec engine.CommitRecord) uint64 { return rec.Epoch }
-func (brokenLog) AppendIntent(uint64, []int)                  {}
-func (brokenLog) AppendDecision(uint64)                       {}
-func (brokenLog) ReleaseCross(uint64)                         {}
 func (brokenLog) Durable() bool                               { return true }
 func (brokenLog) Sync() error                                 { return errors.New("disk on fire") }
 

@@ -17,16 +17,19 @@ import (
 // waits for stall to be closed — the seam that holds a group-commit flush
 // open while the next batch forms behind it.
 type faultLog struct {
-	syncErr                      error
-	syncing, stall               chan struct{}
-	intents, decisions, released atomic.Int64
+	syncErr        error
+	syncing, stall chan struct{}
+	records, cross atomic.Int64 // appends; those carrying a cross-shard part
 }
 
-func (l *faultLog) AppendCommit(rec engine.CommitRecord) uint64 { return rec.Epoch }
-func (l *faultLog) AppendIntent(uint64, []int)                  { l.intents.Add(1) }
-func (l *faultLog) AppendDecision(uint64)                       { l.decisions.Add(1) }
-func (l *faultLog) ReleaseCross(uint64)                         { l.released.Add(1) }
-func (l *faultLog) Durable() bool                               { return true }
+func (l *faultLog) AppendCommit(rec engine.CommitRecord) uint64 {
+	l.records.Add(1)
+	if len(rec.Shards) > 1 {
+		l.cross.Add(1)
+	}
+	return rec.Epoch
+}
+func (l *faultLog) Durable() bool { return true }
 func (l *faultLog) Sync() error {
 	if l.stall != nil {
 		select {
@@ -57,6 +60,7 @@ func TestCommitBoundaryContract(t *testing.T) {
 		installed []error           // verdict errors of requests that installed
 		rejected  []verdict         // verdicts of requests that failed validation
 		want      map[string]string // committed state afterwards
+		records   int64             // per-shard parts the shape installed
 		epochs    int64             // two-participant commit epochs the shape minted
 	}
 	set := func(tx Tx, kv ...string) error {
@@ -91,8 +95,9 @@ func TestCommitBoundaryContract(t *testing.T) {
 		bad := submit(&crossTx{reads: map[string]uint64{stale: 99}}, 1)
 		good := submit(&crossTx{writes: writes, value: 1}, 2)
 		close(gate)
+		parts := int64(len(groupByShard(s, writes)))
 		return outcome{installed: []error{(<-good).err}, rejected: []verdict{<-bad},
-			want: want, epochs: int64(len(groupByShard(s, writes)) - 1)}
+			want: want, records: parts, epochs: parts - 1}
 	}
 	var logs []*faultLog // this subtest's commit logs, one per shard
 	// OCC-BC keeps the flush population exact: no speculative shadow
@@ -105,7 +110,7 @@ func TestCommitBoundaryContract(t *testing.T) {
 	}{
 		{name: "per-commit", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
 			_, err := s.UpdateTracedResult(1, []string{k0}, nil, nil, func(tx Tx) error { return set(tx, k0, "1") })
-			return outcome{installed: []error{err}, want: map[string]string{k0: "1"}}
+			return outcome{installed: []error{err}, want: map[string]string{k0: "1"}, records: 1}
 		}},
 		{name: "group-flush", eng: grouped,
 			run: func(t *testing.T, s *Store, k0, k1 string) outcome {
@@ -145,7 +150,7 @@ func TestCommitBoundaryContract(t *testing.T) {
 					runtime.Gosched()
 				}
 				close(log.stall)
-				out := outcome{want: map[string]string{k0: string(bytes8(2)), lone: "1"}}
+				out := outcome{want: map[string]string{k0: string(bytes8(2)), lone: "1"}, records: 3}
 				for i := 0; i < 3; i++ {
 					out.installed = append(out.installed, <-errs)
 				}
@@ -160,15 +165,15 @@ func TestCommitBoundaryContract(t *testing.T) {
 		}},
 		{name: "cross-update", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
 			err := s.Update([]string{k0, k1}, func(tx Tx) error { return set(tx, k0, "4", k1, "4") })
-			return outcome{installed: []error{err}, want: map[string]string{k0: "4", k1: "4"}, epochs: 1}
+			return outcome{installed: []error{err}, want: map[string]string{k0: "4", k1: "4"}, records: 2, epochs: 1}
 		}},
 		{name: "apply-replicated", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
 			err := s.ApplyReplicated(0, []map[string][]byte{{k0: []byte("5")}, {k0: []byte("6")}})
-			return outcome{installed: []error{err}, want: map[string]string{k0: "6"}}
+			return outcome{installed: []error{err}, want: map[string]string{k0: "6"}, records: 2}
 		}},
 		{name: "apply-replicated-cross", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
 			err := s.ApplyReplicatedCross(map[int]map[string][]byte{0: {k0: []byte("7")}, 1: {k1: []byte("7")}})
-			return outcome{installed: []error{err}, want: map[string]string{k0: "7", k1: "7"}, epochs: 1}
+			return outcome{installed: []error{err}, want: map[string]string{k0: "7", k1: "7"}, records: 2, epochs: 1}
 		}},
 	}
 	cause := errors.New("injected boundary failure")
@@ -208,23 +213,17 @@ func TestCommitBoundaryContract(t *testing.T) {
 						t.Errorf("%s = %q, want %q (installed, though never acknowledged)", k, got, want)
 					}
 				}
-				// The two-round protocol is the pipeline's, whoever calls it:
-				// every epoch puts an intent on both participants; a failed
-				// round 1 never decides it, while a batch only the fence
-				// failed was decided once and released on both.
-				var intents, decisions, released int64
+				// One record per installed part, whoever calls the pipeline
+				// and whatever fails at the boundary — which adds nothing to
+				// the log. Both parts of a cross-shard commit carry its
+				// participant set, for a durable log to write them as one.
+				var records, cross int64
 				for _, l := range logs {
-					intents += l.intents.Load()
-					decisions += l.decisions.Load()
-					released += l.released.Load()
+					records += l.records.Load()
+					cross += l.cross.Load()
 				}
-				wantDecisions, wantReleased := out.epochs, 2*out.epochs
-				if fault == "sync" {
-					wantDecisions, wantReleased = 0, 0
-				}
-				if intents != 2*out.epochs || decisions != wantDecisions || released != wantReleased {
-					t.Errorf("intents=%d decisions=%d released=%d, want %d/%d/%d",
-						intents, decisions, released, 2*out.epochs, wantDecisions, wantReleased)
+				if records != out.records || cross != 2*out.epochs {
+					t.Errorf("records=%d cross-shard parts=%d, want %d/%d", records, cross, out.records, 2*out.epochs)
 				}
 			})
 		}

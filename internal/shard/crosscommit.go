@@ -11,13 +11,14 @@
 // cross-shard, happen under that shard's commit latch, so the shard's
 // commit log (engine.Config.CommitLog) is a single total order.
 //
-// Crash atomicity. A commit whose writes span several shards spans
-// several WALs; the two-round presumed-abort protocol that keeps it
-// all-or-nothing across a crash lives in the engine's commit pipeline
-// (engine/commit.go), which the queue's flush runs through like every
-// other install path. Verdicts are delivered only after the batch has
-// crossed that boundary; a failure converts every installed verdict of
-// the batch to an error.
+// Crash atomicity. A commit whose writes span several shards mints one
+// epoch and hands each participant's commit log its part, all under the
+// latches (engine.InstallCrossLocked); a durable node log writes the
+// parts as one record, so the commit survives a crash whole or not at
+// all. The queue's flush runs through the engine's commit pipeline
+// (engine/commit.go) like every other install path: verdicts are
+// delivered only after the batch's log sync, and a failure converts
+// every installed verdict of the batch to an error.
 
 package shard
 
@@ -104,7 +105,7 @@ func groupByShard[V any](s *Store, set map[string]V) map[int]map[string]V {
 // inside a Commit step that latched every shard written. Writes that all
 // landed on one shard are an ordinary valued install; writes spanning
 // several mint a global commit epoch (stamped on tr) and install as one
-// cross-store commit the pipeline decides atomically.
+// cross-store commit, which a durable log writes as one record.
 func (s *Store) installLocked(writes map[int]map[string][]byte, value float64, tr *obs.Trace) {
 	if len(writes) <= 1 {
 		for idx, w := range writes {

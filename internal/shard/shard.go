@@ -418,9 +418,9 @@ func (s *Store) ApplyReplicated(shard int, records []map[string][]byte) error {
 // maps each participant shard to its writes, and every part is applied
 // under a single hold of all the participants' latches — the replica-side
 // apply barrier, making the commit visible all-shards-at-once exactly as
-// it committed on the primary. On a durable replica the install runs the
-// same intent/decision protocol as a native cross-shard commit (with a
-// locally allocated epoch), so a replica crash mid-apply also recovers
+// it committed on the primary. On a durable replica the parts are logged
+// as one record like a native cross-shard commit's (under a locally
+// allocated epoch), so a replica crash mid-apply also recovers
 // all-or-nothing. Records must arrive in per-shard log order; the caller
 // (internal/repl's replica loop) holds them until every participant's
 // part is next in line.

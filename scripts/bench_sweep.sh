@@ -77,8 +77,8 @@ run single-shard-group-commit \
     "-shards 16" \
     "-clients 32 -ops 200 -mix single -pipeline 16"
 # Same load as pipelined-low but durable: the delta against it prices
-# the WAL write path, and since PR 7 that includes the cross-shard
-# intent + decision records (2PC round per multi-shard commit).
+# the WAL write path, one record per commit (the run's name predates
+# the one-record log; the checked-in sweeps use it).
 run durable-cross-intents \
     "-shards 16 -fsync group -data-dir $SCRATCH/dur-data" \
     "-clients 32 -ops 200 -mix low -pipeline 16"
