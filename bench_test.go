@@ -276,6 +276,7 @@ func BenchmarkShardedStore(b *testing.B) {
 func BenchmarkShardedCross(b *testing.B) {
 	s := shard.Open(shard.Config{Shards: 16, Engine: engine.Config{Mode: engine.SCC2S}})
 	defer s.Close()
+	b.ReportAllocs()
 	var worker atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		i := int(worker.Add(1)) * 1_000_003

@@ -326,10 +326,14 @@ func inflight(t *testing.T, rng *rand.Rand, st *shard.Store) {
 		return n
 	}
 	d := 1 + rng.Intn(9)
-	engine.InstallCrossLocked(stores, st.Epochs().Next(), parts, map[int]map[string][]byte{
-		st.ShardOf(a): {a: []byte(strconv.Itoa(value(a) - d))},
-		st.ShardOf(b): {b: []byte(strconv.Itoa(value(b) + d))},
-	}, 0)
+	writes := []map[string][]byte{
+		{a: []byte(strconv.Itoa(value(a) - d))},
+		{b: []byte(strconv.Itoa(value(b) + d))},
+	}
+	if parts[0] != st.ShardOf(a) {
+		writes[0], writes[1] = writes[1], writes[0]
+	}
+	engine.InstallCrossLocked(stores, st.Epochs().Next(), parts, writes, 0)
 	for _, i := range parts {
 		stores[i].UnlockCommit()
 	}

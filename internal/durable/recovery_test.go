@@ -234,9 +234,9 @@ func TestFailedSyncNoOKVerdict(t *testing.T) {
 
 	t.Run("replica-apply-cross", func(t *testing.T) {
 		st, _, onErr := newStore(t, engine.GroupCommit{})
-		err := st.ApplyReplicatedCross(map[int]map[string][]byte{
-			0: {k0: []byte("4")},
-			1: {k1: []byte("4")},
+		err := st.ApplyReplicatedCross([]int{0, 1}, []map[string][]byte{
+			{k0: []byte("4")},
+			{k1: []byte("4")},
 		})
 		wantSyncErr(t, "replica cross apply", err, onErr)
 	})

@@ -126,12 +126,12 @@ func Commit(stores []*Store, latch []int, step func()) error {
 }
 
 // InstallCrossLocked installs one transaction's writes across several
-// stores under epoch: writes[i] on stores[i] for every i in parts
-// (ascending, at least two, each with writes, all latched by the
-// enclosing Commit). Each participant's log receives its part stamped
-// with the epoch and the participant set.
-func InstallCrossLocked(stores []*Store, epoch uint64, parts []int, writes map[int]map[string][]byte, value float64) {
-	for _, i := range parts {
-		stores[i].installLocked(CommitRecord{Writes: writes[i], Value: value, Epoch: epoch, Shards: parts})
+// stores under epoch: writes[j] on stores[parts[j]] for every j (parts
+// ascending, at least two, each with writes, all latched by the enclosing
+// Commit). Each participant's log receives its part stamped with the
+// epoch and the participant set, and retains the map it is handed.
+func InstallCrossLocked(stores []*Store, epoch uint64, parts []int, writes []map[string][]byte, value float64) {
+	for j, i := range parts {
+		stores[i].installLocked(CommitRecord{Writes: writes[j], Value: value, Epoch: epoch, Shards: parts})
 	}
 }

@@ -101,11 +101,12 @@ func (q *CommitQueue) Commit(prio int, step func() (installed bool)) error {
 	// one key are queued, only the first to validate commits — the rest
 	// restart and meet again in a later flush, so plain FIFO order can
 	// starve the same transaction round after round (with a batch cap of
-	// one, the k-th in line would need k attempts). The engine passes its
-	// restart count as prio: queueing the most-restarted first (behind
-	// their equals, so FIFO within a generation) bounds a transaction's
-	// wait — once it is the oldest queued, its fresh re-read validates
-	// unless a commit landed before its flush even started.
+	// one, the k-th in line would need k attempts). The engine and
+	// internal/shard's cross-shard loop pass their restart count as prio:
+	// queueing the most-restarted first (behind their equals, so FIFO
+	// within a generation) bounds a transaction's wait — once it is the
+	// oldest queued, its fresh re-read validates unless a commit landed
+	// before its flush even started.
 	i := len(q.pending)
 	for i > 0 && q.pending[i-1].prio < prio {
 		i--

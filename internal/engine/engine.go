@@ -429,12 +429,11 @@ func (s *Store) Update(fn func(*Tx) error) error {
 // closure.
 func (s *Store) UpdateTracedResult(value float64, tr *obs.Trace, fn func(*Tx) error) (any, error) {
 	h := &txnHandle{
-		store:  s,
-		fn:     fn,
-		value:  value,
-		tr:     tr,
-		done:   make(chan struct{}),
-		writes: make(map[string][]byte),
+		store: s,
+		fn:    fn,
+		value: value,
+		tr:    tr,
+		done:  make(chan struct{}),
 	}
 	defer close(h.done)
 
@@ -665,7 +664,7 @@ func (s *Store) commitLocked(a *attempt) bool {
 	if h.resolved {
 		return false // another shadow of this transaction already won
 	}
-	if !s.ValidateLocked(a.reads) {
+	if !s.validateLocked(a.reads) {
 		a.abortLocked(s)
 		return false
 	}
@@ -682,6 +681,17 @@ func (s *Store) commitLocked(a *attempt) bool {
 	s.stats.Commits++
 	h.tr.Event(obs.StageInstall)
 	a.committed = true
+	return true
+}
+
+// validateLocked reports whether every read in reads still observes the
+// committed version it saw. Caller holds s.mu.
+func (s *Store) validateLocked(reads map[string]uint64) bool {
+	for key, ver := range reads {
+		if s.committed[key].ver != ver {
+			return false
+		}
+	}
 	return true
 }
 

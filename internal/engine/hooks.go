@@ -1,8 +1,8 @@
 // Cross-store hooks: the latch-level surface internal/shard, recovery and
 // snapshots build on without access to engine internals. A multi-store
 // commit latches the involved stores in shard-index order through Commit
-// (commit.go), validates every read via ValidateLocked and installs via
-// ApplyLocked / InstallCrossLocked inside its step; holding every latch
+// (commit.go), validates every read against VersionLocked and installs
+// via ApplyLocked / InstallCrossLocked inside its step; holding every latch
 // across validate and install makes the commit atomic with respect to
 // other multi-store commits and to each store's own live transactions,
 // and hands a durable log all of its parts before any other install on
@@ -13,8 +13,8 @@
 package engine
 
 // SnapshotRead returns the committed value of key and its version. Missing
-// keys report version 0, which ValidateLocked/VersionLocked reproduce, so
-// reads of absent keys validate correctly.
+// keys report version 0, which VersionLocked reproduces, so reads of
+// absent keys validate correctly.
 func (s *Store) SnapshotRead(key string) ([]byte, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -48,16 +48,10 @@ func (s *Store) GetLocked(key string) ([]byte, bool) {
 	return out, true
 }
 
-// ValidateLocked reports whether every read in reads still observes the
-// committed version it saw. The caller holds the commit latch.
-func (s *Store) ValidateLocked(reads map[string]uint64) bool {
-	for key, ver := range reads {
-		if s.committed[key].ver != ver {
-			return false
-		}
-	}
-	return true
-}
+// VersionLocked returns the committed version of key, 0 if absent: a
+// cross-store commit validates a read by comparing it with the version
+// SnapshotRead reported. The caller holds the commit latch.
+func (s *Store) VersionLocked(key string) uint64 { return s.committed[key].ver }
 
 // ApplyLocked installs writes as one standalone commit of the given
 // transaction value, with exactly the visibility a native commit has

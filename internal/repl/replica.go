@@ -653,21 +653,21 @@ func (r *Replica) drainShard(shardIdx int) (bool, error) {
 	// shards whose resumed watermark proves the part is already in) and
 	// install the commit all-shards-at-once.
 	head := q[0]
-	parts := make(map[int]map[string][]byte, len(head.Shards))
+	writes := make([]map[string][]byte, 0, len(head.Shards))
 	members := make([]int, 0, len(head.Shards))
 	heads := make([]Record, 0, len(head.Shards))
 	for _, p := range head.Shards {
 		if r.epochOf(p) >= head.Epoch {
 			continue
 		}
-		parts[p] = r.pending[p][0].Writes
+		writes = append(writes, r.pending[p][0].Writes)
 		members = append(members, p)
 		heads = append(heads, r.pending[p][0])
 	}
 	// When every other participant already holds its part (resumed past
 	// it), what's left is one part — which ApplyReplicatedCross installs
 	// as an ordinary single-shard commit.
-	install := func() error { return r.store.ApplyReplicatedCross(parts) }
+	install := func() error { return r.store.ApplyReplicatedCross(members, writes) }
 	if err := r.install(install, len(members), members, heads); err != nil {
 		return false, err
 	}

@@ -76,15 +76,14 @@ func TestCommitBoundaryContract(t *testing.T) {
 	// installs writes. A leader parked inside its own step (it installs
 	// nothing) holds a flush open while the two queue up behind it, in
 	// order, and share the next one.
-	combine := func(s *Store, stale string, writes map[string][]byte, want map[string]string) outcome {
-		involved := []int{0, 1}
-		q, entered, gate := s.queueFor(involved), make(chan struct{}), make(chan struct{})
+	combine := func(t *testing.T, s *Store, k0, k1 string, writes map[string][]byte, want map[string]string) outcome {
+		q, entered, gate := s.queueFor([]int{0, 1}), make(chan struct{}), make(chan struct{})
 		go q.Commit(0, func() bool { close(entered); <-gate; return false })
 		<-entered
 		submit := func(c *crossTx, queued int) chan verdict {
 			out := make(chan verdict, 1)
 			go func() {
-				ok, err := s.commitCross(involved, c, true, nil)
+				ok, err := s.commitCross(c, true, nil)
 				out <- verdict{ok, err}
 			}()
 			for q.Pending() < queued {
@@ -92,12 +91,21 @@ func TestCommitBoundaryContract(t *testing.T) {
 			}
 			return out
 		}
-		bad := submit(&crossTx{reads: map[string]uint64{stale: 99}}, 1)
-		good := submit(&crossTx{writes: writes, value: 1}, 2)
+		stale := s.newCrossTx([]string{k0, k1}, 0)
+		k, _ := stale.entry(k0)
+		k.read, k.ver = true, 99
+		fresh := s.newCrossTx([]string{k0, k1}, 1)
+		for key, val := range writes {
+			if err := fresh.Set(key, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		parts, _ := fresh.writeSets()
+		bad := submit(stale, 1)
+		good := submit(fresh, 2)
 		close(gate)
-		parts := int64(len(groupByShard(s, writes)))
 		return outcome{installed: []error{(<-good).err}, rejected: []verdict{<-bad},
-			want: want, records: parts, epochs: parts - 1}
+			want: want, records: int64(len(parts)), epochs: int64(len(parts)) - 1}
 	}
 	var logs []*faultLog // this subtest's commit logs, one per shard
 	// OCC-BC keeps the flush population exact: no speculative shadow
@@ -157,11 +165,11 @@ func TestCommitBoundaryContract(t *testing.T) {
 				return out
 			}},
 		{name: "cross-combine-multi-shard", eng: grouped, run: func(t *testing.T, s *Store, k0, k1 string) outcome {
-			return combine(s, k0, map[string][]byte{k0: []byte("2"), k1: []byte("2")},
+			return combine(t, s, k0, k1, map[string][]byte{k0: []byte("2"), k1: []byte("2")},
 				map[string]string{k0: "2", k1: "2"})
 		}},
 		{name: "cross-combine-single-shard", eng: grouped, run: func(t *testing.T, s *Store, k0, k1 string) outcome {
-			return combine(s, k0, map[string][]byte{k1: []byte("3")}, map[string]string{k1: "3"})
+			return combine(t, s, k0, k1, map[string][]byte{k1: []byte("3")}, map[string]string{k1: "3"})
 		}},
 		{name: "cross-update", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
 			err := s.Update([]string{k0, k1}, func(tx Tx) error { return set(tx, k0, "4", k1, "4") })
@@ -172,7 +180,7 @@ func TestCommitBoundaryContract(t *testing.T) {
 			return outcome{installed: []error{err}, want: map[string]string{k0: "6"}, records: 2}
 		}},
 		{name: "apply-replicated-cross", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
-			err := s.ApplyReplicatedCross(map[int]map[string][]byte{0: {k0: []byte("7")}, 1: {k1: []byte("7")}})
+			err := s.ApplyReplicatedCross([]int{0, 1}, []map[string][]byte{{k0: []byte("7")}, {k1: []byte("7")}})
 			return outcome{installed: []error{err}, want: map[string]string{k0: "7", k1: "7"}, records: 2, epochs: 1}
 		}},
 	}

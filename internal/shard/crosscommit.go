@@ -1,13 +1,15 @@
 // Cross-shard commits. Commits with the same involved-shard set (the
 // overwhelmingly common case under a fixed mix: the same shard pairs
-// recur) share one engine.CommitQueue per shard-set signature — the same
-// flat combiner every shard's own commits go through — so a flush latches
-// the set once and validates+applies every queued request under that
-// single hold. Validation semantics are unchanged — each request validates
-// against the state left by the ones processed before it, exactly as if
-// each had latched in turn — and the latch order (ascending shard index)
-// is preserved, so flushes of overlapping sets cannot deadlock. A side
-// effect that replication relies on: all installs into a shard, native or
+// recur) share one engine.CommitQueue per shard set — the same flat
+// combiner every shard's own commits go through — so a flush latches the
+// set once and validates+applies every queued request under that single
+// hold. A request walks its flat key list, checking each read's version
+// with engine.Store.VersionLocked, against the state left by the
+// requests processed before it, exactly as if each had latched in turn;
+// the only maps it builds are the per-shard write sets a commit log
+// retains. The latch order (ascending shard index) is preserved, so
+// flushes of overlapping sets cannot deadlock. A side effect that
+// replication relies on: all installs into a shard, native or
 // cross-shard, happen under that shard's commit latch, so the shard's
 // commit log (engine.Config.CommitLog) is a single total order.
 //
@@ -23,36 +25,32 @@
 package shard
 
 import (
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
-// signature keys a shard set; involved is sorted, so the key is canonical.
-func signature(involved []int) string {
-	var b strings.Builder
+// queueFor returns the commit queue of a shard set, created on first
+// use. CrossBatches is its per-flush counter. The set's key, its
+// ascending indices comma-separated, is built on the stack: the lookup
+// m[string(buf)] does not allocate.
+func (s *Store) queueFor(involved []int) *engine.CommitQueue {
+	var buf [48]byte
+	sig := buf[:0]
 	for i, idx := range involved {
 		if i > 0 {
-			b.WriteByte(',')
+			sig = append(sig, ',')
 		}
-		b.WriteString(strconv.Itoa(idx))
+		sig = strconv.AppendInt(sig, int64(idx), 10)
 	}
-	return b.String()
-}
-
-// queueFor returns the commit queue of a shard set, created on first
-// use. CrossBatches is its per-flush counter.
-func (s *Store) queueFor(involved []int) *engine.CommitQueue {
-	sig := signature(involved)
 	s.queuesMu.Lock()
 	defer s.queuesMu.Unlock()
-	q := s.queues[sig]
+	q := s.queues[string(sig)]
 	if q == nil {
 		q = engine.NewCommitQueue(s.shards, involved, s.groupCommit, s.countBatch, nil)
-		s.queues[sig] = q
+		s.queues[string(sig)] = q
 	}
 	return q
 }
@@ -64,60 +62,65 @@ func (s *Store) queueFor(involved []int) *engine.CommitQueue {
 // (possibly the caller's) delivers the verdict. A non-nil error means the
 // transaction was installed but could not be made durable; the caller
 // must fail it and must not retry.
-func (s *Store) commitCross(involved []int, c *crossTx, apply bool, tr *obs.Trace) (ok bool, err error) {
-	reads := groupByShard(s, c.reads)
-	var writes map[int]map[string][]byte
+func (s *Store) commitCross(c *crossTx, apply bool, tr *obs.Trace) (ok bool, err error) {
+	var parts []int
+	var writes []map[string][]byte
 	if apply {
-		writes = groupByShard(s, c.writes)
+		parts, writes = c.writeSets()
 	}
-	err = s.queueFor(involved).Commit(0, func() bool {
-		for idx, r := range reads {
-			if !s.shards[idx].ValidateLocked(r) {
+	err = s.queueFor(c.involved).Commit(c.attempt, func() bool {
+		for _, k := range c.keys {
+			if k.read && s.shards[k.shard].VersionLocked(k.key) != k.ver {
 				return false
 			}
 		}
 		ok = true
-		if len(writes) == 0 {
+		if len(parts) == 0 {
 			return false
 		}
-		s.installLocked(writes, c.value, tr)
+		s.installLocked(parts, writes, c.value, tr)
 		return true
 	})
 	return ok, err
 }
 
-// groupByShard splits a transaction's read or write set by owning shard.
-func groupByShard[V any](s *Store, set map[string]V) map[int]map[string]V {
-	out := make(map[int]map[string]V)
-	for key, v := range set {
-		idx := s.ShardOf(key)
-		m := out[idx]
-		if m == nil {
-			m = make(map[string]V)
-			out[idx] = m
+// writeSets groups c's buffered writes by shard: writes[j] is shard
+// parts[j]'s, parts ascending and holding only shards written. Every map
+// is fresh, because the commit log retains it.
+func (c *crossTx) writeSets() (parts []int, writes []map[string][]byte) {
+	parts, writes = make([]int, 0, len(c.involved)), make([]map[string][]byte, len(c.involved))
+	for _, k := range c.keys {
+		if !k.write {
+			continue
 		}
-		m[key] = v
+		j, _ := slices.BinarySearch(c.involved, k.shard)
+		if writes[j] == nil {
+			writes[j] = make(map[string][]byte)
+		}
+		writes[j][k.key] = k.val
 	}
-	return out
+	for j, w := range writes {
+		if w != nil {
+			parts = append(parts, c.involved[j])
+			writes[len(parts)-1] = w
+		}
+	}
+	return parts, writes[:len(parts)]
 }
 
-// installLocked installs one transaction's writes, grouped by shard,
-// inside a Commit step that latched every shard written. Writes that all
-// landed on one shard are an ordinary valued install; writes spanning
-// several mint a global commit epoch (stamped on tr) and install as one
-// cross-store commit, which a durable log writes as one record.
-func (s *Store) installLocked(writes map[int]map[string][]byte, value float64, tr *obs.Trace) {
-	if len(writes) <= 1 {
-		for idx, w := range writes {
-			s.shards[idx].ApplyLocked(w, value)
+// installLocked installs one transaction's writes — writes[j] on shard
+// parts[j], parts ascending — inside a Commit step that latched every
+// shard written. Writes that all landed on one shard are an ordinary
+// valued install; writes spanning several mint a global commit epoch
+// (stamped on tr) and install as one cross-store commit, which a durable
+// log writes as one record.
+func (s *Store) installLocked(parts []int, writes []map[string][]byte, value float64, tr *obs.Trace) {
+	if len(parts) <= 1 {
+		for j, idx := range parts {
+			s.shards[idx].ApplyLocked(writes[j], value)
 		}
 		return
 	}
-	parts := make([]int, 0, len(writes))
-	for idx := range writes {
-		parts = append(parts, idx)
-	}
-	sort.Ints(parts)
 	epoch := s.epochs.Next()
 	tr.SetEpoch(epoch)
 	engine.InstallCrossLocked(s.shards, epoch, parts, writes, value)

@@ -5,11 +5,12 @@
 // uses the declaration purely for placement. All declared keys on one
 // shard is the fast path: the closure runs natively on that shard's
 // engine with the full SCC machinery and zero coordination. Keys on
-// several shards run against a cross-shard optimistic view (committed
-// reads with recorded versions, buffered writes) and commit atomically
-// through one engine.CommitQueue per shard set (crosscommit.go): involved
-// shards are latched in ascending index order — deadlock-free — and every
-// read is validated and every write installed under that hold.
+// several shards run against a cross-shard optimistic view — one flat
+// list of the declared keys, sorted, each with its shard, first-read
+// version and buffered write — and commit atomically through one
+// engine.CommitQueue per shard set (crosscommit.go): involved shards are
+// latched in ascending index order — deadlock-free — and every read is
+// validated and every write installed under that hold.
 // Because every install, native or cross-shard, happens under its shard's
 // commit latch, each shard has a single total commit order, which
 // Config.CommitLogFor exposes as a replication log (internal/repl).
@@ -21,7 +22,8 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -198,18 +200,15 @@ func (s *Store) Close() {
 	}
 }
 
-// shardSet returns the sorted distinct shard indices owning keys.
-func (s *Store) shardSet(keys []string) []int {
-	seen := make(map[int]struct{}, 4)
-	for _, k := range keys {
-		seen[s.ShardOf(k)] = struct{}{}
+// shardsOf returns the ascending, deduplicated shards of n keys, the i-th
+// of which lives on shard(i).
+func shardsOf(n int, shard func(i int) int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = shard(i)
 	}
-	out := make([]int, 0, len(seen))
-	for i := range seen {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Update executes fn transactionally over the declared keys and blocks
@@ -249,20 +248,13 @@ func (s *Store) UpdateTracedResult(value float64, keys []string, gate RetryGate,
 	// one shard (always true for single-key transactions, the serving
 	// layer's hottest path).
 	idx := s.ShardOf(keys[0])
-	single := true
-	for _, k := range keys[1:] {
-		if s.ShardOf(k) != idx {
-			single = false
-			break
-		}
-	}
-	if single {
+	if !slices.ContainsFunc(keys[1:], func(k string) bool { return s.ShardOf(k) != idx }) {
 		s.fastPath.Add(1)
 		return s.shards[idx].UpdateTracedResult(value, tr, func(etx *engine.Tx) error {
 			return fn(guardTx{tx: etx, s: s, shard: idx})
 		})
 	}
-	return s.updateCross(value, s.shardSet(keys), gate, tr, fn)
+	return s.updateCross(s.newCrossTx(keys, value), gate, tr, fn)
 }
 
 // guardTx wraps the native engine transaction on the fast path, verifying
@@ -291,57 +283,106 @@ func (g guardTx) Set(key string, val []byte) error {
 
 func (g guardTx) Stash(v any) { g.tx.Stash(v) }
 
+// crossKey is one key of a cross-shard transaction: its shard, the
+// version its first read saw (read), and its buffered write (write).
+type crossKey struct {
+	key         string
+	shard       int
+	ver         uint64
+	val         []byte
+	read, write bool
+}
+
 // crossTx is the optimistic cross-shard view: reads observe committed
 // values (first-read versions recorded per key), writes buffer privately.
+// keys[:declared] is the declared key set, sorted and deduplicated;
+// undeclared keys the closure touches on an involved shard follow it.
+// One crossTx serves every attempt of its transaction (reset).
 type crossTx struct {
 	s        *Store
-	involved map[int]struct{}
+	involved []int // ascending shards of the declared keys
+	keys     []crossKey
+	declared int
+	attempt  int // restarts so far: the commit-queue priority, against starvation
 	value    float64
-	reads    map[string]uint64
-	writes   map[string][]byte
 	result   any
+}
+
+// newCrossTx builds the key list of a transaction declaring keys.
+func (s *Store) newCrossTx(keys []string, value float64) *crossTx {
+	c := &crossTx{s: s, value: value, keys: make([]crossKey, len(keys))}
+	for i, k := range keys {
+		c.keys[i] = crossKey{key: k, shard: s.ShardOf(k)}
+	}
+	slices.SortFunc(c.keys, func(a, b crossKey) int { return strings.Compare(a.key, b.key) })
+	c.keys = slices.CompactFunc(c.keys, func(a, b crossKey) bool { return a.key == b.key })
+	c.declared = len(c.keys)
+	c.involved = shardsOf(c.declared, func(i int) int { return c.keys[i].shard })
+	return c
+}
+
+// reset starts the given attempt: undeclared keys go, and every flag,
+// version, buffered write and the stash are cleared.
+func (c *crossTx) reset(attempt int) {
+	c.attempt, c.keys = attempt, c.keys[:c.declared]
+	for i, k := range c.keys {
+		c.keys[i] = crossKey{key: k.key, shard: k.shard}
+	}
+	c.result = nil
+}
+
+// entry returns key's slot: a binary search of the declared prefix, then
+// a scan of the short undeclared tail, to which a key on an involved
+// shard is appended. A key on any other shard cannot be routed.
+func (c *crossTx) entry(key string) (*crossKey, error) {
+	if i, ok := slices.BinarySearchFunc(c.keys[:c.declared], key, func(k crossKey, key string) int {
+		return strings.Compare(k.key, key)
+	}); ok {
+		return &c.keys[i], nil
+	}
+	if i := slices.IndexFunc(c.keys[c.declared:], func(k crossKey) bool { return k.key == key }); i >= 0 {
+		return &c.keys[c.declared+i], nil
+	}
+	idx := c.s.ShardOf(key)
+	if !slices.Contains(c.involved, idx) {
+		return nil, fmt.Errorf("%w: %q", ErrKeyNotDeclared, key)
+	}
+	c.keys = append(c.keys, crossKey{key: key, shard: idx})
+	return &c.keys[len(c.keys)-1], nil
 }
 
 func (c *crossTx) Stash(v any) { c.result = v }
 
 func (c *crossTx) Get(key string) ([]byte, error) {
-	if w, ok := c.writes[key]; ok {
-		out := make([]byte, len(w))
-		copy(out, w)
-		return out, nil
+	k, err := c.entry(key)
+	if err != nil {
+		return nil, err
 	}
-	idx := c.s.ShardOf(key)
-	if _, ok := c.involved[idx]; !ok {
-		return nil, fmt.Errorf("%w: %q", ErrKeyNotDeclared, key)
+	if k.write {
+		return append([]byte{}, k.val...), nil
 	}
-	val, ver := c.s.shards[idx].SnapshotRead(key)
-	if _, seen := c.reads[key]; !seen {
-		c.reads[key] = ver
+	val, ver := c.s.shards[k.shard].SnapshotRead(key)
+	if !k.read {
+		k.read, k.ver = true, ver
 	}
 	return val, nil
 }
 
 func (c *crossTx) Set(key string, val []byte) error {
-	idx := c.s.ShardOf(key)
-	if _, ok := c.involved[idx]; !ok {
-		return fmt.Errorf("%w: %q", ErrKeyNotDeclared, key)
+	k, err := c.entry(key)
+	if err != nil {
+		return err
 	}
-	buf := make([]byte, len(val))
-	copy(buf, val)
-	c.writes[key] = buf
+	k.val, k.write = append([]byte{}, val...), true
 	return nil
 }
 
 // updateCross runs the OCC execute/validate/apply loop for a multi-shard
-// transaction, consulting gate (if any) before each re-execution. value
-// rides along to the shards' commit logs (pending-value accounting for
-// the durability layer); cross-shard conflict resolution itself stays
+// transaction, consulting gate (if any) before each re-execution. Its
+// value rides along to the shards' commit logs (pending-value accounting
+// for the durability layer); cross-shard conflict resolution itself stays
 // optimistic.
-func (s *Store) updateCross(value float64, involved []int, gate RetryGate, tr *obs.Trace, fn func(Tx) error) (any, error) {
-	invSet := make(map[int]struct{}, len(involved))
-	for _, i := range involved {
-		invSet[i] = struct{}{}
-	}
+func (s *Store) updateCross(c *crossTx, gate RetryGate, tr *obs.Trace, fn func(Tx) error) (any, error) {
 	for attempt := 0; attempt < engine.MaxAttempts; attempt++ {
 		// Mirror the engine's Close semantics, which only the fast path
 		// would otherwise enforce: no new cross-shard commits either.
@@ -356,13 +397,7 @@ func (s *Store) updateCross(value float64, involved []int, gate RetryGate, tr *o
 				}
 			}
 		}
-		c := &crossTx{
-			s:        s,
-			involved: invSet,
-			value:    value,
-			reads:    make(map[string]uint64),
-			writes:   make(map[string][]byte),
-		}
+		c.reset(attempt)
 		if err := fn(c); err != nil {
 			// The closure may have decided to error off an inconsistent
 			// cross-shard cut (reads of different shards interleaved with
@@ -371,13 +406,13 @@ func (s *Store) updateCross(value float64, involved []int, gate RetryGate, tr *o
 			// produced it; otherwise retry like any validation failure.
 			// (A validate-only pass installs nothing, so it cannot fail
 			// durability.)
-			if ok, _ := s.commitCross(involved, c, false, nil); len(c.reads) > 0 && !ok {
+			if ok, _ := s.commitCross(c, false, nil); !ok {
 				s.crossRestarts.Add(1)
 				continue
 			}
 			return nil, err
 		}
-		ok, cerr := s.commitCross(involved, c, true, tr)
+		ok, cerr := s.commitCross(c, true, tr)
 		if cerr != nil {
 			// Installed but never decided durable: the verdict is an
 			// error, and the transaction must not be retried — its writes
@@ -414,9 +449,9 @@ func (s *Store) ApplyReplicated(shard int, records []map[string][]byte) error {
 	})
 }
 
-// ApplyReplicatedCross installs one replicated cross-shard commit: parts
-// maps each participant shard to its writes, and every part is applied
-// under a single hold of all the participants' latches — the replica-side
+// ApplyReplicatedCross installs one replicated cross-shard commit:
+// writes[j] on shard parts[j], parts ascending, every part applied under
+// a single hold of all the participants' latches — the replica-side
 // apply barrier, making the commit visible all-shards-at-once exactly as
 // it committed on the primary. On a durable replica the parts are logged
 // as one record like a native cross-shard commit's (under a locally
@@ -424,16 +459,13 @@ func (s *Store) ApplyReplicated(shard int, records []map[string][]byte) error {
 // all-or-nothing. Records must arrive in per-shard log order; the caller
 // (internal/repl's replica loop) holds them until every participant's
 // part is next in line.
-func (s *Store) ApplyReplicatedCross(parts map[int]map[string][]byte) error {
-	involved := make([]int, 0, len(parts))
-	for idx := range parts {
-		if idx < 0 || idx >= len(s.shards) {
-			return fmt.Errorf("shard: ApplyReplicatedCross to unknown shard %d of %d", idx, len(s.shards))
+func (s *Store) ApplyReplicatedCross(parts []int, writes []map[string][]byte) error {
+	for j, idx := range parts {
+		if idx < 0 || idx >= len(s.shards) || (j > 0 && idx <= parts[j-1]) {
+			return fmt.Errorf("shard: ApplyReplicatedCross to shards %v, want ascending indices below %d", parts, len(s.shards))
 		}
-		involved = append(involved, idx)
 	}
-	sort.Ints(involved)
-	return engine.Commit(s.shards, involved, func() { s.installLocked(parts, 0, nil) })
+	return engine.Commit(s.shards, parts, func() { s.installLocked(parts, writes, 0, nil) })
 }
 
 // View runs fn as a serializable read-only transaction over the declared
@@ -441,13 +473,9 @@ func (s *Store) ApplyReplicatedCross(parts map[int]map[string][]byte) error {
 // duration, so fn observes a consistent cut across partitions. It never
 // retries and never fails validation — the latches are the snapshot.
 func (s *Store) View(keys []string, fn func(Tx) error) error {
-	involved := s.shardSet(keys)
+	involved := shardsOf(len(keys), func(i int) int { return s.ShardOf(keys[i]) })
 	if len(involved) == 0 {
 		return errors.New("shard: view declared no keys")
-	}
-	invSet := make(map[int]struct{}, len(involved))
-	for _, i := range involved {
-		invSet[i] = struct{}{}
 	}
 	for _, idx := range involved {
 		s.shards[idx].LockCommit()
@@ -458,18 +486,18 @@ func (s *Store) View(keys []string, fn func(Tx) error) error {
 		}
 	}()
 	s.views.Add(1)
-	return fn(viewTx{s: s, involved: invSet})
+	return fn(viewTx{s: s, involved: involved})
 }
 
 // viewTx reads committed state under held latches.
 type viewTx struct {
 	s        *Store
-	involved map[int]struct{}
+	involved []int
 }
 
 func (v viewTx) Get(key string) ([]byte, error) {
 	idx := v.s.ShardOf(key)
-	if _, ok := v.involved[idx]; !ok {
+	if !slices.Contains(v.involved, idx) {
 		return nil, fmt.Errorf("%w: %q", ErrKeyNotDeclared, key)
 	}
 	val, _ := v.s.shards[idx].GetLocked(key)
