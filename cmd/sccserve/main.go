@@ -7,14 +7,14 @@
 //	  -cluster-self 127.0.0.1:7071 -cluster-peers 127.0.0.1:7070,127.0.0.1:7072
 //
 // The store hash-partitions keys across independent SCC engines behind a
-// value-cognizant admission queue. A primary (default) keeps per-shard
-// commit logs and serves REPL/ACK replication subscriptions; started with
+// value-cognizant admission queue. A primary (default) keeps its node's
+// commit log and serves REPL/ACK replication subscriptions; started with
 // -replica-of it becomes a read replica: it bootstraps from a SNAP
 // snapshot (a durable replica restarts from <data-dir>/replica.resume
 // instead), streams the primary's commit log into its own store, and
 // serves snapshot reads, shedding reads whose value functions would cross
 // zero before it catches up. With -data-dir the server is durable: every
-// commit is written to a per-shard WAL before it is acknowledged (fsync
+// commit is written to the node WAL before it is acknowledged (fsync
 // policy per -fsync), shards are checkpointed highest-pending-value
 // first, and a restart recovers checkpoint + WAL suffix — a SIGKILL
 // loses nothing acknowledged.
@@ -77,8 +77,7 @@ func main() {
 	tenantBudget := flag.Float64("tenant-budget", 0, "per-tenant admitted-value budget in value/sec over a rolling 1s window; requests carrying tenant= from a tenant over budget are shed (0 = off)")
 	replicaOf := flag.String("replica-of", "", "primary address to replicate from; makes this server a read replica")
 	replLagBudget := flag.Duration("repl-lag-budget", 50*time.Millisecond, "replica: estimated catch-up time tolerated before lag-based value shedding")
-	replRetain := flag.Uint64("repl-retain", 65536, "in-memory commit-log retention per shard: records acked by every subscriber are trimmed past this many (0 = no retention bound; checkpoints on a durable server still trim; trimmed joiners bootstrap via SNAP)")
-	dataDir := flag.String("data-dir", "", "durability directory: per-shard WAL + checkpoints, recovered on boot (empty = in-memory only)")
+	dataDir := flag.String("data-dir", "", "durability directory: node WAL + per-shard checkpoints, recovered on boot (empty = in-memory only)")
 	fsync := flag.String("fsync", "group", "WAL fsync policy: always (per commit) | group (per commit batch: commits queue behind the running fsync and share the next) | off (OS page cache only)")
 	ckptEvery := flag.Int("ckpt-every", 4096, "checkpoint a shard after this many WAL records, highest pending-value shard first (0 = only on the CKPT verb)")
 	txnIdle := flag.Duration("txn-idle", 30*time.Second, "reap interactive TXN sessions with no operation for this long (negative = no idle cap — an abandoned no-deadline session then pins its admission slot; value zero-crossing reaping always runs)")
@@ -144,7 +143,6 @@ func main() {
 		Repl: server.ReplOptions{
 			Primary:     true,
 			LagBudget:   *replLagBudget,
-			Retain:      *replRetain,
 			SyncAcks:    *replSync,
 			SyncTimeout: *replSyncTimeout,
 		},

@@ -86,8 +86,9 @@ type candidate struct {
 
 // electLeader ranks candidates by catch-up position — epoch watermark
 // first (a replica that has seen a later commit epoch holds strictly
-// more history), then total applied records, then address ascending as
-// the deterministic tiebreak. Returns the winner's address; "" if the
+// more history), then applied position, then address ascending as the
+// deterministic tiebreak. Replicas of one primary each hold a prefix of
+// its one commit order, so the winner holds everything the others hold. Returns the winner's address; "" if the
 // slate is empty. Deterministic so every replica running the same
 // election over the same slate picks the same winner without a vote.
 func electLeader(cands []candidate) string {
@@ -119,9 +120,8 @@ func electLeader(cands []candidate) string {
 // monitor goroutine; they must not call back into the Node.
 type Hooks struct {
 	// Promote turns this node into the primary under the freshly minted
-	// fencing epoch: drain the apply barrier, replay to the watermark,
-	// lift the lag gate, install the fenced commit log, and claim the
-	// state. An error aborts the takeover (the node stays a replica and
+	// fencing epoch: stop the stream at its applied position, claim the
+	// state, install the fenced commit log, and lift the lag gate. An error aborts the takeover (the node stays a replica and
 	// re-runs the election after the next lease period).
 	Promote func(epoch uint64) error
 	// Follow re-points this replica at a newly discovered primary
@@ -133,8 +133,9 @@ type Hooks struct {
 	// already RoleFenced when this runs. Optional.
 	Demote func(epoch uint64, primary string)
 	// Progress reports this node's catch-up position — its replication
-	// stream's epoch watermark (max over shards) and total applied
-	// records — by which elections rank candidates. Optional (zeros).
+	// stream's epoch watermark and applied position in the primary's
+	// commit order — by which elections rank candidates. Optional
+	// (zeros).
 	Progress func() (watermark, applied uint64)
 }
 

@@ -15,12 +15,11 @@
 // shortest — first. Recovery itself replays the log in strict order;
 // value decides what is checkpointed when, never what is kept.
 //
-// The manager also owns log retention: after a checkpoint it advances
-// the in-memory replication log's durability floor, letting repl.Log
-// trim below min(checkpoint index, min acked subscriber index). Late
-// joiners bootstrap from a snapshot (the SNAP verb) instead of a full
-// replay. docs/ARCHITECTURE.md places the package in the system;
-// docs/PROTOCOL.md documents the operator surface (CKPT, STATS keys).
+// With a replication feed, the manager also publishes the node's commit
+// order to it: records ship in the log's write order, each once a sync
+// covers it (sync-before-ship). docs/ARCHITECTURE.md places the package
+// in the system; docs/PROTOCOL.md documents the operator surface (CKPT,
+// STATS keys).
 package durable
 
 import (
@@ -102,23 +101,22 @@ type Stats struct {
 const sealedPerShard = 4
 
 // Manager wires durability through a shard.Store: it recovers the store
-// at Open, installs itself as every shard's commit log (feeding both the
-// node log and, when present, the replication feed), and runs the
+// at Open, installs itself as every shard's commit log (feeding the node
+// log and, when present, the replication feed), and runs the
 // value-prioritized background checkpointer.
 type Manager struct {
 	opts   Options
 	store  *shard.Store
 	epochs *engine.Epochs
 	log    *nodeLog
+	feed   *repl.Feed // nil: nothing ships
 
 	shards    []*managedShard
 	recovered uint64
 	ckpts     atomic.Int64
 	errs      atomic.Int64
 	failOnce  sync.Once
-
-	pendMu  sync.Mutex
-	pending map[uint64]*heldRecord // cross-shard records awaiting parts, by epoch
+	shipMu    sync.Mutex // serializes publication, so the feed sees the log's order
 
 	ckptMu sync.Mutex // serializes checkpoint passes
 	kick   chan struct{}
@@ -126,21 +124,15 @@ type Manager struct {
 	done   chan struct{}
 }
 
-// heldRecord is a cross-shard record under assembly: its encoding so far
-// and, in arrival order, each part's shard and index (writes are in buf)
-// and the shard state that appended it.
-type heldRecord struct {
-	buf   []byte
-	parts []part
-	from  []*managedShard
-}
-
 // fail reports a sticky WAL failure, once: the flight recorder is
 // dumped (the black box survives the fail-stop), then the OnError hook
-// runs. Both happen on their own goroutine — fail is called from under
-// shard latches, and neither the dump's file I/O nor the hook (typically
-// a fail-stop shutdown) may re-enter them; the dump strictly precedes the
-// hook so it completes before any process exit.
+// runs. Both happen on their own goroutine — neither the dump's file I/O
+// nor the hook (typically a fail-stop shutdown) may block the commit
+// path; the dump strictly precedes the hook so it completes before any
+// process exit. Its one caller is Sync's failure path: a broken log fails
+// every later Sync, and every install path syncs before its verdict, so
+// by the time fail runs the batch's WAL and fsync errors are both in the
+// flight rings the dump reads.
 func (m *Manager) fail(err error) {
 	if err == nil {
 		return
@@ -158,34 +150,31 @@ func (m *Manager) fail(err error) {
 	})
 }
 
-// managedShard is one shard's durability state. It implements
-// engine.CommitLog: the engine hands it every installed write set under
-// the shard latch and calls Sync at each commit-batch boundary.
+// managedShard is one shard's durability state and its view of the node
+// log: the engine.CommitLog the shard's store appends to. The engine
+// hands it every installed write set under the shard latch — a
+// cross-shard commit whole, to its lowest participant's view, under every
+// participant's latch — and calls Sync at each commit-batch boundary.
 //
-// Sync-before-ship: a record reaches the in-memory replication log —
-// and through it any live REPL subscriber — only after the node log has
-// it on stable storage (at Sync). Shipping first would let a
-// crash-and-recover primary disown a record a replica already applied,
-// then reissue its index with different writes.
+// Sync-before-ship: a record reaches the replication feed — and through
+// it any live REPL subscriber — only after the node log has it on stable
+// storage (at Sync). Shipping first would let a crash-and-recover primary
+// disown a record a replica already applied, then reissue its position
+// with different writes.
 type managedShard struct {
-	m       *Manager
-	idx     int
-	dir     string       // checkpoint directory
-	flight  *flight.Ring // this shard's flight ring (nil-safe)
-	replLog *repl.Log    // nil without a feed
-	buf     []byte       // encode buffer for standalone records; guarded by the shard latch
+	m      *Manager
+	idx    int
+	dir    string       // checkpoint directory
+	flight *flight.Ring // this shard's flight ring (nil-safe)
+	buf    []byte       // encode buffer for the records this view appends; guarded by the shard latch
 
 	mu           sync.Mutex
-	next         uint64        // next commit-log index (lockstep with replLog)
-	written      uint64        // highest index whose record is in the log file
-	writtenEnd   int64         // log offset past that record
-	synced       uint64        // highest index covered by a successful sync (ship gate)
-	maxEpoch     uint64        // highest epoch appended (the checkpoint's watermark)
-	unshipped    []repl.Record // appended, not yet published to replLog (in index order)
-	appendsSince int           // records since the last checkpoint
-	pendingValue float64       // summed transaction value since the last checkpoint
-	ckptIdx      uint64        // newest checkpoint's log index
-	prevCkpt     uint64        // the one before it (0 until this process took one)
+	next         uint64  // next commit-log index
+	maxEpoch     uint64  // highest epoch appended (the checkpoint's watermark)
+	appendsSince int     // records since the last checkpoint
+	pendingValue float64 // summed transaction value since the last checkpoint
+	ckptIdx      uint64  // newest checkpoint's log index
+	prevCkpt     uint64  // the one before it (0 until this process took one)
 }
 
 // layout is the data-directory format pinned in META: one node log plus
@@ -224,8 +213,9 @@ func checkLayout(dir string, shards int) error {
 // store must be freshly opened, idle, and have no commit logs installed
 // yet: recovery replays history through ApplyLocked, and the replay must
 // not re-log itself — Open installs the commit-log sinks only after the
-// replay, and resets the feed's per-shard log bases to the recovered
-// indices so shipped indices stay in lockstep with the log.
+// replay, and resets the feed's log base to the recovered position (the
+// sum of the recovered indices) so shipped positions continue the
+// node's numbering.
 func Open(opts Options, store *shard.Store, feed *repl.Feed) (*Manager, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("durable: no data directory")
@@ -238,13 +228,13 @@ func Open(opts Options, store *shard.Store, feed *repl.Feed) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{
-		opts:    opts,
-		store:   store,
-		epochs:  store.Epochs(),
-		pending: make(map[uint64]*heldRecord),
-		kick:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		opts:   opts,
+		store:  store,
+		epochs: store.Epochs(),
+		feed:   feed,
+		kick:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	// Recovery: every shard resumes from its newest valid checkpoint, then
 	// one pass over the log applies each record's parts above their
@@ -289,22 +279,19 @@ func Open(opts Options, store *shard.Store, feed *repl.Feed) (*Manager, error) {
 		return nil, err
 	}
 	m.log = log
+	log.ship = feed != nil
 	if opts.Metrics != nil {
 		log.fsyncObs = opts.Metrics.FsyncSeconds
 	}
 	// New epochs allocate above everything stamped on disk.
 	m.epochs.Observe(maxEpoch)
 	for i, ms := range m.shards {
-		ms.next, ms.written, ms.synced = heads[i]+1, heads[i], heads[i]
-		if feed != nil {
-			ms.replLog = feed.Log(i)
-			ms.replLog.ResetBase(heads[i], ms.maxEpoch)
-			if ms.ckptIdx > 0 {
-				ms.replLog.SetDurableFloor(ms.ckptIdx)
-			}
-		}
+		ms.next = heads[i] + 1
 		m.recovered += heads[i]
 		store.Shard(i).SetCommitLog(ms)
+	}
+	if feed != nil {
+		feed.Log().ResetBase(m.recovered, maxEpoch)
 	}
 	go m.checkpointLoop()
 	return m, nil
@@ -331,37 +318,41 @@ func fresh(heads []uint64, f frame) (parts []part, ok bool) {
 }
 
 // AppendCommit implements engine.CommitLog: called under the shard latch
-// for every install, it assigns the record's index (and a standalone
-// record's epoch), accrues the shard's pending value for checkpoint
-// prioritization, and puts the part into the node log. Publication to
-// the replication log waits for the Sync that covers it.
+// (every participant's, for a cross-shard commit) for every install, it
+// assigns each part its shard's next index (and a standalone record its
+// epoch), accrues the participants' pending value for checkpoint
+// prioritization, and writes the record to the node log as one frame —
+// the whole-frames rule of wal.go. Publication to the replication feed
+// waits for the Sync that covers it. A failed write is recorded here and
+// surfaces at that Sync, which every install path runs before its
+// verdict.
 func (ms *managedShard) AppendCommit(c engine.CommitRecord) uint64 {
 	m := ms.m
-	ms.mu.Lock()
-	idx := ms.next
-	ms.next++
-	epoch := c.Epoch
-	if epoch == 0 {
+	if c.Epoch == 0 {
 		// Standalone commits stamp their epoch here, under the shard
 		// latch, so per-shard epoch order matches log order; cross-shard
 		// epochs were allocated under every participant's latch, which
 		// preserves the same invariant.
-		epoch = m.epochs.Next()
+		c.Epoch = m.epochs.Next()
 	}
-	ms.maxEpoch = max(ms.maxEpoch, epoch)
-	ms.appendsSince++
-	if c.Value > 0 {
-		ms.pendingValue += c.Value
+	var pbuf [4]part
+	parts := pbuf[:0]
+	due := false
+	buf := beginRecord(ms.buf[:0], c.Epoch, max(len(c.Shards), 1))
+	for j := range max(len(c.Shards), 1) {
+		p, writes := ms, c.Writes
+		if c.Shards != nil {
+			p, writes = m.shards[c.Shards[j]], c.Parts[j]
+		}
+		idx, d := p.take(c.Epoch, c.Value)
+		due = due || d
+		buf = appendPart(buf, p.idx, idx, writes)
+		parts = append(parts, part{shard: p.idx, index: idx})
 	}
-	due := m.opts.CkptEvery > 0 && ms.appendsSince >= m.opts.CkptEvery
-	if ms.replLog != nil {
-		ms.unshipped = append(ms.unshipped, repl.Record{Index: idx, Epoch: epoch, Shards: c.Shards, Writes: c.Writes})
-	}
-	ms.mu.Unlock()
-	if err := m.logPart(ms, epoch, len(c.Shards), idx, c.Writes); err != nil {
+	ms.buf = endRecord(buf, 0)
+	if _, err := m.log.write(ms.buf, parts, shipment{shard: ms.idx, rec: c}); err != nil {
 		m.errs.Add(1)
-		ms.flight.Record(flight.EvWalError, 0, ms.idx, epoch)
-		m.fail(err)
+		ms.flight.Record(flight.EvWalError, 0, ms.idx, c.Epoch)
 	}
 	if due {
 		select {
@@ -369,111 +360,59 @@ func (ms *managedShard) AppendCommit(c engine.CommitRecord) uint64 {
 		default:
 		}
 	}
-	return epoch
+	return c.Epoch
 }
 
-// logPart puts one shard's part of a commit into the node log. A
-// standalone commit is a record of its own, written at once. A commit
-// over shards participants arrives one part per participant, all under
-// every participant's latch: the parts are held by epoch and the record
-// is written whole when the last one arrives (the whole-frames rule,
-// wal.go).
-func (m *Manager) logPart(ms *managedShard, epoch uint64, shards int, idx uint64, writes map[string][]byte) error {
-	p := part{shard: ms.idx, index: idx}
-	if shards <= 1 {
-		ms.buf = endRecord(appendPart(beginRecord(ms.buf[:0], epoch, 1), ms.idx, idx, writes), 0)
-		end, err := m.log.write(ms.buf, []part{p})
-		if err == nil {
-			ms.markWritten(idx, end)
-		}
-		return err
-	}
-	m.pendMu.Lock()
-	h := m.pending[epoch]
-	if h == nil {
-		h = &heldRecord{buf: beginRecord(nil, epoch, shards)}
-		m.pending[epoch] = h
-	}
-	h.buf = appendPart(h.buf, ms.idx, idx, writes)
-	h.parts, h.from = append(h.parts, p), append(h.from, ms)
-	whole := len(h.parts) == shards
-	if whole {
-		delete(m.pending, epoch)
-	}
-	m.pendMu.Unlock()
-	if !whole {
-		return nil
-	}
-	end, err := m.log.write(endRecord(h.buf, 0), h.parts)
-	if err != nil {
-		return err
-	}
-	for i, from := range h.from {
-		from.markWritten(h.parts[i].index, end)
-	}
-	return nil
-}
-
-// markWritten notes that the record holding this shard's part idx is in
-// the log file, ending at end: Sync may now cover it, and ship it.
-func (ms *managedShard) markWritten(idx uint64, end int64) {
+// take assigns the shard's next commit-log index to a part of a record
+// at epoch and accrues the record's value. It reports whether the shard
+// is due for a checkpoint.
+func (ms *managedShard) take(epoch uint64, value float64) (uint64, bool) {
 	ms.mu.Lock()
-	ms.written, ms.writtenEnd = idx, end
-	ms.mu.Unlock()
-}
-
-// shipLocked publishes the head run of unshipped records that a sync
-// covers. Order is the append order, keeping replLog in index lockstep
-// with the log. Caller holds ms.mu.
-func (ms *managedShard) shipLocked() {
-	n := 0
-	for _, r := range ms.unshipped {
-		if r.Index > ms.synced {
-			break
-		}
-		ms.replLog.AppendStamped(r.Writes, r.Epoch, r.Shards)
-		n++
+	defer ms.mu.Unlock()
+	idx := ms.next
+	ms.next++
+	ms.maxEpoch = max(ms.maxEpoch, epoch)
+	ms.appendsSince++
+	if value > 0 {
+		ms.pendingValue += value
 	}
-	if n > 0 {
-		ms.unshipped = ms.unshipped[n:]
-		if len(ms.unshipped) == 0 {
-			ms.unshipped = nil // release the backing array
-		}
-	}
+	return idx, ms.m.opts.CkptEvery > 0 && ms.appendsSince >= ms.m.opts.CkptEvery
 }
 
 // Durable implements engine.CommitLog: Sync is an fsync.
 func (ms *managedShard) Durable() bool { return true }
 
-// Sync implements engine.CommitLog: it syncs the node log through this
-// shard's newest written record, then publishes the newly covered records
-// to the replication log. The engine (and the cross-shard/replica apply
+// Sync implements engine.CommitLog: it syncs the node log through every
+// record written so far, then publishes the records the sync covers to
+// the replication feed. The engine (and the cross-shard/replica apply
 // paths) call it before any commit of the batch is acknowledged, so
 // subscribers only ever stream records that are already durable here.
 // The watermark is taken before the sync: a record written concurrently
-// (by the next batch) is left for the sync that covers it. Of a batch's
-// shards, the first Sync does the fsync and the rest find it done.
+// (by the next batch) is left for the sync that covers it.
 func (ms *managedShard) Sync() error {
+	m := ms.m
 	ms.mu.Lock()
-	idx, end, epoch := ms.written, ms.writtenEnd, ms.maxEpoch
+	epoch := ms.maxEpoch
 	ms.mu.Unlock()
-	if err := ms.m.log.syncTo(end); err != nil {
+	end := m.log.end()
+	if err := m.log.syncTo(end); err != nil {
 		// A broken log also stops shipping: replicas must not apply
 		// records this primary can no longer recover. The queue is simply
 		// never drained further — the log is sticky-broken, the operator
 		// policy is fail-stop.
-		ms.m.errs.Add(1)
+		m.errs.Add(1)
 		ms.flight.Record(flight.EvFsyncError, 0, ms.idx, epoch)
-		ms.m.fail(err)
+		m.fail(err)
 		return err
 	}
 	ms.flight.Record(flight.EvFsync, 0, ms.idx, epoch)
-	ms.mu.Lock()
-	ms.synced = max(ms.synced, idx)
-	if ms.replLog != nil {
-		ms.shipLocked()
+	if m.feed != nil {
+		m.shipMu.Lock()
+		for _, sh := range m.log.shippable(end) {
+			m.feed.Sink(sh.shard).AppendCommit(sh.rec)
+		}
+		m.shipMu.Unlock()
 	}
-	ms.mu.Unlock()
 	return nil
 }
 
@@ -596,8 +535,7 @@ func (m *Manager) checkpoint(shards []*managedShard) ([]int, error) {
 // checkpointShard captures one shard: its state and commit-log head
 // under one latch hold, then — the checkpoint rule of wal.go — a log
 // sync through the shard's newest record, then the atomic checkpoint
-// write. The in-memory log's durability floor advances to the new head:
-// it serves joiners (who SNAP live state), never recovery.
+// write.
 func (m *Manager) checkpointShard(ms *managedShard) error {
 	if met := m.opts.Metrics; met != nil {
 		start := time.Now()
@@ -606,9 +544,10 @@ func (m *Manager) checkpointShard(ms *managedShard) error {
 	eng := m.store.Shard(ms.idx)
 	eng.LockCommit()
 	ms.mu.Lock()
-	head, end, epoch := ms.next-1, ms.writtenEnd, ms.maxEpoch
+	head, epoch := ms.next-1, ms.maxEpoch
 	coveredAppends, coveredValue := ms.appendsSince, ms.pendingValue
 	ms.mu.Unlock()
+	end := m.log.end()
 	kvs := make(map[string][]byte)
 	eng.RangeLocked(func(k string, v []byte) bool {
 		kvs[k] = append([]byte(nil), v...)
@@ -633,19 +572,30 @@ func (m *Manager) checkpointShard(ms *managedShard) error {
 	ms.appendsSince -= coveredAppends
 	ms.pendingValue = max(ms.pendingValue-coveredValue, 0)
 	ms.mu.Unlock()
-	if ms.replLog != nil {
-		// Trimming advances to min(checkpoint, min acked subscriber,
-		// retention window) — the log enforces the floors itself.
-		ms.replLog.SetDurableFloor(head)
-	}
 	m.ckpts.Add(1)
 	return nil
 }
 
 // RecoveredIndex reports the sum of per-shard commit-log indices
 // restored at Open — zero for a cold start, the total acknowledged
-// commit count survived for a restart.
+// commit count survived for a restart. It is the position the
+// replication feed restarts at.
 func (m *Manager) RecoveredIndex() uint64 { return m.recovered }
+
+// Position returns the node's commit position — the sum of its shards'
+// commit-log indices, which is the feed position of the newest part
+// appended — and the newest epoch appended. It is exact while the caller
+// holds every shard's latch: SNAP's cut, which may run ahead of what has
+// shipped, because records ship only after their sync.
+func (m *Manager) Position() (pos, epoch uint64) {
+	for _, ms := range m.shards {
+		ms.mu.Lock()
+		pos += ms.next - 1
+		epoch = max(epoch, ms.maxEpoch)
+		ms.mu.Unlock()
+	}
+	return pos, epoch
+}
 
 // Stats returns a snapshot of the durability counters.
 func (m *Manager) Stats() Stats {
@@ -665,8 +615,6 @@ func (m *Manager) Stats() Stats {
 func (m *Manager) Close() error {
 	close(m.stop)
 	<-m.done
-	for _, ms := range m.shards {
-		ms.Sync()
-	}
+	m.shards[0].Sync()
 	return m.log.close()
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -76,11 +77,7 @@ func TestRecoverRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heads := feed.Heads()
-	var total uint64
-	for _, h := range heads {
-		total += h
-	}
+	total := feed.Log().Head()
 	st.Close()
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -101,19 +98,16 @@ func TestRecoverRoundTrip(t *testing.T) {
 			t.Fatalf("k%d = %q after recovery, want %d", i, got, i*i)
 		}
 	}
-	// The replication log resumes at the recovered per-shard heads, and
-	// new commits get the next indices — replicas subscribed above the
-	// base stream seamlessly across the restart.
-	for i, h := range feed2.Heads() {
-		if h != heads[i] {
-			t.Fatalf("shard %d log head after recovery = %d, want %d", i, h, heads[i])
-		}
+	// The replication log resumes at the recovered position, and new
+	// commits get the next positions — replicas subscribed above the base
+	// stream seamlessly across the restart.
+	if h := feed2.Log().Head(); h != total {
+		t.Fatalf("log head after recovery = %d, want %d", h, total)
 	}
 	put(t, st2, "k0", "888", 0)
-	sh := st2.ShardOf("k0")
-	recs, _, err := feed2.Log(sh).From(heads[sh]+1, 0)
-	if err != nil || len(recs) != 1 || recs[0].Index != heads[sh]+1 {
-		t.Fatalf("post-recovery append: recs=%+v err=%v, want one record at %d", recs, err, heads[sh]+1)
+	recs, _, err := feed2.Log().From(total+1, 0)
+	if err != nil || len(recs) != 1 || recs[0].Index != total+1 || recs[0].Shard != st2.ShardOf("k0") {
+		t.Fatalf("post-recovery append: recs=%+v err=%v, want one part of shard %d at %d", recs, err, st2.ShardOf("k0"), total+1)
 	}
 }
 
@@ -339,34 +333,99 @@ func TestStatsAndFsyncAccounting(t *testing.T) {
 	m.Close()
 }
 
-// TestTrimSatelliteWiring: after a checkpoint, the in-memory replication
-// log trims below min(checkpoint, min acked subscriber).
+// TestTrimSatelliteWiring: on a durable node the in-memory replication
+// log trims by its subscribers' acks and its retention window alone — a
+// checkpoint sets no floor, since recovery reads the disk and joiners
+// SNAP live state.
 func TestTrimSatelliteWiring(t *testing.T) {
 	dir := t.TempDir()
 	st, feed, m := openStore(t, dir, 1, Options{}, true)
 	defer m.Close()
+	feed.Log().SetRetention(0)
+	sub := feed.Subscribe()
 	for i := 0; i < 10; i++ {
 		put(t, st, "k", strconv.Itoa(i), 0)
 	}
-	sub := feed.Subscribe()
-	sub.Track(0)
-	sub.Ack(0, 6)
+	sub.Ack(6)
 	if _, err := m.CheckpointAll(); err != nil {
 		t.Fatal(err)
 	}
-	// Checkpoint at 10, min acked 6: the log trims to 6.
-	if base := feed.Log(0).Base(); base != 6 {
-		t.Fatalf("log base after checkpoint = %d, want 6 (min acked)", base)
+	// Checkpoint at 10, acked 6: the log trims to the ack, no further.
+	if base := feed.Log().Base(); base != 6 || feed.Log().Trimmed() != 6 {
+		t.Fatalf("log base after checkpoint = %d (trimmed %d), want 6 (min acked)", base, feed.Log().Trimmed())
 	}
-	if feed.Trimmed() != 6 {
-		t.Fatalf("trimmed = %d, want 6", feed.Trimmed())
-	}
-	// Acking further releases up to the checkpoint, not past it.
-	sub.Ack(0, 10)
-	if base := feed.Log(0).Base(); base != 10 {
-		t.Fatalf("log base after full ack = %d, want 10 (checkpoint floor)", base)
+	// Acking past the checkpoint trims past it.
+	put(t, st, "k", "10", 0)
+	sub.Ack(11)
+	if base := feed.Log().Base(); base != 11 {
+		t.Fatalf("log base after full ack = %d, want 11", base)
 	}
 	st.Close()
+}
+
+// TestShipsInLogOrder: a durable node publishes its commit order to the
+// feed in the WAL's write order — each record's parts adjacent, a
+// cross-shard record once and whole — at positions that continue the
+// recovered numbering, and only records a sync covered.
+func TestShipsInLogOrder(t *testing.T) {
+	dir := t.TempDir()
+	st, feed, m := openStore(t, dir, 4, Options{}, true)
+	keys := make([]string, 16)
+	for i := range keys {
+		keys[i] = "s" + strconv.Itoa(i)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				ks := []string{keys[(w*5+i)%16], keys[(w*7+3*i+1)%16]}
+				if i%3 == 0 {
+					ks = ks[:1]
+				}
+				if err := st.Update(ks, func(tx shard.Tx) error {
+					for _, k := range ks {
+						if err := tx.Set(k, []byte(strconv.Itoa(i))); err != nil {
+							return err
+						}
+					}
+					return nil
+				}); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st.Close()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	shipped, _, err := feed.Log().From(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, frames := replay(t, filepath.Join(dir, "wal"), FsyncGroup, nil)
+	pos := 0
+	for _, f := range frames {
+		for j, p := range f.parts {
+			if pos >= len(shipped) {
+				t.Fatalf("feed ends at position %d, the WAL goes on (epoch %d)", pos, f.epoch)
+			}
+			r := shipped[pos]
+			pos++
+			cross := len(f.parts) > 1
+			if r.Index != uint64(pos) || r.Shard != p.shard || r.Epoch != f.epoch || r.Cross() != cross ||
+				(cross && r.Shards[j] != p.shard) || fmt.Sprint(r.Writes) != fmt.Sprint(p.writes) {
+				t.Fatalf("feed position %d = %+v, WAL has part %d of epoch %d on shard %d writing %v",
+					pos, r, j, f.epoch, p.shard, p.writes)
+			}
+		}
+	}
+	if pos != len(shipped) || uint64(pos) != feed.Log().Head() {
+		t.Fatalf("WAL holds %d parts, feed %d (head %d)", pos, len(shipped), feed.Log().Head())
+	}
 }
 
 // TestCorruptFallbackSegmentKeepsSuffix: damage confined to a retained

@@ -11,12 +11,12 @@
 //
 // Three rules make the log crash-atomic; each is stated once, here:
 //
-//   - Whole frames only. A record reaches the file as one write. The
-//     parts of a cross-shard commit arrive one participant at a time
-//     (under all the participants' latches, while appends of disjoint
-//     shard sets interleave), so the manager holds them per epoch and
-//     writes the frame when the last part arrives (Manager.logPart).
-//     Per-shard index order in the log follows from the shard latch.
+//   - Whole frames only. A record reaches the file as one write. A
+//     cross-shard commit reaches its lowest participant's sink in one
+//     call, under all the participants' latches
+//     (engine.InstallCrossLocked), and is encoded and written there as
+//     one frame (managedShard.AppendCommit). Per-shard index order in the
+//     log follows from the shard latch.
 //   - A checkpoint never covers a record the log does not hold durably.
 //     A shard is snapshotted under its latch, then the log is synced
 //     through that shard's newest record, then the checkpoint file is
@@ -52,6 +52,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -252,17 +253,28 @@ type nodeLog struct {
 	policy   FsyncPolicy
 	fsyncObs *obs.Histogram  // observes each fsync's duration; may be nil
 	hook     func(hookPoint) // test seam; nil in production
+	ship     bool            // queue written records for the replication feed
 
 	syncMu sync.Mutex // serializes fsyncs and rotation; never taken by an append
 
-	mu      sync.Mutex // the append mutex
-	f       *os.File   // active segment
-	segs    []segment  // ascending; the last one is active
-	written int64      // log offset past the last record written
-	synced  int64      // log offset through which the log is on stable storage
-	broken  error      // sticky first write/sync failure; see err
+	mu        sync.Mutex // the append mutex
+	f         *os.File   // active segment
+	segs      []segment  // ascending; the last one is active
+	written   int64      // log offset past the last record written
+	synced    int64      // log offset through which the log is on stable storage
+	broken    error      // sticky first write/sync failure; see err
+	unshipped []shipment // with ship: written, not yet published, in log order
 
 	appends, crossRecs, fsyncs atomic.Int64
+}
+
+// shipment is a written record waiting for the sync that lets it ship:
+// the commit as its sink received it, the sink's shard, and the log
+// offset past the record.
+type shipment struct {
+	shard int
+	rec   engine.CommitRecord
+	end   int64
 }
 
 func (l *nodeLog) at(p hookPoint) {
@@ -343,11 +355,13 @@ func openLog(dir string, policy FsyncPolicy, accept func(frame) bool) (*nodeLog,
 }
 
 // write appends one whole record holding parts (their writes are already
-// encoded in rec) and returns the log offset past it. Under FsyncAlways
-// it also syncs through the record, outside the append mutex. A failed
-// log is sticky-broken: every later write fails without touching the
-// file, so the log ends at the failure instead of growing a hole.
-func (l *nodeLog) write(rec []byte, parts []part) (int64, error) {
+// encoded in rec) and returns the log offset past it. With ship set, the
+// record joins the publication queue as sh, in the order it reached the
+// file. Under FsyncAlways it also syncs through the record, outside the
+// append mutex. A failed log is sticky-broken: every later write fails
+// without touching the file, so the log ends at the failure instead of
+// growing a hole.
+func (l *nodeLog) write(rec []byte, parts []part, sh shipment) (int64, error) {
 	l.mu.Lock()
 	if l.broken != nil {
 		err := l.broken
@@ -364,6 +378,10 @@ func (l *nodeLog) write(rec []byte, parts []part) (int64, error) {
 	for _, p := range parts {
 		top[p.shard] = p.index
 	}
+	if l.ship {
+		sh.end = end
+		l.unshipped = append(l.unshipped, sh)
+	}
 	l.mu.Unlock()
 	l.appends.Add(1)
 	if len(parts) > 1 {
@@ -373,6 +391,29 @@ func (l *nodeLog) write(rec []byte, parts []part) (int64, error) {
 		return end, l.syncTo(end)
 	}
 	return end, nil
+}
+
+// end returns the log offset past the last record written.
+func (l *nodeLog) end() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.written
+}
+
+// shippable removes from the publication queue, and returns, the records
+// that end at or before offset through.
+func (l *nodeLog) shippable(through int64) []shipment {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for n < len(l.unshipped) && l.unshipped[n].end <= through {
+		n++
+	}
+	out := l.unshipped[:n:n]
+	if l.unshipped = l.unshipped[n:]; len(l.unshipped) == 0 {
+		l.unshipped = nil // release the backing array
+	}
+	return out
 }
 
 // syncTo makes the log durable through offset target (under FsyncOff it

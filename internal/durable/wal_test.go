@@ -30,7 +30,7 @@ func encode(buf []byte, f frame) []byte {
 func appendAll(t *testing.T, l *nodeLog, frames ...frame) {
 	t.Helper()
 	for _, f := range frames {
-		if _, err := l.write(encode(nil, f), f.parts); err != nil {
+		if _, err := l.write(encode(nil, f), f.parts, shipment{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,7 +8,7 @@
 //	latch the stores, ascending
 //	run the caller's validate+install step
 //	unlatch
-//	sync the log of every store that installed
+//	sync the log the installs went to (one per node)
 //	check the fence
 //
 // and hands back one error the caller stamps onto its installed verdicts.
@@ -16,42 +16,46 @@
 // ordering — is the commit queue's; its callers keep only their
 // validate+install step and a priority.
 //
-// Crash atomicity of a cross-store install is the commit log's: every
-// participant's part is appended under all the latches, stamped with one
-// epoch and the participant set (InstallCrossLocked), and the durable
-// log (internal/durable) writes the parts as one record. On disk the
-// commit is whole or absent, so its boundary is the same one sync a
+// Crash atomicity of a cross-store install is the commit log's: the
+// whole commit — every participant's part, stamped with one epoch and the
+// participant set — reaches the log in one call, under all the latches
+// (InstallCrossLocked). The durable log writes it as one record and the
+// replication log as adjacent parts, so the commit is whole or absent on
+// disk and on the wire, and its boundary is the same one sync a
 // single-store commit crosses.
 
 package engine
 
-// CommitRecord is one install as the commit log sees it. Epoch 0 is a
-// standalone install (the log stamps its own epoch); non-zero carries a
-// cross-store commit's pre-allocated epoch and its ascending participant
-// set, the atomicity metadata the durable log and the replica apply
-// barrier need. Value is the installing transaction's value (zero for
-// replicated or unvalued installs), which the durability layer ranks
-// checkpoints by. Writes is retained by the log and never mutated after
-// commit.
+// CommitRecord is one install as the commit log sees it. A standalone
+// install carries its Writes and Epoch 0 (the log stamps its own epoch).
+// A cross-store install carries its pre-allocated epoch, the ascending
+// participant set Shards and the parallel Parts, Parts[j] being the
+// writes of Shards[j]. Value is the installing transaction's value (zero
+// for replicated or unvalued installs), which the durability layer ranks
+// checkpoints by. The log retains every map and slice and never mutates
+// them.
 type CommitRecord struct {
 	Writes map[string][]byte
 	Value  float64
 	Epoch  uint64
 	Shards []int
+	Parts  []map[string][]byte
 }
 
 // CommitLog is a store's commit-log sink: the replication log
-// (internal/repl) or the write-ahead log (internal/durable). AppendCommit
-// runs under the store latch, so calls are serialized and their order IS
-// the store's version order; it must be fast, must not call back into
+// (internal/repl) or the write-ahead log (internal/durable). The stores
+// one Commit latches share one log — each store's sink is a per-shard
+// view of a node's — so a cross-store install is appended once, to its
+// lowest participant's sink, and one Sync covers a whole batch.
+// AppendCommit runs under the store latch (all the participants' for a
+// cross-store record), so calls are serialized per store and their order
+// IS the store's version order; it must be fast, must not call back into
 // the store, and reports no errors — a log that cannot accept a record
 // turns sticky-broken and fails every later Sync. In-memory logs answer
 // Sync with a no-op.
 type CommitLog interface {
 	// AppendCommit records one install and returns the epoch it carries
-	// (the log's own for a standalone record). The parts of a cross-store
-	// install arrive one call per participant, all under every
-	// participant's latch.
+	// (the log's own for a standalone record).
 	AppendCommit(rec CommitRecord) uint64
 	// Sync makes everything appended so far durable. It runs outside the
 	// latch, once per batch, before any verdict of the batch is delivered.
@@ -91,9 +95,8 @@ func Commit(stores []*Store, latch []int, step func()) error {
 	}
 	step()
 	var (
-		syncBuf [4]CommitLog
-		syncs   = syncBuf[:0]
-		fence   func() error
+		sync  CommitLog
+		fence func() error
 	)
 	installed := false
 	for _, i := range latch {
@@ -101,8 +104,8 @@ func Commit(stores []*Store, latch []int, step func()) error {
 		if st.dirty {
 			st.dirty, installed = false, true
 			fence = st.fence
-			if st.log.Durable() {
-				syncs = append(syncs, st.log)
+			if sync == nil && st.log.Durable() {
+				sync = st.log
 			}
 		}
 		st.mu.Unlock()
@@ -110,10 +113,8 @@ func Commit(stores []*Store, latch []int, step func()) error {
 	if !installed {
 		return nil
 	}
-	// One after the other: logs that share a file (a node's shards,
-	// internal/durable) find the first Sync did the fsync.
-	for _, l := range syncs {
-		if err := l.Sync(); err != nil {
+	if sync != nil {
+		if err := sync.Sync(); err != nil {
 			return &SyncError{Err: err}
 		}
 	}
@@ -128,10 +129,12 @@ func Commit(stores []*Store, latch []int, step func()) error {
 // InstallCrossLocked installs one transaction's writes across several
 // stores under epoch: writes[j] on stores[parts[j]] for every j (parts
 // ascending, at least two, each with writes, all latched by the enclosing
-// Commit). Each participant's log receives its part stamped with the
-// epoch and the participant set, and retains the map it is handed.
+// Commit). Every participant's state changes first; then the whole commit
+// goes to the lowest participant's log in one AppendCommit, which retains
+// parts and writes.
 func InstallCrossLocked(stores []*Store, epoch uint64, parts []int, writes []map[string][]byte, value float64) {
 	for j, i := range parts {
-		stores[i].installLocked(CommitRecord{Writes: writes[j], Value: value, Epoch: epoch, Shards: parts})
+		stores[i].applyLocked(writes[j])
 	}
+	stores[parts[0]].log.AppendCommit(CommitRecord{Value: value, Epoch: epoch, Shards: parts, Parts: writes})
 }

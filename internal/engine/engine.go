@@ -695,20 +695,25 @@ func (s *Store) validateLocked(reads map[string]uint64) bool {
 	return true
 }
 
-// installLocked logs and installs rec's writes with bumped versions and
-// broadcasts the commit: in-flight optimistic shadows that read what was
-// written are aborted. Their speculative shadows (often gated on the
-// committer) take over — the gate opens when the committing handle's
-// done channel closes. It returns the epoch the log stamped on the record
-// (0 for an empty write set) and marks the store as owing a commit
-// boundary. Callers hold s.mu.
+// installLocked logs and installs a standalone record (applyLocked) and
+// returns the epoch the log stamped on it (0 for an empty write set).
+// Callers hold s.mu.
 func (s *Store) installLocked(rec CommitRecord) uint64 {
-	writes := rec.Writes
-	if len(writes) == 0 {
+	if len(rec.Writes) == 0 {
 		return 0
 	}
-	s.dirty = true
 	epoch := s.log.AppendCommit(rec)
+	s.applyLocked(rec.Writes)
+	return epoch
+}
+
+// applyLocked installs writes with bumped versions, marks the store as
+// owing a commit boundary and broadcasts the commit: in-flight optimistic
+// shadows that read what was written are aborted. Their speculative
+// shadows (often gated on the committer) take over — the gate opens when
+// the committing handle's done channel closes. Callers hold s.mu.
+func (s *Store) applyLocked(writes map[string][]byte) {
+	s.dirty = true
 	for key, val := range writes {
 		s.committed[key] = versioned{val: val, ver: s.committed[key].ver + 1}
 	}
@@ -727,7 +732,6 @@ func (s *Store) installLocked(rec CommitRecord) uint64 {
 			other.opt.abortLocked(s)
 		}
 	}
-	return epoch
 }
 
 // Close marks the store closed; subsequent Updates fail. In-flight

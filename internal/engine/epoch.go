@@ -1,10 +1,9 @@
 // Commit epochs: a store-group-wide monotone counter stamped on every
-// commit-log record. Within one shard's log, epochs are strictly
+// commit-log record. Within one shard's commit order, epochs are strictly
 // increasing (every allocation happens under that shard's commit latch),
-// and a cross-shard commit carries ONE epoch on all of its per-shard
-// records — which is what lets a replica apply the commit on all shards
-// at once (the apply barrier in internal/repl) and lets the durable log
-// gather the parts into one record (internal/durable).
+// and a cross-shard commit carries ONE epoch on all of its parts — the
+// identity a replica reads its parts as one record by (internal/repl)
+// and a checkpoint's watermark is taken in (internal/durable).
 //
 // The type lives in package engine, the bottom of the serving dependency
 // chain, so repl, shard, durable and server can all share one instance.

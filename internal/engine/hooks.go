@@ -5,8 +5,9 @@
 // via ApplyLocked / InstallCrossLocked inside its step; holding every latch
 // across validate and install makes the commit atomic with respect to
 // other multi-store commits and to each store's own live transactions,
-// and hands a durable log all of its parts before any other install on
-// those stores — which is what lets it write them as one record.
+// and the whole commit reaches the commit log in one call before any
+// other install on those stores — one record on disk, adjacent parts in
+// the replication log.
 // LockCommit/UnlockCommit serve the read-only and boot-time users (views,
 // checkpoints, SNAP, recovery replay).
 

@@ -19,95 +19,65 @@ import (
 // ErrLagging is returned by LagGate.Admit for a read shed on replica lag.
 var ErrLagging = errors.New("repl: replica lag sheds read past its zero-crossing")
 
-// LagGate tracks a replica's per-shard replication progress and decides,
-// per read-only transaction, whether serving it now can still add value.
-// All methods are safe for concurrent use. Time inputs are explicit
-// (seconds, the caller's clock base), so tests are deterministic.
+// LagGate tracks a replica's replication progress — the primary's head
+// position it knows of and the position it has applied through — and
+// decides, per read-only transaction, whether serving it now can still
+// add value. All methods are safe for concurrent use. Time inputs are
+// explicit (seconds, the caller's clock base), so tests are
+// deterministic.
 type LagGate struct {
 	budget float64 // estimated catch-up seconds tolerated without shedding
 
 	mu      sync.Mutex
-	seen    []uint64 // highest log index known to exist, per shard
-	applied []uint64 // highest log index applied, per shard
-	perRec  float64  // EWMA seconds to apply one record
+	seen    uint64  // highest position known to exist on the primary
+	applied uint64  // highest position applied
+	perRec  float64 // EWMA seconds to apply one part
 	shed    int64
 }
 
-// NewLagGate returns a gate for a replica of shards partitions. budget is
-// the estimated catch-up time tolerated before value-based shedding
-// starts; initPerRec seeds the per-record apply-time estimate (default
-// 20µs when <= 0).
-func NewLagGate(shards int, budget time.Duration, initPerRec time.Duration) *LagGate {
+// NewLagGate returns a gate tolerating budget of estimated catch-up
+// time before value-based shedding starts; initPerRec seeds the
+// per-part apply-time estimate (default 20µs when <= 0).
+func NewLagGate(budget time.Duration, initPerRec time.Duration) *LagGate {
 	if initPerRec <= 0 {
 		initPerRec = 20 * time.Microsecond
 	}
-	return &LagGate{
-		budget:  budget.Seconds(),
-		seen:    make([]uint64, shards),
-		applied: make([]uint64, shards),
-		perRec:  initPerRec.Seconds(),
-	}
+	return &LagGate{budget: budget.Seconds(), perRec: initPerRec.Seconds()}
 }
 
-// ObserveHead records that shard's primary log extends at least to head.
-func (g *LagGate) ObserveHead(shard int, head uint64) {
+// ObserveHead records that the primary's log extends at least to head.
+func (g *LagGate) ObserveHead(head uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if shard < 0 || shard >= len(g.seen) {
-		return
-	}
-	if head > g.seen[shard] {
-		g.seen[shard] = head
-	}
+	g.seen = max(g.seen, head)
 }
 
-// ObserveApplied records that shard's log has been applied through index;
-// took is the wall time spent applying n records, refining the per-record
+// ObserveApplied records that the log has been applied through pos; took
+// is the wall time spent applying n parts, refining the per-part
 // estimate (pass 0, 0 to skip refinement).
-func (g *LagGate) ObserveApplied(shard int, index uint64, took time.Duration, n int) {
+func (g *LagGate) ObserveApplied(pos uint64, took time.Duration, n int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if shard < 0 || shard >= len(g.applied) {
-		return
-	}
-	if index > g.applied[shard] {
-		g.applied[shard] = index
-	}
-	if index > g.seen[shard] {
-		g.seen[shard] = index
-	}
+	g.applied = max(g.applied, pos)
+	g.seen = max(g.seen, pos)
 	if n > 0 && took > 0 {
 		const alpha = 0.1
 		g.perRec = (1-alpha)*g.perRec + alpha*took.Seconds()/float64(n)
 	}
 }
 
-// LagRecords returns the total number of known-but-unapplied records.
+// LagRecords returns the number of known-but-unapplied parts.
 func (g *LagGate) LagRecords() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.lagLocked()
+	return g.seen - g.applied
 }
 
-func (g *LagGate) lagLocked() uint64 {
-	var lag uint64
-	for i, s := range g.seen {
-		if a := g.applied[i]; s > a {
-			lag += s - a
-		}
-	}
-	return lag
-}
-
-// Applied returns the total number of applied records across shards.
+// Applied returns the position applied through.
 func (g *LagGate) Applied() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var n uint64
-	for _, a := range g.applied {
-		n += a
-	}
-	return n
+	return g.applied
 }
 
 // CatchUp estimates the seconds until the replica has applied everything
@@ -115,7 +85,7 @@ func (g *LagGate) Applied() uint64 {
 func (g *LagGate) CatchUp() float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return float64(g.lagLocked()) * g.perRec
+	return float64(g.seen-g.applied) * g.perRec
 }
 
 // Admit decides whether a read-only transaction with value function f may

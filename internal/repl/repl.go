@@ -1,23 +1,25 @@
-// Package repl replicates a sharded SCC store: the engine's commit hook
-// (engine.Config.CommitLog) appends every installed write set to a
-// per-shard Log, a Feed bundles the logs of one primary and tracks
-// subscriber progress, and a Replica streams the logs over the wire
-// protocol's REPL/ACK verbs (see docs/PROTOCOL.md) into a local store via
-// the ApplyLocked path. Replica reads are value-cognizant: a LagGate sheds
-// read-only transactions whose value function would cross zero before the
+// Package repl replicates a sharded SCC store. A node's commit order is
+// one in-memory Log of whole transactions: every shard's store appends
+// to it through its own sink (an engine.CommitLog view of the log), and a
+// cross-shard commit arrives in one call and sits in the log as its parts
+// side by side. A Feed tracks subscriber progress on the log, and a
+// Replica streams it over the wire protocol's REPL/ACK verbs (see
+// docs/PROTOCOL.md) into a local store in log order, via the ApplyLocked
+// path. Replica reads are value-cognizant: a LagGate sheds read-only
+// transactions whose value function would cross zero before the
 // replica's estimated catch-up, the replication analogue of the paper's
-// zero-crossing load shedding. docs/ARCHITECTURE.md places the package in
-// the overall data flow.
+// zero-crossing load shedding. docs/ARCHITECTURE.md places the package
+// in the overall data flow.
 //
-// Logs are trimmable: records below a trim point are dropped from memory
-// (the durability layer, internal/durable, keeps them on disk), and a
-// subscriber asking for a trimmed index is refused with ErrCompacted —
-// it bootstraps from a snapshot (the SNAP verb) instead of replaying
-// from index 1. Trimming advances to
-// min(acked floor, durability floor, head − retention): never past what
-// a tracking subscriber still owes, never past the newest checkpoint,
-// and always keeping the retention window for briefly-absent
-// subscribers to resume without a snapshot.
+// A position is a part's rank in the node's commit order (1-based), so
+// the position after a record is the sum of its shards' commit-log
+// indices. Logs are trimmable: parts below a trim point are dropped from
+// memory (the durability layer, internal/durable, keeps them on disk),
+// and a subscriber asking for a trimmed position is refused with
+// ErrCompacted — it bootstraps from a snapshot (the SNAP verb) instead.
+// Trimming advances to min(acked floor, head − retention): never past
+// what a subscriber still owes, and always keeping the retention window
+// for briefly-absent subscribers to resume without a snapshot.
 package repl
 
 import (
@@ -29,127 +31,126 @@ import (
 	"repro/internal/engine"
 )
 
-// ErrCompacted is returned by Log.From when the requested index has been
-// trimmed away. The subscriber cannot replay from there; it must
+// ErrCompacted is returned by Log.From when the requested position has
+// been trimmed away. The subscriber cannot replay from there; it must
 // bootstrap from a snapshot and resume above the log's Base.
-var ErrCompacted = errors.New("repl: log trimmed below requested index")
+var ErrCompacted = errors.New("repl: log trimmed below requested position")
 
-// unbounded marks an absent floor (no tracking subscriber, no
-// checkpoint): it never constrains a min().
+// retention is how many of the newest parts a log keeps whatever its
+// subscribers have acked.
+const retention = 1 << 16
+
+// unbounded marks an absent floor (no subscriber): it never constrains a
+// min().
 const unbounded = ^uint64(0)
 
-// Record is one committed transaction's write set on one shard, at Index
-// (1-based) in that shard's total commit order. Records applied in Index
-// order reproduce the primary shard's committed state and per-key
+// Record is one part of a committed transaction: the writes it installed
+// on Shard, at position Index in the node's commit order. Records applied
+// in Index order reproduce the primary's committed state and per-key
 // versions exactly.
 //
-// Epoch is the global commit epoch stamped on the record (0 only from
-// legacy sinks with no epoch source); within one shard's log, epochs are
-// strictly increasing. Shards is nil for a standalone commit; for a
+// Epoch is the global commit epoch stamped on the commit (0 only from
+// legacy sinks with no epoch source); within one shard, epochs are
+// strictly increasing. Shards is nil for a standalone commit. For a
 // cross-shard commit it lists every participant shard (ascending), and
-// each participant's log carries a record with the SAME epoch — the
-// replica apply barrier uses this to make the commit visible on all
-// shards at once.
+// the commit's parts sit at consecutive positions in that order, each
+// carrying the same epoch and list.
 type Record struct {
 	Index  uint64
+	Shard  int
 	Epoch  uint64
 	Shards []int
 	Writes map[string][]byte
 }
 
-// Cross reports whether the record is one shard's part of a multi-shard
-// commit (and therefore subject to the replica apply barrier).
+// Cross reports whether the record is one part of a multi-shard commit.
 func (r Record) Cross() bool { return len(r.Shards) > 1 }
 
-// Log is the ordered commit log of one shard. It implements
-// engine.CommitLog: the engine appends under the shard's commit latch, so
-// append order is the shard's version order.
+// Log is a node's commit order. Its sinks append under the shard latches,
+// so each shard's parts appear in that shard's version order.
 type Log struct {
 	epochs *engine.Epochs // stamps standalone appends; nil = epoch 0 (legacy sinks)
 
 	mu        sync.Mutex
-	base      uint64 // highest trimmed-away index; recs[0].Index == base+1
-	lastEpoch uint64 // epoch of the newest record ever appended (survives trims)
+	base      uint64 // highest trimmed-away position; recs[0].Index == base+1
+	lastEpoch uint64 // highest epoch ever appended (survives trims)
 	recs      []Record
 	wake      chan struct{} // closed and replaced on every append
 
-	retain   uint64 // auto-trim keeps at least this many newest records (0 = keep all)
-	ackFloor uint64 // min acked index over tracking subscribers (unbounded if none)
-	durFloor uint64 // newest checkpoint index (unbounded without durability)
-	autoTrim bool   // retention or a durability floor has been configured
-	trimmed  int64  // records dropped by trimming, cumulative
-	resliced int    // trimmed records whose backing memory is still pinned
+	retain   uint64 // auto-trim keeps at least this many newest parts
+	ackFloor uint64 // min acked position over subscribers (unbounded if none)
+	trimmed  int64  // parts dropped by trimming, cumulative
+	resliced int    // trimmed parts whose backing memory is still pinned
 }
 
 // NewLog returns an empty log stamping epochs from epochs (nil leaves
 // every record at epoch 0 — acceptable only for tests and legacy sinks).
 func NewLog(epochs *engine.Epochs) *Log {
-	return &Log{epochs: epochs, wake: make(chan struct{}), ackFloor: unbounded, durFloor: unbounded}
+	return &Log{epochs: epochs, wake: make(chan struct{}), retain: retention, ackFloor: unbounded}
 }
 
-// Append records one standalone write set (AppendCommit with no epoch).
+// Append records one standalone write set on shard 0.
 func (l *Log) Append(writes map[string][]byte) {
-	l.AppendCommit(engine.CommitRecord{Writes: writes})
+	l.publish(0, engine.CommitRecord{Writes: writes})
 }
 
-// AppendCommit implements engine.CommitLog: it records one installed
-// write set and wakes blocked readers. The map is retained, not copied;
-// the engine guarantees committed write sets are never mutated
-// afterwards. A standalone record's epoch is allocated here — under the
-// shard's commit latch, so per-shard epoch order matches log order; a
-// cross-shard record ships with its pre-allocated epoch and participant
-// set.
-func (l *Log) AppendCommit(rec engine.CommitRecord) uint64 {
-	if rec.Epoch == 0 && l.epochs != nil {
-		rec.Epoch = l.epochs.Next()
+// publish appends one commit — a standalone record of shard's, or every
+// part of a cross-shard one — under one hold of the mutex and wakes
+// blocked readers. The maps are retained, not copied: committed write
+// sets are never mutated afterwards. A standalone record's epoch is
+// allocated here, under the shard's latch, so per-shard epoch order
+// matches log order; a cross-shard record ships with its pre-allocated
+// epoch.
+func (l *Log) publish(shard int, c engine.CommitRecord) uint64 {
+	if c.Epoch == 0 && l.epochs != nil {
+		c.Epoch = l.epochs.Next()
 	}
-	l.AppendStamped(rec.Writes, rec.Epoch, rec.Shards)
-	return rec.Epoch
-}
-
-// The durability half of engine.CommitLog is a no-op in memory: with no
-// WAL there is nothing to sync.
-func (l *Log) Sync() error   { return nil }
-func (l *Log) Durable() bool { return false }
-
-// AppendStamped records one write set with a pre-assigned epoch and (for
-// cross-shard commits) participant set — the publication path durable
-// sinks use after the fsync that makes the record safe to ship.
-func (l *Log) AppendStamped(writes map[string][]byte, epoch uint64, shards []int) {
 	l.mu.Lock()
-	l.recs = append(l.recs, Record{
-		Index:  l.base + uint64(len(l.recs)) + 1,
-		Epoch:  epoch,
-		Shards: shards,
-		Writes: writes,
-	})
-	if epoch > l.lastEpoch {
-		l.lastEpoch = epoch
+	next := l.base + uint64(len(l.recs)) + 1
+	if c.Shards == nil {
+		l.recs = append(l.recs, Record{Index: next, Shard: shard, Epoch: c.Epoch, Writes: c.Writes})
 	}
+	for j, s := range c.Shards {
+		l.recs = append(l.recs, Record{Index: next + uint64(j), Shard: s, Epoch: c.Epoch, Shards: c.Shards, Writes: c.Parts[j]})
+	}
+	l.lastEpoch = max(l.lastEpoch, c.Epoch)
 	close(l.wake)
 	l.wake = make(chan struct{})
 	l.maybeTrimLocked()
 	l.mu.Unlock()
+	return c.Epoch
 }
 
-// LastEpoch returns the epoch of the newest record ever appended (or the
-// epoch restored by ResetBase). SNAP reply headers carry it so a
-// bootstrapping replica can seed its apply-barrier bookkeeping.
+// sink is one shard's view of a node's log: the engine.CommitLog that
+// shard's store appends to. The log is in memory, so Sync has nothing to
+// do.
+type sink struct {
+	log   *Log
+	shard int
+}
+
+func (s sink) AppendCommit(c engine.CommitRecord) uint64 { return s.log.publish(s.shard, c) }
+func (sink) Sync() error                                 { return nil }
+func (sink) Durable() bool                               { return false }
+
+// LastEpoch returns the highest epoch ever appended (or the epoch
+// restored by ResetBase): the feed's epoch watermark, which SNAP and HEAD
+// replies carry.
 func (l *Log) LastEpoch() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.lastEpoch
 }
 
-// Head returns the index of the newest record (the trim base when empty,
-// 0 when never written).
+// Head returns the position of the newest part (the trim base when
+// empty, 0 when never written).
 func (l *Log) Head() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.base + uint64(len(l.recs))
 }
 
-// Base returns the highest trimmed-away index: records with Index <= Base
+// Base returns the highest trimmed-away position: parts at or below it
 // are gone from memory and can only be recovered from a snapshot.
 func (l *Log) Base() uint64 {
 	l.mu.Lock()
@@ -158,10 +159,10 @@ func (l *Log) Base() uint64 {
 }
 
 // ResetBase starts an empty log at base with lastEpoch restored to
-// epoch: the next Append gets index base+1. Recovery uses it so a
-// restarted primary's log resumes at its recovered commit index (and
-// epoch) instead of restarting from 1. It is a boot-time operation:
-// calling it on a log that holds records panics.
+// epoch: the next part gets position base+1. Recovery and promotion use
+// it so a log resumes the node's numbering instead of restarting from 1.
+// It is a boot-time operation: calling it on a log that holds records
+// panics.
 func (l *Log) ResetBase(base, epoch uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -172,11 +173,11 @@ func (l *Log) ResetBase(base, epoch uint64) {
 	l.lastEpoch = epoch
 }
 
-// From returns up to max records with Index >= from, plus a channel that
+// From returns up to max parts with position >= from, plus a channel that
 // is closed on the next append — the blocking handle for tailing readers:
 // when the returned slice is empty and err is nil, wait on the channel
 // and retry. A from at or below the trim base draws ErrCompacted: those
-// records are gone, the reader must snapshot-bootstrap instead.
+// parts are gone, the reader must snapshot-bootstrap instead.
 func (l *Log) From(from uint64, max int) ([]Record, <-chan struct{}, error) {
 	if from == 0 {
 		from = 1
@@ -197,23 +198,20 @@ func (l *Log) From(from uint64, max int) ([]Record, <-chan struct{}, error) {
 	return recs, wake, nil
 }
 
-// trimBelowLocked drops every record with Index <= idx (clamped to the
-// head). The records' memory is released; readers below the new base
-// get ErrCompacted. Caller holds l.mu.
-func (l *Log) trimBelowLocked(idx uint64) {
-	head := l.base + uint64(len(l.recs))
-	if idx > head {
-		idx = head
-	}
-	if idx <= l.base {
+// trimBelowLocked drops every part at or below pos (clamped to the
+// head). The parts' memory is released; readers below the new base get
+// ErrCompacted. Caller holds l.mu.
+func (l *Log) trimBelowLocked(pos uint64) {
+	pos = min(pos, l.base+uint64(len(l.recs)))
+	if pos <= l.base {
 		return
 	}
-	n := int(idx - l.base)
-	// Reslice now (O(1) — at steady state auto-trim drops one record per
+	n := int(pos - l.base)
+	// Reslice now (O(1) — at steady state auto-trim drops one commit per
 	// append, and copying the whole retention window each time would be
 	// an O(retain) tax per commit under the shard latch), but compact
 	// with a real copy once the pinned prefix outgrows the live tail:
-	// a bare reslice keeps every trimmed record's write set alive in the
+	// a bare reslice keeps every trimmed part's write set alive in the
 	// backing array, so unbounded reslicing would defeat trimming.
 	l.recs = l.recs[n:]
 	l.resliced += n
@@ -223,241 +221,133 @@ func (l *Log) trimBelowLocked(idx uint64) {
 		l.recs = kept
 		l.resliced = 0
 	}
-	l.base = idx
+	l.base = pos
 	l.trimmed += int64(n)
 }
 
-// SetRetention enables retention-bounded auto-trim: every append trims
-// the log to min(acked floor, durability floor, head − retain). Zero
-// keeps auto-trim driven by the durability floor alone (or fully off if
-// none is ever set).
+// SetRetention sets how many of the newest parts the log keeps whatever
+// its subscribers have acked (the default is 65 536), and trims to the
+// new window.
 func (l *Log) SetRetention(retain uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.retain = retain
-	if retain > 0 {
-		l.autoTrim = true
-	}
 	l.maybeTrimLocked()
 }
 
-// SetAckFloor updates the min-acked-subscriber floor (unbounded-max when
-// no subscriber tracks this shard). The Feed maintains it.
-func (l *Log) SetAckFloor(idx uint64) {
+// setAckFloor updates the min-acked-subscriber floor (unbounded with no
+// subscriber) and trims to it. The Feed maintains it.
+func (l *Log) setAckFloor(pos uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.ackFloor = idx
+	l.ackFloor = pos
 	l.maybeTrimLocked()
 }
 
-// SetDurableFloor records the newest checkpoint index: auto-trim never
-// advances past it, and its presence alone enables auto-trim (with
-// durability, in-memory records below min(checkpoint, min acked) serve
-// no one — recovery replays from disk, joiners bootstrap via SNAP).
-func (l *Log) SetDurableFloor(idx uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.durFloor = idx
-	l.autoTrim = true
-	l.maybeTrimLocked()
-}
-
-// maybeTrimLocked applies the auto-trim policy. Caller holds l.mu.
+// maybeTrimLocked trims to min(acked floor, head − retention). Caller
+// holds l.mu.
 func (l *Log) maybeTrimLocked() {
-	if !l.autoTrim {
-		return
+	if head := l.base + uint64(len(l.recs)); head > l.retain {
+		l.trimBelowLocked(min(l.ackFloor, head-l.retain))
 	}
-	limit := l.ackFloor
-	if l.durFloor < limit {
-		limit = l.durFloor
-	}
-	if l.retain > 0 {
-		head := l.base + uint64(len(l.recs))
-		keepTo := uint64(0)
-		if head > l.retain {
-			keepTo = head - l.retain
-		}
-		if keepTo < limit {
-			limit = keepTo
-		}
-	} else if limit == unbounded {
-		// Durability floor configured but no retention and no acked
-		// floor yet: nothing bounds the trim meaningfully.
-		return
-	}
-	l.trimBelowLocked(limit)
 }
 
-// Trimmed returns how many records trimming has dropped so far.
+// Trimmed returns how many parts trimming has dropped so far.
 func (l *Log) Trimmed() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.trimmed
 }
 
-// Feed bundles the per-shard commit logs of one primary and tracks the
-// ack progress of its subscribers (replicas).
+// Feed is a primary's replication feed: its node log, one sink per shard
+// into it, and the acked positions of its subscribers (replicas).
 type Feed struct {
-	logs []*Log
+	log   *Log
+	sinks []engine.CommitLog
 
-	mu          sync.Mutex
-	subs        map[*Sub]struct{}
-	everTracked []bool        // shards some subscriber has tracked at least once
-	ackWake     chan struct{} // closed and replaced on every ack-state change
-	closed      bool          // Close was called: no ack is coming
+	mu      sync.Mutex
+	subs    map[*Sub]struct{}
+	hadSubs bool          // a subscriber has existed: semi-sync waits from then on
+	ackWake chan struct{} // closed and replaced on every ack-state change
+	closed  bool          // Close was called: no ack is coming
 }
 
-// NewFeed returns a feed with one empty log per shard, all stamping
-// commit epochs from the shared epochs counter (nil leaves records at
-// epoch 0; pass the store's counter on any real primary).
+// NewFeed returns a feed over an empty log with one sink per shard,
+// stamping commit epochs from the shared epochs counter (nil leaves
+// records at epoch 0; pass the store's counter on any real primary).
 func NewFeed(shards int, epochs *engine.Epochs) *Feed {
 	f := &Feed{
-		logs:        make([]*Log, shards),
-		subs:        make(map[*Sub]struct{}),
-		everTracked: make([]bool, shards),
-		ackWake:     make(chan struct{}),
+		log:     NewLog(epochs),
+		sinks:   make([]engine.CommitLog, shards),
+		subs:    make(map[*Sub]struct{}),
+		ackWake: make(chan struct{}),
 	}
-	for i := range f.logs {
-		f.logs[i] = NewLog(epochs)
+	for i := range f.sinks {
+		f.sinks[i] = sink{log: f.log, shard: i}
 	}
 	return f
 }
 
-// Shards returns the number of per-shard logs.
-func (f *Feed) Shards() int { return len(f.logs) }
+// Shards returns the number of shards the feed has sinks for.
+func (f *Feed) Shards() int { return len(f.sinks) }
 
-// Log returns shard's commit log. It satisfies engine.CommitLog, so it
-// plugs directly into shard.Config.CommitLogFor.
-func (f *Feed) Log(shard int) *Log { return f.logs[shard] }
+// Log returns the feed's node log.
+func (f *Feed) Log() *Log { return f.log }
 
-// SetRetention configures retention-bounded auto-trim on every log.
-func (f *Feed) SetRetention(retain uint64) {
-	for _, l := range f.logs {
-		l.SetRetention(retain)
-	}
-}
+// Sink returns shard's view of the log. It satisfies engine.CommitLog, so
+// it plugs directly into the shard's store; a durable node publishes its
+// synced records through it.
+func (f *Feed) Sink(shard int) engine.CommitLog { return f.sinks[shard] }
 
-// Heads returns every shard's newest log index.
-func (f *Feed) Heads() []uint64 {
-	out := make([]uint64, len(f.logs))
-	for i, l := range f.logs {
-		out[i] = l.Head()
-	}
-	return out
-}
-
-// EpochWatermark returns the highest commit epoch any shard log has
-// recorded — the head token of HEAD replies. Lease and caught-up-ness
-// decisions (cluster failover) read it without a REPL subscription.
-func (f *Feed) EpochWatermark() uint64 {
-	var max uint64
-	for _, l := range f.logs {
-		if e := l.LastEpoch(); e > max {
-			max = e
-		}
-	}
-	return max
-}
-
-// Trimmed returns the total records trimmed across all shard logs — the
-// primary's log_trimmed stat.
-func (f *Feed) Trimmed() int64 {
-	var n int64
-	for _, l := range f.logs {
-		n += l.Trimmed()
-	}
-	return n
-}
-
-// ackFloorLocked returns the minimum acked index over subscribers
-// tracking shard, or the unbounded max when none tracks it — the safe
-// trim limit from the subscriber side. Caller holds f.mu.
-func (f *Feed) ackFloorLocked(shard int) uint64 {
+// refloorLocked pushes the subscribers' minimum acked position into the
+// log, which may trim, and wakes WaitAcked callers. Caller holds f.mu:
+// computing and applying under one hold keeps two racing refloors from
+// installing a stale high floor — a new subscriber's floor of 0
+// overwritten by an older ack's — and trimming what the new subscriber is
+// about to stream.
+func (f *Feed) refloorLocked() {
 	floor := uint64(unbounded)
 	for s := range f.subs {
-		s.mu.Lock()
-		if s.tracked[shard] && s.acked[shard] < floor {
-			floor = s.acked[shard]
-		}
-		s.mu.Unlock()
+		floor = min(floor, s.acked)
 	}
-	return floor
-}
-
-// refloor recomputes shard's ack floor and pushes it into the log, which
-// may auto-trim. Called whenever a subscriber's state changes. The
-// compute and the apply happen under one f.mu hold: two racing refloors
-// could otherwise apply out of order and install a stale high floor — a
-// new subscriber's Track(=floor 0) overwritten by an older Ack's
-// floor — trimming records the new subscriber is about to stream.
-func (f *Feed) refloor(shard int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.logs[shard].SetAckFloor(f.ackFloorLocked(shard))
-	// Ack state changed: wake WaitAcked callers blocked on subscriber
-	// progress (a broadcast — each re-checks its own condition).
+	f.log.setAckFloor(floor)
 	close(f.ackWake)
 	f.ackWake = make(chan struct{})
 }
 
-// maxAckedLocked returns the HIGHEST acked index over subscribers
-// tracking shard and how many track it. Where the trim floor needs the
-// minimum (nothing a subscriber still owes may be dropped), semi-sync
-// ack gating needs the maximum: a commit is replicated once at least
-// one replica holds it. Caller holds f.mu.
-func (f *Feed) maxAckedLocked(shard int) (uint64, int) {
-	var best uint64
-	tracking := 0
-	for s := range f.subs {
-		s.mu.Lock()
-		if s.tracked[shard] {
-			tracking++
-			if s.acked[shard] > best {
-				best = s.acked[shard]
-			}
-		}
-		s.mu.Unlock()
-	}
-	return best, tracking
-}
-
-// WaitAcked blocks until at least one subscriber tracking shard has
-// acked its log through index, or the timeout expires. It is the
-// semi-synchronous replication gate: a primary calls it after a commit
-// installs and before the verdict is acknowledged, so an OK implies the
-// write survives the primary's death. A shard that has never had a
-// tracking subscriber returns immediately — a primary running alone (or
-// freshly promoted, before any replica re-follows) degrades to
-// asynchronous acks rather than stalling every write; the at-least-one
-// semantics pair with most-caught-up promotion, which elects exactly a
-// replica that holds the acked prefix. A shard whose subscriber
-// *vanished*, though, waits out the timeout: a dying replica connection
-// must not instantly open an unreplicated-ack window (the caller counts
-// the eventual timeout as a degrade) — by then a client whose
-// connection died with the failover has already treated the commit as
-// unacknowledged. After Close it fails at once instead of waiting.
-func (f *Feed) WaitAcked(shard int, index uint64, timeout time.Duration) error {
+// WaitAcked blocks until at least one subscriber has acked position pos,
+// or the timeout expires. It is the semi-synchronous replication gate: a
+// primary calls it after a commit installs and before the verdict is
+// acknowledged, so an OK implies the write survives the primary's death.
+// A feed that has never had a subscriber returns immediately — a primary
+// running alone (or freshly promoted, before any replica re-follows)
+// degrades to asynchronous acks rather than stalling every write; the
+// at-least-one semantics pair with most-caught-up promotion, which
+// elects exactly a replica that holds the acked prefix. A feed whose
+// subscriber *vanished*, though, waits out the timeout: a dying replica
+// connection must not instantly open an unreplicated-ack window (the
+// caller counts the eventual timeout as a degrade) — by then a client
+// whose connection died with the failover has already treated the commit
+// as unacknowledged. After Close it fails at once instead of waiting.
+func (f *Feed) WaitAcked(pos uint64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		f.mu.Lock()
-		best, tracking := f.maxAckedLocked(shard)
-		ever := f.everTracked[shard]
-		wake := f.ackWake
-		closed := f.closed
-		f.mu.Unlock()
-		if tracking > 0 && best >= index {
-			return nil
+		var best uint64
+		for s := range f.subs {
+			best = max(best, s.acked)
 		}
-		if tracking == 0 && !ever {
+		subs, had, wake, closed := len(f.subs), f.hadSubs, f.ackWake, f.closed
+		f.mu.Unlock()
+		if (subs > 0 && best >= pos) || !had {
 			return nil
 		}
 		if closed {
-			return fmt.Errorf("repl: feed closed before shard %d record %d was acked (best %d)", shard, index, best)
+			return fmt.Errorf("repl: feed closed before position %d was acked (best %d)", pos, best)
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			return fmt.Errorf("repl: shard %d record %d not acked by any replica within %s (best %d)",
-				shard, index, timeout, best)
+			return fmt.Errorf("repl: position %d not acked by any replica within %s (best %d)", pos, timeout, best)
 		}
 		// Either way, the next pass re-checks: a wake-up may have brought
 		// the ack, and a timer that fired leaves no time remaining.
@@ -472,7 +362,7 @@ func (f *Feed) WaitAcked(shard int, index uint64, timeout time.Duration) error {
 
 // Close wakes every WaitAcked caller and makes later ones fail at once:
 // a closing server has closed its replicas' connections, so no ack can
-// arrive and a wait would only run out its timeout. The logs stay
+// arrive and a wait would only run out its timeout. The log stays
 // usable.
 func (f *Feed) Close() {
 	f.mu.Lock()
@@ -484,20 +374,17 @@ func (f *Feed) Close() {
 	}
 }
 
-// Subscribe registers a replica connection for ack tracking. Mark each
-// shard the connection actually subscribes with Track — lag is accounted
-// only over tracked shards, since a partial subscriber owes no progress
-// on shards it never asked for. Close the returned Sub when the
-// connection goes away.
+// Subscribe registers a replica connection for ack tracking. Until its
+// first Ack the subscriber pins the log's trim floor at 0, so the parts
+// it is about to stream cannot be trimmed out from under it. Close the
+// returned Sub when the connection goes away.
 func (f *Feed) Subscribe() *Sub {
-	s := &Sub{
-		feed:    f,
-		acked:   make([]uint64, len(f.logs)),
-		tracked: make([]bool, len(f.logs)),
-	}
+	s := &Sub{feed: f}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.subs[s] = struct{}{}
-	f.mu.Unlock()
+	f.hadSubs = true
+	f.refloorLocked()
 	return s
 }
 
@@ -508,29 +395,17 @@ func (f *Feed) Subscribers() int {
 	return len(f.subs)
 }
 
-// MaxLag returns, over all live subscribers, the largest total number of
-// unacked records (sum over the subscriber's tracked shards of head
-// minus acked index) — the primary's repl_lag stat. Zero with no
-// subscribers.
+// MaxLag returns, over all live subscribers, the largest number of
+// unacked parts (head minus acked position) — the primary's repl_lag
+// stat. Zero with no subscribers.
 func (f *Feed) MaxLag() uint64 {
-	heads := f.Heads()
+	head := f.log.Head()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var worst uint64
 	for s := range f.subs {
-		var lag uint64
-		s.mu.Lock()
-		for i, h := range heads {
-			if !s.tracked[i] {
-				continue
-			}
-			if a := s.acked[i]; h > a {
-				lag += h - a
-			}
-		}
-		s.mu.Unlock()
-		if lag > worst {
-			worst = lag
+		if head > s.acked {
+			worst = max(worst, head-s.acked)
 		}
 	}
 	return worst
@@ -538,61 +413,29 @@ func (f *Feed) MaxLag() uint64 {
 
 // Sub is one subscriber's ack state.
 type Sub struct {
-	feed    *Feed
-	mu      sync.Mutex
-	acked   []uint64
-	tracked []bool // shards this subscriber actually REPL-subscribed
+	feed  *Feed
+	acked uint64 // guarded by feed.mu
 }
 
-// Track marks shard as subscribed, entering it into lag accounting and
-// pinning the shard's trim floor at this subscriber's acked index (0
-// until its first ack) so the records it is about to stream cannot be
-// trimmed out from under it.
-func (s *Sub) Track(shard int) {
-	if shard < 0 || shard >= len(s.tracked) {
-		return
-	}
-	s.mu.Lock()
-	s.tracked[shard] = true
-	s.mu.Unlock()
-	s.feed.mu.Lock()
-	s.feed.everTracked[shard] = true
-	s.feed.mu.Unlock()
-	s.feed.refloor(shard)
-}
-
-// Ack records that the subscriber has applied shard's log through index.
-// Acks are monotone; a stale ack is ignored. Out-of-range shards are
-// ignored (the server validates before calling). An advancing ack may
-// raise the shard's trim floor.
-func (s *Sub) Ack(shard int, index uint64) {
-	if shard < 0 || shard >= len(s.acked) {
-		return
-	}
-	s.mu.Lock()
-	advanced := index > s.acked[shard]
-	if advanced {
-		s.acked[shard] = index
-	}
-	s.mu.Unlock()
-	if advanced {
-		s.feed.refloor(shard)
+// Ack records that the subscriber has applied the log through pos. Acks
+// are monotone; a stale ack is ignored. An advancing ack may raise the
+// log's trim floor.
+func (s *Sub) Ack(pos uint64) {
+	f := s.feed
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if pos > s.acked {
+		s.acked = pos
+		f.refloorLocked()
 	}
 }
 
 // Close unregisters the subscriber from its feed and releases the trim
-// floors it held.
+// floor it held.
 func (s *Sub) Close() {
-	s.feed.mu.Lock()
-	delete(s.feed.subs, s)
-	s.feed.mu.Unlock()
-	s.mu.Lock()
-	tracked := make([]bool, len(s.tracked))
-	copy(tracked, s.tracked)
-	s.mu.Unlock()
-	for shard, on := range tracked {
-		if on {
-			s.feed.refloor(shard)
-		}
-	}
+	f := s.feed
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	delete(f.subs, s)
+	f.refloorLocked()
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/value"
 )
 
@@ -41,15 +42,15 @@ func TestLogAppendFromHead(t *testing.T) {
 	}
 }
 
-// TestLogTrim pins trimming at a checkpoint floor: records below the
-// trim point are gone (readers get ErrCompacted), indices above it are
+// TestLogTrim pins trimming at a retention window: parts below the trim
+// point are gone (readers get ErrCompacted), positions above it are
 // untouched, and Head/Base/Trimmed account for the drop.
 func TestLogTrim(t *testing.T) {
 	l := NewLog(nil)
 	for i := 1; i <= 5; i++ {
 		l.Append(wr("k", "v"))
 	}
-	l.SetDurableFloor(3)
+	l.SetRetention(2)
 	if l.Base() != 3 || l.Head() != 5 || l.Trimmed() != 3 {
 		t.Fatalf("after trim: base=%d head=%d trimmed=%d, want 3/5/3", l.Base(), l.Head(), l.Trimmed())
 	}
@@ -58,16 +59,17 @@ func TestLogTrim(t *testing.T) {
 	}
 	recs, _, err := l.From(4, 0)
 	if err != nil || len(recs) != 2 || recs[0].Index != 4 {
-		t.Fatalf("From(4) after trim = %+v, %v; want indices 4,5", recs, err)
+		t.Fatalf("From(4) after trim = %+v, %v; want positions 4,5", recs, err)
 	}
-	// Trimming past the head clamps; re-trimming below base is a no-op.
-	l.SetDurableFloor(99)
+	// A zero window trims to the head; widening it again trims nothing
+	// and restores nothing.
+	l.SetRetention(0)
 	if l.Base() != 5 || l.Trimmed() != 5 {
-		t.Fatalf("floor past head: base=%d trimmed=%d, want 5/5 (clamped to head)", l.Base(), l.Trimmed())
+		t.Fatalf("zero window: base=%d trimmed=%d, want 5/5 (clamped to head)", l.Base(), l.Trimmed())
 	}
-	l.SetDurableFloor(1)
+	l.SetRetention(4)
 	if l.Base() != 5 || l.Trimmed() != 5 {
-		t.Fatalf("floor below base: base=%d trimmed=%d, want 5/5", l.Base(), l.Trimmed())
+		t.Fatalf("wider window: base=%d trimmed=%d, want 5/5", l.Base(), l.Trimmed())
 	}
 	// Appends continue above the trimmed head.
 	l.Append(wr("k", "v6"))
@@ -75,7 +77,34 @@ func TestLogTrim(t *testing.T) {
 		t.Fatalf("head after post-trim append = %d, want 6", l.Head())
 	}
 	if recs, _, _ := l.From(6, 0); len(recs) != 1 || recs[0].Index != 6 {
-		t.Fatalf("From(6) = %+v, want index 6", recs)
+		t.Fatalf("From(6) = %+v, want position 6", recs)
+	}
+}
+
+// TestLogCrossRecordIsAdjacentParts: a cross-shard commit reaches the log
+// in one call and sits there as its parts at consecutive positions, in
+// participant order, each carrying the epoch and the participant list.
+func TestLogCrossRecordIsAdjacentParts(t *testing.T) {
+	f := NewFeed(4, &engine.Epochs{})
+	f.Sink(2).AppendCommit(engine.CommitRecord{Writes: wr("a", "1")})
+	epoch := f.Sink(1).AppendCommit(engine.CommitRecord{Epoch: 9, Shards: []int{1, 3}, Parts: []map[string][]byte{wr("b", "2"), wr("c", "3")}})
+	recs, _, _ := f.Log().From(1, 0)
+	if epoch != 9 || len(recs) != 3 {
+		t.Fatalf("epoch %d, %d parts; want 9 and 3", epoch, len(recs))
+	}
+	want := []struct {
+		shard int
+		cross bool
+		key   string
+	}{{2, false, "a"}, {1, true, "b"}, {3, true, "c"}}
+	for i, w := range want {
+		r := recs[i]
+		if r.Index != uint64(i+1) || r.Shard != w.shard || r.Cross() != w.cross || r.Writes[w.key] == nil {
+			t.Errorf("part %d = %+v, want shard %d cross %v writing %s", i+1, r, w.shard, w.cross, w.key)
+		}
+	}
+	if recs[1].Epoch != 9 || recs[2].Epoch != 9 || f.Log().LastEpoch() != 9 {
+		t.Errorf("cross parts carry epochs %d/%d, log watermark %d; want 9", recs[1].Epoch, recs[2].Epoch, f.Log().LastEpoch())
 	}
 }
 
@@ -97,13 +126,12 @@ func TestLogResetBase(t *testing.T) {
 	}
 }
 
-// TestLogRetentionAutoTrim pins the satellite policy: with a retention
-// floor set, the log trims itself below min(acked floor, head-retain)
-// even with no durability layer, and never past what a tracking
-// subscriber still owes.
+// TestLogRetentionAutoTrim pins the trim policy: the log trims itself
+// below min(acked floor, head-retain) on every append, and never past
+// what a subscriber still owes.
 func TestLogRetentionAutoTrim(t *testing.T) {
 	f := NewFeed(1, nil)
-	l := f.Log(0)
+	l := f.Log()
 	l.SetRetention(2)
 
 	// No subscribers: retention alone bounds the log.
@@ -114,9 +142,8 @@ func TestLogRetentionAutoTrim(t *testing.T) {
 		t.Fatalf("retention trim: base=%d head=%d, want 8/10", l.Base(), l.Head())
 	}
 
-	// A tracking subscriber with no acks pins the floor: no further trim.
+	// A subscriber with no acks pins the floor: no further trim.
 	s := f.Subscribe()
-	s.Track(0)
 	for i := 0; i < 5; i++ {
 		l.Append(wr("k", "v"))
 	}
@@ -124,12 +151,12 @@ func TestLogRetentionAutoTrim(t *testing.T) {
 		t.Fatalf("trim advanced past an unacked subscriber: base=%d, want 8", l.Base())
 	}
 
-	// Acks release records up to min(acked, head-retain).
-	s.Ack(0, 12)
+	// Acks release parts up to min(acked, head-retain).
+	s.Ack(12)
 	if l.Base() != 12 {
 		t.Fatalf("base after ack 12 = %d, want 12", l.Base())
 	}
-	s.Ack(0, 15)
+	s.Ack(15)
 	if l.Base() != 13 { // head 15, retain 2
 		t.Fatalf("base after full ack = %d, want 13 (retention keeps 2)", l.Base())
 	}
@@ -143,43 +170,11 @@ func TestLogRetentionAutoTrim(t *testing.T) {
 	}
 }
 
-// TestLogDurableFloorTrim pins the tentpole policy: with durability, the
-// log trims below min(checkpoint index, min acked) with no retention
-// flag needed.
-func TestLogDurableFloorTrim(t *testing.T) {
-	f := NewFeed(1, nil)
-	l := f.Log(0)
-	for i := 0; i < 10; i++ {
-		l.Append(wr("k", "v"))
-	}
-	s := f.Subscribe()
-	s.Track(0)
-	s.Ack(0, 6)
-	// No floor set yet: nothing trims.
-	if l.Base() != 0 {
-		t.Fatalf("base before durable floor = %d, want 0", l.Base())
-	}
-	// Checkpoint at 4 < acked 6: trim to 4.
-	l.SetDurableFloor(4)
-	if l.Base() != 4 {
-		t.Fatalf("base after ckpt 4 = %d, want 4", l.Base())
-	}
-	// Checkpoint at 9 > acked 6: trim held at the ack floor.
-	l.SetDurableFloor(9)
-	if l.Base() != 6 {
-		t.Fatalf("base after ckpt 9 = %d, want 6 (min acked)", l.Base())
-	}
-	s.Ack(0, 10)
-	if l.Base() != 9 {
-		t.Fatalf("base after ack 10 = %d, want 9 (checkpoint floor)", l.Base())
-	}
-}
-
 func TestFeedAckLag(t *testing.T) {
 	f := NewFeed(2, nil)
-	f.Log(0).Append(wr("a", "1"))
-	f.Log(0).Append(wr("a", "2"))
-	f.Log(1).Append(wr("b", "1"))
+	f.Sink(0).AppendCommit(engine.CommitRecord{Writes: wr("a", "1")})
+	f.Sink(0).AppendCommit(engine.CommitRecord{Writes: wr("a", "2")})
+	f.Sink(1).AppendCommit(engine.CommitRecord{Writes: wr("b", "1")})
 	if f.MaxLag() != 0 {
 		t.Fatalf("lag with no subscribers = %d, want 0", f.MaxLag())
 	}
@@ -188,32 +183,16 @@ func TestFeedAckLag(t *testing.T) {
 	if f.Subscribers() != 2 {
 		t.Fatalf("subscribers = %d, want 2", f.Subscribers())
 	}
-	s1.Track(0)
-	s1.Track(1)
-	s2.Track(0)
-	s2.Track(1)
-	// s1 fully acked; s2 acked only shard 0's first record: lag 1+1.
-	s1.Ack(0, 2)
-	s1.Ack(1, 1)
-	s2.Ack(0, 1)
+	// s1 fully acked; s2 acked only the first part: lag 2.
+	s1.Ack(3)
+	s2.Ack(1)
 	if got := f.MaxLag(); got != 2 {
-		t.Fatalf("MaxLag = %d, want 2 (s2: one unacked per shard)", got)
+		t.Fatalf("MaxLag = %d, want 2 (s2 two parts behind)", got)
 	}
-	// A partial subscriber owes nothing on shards it never asked for.
-	s3 := f.Subscribe()
-	s3.Track(0)
-	s3.Ack(0, 2)
-	var partialWant uint64 = 2 // still s2's lag, not s3 charged for shard 1
-	if got := f.MaxLag(); got != partialWant {
-		t.Fatalf("MaxLag with partial subscriber = %d, want %d", got, partialWant)
-	}
-	s3.Close()
-	// Stale and out-of-range acks are ignored: s2 still owes one record
-	// per shard.
-	s2.Ack(0, 0)
-	s2.Ack(99, 5)
+	// Stale acks are ignored: s2 still owes two parts.
+	s2.Ack(0)
 	if got := f.MaxLag(); got != 2 {
-		t.Fatalf("MaxLag after stale acks = %d, want 2", got)
+		t.Fatalf("MaxLag after a stale ack = %d, want 2", got)
 	}
 	s2.Close()
 	if got := f.MaxLag(); got != 0 {
@@ -301,8 +280,8 @@ func TestWireCrossEpochSpec(t *testing.T) {
 // TestLagGateDeterministic pins the lag-shedding rule without clocks or
 // sleeps: every time input is explicit.
 func TestLagGateDeterministic(t *testing.T) {
-	// Budget 10ms, 1ms per record: 1000 unapplied records = 1s catch-up.
-	g := NewLagGate(2, 10*time.Millisecond, time.Millisecond)
+	// Budget 10ms, 1ms per part: 1000 unapplied parts = 1s catch-up.
+	g := NewLagGate(10*time.Millisecond, time.Millisecond)
 	tight := value.Fn{V: 1, Deadline: 0.1, Gradient: 10}   // crosses zero at t=0.2
 	loose := value.Fn{V: 1, Deadline: 3600, Gradient: 0.1} // crosses zero in an hour
 
@@ -311,7 +290,7 @@ func TestLagGateDeterministic(t *testing.T) {
 		t.Fatalf("caught-up gate shed a read: %v", err)
 	}
 
-	g.ObserveHead(0, 1000)
+	g.ObserveHead(1000)
 	if g.LagRecords() != 1000 {
 		t.Fatalf("lag = %d, want 1000", g.LagRecords())
 	}
@@ -331,10 +310,10 @@ func TestLagGateDeterministic(t *testing.T) {
 	}
 
 	// Catch up: applied reaches the head, lag and shedding stop. The
-	// apply timing refines the per-record estimate instead of the seed.
-	g.ObserveApplied(0, 1000, time.Second, 1000)
-	if g.LagRecords() != 0 {
-		t.Fatalf("lag after catch-up = %d, want 0", g.LagRecords())
+	// apply timing refines the per-part estimate instead of the seed.
+	g.ObserveApplied(1000, time.Second, 1000)
+	if g.LagRecords() != 0 || g.Applied() != 1000 {
+		t.Fatalf("after catch-up: lag %d applied %d, want 0/1000", g.LagRecords(), g.Applied())
 	}
 	if err := g.Admit(tight, 0); err != nil {
 		t.Fatalf("caught-up gate shed: %v", err)
@@ -344,8 +323,8 @@ func TestLagGateDeterministic(t *testing.T) {
 	}
 
 	// ObserveApplied past the seen head drags seen along (a replica can
-	// apply records the gate never saw a head announcement for).
-	g.ObserveApplied(1, 5, 0, 0)
+	// apply parts the gate never saw a head announcement for).
+	g.ObserveApplied(1005, 0, 0)
 	if g.LagRecords() != 0 {
 		t.Fatalf("lag after silent apply = %d, want 0", g.LagRecords())
 	}

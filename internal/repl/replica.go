@@ -1,19 +1,19 @@
-// The replica side of log shipping: dial the primary, subscribe every
-// shard with REPL, apply the pushed LOG records through the store's
-// ApplyLocked path in index order, and report progress with ACK. Records
-// are applied in batches — consecutive records already buffered on the
-// connection are grouped per shard and installed under one commit-latch
-// hold — so a catching-up replica pays one latch acquisition per batch,
-// the same coalescing shape as the primary's group commit.
+// The replica side of log shipping: dial the primary, bootstrap from one
+// SNAP (or resume from a persisted position), subscribe once with REPL,
+// apply the pushed LOG parts in log order, and report progress with ACK.
+// Parts are applied in rounds — every part already buffered on the
+// connection — so a catching-up replica pays one latch acquisition per
+// shard per run of standalone parts, the same coalescing shape as the
+// primary's group commit.
 //
-// Cross-shard commits are gated by an apply barrier: a record stamped
-// with a multi-shard epoch is held in its shard's pending queue until
-// every participant shard's part of the same epoch is next in line (or
-// already applied, per the resumed epoch watermark), then all parts are
-// installed under one hold of all the participants' latches via
-// ApplyReplicatedCross. A reader of the replica therefore never observes
-// a cross-shard commit half-applied — it becomes visible on the replica
-// all-shards-at-once, exactly as it committed on the primary.
+// A round installs whole records only. A cross-shard commit's parts
+// arrive at consecutive positions, and the commit is installed through
+// ApplyReplicatedCross, under all its participants' latches, once every
+// part has been read; a record cut by the end of what is buffered waits
+// for the next round. After each round the replica's store therefore
+// equals the primary's after its first p parts, p being the position the
+// replica acks: a prefix of one order, and a cross-shard commit is
+// visible on all of its shards or on none.
 
 package repl
 
@@ -24,6 +24,7 @@ import (
 	"log/slog"
 	"net"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,40 +45,39 @@ type ReplicaConfig struct {
 	// Gate, when non-nil, is kept current with the stream's head and
 	// apply progress so replica reads can be lag-gated.
 	Gate *LagGate
-	// ResumePath, when non-empty, persists the PRIMARY's per-shard
-	// applied log indices to this file after each applied batch and
-	// resumes the subscription from them at the next start, skipping the
-	// SNAP bootstrap. The local store's own commit-log indices are
-	// useless for this — a snapshot installs as one local record, so
-	// local and primary numbering diverge — which is exactly the bug that
-	// made a durable replica re-SNAP every shard on restart. The file is
-	// written non-synced (tmp+rename): a stale offset only re-applies
-	// records, which is safe because log records carry absolute values.
-	// If the primary has trimmed its log past a resume point, StartReplica
-	// falls back to a fresh snapshot bootstrap automatically.
+	// ResumePath, when non-empty, persists the PRIMARY's position and
+	// epoch watermark to this file after each applied round and resumes
+	// the subscription from it at the next start, skipping the SNAP
+	// bootstrap. The local store's own commit-log indices are useless for
+	// this — a snapshot installs as one local record, so local and
+	// primary numbering diverge. The file is written non-synced
+	// (tmp+rename): a stale position only re-applies records, which is
+	// safe because log records carry absolute values. If the primary has
+	// trimmed its log past the resume point, StartReplica falls back to a
+	// fresh snapshot bootstrap automatically.
 	ResumePath string
 	// Metrics, when non-nil, receives apply-path observations. All
 	// fields must be populated.
 	Metrics *ReplicaMetrics
-	// Flight, when non-nil, receives one event per apply batch — the
-	// replica half of the cross-node causal timeline: the event carries
-	// the batch's newest commit epoch, so a merged flight dump joins it
-	// to the primary's events (fsync, WAL error) for the same epoch.
+	// Flight, when non-nil, receives one event per install — the replica
+	// half of the cross-node causal timeline: the event carries the
+	// install's newest commit epoch, so a merged flight dump joins it to
+	// the primary's events (fsync, WAL error) for the same epoch.
 	Flight *flight.Ring
 }
 
 // ReplicaMetrics are the replica's instruments, registered by the
 // replica server in its obs registry.
 type ReplicaMetrics struct {
-	// ApplySeconds observes each batch install (latch hold + local
-	// commit-log sync).
+	// ApplySeconds observes each install (latch hold + local commit-log
+	// sync).
 	ApplySeconds *obs.Histogram
-	// ApplyBatch observes records installed per latch hold — the
+	// ApplyBatch observes parts installed per latch hold — the
 	// replica-side coalescing win.
 	ApplyBatch *obs.Histogram
-	// Resumes counts subscriptions resumed from persisted primary
-	// offsets; Snapshots counts shard snapshot bootstraps. A restarting
-	// durable replica should grow Resumes, not Snapshots.
+	// Resumes counts subscriptions resumed from a persisted position;
+	// Snapshots counts snapshot bootstraps. A restarting durable replica
+	// should grow Resumes, not Snapshots.
 	Resumes   *obs.Counter
 	Snapshots *obs.Counter
 }
@@ -92,24 +92,26 @@ type Replica struct {
 	met        *ReplicaMetrics
 	flight     *flight.Ring
 
-	mu        sync.Mutex
-	applied   []uint64
-	lastEpoch []uint64 // per-shard commit-epoch watermark (wire epochs)
-	err       error
-	closed    bool
-	done      chan struct{}
+	mu     sync.Mutex
+	pos    uint64 // primary position applied through: always a record boundary
+	epoch  uint64 // newest commit epoch among the applied records
+	err    error
+	closed bool
+	done   chan struct{}
 
-	// Apply-barrier state, touched only by the run goroutine (and the
-	// handshake before it starts): per-shard queues of received-but-
-	// unapplied records, and the next wire index each shard expects.
-	pending [][]Record
-	nextIdx []uint64
+	// Stream state, touched only by the run goroutine (and the handshake
+	// before it starts): the parts read and not yet applied, in log
+	// order; how many of them belong to a cross-shard record not yet read
+	// whole (the tail); and the position the next part must carry.
+	batch []Record
+	open  int
+	next  uint64
 }
 
-// maxApplyBatch caps the records applied under one latch hold.
+// maxApplyBatch caps the parts read before a round is applied.
 const maxApplyBatch = 256
 
-// headInterval is how often a gated replica polls the primary's log heads
+// headInterval is how often a gated replica polls the primary's log head
 // on a separate control connection. The stream alone cannot carry this
 // honestly: a backpressured replica reads the stream late by exactly the
 // lag being measured, while the poll connection stays idle and current.
@@ -117,8 +119,8 @@ const headInterval = 25 * time.Millisecond
 
 // faultApplyDelay stalls the replica's apply loop before each install —
 // a chaos hook (SCC_FAULT_APPLY_DELAY_MS) that widens the window in
-// which a half-shipped cross-shard commit would be visible on a replica
-// without the apply barrier.
+// which a half-applied cross-shard commit would be visible on a replica
+// that installed parts one at a time.
 var faultApplyDelay = func() time.Duration {
 	if v := os.Getenv("SCC_FAULT_APPLY_DELAY_MS"); v != "" {
 		if ms, err := strconv.Atoi(v); err == nil && ms > 0 {
@@ -129,13 +131,12 @@ var faultApplyDelay = func() time.Duration {
 }()
 
 // StartReplica connects to the primary, verifies the shard counts match,
-// subscribes every shard — from persisted primary offsets when
-// ResumePath holds them, after a SNAP bootstrap otherwise — and waits
-// for every subscription to be confirmed (so a non-primary target fails
-// here, at startup), then starts the apply loop. A resumed subscription
-// the primary refuses (log trimmed past the resume point) falls back to
-// a fresh SNAP bootstrap before giving up. The stream runs until Close
-// or a connection error; Done/Err report the end.
+// bootstraps with one SNAP unless ResumePath holds a position, and
+// subscribes with one REPL from just above it — a non-primary target
+// fails here, at startup — then starts the apply loop. A resumed
+// subscription the primary refuses (log trimmed past the resume point)
+// falls back to a fresh SNAP bootstrap before giving up. The stream runs
+// until Close or a connection error; Done/Err report the end.
 func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 	r := &Replica{
 		store:      cfg.Store,
@@ -143,44 +144,31 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 		resumePath: cfg.ResumePath,
 		met:        cfg.Metrics,
 		flight:     cfg.Flight,
-		applied:    make([]uint64, cfg.Store.NumShards()),
-		lastEpoch:  make([]uint64, cfg.Store.NumShards()),
-		pending:    make([][]Record, cfg.Store.NumShards()),
-		nextIdx:    make([]uint64, cfg.Store.NumShards()),
 		done:       make(chan struct{}),
 	}
 	resumed := false
 	if cfg.ResumePath != "" {
-		if offs, epochs := loadOffsets(cfg.ResumePath, cfg.Store.NumShards()); offs != nil {
-			copy(r.applied, offs)
-			copy(r.lastEpoch, epochs)
-			resumed = true
-		}
+		r.pos, r.epoch, resumed = loadOffsets(cfg.ResumePath)
 	}
-	br, pre, err := r.connect(cfg.Primary)
+	br, err := r.connect(cfg.Primary)
 	if err != nil && resumed && errors.As(err, new(*refusedError)) {
 		// The primary trimmed its log past the resume point. The persisted
-		// offsets are durable truth about what was applied, but the
+		// position is durable truth about what was applied, but the
 		// primary can no longer serve the suffix — start over from a
 		// snapshot on a fresh connection (SNAP must precede REPL).
 		slog.Warn("repl: resume refused by primary; falling back to snapshot bootstrap",
 			"err", err)
-		for i := range r.applied {
-			r.applied[i] = 0
-			r.lastEpoch[i] = 0
-		}
-		br, pre, err = r.connect(cfg.Primary)
+		r.pos, r.epoch, resumed = 0, 0, false
+		br, err = r.connect(cfg.Primary)
 	}
 	if err != nil {
 		return nil, err
 	}
-	for i := range r.nextIdx {
-		r.nextIdx[i] = r.applied[i] + 1
-	}
+	r.next = r.pos + 1
 	if resumed && r.met != nil {
-		r.met.Resumes.Add(int64(cfg.Store.NumShards()))
+		r.met.Resumes.Inc()
 	}
-	go r.run(br, pre)
+	go r.run(br)
 	if r.gate != nil {
 		go r.pollHeads(cfg.Primary)
 	}
@@ -190,20 +178,19 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 // connect dials the primary and runs the subscription handshake,
 // leaving r.conn/r.w bound to the new connection. On error the
 // connection is closed.
-func (r *Replica) connect(primary string) (*bufio.Reader, map[int][]Record, error) {
+func (r *Replica) connect(primary string) (*bufio.Reader, error) {
 	conn, err := net.Dial("tcp", primary)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	r.conn = conn
 	r.w = bufio.NewWriter(conn)
 	br := bufio.NewReaderSize(conn, 256*1024)
-	pre, err := r.handshake(br)
-	if err != nil {
+	if err := r.handshake(br); err != nil {
 		conn.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	return br, pre, nil
+	return br, nil
 }
 
 // refusedError marks a subscription the primary rejected with an ERR
@@ -214,234 +201,200 @@ type refusedError struct{ line string }
 
 func (e *refusedError) Error() string { return "repl: primary refused subscription: " + e.line }
 
-// loadOffsets reads persisted per-shard primary indices and commit-epoch
-// watermarks ("v2 <idx>@<epoch> ..."); nil means no usable file (absent,
-// malformed, v1, or written for another shard count — all treated as "no
-// resume", never as an error). The epochs let a resumed replica release
-// the apply barrier for a cross-shard commit whose part on some shard
-// was already applied before the restart: that shard resubscribes past
-// the record, so its part never arrives again, and only the watermark
-// proves it was installed.
-func loadOffsets(path string, shards int) ([]uint64, []uint64) {
+// loadOffsets reads a persisted primary position and epoch watermark
+// ("v3 <pos> <epoch>"). ok is false when there is no usable file:
+// absent, malformed, or written by an older build (which kept one
+// position per shard) — all treated as "no resume", never as an error.
+func loadOffsets(path string) (pos, epoch uint64, ok bool) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil
+		return 0, 0, false
 	}
 	fields := strings.Fields(string(b))
-	if len(fields) != shards+1 || fields[0] != "v2" {
-		return nil, nil
+	if len(fields) != 3 || fields[0] != "v3" {
+		return 0, 0, false
 	}
-	idxs := make([]uint64, shards)
-	epochs := make([]uint64, shards)
-	for i, f := range fields[1:] {
-		is, es, ok := strings.Cut(f, "@")
-		if !ok {
-			return nil, nil
-		}
-		if idxs[i], err = strconv.ParseUint(is, 10, 64); err != nil {
-			return nil, nil
-		}
-		if epochs[i], err = strconv.ParseUint(es, 10, 64); err != nil {
-			return nil, nil
-		}
-	}
-	return idxs, epochs
+	pos, err1 := strconv.ParseUint(fields[1], 10, 64)
+	epoch, err2 := strconv.ParseUint(fields[2], 10, 64)
+	return pos, epoch, err1 == nil && err2 == nil
 }
 
-// saveOffsets persists the primary's applied indices with an atomic
-// tmp+rename, no fsync: losing the newest write costs a re-apply of a
-// few records (idempotent — records carry absolute values), while a
-// torn file would cost a full re-bootstrap.
+// saveOffsets persists the applied position with an atomic tmp+rename,
+// no fsync: losing the newest write costs a re-apply of a few records
+// (idempotent — records carry absolute values), while a torn file would
+// cost a full re-bootstrap.
 func (r *Replica) saveOffsets() {
 	if r.resumePath == "" {
 		return
 	}
-	var b strings.Builder
-	b.WriteString("v2")
-	r.mu.Lock()
-	for i, idx := range r.applied {
-		fmt.Fprintf(&b, " %d@%d", idx, r.lastEpoch[i])
-	}
-	r.mu.Unlock()
-	b.WriteByte('\n')
+	pos, epoch := r.Position()
 	tmp := r.resumePath + ".tmp"
-	if err := os.WriteFile(tmp, []byte(b.String()), 0o644); err != nil {
+	if err := os.WriteFile(tmp, []byte(fmt.Sprintf("v3 %d %d\n", pos, epoch)), 0o644); err != nil {
 		return
 	}
 	os.Rename(tmp, r.resumePath)
 }
 
 // handshake checks the primary's shard count via STATS, SNAP-bootstraps
-// every shard nothing has been applied to yet, subscribes every shard
-// from just above its installed position, and reads until each
-// subscription is confirmed (OK <shard> <head>). LOG pushes of
-// already-confirmed shards may interleave with later confirmations; they
-// are buffered and returned for the run loop to apply first. Any ERR
-// reply — e.g. "not a replication primary", or "log trimmed" for a
-// resumed replica whose resume point the primary discarded — fails the
-// handshake, so a misdirected replica dies at startup instead of serving
-// an empty snapshot.
-func (r *Replica) handshake(br *bufio.Reader) (map[int][]Record, error) {
+// a replica with nothing applied, subscribes with REPL from just above
+// its position and reads the confirmation (OK <head>), then acks the
+// position it starts from, so the primary's lag accounting and trim
+// floor start there rather than at zero. Any ERR reply — e.g. "not a
+// replication primary", or "log trimmed" for a resumed replica whose
+// resume point the primary discarded — fails the handshake, so a
+// misdirected replica dies at startup instead of serving an empty
+// snapshot.
+func (r *Replica) handshake(br *bufio.Reader) error {
 	if _, err := fmt.Fprintf(r.w, "STATS\n"); err != nil {
-		return nil, err
+		return err
 	}
 	if err := r.w.Flush(); err != nil {
-		return nil, err
+		return err
 	}
 	line, err := br.ReadString('\n')
 	if err != nil {
-		return nil, fmt.Errorf("repl: primary handshake: %w", err)
+		return fmt.Errorf("repl: primary handshake: %w", err)
 	}
 	shards := -1
 	for _, f := range strings.Fields(strings.TrimSpace(line)) {
 		if v, ok := strings.CutPrefix(f, "shards="); ok {
 			shards, err = strconv.Atoi(v)
 			if err != nil {
-				return nil, fmt.Errorf("repl: bad shards= in primary STATS: %q", v)
+				return fmt.Errorf("repl: bad shards= in primary STATS: %q", v)
 			}
 		}
 	}
 	if shards < 0 {
-		return nil, fmt.Errorf("repl: primary STATS reply carries no shard count: %q", strings.TrimSpace(line))
+		return fmt.Errorf("repl: primary STATS reply carries no shard count: %q", strings.TrimSpace(line))
 	}
 	if shards != r.store.NumShards() {
-		return nil, fmt.Errorf("repl: shard count mismatch: primary has %d, replica has %d", shards, r.store.NumShards())
+		return fmt.Errorf("repl: shard count mismatch: primary has %d, replica has %d", shards, r.store.NumShards())
 	}
-	if err := r.bootstrap(br); err != nil {
-		return nil, err
+	pos, _ := r.Position()
+	if pos == 0 {
+		if err := r.bootstrap(br); err != nil {
+			return err
+		}
+		pos, _ = r.Position()
 	}
-	for i := 0; i < shards; i++ {
-		if _, err := fmt.Fprintf(r.w, "REPL %d %d\n", i, r.appliedIdx(i)+1); err != nil {
-			return nil, err
-		}
-	}
-	if err := r.w.Flush(); err != nil {
-		return nil, err
-	}
-	pre := make(map[int][]Record)
-	confirmed := 0
-	for confirmed < shards {
-		raw, err := br.ReadString('\n')
-		if err != nil {
-			return nil, fmt.Errorf("repl: subscribe: %w", err)
-		}
-		line := strings.TrimSpace(raw)
-		if strings.HasPrefix(line, "ERR") {
-			return nil, &refusedError{line: line}
-		}
-		if fields := strings.Fields(line); len(fields) == 3 && fields[0] == "OK" {
-			confirmed++
-		}
-		if err := r.consume(line, pre); err != nil {
-			return nil, err
-		}
-	}
-	// Announce the bootstrapped positions: the primary's lag accounting
-	// and trim floors should start from the snapshot indices, not from
-	// zero. (ACK is only legal after a REPL created the subscription.)
-	acked := false
-	for i := 0; i < shards; i++ {
-		if a := r.appliedIdx(i); a > 0 {
-			if _, err := fmt.Fprintf(r.w, "ACK %d %d\n", i, a); err != nil {
-				return nil, err
-			}
-			acked = true
-		}
-	}
-	if acked {
-		if err := r.w.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	return pre, nil
-}
-
-// bootstrap fetches and installs the SNAP snapshot of every shard with
-// nothing applied. Replies are strictly ordered (nothing is subscribed
-// yet, so no pushes interleave): per shard, an "OK <shard> <index>
-// <epoch> <n>" header, then the n pairs across SNAPKV lines. The
-// header's epoch is the shard's commit-epoch watermark at the snapshot
-// cut: every commit with epoch <= it (cross-shard ones included) is
-// folded into the snapshot, which seeds the apply barrier's
-// resumed-epoch escape. The snapshot is installed through the same
-// ApplyReplicated path as streamed records — one batch, native commit
-// visibility, and (on a durable or chaining replica) one record in the
-// local commit log.
-func (r *Replica) bootstrap(br *bufio.Reader) error {
-	var snap []int
-	for i := 0; i < r.store.NumShards(); i++ {
-		if r.appliedIdx(i) == 0 {
-			snap = append(snap, i)
-			if _, err := fmt.Fprintf(r.w, "SNAP %d\n", i); err != nil {
-				return err
-			}
-		}
+	if _, err := fmt.Fprintf(r.w, "REPL %d\n", pos+1); err != nil {
+		return err
 	}
 	if err := r.w.Flush(); err != nil {
 		return err
 	}
-	for _, i := range snap {
+	raw, err := br.ReadString('\n')
+	if err != nil {
+		return fmt.Errorf("repl: subscribe: %w", err)
+	}
+	fields := strings.Fields(raw)
+	if len(fields) > 0 && fields[0] == "ERR" {
+		return &refusedError{line: strings.TrimSpace(raw)}
+	}
+	if len(fields) != 2 || fields[0] != "OK" {
+		return fmt.Errorf("repl: unexpected subscription reply %q", strings.TrimSpace(raw))
+	}
+	head, err := strconv.ParseUint(fields[1], 10, 64)
+	if err != nil {
+		return fmt.Errorf("repl: bad head in subscription reply %q", strings.TrimSpace(raw))
+	}
+	if r.gate != nil {
+		r.gate.ObserveHead(head)
+	}
+	if pos == 0 {
+		return nil
+	}
+	if _, err := fmt.Fprintf(r.w, "ACK %d\n", pos); err != nil {
+		return err
+	}
+	return r.w.Flush()
+}
+
+// bootstrap fetches and installs the primary's SNAP snapshot. Nothing is
+// subscribed yet, so the reply is not interleaved with pushes: an
+// "OK <pos> <epoch> <n>" header — the position and epoch watermark of
+// the cut — then the n pairs across SNAPKV lines. The pairs are routed to
+// their shards here and installed as one cross-store apply, through the
+// same pipeline as streamed records: all shards at once, native commit
+// visibility, and (on a durable or chaining replica) one record in the
+// local commit log.
+func (r *Replica) bootstrap(br *bufio.Reader) error {
+	if _, err := fmt.Fprintf(r.w, "SNAP\n"); err != nil {
+		return err
+	}
+	if err := r.w.Flush(); err != nil {
+		return err
+	}
+	raw, err := br.ReadString('\n')
+	if err != nil {
+		return fmt.Errorf("repl: snapshot: %w", err)
+	}
+	fields := strings.Fields(raw)
+	if len(fields) != 4 || fields[0] != "OK" {
+		return fmt.Errorf("repl: primary refused snapshot: %s", strings.TrimSpace(raw))
+	}
+	pos, err1 := strconv.ParseUint(fields[1], 10, 64)
+	epoch, err2 := strconv.ParseUint(fields[2], 10, 64)
+	n, err3 := strconv.Atoi(fields[3])
+	if err1 != nil || err2 != nil || err3 != nil || n < 0 {
+		return fmt.Errorf("repl: malformed snapshot header %q", strings.TrimSpace(raw))
+	}
+	byShard := make([]map[string][]byte, r.store.NumShards())
+	for got := 0; got < n; {
 		raw, err := br.ReadString('\n')
 		if err != nil {
-			return fmt.Errorf("repl: snapshot: %w", err)
+			return fmt.Errorf("repl: snapshot body: %w", err)
 		}
-		fields := strings.Fields(strings.TrimSpace(raw))
-		if len(fields) != 5 || fields[0] != "OK" {
-			return fmt.Errorf("repl: primary refused snapshot: %s", strings.TrimSpace(raw))
+		kvf := strings.Fields(raw)
+		if len(kvf) < 2 || kvf[0] != "SNAPKV" {
+			return fmt.Errorf("repl: unexpected line in snapshot body: %q", strings.TrimSpace(raw))
 		}
-		head, err1 := strconv.ParseUint(fields[2], 10, 64)
-		epoch, err3 := strconv.ParseUint(fields[3], 10, 64)
-		n, err2 := strconv.Atoi(fields[4])
-		if fields[1] != strconv.Itoa(i) || err1 != nil || err2 != nil || err3 != nil || n < 0 {
-			return fmt.Errorf("repl: malformed snapshot header %q", strings.TrimSpace(raw))
-		}
-		writes := make(map[string][]byte, n)
-		for got := 0; got < n; {
-			raw, err := br.ReadString('\n')
+		for _, pair := range kvf[1:] {
+			k, v, err := ParsePair(pair)
 			if err != nil {
-				return fmt.Errorf("repl: snapshot body: %w", err)
+				return fmt.Errorf("repl: bad snapshot pair %q", pair)
 			}
-			kvf := strings.Fields(strings.TrimSpace(raw))
-			if len(kvf) < 3 || kvf[0] != "SNAPKV" || kvf[1] != strconv.Itoa(i) {
-				return fmt.Errorf("repl: unexpected line in snapshot body: %q", strings.TrimSpace(raw))
+			s := r.store.ShardOf(k)
+			if byShard[s] == nil {
+				byShard[s] = make(map[string][]byte)
 			}
-			for _, pair := range kvf[2:] {
-				k, v, err := ParsePair(pair)
-				if err != nil {
-					return fmt.Errorf("repl: bad snapshot pair %q", pair)
-				}
-				writes[k] = v
-				got++
-			}
-		}
-		if len(writes) > 0 {
-			if err := r.store.ApplyReplicated(i, []map[string][]byte{writes}); err != nil {
-				return err
-			}
-		}
-		r.mu.Lock()
-		r.applied[i] = head
-		r.lastEpoch[i] = epoch
-		r.mu.Unlock()
-		if r.met != nil {
-			r.met.Snapshots.Inc()
-		}
-		if r.gate != nil {
-			r.gate.ObserveApplied(i, head, 0, 0)
+			byShard[s][k] = v
+			got++
 		}
 	}
-	// Record the bootstrap positions immediately: a replica restarted
+	var parts []int
+	var writes []map[string][]byte
+	for s, w := range byShard {
+		if w != nil {
+			parts, writes = append(parts, s), append(writes, w)
+		}
+	}
+	if len(parts) > 0 {
+		if err := r.store.ApplyReplicatedCross(parts, writes); err != nil {
+			return err
+		}
+	}
+	r.mu.Lock()
+	r.pos, r.epoch = pos, epoch
+	r.mu.Unlock()
+	if r.met != nil {
+		r.met.Snapshots.Inc()
+	}
+	if r.gate != nil {
+		r.gate.ObserveApplied(pos, 0, 0)
+	}
+	// Record the bootstrap position immediately: a replica restarted
 	// before any stream traffic should still resume, not re-SNAP.
 	r.saveOffsets()
 	return nil
 }
 
-// pollHeads keeps the lag gate's view of the primary's log heads current
+// pollHeads keeps the lag gate's view of the primary's log head current
 // on a dedicated control connection. The replication stream cannot carry
 // this signal honestly — a lagging replica reads the stream exactly as
-// late as the lag being measured — so heads are polled out-of-band. Poll
-// failures are non-fatal: the stream still drives applies, the gate just
-// stops learning about new backlog.
+// late as the lag being measured — so the head is polled out-of-band.
+// Poll failures are non-fatal: the stream still drives applies, the gate
+// just stops learning about new backlog.
 func (r *Replica) pollHeads(addr string) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -468,311 +421,215 @@ func (r *Replica) pollHeads(addr string) {
 		if err != nil {
 			return
 		}
-		fields := strings.Fields(strings.TrimSpace(raw))
-		// HEAD replies carry the primary's epoch watermark first, then
-		// the per-shard heads: "OK <epoch-watermark> <head0> <head1> ..."
-		// (docs/PROTOCOL.md, "Replication"). The gate wants the heads;
-		// the watermark serves lease/promotion decisions elsewhere.
-		if len(fields) < 2 || fields[0] != "OK" {
+		// HEAD replies carry the primary's epoch watermark, then its head
+		// position: "OK <epoch-watermark> <head>" (docs/PROTOCOL.md,
+		// "Replication"). The gate wants the head; the watermark serves
+		// lease/promotion decisions elsewhere.
+		fields := strings.Fields(raw)
+		if len(fields) != 3 || fields[0] != "OK" {
 			continue
 		}
-		for i, f := range fields[2:] {
-			if h, err := strconv.ParseUint(f, 10, 64); err == nil {
-				r.gate.ObserveHead(i, h)
-			}
+		if h, err := strconv.ParseUint(fields[2], 10, 64); err == nil {
+			r.gate.ObserveHead(h)
 		}
 	}
 }
 
-// run is the apply loop: drain whatever lines the connection has buffered
-// (blocking for the first), apply the LOG records per shard under one
-// latch hold each, then ACK the new positions. batch starts with the
-// records the handshake buffered.
-func (r *Replica) run(br *bufio.Reader, batch map[int][]Record) {
+// run is the apply loop: read whatever lines the connection has buffered
+// (blocking for the first), then apply the round and ACK the new
+// position.
+func (r *Replica) run(br *bufio.Reader) {
 	defer close(r.done)
-	if err := r.apply(batch); err != nil {
-		r.fail(err)
-		return
-	}
 	for {
 		line, err := br.ReadString('\n')
+		for err == nil {
+			if err = r.consume(line); err != nil {
+				r.fail(err)
+				return
+			}
+			if br.Buffered() == 0 || len(r.batch) >= maxApplyBatch {
+				break
+			}
+			line, err = br.ReadString('\n')
+		}
 		if err != nil {
 			r.fail(fmt.Errorf("repl: stream lost: %w", err))
 			return
 		}
-		for {
-			if err := r.consume(strings.TrimSpace(line), batch); err != nil {
-				r.fail(err)
-				return
-			}
-			if br.Buffered() == 0 || r.batchLen(batch) >= maxApplyBatch {
-				break
-			}
-			line, err = br.ReadString('\n')
-			if err != nil {
-				r.fail(fmt.Errorf("repl: stream lost: %w", err))
-				return
-			}
-		}
-		if err := r.apply(batch); err != nil {
+		if err := r.apply(); err != nil {
 			r.fail(err)
 			return
 		}
 	}
 }
 
-func (r *Replica) batchLen(batch map[int][]Record) int {
-	n := 0
-	for _, recs := range batch {
-		n += len(recs)
+// consume routes one received line: LOG parts are checked and join the
+// round, bare OKs (ack replies) are discarded, anything else is a
+// stream error.
+func (r *Replica) consume(line string) error {
+	fields := strings.Fields(line)
+	switch {
+	case len(fields) == 0 || fields[0] == "OK":
+		return nil
+	case fields[0] != "LOG":
+		return fmt.Errorf("repl: unexpected line on replication stream: %q", strings.TrimSpace(line))
 	}
-	return n
+	_, rec, err := ParseLog(fields[1:])
+	if err != nil {
+		return err
+	}
+	return r.take(rec)
 }
 
-// consume routes one received line: LOG records accumulate into batch,
-// subscription confirmations update the gate's head, bare OKs (ack
-// replies) are discarded, anything else is a stream error.
-func (r *Replica) consume(line string, batch map[int][]Record) error {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
+// take appends one part to the round after checking that it may come
+// next: its position follows the last one, its shard exists, and it
+// keeps every cross-shard record whole — inside a record only the
+// record's next participant may follow (another shard of the record is a
+// foreign part), and no other record may start before the open one is
+// read whole (it would be cut short).
+func (r *Replica) take(rec Record) error {
+	if rec.Index != r.next {
+		return fmt.Errorf("repl: position gap: got %d, want %d", rec.Index, r.next)
+	}
+	if rec.Shard >= r.store.NumShards() {
+		return fmt.Errorf("repl: LOG for unknown shard %d", rec.Shard)
+	}
+	if r.open > 0 {
+		head := r.batch[len(r.batch)-r.open]
+		if rec.Epoch != head.Epoch || !slices.Equal(rec.Shards, head.Shards) {
+			return fmt.Errorf("repl: cross-shard record at epoch %d cut short after %d of its %d parts, at position %d",
+				head.Epoch, r.open, len(head.Shards), rec.Index)
+		}
+	}
+	if rec.Cross() {
+		if want := rec.Shards[r.open]; rec.Shard != want {
+			return fmt.Errorf("repl: foreign part at position %d: shard %d where cross-shard record at epoch %d has shard %d",
+				rec.Index, rec.Shard, rec.Epoch, want)
+		}
+		r.open = (r.open + 1) % len(rec.Shards)
+	}
+	r.next++
+	r.batch = append(r.batch, rec)
+	if r.gate != nil {
+		r.gate.ObserveHead(rec.Index)
+	}
+	return nil
+}
+
+// apply installs every whole record of the round, in log order: a run of
+// standalone parts as one ApplyReplicated per shard, each cross-shard
+// record as one ApplyReplicatedCross. The parts of a record not yet read
+// whole stay for the next round. The new position is acknowledged, and
+// persisted, after the installs: an ack covers only applied records, and
+// on a durable replica only locally synced ones.
+func (r *Replica) apply() error {
+	n := len(r.batch) - r.open
+	if n == 0 {
 		return nil
 	}
-	switch fields[0] {
-	case "LOG":
-		shardIdx, rec, err := ParseLog(fields[1:])
+	recs := r.batch[:n]
+	var took time.Duration
+	for i, j := 0, 0; i < n; i = j {
+		var d time.Duration
+		var err error
+		if recs[i].Cross() {
+			j = i + len(recs[i].Shards)
+			d, err = r.installCross(recs[i:j])
+		} else {
+			for j = i + 1; j < n && !recs[j].Cross(); j++ {
+			}
+			d, err = r.installRun(recs[i:j])
+		}
 		if err != nil {
 			return err
 		}
-		if shardIdx >= r.store.NumShards() {
-			return fmt.Errorf("repl: LOG for unknown shard %d", shardIdx)
-		}
-		if r.gate != nil {
-			r.gate.ObserveHead(shardIdx, rec.Index)
-		}
-		batch[shardIdx] = append(batch[shardIdx], rec)
-		return nil
-	case "OK":
-		if len(fields) == 3 {
-			// Subscription confirmation: OK <shard> <head>.
-			shardIdx, err1 := strconv.Atoi(fields[1])
-			head, err2 := strconv.ParseUint(fields[2], 10, 64)
-			if err1 == nil && err2 == nil && r.gate != nil {
-				r.gate.ObserveHead(shardIdx, head)
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("repl: unexpected line on replication stream: %q", line)
+		took += d
 	}
-}
-
-// apply moves the gathered records into the per-shard pending queues
-// (verifying index contiguity), then drains every queue as far as the
-// apply barrier allows: standalone prefixes install in one latch hold
-// per shard, and a cross-shard record at a queue head installs — all
-// parts under one multi-latch hold — only once every participant's part
-// is also at its head or already applied (resumed epoch watermark).
-// Parts of a cross commit whose partners haven't streamed in yet stay
-// queued, un-acked and invisible, until they have. New positions are
-// acknowledged after the drain.
-func (r *Replica) apply(batch map[int][]Record) error {
-	for shardIdx, recs := range batch {
-		for _, rec := range recs {
-			if rec.Index != r.nextIdx[shardIdx] {
-				return fmt.Errorf("repl: shard %d log gap: got index %d, want %d",
-					shardIdx, rec.Index, r.nextIdx[shardIdx])
-			}
-			r.pending[shardIdx] = append(r.pending[shardIdx], rec)
-			r.nextIdx[shardIdx]++
-		}
-		delete(batch, shardIdx)
+	epoch := uint64(0)
+	for _, rec := range recs {
+		epoch = max(epoch, rec.Epoch)
 	}
-	appliedAny := false
-	before := r.Applied()
-	for {
-		progressed := false
-		for shardIdx := range r.pending {
-			n, err := r.drainShard(shardIdx)
-			if err != nil {
-				return err
-			}
-			if n {
-				progressed, appliedAny = true, true
-			}
-		}
-		if !progressed {
-			break
-		}
+	pos := recs[n-1].Index
+	r.batch = append(r.batch[:0], r.batch[n:]...)
+	r.mu.Lock()
+	r.pos, r.epoch = pos, max(r.epoch, epoch)
+	r.mu.Unlock()
+	if r.gate != nil {
+		r.gate.ObserveApplied(pos, took, n)
 	}
-	after := r.Applied()
-	for shardIdx := range after {
-		if after[shardIdx] == before[shardIdx] {
-			continue
-		}
-		if _, err := fmt.Fprintf(r.w, "ACK %d %d\n", shardIdx, after[shardIdx]); err != nil {
-			return fmt.Errorf("repl: ack: %w", err)
-		}
-	}
-	// One offsets write per apply round, after the batch's local commit-
-	// log sync inside ApplyReplicated: the file can trail durable state
-	// (safe re-apply) but never lead it.
-	if appliedAny {
-		r.saveOffsets()
+	r.saveOffsets()
+	if _, err := fmt.Fprintf(r.w, "ACK %d\n", pos); err != nil {
+		return fmt.Errorf("repl: ack: %w", err)
 	}
 	return r.w.Flush()
 }
 
-// drainShard makes one pass over shardIdx's pending queue: install the
-// standalone prefix, then at most one barrier-released cross commit.
-// Reports whether anything was applied.
-func (r *Replica) drainShard(shardIdx int) (bool, error) {
-	q := r.pending[shardIdx]
-	n := 0
-	for n < len(q) && !q[n].Cross() {
-		n++
+// installRun installs a run of standalone parts, grouped per shard in
+// ascending shard order, each group under one latch hold.
+func (r *Replica) installRun(run []Record) (time.Duration, error) {
+	byShard := make([][]map[string][]byte, r.store.NumShards())
+	newest := make([]uint64, len(byShard))
+	for _, rec := range run {
+		byShard[rec.Shard] = append(byShard[rec.Shard], rec.Writes)
+		newest[rec.Shard] = rec.Epoch
 	}
-	applied := false
-	if n > 0 {
-		writes := make([]map[string][]byte, n)
-		for i, rec := range q[:n] {
-			writes[i] = rec.Writes
-		}
-		if err := r.install(func() error {
-			return r.store.ApplyReplicated(shardIdx, writes)
-		}, n, []int{shardIdx}, []Record{q[n-1]}); err != nil {
-			return false, err
-		}
-		q = q[n:]
-		r.pending[shardIdx] = q
-		applied = true
-	}
-	if len(q) == 0 || !r.barrierOpen(q[0]) {
-		return applied, nil
-	}
-	// Every participant's part is in position: gather them (skipping
-	// shards whose resumed watermark proves the part is already in) and
-	// install the commit all-shards-at-once.
-	head := q[0]
-	writes := make([]map[string][]byte, 0, len(head.Shards))
-	members := make([]int, 0, len(head.Shards))
-	heads := make([]Record, 0, len(head.Shards))
-	for _, p := range head.Shards {
-		if r.epochOf(p) >= head.Epoch {
+	var took time.Duration
+	for s, writes := range byShard {
+		if len(writes) == 0 {
 			continue
 		}
-		writes = append(writes, r.pending[p][0].Writes)
-		members = append(members, p)
-		heads = append(heads, r.pending[p][0])
+		d, err := r.install(s, len(writes), newest[s], func() error { return r.store.ApplyReplicated(s, writes) })
+		if err != nil {
+			return 0, err
+		}
+		took += d
 	}
-	// When every other participant already holds its part (resumed past
-	// it), what's left is one part — which ApplyReplicatedCross installs
-	// as an ordinary single-shard commit.
-	install := func() error { return r.store.ApplyReplicatedCross(members, writes) }
-	if err := r.install(install, len(members), members, heads); err != nil {
-		return false, err
-	}
-	for _, p := range members {
-		r.pending[p] = r.pending[p][1:]
-	}
-	return true, nil
+	return took, nil
 }
 
-// barrierOpen reports whether a cross-shard record at a queue head may
-// install: every participant's part of the same epoch must be at its own
-// queue head, or that shard's watermark must already cover the epoch
-// (its part was applied before a resume). No deadlock hides here:
-// per-shard log order matches per-shard epoch order, so a participant
-// whose head is a different, older cross epoch can always make progress
-// first — this shard's part of that older epoch is necessarily already
-// applied.
-func (r *Replica) barrierOpen(head Record) bool {
-	for _, p := range head.Shards {
-		if p < 0 || p >= len(r.pending) {
-			return false
-		}
-		if r.epochOf(p) >= head.Epoch {
-			continue
-		}
-		if len(r.pending[p]) > 0 && r.pending[p][0].Epoch == head.Epoch {
-			continue
-		}
-		return false
+// installCross installs the parts of one cross-shard record under all
+// its participants' latches at once.
+func (r *Replica) installCross(parts []Record) (time.Duration, error) {
+	writes := make([]map[string][]byte, len(parts))
+	for k, rec := range parts {
+		writes[k] = rec.Writes
 	}
-	return true
+	head := parts[0]
+	return r.install(head.Shard, len(parts), head.Epoch, func() error {
+		return r.store.ApplyReplicatedCross(head.Shards, writes)
+	})
 }
 
-// install runs one store install (with the chaos apply-delay stall),
-// observes its metrics, and advances applied/epoch bookkeeping for every
-// shard whose record it covered.
-func (r *Replica) install(fn func() error, nrecs int, shards []int, last []Record) error {
+// install runs one store install of n parts (with the chaos apply-delay
+// stall), observes its metrics and records its flight event, stamped
+// with the newest epoch installed (the cross-node join key; txn carries
+// the part count). It returns the time the install took.
+func (r *Replica) install(shard, n int, epoch uint64, fn func() error) (time.Duration, error) {
 	if faultApplyDelay > 0 {
 		time.Sleep(faultApplyDelay)
 	}
 	t0 := time.Now()
 	if err := fn(); err != nil {
-		return err
+		return 0, err
 	}
 	took := time.Since(t0)
 	if r.met != nil {
 		r.met.ApplySeconds.Observe(int64(took))
-		r.met.ApplyBatch.Observe(int64(nrecs))
+		r.met.ApplyBatch.Observe(int64(n))
 	}
-	// One flight event per batch, stamped with its newest epoch (the
-	// epoch is the cross-node join key; txn carries the batch size).
-	if len(last) > 0 {
-		newest := last[len(last)-1]
-		r.flight.Record(flight.EvReplApply, uint64(nrecs), shards[0], newest.Epoch)
-	}
-	perShard := nrecs
-	if len(shards) > 1 {
-		perShard = 1 // a cross install lands one record on each shard
-	}
-	for i, shardIdx := range shards {
-		rec := last[i]
-		r.mu.Lock()
-		r.applied[shardIdx] = rec.Index
-		if rec.Epoch > r.lastEpoch[shardIdx] {
-			r.lastEpoch[shardIdx] = rec.Epoch
-		}
-		r.mu.Unlock()
-		if r.gate != nil {
-			r.gate.ObserveApplied(shardIdx, rec.Index, took, perShard)
-		}
-	}
-	return nil
+	r.flight.Record(flight.EvReplApply, uint64(n), shard, epoch)
+	return took, nil
 }
 
-func (r *Replica) epochOf(shard int) uint64 {
+// Position returns the primary position the replica has applied through
+// — always a record boundary of the primary's commit order — and its
+// epoch watermark, the newest commit epoch among the applied records
+// (seeded by the snapshot or the resume file). Elections rank replicas
+// by them, and promotion rebases the new primary's feed on them.
+func (r *Replica) Position() (pos, epoch uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.lastEpoch[shard]
-}
-
-func (r *Replica) appliedIdx(shard int) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.applied[shard]
-}
-
-// Applied returns the applied log index per shard.
-func (r *Replica) Applied() []uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]uint64, len(r.applied))
-	copy(out, r.applied)
-	return out
-}
-
-// Watermarks returns the per-shard commit-epoch watermark: the newest
-// wire epoch applied on each shard (seeded by snapshot bootstrap or a
-// resume file). Promotion uses it to reset the new primary's log epochs
-// and to raise the global epoch counter past everything replicated.
-func (r *Replica) Watermarks() []uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]uint64, len(r.lastEpoch))
-	copy(out, r.lastEpoch)
-	return out
+	return r.pos, r.epoch
 }
 
 func (r *Replica) fail(err error) {

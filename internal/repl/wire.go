@@ -1,16 +1,18 @@
-// Wire encoding of replication records. A commit record travels as one
-// pushed line on a subscribed connection:
+// Wire encoding of replication records. A part travels as one pushed
+// line on a subscribed connection:
 //
-//	LOG <shard> <index> <epoch>[@<s0>,<s1>,...] <key>:<value> ...
+//	LOG <shard> <position> <epoch>[@<s0>,<s1>,...] <key>:<value> ...
 //
-// The third field is the record's commit epoch; a cross-shard commit
-// additionally carries its participant shard set after '@' (ascending,
-// comma-separated), which the replica's apply barrier matches by epoch
-// across shards. Keys never contain ':' (a protocol invariant of the
-// serving layer), so the first ':' of each pair is the separator. Values
-// must be space- and newline-free tokens; every value the serving layer
-// writes is an ASCII decimal integer, which qualifies. See
-// docs/PROTOCOL.md for the normative rules.
+// The second field is the part's position in the node's commit order;
+// the third is its commit epoch, and a part of a cross-shard commit
+// additionally carries the full participant shard set after '@'
+// (ascending, comma-separated): the commit's parts travel at consecutive
+// positions in that order, which is how the replica reads them as one
+// record. Keys never contain ':' (a protocol invariant of the serving
+// layer), so the first ':' of each pair is the separator. Values must be
+// space- and newline-free tokens; every value the serving layer writes
+// is an ASCII decimal integer, which qualifies. See docs/PROTOCOL.md for
+// the normative rules.
 
 package repl
 
@@ -48,8 +50,8 @@ func EncodeLog(shard int, r Record) string {
 	return b.String()
 }
 
-// ParseLog decodes the fields of a LOG line after the verb. It is the
-// inverse of EncodeLog.
+// ParseLog decodes the fields of a LOG line after the verb, Shard
+// included. It is the inverse of EncodeLog.
 func ParseLog(fields []string) (shard int, r Record, err error) {
 	if len(fields) < 4 {
 		return 0, Record{}, fmt.Errorf("repl: short LOG line (%d fields)", len(fields))
@@ -58,9 +60,10 @@ func ParseLog(fields []string) (shard int, r Record, err error) {
 	if err != nil || shard < 0 {
 		return 0, Record{}, fmt.Errorf("repl: bad LOG shard %q", fields[0])
 	}
+	r.Shard = shard
 	r.Index, err = strconv.ParseUint(fields[1], 10, 64)
 	if err != nil || r.Index == 0 {
-		return 0, Record{}, fmt.Errorf("repl: bad LOG index %q", fields[1])
+		return 0, Record{}, fmt.Errorf("repl: bad LOG position %q", fields[1])
 	}
 	r.Epoch, r.Shards, err = parseEpochSpec(fields[2])
 	if err != nil {

@@ -104,17 +104,13 @@ func bootCluster(c Cell) (*cluster, error) {
 func (cl *cluster) waitCaughtUp(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		heads := cl.pri.Feed().Heads()
-		applied := cl.rep.Replica().Applied()
-		ok := len(applied) == len(heads)
-		for i := 0; ok && i < len(heads); i++ {
-			ok = applied[i] >= heads[i]
-		}
-		if ok {
+		head := cl.pri.Feed().Log().Head()
+		applied, _ := cl.rep.Replica().Position()
+		if applied >= head {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("replica never caught up: heads %v applied %v", heads, applied)
+			return fmt.Errorf("replica never caught up: head %d applied %d", head, applied)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -5,7 +5,7 @@
 // decisions meet the engine — the two fence layers (the entry fence
 // before admission, the commit-boundary fence that turns a deposed
 // primary's verdicts into errors) and the replica-to-primary handoff
-// that rebases the replication feed onto the applied prefix.
+// that rebases the replication feed at the applied position.
 package server
 
 import (
@@ -13,7 +13,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"time"
 
@@ -59,7 +58,7 @@ type wiring struct {
 	rep   *repl.Replica
 }
 
-// startReplica streams primary's commit logs into the store: the stream
+// startReplica streams primary's commit order into the store: the stream
 // bootstraps by SNAP (a durable replica resumes from its resume file
 // instead), feeds the lag gate, and records into the replica metrics and
 // the repl flight ring. A stream that ends leaves the store serving its
@@ -102,17 +101,17 @@ func (s *Server) Replica() *repl.Replica {
 }
 
 // progress is this node's catch-up position, read off the replication
-// stream: its epoch watermark (max over shards) and total applied
-// records, by which elections rank candidates.
+// stream: its epoch watermark and applied position, by which elections
+// rank candidates. Every replica holds a prefix of the primary's one
+// commit order, so the most caught-up one holds everything any other
+// holds.
 func (s *Server) progress() (watermark, applied uint64) {
 	r := s.Replica()
 	if r == nil {
 		return 0, 0
 	}
-	for _, a := range r.Applied() {
-		applied += a
-	}
-	return slices.Max(r.Watermarks()), applied
+	applied, watermark = r.Position()
+	return watermark, applied
 }
 
 // newNode builds the member's failover monitor with the server's
@@ -213,14 +212,15 @@ func (s *Server) fencedReplVerb() (string, bool) {
 // epoch — the monitor's Promote hook. The steps are ordered so no window
 // accepts unfenced writes:
 //
-//  1. stop the apply stream (the barrier queue has already delivered
-//     every complete epoch; incomplete trailing epochs are discarded —
-//     they were never applied, so the store is a clean prefix),
+//  1. stop the apply stream (every round applies whole records only, so
+//     the store is the primary's after its first p parts, p the applied
+//     position; a record the stream had not delivered whole was never
+//     applied),
 //  2. claim the state (writes arriving now pass the entry fence, but
 //     until step 5 the lag gate still rejects them); a refused claim
 //     keeps the stopped stream, whose position ranks the next election,
 //  3. on an in-memory node without a feed of its own, rebase a fresh
-//     replication feed at the applied indices and epoch watermarks, so
+//     replication feed at the applied position and epoch watermark, so
 //     downstream joiners resume the primary numbering, and make it the
 //     commit log; a node that already logs (a chained replica's feed, a
 //     durable replica's WAL — which keeps feeding its Repl.Primary feed)
@@ -228,11 +228,10 @@ func (s *Server) fencedReplVerb() (string, bool) {
 //  4. arm the commit-boundary fence under the new epoch,
 //  5. lift the lag gate and publish the feed.
 func (s *Server) promote(epoch uint64) error {
-	var applied, marks []uint64
+	var pos, mark uint64
 	if rep := s.Replica(); rep != nil {
 		rep.Close()
-		applied = rep.Applied()
-		marks = rep.Watermarks()
+		pos, mark = rep.Position()
 	}
 	if err := s.cluster.BecomePrimary(epoch); err != nil {
 		return err
@@ -240,33 +239,15 @@ func (s *Server) promote(epoch uint64) error {
 	s.wiring.repMu.Lock()
 	s.wiring.rep = nil
 	s.wiring.repMu.Unlock()
-	shards := s.store.NumShards()
 	feed := s.Feed()
 	if feed == nil && s.durable == nil {
-		feed = repl.NewFeed(shards, s.epochs)
-		if s.retain > 0 {
-			feed.SetRetention(s.retain)
-		}
-		var maxMark uint64
-		for i := 0; i < shards; i++ {
-			var base, mark uint64
-			if i < len(applied) {
-				base = applied[i]
-			}
-			if i < len(marks) {
-				mark = marks[i]
-			}
-			if mark > maxMark {
-				maxMark = mark
-			}
-			feed.Log(i).ResetBase(base, mark)
-		}
+		feed = repl.NewFeed(s.store.NumShards(), s.epochs)
+		feed.Log().ResetBase(pos, mark)
 		// New commits must stamp epochs above everything replicated
-		// history used, or the apply barrier downstream would conflate
-		// old and new cross-shard commits.
-		s.epochs.Observe(maxMark)
-		for i := 0; i < shards; i++ {
-			s.store.Shard(i).SetCommitLog(feed.Log(i))
+		// history used, so each shard's epochs keep rising downstream.
+		s.epochs.Observe(mark)
+		for i := 0; i < s.store.NumShards(); i++ {
+			s.store.Shard(i).SetCommitLog(feed.Sink(i))
 		}
 	}
 	s.installFence(epoch)
@@ -333,12 +314,7 @@ func (s *Server) handleTopo() string {
 	watermark, applied := s.progress()
 	if feed := s.Feed(); feed != nil && role == cluster.RolePrimary {
 		// A primary's catch-up position is its own feed.
-		watermark = feed.EpochWatermark()
-		var sum uint64
-		for _, h := range feed.Heads() {
-			sum += h
-		}
-		applied = sum
+		watermark, applied = feed.Log().LastEpoch(), feed.Log().Head()
 	}
 	return cluster.TopoReply{
 		Role:      role.String(),

@@ -95,7 +95,7 @@ func TestDeposedEpochWriteNeverAcked(t *testing.T) {
 			}
 
 			// The fenced node's replication surface is frozen too.
-			for _, verb := range []string{"HEAD", "SNAP 0", "REPL 0 1", "ACK 0 1"} {
+			for _, verb := range []string{"HEAD", "SNAP", "REPL 1", "ACK 1"} {
 				rc := dialRaw(t, addr)
 				rc.send(verb)
 				if got := rc.recv(); got != "ERR not-primary 127.0.0.1:9" {
@@ -153,7 +153,7 @@ func TestTopoVerb(t *testing.T) {
 // primary, promotes the replica in-process (the hook the cluster Node
 // drives), and checks the full handoff: replicated state retained,
 // gate lifted, writes accepted under the new fencing epoch, feed
-// rebased at the replica's applied indices, and the TOPO/HEAD surfaces
+// rebased at the replica's applied position, and the TOPO/HEAD surfaces
 // flipped to the primary shape.
 func TestPromoteTakesOver(t *testing.T) {
 	pri, priAddr := startServer(t, Config{Shards: 4, Repl: ReplOptions{Primary: true}})
@@ -177,7 +177,7 @@ func TestPromoteTakesOver(t *testing.T) {
 	}
 	waitCaughtUp(t, pri, rep)
 	c.Close()
-	priHeads := pri.Feed().Heads()
+	priHead := pri.Feed().Log().Head()
 	pri.Close()
 
 	// Writes on the replica bounce with a redirect before promotion.
@@ -211,21 +211,18 @@ func TestPromoteTakesOver(t *testing.T) {
 		t.Fatalf("promoted Add(ck5, 10) = %d, %v; want 15", n, err)
 	}
 
-	// The new feed resumes the old primary's numbering: heads start at
-	// the replica's applied indices, not at zero.
-	newHeads := rep.Feed().Heads()
-	for i, h := range newHeads {
-		if h < priHeads[i] {
-			t.Fatalf("promoted head[%d] = %d regressed below old primary's %d", i, h, priHeads[i])
-		}
+	// The new feed resumes the old primary's numbering: its head starts at
+	// the replica's applied position, not at zero.
+	if h := rep.Feed().Log().Head(); h < priHead {
+		t.Fatalf("promoted head = %d regressed below old primary's %d", h, priHead)
 	}
 
 	// HEAD serves the primary grammar now, and a fresh replica can
 	// bootstrap off the promoted node above the rebased base.
 	raw := dialRaw(t, repAddr)
 	raw.send("HEAD")
-	if got := raw.recv(); !strings.HasPrefix(got, "OK ") || len(strings.Fields(got)) != 6 {
-		t.Fatalf("HEAD on promoted node = %q, want OK <watermark> + 4 heads", got)
+	if got := raw.recv(); !strings.HasPrefix(got, "OK ") || len(strings.Fields(got)) != 3 {
+		t.Fatalf("HEAD on promoted node = %q, want OK <watermark> <head>", got)
 	}
 	rep2, _ := startServer(t, Config{Shards: 4, ReplicaOf: repAddr})
 	waitCaughtUp(t, rep, rep2)
@@ -435,8 +432,8 @@ func TestFailoverFollowsNewPrimary(t *testing.T) {
 
 // TestSyncAcksDegradesWithoutSubscriber pins the semi-sync wait on both
 // commit paths (one-shot and live session): with no replica ever
-// tracking, the wait degrades to async immediately — a lone primary does
-// not stall; once a shard is tracked, every commit waits for an ack and a
+// subscribed, the wait degrades to async immediately — a lone primary
+// does not stall; once one has, every commit waits for an ack and a
 // silent subscriber costs it the timeout, counted in repl_sync_degraded.
 func TestSyncAcksDegradesWithoutSubscriber(t *testing.T) {
 	srv, _ := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true, SyncAcks: true, SyncTimeout: 50 * time.Millisecond}})
@@ -461,8 +458,6 @@ func TestSyncAcksDegradesWithoutSubscriber(t *testing.T) {
 	}
 	sub := srv.Feed().Subscribe()
 	defer sub.Close()
-	sub.Track(0)
-	sub.Track(1)
 	for _, p := range paths {
 		before := srv.met.syncDegraded.Value()
 		if got := p.commit("sk-" + p.name); got != "OK 2" {
@@ -486,9 +481,9 @@ func TestCloseWakesSemiSyncWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	fmt.Fprintf(sub, "REPL 0 1\n")
-	if reply, err := bufio.NewReader(sub).ReadString('\n'); err != nil || !strings.HasPrefix(reply, "OK 0 ") {
-		t.Fatalf("REPL 0 1 -> %q, %v", reply, err)
+	fmt.Fprintf(sub, "REPL 1\n")
+	if reply, err := bufio.NewReader(sub).ReadString('\n'); err != nil || reply != "OK 0\n" {
+		t.Fatalf("REPL 1 -> %q, %v", reply, err)
 	}
 	writer, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -496,7 +491,7 @@ func TestCloseWakesSemiSyncWait(t *testing.T) {
 	}
 	defer writer.Close()
 	fmt.Fprintf(writer, "ADD k 1\n")
-	for deadline := time.Now().Add(5 * time.Second); srv.Feed().Log(0).Head() == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); srv.Feed().Log().Head() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the ADD never committed")
 		}

@@ -3,7 +3,7 @@
 // the CKPT verb and its STATS counters, and the SNAP joiner path —
 // including the equivalence oracle: a replica that joined late via SNAP
 // converges to exactly the state of one that joined the empty primary
-// and streamed its log from index 1.
+// and streamed its log from position 1.
 package server
 
 import (
@@ -99,11 +99,7 @@ func TestServerCrashRecovery(t *testing.T) {
 	s1, addr1 := startDurableServer(t, cfg)
 	keys := driveMixedLoad(t, addr1, 10)
 	want := snapshotKeys(t, addr1, keys)
-	heads := s1.Feed().Heads()
-	var total uint64
-	for _, h := range heads {
-		total += h
-	}
+	total := s1.Feed().Log().Head()
 	s1.Close()
 
 	s2, addr2 := startDurableServer(t, cfg)
@@ -114,10 +110,8 @@ func TestServerCrashRecovery(t *testing.T) {
 	if rec := s2.Durable().RecoveredIndex(); rec != total {
 		t.Fatalf("recovered_index = %d, want %d", rec, total)
 	}
-	for i, h := range s2.Feed().Heads() {
-		if h != heads[i] {
-			t.Fatalf("shard %d log head after restart = %d, want %d", i, h, heads[i])
-		}
+	if h := s2.Feed().Log().Head(); h != total {
+		t.Fatalf("log head after restart = %d, want %d", h, total)
 	}
 	// STATS reports the durability counters, including recovered_index.
 	rc := dialRaw(t, addr2)
@@ -141,9 +135,10 @@ func TestServerCrashRecovery(t *testing.T) {
 }
 
 // TestCKPTVerbAndRecoveryFromCheckpoint: the CKPT verb captures every
-// dirty shard; a restart recovers from checkpoint + WAL suffix; the
-// in-memory log is trimmed below the checkpoint (no subscribers), so a
-// plain replay-from-1 joiner is refused while a SNAP joiner succeeds.
+// dirty shard; a restart recovers from checkpoint + WAL suffix; with no
+// subscribers and a zero retention window the in-memory log is trimmed
+// to its head, so a plain replay-from-1 joiner is refused while a SNAP
+// joiner succeeds.
 func TestCKPTVerbAndRecoveryFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
@@ -152,6 +147,7 @@ func TestCKPTVerbAndRecoveryFromCheckpoint(t *testing.T) {
 		Durable: durable.Options{Dir: dir},
 	}
 	s1, addr1 := startDurableServer(t, cfg)
+	s1.Feed().Log().SetRetention(0)
 	keys := driveMixedLoad(t, addr1, 6)
 
 	rc := dialRaw(t, addr1)
@@ -163,11 +159,9 @@ func TestCKPTVerbAndRecoveryFromCheckpoint(t *testing.T) {
 	if st := rc.recv(); !strings.Contains(st, "ckpt_count=2") {
 		t.Fatalf("STATS %q lacks ckpt_count=2", st)
 	}
-	// With no subscribers, the checkpoint floor trims the whole log.
-	for i := 0; i < 2; i++ {
-		if base, head := s1.Feed().Log(i).Base(), s1.Feed().Log(i).Head(); base != head {
-			t.Fatalf("shard %d log base %d != head %d after CKPT with no subscribers", i, base, head)
-		}
+	// With no subscribers, the zero window trims the whole log.
+	if base, head := s1.Feed().Log().Base(), s1.Feed().Log().Head(); base != head {
+		t.Fatalf("log base %d != head %d with no subscribers", base, head)
 	}
 	rc.send("STATS")
 	if st := rc.recv(); !strings.Contains(st, "log_trimmed=") || strings.Contains(st, "log_trimmed=0") {
@@ -176,9 +170,9 @@ func TestCKPTVerbAndRecoveryFromCheckpoint(t *testing.T) {
 
 	// A replay-from-1 subscriber is refused with a SNAP pointer...
 	sub := dialRaw(t, addr1)
-	sub.send("REPL 0 1")
+	sub.send("REPL 1")
 	if got := sub.recv(); !strings.HasPrefix(got, "ERR log trimmed") || !strings.Contains(got, "SNAP") {
-		t.Fatalf("REPL 0 1 on trimmed log = %q, want ERR log trimmed ... SNAP", got)
+		t.Fatalf("REPL 1 on trimmed log = %q, want ERR log trimmed ... SNAP", got)
 	}
 	// ...and a SNAP bootstrap succeeds despite the trimmed history.
 	want := snapshotKeys(t, addr1, keys)
@@ -199,14 +193,14 @@ func TestCKPTVerbAndRecoveryFromCheckpoint(t *testing.T) {
 }
 
 // TestSnapBootstrapEquivalence is the bootstrap oracle: replica A joins
-// the empty primary (its snapshots are empty, so it streams the whole
-// log from index 1), replica B joins after load via SNAP; both must
+// the empty primary (its snapshot is empty, so it streams the whole log
+// from position 1), replica B joins after load via SNAP; both must
 // converge to identical stores, and the SNAP joiner must never have
-// requested records below its snapshot index.
+// requested parts below its snapshot position.
 func TestSnapBootstrapEquivalence(t *testing.T) {
 	pri, priAddr := startServer(t, Config{Shards: 4, Repl: ReplOptions{Primary: true}})
 
-	// Replica A: every record from index 1.
+	// Replica A: every part from position 1.
 	repA, addrA := startServer(t, Config{Shards: 4, ReplicaOf: priAddr})
 	keys := driveMixedLoad(t, priAddr, 8)
 
@@ -216,9 +210,9 @@ func TestSnapBootstrapEquivalence(t *testing.T) {
 	// Replica B: SNAP bootstrap, subscribed only above the snapshot.
 	repB, addrB := startServer(t, Config{Shards: 4, ReplicaOf: priAddr})
 
-	// B's applied positions start at its snapshot indices — strictly
-	// positive on every shard the load touched — and never regress.
-	snapIdx := repB.Replica().Applied()
+	// B's applied position starts at its snapshot position — strictly
+	// positive, since the load ran — and never regresses.
+	snapPos, _ := repB.Replica().Position()
 
 	// Final writes both replicas must stream.
 	driveMixedLoad(t, priAddr, 2)
@@ -236,22 +230,18 @@ func TestSnapBootstrapEquivalence(t *testing.T) {
 	}
 
 	// The log-replay oracle: independently replaying the primary's full
-	// log reproduces what both replicas serve (indices dense from 1).
+	// log reproduces what both replicas serve (positions dense from 1).
 	replay := make(map[string]string)
-	for i := 0; i < pri.Feed().Shards(); i++ {
-		recs, _, err := pri.Feed().Log(i).From(1, 0)
-		if err != nil {
-			t.Fatal(err)
+	recs, _, err := pri.Feed().Log().From(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs {
+		if rec.Index != uint64(i+1) {
+			t.Fatalf("log not dense at %d", rec.Index)
 		}
-		next := uint64(1)
-		for _, rec := range recs {
-			if rec.Index != next {
-				t.Fatalf("shard %d log not dense at %d", i, rec.Index)
-			}
-			next++
-			for k, v := range rec.Writes {
-				replay[k] = string(v)
-			}
+		for k, v := range rec.Writes {
+			replay[k] = string(v)
 		}
 	}
 	for _, k := range keys {
@@ -260,17 +250,13 @@ func TestSnapBootstrapEquivalence(t *testing.T) {
 		}
 	}
 
-	// Acceptance: the SNAP joiner's first requested record per shard was
-	// snapIdx+1 — its applied index can never have been observed below
-	// the snapshot, and the snapshot covered the pre-join load.
-	var totalSnap uint64
-	for i, idx := range snapIdx {
-		totalSnap += idx
-		if final := repB.Replica().Applied()[i]; final < idx {
-			t.Fatalf("shard %d applied regressed below snapshot: %d < %d", i, final, idx)
-		}
+	// Acceptance: the SNAP joiner's first requested part was snapPos+1 —
+	// its applied position can never have been observed below the
+	// snapshot, and the snapshot covered the pre-join load.
+	if final, _ := repB.Replica().Position(); final < snapPos {
+		t.Fatalf("applied regressed below snapshot: %d < %d", final, snapPos)
 	}
-	if totalSnap == 0 {
+	if snapPos == 0 {
 		t.Fatal("SNAP bootstrap installed nothing; equivalence test degenerated to full replay")
 	}
 }
@@ -280,23 +266,22 @@ func TestSnapVerbErrors(t *testing.T) {
 	_, priAddr := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true}})
 	rc := dialRaw(t, priAddr)
 	for in, wantPrefix := range map[string]string{
-		"SNAP":         "ERR usage: SNAP",
-		"SNAP x":       "ERR bad shard",
-		"SNAP 9":       "ERR bad shard",
-		"CKPT":         "ERR durability disabled",
-		"REQ 1 SNAP 0": "RES 1 ERR SNAP requires bare framing",
+		"SNAP x":     "ERR usage: SNAP",
+		"SNAP 0":     "ERR usage: SNAP",
+		"CKPT":       "ERR durability disabled",
+		"REQ 1 SNAP": "RES 1 ERR SNAP requires bare framing",
 	} {
 		rc.send(in)
 		if got := rc.recv(); !strings.HasPrefix(got, wantPrefix) {
 			t.Errorf("%q -> %q, want prefix %q", in, got, wantPrefix)
 		}
 	}
-	// SNAP of an empty shard: a bare header (shard, head index, commit
-	// epoch, pair count), zero pairs, no SNAPKV lines (the next reply
-	// arrives immediately after).
-	rc.send("SNAP 0")
-	if got := rc.recv(); got != "OK 0 0 0 0" {
-		t.Errorf("SNAP of empty shard = %q, want OK 0 0 0 0", got)
+	// SNAP of an empty store: a bare header (position, commit epoch, pair
+	// count), zero pairs, no SNAPKV lines (the next reply arrives
+	// immediately after).
+	rc.send("SNAP")
+	if got := rc.recv(); got != "OK 0 0 0" {
+		t.Errorf("SNAP of empty store = %q, want OK 0 0 0", got)
 	}
 	rc.send("PING")
 	if got := rc.recv(); got != "OK pong" {
@@ -305,17 +290,18 @@ func TestSnapVerbErrors(t *testing.T) {
 
 	_, plainAddr := startServer(t, Config{Shards: 2})
 	pc := dialRaw(t, plainAddr)
-	pc.send("SNAP 0")
+	pc.send("SNAP")
 	if got := pc.recv(); got != "ERR not a replication primary" {
 		t.Errorf("SNAP on non-primary -> %q", got)
 	}
 }
 
-// TestRetentionTrimsWithoutDurability is satellite 1 end-to-end: a pure
-// in-memory primary with a retention floor trims below the min acked
-// index as its replica acks, without any data directory.
+// TestRetentionTrimsWithoutDurability: a pure in-memory primary with a
+// small retention window trims below the min acked position as its
+// replica acks, without any data directory.
 func TestRetentionTrimsWithoutDurability(t *testing.T) {
-	pri, priAddr := startServer(t, Config{Shards: 1, Repl: ReplOptions{Primary: true, Retain: 4}})
+	pri, priAddr := startServer(t, Config{Shards: 1, Repl: ReplOptions{Primary: true}})
+	pri.Feed().Log().SetRetention(4)
 	rep, _ := startServer(t, Config{Shards: 1, ReplicaOf: priAddr})
 
 	c, err := client.DialMux(priAddr)
@@ -330,7 +316,7 @@ func TestRetentionTrimsWithoutDurability(t *testing.T) {
 		}
 	}
 	waitCaughtUp(t, pri, rep)
-	log := pri.Feed().Log(0)
+	log := pri.Feed().Log()
 	deadline := time.Now().Add(10 * time.Second)
 	for log.Base() < n-4 {
 		if time.Now().After(deadline) {
@@ -351,10 +337,9 @@ func TestRetentionTrimsWithoutDurability(t *testing.T) {
 // TestDurableReplicaResumesWithoutReSnap is the regression test for the
 // restart bug: a durable replica recorded its own commit-log indices, but
 // a snapshot installs as ONE local record, so local and primary numbering
-// diverge and every restart re-SNAPped every shard. A durable replica
-// persists the primary's indices in <data-dir>/replica.resume, and a
-// restart must resume the stream — zero snapshot fetches — and still
-// converge.
+// diverge and every restart re-SNAPped. A durable replica persists the
+// primary's position in <data-dir>/replica.resume, and a restart must
+// resume the stream — zero snapshot fetches — and still converge.
 func TestDurableReplicaResumesWithoutReSnap(t *testing.T) {
 	priDir, repDir := t.TempDir(), t.TempDir()
 	pri, priAddr := startDurableServer(t, Config{
@@ -379,14 +364,14 @@ func TestDurableReplicaResumesWithoutReSnap(t *testing.T) {
 	driveMixedLoad(t, priAddr, 3)
 
 	// Restart over the same directory: the stream must resume from the
-	// persisted primary offsets, with no snapshot fetch at all.
+	// persisted primary position, with no snapshot fetch at all.
 	rep2, repAddr2 := startDurableServer(t, repCfg)
 	defer rep2.Close()
 	if rep2.wiring.replMet.Resumes.Value() == 0 {
-		t.Fatal("restart did not resume from persisted offsets")
+		t.Fatal("restart did not resume from the persisted position")
 	}
 	if n := rep2.wiring.replMet.Snapshots.Value(); n != 0 {
-		t.Fatalf("restart fetched %d shard snapshots, want 0 (the re-SNAP bug)", n)
+		t.Fatalf("restart fetched %d snapshots, want 0 (the re-SNAP bug)", n)
 	}
 	waitCaughtUp(t, pri, rep2)
 	want := snapshotKeys(t, priAddr, keys)
@@ -407,6 +392,9 @@ func TestDurableReplicaResumeFallsBackToSnapshot(t *testing.T) {
 		Durable: durable.Options{Dir: priDir},
 	})
 	defer pri.Close()
+	// A zero retention window: once the replica is gone, the log keeps
+	// nothing it does not owe a subscriber.
+	pri.Feed().Log().SetRetention(0)
 	keys := driveMixedLoad(t, priAddr, 4)
 
 	repCfg := Config{Shards: 2, ReplicaOf: priAddr, Durable: durable.Options{Dir: repDir}}
@@ -414,8 +402,8 @@ func TestDurableReplicaResumeFallsBackToSnapshot(t *testing.T) {
 	waitCaughtUp(t, pri, rep1)
 	rep1.Close()
 
-	// With the replica gone, more load plus a checkpoint trims the whole
-	// log: the persisted resume point now asks for discarded records.
+	// With the replica gone, more load trims the whole log: the persisted
+	// resume point now asks for discarded parts.
 	driveMixedLoad(t, priAddr, 2)
 	rc := dialRaw(t, priAddr)
 	rc.send("CKPT")

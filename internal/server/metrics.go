@@ -312,16 +312,16 @@ var statRows = []statRow{
 
 	{key: "repl_subs", family: "scc_repl_subscribers", help: "Live replication subscriptions.", gauge: true, when: primary, promotable: true,
 		read: func(sn *statSnap) float64 { return float64(sn.feed.Subscribers()) }},
-	{key: replLagKey, family: "scc_repl_max_lag_records", help: "Largest subscriber lag in log records.", gauge: true, when: primary, promotable: true,
+	{key: replLagKey, family: "scc_repl_max_lag_records", help: "Largest subscriber lag in log parts.", gauge: true, when: primary, promotable: true,
 		read: func(sn *statSnap) float64 { return float64(sn.feed.MaxLag()) }},
-	{key: "log_trimmed", family: "scc_log_trimmed_total", help: "Commit-log records trimmed below retention/checkpoint floors.", when: primary, promotable: true,
-		read: func(sn *statSnap) float64 { return float64(sn.feed.Trimmed()) }},
+	{key: "log_trimmed", family: "scc_log_trimmed_total", help: "Commit-log parts trimmed below the retention and ack floors.", when: primary, promotable: true,
+		read: func(sn *statSnap) float64 { return float64(sn.feed.Log().Trimmed()) }},
 	{key: "repl_sync_degraded", family: "scc_repl_sync_degraded_total", help: "Semi-sync ack waits that timed out (commit acked anyway).", when: semiSync, promotable: true,
 		read: func(sn *statSnap) float64 { return float64(sn.s.met.syncDegraded.Value()) }},
 
-	{key: "repl_applied", family: "scc_repl_applied_records", help: "Replica: log records applied locally.", gauge: true, when: replica,
+	{key: "repl_applied", family: "scc_repl_applied_records", help: "Replica: primary position applied through.", gauge: true, when: replica,
 		read: func(sn *statSnap) float64 { return float64(sn.gate.Applied()) }},
-	{key: replLagKey, family: "scc_repl_lag_records", help: "Replica: records the primary is ahead.", gauge: true, when: replica,
+	{key: replLagKey, family: "scc_repl_lag_records", help: "Replica: log parts the primary is ahead.", gauge: true, when: replica,
 		read: func(sn *statSnap) float64 { return float64(sn.gate.LagRecords()) }},
 	{key: "repl_shed", family: "scc_repl_shed_total", help: "Replica: reads shed for lag-priced value loss.", when: replica,
 		read: func(sn *statSnap) float64 { return float64(sn.gate.Shed()) }},
@@ -406,13 +406,13 @@ func (s *Server) statsLine() string {
 func (m *serverMetrics) replicaMetrics() *repl.ReplicaMetrics {
 	return &repl.ReplicaMetrics{
 		ApplySeconds: m.reg.NsHistogram("scc_repl_apply_seconds",
-			"Replica: one applied batch's latch hold plus local commit-log sync."),
+			"Replica: one install's latch hold plus local commit-log sync."),
 		ApplyBatch: m.reg.Histogram("scc_repl_apply_batch",
-			"Replica: records installed per latch hold.", 0, 10, 1),
+			"Replica: log parts installed per latch hold.", 0, 10, 1),
 		Resumes: m.reg.Counter("scc_repl_resumes_total",
-			"Replica: shard subscriptions resumed from persisted primary offsets."),
+			"Replica: subscriptions resumed from a persisted primary position."),
 		Snapshots: m.reg.Counter("scc_repl_snapshots_total",
-			"Replica: shard snapshot bootstraps fetched via SNAP."),
+			"Replica: snapshot bootstraps fetched via SNAP."),
 	}
 }
 

@@ -5,8 +5,10 @@ package server
 
 import (
 	"fmt"
+	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,26 +26,19 @@ func startReplicaPair(t *testing.T, shards int, lagBudget time.Duration) (pri *S
 	return pri, priAddr, rep, repAddr
 }
 
-// waitCaughtUp blocks until the replica has applied every record the
+// waitCaughtUp blocks until the replica has applied every part the
 // primary's feed holds (the feed must be quiescent by then).
 func waitCaughtUp(t *testing.T, pri, rep *Server) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		heads := pri.Feed().Heads()
-		applied := rep.Replica().Applied()
-		done := true
-		for i := range heads {
-			if applied[i] < heads[i] {
-				done = false
-				break
-			}
-		}
-		if done {
+		head := pri.Feed().Log().Head()
+		pos, _ := rep.Replica().Position()
+		if pos >= head {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("replica never caught up: heads=%v applied=%v", heads, applied)
+			t.Fatalf("replica never caught up: head=%d applied=%d", head, pos)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -119,19 +114,14 @@ func TestReplicationConverges(t *testing.T) {
 	// Consistency oracle: replay the shipped log independently and check
 	// the replayed state matches what the replica serves.
 	replay := make(map[string]string)
-	var records uint64
-	for i := 0; i < pri.Feed().Shards(); i++ {
-		recs, _, _ := pri.Feed().Log(i).From(1, 0)
-		records += uint64(len(recs))
-		next := uint64(1)
-		for _, rec := range recs {
-			if rec.Index != next {
-				t.Fatalf("shard %d log not dense: record %d at position %d", i, rec.Index, next)
-			}
-			next++
-			for k, v := range rec.Writes {
-				replay[k] = string(v)
-			}
+	recs, _, _ := pri.Feed().Log().From(1, 0)
+	records := uint64(len(recs))
+	for i, rec := range recs {
+		if rec.Index != uint64(i+1) {
+			t.Fatalf("log not dense: part %d at position %d", rec.Index, i+1)
+		}
+		for k, v := range rec.Writes {
+			replay[k] = string(v)
 		}
 	}
 	for _, k := range keys {
@@ -146,12 +136,8 @@ func TestReplicationConverges(t *testing.T) {
 
 	// The replica applied the whole stream, and its STATS report it with
 	// zero lag.
-	var appliedTotal uint64
-	for _, a := range rep.Replica().Applied() {
-		appliedTotal += a
-	}
-	if appliedTotal != records {
-		t.Fatalf("replica applied %d records, primary logged %d", appliedTotal, records)
+	if pos, _ := rep.Replica().Position(); pos != records {
+		t.Fatalf("replica applied through %d, primary logged %d parts", pos, records)
 	}
 	st, err := rc.Stats()
 	if err != nil {
@@ -167,11 +153,144 @@ func TestReplicationConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One connection carries all shard subscriptions: exactly one
-	// subscriber, however many shards it subscribed.
+	// One connection carries the replica's one subscription.
 	if pst["repl_subs"] != "1" {
 		t.Fatalf("primary repl_subs=%s, want 1", pst["repl_subs"])
 	}
+}
+
+// TestReplicaIsAPrefix: under concurrent single- and cross-shard load on
+// 4 shards, the replica's stream is stopped at seeded points and
+// restarted (each restart a SNAP bootstrap into the non-empty store); one
+// stop lands while the replica is still catching up after its SNAP. At
+// every stop the applied position p is a record boundary of the
+// primary's commit order, and the replica holds exactly the state of a
+// fresh store into which the primary's log parts 1..p were replayed.
+func TestReplicaIsAPrefix(t *testing.T) {
+	pri, priAddr, rep, _ := startReplicaPair(t, 4, time.Hour)
+	rng := rand.New(rand.NewSource(38))
+	keys := make([]string, 32)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("pk%d", i)
+	}
+	stopLoad := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c, err := client.DialMux(priAddr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			for i := 0; i < 3000; i++ {
+				select {
+				case <-stopLoad:
+					return
+				default:
+				}
+				from, to := keys[(7*w+i)%len(keys)], keys[(13*w+3*i+1)%len(keys)]
+				ops := []client.Op{{Key: from, Delta: -1, Write: true}}
+				if i%3 != 0 && from != to {
+					ops = append(ops, client.Op{Key: to, Delta: 1, Write: true})
+				}
+				if _, err := c.Update(ops, client.TxOpts{}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	state := func(st *shard.Store) map[string]string {
+		out := make(map[string]string)
+		for i := 0; i < st.NumShards(); i++ {
+			st.Shard(i).LockCommit()
+			st.Shard(i).RangeLocked(func(k string, v []byte) bool {
+				out[fmt.Sprintf("%d/%s", i, k)] = string(v)
+				return true
+			})
+			st.Shard(i).UnlockCommit()
+		}
+		return out
+	}
+	check := func(stop int, pos uint64) {
+		t.Helper()
+		recs, _, err := pri.Feed().Log().From(1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pos > uint64(len(recs)) {
+			t.Fatalf("stop %d: replica at position %d, past the primary's %d parts", stop, pos, len(recs))
+		}
+		if last := recs[max(pos, 1)-1]; pos > 0 && last.Cross() && last.Shard != last.Shards[len(last.Shards)-1] {
+			t.Fatalf("stop %d: position %d is inside the cross-shard record at epoch %d", stop, pos, last.Epoch)
+		}
+		replay := shard.Open(shard.Config{Shards: 4})
+		defer replay.Close()
+		for _, rec := range recs[:pos] {
+			if err := replay.ApplyReplicated(rec.Shard, []map[string][]byte{rec.Writes}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := state(rep.Store()), state(replay); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("stop %d at position %d: replica %v, primary's first %d parts replay to %v", stop, pos, got, pos, want)
+		}
+	}
+	// A View over keys on every shard holds every replica latch, so the
+	// stream can be stopped while a backlog builds behind it.
+	var every []string
+	for i := 0; len(every) < 4; i++ {
+		k := fmt.Sprintf("latch%d", i)
+		if rep.Store().ShardOf(k) == len(every) {
+			every = append(every, k)
+		}
+	}
+	const catchUpStop = 2
+	for stop := 0; stop < 5; stop++ {
+		r := rep.Replica()
+		if stop == catchUpStop {
+			// Stop during catch-up after the SNAP the previous restart
+			// took: hold the applies until the primary is two rounds
+			// ahead, then close the stream and let its round finish.
+			held, release := make(chan struct{}), make(chan struct{})
+			go rep.Store().View(every, func(shard.Tx) error {
+				close(held)
+				<-release
+				return nil
+			})
+			<-held
+			pos, _ := r.Position()
+			for deadline := time.Now().Add(10 * time.Second); pri.Feed().Log().Head() < pos+3*256; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("no backlog built behind the held replica")
+				}
+			}
+			closed := make(chan struct{})
+			go func() { r.Close(); close(closed) }()
+			time.Sleep(time.Millisecond)
+			close(release)
+			<-closed
+			if pos, _ := r.Position(); pos >= pri.Feed().Log().Head() {
+				t.Fatalf("stop %d is not during catch-up: position %d, primary head %d", stop, pos, pri.Feed().Log().Head())
+			}
+		} else {
+			time.Sleep(time.Duration(1+rng.Intn(20)) * time.Millisecond)
+			r.Close()
+		}
+		pos, _ := r.Position()
+		check(stop, pos)
+		t.Logf("stop %d: replica at %d of %d parts", stop, pos, pri.Feed().Log().Head())
+		if err := rep.startReplica(priAddr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stopLoad)
+	wg.Wait()
+	waitCaughtUp(t, pri, rep)
+	pos, _ := rep.Replica().Position()
+	check(5, pos)
 }
 
 // TestReplicaLagAccounting holds a replica behind a lag budget
@@ -181,9 +300,9 @@ func TestReplicationConverges(t *testing.T) {
 // reflects at least the acked log prefix.
 func TestReplicaLagAccounting(t *testing.T) {
 	// A replica with no stream, its lag injected: 10ms budget, 1ms per
-	// record.
+	// part.
 	rep, repAddr := startServer(t, Config{Shards: 4})
-	gate := repl.NewLagGate(4, 10*time.Millisecond, time.Millisecond)
+	gate := repl.NewLagGate(10*time.Millisecond, time.Millisecond)
 	rep.gateP.Store(gate)
 
 	// Ship five records for key x by hand, acking each: the replica's
@@ -197,7 +316,7 @@ func TestReplicaLagAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gate.ObserveApplied(shardOfX, uint64(i), time.Millisecond, 1)
+		gate.ObserveApplied(uint64(i), time.Millisecond, 1)
 		// acked == applied == i; a read served now must be >= record i.
 		rc.send("GET x")
 		if got := rc.recv(); got != "OK "+strconv.Itoa(i) {
@@ -207,7 +326,7 @@ func TestReplicaLagAccounting(t *testing.T) {
 
 	// Fall behind: the primary is 10000 records ahead -> ~10s catch-up,
 	// far past the 10ms budget.
-	gate.ObserveHead(shardOfX, 10005)
+	gate.ObserveHead(10005)
 
 	// A tight read (zero-crossing ~0.2s away) cannot outlive catch-up: SHED.
 	rc.send("UPD v=1 dl=100 r:x")
@@ -346,15 +465,15 @@ func TestReplVerbErrors(t *testing.T) {
 	_, priAddr := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true}})
 	rc := dialRaw(t, priAddr)
 	for in, wantPrefix := range map[string]string{
-		"ACK 0 1":        "ERR ACK before REPL",
-		"REPL":           "ERR usage: REPL",
-		"REPL x 1":       "ERR bad shard",
-		"REPL 9 1":       "ERR bad shard",
-		"REPL 0 0":       "ERR bad index",
-		"REPL 0 x":       "ERR bad index",
-		"ACK 0":          "ERR usage: ACK",
-		"REQ 1 REPL 0 1": "RES 1 ERR REPL requires bare framing",
-		"REQ 2 ACK 0 1":  "RES 2 ERR ACK requires bare framing",
+		"ACK 1":        "ERR ACK before REPL",
+		"REPL":         "ERR usage: REPL <position>",
+		"REPL 0 1":     "ERR usage: REPL <position>",
+		"REPL 0":       "ERR bad position",
+		"REPL x":       "ERR bad position",
+		"ACK":          "ERR usage: ACK <position>",
+		"ACK -1":       "ERR bad position",
+		"REQ 1 REPL 1": "RES 1 ERR REPL requires bare framing",
+		"REQ 2 ACK 1":  "RES 2 ERR ACK requires bare framing",
 	} {
 		rc.send(in)
 		if got := rc.recv(); !strings.HasPrefix(got, wantPrefix) {
@@ -362,20 +481,20 @@ func TestReplVerbErrors(t *testing.T) {
 		}
 	}
 
-	// HEAD reports the epoch watermark then per-shard log heads on a
-	// primary: OK <watermark> <h0> <h1> for two shards.
+	// HEAD reports the epoch watermark then the log's head position on a
+	// primary: OK <watermark> <head>.
 	rc.send("PUT headkey 1")
 	rc.recv()
 	rc.send("HEAD")
-	if got := rc.recv(); !strings.HasPrefix(got, "OK ") || len(strings.Fields(got)) != 4 {
-		t.Errorf("HEAD on 2-shard primary -> %q, want OK <watermark> <h0> <h1>", got)
+	if got := rc.recv(); got != "OK 1 1" {
+		t.Errorf("HEAD after one commit -> %q, want OK 1 1", got)
 	}
 
 	// A non-primary has no feed to subscribe to or report heads for, and
 	// a replica pointed at it must fail at startup, not serve emptiness.
 	_, plainAddr := startServer(t, Config{Shards: 2})
 	pc := dialRaw(t, plainAddr)
-	for _, in := range []string{"REPL 0 1", "HEAD"} {
+	for _, in := range []string{"REPL 1", "HEAD"} {
 		pc.send(in)
 		if got := pc.recv(); got != "ERR not a replication primary" {
 			t.Errorf("%q on non-primary -> %q", in, got)

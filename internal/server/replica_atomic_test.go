@@ -1,9 +1,8 @@
-// Replica cross-shard apply barrier: a cross-shard commit must become
+// Replica cross-shard atomic visibility: a cross-shard commit must become
 // visible on a replica all-shards-at-once. The test hammers balanced
 // two-shard transfers into the primary while a poller on the replica
-// continuously audits the invariant the barrier guarantees — the sum of
-// the transfer keys never moves. Before the barrier, each shard's log
-// applied independently and the poller caught half-applied transfers.
+// continuously audits what applying whole records of one commit order
+// guarantees — the sum of the transfer keys never moves.
 package server
 
 import (

@@ -6,9 +6,10 @@
 // protocol is line-oriented (PING/GET/PUT/ADD/UPD/SUM/STATS), optionally
 // wrapped in pipelined REQ/RES framing with concurrent dispatch per
 // connection, and extended with REPL/ACK commit-log subscriptions for
-// replication: a primary streams each shard's total commit order
-// (internal/repl) to replicas, which apply it through the engine's
-// ApplyLocked path and serve lag-gated snapshot reads.
+// replication: a primary streams its node's commit order, one log of
+// whole transactions (internal/repl), to replicas, which apply it
+// through the engine's ApplyLocked path and serve lag-gated snapshot
+// reads.
 //
 // The normative wire specification — verb grammar, error-reply rules,
 // oversized-line handling, framing interleaving, and the replication
@@ -23,6 +24,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,10 +53,10 @@ type Config struct {
 	GroupCommit engine.GroupCommit
 	// ReplicaOf, when set, makes the server a read replica of the primary
 	// at this address (docs/PROTOCOL.md, "Replication"): Open bootstraps
-	// the store from the primary's SNAP snapshots — or, on a durable
+	// the store from the primary's SNAP snapshot — or, on a durable
 	// replica, resumes from <Durable.Dir>/replica.resume — and keeps
-	// streaming the primary's commit logs into it; writes are rejected and
-	// valued reads are lag-gated (Repl.LagBudget).
+	// streaming the primary's commit order into it; writes are rejected
+	// and valued reads are lag-gated (Repl.LagBudget).
 	ReplicaOf string
 	// Repl configures replication roles (docs/PROTOCOL.md, "Replication").
 	Repl ReplOptions
@@ -64,7 +66,7 @@ type Config struct {
 	// idle cap and reaper cadence. See session.go.
 	Txn TxnConfig
 	// Durable enables crash durability (internal/durable) when Dir is
-	// set: per-shard WALs fed at the commit boundary, checkpoints, and
+	// set: the node WAL fed at the commit boundary, checkpoints, and
 	// recovery of the data directory at startup — construction then goes
 	// through Open, which can fail on unreadable or corrupt directories.
 	Durable durable.Options
@@ -86,7 +88,7 @@ const (
 // Config.ReplicaOf may both be set: a primary-and-replica server relays
 // its applied stream downstream (chained replication).
 type ReplOptions struct {
-	// Primary keeps a per-shard commit log and serves REPL/ACK
+	// Primary keeps the node's commit log in memory and serves REPL/ACK
 	// subscriptions from replicas.
 	Primary bool
 	// LagBudget is the estimated catch-up time a replica tolerates before
@@ -95,25 +97,16 @@ type ReplOptions struct {
 	// replica catches up is shed (repl_shed in STATS) — the paper's Def. 2
 	// zero-crossing rule priced on replication lag (repl.LagGate).
 	LagBudget time.Duration
-	// Retain, when nonzero, bounds each in-memory commit log: records
-	// acked by every tracking subscriber are trimmed once the log holds
-	// more than Retain newer ones (with no subscribers, the newest
-	// Retain records are simply kept); joiners bootstrap past trimmed
-	// history via SNAP. Zero means no retention bound: on an in-memory
-	// server the log then grows unboundedly; on a durable server
-	// checkpoints still trim below min(checkpoint index, min acked).
-	Retain uint64
 	// SyncAcks makes a primary semi-synchronous: each committed write
-	// waits (bounded by SyncTimeout) for at least one tracking replica
-	// to acknowledge the shard's log head before the OK is sent, so an
+	// waits (bounded by SyncTimeout) for at least one replica to
+	// acknowledge the log's head position before the OK is sent, so an
 	// acknowledged commit survives the primary's death once any replica
-	// runs. On a shard no subscriber has ever tracked the wait degrades
+	// runs. On a feed that has never had a subscriber the wait degrades
 	// to asynchronous immediately (a lone primary must not stall); once
-	// a shard has been tracked, a vanished subscriber waits out
-	// SyncTimeout instead — a dying replica connection must not
-	// instantly open an unreplicated-ack window. A timeout degrades —
-	// the commit is still acknowledged, and repl_sync_degraded counts
-	// the lapse.
+	// one has subscribed, a vanished subscriber waits out SyncTimeout
+	// instead — a dying replica connection must not instantly open an
+	// unreplicated-ack window. A timeout degrades — the commit is still
+	// acknowledged, and repl_sync_degraded counts the lapse.
 	SyncAcks bool
 	// SyncTimeout bounds each SyncAcks wait (default 5s).
 	SyncTimeout time.Duration
@@ -132,7 +125,6 @@ type Server struct {
 	feedP       atomic.Pointer[repl.Feed]    // non-nil on replication primaries
 	gateP       atomic.Pointer[repl.LagGate] // non-nil on read replicas
 	cluster     *cluster.State               // non-nil on cluster members
-	retain      uint64                       // Repl.Retain, reused by promotion's fresh feed
 	syncAcks    bool
 	syncTimeout time.Duration
 	durable     *durable.Manager // non-nil with a data directory
@@ -152,10 +144,10 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	// Pads Server to 192 bytes. Without it Server is 176 bytes, a size
+	// Pads Server to 192 bytes. Without it Server is 168 bytes, a size
 	// class whose objects do not start on a cache line
 	// (TestServerStartsOnCacheLine).
-	_ [16]byte
+	_ [24]byte
 }
 
 // New returns a server over a fresh sharded store. It cannot fail for
@@ -174,8 +166,8 @@ func New(cfg Config) *Server {
 // what makes recovery clean: the store opens with no commit logs, the
 // durability manager replays checkpoint + WAL suffix through ApplyLocked
 // (nothing re-logs), and only then is each shard's commit-log sink
-// installed — with the replication feed's log bases reset to the
-// recovered indices, so a replica subscribed above the base streams
+// installed — with the replication feed's log base reset to the
+// recovered position, so a replica subscribed above the base streams
 // seamlessly across a primary restart. A cluster member's state exists
 // before the server does, so a primary boots with its commit fence
 // armed; a replica's stream starts last, into the finished server.
@@ -209,9 +201,6 @@ func Open(cfg Config) (*Server, error) {
 	var feed *repl.Feed
 	if cfg.Repl.Primary {
 		feed = repl.NewFeed(cfg.Shards, epochs)
-		if cfg.Repl.Retain > 0 {
-			feed.SetRetention(cfg.Repl.Retain)
-		}
 	}
 	var man *durable.Manager
 	if cfg.Durable.Dir != "" {
@@ -228,7 +217,7 @@ func Open(cfg Config) (*Server, error) {
 		}
 	} else if feed != nil {
 		for i := 0; i < cfg.Shards; i++ {
-			store.Shard(i).SetCommitLog(feed.Log(i))
+			store.Shard(i).SetCommitLog(feed.Sink(i))
 		}
 	}
 	if cfg.Repl.SyncTimeout <= 0 {
@@ -241,7 +230,6 @@ func Open(cfg Config) (*Server, error) {
 		store:       store,
 		adm:         NewAdmission(cfg.Admission),
 		epochs:      epochs,
-		retain:      cfg.Repl.Retain,
 		syncAcks:    cfg.Repl.SyncAcks,
 		syncTimeout: cfg.Repl.SyncTimeout,
 		durable:     man,
@@ -252,7 +240,7 @@ func Open(cfg Config) (*Server, error) {
 	}
 	srv.feedP.Store(feed)
 	if cfg.ReplicaOf != "" {
-		srv.gateP.Store(repl.NewLagGate(cfg.Shards, cfg.Repl.LagBudget, 0))
+		srv.gateP.Store(repl.NewLagGate(cfg.Repl.LagBudget, 0))
 		srv.wiring.replMet = met.replicaMetrics()
 	}
 	if cfg.Cluster.Self != "" {
@@ -564,18 +552,19 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // handleRepl serves the connection-stateful replication verbs. REPL
-// subscribes the connection to one shard's commit log: the reply carries
-// the shard and its current head, then a feeder goroutine pushes every
-// record from the requested index as LOG lines through the connection's
-// response writer (interleaving freely with other responses — LOG lines
-// are push traffic, not replies). ACK records the replica's applied
-// position for the primary's lag accounting. Feeders stop when the
-// connection's reader loop ends (stop) and are awaited like REQ workers.
+// subscribes the connection to the node's commit log: the reply carries
+// the log's head position, then a feeder goroutine pushes every part from
+// the requested position as LOG lines through the connection's response
+// writer (interleaving freely with other responses — LOG lines are push
+// traffic, not replies). ACK records the replica's applied position for
+// the primary's lag accounting, trim floor and semi-sync wait. Feeders
+// stop when the connection's reader loop ends (stop) and are awaited like
+// REQ workers.
 func (s *Server) handleRepl(verb string, args []string, sub **repl.Sub, out chan<- string, stop <-chan struct{}, workers *sync.WaitGroup) {
 	if reply, fenced := s.fencedReplVerb(); fenced {
-		// A deposed primary's logs are frozen history: a joiner must not
-		// bootstrap from them, and the zombie's own replicas must
-		// re-point at the new primary.
+		// A deposed primary's log is frozen history: a joiner must not
+		// bootstrap from it, and the zombie's own replicas must re-point
+		// at the new primary.
 		out <- reply
 		return
 	}
@@ -584,9 +573,13 @@ func (s *Server) handleRepl(verb string, args []string, sub **repl.Sub, out chan
 		out <- "ERR not a replication primary"
 		return
 	}
-	shardIdx, index, err := parseReplArgs(verb, args, feed.Shards())
-	if err != nil {
-		out <- "ERR " + err.Error()
+	if len(args) != 1 {
+		out <- "ERR usage: " + verb + " <position>"
+		return
+	}
+	pos, err := strconv.ParseUint(args[0], 10, 64)
+	if err != nil || (verb == "REPL" && pos == 0) {
+		out <- "ERR bad position " + args[0]
 		return
 	}
 	if verb == "ACK" {
@@ -594,34 +587,33 @@ func (s *Server) handleRepl(verb string, args []string, sub **repl.Sub, out chan
 			out <- "ERR ACK before REPL"
 			return
 		}
-		(*sub).Ack(shardIdx, index)
+		(*sub).Ack(pos)
 		out <- "OK"
 		return
 	}
 	if *sub == nil {
+		// A fresh subscription pins the trim floor at 0 before the base
+		// check, so a base observed below the requested start cannot
+		// advance past it afterwards.
 		*sub = feed.Subscribe()
 	}
-	// Track before the trimmed-base check: tracking pins the shard's trim
-	// floor at this subscriber's acked index, so a base observed to be
-	// below the requested start cannot advance past it afterwards.
-	(*sub).Track(shardIdx)
-	log := feed.Log(shardIdx)
-	if base := log.Base(); index <= base {
-		out <- fmt.Sprintf("ERR log trimmed through %d; SNAP %d to bootstrap, then REPL above it", base, shardIdx)
+	log := feed.Log()
+	if base := log.Base(); pos <= base {
+		out <- fmt.Sprintf("ERR log trimmed through %d; SNAP to bootstrap, then REPL above it", base)
 		return
 	}
-	out <- fmt.Sprintf("OK %d %d", shardIdx, log.Head())
+	(*sub).Ack(pos - 1)
+	out <- "OK " + strconv.FormatUint(log.Head(), 10)
 	workers.Add(1)
 	go func() {
 		defer workers.Done()
-		next := index
 		for {
-			recs, wake, err := log.From(next, 256)
+			recs, wake, err := log.From(pos, 256)
 			if err != nil {
-				// Trimmed past a tracked, streaming subscriber — possible
-				// only if it never acked while the retention window slid
-				// by. The stream cannot resync; tell it to re-bootstrap.
-				out <- fmt.Sprintf("ERR log trimmed through %d; SNAP %d to bootstrap, then REPL above it", log.Base(), shardIdx)
+				// Trimmed past a streaming subscriber — possible only if it
+				// never acked while the retention window slid by. The
+				// stream cannot resync; tell it to re-bootstrap.
+				out <- fmt.Sprintf("ERR log trimmed through %d; SNAP to bootstrap, then REPL above it", log.Base())
 				return
 			}
 			if len(recs) == 0 {
@@ -634,11 +626,11 @@ func (s *Server) handleRepl(verb string, args []string, sub **repl.Sub, out chan
 			}
 			for _, rec := range recs {
 				select {
-				case out <- repl.EncodeLog(shardIdx, rec):
+				case out <- repl.EncodeLog(rec.Shard, rec):
 				case <-stop:
 					return
 				}
-				next = rec.Index + 1
+				pos = rec.Index + 1
 			}
 		}
 	}()
@@ -649,20 +641,20 @@ func (s *Server) handleRepl(verb string, args []string, sub **repl.Sub, out chan
 // integer values this protocol stores, large enough to amortize framing.
 const snapBatch = 256
 
-// handleSnap serves SNAP <shard>: an atomic snapshot of one shard's
-// committed state paired with the commit-log index it corresponds to.
-// The shard is latched for the copy (appends happen under the same
-// latch, so the head read is exact), then released before any line is
-// written. Reply: "OK <shard> <index> <npairs>" followed by
-// ceil(npairs/256) SNAPKV lines. A joining replica installs the pairs,
-// then subscribes with REPL <shard> <index+1> — never touching log
-// records at or below the snapshot index, trimmed or not.
+// handleSnap serves SNAP: an atomic snapshot of the whole store paired
+// with the commit-log position it corresponds to. Every shard is latched,
+// in ascending order, for the copy — appends happen under the same
+// latches, so the cut falls at a record boundary and the position is
+// exact — then released before any line is written. Reply:
+// "OK <position> <epoch> <npairs>" followed by ceil(npairs/256) SNAPKV
+// lines. A joining replica installs the pairs, then subscribes with
+// REPL <position+1> — never touching parts at or below the snapshot
+// position, trimmed or not.
 //
-// On a durable primary the published log head can trail the installed
-// state by the current commit batch (records ship only after their WAL
-// sync), so a snapshot may already contain the effects of records just
-// above <index>. That is harmless: log writes carry absolute values,
-// so the replica re-applying them is idempotent.
+// On a durable primary the feed can trail the installed state by the
+// current commit batch (records ship only after their WAL sync), so the
+// cut's position comes from the durability manager, which numbers records
+// as they are written, and the reply waits for the sync that ships them.
 func (s *Server) handleSnap(args []string, sub **repl.Sub, out chan<- string) {
 	if reply, fenced := s.fencedReplVerb(); fenced {
 		out <- reply
@@ -673,55 +665,47 @@ func (s *Server) handleSnap(args []string, sub **repl.Sub, out chan<- string) {
 		out <- "ERR not a replication primary"
 		return
 	}
-	if len(args) != 1 {
-		out <- "ERR usage: SNAP <shard>"
-		return
-	}
-	shardIdx, err := strconv.Atoi(args[0])
-	if err != nil || shardIdx < 0 || shardIdx >= feed.Shards() {
-		out <- fmt.Sprintf("ERR bad shard %q (have %d shards)", args[0], feed.Shards())
+	if len(args) != 0 {
+		out <- "ERR usage: SNAP"
 		return
 	}
 	if *sub == nil {
 		*sub = feed.Subscribe()
 	}
-	eng := s.store.Shard(shardIdx)
-	log := feed.Log(shardIdx)
+	n := s.store.NumShards()
 	var pairs []string
-	eng.LockCommit()
-	head := log.Head()
-	// The epoch watermark is read under the same latch as the head, so
-	// the pair is one consistent cut: every commit with epoch <= it —
-	// cross-shard commits included — is folded into the snapshot, and the
-	// joiner's apply barrier can treat the watermark as proof when the
-	// stream later delivers only the other participants' parts.
-	epoch := log.LastEpoch()
-	// Pin the shard's trim floor at the snapshot index before the latch
-	// drops: the joiner is about to REPL from head+1, and without a
-	// tracked subscription a background checkpoint could trim past head
-	// in the SNAP-to-REPL window and refuse the very subscription this
-	// snapshot exists to seed. The floor is released when the
+	for i := 0; i < n; i++ {
+		s.store.Shard(i).LockCommit()
+	}
+	pos, epoch := feed.Log().Head(), feed.Log().LastEpoch()
+	if s.durable != nil {
+		pos, epoch = s.durable.Position()
+	}
+	// Pin the trim floor at the snapshot position before the latches
+	// drop: the joiner is about to REPL from pos+1, and nothing may trim
+	// past pos in the SNAP-to-REPL window. The floor is released when the
 	// connection (and with it the Sub) goes away.
-	(*sub).Track(shardIdx)
-	(*sub).Ack(shardIdx, head)
-	eng.RangeLocked(func(k string, v []byte) bool {
-		pairs = append(pairs, k+":"+string(v))
-		return true
-	})
-	eng.UnlockCommit()
+	(*sub).Ack(pos)
+	for i := 0; i < n; i++ {
+		s.store.Shard(i).RangeLocked(func(k string, v []byte) bool {
+			pairs = append(pairs, k+":"+string(v))
+			return true
+		})
+	}
+	for i := 0; i < n; i++ {
+		s.store.Shard(i).UnlockCommit()
+	}
 	// Nothing leaves the server before it is durable: the captured state
-	// can include commits whose WAL sync is still pending (they were
-	// installed under the latch we just held), so force the sync now —
-	// after it, every record the snapshot reflects is on stable storage
-	// and the disown-and-reissue hazard sync-before-ship guards against
-	// cannot pass through SNAP either. (A broken WAL makes this a no-op;
-	// the server is about to fail-stop anyway.)
-	eng.SyncCommitLog()
-	out <- fmt.Sprintf("OK %d %d %d %d", shardIdx, head, epoch, len(pairs))
+	// can include commits whose WAL sync is still pending, so force the
+	// sync now — after it, every record the snapshot reflects is on
+	// stable storage and shipped. (A broken WAL makes this a no-op; the
+	// server is about to fail-stop anyway.)
+	s.store.Shard(0).SyncCommitLog()
+	out <- fmt.Sprintf("OK %d %d %d", pos, epoch, len(pairs))
 	for len(pairs) > 0 {
-		n := min(snapBatch, len(pairs))
-		out <- fmt.Sprintf("SNAPKV %d %s", shardIdx, strings.Join(pairs[:n], " "))
-		pairs = pairs[n:]
+		k := min(snapBatch, len(pairs))
+		out <- "SNAPKV " + strings.Join(pairs[:k], " ")
+		pairs = pairs[k:]
 	}
 }
 
@@ -766,26 +750,6 @@ func (s *Server) handleEvents(args []string, out chan<- string) {
 	for _, e := range events {
 		out <- e.Line()
 	}
-}
-
-// parseReplArgs validates "<shard> <index>" for REPL (from-index) and ACK
-// (applied-index).
-func parseReplArgs(verb string, args []string, shards int) (int, uint64, error) {
-	if len(args) != 2 {
-		if verb == "REPL" {
-			return 0, 0, errors.New("usage: REPL <shard> <from>")
-		}
-		return 0, 0, errors.New("usage: ACK <shard> <index>")
-	}
-	shardIdx, err := strconv.Atoi(args[0])
-	if err != nil || shardIdx < 0 || shardIdx >= shards {
-		return 0, 0, fmt.Errorf("bad shard %q (have %d shards)", args[0], shards)
-	}
-	index, err := strconv.ParseUint(args[1], 10, 64)
-	if err != nil || (verb == "REPL" && index == 0) {
-		return 0, 0, fmt.Errorf("bad index %q", args[1])
-	}
-	return shardIdx, index, nil
 }
 
 // reqJob is one REQ-framed request handed to a connection's worker pool.
@@ -897,11 +861,11 @@ func (s *Server) dispatchVerb(verb string, args []string) string {
 	case "STATS":
 		return s.statsLine()
 	case "HEAD":
-		// Per-shard commit-log heads prefixed by the feed's epoch
-		// watermark, cheap enough to poll: replicas use it out-of-band to
-		// keep their lag estimate honest even while the replication
-		// stream itself is backpressured, and cluster lease probes read
-		// the watermark for caught-up-ness without a REPL subscription.
+		// The feed's epoch watermark and head position, cheap enough to
+		// poll: replicas use it out-of-band to keep their lag estimate
+		// honest even while the replication stream itself is
+		// backpressured, and cluster lease probes read the watermark for
+		// caught-up-ness without a REPL subscription.
 		if reply, fenced := s.fencedReplVerb(); fenced {
 			return reply
 		}
@@ -909,14 +873,7 @@ func (s *Server) dispatchVerb(verb string, args []string) string {
 		if feed == nil {
 			return "ERR not a replication primary"
 		}
-		var b strings.Builder
-		b.WriteString("OK ")
-		b.WriteString(strconv.FormatUint(feed.EpochWatermark(), 10))
-		for _, h := range feed.Heads() {
-			b.WriteByte(' ')
-			b.WriteString(strconv.FormatUint(h, 10))
-		}
-		return b.String()
+		return fmt.Sprintf("OK %d %d", feed.Log().LastEpoch(), feed.Log().Head())
 	case "TOPO":
 		// Topology discovery: role, fencing epoch, best-known primary,
 		// and catch-up position as one k=v line (cluster.TopoReply).
@@ -924,8 +881,8 @@ func (s *Server) dispatchVerb(verb string, args []string) string {
 	case "CKPT":
 		// Operator-triggered checkpoint: capture every shard with records
 		// since its last checkpoint, highest pending-value first, and
-		// trim WAL segments + in-memory log below the new floors. The
-		// reply reports how many shards were captured.
+		// trim WAL segments below the new floors. The reply reports how
+		// many shards were captured.
 		if s.durable == nil {
 			return "ERR durability disabled"
 		}
@@ -1158,32 +1115,22 @@ func (s *Server) execAdmitted(r *request, ops []op, start time.Time) ([]int64, e
 
 // awaitReplicaAcks is the semi-sync wait both commit paths (one-shot and
 // deferred commits in execAdmitted, live-session commits in txnCommit)
-// run between a successful commit and its OK: one tracking replica must
-// ack the log head of every shard ops wrote — which covers this commit's
-// records — before the OK leaves. It returns the time spent: replication
-// latency, not engine service, which callers keep out of the admission
-// queue's per-op estimate.
+// run between a successful commit and its OK: when ops wrote, one
+// replica must ack the log's head position — which is at or past this
+// commit's parts, since its commit boundary has published them — before
+// the OK leaves. It returns the time spent: replication latency, not
+// engine service, which callers keep out of the admission queue's per-op
+// estimate.
 func (s *Server) awaitReplicaAcks(ops []op) time.Duration {
 	feed := s.Feed()
-	if !s.syncAcks || feed == nil {
+	if !s.syncAcks || feed == nil || !slices.ContainsFunc(ops, func(o op) bool { return o.write }) {
 		return 0
 	}
 	t0 := time.Now()
-	seen := make(map[int]bool, len(ops))
-	for _, o := range ops {
-		if !o.write {
-			continue
-		}
-		si := s.store.ShardOf(o.key)
-		if seen[si] {
-			continue
-		}
-		seen[si] = true
-		if err := feed.WaitAcked(si, feed.Log(si).Head(), s.syncTimeout); err != nil {
-			// Degrade to async rather than fail a commit that is locally
-			// durable: the lapse is counted, the OK stands.
-			s.met.syncDegraded.Inc()
-		}
+	if err := feed.WaitAcked(feed.Log().Head(), s.syncTimeout); err != nil {
+		// Degrade to async rather than fail a commit that is locally
+		// durable: the lapse is counted, the OK stands.
+		s.met.syncDegraded.Inc()
 	}
 	return time.Since(t0)
 }

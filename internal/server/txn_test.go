@@ -450,7 +450,7 @@ func TestTxnReplica(t *testing.T) {
 	}
 
 	// Manufacture hopeless lag: BEGIN with a tight value function sheds.
-	rep.replGate().ObserveHead(0, 1_000_000)
+	rep.replGate().ObserveHead(1_000_000)
 	_, err = c.Begin(client.TxOpts{Value: 1e-6, Deadline: time.Millisecond, Gradient: 1e9})
 	if !errors.Is(err, client.ErrShed) {
 		t.Fatalf("lagging BEGIN err = %v, want ErrShed", err)

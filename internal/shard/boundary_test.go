@@ -19,7 +19,7 @@ import (
 type faultLog struct {
 	syncErr        error
 	syncing, stall chan struct{}
-	records, cross atomic.Int64 // appends; those carrying a cross-shard part
+	records, cross atomic.Int64 // appends; those carrying a cross-shard commit
 }
 
 func (l *faultLog) AppendCommit(rec engine.CommitRecord) uint64 {
@@ -60,7 +60,7 @@ func TestCommitBoundaryContract(t *testing.T) {
 		installed []error           // verdict errors of requests that installed
 		rejected  []verdict         // verdicts of requests that failed validation
 		want      map[string]string // committed state afterwards
-		records   int64             // per-shard parts the shape installed
+		records   int64             // log records the shape installed
 		epochs    int64             // two-participant commit epochs the shape minted
 	}
 	set := func(tx Tx, kv ...string) error {
@@ -105,7 +105,7 @@ func TestCommitBoundaryContract(t *testing.T) {
 		good := submit(fresh, 2)
 		close(gate)
 		return outcome{installed: []error{(<-good).err}, rejected: []verdict{<-bad},
-			want: want, records: int64(len(parts)), epochs: int64(len(parts)) - 1}
+			want: want, records: 1, epochs: int64(len(parts)) - 1}
 	}
 	var logs []*faultLog // this subtest's commit logs, one per shard
 	// OCC-BC keeps the flush population exact: no speculative shadow
@@ -173,7 +173,7 @@ func TestCommitBoundaryContract(t *testing.T) {
 		}},
 		{name: "cross-update", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
 			err := s.Update([]string{k0, k1}, func(tx Tx) error { return set(tx, k0, "4", k1, "4") })
-			return outcome{installed: []error{err}, want: map[string]string{k0: "4", k1: "4"}, records: 2, epochs: 1}
+			return outcome{installed: []error{err}, want: map[string]string{k0: "4", k1: "4"}, records: 1, epochs: 1}
 		}},
 		{name: "apply-replicated", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
 			err := s.ApplyReplicated(0, []map[string][]byte{{k0: []byte("5")}, {k0: []byte("6")}})
@@ -181,7 +181,7 @@ func TestCommitBoundaryContract(t *testing.T) {
 		}},
 		{name: "apply-replicated-cross", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
 			err := s.ApplyReplicatedCross([]int{0, 1}, []map[string][]byte{{k0: []byte("7")}, {k1: []byte("7")}})
-			return outcome{installed: []error{err}, want: map[string]string{k0: "7", k1: "7"}, records: 2, epochs: 1}
+			return outcome{installed: []error{err}, want: map[string]string{k0: "7", k1: "7"}, records: 1, epochs: 1}
 		}},
 	}
 	cause := errors.New("injected boundary failure")
@@ -221,17 +221,18 @@ func TestCommitBoundaryContract(t *testing.T) {
 						t.Errorf("%s = %q, want %q (installed, though never acknowledged)", k, got, want)
 					}
 				}
-				// One record per installed part, whoever calls the pipeline
+				// One record per installed commit, whoever calls the pipeline
 				// and whatever fails at the boundary — which adds nothing to
-				// the log. Both parts of a cross-shard commit carry its
-				// participant set, for a durable log to write them as one.
+				// the log. A cross-shard commit reaches the log in one call
+				// carrying its participant set, for a durable log to write it
+				// as one record.
 				var records, cross int64
 				for _, l := range logs {
 					records += l.records.Load()
 					cross += l.cross.Load()
 				}
-				if records != out.records || cross != 2*out.epochs {
-					t.Errorf("records=%d cross-shard parts=%d, want %d/%d", records, cross, out.records, 2*out.epochs)
+				if records != out.records || cross != out.epochs {
+					t.Errorf("records=%d cross-shard records=%d, want %d/%d", records, cross, out.records, out.epochs)
 				}
 			})
 		}

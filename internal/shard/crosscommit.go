@@ -14,10 +14,10 @@
 // commit log (engine.Config.CommitLog) is a single total order.
 //
 // Crash atomicity. A commit whose writes span several shards mints one
-// epoch and hands each participant's commit log its part, all under the
-// latches (engine.InstallCrossLocked); a durable node log writes the
-// parts as one record, so the commit survives a crash whole or not at
-// all. The queue's flush runs through the engine's commit pipeline
+// epoch and hands the whole commit to its lowest participant's commit log
+// in one call, under the latches (engine.InstallCrossLocked); a durable
+// node log writes it as one record, so the commit survives a crash whole
+// or not at all. The queue's flush runs through the engine's commit pipeline
 // (engine/commit.go) like every other install path: verdicts are
 // delivered only after the batch's log sync, and a failure converts
 // every installed verdict of the batch to an error.

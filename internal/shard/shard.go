@@ -451,14 +451,13 @@ func (s *Store) ApplyReplicated(shard int, records []map[string][]byte) error {
 
 // ApplyReplicatedCross installs one replicated cross-shard commit:
 // writes[j] on shard parts[j], parts ascending, every part applied under
-// a single hold of all the participants' latches — the replica-side
-// apply barrier, making the commit visible all-shards-at-once exactly as
-// it committed on the primary. On a durable replica the parts are logged
-// as one record like a native cross-shard commit's (under a locally
-// allocated epoch), so a replica crash mid-apply also recovers
-// all-or-nothing. Records must arrive in per-shard log order; the caller
-// (internal/repl's replica loop) holds them until every participant's
-// part is next in line.
+// a single hold of all the participants' latches, so the commit becomes
+// visible all-shards-at-once exactly as it committed on the primary. On
+// a durable replica the parts are logged as one record like a native
+// cross-shard commit's (under a locally allocated epoch), so a replica
+// crash mid-apply also recovers all-or-nothing. The caller
+// (internal/repl's replica loop) calls it in the primary's commit order,
+// once it has read every part of the record.
 func (s *Store) ApplyReplicatedCross(parts []int, writes []map[string][]byte) error {
 	for j, idx := range parts {
 		if idx < 0 || idx >= len(s.shards) || (j > 0 && idx <= parts[j-1]) {

@@ -14,8 +14,10 @@
 #      restart must still hold every commit acked before the failure.
 #   3. stalled replica — a replica applying with an injected per-install
 #      stall is audited continuously while cross-shard load streams in:
-#      the apply barrier means every replica read shows transfers
-#      all-shards-at-once, so conservation holds mid-catch-up too.
+#      the replica holds a prefix of the primary's one commit order,
+#      applying each cross-shard record whole, so every replica read
+#      shows transfers all-shards-at-once and conservation holds
+#      mid-catch-up too.
 #
 # Round 2 also audits the flight recorder's black-box duty: the failing
 # server must auto-dump its event journal to <data-dir>/flight before
@@ -156,8 +158,8 @@ fi
 # The primary from round 2 keeps serving. The replica applies with a
 # per-install stall, so it lags far behind while cross-shard transfers
 # stream in; every conservation sample taken against it mid-catch-up
-# must balance — the apply barrier forbids a transfer surfacing on one
-# shard before the other.
+# must balance — the replica is always a prefix of the primary's commit
+# order, so no transfer surfaces on one shard before the other.
 RUN_ID=7120
 echo "e2e-chaos: round 3: stalled replica under cross-shard load (run-id $RUN_ID)"
 SCC_FAULT_APPLY_DELAY_MS=2 "$SCRATCH/sccserve" -addr "$REPL_ADDR" -shards 8 \
@@ -195,4 +197,4 @@ done
 "$SCRATCH/sccload" -addr "$REPL_ADDR" -verify-only -run-id "$RUN_ID" \
     -keys "$KEYS" -acked-in "$SCRATCH/acked.repl"
 
-echo "e2e-chaos: PASS (crash-atomic cross-shard commits, sync-gated verdicts, barrier-consistent replica)"
+echo "e2e-chaos: PASS (crash-atomic cross-shard commits, sync-gated verdicts, prefix-consistent replica)"
