@@ -77,12 +77,9 @@ func main() {
 	ops := flag.Int("ops", 200, "transactions per client")
 	keys := flag.Int("keys", 256, "keyspace size for the low/two mixes")
 	mix := flag.String("mix", "low", "workload mix: low | high | two | single")
-	seed := flag.Int64("seed", 1, "base RNG seed")
 	pipeline := flag.Int("pipeline", 0, "transactions kept in flight per connection via REQ/RES pipelining (0 = one blocking round trip per transaction); with -interactive: concurrent sessions per connection")
 	interactive := flag.Bool("interactive", false, "drive each transaction as an interactive TXN session (BEGIN, one round trip per op, COMMIT) instead of a one-shot UPD")
 	think := flag.Duration("think", 0, "with -interactive: client think time before each operation of a session")
-	replicaAddr := flag.String("replica", "", "read-replica address: a fraction of each client's transactions become read-only snapshot reads sent there")
-	replicaReads := flag.Float64("replica-reads", 0.25, "with -replica: fraction of transactions issued read-only against the replica")
 	runIDFlag := flag.Int64("run-id", 0, "key-namespace nonce (0 = derive from the clock); pin it to audit a run across a server restart")
 	verifyOnly := flag.Bool("verify-only", false, "skip the load phase: only re-check conservation over -run-id's keyspace (the kill-and-restart self-check)")
 	expectRecovered := flag.Bool("expect-recovered", false, "fail unless the server's STATS report recovered_index > 0 (assert the server restarted from a data directory)")
@@ -92,7 +89,6 @@ func main() {
 	benchOut := flag.String("bench-out", "", "write the run summary as JSON to this file (the BENCH_<n>.json artifact schema)")
 	matrix := flag.String("matrix", "", "run a scenario-matrix preset (smoke | full) instead of a single load: boots one in-process server per cell (ignoring -addr), drives the grid, audits every cell, and emits one scc-scenario/v1 JSON artifact")
 	matrixOut := flag.String("matrix-out", "", "with -matrix: write the scc-scenario/v1 artifact to this file instead of stdout")
-	cellDuration := flag.Duration("cell-duration", 0, "with -matrix: override each cell's load duration (0 = the preset's own)")
 	eventsMerge := flag.Bool("events-merge", false, "merge the flight-recorder dump files named as positional arguments (from <data-dir>/flight on primary and replicas) into one causal timeline on stdout, grouped by global commit epoch; no load is run")
 	flag.Parse()
 
@@ -103,7 +99,7 @@ func main() {
 		return
 	}
 	if *matrix != "" {
-		if err := runMatrix(*matrix, *cellDuration, *matrixOut); err != nil {
+		if err := runMatrix(*matrix, *matrixOut); err != nil {
 			log.Fatalf("sccload: matrix: %v", err)
 		}
 		return
@@ -163,12 +159,10 @@ func main() {
 				Gradient: t.PenaltyGradient(),
 			}
 		},
-		Pages:        pages,
-		Seed:         *seed,
-		RunID:        runID,
-		TraceEvery:   *traceSample,
-		Replica:      *replicaAddr,
-		ReplicaReads: *replicaReads,
+		Pages:      pages,
+		Seed:       1,
+		RunID:      runID,
+		TraceEvery: *traceSample,
 	})
 
 	framing := "per-round-trip"
@@ -225,13 +219,6 @@ func printSummary(res *loadgen.Result, pool *loadgen.Pool) {
 	if pool.Len() > 1 {
 		fmt.Printf("  failover   redirects followed %d, reconnects %d (primary %s)\n",
 			res.Redirects, res.Reconnects, pool.Primary())
-	}
-	if r := res.Replica; r != nil {
-		fmt.Printf("  replica    reads %d (shed %d, errors %d)", r.Committed, r.Shed, r.Errors)
-		if r.Committed > 0 {
-			fmt.Printf("  p50 %.2fms  p99 %.2fms", r.P50Ms, r.P99Ms)
-		}
-		fmt.Println()
 	}
 	if res.TraceSampled > 0 {
 		fmt.Printf("  traces     sampled %d, carried %d; stage offsets from submit:\n",
@@ -378,8 +365,8 @@ func mergeEvents(paths []string) error {
 // acked-commit ledger, and the merged scc-scenario/v1 artifact lands on
 // stdout or -matrix-out. Cell progress goes to stderr so the artifact
 // stream stays clean.
-func runMatrix(preset string, cellDuration time.Duration, out string) error {
-	art, err := scenario.RunGrid(preset, cellDuration, func(format string, args ...any) {
+func runMatrix(preset, out string) error {
+	art, err := scenario.RunGrid(preset, func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	})
 	if err != nil {

@@ -74,15 +74,11 @@ func main() {
 	mode := flag.String("mode", "scc-2s", "concurrency control per shard: scc-2s | occ-bc")
 	concurrency := flag.Int("concurrency", 64, "admission slots (transactions in the engine at once)")
 	queue := flag.Int("queue", 1024, "admission queue bound; overflow sheds the lowest-value waiter")
-	tenantBudget := flag.Float64("tenant-budget", 0, "per-tenant admitted-value budget in value/sec over a rolling 1s window; requests carrying tenant= from a tenant over budget are shed (0 = off)")
 	replicaOf := flag.String("replica-of", "", "primary address to replicate from; makes this server a read replica")
-	replLagBudget := flag.Duration("repl-lag-budget", 50*time.Millisecond, "replica: estimated catch-up time tolerated before lag-based value shedding")
 	dataDir := flag.String("data-dir", "", "durability directory: node WAL + per-shard checkpoints, recovered on boot (empty = in-memory only)")
 	fsync := flag.String("fsync", "group", "WAL fsync policy: always (per commit) | group (per commit batch: commits queue behind the running fsync and share the next) | off (OS page cache only)")
-	ckptEvery := flag.Int("ckpt-every", 4096, "checkpoint a shard after this many WAL records, highest pending-value shard first (0 = only on the CKPT verb)")
-	txnIdle := flag.Duration("txn-idle", 30*time.Second, "reap interactive TXN sessions with no operation for this long (negative = no idle cap — an abandoned no-deadline session then pins its admission slot; value zero-crossing reaping always runs)")
-	statsEvery := flag.Duration("stats", 0, "log engine stats at this interval (0 = off)")
-	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address serving GET /metrics (Prometheus text exposition of the same registry as the METRICS wire verb) and /debug/pprof (empty = off)")
+	ckptEvery := flag.Int("ckpt-every", 4096, "with -data-dir: checkpoint a shard after this many WAL records, highest pending-value shard first, and trim the WAL below the checkpoints (must be at least 1)")
+	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address serving GET /metrics (Prometheus text exposition of the server's telemetry registry), GET /debug/events (the flight recorder's retained events) and /debug/pprof (empty = off)")
 	logLevel := flag.String("log-level", "info", "structured-log verbosity on stderr: debug | info | warn | error")
 	clusterSelf := flag.String("cluster-self", "", "this node's advertised client address, as peers should dial it; enables the cluster failover monitor (lease heartbeats, elections, fencing epochs)")
 	clusterPeers := flag.String("cluster-peers", "", "comma-separated client addresses of the other cluster members")
@@ -91,6 +87,12 @@ func main() {
 	replSyncTimeout := flag.Duration("repl-sync-timeout", 5*time.Second, "with -repl-sync: longest a verdict waits for a replica ack before degrading to asynchronous")
 	flag.Parse()
 
+	if *dataDir != "" && *ckptEvery < 1 {
+		// Checkpoints are what trim the WAL: without them a durable
+		// server's log grows until the disk fills.
+		fmt.Fprintf(os.Stderr, "sccserve: -ckpt-every %d: must be at least 1 with -data-dir\n", *ckptEvery)
+		os.Exit(2)
+	}
 	lvl, err := parseLogLevel(*logLevel)
 	if err != nil {
 		log.Fatalf("sccserve: %v", err)
@@ -136,13 +138,11 @@ func main() {
 		Admission: server.AdmissionConfig{
 			MaxConcurrent: *concurrency,
 			MaxQueue:      *queue,
-			TenantBudget:  *tenantBudget,
 		},
 		GroupCommit: engine.GroupCommit{Enabled: true},
 		ReplicaOf:   *replicaOf,
 		Repl: server.ReplOptions{
 			Primary:     true,
-			LagBudget:   *replLagBudget,
 			SyncAcks:    *replSync,
 			SyncTimeout: *replSyncTimeout,
 		},
@@ -151,7 +151,6 @@ func main() {
 			Peers: strings.FieldsFunc(*clusterPeers, func(r rune) bool { return r == ',' || r == ' ' }),
 			Lease: *clusterLease,
 		},
-		Txn: server.TxnConfig{MaxIdle: *txnIdle},
 		Durable: durable.Options{
 			Dir:       *dataDir,
 			Fsync:     fsyncPolicy,
@@ -204,19 +203,6 @@ func main() {
 	slog.Info("sccserve: serving", "mode", m.String(), "shards", *shards, "addr", lis.Addr().String(),
 		"replica_of", *replicaOf, "cluster_self", *clusterSelf, "cluster_peers", *clusterPeers,
 		"slots", *concurrency, "queue", *queue)
-
-	if *statsEvery > 0 {
-		go func() {
-			for range time.Tick(*statsEvery) {
-				st := srv.Store().Stats()
-				ad := srv.Admission().Stats()
-				slog.Info("sccserve: stats",
-					"commits", st.TotalCommits(), "fast", st.FastPath, "cross", st.CrossCommits,
-					"restarts", st.Engine.Restarts+st.CrossRestarts, "forks", st.Engine.Forks,
-					"promotions", st.Engine.Promotions, "admitted", ad.Admitted, "shed", ad.Shed, "depth", ad.Depth)
-			}
-		}()
-	}
 
 	// SIGQUIT is the operator's black-box pull: dump the flight
 	// recorder's retained window (to <data-dir>/flight when durable,

@@ -37,8 +37,8 @@ var keptExports = map[string]string{
 		"the randomized schedules in core's fuzz test report a wedge with it",
 	"repro/internal/sim.Kernel.RunUntil": "steps the paper's figure schedules to exact instants: " +
 		"TestFig4DonorFork through TestFig8CommitRuleCase2, TestRunUntil",
-	"repro/internal/server/client.Mux.Put": "Go binding of the PUT verb: TestProtocol and TestMuxBasics check its reply; " +
-		"TestE2EConservation and TestReplicaFailover seed with it",
+	"repro/internal/server/client.Mux.Update": "blocking one-transaction UPD round trip: TestInvalidKeysNeverReachTheWire checks it; " +
+		"TestMetricsExposition, TestReplicaCrossShardAtomicVisibility and TestTxnSpeculationAcrossRoundTrips commit with it",
 	"repro/internal/server/client.Mux.Add": "Go binding of the ADD verb: TestProtocol and TestMuxBasics check its reply; " +
 		"TestReplicationConverges and TestPromoteTakesOver drive commits with it",
 }

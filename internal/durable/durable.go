@@ -18,8 +18,8 @@
 // With a replication feed, the manager also publishes the node's commit
 // order to it: records ship in the log's write order, each once a sync
 // covers it (sync-before-ship). docs/ARCHITECTURE.md places the package
-// in the system; docs/PROTOCOL.md documents the operator surface (CKPT,
-// STATS keys).
+// in the system; docs/PROTOCOL.md documents the operator surface (STATS
+// keys).
 package durable
 
 import (
@@ -51,8 +51,10 @@ type Options struct {
 	// acknowledged).
 	Fsync FsyncPolicy
 	// CkptEvery checkpoints a shard automatically once this many records
-	// accumulate in its WAL since the last checkpoint (0 = only on the
-	// CKPT verb / explicit CheckpointAll).
+	// accumulate in its WAL since the last checkpoint. 0 checkpoints only
+	// when the caller runs CheckpointAll, as tests that drive checkpoints
+	// by hand do; sccserve refuses it, since nothing would then trim the
+	// WAL.
 	CkptEvery int
 	// Metrics, when non-nil, receives durability observations (fsync and
 	// checkpoint latency). All fields must be populated.
@@ -484,8 +486,8 @@ func (m *Manager) plan(keep func(appends int) bool) []*managedShard {
 
 // CheckpointAll checkpoints every shard with records since its last
 // checkpoint (and any that pins the log), highest pending-value first,
-// and returns the shard indices in the order they were captured (the
-// CKPT verb's work list). Shards whose state did not change are skipped.
+// and returns the shard indices in the order they were captured. Shards
+// whose state did not change are skipped.
 func (m *Manager) CheckpointAll() ([]int, error) {
 	return m.checkpoint(m.plan(func(appends int) bool { return appends > 0 }))
 }

@@ -71,10 +71,6 @@ type Result struct {
 	TraceCarried int                 `json:"trace_carried,omitempty"`
 	Stages       map[string]StageRow `json:"stages,omitempty"`
 
-	// Replica accounts the read-replica mix (Config.Replica) apart from
-	// the primary's: reads served are its Committed, lag sheds its Shed.
-	Replica *Result `json:"replica,omitempty"`
-
 	// Acked is each client's acknowledged-commit count, the input of
 	// AuditLedger.
 	Acked Acked `json:"-"`
@@ -183,12 +179,6 @@ func (r *Result) Merge(o *Result) {
 	for name, t := range o.tenants {
 		r.tenant(name).Merge(t)
 	}
-	if o.Replica != nil {
-		if r.Replica == nil {
-			r.Replica = NewResult()
-		}
-		r.Replica.Merge(o.Replica)
-	}
 }
 
 // Finish derives the summary measures from the counters, for a run that
@@ -219,8 +209,5 @@ func (r *Result) Finish(elapsed time.Duration) {
 			ps := s.Percentiles(50, 99)
 			r.Stages[name] = StageRow{N: int(s.N()), P50Ms: ps[0], P99Ms: ps[1]}
 		}
-	}
-	if r.Replica != nil {
-		r.Replica.Finish(elapsed)
 	}
 }

@@ -73,12 +73,6 @@ type Config struct {
 	// every nth transaction, counted across all clients so the sample
 	// spreads over the whole run (0 = off).
 	TraceEvery int
-	// Replica, when set, turns ReplicaReads of each stream's draws into
-	// read-only snapshots of the same access list served by that
-	// replica (one blocking round trip each), exercising its
-	// value-cognizant lag shedding outside the primary's accounting.
-	Replica      string
-	ReplicaReads float64
 }
 
 // run is the state shared by every stream of one Run.
@@ -125,15 +119,9 @@ func Run(cfg Config) (*Result, error) {
 // client runs client w's connection in the configured shape and returns
 // its account.
 func (r *run) client(w int) (*Result, error) {
-	var repl, m *client.Mux
-	var err error
-	if r.Replica != "" {
-		if repl, err = client.DialMux(r.Replica); err != nil {
-			return NewResult(), fmt.Errorf("loadgen: client %d: replica: %w", w, err)
-		}
-		defer repl.Close()
-	}
+	var m *client.Mux
 	if r.Interactive || r.Pipeline > 0 {
+		var err error
 		if m, err = client.DialMux(r.Pool.Primary()); err != nil {
 			return NewResult(), fmt.Errorf("loadgen: client %d: %w", w, err)
 		}
@@ -152,7 +140,7 @@ func (r *run) client(w int) (*Result, error) {
 		if slot < r.Ops%len(streams) {
 			quota++
 		}
-		s := r.stream(w, slot, quota, repl)
+		s := r.stream(w, slot, quota)
 		streams[slot] = s
 		wg.Add(1)
 		go func() {
@@ -182,19 +170,14 @@ type stream struct {
 	w, slot int
 	gen     *workload.Generator
 	rng     *dist.RNG
-	left    int         // transactions still to issue (Ops-bounded runs)
-	repl    *client.Mux // nil without a replica mix
+	left    int // transactions still to issue (Ops-bounded runs)
 	account *Result
 }
 
-func (r *run) stream(w, slot, quota int, repl *client.Mux) *stream {
+func (r *run) stream(w, slot, quota int) *stream {
 	seed := r.Seed + int64(w)*7919 + int64(slot)*104_729
-	s := &stream{run: r, w: w, slot: slot, left: quota, repl: repl, account: NewResult(),
+	return &stream{run: r, w: w, slot: slot, left: quota, account: NewResult(),
 		gen: workload.NewGenerator(r.Workload(seed)), rng: dist.NewRNG(seed*1_000_003 + 17)}
-	if repl != nil {
-		s.account.Replica = NewResult()
-	}
-	return s
 }
 
 // take claims up to n transactions from the stream's share of the run;
@@ -210,23 +193,12 @@ func (s *stream) take(n int) int {
 }
 
 // next draws one transaction and renders it onto the given counter
-// slot (one per in-flight transaction of the client). A draw that falls to the replica mix is served right here and
-// reports ok=false.
-func (s *stream) next(slot int) (ops []client.Op, o client.TxOpts, ok bool) {
+// slot (one per in-flight transaction of the client).
+func (s *stream) next(slot int) client.UpdateReq {
 	t := s.gen.Next()
-	o = s.Opts(t, s.rng)
-	if s.repl != nil && s.rng.Float64() < s.ReplicaReads {
-		reads := make([]client.Op, len(t.Ops))
-		for i, op := range t.Ops {
-			reads[i] = client.Op{Key: PageKey(s.RunID, int(op.Page))}
-		}
-		t0 := time.Now()
-		_, err := s.repl.Update(reads, o)
-		s.account.Replica.Book(o, err, time.Since(t0), "")
-		return nil, o, false
-	}
+	o := s.Opts(t, s.rng)
 	o.Trace = s.TraceEvery > 0 && (s.traceSeq.Add(1)-1)%int64(s.TraceEvery) == 0
-	return Render(t, s.RunID, s.Pages > 0, s.w, slot), o, true
+	return client.UpdateReq{Ops: Render(t, s.RunID, s.Pages > 0, s.w, slot), Opts: o}
 }
 
 // loop is the closed loop all three shapes share: claim a burst of the
@@ -240,9 +212,7 @@ func (s *stream) loop(burst int, issue func([]client.UpdateReq) []client.UpdateR
 	for n := s.take(burst); n > 0; n = s.take(burst) {
 		reqs = reqs[:0]
 		for range n {
-			if ops, o, ok := s.next(s.slot + len(reqs)); ok {
-				reqs = append(reqs, client.UpdateReq{Ops: ops, Opts: o})
-			}
+			reqs = append(reqs, s.next(s.slot+len(reqs)))
 		}
 		outs := issue(reqs)
 		gone := len(outs) < len(reqs)

@@ -129,31 +129,6 @@ func TestWorkerShapes(t *testing.T) {
 	}
 }
 
-// TestReplicaMix sends half the draws as read-only snapshots to the
-// "replica" (the same server here): they are accounted apart from the
-// primary's commits and stay out of the ledger.
-func TestReplicaMix(t *testing.T) {
-	_, addr := startServer(t, server.Config{})
-	for i, interactive := range []bool{false, true} {
-		cfg := testConfig(addr, int64(300+i))
-		cfg.Pipeline, cfg.Interactive = 4, interactive
-		cfg.Replica, cfg.ReplicaReads = addr, 0.5
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := int64(cfg.Clients * cfg.Ops)
-		if res.Replica == nil || res.Replica.Committed == 0 || res.Committed == 0 ||
-			res.Committed+res.Replica.Committed != total || res.Replica.P50Ms <= 0 {
-			t.Fatalf("interactive=%v: primary %d + replica %+v, want %d in all", interactive, res.Committed, res.Replica, total)
-		}
-		c := dial(t, addr)
-		if bad, err := AuditLedger(c, res.Acked, true); err != nil || len(bad) != 0 {
-			t.Errorf("ledger: %v err=%v", bad, err)
-		}
-	}
-}
-
 // TestDurationBound checks the deadline form of the stop condition.
 func TestDurationBound(t *testing.T) {
 	_, addr := startServer(t, server.Config{})

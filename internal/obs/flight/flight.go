@@ -369,8 +369,8 @@ func (r *Recorder) Seq() uint64 {
 }
 
 // Snapshot merges every ring's retained events into one slice ordered
-// by sequence. max > 0 keeps only the newest max events.
-func (r *Recorder) Snapshot(max int) []Event {
+// by sequence.
+func (r *Recorder) Snapshot() []Event {
 	if r == nil {
 		return nil
 	}
@@ -382,9 +382,6 @@ func (r *Recorder) Snapshot(max int) []Event {
 		all = append(all, g.snapshot()...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
-	if max > 0 && len(all) > max {
-		all = all[len(all)-max:]
-	}
 	return all
 }
 
@@ -402,7 +399,7 @@ func (e Event) Line() string {
 //
 // then one Line per event in sequence order.
 func (r *Recorder) WriteTo(w io.Writer, reason string) error {
-	events := r.Snapshot(0)
+	events := r.Snapshot()
 	if _, err := fmt.Fprintf(w, "scc-flight/v1 node=%s reason=%s at=%d events=%d\n",
 		r.Node(), reason, time.Now().UnixNano(), len(events)); err != nil {
 		return err

@@ -36,7 +36,7 @@ func TestSnapshotMergesAcrossRings(t *testing.T) {
 	r.Server().Record("enqueue", 1, -1, 0)
 	r.Shard(1).Record(EvFsync, 0, 1, 7)
 	r.Server().Record("commit", 1, -1, 7)
-	all := r.Snapshot(0)
+	all := r.Snapshot()
 	if len(all) != 3 {
 		t.Fatalf("snapshot has %d events, want 3", len(all))
 	}
@@ -44,9 +44,6 @@ func TestSnapshotMergesAcrossRings(t *testing.T) {
 		if all[i].Seq <= all[i-1].Seq {
 			t.Fatalf("merged snapshot out of order at %d", i)
 		}
-	}
-	if capped := r.Snapshot(2); len(capped) != 2 || capped[0].Name != EvFsync {
-		t.Fatalf("Snapshot(2) = %v, want newest 2 events", capped)
 	}
 }
 
@@ -80,7 +77,7 @@ func TestConcurrentRecordAndDump(t *testing.T) {
 		if err := r.WriteTo(&buf, "test"); err != nil {
 			t.Fatalf("WriteTo: %v", err)
 		}
-		if n := len(r.Snapshot(0)); n > 4*size+size*4+size+size {
+		if n := len(r.Snapshot()); n > 4*size+size*4+size+size {
 			t.Fatalf("snapshot retained %d events, exceeds ring bounds", n)
 		}
 	}
@@ -93,7 +90,7 @@ func TestNilRecorderAndRing(t *testing.T) {
 	r.Server().Record("admit", 1, -1, 0) // must not panic
 	var g *Ring
 	g.Record("admit", 1, -1, 0)
-	if r.Snapshot(0) != nil || r.Seq() != 0 || r.Shard(3) != nil {
+	if r.Snapshot() != nil || r.Seq() != 0 || r.Shard(3) != nil {
 		t.Fatal("nil recorder must be inert")
 	}
 	if p, err := r.DumpDir(t.TempDir(), "x"); err != nil || p != "" {

@@ -8,8 +8,7 @@
 // latencies it measures.
 //
 // The registry renders in Prometheus text exposition format; the server
-// surfaces it over the wire (METRICS verb) and optionally over HTTP
-// (sccserve -metrics-addr). Metric families expose in registration
+// surfaces it over HTTP (sccserve -metrics-addr, GET /metrics). Metric families expose in registration
 // order, labeled series within a family in first-use order, so output
 // is deterministic for the conformance tests. docs/ARCHITECTURE.md
 // ("Observability") describes the design; docs/PROTOCOL.md lists every

@@ -73,11 +73,11 @@ func TestRecordedTraceFeedsFlightRing(t *testing.T) {
 	if tr.String() != "" || tr.Retained() {
 		t.Fatal("retain=false trace must not keep events for the reply token")
 	}
-	if evs := rec.Snapshot(0); len(evs) != 0 {
+	if evs := rec.Snapshot(); len(evs) != 0 {
 		t.Fatalf("flight ring saw %d events before Flush, want 0", len(evs))
 	}
 	tr.Flush()
-	evs := rec.Snapshot(0)
+	evs := rec.Snapshot()
 	if len(evs) != 2 {
 		t.Fatalf("flight ring saw %d events, want 2", len(evs))
 	}
@@ -90,7 +90,7 @@ func TestRecordedTraceFeedsFlightRing(t *testing.T) {
 		t.Fatalf("post-SetEpoch flight event wrong: %+v", evs[1])
 	}
 	tr.Flush() // idempotent: nothing pending
-	if evs := rec.Snapshot(0); len(evs) != 2 {
+	if evs := rec.Snapshot(); len(evs) != 2 {
 		t.Fatalf("re-Flush re-recorded events: %d", len(evs))
 	}
 
@@ -103,7 +103,7 @@ func TestRecordedTraceFeedsFlightRing(t *testing.T) {
 	if len(tr2.Snapshot()) != 1 || !tr2.Retained() {
 		t.Fatal("retain=true trace must keep events across Flush")
 	}
-	if evs := rec.Snapshot(0); len(evs) != 3 {
+	if evs := rec.Snapshot(); len(evs) != 3 {
 		t.Fatalf("flight ring saw %d events, want 3", len(evs))
 	}
 }

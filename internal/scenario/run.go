@@ -414,10 +414,9 @@ func checkOracle(all []pobs, committed int64) error {
 }
 
 // RunGrid runs every cell of the named preset sequentially and assembles
-// the scc-scenario/v1 artifact. cellDuration, when positive, overrides
-// each cell's load duration (the smoke-vs-nightly knob). logf, when
-// non-nil, receives one progress line per cell.
-func RunGrid(preset string, cellDuration time.Duration, logf func(format string, args ...any)) (Artifact, error) {
+// the scc-scenario/v1 artifact. logf, when non-nil, receives one
+// progress line per cell.
+func RunGrid(preset string, logf func(format string, args ...any)) (Artifact, error) {
 	cells, err := Grid(preset)
 	if err != nil {
 		return Artifact{}, err
@@ -427,9 +426,6 @@ func RunGrid(preset string, cellDuration time.Duration, logf func(format string,
 		logf("scenario: GOMAXPROCS=1 — single-core run, latencies and throughput are not comparable to multi-core artifacts")
 	}
 	for _, c := range cells {
-		if cellDuration > 0 {
-			c.Duration = cellDuration
-		}
 		row, err := Run(c)
 		if err != nil {
 			return Artifact{}, err

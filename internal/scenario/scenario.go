@@ -122,8 +122,8 @@ func (c Cell) withDefaults() Cell {
 	}
 	if c.Role == RoleFailover && c.Duration < 2*time.Second {
 		// The kill lands at Duration/2 and the post-kill half must cover
-		// lease expiry, election, and catch-up; shorter cells (e.g. a
-		// grid-wide -cell-duration override) would measure only noise.
+		// lease expiry, election, and catch-up; a shorter cell would
+		// measure only noise.
 		c.Duration = 2 * time.Second
 	}
 	if c.Seed == 0 {

@@ -39,7 +39,7 @@ func TestGridPresetsValidate(t *testing.T) {
 // one-shot uniform cell and one interactive Zipfian cliff cell, each
 // audited for conservation and the acked-commit ledger.
 func TestSmokeGrid(t *testing.T) {
-	art, err := RunGrid("smoke", 400*time.Millisecond, t.Logf)
+	art, err := RunGrid("smoke", t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,19 +107,6 @@ func (m *Mux) Get(key string) (int64, bool, error) {
 	return n, err == nil, err
 }
 
-// Put sets key to n.
-func (m *Mux) Put(key string, n int64) error {
-	if err := checkKey(key); err != nil {
-		return err
-	}
-	resp, err := m.do(fmt.Sprintf("PUT %s %d", key, n))
-	if err != nil {
-		return err
-	}
-	_, err = parse(resp)
-	return err
-}
-
 // Add atomically adds delta to key and returns the new value.
 func (m *Mux) Add(key string, delta int64) (int64, error) {
 	if err := checkKey(key); err != nil {

@@ -398,7 +398,6 @@ func TestInvalidKeysNeverReachTheWire(t *testing.T) {
 	write := func(key string) []Op { return []Op{{Key: key, Delta: 1, Write: true}} }
 	calls := map[string]func(key string) error{
 		"Get":           func(k string) error { _, _, err := m.Get(k); return err },
-		"Put":           func(k string) error { return m.Put(k, 1) },
 		"Add":           func(k string) error { _, err := m.Add(k, 1); return err },
 		"Sum":           func(k string) error { _, err := m.Sum("ok", k); return err },
 		"Update":        func(k string) error { _, err := m.Update(write(k), TxOpts{}); return err },

@@ -390,14 +390,14 @@ func TestFailoverFollowsNewPrimary(t *testing.T) {
 	if topo, _ := cluster.ParseTopoReply(winner.dispatchLine("TOPO")); topo.Role != "primary" || topo.Epoch != 2 {
 		t.Fatalf("winner TOPO = %+v, want the primary at epoch 2", topo)
 	}
-	for _, e := range follower.Flight().Snapshot(0) {
+	for _, e := range follower.Flight().Snapshot() {
 		if e.Name == flight.EvPromote {
 			t.Fatal("both replicas promoted")
 		}
 	}
 
 	// A write made on the winner after the promotion reaches the follower.
-	if got := winner.dispatchLine("PUT follow-check 42"); got != "OK 42" {
+	if got := winner.dispatchLine("ADD follow-check 42"); got != "OK 42" {
 		t.Fatalf("write on the winner = %q", got)
 	}
 	for {

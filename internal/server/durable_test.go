@@ -1,6 +1,6 @@
 // End-to-end durability and snapshot-bootstrap tests: crash recovery
 // through a real server (data directory reopened by a second instance),
-// the CKPT verb and its STATS counters, and the SNAP joiner path —
+// checkpoints and their STATS counters, and the SNAP joiner path —
 // including the equivalence oracle: a replica that joined late via SNAP
 // converges to exactly the state of one that joined the empty primary
 // and streamed its log from position 1.
@@ -134,12 +134,11 @@ func TestServerCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestCKPTVerbAndRecoveryFromCheckpoint: the CKPT verb captures every
-// dirty shard; a restart recovers from checkpoint + WAL suffix; with no
-// subscribers and a zero retention window the in-memory log is trimmed
-// to its head, so a plain replay-from-1 joiner is refused while a SNAP
-// joiner succeeds.
-func TestCKPTVerbAndRecoveryFromCheckpoint(t *testing.T) {
+// TestCheckpointAndRecovery: CheckpointAll captures every dirty shard; a
+// restart recovers from checkpoint + WAL suffix; with no subscribers and
+// a zero retention window the in-memory log is trimmed to its head, so a
+// plain replay-from-1 joiner is refused while a SNAP joiner succeeds.
+func TestCheckpointAndRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		Shards:  2,
@@ -150,11 +149,10 @@ func TestCKPTVerbAndRecoveryFromCheckpoint(t *testing.T) {
 	s1.Feed().Log().SetRetention(0)
 	keys := driveMixedLoad(t, addr1, 6)
 
-	rc := dialRaw(t, addr1)
-	rc.send("CKPT")
-	if got := rc.recv(); got != "OK 2" {
-		t.Fatalf("CKPT = %q, want OK 2 (both shards dirty)", got)
+	if order, err := s1.Durable().CheckpointAll(); err != nil || len(order) != 2 {
+		t.Fatalf("CheckpointAll = %v, %v; want both shards (both dirty)", order, err)
 	}
+	rc := dialRaw(t, addr1)
 	rc.send("STATS")
 	if st := rc.recv(); !strings.Contains(st, "ckpt_count=2") {
 		t.Fatalf("STATS %q lacks ckpt_count=2", st)
@@ -261,14 +259,13 @@ func TestSnapBootstrapEquivalence(t *testing.T) {
 	}
 }
 
-// TestSnapVerbErrors pins the SNAP/CKPT error surface.
+// TestSnapVerbErrors pins the SNAP error surface.
 func TestSnapVerbErrors(t *testing.T) {
 	_, priAddr := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true}})
 	rc := dialRaw(t, priAddr)
 	for in, wantPrefix := range map[string]string{
 		"SNAP x":     "ERR usage: SNAP",
 		"SNAP 0":     "ERR usage: SNAP",
-		"CKPT":       "ERR durability disabled",
 		"REQ 1 SNAP": "RES 1 ERR SNAP requires bare framing",
 	} {
 		rc.send(in)
@@ -405,10 +402,8 @@ func TestDurableReplicaResumeFallsBackToSnapshot(t *testing.T) {
 	// With the replica gone, more load trims the whole log: the persisted
 	// resume point now asks for discarded parts.
 	driveMixedLoad(t, priAddr, 2)
-	rc := dialRaw(t, priAddr)
-	rc.send("CKPT")
-	if got := rc.recv(); !strings.HasPrefix(got, "OK") {
-		t.Fatalf("CKPT = %q", got)
+	if _, err := pri.Durable().CheckpointAll(); err != nil {
+		t.Fatal(err)
 	}
 
 	rep2, repAddr2 := startDurableServer(t, repCfg)

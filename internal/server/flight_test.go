@@ -1,13 +1,11 @@
-// Flight-recorder surfaces: EVENTS wire framing, the always-on feed
+// Flight-recorder surfaces: the /debug/events dump format, the always-on feed
 // (events appear without trace=1), and event-name doc conformance —
 // every name the recorder can emit is normative in docs/PROTOCOL.md and
 // every documented name is one the code can emit.
 package server
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"os"
 	"regexp"
 	"strings"
@@ -34,11 +32,12 @@ func canonicalEventNames() []string {
 	}
 }
 
-// TestEventsWireFraming exercises the verb raw: bare EVENTS answers
-// OK <n> plus exactly n parsable event lines and leaves the connection
-// usable; a cap caps it; bad args and REQ framing are refused.
+// TestEventsWireFraming checks the body GET /debug/events serves
+// (Flight().WriteTo, the same format the fault paths dump): one
+// scc-flight/v1 header, then one seven-field line per retained event,
+// which ParseDump reads back whole.
 func TestEventsWireFraming(t *testing.T) {
-	_, addr := startServer(t, Config{Shards: 2})
+	srv, addr := startServer(t, Config{Shards: 2})
 	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -52,64 +51,31 @@ func TestEventsWireFraming(t *testing.T) {
 	}
 	c.Close()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
+	var b strings.Builder
+	if err := srv.Flight().WriteTo(&b, "http"); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	readLine := func() string {
-		t.Helper()
-		line, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.TrimRight(line, "\r\n")
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if !strings.HasPrefix(lines[0], "scc-flight/v1 node=") || !strings.Contains(lines[0], " reason=http ") {
+		t.Fatalf("dump header = %q", lines[0])
 	}
-
-	fmt.Fprintf(conn, "EVENTS\n")
-	header := readLine()
-	var n int
-	if _, err := fmt.Sscanf(header, "OK %d", &n); err != nil || n <= 0 {
-		t.Fatalf("EVENTS header = %q (always-on recorder should have events)", header)
-	}
-	for i := 0; i < n; i++ {
-		line := readLine()
+	for _, line := range lines[1:] {
 		fields := strings.Fields(line)
 		if len(fields) != 7 || !strings.HasPrefix(fields[4], "txn=") ||
 			!strings.HasPrefix(fields[5], "shard=") || !strings.HasPrefix(fields[6], "epoch=") {
 			t.Fatalf("malformed event line %q", line)
 		}
 	}
-	fmt.Fprintf(conn, "PING\n")
-	if got := readLine(); got != "OK pong" {
-		t.Fatalf("connection desynced after EVENTS: PING -> %q", got)
-	}
-
-	fmt.Fprintf(conn, "EVENTS 3\n")
-	header = readLine()
-	if _, err := fmt.Sscanf(header, "OK %d", &n); err != nil || n <= 0 || n > 3 {
-		t.Fatalf("EVENTS 3 header = %q, want OK n with 0 < n <= 3", header)
-	}
-	for i := 0; i < n; i++ {
-		readLine()
-	}
-
-	fmt.Fprintf(conn, "EVENTS nope\n")
-	if got := readLine(); !strings.HasPrefix(got, "ERR ") {
-		t.Fatalf("EVENTS nope -> %q, want ERR", got)
-	}
-	fmt.Fprintf(conn, "REQ 9 EVENTS\n")
-	if got := readLine(); !strings.HasPrefix(got, "RES 9 ERR EVENTS requires bare framing") {
-		t.Fatalf("REQ-framed EVENTS -> %q", got)
+	d, err := flight.ParseDump(strings.NewReader(b.String()))
+	if err != nil || len(d.Events) != len(lines)-1 || len(d.Events) == 0 {
+		t.Fatalf("ParseDump read %d of %d events: %v", len(d.Events), len(lines)-1, err)
 	}
 }
 
-// TestClientEvents reads the verb the way a client program would — a
-// dedicated bare-framed connection beside its Mux — and checks the
-// events cover a traced request's lifecycle.
+// TestClientEvents checks that the recorder's merged snapshot covers a
+// traced request's lifecycle.
 func TestClientEvents(t *testing.T) {
-	_, addr := startServer(t, Config{Shards: 2})
+	srv, addr := startServer(t, Config{Shards: 2})
 	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -119,22 +85,14 @@ func TestClientEvents(t *testing.T) {
 		client.TxOpts{Value: 1, Deadline: time.Minute, Trace: true}); err != nil {
 		t.Fatal(err)
 	}
-	lines, err := bareMultiLine(addr, "EVENTS")
-	if err != nil {
-		t.Fatal(err)
+	seen := map[string]bool{}
+	for _, e := range srv.Flight().Snapshot() {
+		seen[e.Name] = true
 	}
-	joined := strings.Join(lines, "\n")
 	for _, stage := range []string{obspkg.StageAdmit, obspkg.StageInstall, obspkg.StageCommit} {
-		if !strings.Contains(joined, " "+stage+" ") {
-			t.Errorf("event journal is missing the traced request's stage %q:\n%s", stage, joined)
+		if !seen[stage] {
+			t.Errorf("event journal is missing the traced request's stage %q", stage)
 		}
-	}
-	capped, err := bareMultiLine(addr, "EVENTS 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(capped) > 2 {
-		t.Errorf("EVENTS 2 returned %d lines", len(capped))
 	}
 }
 
@@ -144,7 +102,7 @@ func TestClientEvents(t *testing.T) {
 // slot, and N untraced requests land at least one full lifecycle in
 // the ring.
 func TestFlightSampling(t *testing.T) {
-	_, addr := startServer(t, Config{Shards: 2})
+	srv, addr := startServer(t, Config{Shards: 2})
 	c, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -159,13 +117,9 @@ func TestFlightSampling(t *testing.T) {
 	}
 	stageLines := func() int {
 		t.Helper()
-		lines, err := bareMultiLine(addr, "EVENTS")
-		if err != nil {
-			t.Fatal(err)
-		}
 		n := 0
-		for _, l := range lines {
-			if strings.Contains(l, " "+obspkg.StageCommit+" ") {
+		for _, e := range srv.Flight().Snapshot() {
+			if e.Name == obspkg.StageCommit {
 				n++
 			}
 		}

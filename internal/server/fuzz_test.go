@@ -15,7 +15,7 @@ func FuzzDispatch(f *testing.F) {
 	for _, seed := range []string{
 		"PING",
 		"GET a",
-		"PUT a 5",
+		"ADD a 5",
 		"ADD a -3",
 		"UPD v=2 dl=50 grad=0.1 r:a w:b:7",
 		"UPD w:a:1 w:b:-1",
@@ -25,7 +25,7 @@ func FuzzDispatch(f *testing.F) {
 		"UPD v=NaN w:a:1",
 		"UPD dl=1e309 w:a:1",
 		"UPD w::1 r: q:x:1",
-		"PUT a 99999999999999999999",
+		"ADD a 99999999999999999999",
 		"GET \x00\xff",
 		"UPD v= dl= grad= w:a:",
 		"TXN BEGIN v=2 dl=50 grad=0.1",

@@ -1,7 +1,7 @@
-// Server-side telemetry: one obs.Registry per Server, exposed over the
-// wire by the METRICS verb (Prometheus text exposition 0.0.4) and, via
-// Server.Metrics, by an operator HTTP endpoint (cmd/sccserve
-// -metrics-addr). Two kinds of series coexist:
+// Server-side telemetry: one obs.Registry per Server, exposed via
+// Server.Metrics as Prometheus text exposition 0.0.4 on an operator HTTP
+// endpoint (cmd/sccserve -metrics-addr, GET /metrics). Two kinds of
+// series coexist:
 //
 //   - Native instruments — latency histograms, lost-value counters —
 //     updated on the hot path. Each observation is one or two uncontended
@@ -42,8 +42,7 @@ import (
 // scc_request_seconds series; anything else shares "other", so a typo
 // storm cannot mint unbounded label values.
 var metricVerbs = []string{
-	"PING", "GET", "PUT", "ADD", "UPD", "SUM", "STATS", "HEAD", "CKPT", "TXN",
-	"TOPO",
+	"PING", "GET", "ADD", "UPD", "SUM", "STATS", "HEAD", "TXN", "TOPO",
 }
 
 // serverMetrics owns the registry and the pre-resolved hot-path series.
@@ -200,7 +199,7 @@ func hasWAL(sn *statSnap) bool    { return sn.s.durable != nil }
 // derived metric family, or both — then both surfaces show the same
 // number, because both call read.
 type statRow struct {
-	key    string // STATS key; "" = METRICS only
+	key    string // STATS key; "" = /metrics only
 	family string // derived metric family; "" = STATS only
 	help   string
 	gauge  bool                 // family type: gauge, else counter
@@ -232,7 +231,7 @@ func memStats() *runtime.MemStats {
 }
 
 // statRows is the server's one stats listing. Row order is STATS key
-// order and METRICS exposition order; docs/PROTOCOL.md documents both
+// order and exposition order; docs/PROTOCOL.md documents both
 // vocabularies and TestMetricsConformance holds them to it.
 var statRows = []statRow{
 	{key: "shards", family: "scc_shards", help: "Partition count of the backing store.", gauge: true,
@@ -354,7 +353,7 @@ var statRows = []statRow{
 // registerStats bridges statRows into the registry as func-backed
 // series, in row order. Called once from Open, after the server's
 // subsystems exist; exposition samples them live through the same read
-// functions STATS uses, so METRICS and STATS can never disagree about
+// functions STATS uses, so /metrics and STATS can never disagree about
 // what a counter is, only about when it was read.
 func (s *Server) registerStats() {
 	boot := s.snap()
@@ -416,6 +415,6 @@ func (m *serverMetrics) replicaMetrics() *repl.ReplicaMetrics {
 	}
 }
 
-// Metrics exposes the server's telemetry registry (the METRICS verb's
-// source; operator binaries mount it on an HTTP endpoint).
+// Metrics exposes the server's telemetry registry (operator binaries
+// mount it on an HTTP endpoint).
 func (s *Server) Metrics() *obs.Registry { return s.met.reg }

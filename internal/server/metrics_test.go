@@ -1,14 +1,12 @@
 // Telemetry tests: exposition format, the value-conservation ledger,
-// METRICS wire framing, lifecycle traces, doc conformance, and a
-// concurrency stress run for the registry (raced by `make e2e`).
+// lifecycle traces, doc conformance, and a concurrency stress run for
+// the registry (raced by `make e2e`).
 package server
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"os"
 	"regexp"
 	"strconv"
@@ -88,11 +86,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	c.Close() // checkStatsTable samples once no connection is open
 
-	lines, err := bareMultiLine(addr, "METRICS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := strings.Join(lines, "\n") + "\n"
+	var b strings.Builder
+	srv.Metrics().Expose(&b)
+	text := b.String()
 	if !strings.HasPrefix(text, "# HELP ") {
 		t.Fatalf("exposition does not open with # HELP: %q", text[:min(len(text), 80)])
 	}
@@ -140,7 +136,7 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("value leak: submitted %v != realized %v + lost %v (diff %v)", sub, real, lost, diff)
 	}
 
-	// STATS and METRICS sample the same counters, row by row.
+	// STATS and the exposition sample the same counters, row by row.
 	checkStatsTable(t, "traffic", srv, "")
 }
 
@@ -193,7 +189,7 @@ func checkStatsTable(t *testing.T, name string, srv *Server, roleKeys string) {
 		}
 		sample, ok := samples[row.family]
 		if !ok {
-			t.Errorf("%s: STATS emits %s but METRICS has no %s", name, row.key, row.family)
+			t.Errorf("%s: STATS emits %s but the exposition has no %s", name, row.key, row.family)
 		} else if want := strconv.FormatInt(int64(sample), 10); got != want {
 			t.Errorf("%s: STATS %s=%s disagrees with %s=%s", name, row.key, got, row.family, want)
 		}
@@ -240,53 +236,12 @@ func TestStatsTableOneSource(t *testing.T) {
 			srv.dispatchLine("TXN R " + id + " a")
 			srv.dispatchLine("TXN " + verdict + " " + id)
 		}
-		if srv.Durable() != nil {
-			srv.dispatchLine("CKPT")
+		if d := srv.Durable(); d != nil {
+			if _, err := d.CheckpointAll(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		checkStatsTable(t, c.name, srv, c.roleKeys)
-	}
-}
-
-// TestMetricsWireFraming exercises the verb's framing rules raw: bare
-// METRICS answers OK <n> plus exactly n lines and leaves the connection
-// usable; REQ-framed METRICS is refused.
-func TestMetricsWireFraming(t *testing.T) {
-	_, addr := startServer(t, Config{Shards: 2})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	readLine := func() string {
-		t.Helper()
-		line, err := r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.TrimRight(line, "\r\n")
-	}
-
-	fmt.Fprintf(conn, "METRICS\n")
-	header := readLine()
-	var n int
-	if _, err := fmt.Sscanf(header, "OK %d", &n); err != nil || n <= 0 {
-		t.Fatalf("METRICS header = %q", header)
-	}
-	last := ""
-	for i := 0; i < n; i++ {
-		last = readLine()
-	}
-	if !strings.HasPrefix(last, "scc_") && !strings.HasPrefix(last, "#") {
-		t.Fatalf("last exposition line looks wrong: %q", last)
-	}
-	fmt.Fprintf(conn, "PING\n")
-	if got := readLine(); got != "OK pong" {
-		t.Fatalf("connection desynced after METRICS: PING -> %q", got)
-	}
-	fmt.Fprintf(conn, "REQ 7 METRICS\n")
-	if got := readLine(); !strings.HasPrefix(got, "RES 7 ERR METRICS requires bare framing") {
-		t.Fatalf("REQ-framed METRICS -> %q", got)
 	}
 }
 
@@ -431,8 +386,8 @@ func TestMetricsConformance(t *testing.T) {
 }
 
 // TestMetricsConcurrentStress hammers the registry from many
-// connections — mixed verbs, traced updates, METRICS scrapes, direct
-// expositions — so `make e2e` (-race -count=2) can catch unsynchronized
+// connections — mixed verbs, traced updates, expositions beside them —
+// so `make e2e` (-race -count=2) can catch unsynchronized
 // instrument access.
 func TestMetricsConcurrentStress(t *testing.T) {
 	srv, addr := startServer(t, Config{
@@ -468,7 +423,8 @@ func TestMetricsConcurrentStress(t *testing.T) {
 				case 3:
 					_, err = c.Stats()
 				case 4:
-					_, err = bareMultiLine(addr, "METRICS")
+					srv.Metrics().Expose(io.Discard)
+					err = c.Ping()
 				}
 				if err != nil {
 					t.Errorf("worker %d op %d: %v", w, i, err)

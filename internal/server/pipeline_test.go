@@ -33,7 +33,7 @@ func TestMuxBasics(t *testing.T) {
 	if err := m.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Put("a", 41); err != nil {
+	if _, err := m.Add("a", 41); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := m.Add("a", 1); err != nil || n != 42 {

@@ -47,39 +47,6 @@ func (rc *rawConn) recv() string {
 	return strings.TrimSpace(resp)
 }
 
-// bareMultiLine sends one bare-framing-only verb (METRICS, EVENTS) on a
-// fresh connection and returns the lines of its "OK <n>" reply. It
-// reports failures as errors, so stress workers can call it.
-func bareMultiLine(addr, req string) ([]string, error) {
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	c.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := fmt.Fprintf(c, "%s\n", req); err != nil {
-		return nil, err
-	}
-	r := bufio.NewReader(c)
-	header, err := r.ReadString('\n')
-	if err != nil {
-		return nil, err
-	}
-	var n int
-	if _, err := fmt.Sscanf(header, "OK %d", &n); err != nil || n < 0 {
-		return nil, fmt.Errorf("%s header = %q", req, header)
-	}
-	lines := make([]string, n)
-	for i := range lines {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			return nil, err
-		}
-		lines[i] = strings.TrimRight(line, "\r\n")
-	}
-	return lines, nil
-}
-
 // TestProtocolConformance covers every verb's happy path and the error
 // surface, with exact responses where the protocol pins them down.
 func TestProtocolConformance(t *testing.T) {
@@ -106,7 +73,7 @@ func TestProtocolConformance(t *testing.T) {
 	exact("ping", "OK pong") // verbs are case-insensitive
 	exact("  PING  ", "OK pong")
 	exact("GET nope", "NIL")
-	exact("PUT a 5", "OK 5")
+	exact("ADD a 5", "OK 5")
 	exact("GET a", "OK 5")
 	exact("ADD a 2", "OK 7")
 	exact("ADD neg -3", "OK -3")
@@ -124,11 +91,9 @@ func TestProtocolConformance(t *testing.T) {
 		"BOGUS",
 		"GET",
 		"GET a b",
-		"PUT a",
-		"PUT a notanumber",
-		"PUT a 5 6",
 		"ADD a",
 		"ADD a x",
+		"ADD a 5 6",
 		"UPD",
 		"UPD v=1",          // value but no ops
 		"UPD v=x w:a:1",    // bad float
@@ -147,7 +112,6 @@ func TestProtocolConformance(t *testing.T) {
 		// Keys containing ':' are illegal on every verb: they would make
 		// w: ops and the replication LOG encoding ambiguous.
 		"GET a:b",
-		"PUT a:b 1",
 		"ADD a:b 1",
 		"SUM ok a:b",
 		"UPD r:a:b",
@@ -157,6 +121,16 @@ func TestProtocolConformance(t *testing.T) {
 		if got := rc.recv(); !strings.HasPrefix(got, "ERR") {
 			t.Errorf("%-30q -> %q, want ERR...", bad, got)
 		}
+	}
+
+	// Verbs no client or script sent are gone: checkpoints run on the
+	// -ckpt-every cadence, telemetry is served over HTTP (/metrics,
+	// /debug/events), and a blind write is TXN W <k> =<v>.
+	for in, verb := range map[string]string{
+		"CKPT": "CKPT", "METRICS": "METRICS", "EVENTS": "EVENTS", "PUT k 1": "PUT",
+	} {
+		exact(in, "ERR unknown verb "+verb)
+		exact("REQ 1 "+in, "RES 1 ERR unknown verb "+verb)
 	}
 
 	// The connection survived the entire error barrage.
@@ -172,7 +146,7 @@ func TestPipelinedFraming(t *testing.T) {
 
 	// A burst of pipelined requests sent without reading; responses are
 	// correlated by id, order unspecified.
-	rc.send("REQ 1 PUT p 10")
+	rc.send("REQ 1 ADD p 10")
 	rc.send("REQ 2 ADD q 4")
 	rc.send("REQ zebra PING")
 	rc.send("REQ 4 GET missing")
@@ -218,7 +192,7 @@ func TestMixedFraming(t *testing.T) {
 	_, addr := startServer(t, Config{Shards: 4})
 	rc := dialRaw(t, addr)
 
-	rc.send("PUT m 1")
+	rc.send("ADD m 1")
 	rc.send("REQ a ADD m 1")
 	rc.send("PING")
 	rc.send("REQ b PING")
@@ -234,7 +208,7 @@ func TestMixedFraming(t *testing.T) {
 			legacy = append(legacy, resp)
 		}
 	}
-	// Legacy responses, in order: PUT, PING, SUM. The ADD commits at
+	// Legacy responses, in order: ADD, PING, SUM. The ADD commits at
 	// some point between its send and its RES, so SUM sees 1 or 2.
 	if len(legacy) != 3 || legacy[0] != "OK 1" || legacy[1] != "OK pong" ||
 		(legacy[2] != "OK 1" && legacy[2] != "OK 2") {
@@ -255,7 +229,7 @@ func TestOversizedLine(t *testing.T) {
 	_, addr := startServer(t, Config{Shards: 2})
 	rc := dialRaw(t, addr)
 
-	rc.send("REQ 1 PUT big 1")
+	rc.send("REQ 1 ADD big 1")
 	// The write error is ignored: the server stops reading mid-line once
 	// the scanner bound trips and may close the connection while this
 	// write is still draining.

@@ -22,7 +22,7 @@ import (
 func startReplicaPair(t *testing.T, shards int, lagBudget time.Duration) (pri *Server, priAddr string, rep *Server, repAddr string) {
 	t.Helper()
 	pri, priAddr = startServer(t, Config{Shards: shards, Repl: ReplOptions{Primary: true}})
-	rep, repAddr = startServer(t, Config{Shards: shards, ReplicaOf: priAddr, Repl: ReplOptions{LagBudget: lagBudget}})
+	rep, repAddr = startServer(t, Config{Shards: shards, ReplicaOf: priAddr, lagBudget: lagBudget})
 	return pri, priAddr, rep, repAddr
 }
 
@@ -339,7 +339,7 @@ func TestReplicaLagAccounting(t *testing.T) {
 		t.Fatalf("valuable read on lagging replica = %q, want OK", got)
 	}
 	// Writes never belong on a replica.
-	rc.send("PUT x 99")
+	rc.send("ADD x 99")
 	if got := rc.recv(); got != "ERR read-only replica" {
 		t.Fatalf("write on replica = %q", got)
 	}
@@ -434,7 +434,7 @@ func TestReplicaFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("stable", 7); err != nil {
+	if _, err := c.Add("stable", 7); err != nil {
 		t.Fatal(err)
 	}
 	waitCaughtUp(t, pri, rep)
@@ -483,7 +483,7 @@ func TestReplVerbErrors(t *testing.T) {
 
 	// HEAD reports the epoch watermark then the log's head position on a
 	// primary: OK <watermark> <head>.
-	rc.send("PUT headkey 1")
+	rc.send("ADD headkey 1")
 	rc.recv()
 	rc.send("HEAD")
 	if got := rc.recv(); got != "OK 1 1" {

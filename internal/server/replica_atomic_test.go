@@ -38,10 +38,10 @@ func TestReplicaCrossShardAtomicVisibility(t *testing.T) {
 	defer rc.Close()
 
 	// Seed both keys and let the replica see the baseline.
-	if err := pc.Put(k0, 100); err != nil {
+	if _, err := pc.Add(k0, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := pc.Put(k1, 100); err != nil {
+	if _, err := pc.Add(k1, 100); err != nil {
 		t.Fatal(err)
 	}
 	waitCaughtUp(t, pri, rep)

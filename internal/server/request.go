@@ -1,5 +1,5 @@
 // The request ledger. Every unit of client work that carries a value
-// function — a one-shot PUT/ADD/UPD or an interactive TXN session — is
+// function — a one-shot ADD/UPD or an interactive TXN session — is
 // one request: begin admits it (or refuses it), finish delivers its
 // verdict, and between the two calls lies either one execAdmitted call
 // (one-shot verbs) or a session's round trips. The value-conservation

@@ -51,7 +51,7 @@ func TestSessionLedgerSurvivesSlowAdmission(t *testing.T) {
 		t.Run(exit, func(t *testing.T) {
 			cfg := Config{Shards: 2, Admission: AdmissionConfig{MaxConcurrent: 1}}
 			if exit == "reap" {
-				cfg.Txn = TxnConfig{MaxIdle: 10 * time.Millisecond}
+				cfg.txnIdle = 10 * time.Millisecond
 			}
 			srv, _ := startServer(t, cfg)
 			// Hold the only slot so BEGIN queues.
@@ -95,7 +95,7 @@ func TestSessionLedgerSurvivesSlowAdmission(t *testing.T) {
 // session that ends — committed, aborted, or reaped by the idle cap —
 // so its count equals txn_committed + txn_aborted + txn_reaped.
 func TestSessionOpsCountsEveryExit(t *testing.T) {
-	srv, _ := startServer(t, Config{Shards: 2, Txn: TxnConfig{MaxIdle: 100 * time.Millisecond}})
+	srv, _ := startServer(t, Config{Shards: 2, txnIdle: 100 * time.Millisecond})
 	for _, exit := range []string{"COMMIT", "ABORT", "reap"} {
 		id := strings.TrimPrefix(srv.dispatchLine("TXN BEGIN"), "OK ")
 		if got := srv.dispatchLine("TXN W " + id + " k 1"); !strings.HasPrefix(got, "OK") {
@@ -259,7 +259,7 @@ func TestSessionWriteFenceRecordsReject(t *testing.T) {
 	id := strings.TrimPrefix(srv.dispatchLine("TXN BEGIN"), "OK ")
 	srv.cluster.Observe(2, "127.0.0.1:9")
 	rejects := func() (n int) {
-		for _, e := range srv.flight.Snapshot(0) {
+		for _, e := range srv.flight.Snapshot() {
 			if e.Name == flight.EvFenceReject {
 				n++
 			}

@@ -3,7 +3,7 @@
 // paper's Def. 2 value functions; when the engine is saturated, waiters
 // are dispatched by Def. 7 expected value and shed past their
 // zero-crossing, and cross-shard retries re-enter the same queue. The
-// protocol is line-oriented (PING/GET/PUT/ADD/UPD/SUM/STATS), optionally
+// protocol is line-oriented (PING/GET/ADD/UPD/SUM/STATS), optionally
 // wrapped in pipelined REQ/RES framing with concurrent dispatch per
 // connection, and extended with REPL/ACK commit-log subscriptions for
 // replication: a primary streams its node's commit order, one log of
@@ -19,7 +19,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -56,20 +55,23 @@ type Config struct {
 	// the store from the primary's SNAP snapshot — or, on a durable
 	// replica, resumes from <Durable.Dir>/replica.resume — and keeps
 	// streaming the primary's commit order into it; writes are rejected
-	// and valued reads are lag-gated (Repl.LagBudget).
+	// and valued reads are lag-gated (replLagBudget).
 	ReplicaOf string
 	// Repl configures replication roles (docs/PROTOCOL.md, "Replication").
 	Repl ReplOptions
 	// Cluster makes the server a member of a failover cluster (cluster.go).
 	Cluster ClusterConfig
-	// Txn configures interactive transaction sessions (the TXN verbs):
-	// idle cap and reaper cadence. See session.go.
-	Txn TxnConfig
 	// Durable enables crash durability (internal/durable) when Dir is
 	// set: the node WAL fed at the commit boundary, checkpoints, and
 	// recovery of the data directory at startup — construction then goes
 	// through Open, which can fail on unreadable or corrupt directories.
 	Durable durable.Options
+
+	// In-package tests override two production constants through these;
+	// zero keeps the constant. lagBudget replaces replLagBudget; txnIdle
+	// replaces txnMaxIdle, and a negative txnIdle disables the idle cap.
+	lagBudget time.Duration
+	txnIdle   time.Duration
 }
 
 const (
@@ -82,6 +84,12 @@ const (
 	// Dense enough that the ring always holds recent full lifecycles,
 	// sparse enough that the median request pays nothing for it.
 	flightSample = 8
+	// replLagBudget is the estimated catch-up time a replica tolerates
+	// before lag-based value shedding: past it, a read-only transaction
+	// whose value function would cross zero before the replica catches up
+	// is shed (repl_shed in STATS) — the paper's Def. 2 zero-crossing rule
+	// priced on replication lag (repl.LagGate).
+	replLagBudget = 50 * time.Millisecond
 )
 
 // ReplOptions tunes a server's replication roles. Primary and
@@ -91,12 +99,6 @@ type ReplOptions struct {
 	// Primary keeps the node's commit log in memory and serves REPL/ACK
 	// subscriptions from replicas.
 	Primary bool
-	// LagBudget is the estimated catch-up time a replica tolerates before
-	// lag-based value shedding (default 50ms): past it, a read-only
-	// transaction whose value function would cross zero before the
-	// replica catches up is shed (repl_shed in STATS) — the paper's Def. 2
-	// zero-crossing rule priced on replication lag (repl.LagGate).
-	LagBudget time.Duration
 	// SyncAcks makes a primary semi-synchronous: each committed write
 	// waits (bounded by SyncTimeout) for at least one replica to
 	// acknowledge the log's head position before the OK is sent, so an
@@ -223,8 +225,8 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.Repl.SyncTimeout <= 0 {
 		cfg.Repl.SyncTimeout = 5 * time.Second
 	}
-	if cfg.Repl.LagBudget <= 0 {
-		cfg.Repl.LagBudget = 50 * time.Millisecond
+	if cfg.lagBudget <= 0 {
+		cfg.lagBudget = replLagBudget
 	}
 	srv := &Server{
 		store:       store,
@@ -240,7 +242,7 @@ func Open(cfg Config) (*Server, error) {
 	}
 	srv.feedP.Store(feed)
 	if cfg.ReplicaOf != "" {
-		srv.gateP.Store(repl.NewLagGate(cfg.Repl.LagBudget, 0))
+		srv.gateP.Store(repl.NewLagGate(cfg.lagBudget, 0))
 		srv.wiring.replMet = met.replicaMetrics()
 	}
 	if cfg.Cluster.Self != "" {
@@ -249,7 +251,7 @@ func Open(cfg Config) (*Server, error) {
 			srv.installFence(srv.cluster.Epoch())
 		}
 	}
-	srv.sessions = newSessionTable(srv, cfg.Txn)
+	srv.sessions = newSessionTable(srv, cfg.txnIdle)
 	srv.registerStats()
 	if cfg.ReplicaOf != "" {
 		if err := srv.startReplica(cfg.ReplicaOf); err != nil {
@@ -277,8 +279,8 @@ func (s *Server) Store() *shard.Store { return s.store }
 // Admission exposes the admission queue.
 func (s *Server) Admission() *Admission { return s.adm }
 
-// Flight exposes the always-on flight recorder (EVENTS verb source;
-// operator binaries dump it on fault signals and serve /debug/events).
+// Flight exposes the always-on flight recorder (operator binaries dump
+// it on fault signals and serve /debug/events).
 func (s *Server) Flight() *flight.Recorder { return s.flight }
 
 // Serve accepts connections on lis until Close. Each connection is served
@@ -388,8 +390,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	// All responses funnel through one writer goroutine (it is what keeps
-	// workers off a dead or slow socket, and what REPL/SNAP/METRICS/EVENTS
-	// push through). Its flush rule is the Mux's: on finding the channel
+	// workers off a dead or slow socket, and what REPL and SNAP push
+	// through). Its flush rule is the Mux's: on finding the channel
 	// empty it owes a flush, yields the processor once, drains whatever
 	// was produced meanwhile, then flushes. "Drain what is queued, then
 	// flush" alone almost never batches: a channel send parks the woken
@@ -523,15 +525,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			// so like REPL it needs bare framing; a joiner issues its
 			// SNAPs before subscribing, keeping the stream unambiguous.
 			s.handleSnap(fields[1:], &sub, out)
-		case "METRICS":
-			// Prometheus text exposition spans many lines, so like SNAP it
-			// is bare-framing only: "OK <nlines>" then exactly that many
-			// exposition lines.
-			s.handleMetrics(out)
-		case "EVENTS":
-			// The flight recorder's merged event snapshot spans many
-			// lines, so like METRICS it is bare-framing only.
-			s.handleEvents(fields[1:], out)
 		default:
 			out <- s.dispatch(fields)
 		}
@@ -709,49 +702,6 @@ func (s *Server) handleSnap(args []string, sub **repl.Sub, out chan<- string) {
 	}
 }
 
-// handleMetrics serves the METRICS verb: the server's whole telemetry
-// registry in Prometheus text exposition format 0.0.4, framed for the
-// line protocol as "OK <nlines>" followed by exactly nlines exposition
-// lines. STATS is untouched: its k=v line stays the stable,
-// byte-conservative surface, METRICS the complete one.
-func (s *Server) handleMetrics(out chan<- string) {
-	s.met.requests.Inc()
-	var buf bytes.Buffer
-	s.met.reg.Expose(&buf)
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	out <- "OK " + strconv.Itoa(len(lines))
-	for _, ln := range lines {
-		out <- ln
-	}
-}
-
-// handleEvents serves the EVENTS verb: the flight recorder's rings
-// merged into one sequence-ordered snapshot, framed for the line
-// protocol as "OK <n>" followed by exactly n event lines (the dump
-// line format, docs/PROTOCOL.md "Flight recorder"). An optional
-// argument caps the reply at the newest that many events.
-func (s *Server) handleEvents(args []string, out chan<- string) {
-	s.met.requests.Inc()
-	max := 0
-	if len(args) > 1 {
-		out <- "ERR usage: EVENTS [n]"
-		return
-	}
-	if len(args) == 1 {
-		n, err := strconv.Atoi(args[0])
-		if err != nil || n <= 0 {
-			out <- "ERR bad event cap " + args[0]
-			return
-		}
-		max = n
-	}
-	events := s.flight.Snapshot(max)
-	out <- "OK " + strconv.Itoa(len(events))
-	for _, e := range events {
-		out <- e.Line()
-	}
-}
-
 // reqJob is one REQ-framed request handed to a connection's worker pool.
 type reqJob struct {
 	id     string
@@ -759,10 +709,10 @@ type reqJob struct {
 }
 
 // op is one parsed transactional operation, shared by the one-shot
-// verbs (PUT/ADD/UPD) and interactive TXN sessions: a read dependency
+// verbs (ADD/UPD) and interactive TXN sessions: a read dependency
 // (write false), a read-modify-write adding delta (write true), or a
-// blind overwrite to delta (write and set — PUT and `TXN W ... =<val>`,
-// which skip the read entirely: an empty read set always validates).
+// blind overwrite to delta (write and set — `TXN W ... =<val>`, which
+// skips the read entirely: an empty read set always validates).
 type op struct {
 	key   string
 	delta int64
@@ -806,18 +756,6 @@ func (s *Server) dispatchVerb(verb string, args []string) string {
 			return "NIL"
 		}
 		return "OK " + string(v)
-	case "PUT":
-		if len(args) != 2 {
-			return "ERR usage: PUT <key> <n>"
-		}
-		if !validKey(args[0]) {
-			return "ERR bad key " + args[0]
-		}
-		n, err := strconv.ParseInt(args[1], 10, 64)
-		if err != nil {
-			return "ERR bad number"
-		}
-		return s.runUpdate(opts.T{}, []op{{key: args[0], delta: n, write: true, set: true}})
 	case "ADD":
 		if len(args) != 2 {
 			return "ERR usage: ADD <key> <delta>"
@@ -878,23 +816,10 @@ func (s *Server) dispatchVerb(verb string, args []string) string {
 		// Topology discovery: role, fencing epoch, best-known primary,
 		// and catch-up position as one k=v line (cluster.TopoReply).
 		return s.handleTopo()
-	case "CKPT":
-		// Operator-triggered checkpoint: capture every shard with records
-		// since its last checkpoint, highest pending-value first, and
-		// trim WAL segments below the new floors. The reply reports how
-		// many shards were captured.
-		if s.durable == nil {
-			return "ERR durability disabled"
-		}
-		order, err := s.durable.CheckpointAll()
-		if err != nil {
-			return "ERR checkpoint: " + err.Error()
-		}
-		return "OK " + strconv.Itoa(len(order))
-	case "REPL", "ACK", "SNAP", "METRICS", "EVENTS":
-		// Bare REPL/ACK/SNAP/METRICS/EVENTS are intercepted by serveConn;
-		// reaching dispatch means REQ framing (or the fuzzer), where a
-		// push stream or multi-line reply cannot be correlated.
+	case "REPL", "ACK", "SNAP":
+		// Bare REPL/ACK/SNAP are intercepted by serveConn; reaching
+		// dispatch means REQ framing (or the fuzzer), where a push stream
+		// or multi-line reply cannot be correlated.
 		return "ERR " + verb + " requires bare framing on a dedicated connection"
 	default:
 		return "ERR unknown verb " + verb
@@ -1036,7 +961,7 @@ func (s *Server) handleTXN(args []string) string {
 }
 
 // runUpdate admits, executes, and answers one one-shot transactional
-// update (PUT/ADD/UPD): the request lifecycle (request.go) around one
+// update (ADD/UPD): the request lifecycle (request.go) around one
 // call of the admitted executor interactive session commits share.
 func (s *Server) runUpdate(o opts.T, ops []op) string {
 	write := false

@@ -62,7 +62,7 @@ func TestProtocol(t *testing.T) {
 	if _, ok, err := c.Get("missing"); err != nil || ok {
 		t.Fatalf("Get(missing) = ok=%v err=%v", ok, err)
 	}
-	if err := c.Put("a", 41); err != nil {
+	if _, err := c.Add("a", 41); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := c.Add("a", 1); err != nil || n != 42 {
@@ -120,7 +120,7 @@ func TestProtocolErrors(t *testing.T) {
 	for _, tc := range []struct{ in, wantPrefix string }{
 		{"BOGUS", "ERR"},
 		{"GET", "ERR"},
-		{"PUT a notanumber", "ERR"},
+		{"ADD a notanumber", "ERR"},
 		{"UPD", "ERR"},
 		{"UPD w:a", "ERR"},
 		{"UPD q:a:1", "ERR"},
@@ -186,7 +186,7 @@ func TestE2EConservation(t *testing.T) {
 	}
 	defer seed.Close()
 	for _, k := range keys {
-		if err := seed.Put(k, initial); err != nil {
+		if _, err := seed.Add(k, initial); err != nil {
 			t.Fatal(err)
 		}
 	}

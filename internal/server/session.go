@@ -47,27 +47,17 @@ import (
 	"repro/internal/shard"
 )
 
-// TxnConfig configures interactive transaction sessions. The reaper
-// scans every reapEvery while sessions exist; that interval is fixed.
-type TxnConfig struct {
-	// MaxIdle reaps a session that has seen no operation for this long
+const (
+	// reapEvery is the reaper's scan interval: it notices a session whose
+	// value function crossed zero, or whose idle cap expired, at most this
+	// long after the fact.
+	reapEvery = 25 * time.Millisecond
+	// txnMaxIdle reaps a session that has seen no operation for this long
 	// even while its value function is still positive — a dead client's
 	// leaked session must not pin an admission slot and speculative
-	// engine state forever. Default 30s; negative disables the idle cap
-	// (zero-crossing reaping still runs).
-	MaxIdle time.Duration
-}
-
-// reapEvery is the reaper's scan interval: it notices a session whose
-// value function crossed zero, or whose idle cap expired, at most this
-// long after the fact.
-const reapEvery = 25 * time.Millisecond
-
-func (c *TxnConfig) defaults() {
-	if c.MaxIdle == 0 {
-		c.MaxIdle = 30 * time.Second
-	}
-}
+	// engine state forever. Zero-crossing reaping runs regardless.
+	txnMaxIdle = 30 * time.Second
+)
 
 type sessMode int
 
@@ -123,8 +113,8 @@ type session struct {
 // value-cognizant reaper, and bounded tombstones so operations on a
 // reaped session answer SHED instead of a confusing "no such txn".
 type sessionTable struct {
-	srv *Server
-	cfg TxnConfig
+	srv     *Server
+	maxIdle time.Duration // txnMaxIdle unless a test overrides it; negative = no idle cap
 
 	mu       sync.Mutex
 	sessions map[uint64]*session
@@ -141,11 +131,13 @@ type sessionTable struct {
 // oldest tombstones fall back to the generic no-such-txn error.
 const maxTombstones = 4096
 
-func newSessionTable(srv *Server, cfg TxnConfig) *sessionTable {
-	cfg.defaults()
+func newSessionTable(srv *Server, maxIdle time.Duration) *sessionTable {
+	if maxIdle == 0 {
+		maxIdle = txnMaxIdle
+	}
 	st := &sessionTable{
 		srv:      srv,
-		cfg:      cfg,
+		maxIdle:  maxIdle,
 		sessions: make(map[uint64]*session),
 		reaped:   make(map[uint64]struct{}),
 		wake:     make(chan struct{}, 1),
@@ -256,7 +248,7 @@ func (st *sessionTable) reapLoop() {
 		for _, ss := range st.snapshot() {
 			ss.mu.Lock()
 			expired := ss.fin == finNone && ss.req.f.At(now) <= 0
-			idle := ss.fin == finNone && st.cfg.MaxIdle > 0 && time.Since(ss.lastOp) > st.cfg.MaxIdle
+			idle := ss.fin == finNone && st.maxIdle > 0 && time.Since(ss.lastOp) > st.maxIdle
 			if !expired && !idle {
 				ss.mu.Unlock()
 				continue

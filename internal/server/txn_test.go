@@ -281,8 +281,8 @@ func TestTxnCrossShardFallback(t *testing.T) {
 // is returned, and txn_reaped counts it.
 func TestTxnReap(t *testing.T) {
 	srv, addr := startServer(t, Config{
-		Shards: 2,
-		Txn:    TxnConfig{MaxIdle: -1},
+		Shards:  2,
+		txnIdle: -1,
 	})
 	rc := dialRaw(t, addr)
 
@@ -337,8 +337,8 @@ func TestTxnReap(t *testing.T) {
 // its value function never declines.
 func TestTxnIdleReap(t *testing.T) {
 	srv, addr := startServer(t, Config{
-		Shards: 2,
-		Txn:    TxnConfig{MaxIdle: 20 * time.Millisecond},
+		Shards:  2,
+		txnIdle: 20 * time.Millisecond,
 	})
 	rc := dialRaw(t, addr)
 	rc.send("TXN BEGIN") // no deadline: only the idle cap can reap it
@@ -425,7 +425,7 @@ func TestTxnReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	if err := pc.Put("rt-k", 42); err != nil {
+	if _, err := pc.Add("rt-k", 42); err != nil {
 		t.Fatal(err)
 	}
 	waitCaughtUp(t, pri, rep)
@@ -532,8 +532,8 @@ func TestTxnClientDo(t *testing.T) {
 // agree without the caller saying anything twice.
 func TestTxnCtxDeadlineMapsToReap(t *testing.T) {
 	srv, addr := startServer(t, Config{
-		Shards: 2,
-		Txn:    TxnConfig{MaxIdle: -1},
+		Shards:  2,
+		txnIdle: -1,
 	})
 	c, err := client.DialMux(addr)
 	if err != nil {
@@ -677,7 +677,7 @@ func TestCloseUnblocksSessions(t *testing.T) {
 	srv, addr := startServer(t, Config{
 		Shards:    2,
 		Admission: AdmissionConfig{MaxConcurrent: 1},
-		Txn:       TxnConfig{MaxIdle: -1}, // no idle cap: only Close can unwedge
+		txnIdle:   -1, // no idle cap: only Close can unwedge
 	})
 	c1, err := client.DialMux(addr)
 	if err != nil {
