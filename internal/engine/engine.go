@@ -119,8 +119,10 @@ type Stats struct {
 	Promotions int64 // speculative shadows that finished the transaction
 	Deferrals  int64 // commits deferred for a higher-value conflicter
 	// CommitBatches counts commit-latch acquisitions spent processing
-	// commit attempts, one per flush of the commit queue — the coalescing
-	// win is Commits/CommitBatches.
+	// commit attempts, one per flush of the commit queue. A flush whose
+	// steps all fail validation counts too, so under contention
+	// Commits/CommitBatches falls below 1 and is not the coalescing win;
+	// Metrics.BatchSize's mean (attempts per flush) is.
 	CommitBatches int64
 }
 
@@ -202,7 +204,6 @@ type txnHandle struct {
 	// guarded by store.mu:
 	opt      *attempt
 	shadow   *attempt
-	writes   map[string][]byte // optimistic shadow's write buffer
 	resolved bool
 	result   any // the committed attempt's stashed result
 	// attempts counts restarts so far: the commit queue's priority.
@@ -224,15 +225,74 @@ type attempt struct {
 	gateAtt *attempt
 
 	aborted chan struct{} // closed under store.mu exactly once
-	reads   map[string]uint64
-	readAt  map[string]int // first-read ordinal per key
-	readSeq int
-	writes  map[string][]byte
+	// keys is every key the attempt has read or written, in first-touch
+	// order; every conflict rule looks a key up in it with find. keys,
+	// inline and index are guarded by store.mu: other transactions' rules
+	// read them under it. inline is the storage of the first len(inline)
+	// keys, so a short transaction allocates none; index is built once the
+	// list passes indexAt keys, so a long one is not scanned quadratically.
+	keys    []txKey
+	inline  [4]txKey
+	index   map[string]int
+	readSeq int // this attempt's goroutine only
 	result  any // written only by this attempt's goroutine via Tx.Stash
 	// committed is set by commitLocked, in the flush that serves this
 	// attempt; tryCommit reads it once the queue has delivered the verdict.
 	committed bool
 	report    chan verdict // speculative shadows only: the one verdict, buffered
+}
+
+// txKey is one key of an attempt's key list, guarded by store.mu. read
+// is set by the first read that did not see the attempt's own write, and
+// fixes ver (the committed version it saw) and readAt (its read ordinal);
+// write is set by the first Set, and val is the buffered value.
+type txKey struct {
+	key    string
+	ver    uint64
+	readAt int
+	val    []byte
+	read   bool
+	write  bool
+}
+
+// indexAt is the key count past which an attempt indexes its key list.
+const indexAt = 8
+
+// find returns key's slot, nil if a has not touched key. The pointer is
+// valid until the next append. Caller holds store.mu.
+func (a *attempt) find(key string) *txKey {
+	if a.index != nil {
+		if i, ok := a.index[key]; ok {
+			return &a.keys[i]
+		}
+		return nil
+	}
+	for i := range a.keys {
+		if a.keys[i].key == key {
+			return &a.keys[i]
+		}
+	}
+	return nil
+}
+
+// slot is find, appending an empty slot on the key's first touch.
+func (a *attempt) slot(key string) *txKey {
+	if k := a.find(key); k != nil {
+		return k
+	}
+	if a.keys == nil {
+		a.keys = a.inline[:0]
+	}
+	a.keys = append(a.keys, txKey{key: key})
+	if a.index != nil {
+		a.index[key] = len(a.keys) - 1
+	} else if len(a.keys) > indexAt {
+		a.index = make(map[string]int, 2*len(a.keys))
+		for i := range a.keys {
+			a.index[a.keys[i].key] = i
+		}
+	}
+	return &a.keys[len(a.keys)-1]
 }
 
 func (a *attempt) abortLocked(s *Store) {
@@ -293,23 +353,19 @@ func (tx *Tx) Get(key string) ([]byte, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, mine := a.writes[key]; mine {
-		// Read-your-writes from the private buffer.
-		out := make([]byte, len(a.writes[key]))
-		copy(out, a.writes[key])
+	k := a.slot(key)
+	if k.write {
+		// Read-your-writes from the private buffer: not a read.
+		out := make([]byte, len(k.val))
+		copy(out, k.val)
 		a.readSeq++
 		return out, nil
 	}
 	v := s.committed[key]
-	if a.reads == nil {
-		a.reads = make(map[string]uint64)
-		a.readAt = make(map[string]int)
+	if !k.read {
+		k.read, k.ver, k.readAt = true, v.ver, a.readSeq
 	}
-	if _, seen := a.reads[key]; !seen {
-		a.reads[key] = v.ver
-		a.readAt[key] = a.readSeq
-	}
-	idx := a.readAt[key]
+	idx := k.readAt
 	a.readSeq++
 
 	// Read Rule: this read conflicts with every in-flight writer of key.
@@ -320,7 +376,7 @@ func (tx *Tx) Get(key string) ([]byte, error) {
 				continue
 			}
 			scanned++
-			if _, wrote := other.writes[key]; wrote {
+			if o := other.opt.find(key); o != nil && o.write {
 				s.forkShadowLocked(a.h, other, idx)
 			}
 		}
@@ -352,11 +408,11 @@ func (tx *Tx) Set(key string, val []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	buf := make([]byte, len(val))
-	copy(buf, val)
-	a.writes[key] = buf
+	k := a.slot(key)
+	k.val = make([]byte, len(val))
+	copy(k.val, val)
+	k.write = true
 	if !a.spec {
-		a.h.writes[key] = buf
 		// Write Rule: in-flight readers of key gain a conflict with us.
 		if s.cfg.Mode == SCC2S {
 			scanned := 0
@@ -365,8 +421,8 @@ func (tx *Tx) Set(key string, val []byte) error {
 					continue
 				}
 				scanned++
-				if at, read := other.opt.readAt[key]; read {
-					s.forkShadowLocked(other, a.h, at)
+				if o := other.opt.find(key); o != nil && o.read {
+					s.forkShadowLocked(other, a.h, o.readAt)
 				}
 			}
 			if met := s.cfg.Metrics; met != nil && scanned > 0 {
@@ -388,7 +444,6 @@ func (s *Store) forkShadowLocked(h, gateOn *txnHandle, gateIdx int) {
 	sh := &attempt{
 		h: h, spec: true, gateIdx: gateIdx, gateOn: gateOn, gateAtt: gateOn.opt,
 		aborted: make(chan struct{}),
-		writes:  make(map[string][]byte),
 		report:  make(chan verdict, 1),
 	}
 	h.shadow = sh
@@ -438,11 +493,7 @@ func (s *Store) UpdateTracedResult(value float64, tr *obs.Trace, fn func(*Tx) er
 	defer close(h.done)
 
 	for attempts := 0; attempts < MaxAttempts; attempts++ {
-		a := &attempt{
-			h:       h,
-			aborted: make(chan struct{}),
-			writes:  make(map[string][]byte),
-		}
+		a := &attempt{h: h, aborted: make(chan struct{})}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -450,7 +501,6 @@ func (s *Store) UpdateTracedResult(value float64, tr *obs.Trace, fn func(*Tx) er
 		}
 		h.opt = a
 		h.shadow = nil
-		h.writes = make(map[string][]byte)
 		h.attempts = attempts
 		if !slices.Contains(s.active, h) {
 			s.active = append(s.active, h)
@@ -591,18 +641,10 @@ func (s *Store) deferForValue(a *attempt) {
 			default:
 			}
 			conflict := false
-			for key := range a.writes {
-				if _, read := other.opt.reads[key]; read {
+			for _, k := range a.keys {
+				if o := other.opt.find(k.key); o != nil && (k.write && o.read || k.read && o.write) {
 					conflict = true
 					break
-				}
-			}
-			if !conflict {
-				for key := range a.reads {
-					if _, wrote := other.writes[key]; wrote {
-						conflict = true
-						break
-					}
 				}
 			}
 			if conflict && (wait == nil || other.value > wait.value) {
@@ -664,9 +706,18 @@ func (s *Store) commitLocked(a *attempt) bool {
 	if h.resolved {
 		return false // another shadow of this transaction already won
 	}
-	if !s.validateLocked(a.reads) {
+	if !s.validateLocked(a) {
 		a.abortLocked(s)
 		return false
+	}
+	var writes map[string][]byte // retained by the commit log
+	for _, k := range a.keys {
+		if k.write {
+			if writes == nil {
+				writes = make(map[string][]byte, len(a.keys))
+			}
+			writes[k.key] = k.val
+		}
 	}
 	h.resolved = true
 	h.result = a.result
@@ -677,18 +728,18 @@ func (s *Store) commitLocked(a *attempt) bool {
 	}
 	// Stamp the epoch the log gave this install before the install stage,
 	// so the flight event carries it too.
-	h.tr.SetEpoch(s.installLocked(CommitRecord{Writes: a.writes, Value: h.value}))
+	h.tr.SetEpoch(s.installLocked(CommitRecord{Writes: writes, Value: h.value}))
 	s.stats.Commits++
 	h.tr.Event(obs.StageInstall)
 	a.committed = true
 	return true
 }
 
-// validateLocked reports whether every read in reads still observes the
+// validateLocked reports whether every read of a still observes the
 // committed version it saw. Caller holds s.mu.
-func (s *Store) validateLocked(reads map[string]uint64) bool {
-	for key, ver := range reads {
-		if s.committed[key].ver != ver {
+func (s *Store) validateLocked(a *attempt) bool {
+	for _, k := range a.keys {
+		if k.read && s.committed[k.key].ver != k.ver {
 			return false
 		}
 	}
@@ -721,15 +772,11 @@ func (s *Store) applyLocked(writes map[string][]byte) {
 		if other.resolved || other.opt == nil {
 			continue
 		}
-		stale := false
 		for key := range writes {
-			if _, read := other.opt.reads[key]; read {
-				stale = true
+			if o := other.opt.find(key); o != nil && o.read {
+				other.opt.abortLocked(s)
 				break
 			}
-		}
-		if stale {
-			other.opt.abortLocked(s)
 		}
 	}
 }
