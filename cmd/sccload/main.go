@@ -39,7 +39,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/loadgen"
 	"repro/internal/model"
 	"repro/internal/obs/flight"
@@ -152,7 +151,7 @@ func main() {
 			}
 			return cfg
 		},
-		Opts: func(t *model.Txn, _ *dist.RNG) client.TxOpts {
+		Opts: func(t *model.Txn) client.TxOpts {
 			return client.TxOpts{
 				Value:    t.Class.Value,
 				Deadline: time.Duration(t.RelDeadline() * float64(time.Second)),

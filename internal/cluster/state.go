@@ -1,27 +1,27 @@
 // Package cluster is the multi-node topology layer: lease-based
-// failover with fencing epochs, and value-cognizant shard placement.
+// failover with fencing epochs over one primary and its replicas.
 //
-// The design extends the paper's economics from admission to topology.
-// Admission decides which transaction deserves a slot by expected
-// value; placement decides which node deserves a shard by the same
-// ranking, using the per-shard pending-value accounting the checkpoint
-// scheduler already maintains. Failover is the liveness half: replicas
-// heartbeat the primary over the same control-connection machinery the
-// lag gate's HEAD polling uses, and when the lease expires the
-// most-caught-up replica promotes itself under a freshly minted
-// *fencing epoch*. Every write path compares fencing epochs, so a
-// zombie primary — alive but deposed — can install nothing that gets
-// acknowledged: its verdicts fail at the commit-boundary fence exactly like
-// a failed WAL sync ("installed but never acknowledged").
+// Replicas heartbeat the primary with the TOPO verb. When a replica's
+// lease expires it runs a leaderless election over the peers it can
+// reach: it ranks every live replica, itself included, by catch-up
+// position (epoch watermark, then applied position, then address
+// ascending) and promotes itself only if it ranks first, under a
+// fencing epoch one above the highest it saw. Every write path compares
+// fencing epochs, so a zombie primary — alive but deposed — can install
+// nothing that gets acknowledged: once it observes a higher epoch it is
+// fenced, and its verdicts fail at the commit-boundary fence exactly
+// like a failed WAL sync ("installed but never acknowledged").
 //
-// The protocol is deliberately not a quorum consensus: with the
-// repository's single-primary chains there is no membership to agree
-// on, only a total order of fencing epochs, and ties (two replicas
-// electing in the same epoch) break deterministically by address. The
-// cost of that simplicity is a documented window: a network-partitioned
-// primary keeps serving reads (never writes that ack) until its first
-// peer probe finds the higher epoch. docs/ARCHITECTURE.md ("Cluster")
-// states the invariants; internal/server enforces them on the wire.
+// The protocol is not a quorum consensus, and the address tiebreak only
+// orders replicas that reach each other. Two replicas cut off from each
+// other and from the primary both mint the same epoch and both promote;
+// State.Observe ignores an equal epoch, so after the partition heals
+// both keep acknowledging writes until a later election mints a higher
+// one. That same-epoch split brain is open (ROADMAP item 12). A
+// network-partitioned primary also keeps serving reads (never writes
+// that ack) until its first peer probe finds a higher epoch.
+// docs/ARCHITECTURE.md ("Cluster") states the invariants;
+// internal/server enforces them on the wire.
 package cluster
 
 import (
@@ -147,8 +147,8 @@ func (s *State) BecomePrimary(epoch uint64) error {
 // wins. If this node was primary, it is deposed to RoleFenced and the
 // return value is true — the caller must dump its flight ring and stop
 // acknowledging. A replica just re-points at the new primary. Equal or
-// lower epochs change nothing (the deterministic same-epoch tiebreak
-// happens at election time, before anyone claims).
+// lower epochs change nothing, so two primaries minted at one epoch both
+// stand (the open split brain in the package comment).
 func (s *State) Observe(epoch uint64, primary string) (deposed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

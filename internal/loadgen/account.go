@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"errors"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -10,16 +9,6 @@ import (
 	"repro/internal/server/opts"
 	"repro/internal/stats"
 )
-
-// TenantRow is one tenant's slice of a run's outcome, as seen from the
-// client side (sheds here are replies to this tenant's tagged requests).
-type TenantRow struct {
-	Name          string  `json:"name"`
-	Requests      int64   `json:"requests"`
-	Committed     int64   `json:"committed"`
-	Shed          int64   `json:"shed"`
-	ValueRealized float64 `json:"value_realized"`
-}
 
 // StageRow is one lifecycle stage's latency contribution, aggregated
 // over the run's sampled trace= timelines: N samples, p50/p99 of the
@@ -62,8 +51,6 @@ type Result struct {
 	Redirects  int64 `json:"redirects_followed,omitempty"`
 	Reconnects int64 `json:"reconnects,omitempty"`
 
-	Tenants []TenantRow `json:"tenants,omitempty"`
-
 	// Stages attributes latency to server-side lifecycle stages from the
 	// sampled trace= timelines; TraceSampled counts transactions issued
 	// with trace=1, TraceCarried the replies that carried a timeline.
@@ -79,14 +66,12 @@ type Result struct {
 	tardiness float64                  // seconds, summed over missed commits
 	lat       *stats.Sample            // committed latencies, ms
 	stages    map[string]*stats.Sample // stage -> offsets from submit, ms
-	tenants   map[string]*Result       // tenant tag -> that tenant's own account
 }
 
 // NewResult returns an empty account. Streams never share one; Run
 // merges theirs when the workers have finished.
 func NewResult() *Result {
-	return &Result{lat: stats.NewSample(0, 0), stages: map[string]*stats.Sample{},
-		tenants: map[string]*Result{}}
+	return &Result{lat: stats.NewSample(0, 0), stages: map[string]*stats.Sample{}}
 }
 
 // realizedValue re-evaluates the request's value function at its
@@ -105,11 +90,6 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // elapsed its observed completion latency, trace the reply's trace=
 // timeline ("" when it carried none — sheds and errors never do).
 func (r *Result) Book(o client.TxOpts, err error, elapsed time.Duration, trace string) {
-	if o.Tenant != "" {
-		sub := o
-		sub.Tenant, sub.Trace = "", false
-		r.tenant(o.Tenant).Book(sub, err, elapsed, "")
-	}
 	r.Requests++
 	r.MaxValue += o.Value
 	if o.Trace {
@@ -147,15 +127,6 @@ func (r *Result) stage(name string) *stats.Sample {
 	return s
 }
 
-func (r *Result) tenant(name string) *Result {
-	t := r.tenants[name]
-	if t == nil {
-		t = NewResult()
-		r.tenants[name] = t
-	}
-	return t
-}
-
 // Merge folds o's counters into r.
 func (r *Result) Merge(o *Result) {
 	r.Requests += o.Requests
@@ -175,9 +146,6 @@ func (r *Result) Merge(o *Result) {
 		for _, x := range s.Raw() {
 			r.stage(name).Add(x)
 		}
-	}
-	for name, t := range o.tenants {
-		r.tenant(name).Merge(t)
 	}
 }
 
@@ -199,10 +167,6 @@ func (r *Result) Finish(elapsed time.Duration) {
 	if r.MaxValue > 0 {
 		r.ValuePct = 100 * r.ValueSum / r.MaxValue
 	}
-	for name, t := range r.tenants {
-		r.Tenants = append(r.Tenants, TenantRow{name, t.Requests, t.Committed, t.Shed, t.ValueSum})
-	}
-	sort.Slice(r.Tenants, func(i, j int) bool { return r.Tenants[i].Name < r.Tenants[j].Name })
 	if len(r.stages) > 0 {
 		r.Stages = make(map[string]StageRow, len(r.stages))
 		for name, s := range r.stages {

@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/model"
 	"repro/internal/server/client"
 	"repro/internal/workload"
@@ -60,9 +59,8 @@ type Config struct {
 	// from the stream's seed; its Think is the interactive think time.
 	Workload func(seed int64) workload.Config
 	// Opts maps a generated transaction to its wire options — the value
-	// function admission orders by and Result.Book re-evaluates — drawing any
-	// randomness (tenant tags) from the stream's own rng.
-	Opts func(t *model.Txn, rng *dist.RNG) client.TxOpts
+	// function admission orders by and Result.Book re-evaluates.
+	Opts func(t *model.Txn) client.TxOpts
 	// Pages is the page span the workload writes and AuditConservation
 	// sums; 0 renders counter-only transactions (one key, one shard —
 	// the single-shard fast path and group commit).
@@ -169,7 +167,6 @@ type stream struct {
 	*run
 	w, slot int
 	gen     *workload.Generator
-	rng     *dist.RNG
 	left    int // transactions still to issue (Ops-bounded runs)
 	account *Result
 }
@@ -177,7 +174,7 @@ type stream struct {
 func (r *run) stream(w, slot, quota int) *stream {
 	seed := r.Seed + int64(w)*7919 + int64(slot)*104_729
 	return &stream{run: r, w: w, slot: slot, left: quota, account: NewResult(),
-		gen: workload.NewGenerator(r.Workload(seed)), rng: dist.NewRNG(seed*1_000_003 + 17)}
+		gen: workload.NewGenerator(r.Workload(seed))}
 }
 
 // take claims up to n transactions from the stream's share of the run;
@@ -196,7 +193,7 @@ func (s *stream) take(n int) int {
 // slot (one per in-flight transaction of the client).
 func (s *stream) next(slot int) client.UpdateReq {
 	t := s.gen.Next()
-	o := s.Opts(t, s.rng)
+	o := s.Opts(t)
 	o.Trace = s.TraceEvery > 0 && (s.traceSeq.Add(1)-1)%int64(s.TraceEvery) == 0
 	return client.UpdateReq{Ops: Render(t, s.RunID, s.Pages > 0, s.w, slot), Opts: o}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/model"
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -69,7 +68,7 @@ func testConfig(addrs string, runID int64) Config {
 			cfg.Think = workload.ThinkTime{Kind: workload.ThinkFixed, Mean: 0.0002}
 			return cfg
 		},
-		Opts: func(t *model.Txn, _ *dist.RNG) client.TxOpts {
+		Opts: func(t *model.Txn) client.TxOpts {
 			return client.TxOpts{Value: t.Class.Value, Deadline: 5 * time.Second}
 		},
 		Pages: testPages,

@@ -44,7 +44,6 @@ const (
 	LossError         = "error"          // transaction failed with an error
 	LossReplicaLag    = "replica_lag"    // replica read shed by the lag gate
 	LossWALError      = "wal_error"      // verdict converted to ERR by a failed WAL sync
-	LossTenantBudget  = "tenant_budget"  // shed because the tenant is over its value budget
 )
 
 // TraceEvent is one timestamped lifecycle stage.

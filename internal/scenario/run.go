@@ -70,7 +70,6 @@ func bootCluster(c Cell) (*cluster, error) {
 		Admission: server.AdmissionConfig{
 			MaxConcurrent: 32,
 			MaxQueue:      4096,
-			TenantBudget:  c.TenantBudget,
 		},
 		GroupCommit: engine.GroupCommit{Enabled: true},
 	}
@@ -182,7 +181,6 @@ func Run(c Cell) (Row, error) {
 		P99Ms:          res.P99Ms,
 		ValueSubmitted: res.MaxValue,
 		ValueRealized:  res.ValueSum,
-		Tenants:        res.Tenants,
 		Stages:         res.Stages,
 		// Zero (and omitted) outside failover cells.
 		PromoteMs: float64(cl.promoteLatency) / float64(time.Millisecond),
@@ -237,7 +235,6 @@ func Run(c Cell) (Row, error) {
 	if err != nil {
 		return Row{}, fmt.Errorf("cell %q: stats: %w", c.Name, err)
 	}
-	row.TenantShed, _ = strconv.ParseInt(row.Server["tenant_shed"], 10, 64) // absent = 0
 	return row, nil
 }
 
@@ -261,8 +258,8 @@ func driveLoad(c Cell, cl *cluster, fam opts.Family) (*loadgen.Result, error) {
 		Pipeline:    c.Sessions,
 		Interactive: c.Interactive,
 		Workload:    c.workloadConfig,
-		Opts: func(t *model.Txn, rng *dist.RNG) client.TxOpts {
-			return client.TxOpts{Value: t.Class.Value, Deadline: c.Deadline, Family: fam, Tenant: c.pickTenant(rng)}
+		Opts: func(t *model.Txn) client.TxOpts {
+			return client.TxOpts{Value: t.Class.Value, Deadline: c.Deadline, Family: fam}
 		},
 		Pages:      c.Keys,
 		Seed:       c.Seed,

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/loadgen"
 	"repro/internal/server/opts"
 	"repro/internal/workload"
@@ -42,14 +41,6 @@ const (
 	// >= form (retries may double-land; lost acked commits still fail).
 	RoleFailover = "primary+replica+failover"
 )
-
-// Tenant is one admission-budget tenant in a cell's traffic mix: Weight
-// is the share of requests tagged tenant=Name (weights are normalized
-// over the cell's tenant list; requests beyond the list are untagged).
-type Tenant struct {
-	Name   string  `json:"name"`
-	Weight float64 `json:"weight"`
-}
 
 // Cell is one point of the scenario matrix. The zero value of most
 // fields means "the default"; withDefaults fills them in.
@@ -74,10 +65,6 @@ type Cell struct {
 	// (WAL + checkpoints in a temp dir), or RolePrimaryReplica (load on
 	// the primary, audits on the caught-up replica).
 	Role string
-	// Tenants tags traffic for per-tenant admission budgets;
-	// TenantBudget is the server's per-tenant value/sec budget (0 = off).
-	Tenants      []Tenant
-	TenantBudget float64
 	// Oracle replays the cell's committed history through the
 	// serializability oracle (internal/history) instead of the
 	// conservation audit: sessions increment a shared sequencer and a
@@ -163,14 +150,6 @@ func (c Cell) validate() error {
 	if _, err := c.family(); err != nil {
 		return err
 	}
-	for _, t := range c.Tenants {
-		if !opts.ValidTenant(t.Name) {
-			return fmt.Errorf("cell %q: bad tenant name %q", c.Name, t.Name)
-		}
-		if t.Weight <= 0 {
-			return fmt.Errorf("cell %q: tenant %q weight %v", c.Name, t.Name, t.Weight)
-		}
-	}
 	if c.Oracle && !c.Interactive {
 		return fmt.Errorf("cell %q: oracle cells must be interactive", c.Name)
 	}
@@ -202,25 +181,6 @@ func (c Cell) workloadConfig(seed int64) workload.Config {
 	return cfg
 }
 
-// pickTenant draws a tenant tag for one request by normalized weight.
-func (c Cell) pickTenant(r *dist.RNG) string {
-	if len(c.Tenants) == 0 {
-		return ""
-	}
-	total := 0.0
-	for _, t := range c.Tenants {
-		total += t.Weight
-	}
-	u := r.Float64() * total
-	for _, t := range c.Tenants {
-		if u < t.Weight {
-			return t.Name
-		}
-		u -= t.Weight
-	}
-	return c.Tenants[len(c.Tenants)-1].Name
-}
-
 // skewLabel renders the cell's key distribution for the artifact row.
 func skewLabel(k workload.KeyDist) string {
 	switch k.Kind {
@@ -233,12 +193,9 @@ func skewLabel(k workload.KeyDist) string {
 	}
 }
 
-// StageRow and TenantRow are the load driver's own row types; the
-// artifact embeds them unchanged.
-type (
-	StageRow  = loadgen.StageRow
-	TenantRow = loadgen.TenantRow
-)
+// StageRow is the load driver's own row type; the artifact embeds it
+// unchanged.
+type StageRow = loadgen.StageRow
 
 // Row is one cell's emitted result.
 type Row struct {
@@ -250,11 +207,10 @@ type Row struct {
 	DurationSec float64 `json:"duration_sec"`
 	Clients     int     `json:"clients"`
 
-	Requests   int64 `json:"requests"`
-	Committed  int64 `json:"committed"`
-	Shed       int64 `json:"shed"`
-	Errors     int64 `json:"errors"`
-	TenantShed int64 `json:"tenant_shed"`
+	Requests  int64 `json:"requests"`
+	Committed int64 `json:"committed"`
+	Shed      int64 `json:"shed"`
+	Errors    int64 `json:"errors"`
 
 	ThroughputTPS float64 `json:"throughput_tps"`
 	P50Ms         float64 `json:"p50_ms"`
@@ -278,8 +234,7 @@ type Row struct {
 	PromoteMs float64 `json:"promote_ms,omitempty"`
 	Redirects int64   `json:"redirects,omitempty"`
 
-	Tenants []TenantRow       `json:"tenants,omitempty"`
-	Server  map[string]string `json:"server_stats,omitempty"`
+	Server map[string]string `json:"server_stats,omitempty"`
 
 	// Stages attributes latency to server-side lifecycle stages from
 	// sampled trace= timelines (stage name -> offset quantiles).
@@ -302,8 +257,7 @@ func Presets() []string { return []string{"smoke", "full"} }
 // "smoke" is the two-cell tier-1 grid (one one-shot uniform cell, one
 // interactive Zipfian cell) kept fast enough for go test ./...; "full"
 // is the nightly matrix: the 3×3 skew × family core plus renewal,
-// think-time, durable, replica, tenant-fairness, oracle, and failover
-// cells.
+// think-time, durable, replica, oracle, and failover cells.
 func Grid(preset string) ([]Cell, error) {
 	switch preset {
 	case "smoke":
@@ -360,12 +314,6 @@ func Grid(preset string) ([]Cell, error) {
 				Name:   "replica-step",
 				Role:   RolePrimaryReplica,
 				Family: "step:0.5",
-			},
-			Cell{
-				Name:         "tenants-fair",
-				Skew:         workload.KeyDist{Kind: workload.KeyZipf, Theta: 0.80},
-				Tenants:      []Tenant{{Name: "hog", Weight: 0.9}, {Name: "light", Weight: 0.1}},
-				TenantBudget: 2000,
 			},
 			Cell{
 				Name:        "oracle-z99",

@@ -8,7 +8,7 @@ import (
 )
 
 // TestGridPresetsValidate keeps every preset cell well-formed without
-// paying to run the nightly grid: names unique, workload/family/tenant
+// paying to run the nightly grid: names unique, workload/family
 // parameters accepted by the same validation Run uses.
 func TestGridPresetsValidate(t *testing.T) {
 	for _, preset := range Presets() {
@@ -68,44 +68,6 @@ func TestSmokeGrid(t *testing.T) {
 		if row.ValueRealized <= 0 || row.ValueRatio <= 0 || row.ValueRatio > 1 {
 			t.Errorf("cell %q: value realized %.2f ratio %.3f", row.Cell, row.ValueRealized, row.ValueRatio)
 		}
-	}
-}
-
-// TestTenantFairness is the end-to-end budget-fairness check: a hog
-// tenant carrying 90% of the traffic against a light tenant at 10%,
-// both over a tight per-tenant budget. The budget must shed the hog
-// (tenant_shed > 0) while the light tenant still realizes value — a hog
-// cannot starve a light tenant to zero.
-func TestTenantFairness(t *testing.T) {
-	row, err := Run(Cell{
-		Name:         "fairness",
-		Skew:         workload.KeyDist{Kind: workload.KeyZipf, Theta: 0.80},
-		Tenants:      []Tenant{{Name: "hog", Weight: 0.9}, {Name: "light", Weight: 0.1}},
-		TenantBudget: 500,
-		Duration:     1200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !row.ConservationOK || !row.LedgerOK {
-		t.Fatalf("audits failed: conservation=%v ledger=%v", row.ConservationOK, row.LedgerOK)
-	}
-	if row.TenantShed == 0 {
-		t.Fatal("server reported no tenant-budget sheds; budget never engaged")
-	}
-	byName := map[string]TenantRow{}
-	for _, tr := range row.Tenants {
-		byName[tr.Name] = tr
-	}
-	hog, light := byName["hog"], byName["light"]
-	if hog.Requests == 0 || light.Requests == 0 {
-		t.Fatalf("tenant traffic missing: hog=%+v light=%+v", hog, light)
-	}
-	if hog.Shed == 0 {
-		t.Errorf("hog tenant was never shed: %+v", hog)
-	}
-	if light.Committed == 0 || light.ValueRealized <= 0 {
-		t.Errorf("light tenant starved: %+v", light)
 	}
 }
 

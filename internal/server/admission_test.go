@@ -169,6 +169,38 @@ func TestReadmitCompetesByExpectedValue(t *testing.T) {
 	a.Release(time.Millisecond, 1)
 }
 
+// TestAdmissionClose pins shutdown: Close sheds a waiter parked behind
+// a held slot, and every later Acquire and Readmit is shed at once. The
+// waiter is parked with enqueueLocked — the step Acquire takes when no
+// slot is free — so the test needs no goroutine and no polling.
+func TestAdmissionClose(t *testing.T) {
+	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1})
+	f := a.FnOf(opts.T{Value: 5, Deadline: 10 * time.Second})
+	if err := a.Acquire(f, 1); err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	w := a.enqueueLocked(f, 1)
+	a.mu.Unlock()
+	if w == nil || a.Stats().Depth != 1 {
+		t.Fatalf("waiter not parked: %+v", a.Stats())
+	}
+
+	a.Close()
+	if err := <-w.grant; !errors.Is(err, ErrShed) {
+		t.Fatalf("parked waiter got %v on Close, want ErrShed", err)
+	}
+	if err := a.Acquire(f, 1); !errors.Is(err, ErrShed) {
+		t.Fatalf("Acquire after Close = %v, want ErrShed", err)
+	}
+	if err := a.Readmit(f, 1); !errors.Is(err, ErrShed) {
+		t.Fatalf("Readmit after Close = %v, want ErrShed", err)
+	}
+	if st := a.Stats(); st.Shed != 3 || st.Depth != 0 || st.Admitted != 1 {
+		t.Errorf("stats = %+v, want Shed 3, Depth 0, Admitted 1", st)
+	}
+}
+
 func waitDepth(t *testing.T, a *Admission, depth int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -191,79 +223,5 @@ func TestAdmissionOpTimeLearning(t *testing.T) {
 	got := a.Stats().OpTime
 	if got < 1.5e-3 || got > 2.5e-3 {
 		t.Errorf("op-time estimate = %v, want ~2ms", got)
-	}
-}
-
-func TestTenantBudgetShedsHogAtDoor(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{MaxConcurrent: 64, TenantBudget: 10})
-	// Two admits of value 5 fill the hog's 10/sec budget exactly.
-	for i := 0; i < 2; i++ {
-		if err := a.AcquireTenant(a.FnOf(opts.T{Value: 5, Deadline: 10 * time.Second}), 1, "hog"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err := a.AcquireTenant(a.FnOf(opts.T{Value: 5, Deadline: 10 * time.Second}), 1, "hog")
-	if !errors.Is(err, ErrTenantShed) {
-		t.Fatalf("over-budget acquire = %v, want ErrTenantShed", err)
-	}
-	if !errors.Is(err, ErrShed) {
-		t.Fatal("ErrTenantShed must wrap ErrShed")
-	}
-	// A light tenant and untagged requests are unaffected.
-	if err := a.AcquireTenant(a.FnOf(opts.T{Value: 5, Deadline: 10 * time.Second}), 1, "light"); err != nil {
-		t.Fatalf("light tenant shed alongside the hog: %v", err)
-	}
-	if err := a.Acquire(a.FnOf(opts.T{Value: 5, Deadline: 10 * time.Second}), 1); err != nil {
-		t.Fatalf("untagged request budget-shed: %v", err)
-	}
-	st := a.Stats()
-	if st.TenantShed != 1 || st.Shed != 1 {
-		t.Errorf("stats = %+v, want TenantShed 1", st)
-	}
-	if st.Tenants != 2 {
-		t.Errorf("tracked tenants = %d, want 2", st.Tenants)
-	}
-}
-
-func TestTenantBudgetRollsOver(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{MaxConcurrent: 4, TenantBudget: 5})
-	if err := a.AcquireTenant(a.FnOf(opts.T{Value: 5, Deadline: 10 * time.Second}), 1, "t"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.AcquireTenant(a.FnOf(opts.T{Value: 5, Deadline: 10 * time.Second}), 1, "t"); !errors.Is(err, ErrTenantShed) {
-		t.Fatalf("budget not enforced: %v", err)
-	}
-	// The window rolls; the tenant earns fresh budget.
-	time.Sleep(tenantWindow + 2*tenantWindow/tenantBuckets)
-	if err := a.AcquireTenant(a.FnOf(opts.T{Value: 5, Deadline: 10 * time.Second}), 1, "t"); err != nil {
-		t.Fatalf("budget did not roll over: %v", err)
-	}
-}
-
-func TestTenantBudgetShedsParkedWaiters(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, TenantBudget: 5})
-	if err := a.Acquire(a.FnOf(opts.T{Value: 1}), 1); err != nil {
-		t.Fatal(err)
-	}
-	// Two hog waiters park behind the held slot, both under budget at
-	// enqueue time. The high-value one is granted first (and its charge
-	// blows the budget); the next dispatch sweep must shed the other.
-	lowDone := make(chan error, 1)
-	go func() { lowDone <- a.AcquireTenant(a.FnOf(opts.T{Value: 3, Deadline: 10 * time.Second}), 1, "hog") }()
-	waitDepth(t, a, 1)
-	highDone := make(chan error, 1)
-	go func() { highDone <- a.AcquireTenant(a.FnOf(opts.T{Value: 100, Deadline: 10 * time.Second}), 1, "hog") }()
-	waitDepth(t, a, 2)
-
-	a.Release(time.Millisecond, 1)
-	if err := <-highDone; err != nil {
-		t.Fatalf("high-value hog waiter = %v, want grant", err)
-	}
-	a.Release(time.Millisecond, 1)
-	if err := <-lowDone; !errors.Is(err, ErrTenantShed) {
-		t.Fatalf("parked over-budget waiter = %v, want ErrTenantShed", err)
-	}
-	if st := a.Stats(); st.TenantShed != 1 {
-		t.Errorf("TenantShed = %d, want 1", st.TenantShed)
 	}
 }

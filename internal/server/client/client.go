@@ -160,9 +160,6 @@ type TxOpts struct {
 	// zero value is the linear decline; opts.FamilyCliff/Step/Renewal
 	// choose the scenario matrix's soft-deadline families.
 	Family opts.Family
-	// Tenant attributes the request to a server-side admission value
-	// budget (the tenant= token); empty means unattributed.
-	Tenant string
 	// Trace asks the server for a lifecycle trace: the verdict reply's
 	// trace= token ("stage:ns,..." offsets from submit) is surfaced by
 	// UpdateResult.Trace and Txn.Trace.
@@ -173,7 +170,7 @@ type TxOpts struct {
 // — the same encoder the server's parser is tested against.
 func (o TxOpts) wire() opts.T {
 	return opts.T{Value: o.Value, Deadline: o.Deadline, Gradient: o.Gradient,
-		Family: o.Family, Tenant: o.Tenant, Trace: o.Trace}
+		Family: o.Family, Trace: o.Trace}
 }
 
 // cutTrace splits a verdict reply body's trailing trace= token (present

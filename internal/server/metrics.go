@@ -113,7 +113,6 @@ func newServerMetrics() *serverMetrics {
 		obs.LossExecution, obs.LossSession, obs.LossAdmissionShed,
 		obs.LossCrossShed, obs.LossConflictAbort, obs.LossClientAbort,
 		obs.LossReap, obs.LossError, obs.LossReplicaLag, obs.LossWALError,
-		obs.LossTenantBudget,
 	} {
 		m.lostByReason[r] = m.lost.With(r)
 	}
@@ -282,8 +281,6 @@ var statRows = []statRow{
 		read: func(sn *statSnap) float64 { return float64(sn.adm().Admitted) }},
 	{key: "shed", family: "scc_admission_shed_total", help: "Transactions refused admission (zero-crossed or evicted).",
 		read: func(sn *statSnap) float64 { return float64(sn.adm().Shed) }},
-	{key: "tenant_shed", family: "scc_admission_tenant_shed_total", help: "Admission sheds caused by per-tenant value budgets.",
-		read: func(sn *statSnap) float64 { return float64(sn.adm().TenantShed) }},
 	{key: "readmits", family: "scc_admission_readmits_total", help: "Cross-shard retries re-entering the admission queue.",
 		read: func(sn *statSnap) float64 { return float64(sn.adm().Readmits) }},
 	{key: "depth", family: "scc_admission_queue_depth", help: "Waiters queued for admission.", gauge: true,

@@ -2,10 +2,9 @@
 // function options. Every valued verb — UPD, TXN BEGIN — carries the
 // same tokens (`v=<f>` worth, `dl=<ms>` relative soft deadline,
 // `grad=<g>` penalty gradient, paper Def. 2, plus `vf=<family>`
-// post-deadline shape and `tenant=<name>` budget attribution), and
-// before this package
-// each of server.go, client.go, and the admission path grew its own
-// parser or encoder for them. Now there is exactly one: the server
+// post-deadline shape), and before this package each of server.go,
+// client.go, and the admission path grew its own parser or encoder for
+// them. Now there is exactly one: the server
 // parses tokens with ParseToken (the single place non-finite floats are
 // rejected), the client renders them with Encode, and the admission
 // queue and the replica lag gate both obtain the resulting value.Fn
@@ -30,7 +29,6 @@ var (
 	ErrBadDeadline = errors.New("bad dl=")
 	ErrBadGradient = errors.New("bad grad=")
 	ErrBadFamily   = errors.New("bad vf=")
-	ErrBadTenant   = errors.New("bad tenant=")
 	ErrBadTrace    = errors.New("bad trace=")
 )
 
@@ -94,27 +92,6 @@ func ParseFamily(s string) (Family, error) {
 	return Family{}, ErrBadFamily
 }
 
-// maxTenantLen bounds the tenant= token; tenant names index server-side
-// budget meters, so an unbounded name would be an unbounded-cardinality
-// map key chosen by the client. (The meter map is still client-
-// influenced; the budget sweeper discards idle meters.)
-const maxTenantLen = 64
-
-// ValidTenant reports whether s is a well-formed tenant name: non-empty,
-// at most 64 bytes, printable ASCII with no space (token-splitting) and
-// no ':' (reserved, mirroring the key syntax).
-func ValidTenant(s string) bool {
-	if len(s) == 0 || len(s) > maxTenantLen {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c <= ' ' || c > '~' || c == ':' {
-			return false
-		}
-	}
-	return true
-}
-
 // T carries one request's value-function options in client-facing units:
 // worth if committed by the deadline, the relative soft deadline, and
 // the value lost per second past it. The zero value means "worth 1, no
@@ -126,9 +103,6 @@ type T struct {
 	// Family is the vf= post-deadline shape; the zero value is the
 	// linear decline.
 	Family Family
-	// Tenant attributes the request to a named tenant for per-tenant
-	// admission value budgets; empty means unattributed.
-	Tenant string
 	// Trace requests a lifecycle trace: the final verdict reply carries a
 	// trace= token with the transaction's stage timeline (docs/PROTOCOL.md,
 	// "Lifecycle traces").
@@ -136,7 +110,7 @@ type T struct {
 }
 
 // ParseToken consumes one option token into o. It reports whether tok
-// was an option token at all (v=/dl=/grad=/vf=/tenant=/trace= prefixed);
+// was an option token at all (v=/dl=/grad=/vf=/trace= prefixed);
 // a recognized token that fails to parse — including any non-finite
 // float and any non-monotone-after-deadline shape — returns the matching
 // ErrBad* error. This is the only place the protocol validates
@@ -170,13 +144,6 @@ func (o *T) ParseToken(tok string) (bool, error) {
 			return true, ErrBadFamily
 		}
 		o.Family = fam
-		return true, nil
-	case strings.HasPrefix(tok, "tenant="):
-		name := tok[7:]
-		if !ValidTenant(name) {
-			return true, ErrBadTenant
-		}
-		o.Tenant = name
 		return true, nil
 	case strings.HasPrefix(tok, "trace="):
 		switch tok[6:] {
@@ -252,10 +219,6 @@ func (o T) Encode(b *strings.Builder) {
 	default:
 		b.WriteString(" vf=")
 		b.WriteString(o.Family.Kind)
-	}
-	if o.Tenant != "" {
-		b.WriteString(" tenant=")
-		b.WriteString(o.Tenant)
 	}
 	if o.Trace {
 		b.WriteString(" trace=1")

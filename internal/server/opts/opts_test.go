@@ -144,19 +144,11 @@ func TestParseFamilyAndTenant(t *testing.T) {
 			t.Errorf("ParseToken(%q) = %v, %v; want true, ErrBadFamily", tok, ok, err)
 		}
 	}
-	// Tenants: names are printable-ASCII tokens without ':' or spaces.
-	for _, tok := range []string{"tenant=acme", "tenant=a", "tenant=Team-7_x.y"} {
+	// tenant= is not an option token; the verbs refuse it as a bad token.
+	for _, tok := range []string{"tenant=acme", "tenant=a:b", "tenant="} {
 		var o T
-		if ok, err := o.ParseToken(tok); !ok || err != nil {
-			t.Errorf("ParseToken(%q) = %v, %v", tok, ok, err)
-		}
-	}
-	for _, tok := range []string{
-		"tenant=", "tenant=a:b", "tenant=a b", "tenant=\x01", "tenant=" + strings.Repeat("x", 65),
-	} {
-		var o T
-		if ok, err := o.ParseToken(tok); !ok || err != ErrBadTenant {
-			t.Errorf("ParseToken(%q) = %v, %v; want true, ErrBadTenant", tok, ok, err)
+		if ok, err := o.ParseToken(tok); ok || err != nil {
+			t.Errorf("ParseToken(%q) = %v, %v; want false, nil", tok, ok, err)
 		}
 	}
 }

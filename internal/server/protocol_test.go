@@ -133,6 +133,13 @@ func TestProtocolConformance(t *testing.T) {
 		exact("REQ 1 "+in, "RES 1 ERR unknown verb "+verb)
 	}
 
+	// tenant= is not an option token: both valued verbs refuse it like
+	// any other stray token.
+	for _, in := range []string{"UPD tenant=acme w:a:1", "TXN BEGIN tenant=acme"} {
+		exact(in, "ERR bad token tenant=acme")
+		exact("REQ 1 "+in, "RES 1 ERR bad token tenant=acme")
+	}
+
 	// The connection survived the entire error barrage.
 	exact("PING", "OK pong")
 }

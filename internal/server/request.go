@@ -92,13 +92,9 @@ func (s *Server) begin(o opts.T, numOps int, write, session bool) (request, stri
 	// no clock read needed.
 	r.tr.EventOff(obs.StageEnqueue, 0)
 	admitStart := time.Now()
-	if err := s.adm.AcquireTenant(r.f, numOps, o.Tenant); err != nil {
-		reason := obs.LossAdmissionShed
-		if errors.Is(err, ErrTenantShed) {
-			reason = obs.LossTenantBudget
-		}
+	if err := s.adm.Acquire(r.f, numOps); err != nil {
 		s.flight.Admission().Record(obs.StageShed, r.id, -1, 0)
-		return r, r.refuse(reason, "SHED")
+		return r, r.refuse(obs.LossAdmissionShed, "SHED")
 	}
 	r.admitAt = time.Now()
 	s.met.admitWait.Observe(int64(r.admitAt.Sub(admitStart)))

@@ -57,16 +57,15 @@ var wireSurface = map[string]wireUse{
 	"verb TXN ABORT":  user("bench/driver.go", "tx.Abort()"),
 
 	// Option tokens (opts.ParseToken) and vf= families (opts.ParseFamily).
-	"token v=":      user("cmd/sccload/main.go", "Value:    t.Class.Value"),
-	"token dl=":     user("cmd/sccload/main.go", "Deadline: time.Duration(t.RelDeadline()"),
-	"token grad=":   user("cmd/sccload/main.go", "Gradient: t.PenaltyGradient()"),
-	"token vf=":     user("internal/scenario/run.go", "Family: fam"),
-	"token tenant=": user("internal/scenario/run.go", "Tenant: c.pickTenant(rng)"),
-	"token trace=":  user("bench/driver.go", "Trace: phases[p].trace"),
-	"vf linear":     user("internal/scenario/scenario.go", `families := []string{"linear"`),
-	"vf cliff":      user("internal/scenario/scenario.go", `Family:      "cliff"`),
-	"vf step":       user("internal/scenario/scenario.go", `"step:0.5"`),
-	"vf renew":      user("internal/scenario/scenario.go", `"renew:4"`),
+	"token v=":     user("cmd/sccload/main.go", "Value:    t.Class.Value"),
+	"token dl=":    user("cmd/sccload/main.go", "Deadline: time.Duration(t.RelDeadline()"),
+	"token grad=":  user("cmd/sccload/main.go", "Gradient: t.PenaltyGradient()"),
+	"token vf=":    user("internal/scenario/run.go", "Family: fam"),
+	"token trace=": user("bench/driver.go", "Trace: phases[p].trace"),
+	"vf linear":    user("internal/scenario/scenario.go", `families := []string{"linear"`),
+	"vf cliff":     user("internal/scenario/scenario.go", `Family:      "cliff"`),
+	"vf step":      user("internal/scenario/scenario.go", `"step:0.5"`),
+	"vf renew":     user("internal/scenario/scenario.go", `"renew:4"`),
 
 	// sccserve flags.
 	"flag sccserve -addr":              user("scripts/e2e_recover.sh", `SERVE_FLAGS=(-addr "$ADDR"`),
