@@ -148,16 +148,9 @@ func (a *Admission) Close() {
 // the execution-time estimate; f orders the wait and decides shedding.
 func (a *Admission) Acquire(f value.Fn, numOps int) error {
 	a.mu.Lock()
-	if a.closed || f.At(a.now()) <= 0 {
-		a.shed++
+	if ok, err := a.tryLocked(f); ok || err != nil {
 		a.mu.Unlock()
-		return ErrShed
-	}
-	if a.slots > 0 && len(a.waiters) == 0 {
-		a.slots--
-		a.admitted++
-		a.mu.Unlock()
-		return nil
+		return err
 	}
 	w := a.enqueueLocked(f, numOps)
 	a.mu.Unlock()
@@ -165,6 +158,30 @@ func (a *Admission) Acquire(f value.Fn, numOps int) error {
 		return ErrShed
 	}
 	return <-w.grant
+}
+
+// TryAcquire is Acquire without the wait: it admits the transaction
+// only when a slot is free and nobody queues for it, and sheds it, as
+// Acquire does, when the queue is closed or f has crossed zero. false
+// with a nil error means Acquire would have queued; nothing is counted.
+func (a *Admission) TryAcquire(f value.Fn) (bool, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.tryLocked(f)
+}
+
+// tryLocked is the door Acquire and TryAcquire share. Caller holds a.mu.
+func (a *Admission) tryLocked(f value.Fn) (bool, error) {
+	if a.closed || f.At(a.now()) <= 0 {
+		a.shed++
+		return false, ErrShed
+	}
+	if a.slots > 0 && len(a.waiters) == 0 {
+		a.slots--
+		a.admitted++
+		return true, nil
+	}
+	return false, nil
 }
 
 // enqueueLocked appends a waiter, applying the value-cognizant overflow

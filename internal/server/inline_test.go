@@ -1,0 +1,220 @@
+// Tests of the reader's run-to-completion path: a REQ-framed UPD that
+// cannot wait runs on its connection's reader (serveConn), and anything
+// that can wait still goes to a worker, so the reader never stops
+// reading lines a waiting request depends on.
+package server
+
+import (
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/server/opts"
+)
+
+// recvWithin reads n response lines from rc, failing the test if they
+// do not all arrive within d: a reader wedged behind a waiting request
+// shows up here as a timeout, not as a hang.
+func recvWithin(t *testing.T, rc *rawConn, n int, d time.Duration) map[string]string {
+	t.Helper()
+	rc.c.SetReadDeadline(time.Now().Add(d))
+	got := make(map[string]string, n)
+	for len(got) < n {
+		line, err := rc.r.ReadString('\n')
+		if err != nil {
+			t.Fatalf("after %d of %d responses in %v: %v (got %q)", len(got), n, d, err, got)
+		}
+		id, rest, _ := strings.Cut(strings.TrimPrefix(strings.TrimSpace(line), "RES "), " ")
+		got[id] = rest
+	}
+	return got
+}
+
+// fillReaders dials idle connections until srv serves one per
+// processor, the count from which its readers run UPDs (readersRun),
+// so the tests below run on any host.
+func fillReaders(t *testing.T, srv *Server, addr string) {
+	t.Helper()
+	for range srv.inlineConns {
+		dialRaw(t, addr)
+	}
+	for deadline := time.Now().Add(2 * time.Second); !srv.readersRun(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("serving %d connections, want %d", srv.served.Load(), srv.inlineConns)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestInlineNeedsAConnectionPerProcessor: with fewer connections than
+// processors, readers leave every UPD to workers, which can use the
+// idle processors; from one connection per processor on, a single-shard
+// UPD runs on its reader.
+func TestInlineNeedsAConnectionPerProcessor(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	srv, addr := startServer(t, Config{Shards: 4})
+	rc := dialRaw(t, addr)
+	rc.send("REQ a UPD w:k:1")
+	if got := recvWithin(t, rc, 1, 2*time.Second); got["a"] != "OK 1" {
+		t.Fatalf("UPD = %q, want a: OK 1", got)
+	}
+	if n := srv.met.requestsInline.Value(); n != 0 {
+		t.Fatalf("req_inline = %d with one connection on two processors, want 0", n)
+	}
+
+	fillReaders(t, srv, addr)
+	rc.send("REQ b UPD w:k:1")
+	if got := recvWithin(t, rc, 1, 2*time.Second); got["b"] != "OK 2" {
+		t.Fatalf("UPD = %q, want b: OK 2", got)
+	}
+	if n := srv.met.requestsInline.Value(); n != 1 {
+		t.Fatalf("req_inline = %d with a connection per processor, want 1", n)
+	}
+}
+
+// TestInlineNeverWaitsOnItsOwnConnection: a UPD that the engine defers
+// for a higher-value session's commit must not run on the reader of the
+// connection that will carry that commit. The session blind-writes k
+// while live on k's shard; the UPD reads k, so the engine's Termination
+// Rule (deferForValue) holds it until the session resolves — and the
+// session's TXN COMMIT is the next line on the same connection.
+func TestInlineNeverWaitsOnItsOwnConnection(t *testing.T) {
+	srv, addr := startServer(t, Config{Shards: 4})
+	fillReaders(t, srv, addr)
+	rc := dialRaw(t, addr)
+
+	rc.send("REQ b TXN BEGIN v=100")
+	id := strings.TrimPrefix(rc.recv(), "RES b OK ")
+	rc.send("REQ w TXN W " + id + " k =5")
+	if got := rc.recv(); got != "RES w OK 5" {
+		t.Fatalf("TXN W = %q, want RES w OK 5", got)
+	}
+
+	rc.send("REQ u UPD w:k:+1 v=10")
+	for deadline := time.Now().Add(2 * time.Second); srv.Store().Stats().Engine.Deferrals == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the UPD was never deferred for the session")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rc.send("REQ c TXN COMMIT " + id)
+	got := recvWithin(t, rc, 2, 2*time.Second)
+	if got["c"] != "OK 5" || got["u"] != "OK 6" {
+		t.Fatalf("responses = %q, want c: OK 5 and u: OK 6", got)
+	}
+	if n := srv.met.requestsInline.Value(); n != 0 {
+		t.Fatalf("req_inline = %d on a connection that carried TXN lines, want 0", n)
+	}
+}
+
+// TestInlineNeverWaitsOnAnotherConnection: a live session anywhere
+// keeps UPDs off every reader. A v=100 session on one connection reads
+// k; a fresh connection that never carried TXN sends a UPD on k, which
+// the engine defers for the session's commit, then a PING. Were the UPD
+// on its reader, the PING would wait out the session's think time.
+func TestInlineNeverWaitsOnAnotherConnection(t *testing.T) {
+	srv, addr := startServer(t, Config{Shards: 4})
+	fillReaders(t, srv, addr)
+	sess := dialRaw(t, addr)
+	sess.send("TXN BEGIN v=100")
+	id := strings.TrimPrefix(sess.recv(), "OK ")
+	sess.send("TXN R " + id + " k")
+	if got := sess.recv(); got != "OK 0" {
+		t.Fatalf("TXN R = %q, want OK 0", got)
+	}
+
+	rc := dialRaw(t, addr)
+	rc.send("REQ u UPD w:k:+1 v=1")
+	for deadline := time.Now().Add(2 * time.Second); srv.Store().Stats().Engine.Deferrals == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the UPD was never deferred for the session")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rc.send("REQ p PING")
+	if got := recvWithin(t, rc, 1, 2*time.Second); got["p"] != "OK pong" {
+		t.Fatalf("first response = %q, want p: OK pong", got)
+	}
+
+	sess.send("TXN COMMIT " + id)
+	if got := sess.recv(); got != "OK" {
+		t.Fatalf("TXN COMMIT = %q, want OK", got)
+	}
+	if got := recvWithin(t, rc, 1, 2*time.Second); got["u"] != "OK 1" {
+		t.Fatalf("deferred UPD = %q, want u: OK 1", got)
+	}
+	if n := srv.met.requestsInline.Value(); n != 0 {
+		t.Fatalf("req_inline = %d while a session was live, want 0", n)
+	}
+
+	rc.send("REQ v UPD w:k:+1")
+	if got := recvWithin(t, rc, 1, 2*time.Second); got["v"] != "OK 2" {
+		t.Fatalf("UPD after the session = %q, want v: OK 2", got)
+	}
+	if n := srv.met.requestsInline.Value(); n != 1 {
+		t.Fatalf("req_inline = %d after a UPD with no session live, want 1", n)
+	}
+}
+
+// TestInlineHeadOfLine: a UPD that must queue in admission waits on a
+// worker, not on the reader, so a PING sent after it is answered first;
+// once the slot frees, the UPD commits. A later UPD on the same
+// connection finds the slot free and runs on the reader. The only slot
+// is held either by a session on another connection, which keeps the
+// UPD off the reader outright, or by a bare admission grant, which
+// sends it there to find TryAcquire refusing.
+func TestInlineHeadOfLine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hold func(t *testing.T, srv *Server, addr string) (release func())
+	}{
+		{"session", func(t *testing.T, _ *Server, addr string) func() {
+			holder := dialRaw(t, addr)
+			holder.send("TXN BEGIN v=5")
+			id := strings.TrimPrefix(holder.recv(), "OK ")
+			return func() {
+				holder.send("TXN ABORT " + id)
+				if got := holder.recv(); got != "OK" {
+					t.Fatalf("TXN ABORT = %q, want OK", got)
+				}
+			}
+		}},
+		{"slot", func(t *testing.T, srv *Server, _ string) func() {
+			if err := srv.Admission().Acquire(srv.Admission().FnOf(opts.T{}), 1); err != nil {
+				t.Fatal(err)
+			}
+			return func() { srv.Admission().Release(0, 0) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr := startServer(t, Config{Shards: 4, Admission: AdmissionConfig{MaxConcurrent: 1}})
+			fillReaders(t, srv, addr)
+			release := tc.hold(t, srv, addr)
+
+			rc := dialRaw(t, addr)
+			rc.send("REQ u UPD w:k:1")
+			waitDepth(t, srv.Admission(), 1)
+			rc.send("REQ p PING")
+			if got := recvWithin(t, rc, 1, 2*time.Second); got["p"] != "OK pong" {
+				t.Fatalf("first response = %q, want p: OK pong", got)
+			}
+
+			release()
+			if got := recvWithin(t, rc, 1, 2*time.Second); got["u"] != "OK 1" {
+				t.Fatalf("queued UPD = %q, want u: OK 1", got)
+			}
+			if n := srv.met.requestsInline.Value(); n != 0 {
+				t.Fatalf("req_inline = %d after a queued UPD and a PING, want 0", n)
+			}
+
+			rc.send("REQ v UPD w:k:1")
+			if got := recvWithin(t, rc, 1, 2*time.Second); got["v"] != "OK 2" {
+				t.Fatalf("second UPD = %q, want v: OK 2", got)
+			}
+			if n := srv.met.requestsInline.Value(); n != 1 {
+				t.Fatalf("req_inline = %d after a UPD on a free slot, want 1", n)
+			}
+		})
+	}
+}

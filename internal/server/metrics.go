@@ -67,15 +67,16 @@ type serverMetrics struct {
 	traces       *obs.Counter
 
 	// Event counters the server itself owns; statRows exposes them.
-	requests      obs.Counter // request lines dispatched
-	wireResponses obs.Counter // lines written to connections' response writers
-	wireFlushes   obs.Counter // successful flushes of those writers (one write(2) each, or nearly)
-	crossShed     obs.Counter // cross-shard retries shed past their zero-crossing
-	syncDegraded  obs.Counter // SyncAcks waits that timed out (commit acked anyway)
-	txnBegun      obs.Counter
-	txnCommitted  obs.Counter
-	txnAborted    obs.Counter
-	txnReaped     obs.Counter
+	requests       obs.Counter // request lines dispatched
+	requestsInline obs.Counter // REQ-framed UPDs a connection's reader admitted and ran itself
+	wireResponses  obs.Counter // lines written to connections' response writers
+	wireFlushes    obs.Counter // successful flushes of those writers (one write(2) each, or nearly)
+	crossShed      obs.Counter // cross-shard retries shed past their zero-crossing
+	syncDegraded   obs.Counter // SyncAcks waits that timed out (commit acked anyway)
+	txnBegun       obs.Counter
+	txnCommitted   obs.Counter
+	txnAborted     obs.Counter
+	txnReaped      obs.Counter
 }
 
 func newServerMetrics() *serverMetrics {
@@ -237,6 +238,8 @@ var statRows = []statRow{
 		read: func(sn *statSnap) float64 { return float64(sn.s.store.NumShards()) }},
 	{key: "reqs", family: "scc_requests_total", help: "Wire requests dispatched (the STATS reqs counter).",
 		read: func(sn *statSnap) float64 { return float64(sn.s.met.requests.Value()) }},
+	{key: "req_inline", family: "scc_requests_inline_total", help: "REQ-framed UPDs a connection's reader admitted and ran to completion instead of handing to a worker.",
+		read: func(sn *statSnap) float64 { return float64(sn.s.met.requestsInline.Value()) }},
 	{key: "wire_responses", family: "scc_wire_responses_total", help: "Lines handed to connections' response writers (responses and pushed lines).",
 		read: func(sn *statSnap) float64 { return float64(sn.s.met.wireResponses.Value()) }},
 	{key: "wire_flushes", family: "scc_wire_flushes_total", help: "Successful response-writer flushes; wire_responses / wire_flushes is lines per write(2).",

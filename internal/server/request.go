@@ -56,6 +56,17 @@ var (
 // its value is already booked as lost — and must be answered with that
 // reply; otherwise the caller holds an admission slot until finish.
 func (s *Server) begin(o opts.T, numOps int, write, session bool) (request, string) {
+	r, reply := s.arrive(o, write, session)
+	if reply == "" {
+		reply, _ = r.admit(numOps, true)
+	}
+	return r, reply
+}
+
+// arrive is begin up to the admission queue: it opens the ledger entry
+// and applies the refusals that never wait — a write off a primary, a
+// read a lagging replica cannot serve in time.
+func (s *Server) arrive(o opts.T, write, session bool) (request, string) {
 	// trace=1 requests always record their lifecycle into the flight
 	// recorder's server ring; untraced requests record a deterministic
 	// 1-in-flightSample slice (by request id) so the black box always
@@ -91,15 +102,33 @@ func (s *Server) begin(o opts.T, numOps int, write, session bool) (request, stri
 	// The enqueue stamp is the submit instant — the trace's own start,
 	// no clock read needed.
 	r.tr.EventOff(obs.StageEnqueue, 0)
+	return r, ""
+}
+
+// admit takes r's admission slot and reports whether r holds it; a
+// non-empty reply is a refusal, as begin's is. Without wait it never
+// queues: where Acquire would, it books nothing, and the request must
+// be admitted again, with wait, by a goroutine that may block.
+func (r *request) admit(numOps int, wait bool) (reply string, admitted bool) {
+	s := r.s
 	admitStart := time.Now()
-	if err := s.adm.Acquire(r.f, numOps); err != nil {
+	var err error
+	if wait {
+		err = s.adm.Acquire(r.f, numOps)
+	} else {
+		var ok bool
+		if ok, err = s.adm.TryAcquire(r.f); !ok && err == nil {
+			return "", false
+		}
+	}
+	if err != nil {
 		s.flight.Admission().Record(obs.StageShed, r.id, -1, 0)
-		return r, r.refuse(obs.LossAdmissionShed, "SHED")
+		return r.refuse(obs.LossAdmissionShed, "SHED"), false
 	}
 	r.admitAt = time.Now()
 	s.met.admitWait.Observe(int64(r.admitAt.Sub(admitStart)))
 	r.tr.EventAt(obs.StageAdmit, r.admitAt)
-	return r, ""
+	return "", true
 }
 
 // refuse settles a request that never got a slot: its whole submitted

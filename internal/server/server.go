@@ -128,6 +128,8 @@ type Server struct {
 	gateP       atomic.Pointer[repl.LagGate] // non-nil on read replicas
 	cluster     *cluster.State               // non-nil on cluster members
 	syncAcks    bool
+	inlineConns int32        // connections served before readers run UPDs (readersRun); 0 = never
+	served      atomic.Int32 // len(conns), read without mu
 	syncTimeout time.Duration
 	durable     *durable.Manager // non-nil with a data directory
 	met         *serverMetrics   // telemetry registry (metrics.go), always non-nil
@@ -146,10 +148,10 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	// Pads Server to 192 bytes. Without it Server is 168 bytes, a size
+	// Pads Server to 192 bytes. Without it Server is 176 bytes, a size
 	// class whose objects do not start on a cache line
 	// (TestServerStartsOnCacheLine).
-	_ [24]byte
+	_ [16]byte
 }
 
 // New returns a server over a fresh sharded store. It cannot fail for
@@ -240,6 +242,9 @@ func Open(cfg Config) (*Server, error) {
 		conns:       make(map[net.Conn]struct{}),
 		wiring:      &wiring{dataDir: cfg.Durable.Dir, lease: cfg.Cluster.Lease},
 	}
+	if (man == nil || cfg.Durable.Fsync == durable.FsyncOff) && !cfg.Repl.SyncAcks {
+		srv.inlineConns = int32(runtime.GOMAXPROCS(0))
+	}
 	srv.feedP.Store(feed)
 	if cfg.ReplicaOf != "" {
 		srv.gateP.Store(repl.NewLagGate(cfg.lagBudget, 0))
@@ -324,6 +329,7 @@ func (s *Server) Serve(lis net.Listener) error {
 			return nil
 		}
 		s.conns[conn] = struct{}{}
+		s.served.Store(int32(len(s.conns)))
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go s.serveConn(conn)
@@ -385,6 +391,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
+		s.served.Store(int32(len(s.conns)))
 		s.mu.Unlock()
 		conn.Close()
 	}()
@@ -453,19 +460,31 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}()
 
-	// Pipelined (REQ-framed) requests dispatch concurrently on a lazily
-	// grown per-connection worker pool, bounded by the pipeline depth;
-	// bare requests run inline so they stay strictly ordered among
-	// themselves. Workers are pooled rather than spawned per request
-	// because dispatch call chains run deep (admission -> shard -> engine
-	// -> commit): a fresh goroutine pays stack growth on every request
-	// (runtime.newstack dominated hot profiles), a pooled one pays it
-	// once per connection. An unbuffered job channel gives the same
-	// backpressure the old per-request semaphore did: with every worker
-	// busy, the reader blocks. stop ends this connection's replication
-	// feeders; sub is its lazily created ack-tracking subscription.
+	// Bare requests run on the reader, so they stay strictly ordered
+	// among themselves. So does a REQ-framed request that cannot wait:
+	// a single-shard UPD, admitted without queueing, when readersRun
+	// (no commit waits on a device or peer, a connection per processor)
+	// and no interactive session is live (sessionTable.enterInline):
+	// the engine may defer a UPD for a session's commit, which could be
+	// a line queued behind it. A connection that has carried a TXN line
+	// keeps every request on workers. Run to completion, a UPD skips
+	// the hand-off and keeps the engine near one transaction per
+	// connection instead of one per pipelined request, so a hot shard
+	// forks and scans for conflicts that concurrency made, not the
+	// traffic. Every other REQ-framed request dispatches concurrently
+	// on a lazily grown per-connection worker pool, bounded by the
+	// pipeline depth; a UPD reaches its worker already parsed. Workers
+	// are pooled rather than spawned per request because dispatch call
+	// chains run deep (admission -> shard -> engine -> commit): a fresh
+	// goroutine pays stack growth on every request (runtime.newstack
+	// dominated hot profiles), a pooled one pays it once per
+	// connection. An unbuffered job channel gives the same backpressure
+	// the old per-request semaphore did: with every worker busy, the
+	// reader blocks. stop ends this connection's replication feeders;
+	// sub is its lazily created ack-tracking subscription.
 	var reqJobs chan reqJob
 	nWorkers := 0
+	txnSeen := false
 	var workers sync.WaitGroup
 	stop := make(chan struct{})
 	var sub *repl.Sub
@@ -494,6 +513,13 @@ func (s *Server) serveConn(conn net.Conn) {
 				out <- "RES " + fields[1] + " ERR missing verb"
 			default:
 				job := reqJob{id: fields[1], fields: fields[2:]}
+				if !txnSeen && s.readersRun() {
+					if reply := s.readUPD(&job); reply != "" {
+						out <- "RES " + job.id + " " + reply
+						continue
+					}
+				}
+				txnSeen = txnSeen || strings.EqualFold(job.fields[0], "TXN")
 				if reqJobs == nil {
 					reqJobs = make(chan reqJob)
 				}
@@ -508,7 +534,7 @@ func (s *Server) serveConn(conn net.Conn) {
 						go func() {
 							defer workers.Done()
 							for j := range reqJobs {
-								out <- "RES " + j.id + " " + s.dispatch(j.fields)
+								out <- "RES " + j.id + " " + s.serveJob(&j)
 							}
 						}()
 					}
@@ -526,6 +552,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// SNAPs before subscribing, keeping the stream unambiguous.
 			s.handleSnap(fields[1:], &sub, out)
 		default:
+			txnSeen = txnSeen || strings.EqualFold(fields[0], "TXN")
 			out <- s.dispatch(fields)
 		}
 	}
@@ -702,10 +729,57 @@ func (s *Server) handleSnap(args []string, sub **repl.Sub, out chan<- string) {
 	}
 }
 
-// reqJob is one REQ-framed request handed to a connection's worker pool.
+// reqJob is one REQ-framed request handed to a connection's worker
+// pool: its fields, or, for a UPD, the update the reader parsed.
 type reqJob struct {
 	id     string
 	fields []string
+	upd    update // a UPD when upd.ops is set
+}
+
+// readersRun reports whether connection readers may run UPDs that
+// cannot wait: no commit waits on a device or a peer, and the server
+// serves a connection per processor, so work kept on readers leaves no
+// processor idle that workers would have used. With fewer connections
+// one connection's pipelined UPDs run in parallel on workers instead.
+func (s *Server) readersRun() bool {
+	return s.inlineConns > 0 && s.served.Load() >= s.inlineConns
+}
+
+// readUPD is the reader's half of a REQ-framed UPD: it parses the line
+// once, into j.upd, and answers it here when it cannot wait (serveConn
+// says when). An empty reply leaves j to a worker's serveJob.
+func (s *Server) readUPD(j *reqJob) string {
+	if !strings.EqualFold(j.fields[0], "UPD") {
+		return ""
+	}
+	start, u := time.Now(), &j.upd
+	reply := u.parse(j.fields[1:])
+	if reply == "" && s.oneShard(u.ops) && s.sessions.enterInline() {
+		reply = s.runUpdate(u, false)
+		s.sessions.exitInline()
+	}
+	if reply != "" {
+		s.observe("UPD", start)
+	}
+	return reply
+}
+
+// serveJob runs one REQ-framed request on a worker.
+func (s *Server) serveJob(j *reqJob) string {
+	if j.upd.ops == nil {
+		return s.dispatch(j.fields)
+	}
+	start := time.Now()
+	reply := s.runUpdate(&j.upd, true)
+	s.observe("UPD", start)
+	return reply
+}
+
+// oneShard reports whether every op's key hashes to one shard.
+func (s *Server) oneShard(ops []op) bool {
+	first := s.store.ShardOf(ops[0].key)
+	return !slices.ContainsFunc(ops[1:], func(o op) bool { return s.store.ShardOf(o.key) != first })
 }
 
 // op is one parsed transactional operation, shared by the one-shot
@@ -735,12 +809,18 @@ func (s *Server) dispatch(fields []string) string {
 	verb := strings.ToUpper(fields[0])
 	start := time.Now()
 	resp := s.dispatchVerb(verb, fields[1:])
-	s.met.observeVerb(verb, time.Since(start))
+	s.observe(verb, start)
 	return resp
 }
 
-func (s *Server) dispatchVerb(verb string, args []string) string {
+// observe books one answered request: the request count and its verb's
+// service time since start.
+func (s *Server) observe(verb string, start time.Time) {
 	s.met.requests.Inc()
+	s.met.observeVerb(verb, time.Since(start))
+}
+
+func (s *Server) dispatchVerb(verb string, args []string) string {
 	switch verb {
 	case "PING":
 		return "OK pong"
@@ -767,9 +847,13 @@ func (s *Server) dispatchVerb(verb string, args []string) string {
 		if err != nil {
 			return "ERR bad number"
 		}
-		return s.runUpdate(opts.T{}, []op{{key: args[0], delta: n, write: true}})
+		return s.runUpdate(&update{ops: []op{{key: args[0], delta: n, write: true}}}, true)
 	case "UPD":
-		return s.handleUPD(args)
+		var u update
+		if bad := u.parse(args); bad != "" {
+			return bad
+		}
+		return s.runUpdate(&u, true)
 	case "TXN":
 		return s.handleTXN(args)
 	case "SUM":
@@ -826,11 +910,21 @@ func (s *Server) dispatchVerb(verb string, args []string) string {
 	}
 }
 
-func (s *Server) handleUPD(args []string) string {
-	var o opts.T
-	var ops []op
+// update is one one-shot UPD or ADD on its way through the request
+// lifecycle. A connection's reader parses a REQ-framed UPD and may run
+// it itself (runUpdate without wait); when admission would queue it, a
+// worker resumes it where the reader stopped.
+type update struct {
+	o       opts.T
+	ops     []op
+	r       request // the ledger entry, open once arrived
+	arrived bool
+}
+
+// parse reads a UPD's arguments into u; a non-empty reply refuses them.
+func (u *update) parse(args []string) string {
 	for _, a := range args {
-		if isOpt, err := o.ParseToken(a); isOpt {
+		if isOpt, err := u.o.ParseToken(a); isOpt {
 			if err != nil {
 				return "ERR " + err.Error()
 			}
@@ -845,7 +939,7 @@ func (s *Server) handleUPD(args []string) string {
 			if !validKey(key) {
 				return "ERR bad key " + key
 			}
-			ops = append(ops, op{key: key})
+			u.ops = append(u.ops, op{key: key})
 		case strings.HasPrefix(a, "w:"):
 			rest := a[2:]
 			i := strings.LastIndexByte(rest, ':')
@@ -859,15 +953,15 @@ func (s *Server) handleUPD(args []string) string {
 			if err != nil {
 				return "ERR bad delta in " + a
 			}
-			ops = append(ops, op{key: rest[:i], delta: n, write: true})
+			u.ops = append(u.ops, op{key: rest[:i], delta: n, write: true})
 		default:
 			return "ERR bad token " + a
 		}
 	}
-	if len(ops) == 0 {
+	if len(u.ops) == 0 {
 		return "ERR no ops"
 	}
-	return s.runUpdate(o, ops)
+	return ""
 }
 
 // handleTXN routes the interactive-session verbs (session.go). Every
@@ -963,19 +1057,25 @@ func (s *Server) handleTXN(args []string) string {
 // runUpdate admits, executes, and answers one one-shot transactional
 // update (ADD/UPD): the request lifecycle (request.go) around one
 // call of the admitted executor interactive session commits share.
-func (s *Server) runUpdate(o opts.T, ops []op) string {
-	write := false
-	for _, o := range ops {
-		if o.write {
-			write = true
-			break
+// Without wait it does not queue in admission: where it would, it
+// returns an empty reply with u's ledger entry open, and a call with
+// wait resumes it.
+func (s *Server) runUpdate(u *update, wait bool) string {
+	if !u.arrived {
+		u.arrived = true
+		write := slices.ContainsFunc(u.ops, func(o op) bool { return o.write })
+		var refused string
+		if u.r, refused = s.arrive(u.o, write, false); refused != "" {
+			return refused
 		}
 	}
-	r, refused := s.begin(o, len(ops), write, false)
-	if refused != "" {
-		return refused
+	if reply, ok := u.r.admit(len(u.ops), wait); !ok {
+		return reply
 	}
-	return r.finish(s.execAdmitted(&r, ops, r.admitAt))
+	if !wait {
+		s.met.requestsInline.Inc()
+	}
+	return u.r.finish(s.execAdmitted(&u.r, u.ops, u.r.admitAt))
 }
 
 // execAdmitted executes ops as one serializable transaction under r's

@@ -40,6 +40,7 @@ import (
 	"errors"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -120,7 +121,14 @@ type sessionTable struct {
 	sessions map[uint64]*session
 	nextID   uint64
 	reaped   map[uint64]struct{}
-	reapRing []uint64 // tombstone eviction order (oldest first)
+	reapRing []uint64     // tombstone eviction order (oldest first)
+	live     atomic.Int32 // len(sessions), readable without mu
+
+	// inline is held shared by a connection reader running a UPD to
+	// completion (Server.readUPD) and exclusively by add, so no session
+	// is live while such a UPD runs: the engine can then defer it only
+	// for one-shot transactions, never for a session's client think time.
+	inline sync.RWMutex
 
 	wake chan struct{} // signaled when the table goes non-empty
 	stop chan struct{}
@@ -159,12 +167,15 @@ func (st *sessionTable) add(req request) *session {
 	}
 	ss.cond = sync.NewCond(&ss.mu)
 	ss.token = newSessionToken()
+	st.inline.Lock()
 	st.mu.Lock()
 	st.nextID++
 	ss.id = st.nextID
 	st.sessions[ss.id] = ss
+	st.live.Store(int32(len(st.sessions)))
 	first := len(st.sessions) == 1
 	st.mu.Unlock()
+	st.inline.Unlock()
 	if first {
 		select {
 		case st.wake <- struct{}{}:
@@ -189,6 +200,7 @@ func (st *sessionTable) remove(id uint64, tombstone bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	delete(st.sessions, id)
+	st.live.Store(int32(len(st.sessions)))
 	if !tombstone {
 		return
 	}
@@ -201,11 +213,22 @@ func (st *sessionTable) remove(id uint64, tombstone bool) {
 }
 
 // active returns the number of open sessions.
-func (st *sessionTable) active() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.sessions)
+func (st *sessionTable) active() int { return int(st.live.Load()) }
+
+// enterInline reports whether a reader may run a UPD now: no session is
+// live or being added. A true return holds inline until exitInline.
+func (st *sessionTable) enterInline() bool {
+	if !st.inline.TryRLock() {
+		return false
+	}
+	if st.live.Load() != 0 {
+		st.inline.RUnlock()
+		return false
+	}
+	return true
 }
+
+func (st *sessionTable) exitInline() { st.inline.RUnlock() }
 
 func (st *sessionTable) snapshot() []*session {
 	st.mu.Lock()
