@@ -202,6 +202,9 @@ type txnHandle struct {
 	done chan struct{}
 
 	// guarded by store.mu:
+	// opt is the current optimistic attempt. It is set before the handle
+	// joins store.active and never cleared, so every rule that walks
+	// active dereferences it unchecked.
 	opt      *attempt
 	shadow   *attempt
 	resolved bool
@@ -323,19 +326,11 @@ func (tx *Tx) Get(key string) ([]byte, error) {
 		a.h.tr.Event(obs.StagePark)
 		parkStart := time.Now()
 		aborted := false
-		if gateAtt != nil {
-			select {
-			case <-gate.done:
-			case <-gateAtt.aborted:
-			case <-a.aborted:
-				aborted = true
-			}
-		} else {
-			select {
-			case <-gate.done:
-			case <-a.aborted:
-				aborted = true
-			}
+		select {
+		case <-gate.done:
+		case <-gateAtt.aborted:
+		case <-a.aborted:
+			aborted = true
 		}
 		if met := s.cfg.Metrics; met != nil {
 			met.ParkSeconds.Observe(int64(time.Since(parkStart)))
@@ -417,7 +412,7 @@ func (tx *Tx) Set(key string, val []byte) error {
 		if s.cfg.Mode == SCC2S {
 			scanned := 0
 			for _, other := range s.active {
-				if other == a.h || other.resolved || other.opt == nil {
+				if other == a.h || other.resolved {
 					continue
 				}
 				scanned++
@@ -632,7 +627,7 @@ func (s *Store) deferForValue(a *attempt) {
 		s.mu.Lock()
 		var wait *txnHandle
 		for _, other := range s.active {
-			if other == a.h || other.resolved || other.value <= a.h.value || other.opt == nil {
+			if other == a.h || other.resolved || other.value <= a.h.value {
 				continue
 			}
 			select {
@@ -769,7 +764,7 @@ func (s *Store) applyLocked(writes map[string][]byte) {
 		s.committed[key] = versioned{val: val, ver: s.committed[key].ver + 1}
 	}
 	for _, other := range s.active {
-		if other.resolved || other.opt == nil {
+		if other.resolved {
 			continue
 		}
 		for key := range writes {

@@ -13,7 +13,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -39,50 +38,30 @@ type ClusterConfig struct {
 	Lease time.Duration
 }
 
-// wiring is what Open assembles for a replica or cluster member — the
-// replication stream, its metrics, the failover monitor — plus the data
-// directory of the resume file and flight dumps. It sits behind one
-// pointer to keep Server in the 192-byte size class, whose objects start
-// on a cache line, so the fields every request touches (reqID and its
-// neighbours) share the same cache lines in every process
-// (TestServerStartsOnCacheLine).
-type wiring struct {
-	dataDir string               // Durable.Dir
-	lease   time.Duration        // Cluster.Lease, for the monitor Serve starts
-	replMet *repl.ReplicaMetrics // a replica's apply-path instruments, shared by its streams
-	node    *cluster.Node        // the failover monitor once Serve started it; guarded by Server.mu
-
-	// repMu guards rep, the replica's live replication stream, which the
-	// failover monitor swaps: promotion consumes it, a follow re-points it.
-	repMu sync.Mutex
-	rep   *repl.Replica
-}
-
 // startReplica streams primary's commit order into the store: the stream
 // bootstraps by SNAP (a durable replica resumes from its resume file
 // instead), feeds the lag gate, and records into the replica metrics and
 // the repl flight ring. A stream that ends leaves the store serving its
 // last consistent snapshot.
 func (s *Server) startReplica(primary string) error {
-	w := s.wiring
 	resume := ""
-	if w.dataDir != "" {
-		resume = filepath.Join(w.dataDir, "replica.resume")
+	if s.dataDir != "" {
+		resume = filepath.Join(s.dataDir, "replica.resume")
 	}
 	r, err := repl.StartReplica(repl.ReplicaConfig{
 		Primary:    primary,
 		Store:      s.store,
 		Gate:       s.replGate(),
 		ResumePath: resume,
-		Metrics:    w.replMet,
+		Metrics:    s.replMet,
 		Flight:     s.flight.Repl(),
 	})
 	if err != nil {
 		return err
 	}
-	w.repMu.Lock()
-	w.rep = r
-	w.repMu.Unlock()
+	s.repMu.Lock()
+	s.rep = r
+	s.repMu.Unlock()
 	go func() {
 		<-r.Done()
 		if err := r.Err(); err != nil {
@@ -95,9 +74,9 @@ func (s *Server) startReplica(primary string) error {
 // Replica returns a replica's replication stream: nil on a primary and
 // once promoted.
 func (s *Server) Replica() *repl.Replica {
-	s.wiring.repMu.Lock()
-	defer s.wiring.repMu.Unlock()
-	return s.wiring.rep
+	s.repMu.Lock()
+	defer s.repMu.Unlock()
+	return s.rep
 }
 
 // progress is this node's catch-up position, read off the replication
@@ -119,7 +98,7 @@ func (s *Server) progress() (watermark, applied uint64) {
 func (s *Server) newNode() *cluster.Node {
 	return cluster.NewNode(cluster.Config{
 		State: s.cluster,
-		Lease: s.wiring.lease,
+		Lease: s.lease,
 		Hooks: cluster.Hooks{
 			Promote:  s.promote,
 			Follow:   s.follow,
@@ -198,14 +177,19 @@ func (s *Server) refuseWrite(id uint64) string {
 	return ""
 }
 
-// fencedReplVerb reports whether a replication-serving verb (REPL, ACK,
-// SNAP, HEAD) must be refused because this node is a deposed primary:
-// its logs are frozen history a joiner must not bootstrap from.
-func (s *Server) fencedReplVerb() (string, bool) {
+// replFeed returns the feed a replication-serving verb (REPL, ACK,
+// SNAP, HEAD) serves from, or the refusal to answer instead. A deposed
+// primary refuses with a redirect: its logs are frozen history a joiner
+// must not bootstrap from, and its own replicas must re-point at the new
+// primary.
+func (s *Server) replFeed() (*repl.Feed, string) {
 	if cs := s.cluster; cs != nil && cs.Role() == cluster.RoleFenced {
-		return s.notPrimary(), true
+		return nil, s.notPrimary()
 	}
-	return "", false
+	if feed := s.Feed(); feed != nil {
+		return feed, ""
+	}
+	return nil, "ERR not a replication primary"
 }
 
 // promote turns this replica into the primary under the given fencing
@@ -236,9 +220,9 @@ func (s *Server) promote(epoch uint64) error {
 	if err := s.cluster.BecomePrimary(epoch); err != nil {
 		return err
 	}
-	s.wiring.repMu.Lock()
-	s.wiring.rep = nil
-	s.wiring.repMu.Unlock()
+	s.repMu.Lock()
+	s.rep = nil
+	s.repMu.Unlock()
 	feed := s.Feed()
 	if feed == nil && s.durable == nil {
 		feed = repl.NewFeed(s.store.NumShards(), s.epochs)
@@ -287,7 +271,7 @@ func (s *Server) demote(epoch uint64, primary string) {
 // reason, to <Durable.Dir>/flight on a durable server and to stderr
 // otherwise — the demotion's automatic dump and the operator's pull.
 func (s *Server) DumpFlight(reason string) {
-	dir := s.wiring.dataDir
+	dir := s.dataDir
 	if dir == "" {
 		if err := s.flight.WriteTo(os.Stderr, reason); err != nil {
 			slog.Error("server: flight dump failed", "err", err)

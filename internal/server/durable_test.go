@@ -350,7 +350,7 @@ func TestDurableReplicaResumesWithoutReSnap(t *testing.T) {
 	repCfg := Config{Shards: 4, ReplicaOf: priAddr, Durable: durable.Options{Dir: repDir}}
 	rep1, _ := startDurableServer(t, repCfg)
 	// First start over an empty directory: snapshot bootstrap, no resume.
-	if m := rep1.wiring.replMet; m.Snapshots.Value() == 0 || m.Resumes.Value() != 0 {
+	if m := rep1.replMet; m.Snapshots.Value() == 0 || m.Resumes.Value() != 0 {
 		t.Fatalf("fresh start: snapshots=%d resumes=%d, want snapshots>0 resumes=0",
 			m.Snapshots.Value(), m.Resumes.Value())
 	}
@@ -364,10 +364,10 @@ func TestDurableReplicaResumesWithoutReSnap(t *testing.T) {
 	// persisted primary position, with no snapshot fetch at all.
 	rep2, repAddr2 := startDurableServer(t, repCfg)
 	defer rep2.Close()
-	if rep2.wiring.replMet.Resumes.Value() == 0 {
+	if rep2.replMet.Resumes.Value() == 0 {
 		t.Fatal("restart did not resume from the persisted position")
 	}
-	if n := rep2.wiring.replMet.Snapshots.Value(); n != 0 {
+	if n := rep2.replMet.Snapshots.Value(); n != 0 {
 		t.Fatalf("restart fetched %d snapshots, want 0 (the re-SNAP bug)", n)
 	}
 	waitCaughtUp(t, pri, rep2)
@@ -408,7 +408,7 @@ func TestDurableReplicaResumeFallsBackToSnapshot(t *testing.T) {
 
 	rep2, repAddr2 := startDurableServer(t, repCfg)
 	defer rep2.Close()
-	if rep2.wiring.replMet.Snapshots.Value() == 0 {
+	if rep2.replMet.Snapshots.Value() == 0 {
 		t.Fatal("trimmed-log restart did not fall back to snapshot bootstrap")
 	}
 	waitCaughtUp(t, pri, rep2)

@@ -143,6 +143,48 @@ func TestFlightSampling(t *testing.T) {
 	}
 }
 
+// TestRequestIDsPerConnection: each connection numbers its own valued
+// requests, so 8 untraced UPDs on each of two connections sample exactly
+// one lifecycle per connection, under ids that differ in their
+// connection bits, and dispatchLine's own connection collides with
+// neither.
+func TestRequestIDsPerConnection(t *testing.T) {
+	srv, addr := startServer(t, Config{Shards: 2})
+	commits := func() map[uint64]bool {
+		ids := make(map[uint64]bool)
+		for _, e := range srv.Flight().Snapshot() {
+			if e.Name == obspkg.StageCommit {
+				ids[e.Txn] = true
+			}
+		}
+		return ids
+	}
+	for _, rc := range []*rawConn{dialRaw(t, addr), dialRaw(t, addr)} {
+		for i := 1; i <= flightSample; i++ {
+			rc.send("UPD w:k:1")
+			if got := rc.recv(); !strings.HasPrefix(got, "OK") {
+				t.Fatalf("UPD = %q", got)
+			}
+		}
+	}
+	ids := commits()
+	conns := make(map[uint64]bool)
+	for id := range ids {
+		conns[id>>connIDBits] = true
+	}
+	if len(ids) != 2 || len(conns) != 2 {
+		t.Fatalf("two connections' %d UPDs each sampled ids %v, want one per connection", flightSample, ids)
+	}
+	for i := 0; i < flightSample; i++ {
+		if got := srv.dispatchLine("UPD w:k:1"); !strings.HasPrefix(got, "OK") {
+			t.Fatalf("dispatchLine UPD = %q", got)
+		}
+	}
+	if all := commits(); len(all) != 3 {
+		t.Fatalf("after %d dispatchLine UPDs the ring holds ids %v, want the connections' %v and one more", flightSample, all, ids)
+	}
+}
+
 // TestEventNameConformance cross-checks the event vocabulary against
 // docs/PROTOCOL.md's event-name table in both directions.
 func TestEventNameConformance(t *testing.T) {

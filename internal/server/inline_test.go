@@ -104,7 +104,7 @@ func TestInlineNeverWaitsOnItsOwnConnection(t *testing.T) {
 		t.Fatalf("responses = %q, want c: OK 5 and u: OK 6", got)
 	}
 	if n := srv.met.requestsInline.Value(); n != 0 {
-		t.Fatalf("req_inline = %d on a connection that carried TXN lines, want 0", n)
+		t.Fatalf("req_inline = %d while this connection's session was live, want 0", n)
 	}
 }
 

@@ -55,25 +55,29 @@ var (
 // through the door. A non-empty reply means the request was refused —
 // its value is already booked as lost — and must be answered with that
 // reply; otherwise the caller holds an admission slot until finish.
-func (s *Server) begin(o opts.T, numOps int, write, session bool) (request, string) {
-	r, reply := s.arrive(o, write, session)
+func (c *conn) begin(o opts.T, numOps int, write, session bool) (request, string) {
+	r, reply := c.arrive(o, write, session)
 	if reply == "" {
 		reply, _ = r.admit(numOps, true)
 	}
 	return r, reply
 }
 
-// arrive is begin up to the admission queue: it opens the ledger entry
-// and applies the refusals that never wait — a write off a primary, a
-// read a lagging replica cannot serve in time.
-func (s *Server) arrive(o opts.T, write, session bool) (request, string) {
+// arrive is begin up to the admission queue: it opens the ledger entry,
+// under the next id of the connection c the request came in on, and
+// applies the refusals that never wait — a write off a primary, a read a
+// lagging replica cannot serve in time.
+func (c *conn) arrive(o opts.T, write, session bool) (request, string) {
 	// trace=1 requests always record their lifecycle into the flight
 	// recorder's server ring; untraced requests record a deterministic
-	// 1-in-flightSample slice (by request id) so the black box always
-	// holds recent full lifecycles at near-zero per-request cost. The
-	// rest carry a nil trace — every stamp is a no-op branch. The trace=
-	// reply token stays opt-in (retain only when asked).
-	r := request{s: s, id: s.reqID.Add(1), f: s.adm.FnOf(o), session: session}
+	// 1-in-flightSample slice (by the connection's request count:
+	// flightSample divides 1<<connIDBits, so the id's connection bits
+	// drop out) so the black box always holds recent full lifecycles at
+	// near-zero per-request cost. The rest carry a nil trace — every
+	// stamp is a no-op branch. The trace= reply token stays opt-in
+	// (retain only when asked).
+	s := c.s
+	r := request{s: s, id: c.ids.Add(1), f: s.adm.FnOf(o), session: session}
 	if o.Trace || r.id%flightSample == 0 {
 		r.tr = obs.NewRecordedTrace(time.Now(), s.flight.Server(), r.id, o.Trace)
 	}

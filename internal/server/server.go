@@ -134,24 +134,28 @@ type Server struct {
 	durable     *durable.Manager // non-nil with a data directory
 	met         *serverMetrics   // telemetry registry (metrics.go), always non-nil
 	flight      *flight.Recorder // always-on black-box event journal, always non-nil
-	reqID       atomic.Uint64    // request/session ids tagging flight events
+	sessions    *sessionTable    // interactive transaction sessions (session.go)
+	lines       *conn            // dispatchLine's connection, sequence 0
+	dataDir     string           // Durable.Dir: the replica resume file and flight dumps
+	lease       time.Duration    // Cluster.Lease, for the monitor Serve starts
+
+	// replMet is a replica's apply-path instruments, shared by its streams.
+	replMet *repl.ReplicaMetrics
+	// repMu guards rep, the replica's live replication stream, which the
+	// failover monitor swaps: promotion consumes it, a follow re-points it.
+	repMu sync.Mutex
+	rep   *repl.Replica
 
 	// mu guards connection lifecycle only; per-request counters use
 	// their own synchronization so requests never serialize on it.
-	mu     sync.Mutex
-	lis    net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-
-	sessions *sessionTable // interactive transaction sessions (session.go)
-	wiring   *wiring       // replica stream, failover monitor, data directory (cluster.go)
+	mu      sync.Mutex
+	lis     net.Listener
+	conns   map[net.Conn]struct{}
+	connSeq uint64        // the last accepted connection's sequence (conn.ids)
+	node    *cluster.Node // the failover monitor once Serve started it
+	closed  bool
 
 	wg sync.WaitGroup
-
-	// Pads Server to 192 bytes. Without it Server is 176 bytes, a size
-	// class whose objects do not start on a cache line
-	// (TestServerStartsOnCacheLine).
-	_ [16]byte
 }
 
 // New returns a server over a fresh sharded store. It cannot fail for
@@ -240,15 +244,17 @@ func Open(cfg Config) (*Server, error) {
 		met:         met,
 		flight:      fl,
 		conns:       make(map[net.Conn]struct{}),
-		wiring:      &wiring{dataDir: cfg.Durable.Dir, lease: cfg.Cluster.Lease},
+		dataDir:     cfg.Durable.Dir,
+		lease:       cfg.Cluster.Lease,
 	}
+	srv.lines = &conn{s: srv}
 	if (man == nil || cfg.Durable.Fsync == durable.FsyncOff) && !cfg.Repl.SyncAcks {
 		srv.inlineConns = int32(runtime.GOMAXPROCS(0))
 	}
 	srv.feedP.Store(feed)
 	if cfg.ReplicaOf != "" {
 		srv.gateP.Store(repl.NewLagGate(cfg.lagBudget, 0))
-		srv.wiring.replMet = met.replicaMetrics()
+		srv.replMet = met.replicaMetrics()
 	}
 	if cfg.Cluster.Self != "" {
 		srv.cluster = cluster.NewState(cfg.Cluster.Self, cfg.Cluster.Peers, cfg.ReplicaOf)
@@ -303,16 +309,16 @@ func (s *Server) Serve(lis net.Listener) error {
 	}
 	s.lis = lis
 	var node *cluster.Node
-	if s.cluster != nil && s.wiring.node == nil {
+	if s.cluster != nil && s.node == nil {
 		node = s.newNode()
-		s.wiring.node = node
+		s.node = node
 	}
 	s.mu.Unlock()
 	if node != nil {
 		node.Start()
 	}
 	for {
-		conn, err := lis.Accept()
+		nc, err := lis.Accept()
 		if err != nil {
 			s.mu.Lock()
 			closed := s.closed
@@ -325,14 +331,17 @@ func (s *Server) Serve(lis net.Listener) error {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			conn.Close()
+			nc.Close()
 			return nil
 		}
-		s.conns[conn] = struct{}{}
+		s.conns[nc] = struct{}{}
 		s.served.Store(int32(len(s.conns)))
+		s.connSeq++
+		c := &conn{s: s, nc: nc, out: make(chan string, 4*pipelineDepth), stop: make(chan struct{})}
+		c.ids.Store(s.connSeq << connIDBits)
 		s.mu.Unlock()
 		s.wg.Add(1)
-		go s.serveConn(conn)
+		go s.serveConn(c)
 	}
 }
 
@@ -353,7 +362,7 @@ func (s *Server) Close() {
 	for c := range s.conns {
 		c.Close()
 	}
-	node := s.wiring.node
+	node := s.node
 	s.mu.Unlock()
 	if node != nil {
 		node.Close()
@@ -386,79 +395,46 @@ func (s *Server) Close() {
 	}
 }
 
-func (s *Server) serveConn(conn net.Conn) {
+// conn is one client connection: the state its reader, its writer
+// goroutine, its workers and its replication feeders share, and the
+// block its valued requests draw flight-recorder ids from.
+type conn struct {
+	s  *Server
+	nc net.Conn
+	// out carries every response to the writer goroutine (write).
+	out  chan string
+	dead atomic.Bool   // set by the writer once the socket failed
+	stop chan struct{} // closed when the reader ends: feeders stop
+	// workers counts the REQ workers and replication feeders, awaited
+	// before out closes.
+	workers sync.WaitGroup
+	sub     *repl.Sub // lazily created ack-tracking subscription; reader only
+	// ids is the last request id handed out (arrive): the connection
+	// sequence, assigned at accept, above connIDBits, and a count of the
+	// connection's valued requests below, so drawing an id writes no
+	// word another connection writes.
+	ids atomic.Uint64
+}
+
+// connIDBits is the width of a request id's per-connection count: 2^40
+// requests per connection and 2^24 connections per process before
+// either half wraps.
+const connIDBits = 40
+
+func (s *Server) serveConn(c *conn) {
 	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()
-		delete(s.conns, conn)
+		delete(s.conns, c.nc)
 		s.served.Store(int32(len(s.conns)))
 		s.mu.Unlock()
-		conn.Close()
+		c.nc.Close()
+		if c.sub != nil {
+			c.sub.Close()
+		}
 	}()
-
-	// All responses funnel through one writer goroutine (it is what keeps
-	// workers off a dead or slow socket, and what REPL and SNAP push
-	// through). Its flush rule is the Mux's: on finding the channel
-	// empty it owes a flush, yields the processor once, drains whatever
-	// was produced meanwhile, then flushes. "Drain what is queued, then
-	// flush" alone almost never batches: a channel send parks the woken
-	// writer in the sender's runnext slot, so it runs — and finds the
-	// channel empty again — before the sibling workers that were already
-	// runnable. The yield puts the writer behind them; every verdict they
-	// produce shares the one write(2), and a lone response pays an empty
-	// yield and flushes at once. On a write error the writer keeps
-	// draining (discarding) so workers never block on a dead connection.
-	out := make(chan string, 4*pipelineDepth)
 	wdone := make(chan struct{})
-	var connDead atomic.Bool
-	go func() {
-		defer close(wdone)
-		w := bufio.NewWriter(conn)
-		dead := false
-		// A connection that cannot carry responses must not keep
-		// executing requests: the dead flag stops the reader loop even
-		// for lines already sitting in its scanner buffer, and closing
-		// the connection unblocks a reader parked in a Read syscall.
-		die := func() {
-			dead = true
-			connDead.Store(true)
-			conn.Close()
-		}
-		poll := func() (string, bool) {
-			select {
-			case line, ok := <-out:
-				return line, ok
-			default:
-				return "", false
-			}
-		}
-		for line := range out {
-			lines, yielded := int64(0), false
-			for more := true; more; {
-				if !dead {
-					lines++
-					if _, err := w.WriteString(line); err != nil {
-						die()
-					} else if err := w.WriteByte('\n'); err != nil {
-						die()
-					}
-				}
-				if line, more = poll(); !more && !yielded {
-					yielded = true
-					runtime.Gosched()
-					line, more = poll()
-				}
-			}
-			if !dead {
-				s.met.wireResponses.Add(lines)
-				if w.Flush() != nil {
-					die()
-				} else {
-					s.met.wireFlushes.Inc()
-				}
-			}
-		}
-	}()
+	go c.write(wdone)
 
 	// Bare requests run on the reader, so they stay strictly ordered
 	// among themselves. So does a REQ-framed request that cannot wait:
@@ -466,38 +442,25 @@ func (s *Server) serveConn(conn net.Conn) {
 	// (no commit waits on a device or peer, a connection per processor)
 	// and no interactive session is live (sessionTable.enterInline):
 	// the engine may defer a UPD for a session's commit, which could be
-	// a line queued behind it. A connection that has carried a TXN line
-	// keeps every request on workers. Run to completion, a UPD skips
-	// the hand-off and keeps the engine near one transaction per
-	// connection instead of one per pipelined request, so a hot shard
-	// forks and scans for conflicts that concurrency made, not the
-	// traffic. Every other REQ-framed request dispatches concurrently
-	// on a lazily grown per-connection worker pool, bounded by the
-	// pipeline depth; a UPD reaches its worker already parsed. Workers
-	// are pooled rather than spawned per request because dispatch call
-	// chains run deep (admission -> shard -> engine -> commit): a fresh
-	// goroutine pays stack growth on every request (runtime.newstack
-	// dominated hot profiles), a pooled one pays it once per
-	// connection. An unbuffered job channel gives the same backpressure
-	// the old per-request semaphore did: with every worker busy, the
-	// reader blocks. stop ends this connection's replication feeders;
-	// sub is its lazily created ack-tracking subscription.
+	// a line queued behind it. Run to completion, a UPD skips the
+	// hand-off and keeps the engine near one transaction per connection
+	// instead of one per pipelined request, so a hot shard forks and
+	// scans for conflicts that concurrency made, not the traffic. Every
+	// other REQ-framed request dispatches concurrently on a lazily grown
+	// per-connection worker pool, bounded by the pipeline depth; a UPD
+	// reaches its worker already parsed. Workers are pooled rather than
+	// spawned per request because dispatch call chains run deep
+	// (admission -> shard -> engine -> commit): a fresh goroutine pays
+	// stack growth on every request (runtime.newstack dominated hot
+	// profiles), a pooled one pays it once per connection. An unbuffered
+	// job channel gives the same backpressure the old per-request
+	// semaphore did: with every worker busy, the reader blocks.
 	var reqJobs chan reqJob
 	nWorkers := 0
-	txnSeen := false
-	var workers sync.WaitGroup
-	stop := make(chan struct{})
-	var sub *repl.Sub
-	defer func() {
-		if sub != nil {
-			sub.Close()
-		}
-	}()
-
-	r := bufio.NewScanner(conn)
+	r := bufio.NewScanner(c.nc)
 	r.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for r.Scan() {
-		if connDead.Load() {
+		if c.dead.Load() {
 			break
 		}
 		fields := strings.Fields(r.Text())
@@ -508,18 +471,17 @@ func (s *Server) serveConn(conn net.Conn) {
 		case "REQ":
 			switch {
 			case len(fields) < 2:
-				out <- "ERR usage: REQ <id> <verb> [args...]"
+				c.out <- "ERR usage: REQ <id> <verb> [args...]"
 			case len(fields) == 2:
-				out <- "RES " + fields[1] + " ERR missing verb"
+				c.out <- "RES " + fields[1] + " ERR missing verb"
 			default:
 				job := reqJob{id: fields[1], fields: fields[2:]}
-				if !txnSeen && s.readersRun() {
-					if reply := s.readUPD(&job); reply != "" {
-						out <- "RES " + job.id + " " + reply
+				if s.readersRun() {
+					if reply := c.readUPD(&job); reply != "" {
+						c.out <- "RES " + job.id + " " + reply
 						continue
 					}
 				}
-				txnSeen = txnSeen || strings.EqualFold(job.fields[0], "TXN")
 				if reqJobs == nil {
 					reqJobs = make(chan reqJob)
 				}
@@ -530,11 +492,11 @@ func (s *Server) serveConn(conn net.Conn) {
 					// then block (TCP backpressure, not an error).
 					if nWorkers < pipelineDepth {
 						nWorkers++
-						workers.Add(1)
+						c.workers.Add(1)
 						go func() {
-							defer workers.Done()
+							defer c.workers.Done()
 							for j := range reqJobs {
-								out <- "RES " + j.id + " " + s.serveJob(&j)
+								c.out <- "RES " + j.id + " " + c.serveJob(&j)
 							}
 						}()
 					}
@@ -545,30 +507,92 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Replication verbs are connection-stateful (they turn the
 			// connection into a push stream), so they are handled here,
 			// not in dispatch.
-			s.handleRepl(strings.ToUpper(fields[0]), fields[1:], &sub, out, stop, &workers)
+			c.handleRepl(strings.ToUpper(fields[0]), fields[1:])
 		case "SNAP":
 			// SNAP's reply spans several lines (header + SNAPKV batches),
 			// so like REPL it needs bare framing; a joiner issues its
 			// SNAPs before subscribing, keeping the stream unambiguous.
-			s.handleSnap(fields[1:], &sub, out)
+			c.handleSnap(fields[1:])
 		default:
-			txnSeen = txnSeen || strings.EqualFold(fields[0], "TXN")
-			out <- s.dispatch(fields)
+			c.out <- c.dispatch(fields)
 		}
 	}
 	tooLong := errors.Is(r.Err(), bufio.ErrTooLong)
-	close(stop)
+	close(c.stop)
 	if reqJobs != nil {
 		close(reqJobs)
 	}
-	workers.Wait()
+	c.workers.Wait()
 	if tooLong {
 		// The connection cannot be resynced mid-line, but the client
 		// deserves a diagnostic before the close instead of a bare EOF.
-		out <- "ERR request line exceeds 1MB"
+		c.out <- "ERR request line exceeds 1MB"
 	}
-	close(out)
+	close(c.out)
 	<-wdone
+}
+
+// write is the connection's writer goroutine; it closes done once out
+// is closed and drained. All responses funnel through it (it is what
+// keeps workers off a dead or slow socket, and what REPL and SNAP push
+// through). Its flush rule is the Mux's: on finding the channel empty
+// it owes a flush, yields the processor once, drains whatever was
+// produced meanwhile, then flushes. "Drain what is queued, then flush"
+// alone almost never batches: a channel send parks the woken writer in
+// the sender's runnext slot, so it runs — and finds the channel empty
+// again — before the sibling workers that were already runnable. The
+// yield puts the writer behind them; every verdict they produce shares
+// the one write(2), and a lone response pays an empty yield and flushes
+// at once. On a write error the writer keeps draining (discarding) so
+// workers never block on a dead connection.
+func (c *conn) write(done chan<- struct{}) {
+	defer close(done)
+	met := c.s.met
+	w := bufio.NewWriter(c.nc)
+	dead := false
+	// A connection that cannot carry responses must not keep executing
+	// requests: the dead flag stops the reader loop even for lines
+	// already sitting in its scanner buffer, and closing the connection
+	// unblocks a reader parked in a Read syscall.
+	die := func() {
+		dead = true
+		c.dead.Store(true)
+		c.nc.Close()
+	}
+	poll := func() (string, bool) {
+		select {
+		case line, ok := <-c.out:
+			return line, ok
+		default:
+			return "", false
+		}
+	}
+	for line := range c.out {
+		lines, yielded := int64(0), false
+		for more := true; more; {
+			if !dead {
+				lines++
+				if _, err := w.WriteString(line); err != nil {
+					die()
+				} else if err := w.WriteByte('\n'); err != nil {
+					die()
+				}
+			}
+			if line, more = poll(); !more && !yielded {
+				yielded = true
+				runtime.Gosched()
+				line, more = poll()
+			}
+		}
+		if !dead {
+			met.wireResponses.Add(lines)
+			if w.Flush() != nil {
+				die()
+			} else {
+				met.wireFlushes.Inc()
+			}
+		}
+	}
 }
 
 // handleRepl serves the connection-stateful replication verbs. REPL
@@ -580,74 +604,67 @@ func (s *Server) serveConn(conn net.Conn) {
 // the primary's lag accounting, trim floor and semi-sync wait. Feeders
 // stop when the connection's reader loop ends (stop) and are awaited like
 // REQ workers.
-func (s *Server) handleRepl(verb string, args []string, sub **repl.Sub, out chan<- string, stop <-chan struct{}, workers *sync.WaitGroup) {
-	if reply, fenced := s.fencedReplVerb(); fenced {
-		// A deposed primary's log is frozen history: a joiner must not
-		// bootstrap from it, and the zombie's own replicas must re-point
-		// at the new primary.
-		out <- reply
-		return
-	}
-	feed := s.Feed()
-	if feed == nil {
-		out <- "ERR not a replication primary"
+func (c *conn) handleRepl(verb string, args []string) {
+	feed, refused := c.s.replFeed()
+	if refused != "" {
+		c.out <- refused
 		return
 	}
 	if len(args) != 1 {
-		out <- "ERR usage: " + verb + " <position>"
+		c.out <- "ERR usage: " + verb + " <position>"
 		return
 	}
 	pos, err := strconv.ParseUint(args[0], 10, 64)
 	if err != nil || (verb == "REPL" && pos == 0) {
-		out <- "ERR bad position " + args[0]
+		c.out <- "ERR bad position " + args[0]
 		return
 	}
 	if verb == "ACK" {
-		if *sub == nil {
-			out <- "ERR ACK before REPL"
+		if c.sub == nil {
+			c.out <- "ERR ACK before REPL"
 			return
 		}
-		(*sub).Ack(pos)
-		out <- "OK"
+		c.sub.Ack(pos)
+		c.out <- "OK"
 		return
 	}
-	if *sub == nil {
+	if c.sub == nil {
 		// A fresh subscription pins the trim floor at 0 before the base
 		// check, so a base observed below the requested start cannot
 		// advance past it afterwards.
-		*sub = feed.Subscribe()
+		c.sub = feed.Subscribe()
 	}
 	log := feed.Log()
 	if base := log.Base(); pos <= base {
-		out <- fmt.Sprintf("ERR log trimmed through %d; SNAP to bootstrap, then REPL above it", base)
+		c.out <- fmt.Sprintf("ERR log trimmed through %d; SNAP to bootstrap, then REPL above it", base)
 		return
 	}
-	(*sub).Ack(pos - 1)
-	out <- "OK " + strconv.FormatUint(log.Head(), 10)
-	workers.Add(1)
+	c.sub.Ack(pos - 1)
+	c.out <- "OK " + strconv.FormatUint(log.Head(), 10)
+	c.workers.Add(1)
 	go func() {
-		defer workers.Done()
+		defer c.workers.Done()
 		for {
 			recs, wake, err := log.From(pos, 256)
 			if err != nil {
 				// Trimmed past a streaming subscriber — possible only if it
 				// never acked while the retention window slid by. The
 				// stream cannot resync; tell it to re-bootstrap.
-				out <- fmt.Sprintf("ERR log trimmed through %d; SNAP to bootstrap, then REPL above it", log.Base())
+				c.out <- fmt.Sprintf("ERR log trimmed through %d; SNAP to bootstrap, then REPL above it", log.Base())
 				return
 			}
 			if len(recs) == 0 {
 				select {
 				case <-wake:
 					continue
-				case <-stop:
+				case <-c.stop:
 					return
 				}
 			}
 			for _, rec := range recs {
 				select {
-				case out <- repl.EncodeLog(rec.Shard, rec):
-				case <-stop:
+				case c.out <- repl.EncodeLog(rec.Shard, rec):
+				case <-c.stop:
 					return
 				}
 				pos = rec.Index + 1
@@ -675,22 +692,19 @@ const snapBatch = 256
 // current commit batch (records ship only after their WAL sync), so the
 // cut's position comes from the durability manager, which numbers records
 // as they are written, and the reply waits for the sync that ships them.
-func (s *Server) handleSnap(args []string, sub **repl.Sub, out chan<- string) {
-	if reply, fenced := s.fencedReplVerb(); fenced {
-		out <- reply
-		return
-	}
-	feed := s.Feed()
-	if feed == nil {
-		out <- "ERR not a replication primary"
+func (c *conn) handleSnap(args []string) {
+	s := c.s
+	feed, refused := s.replFeed()
+	if refused != "" {
+		c.out <- refused
 		return
 	}
 	if len(args) != 0 {
-		out <- "ERR usage: SNAP"
+		c.out <- "ERR usage: SNAP"
 		return
 	}
-	if *sub == nil {
-		*sub = feed.Subscribe()
+	if c.sub == nil {
+		c.sub = feed.Subscribe()
 	}
 	n := s.store.NumShards()
 	var pairs []string
@@ -705,7 +719,7 @@ func (s *Server) handleSnap(args []string, sub **repl.Sub, out chan<- string) {
 	// drop: the joiner is about to REPL from pos+1, and nothing may trim
 	// past pos in the SNAP-to-REPL window. The floor is released when the
 	// connection (and with it the Sub) goes away.
-	(*sub).Ack(pos)
+	c.sub.Ack(pos)
 	for i := 0; i < n; i++ {
 		s.store.Shard(i).RangeLocked(func(k string, v []byte) bool {
 			pairs = append(pairs, k+":"+string(v))
@@ -721,10 +735,10 @@ func (s *Server) handleSnap(args []string, sub **repl.Sub, out chan<- string) {
 	// stable storage and shipped. (A broken WAL makes this a no-op; the
 	// server is about to fail-stop anyway.)
 	s.store.Shard(0).SyncCommitLog()
-	out <- fmt.Sprintf("OK %d %d %d", pos, epoch, len(pairs))
+	c.out <- fmt.Sprintf("OK %d %d %d", pos, epoch, len(pairs))
 	for len(pairs) > 0 {
 		k := min(snapBatch, len(pairs))
-		out <- "SNAPKV " + strings.Join(pairs[:k], " ")
+		c.out <- "SNAPKV " + strings.Join(pairs[:k], " ")
 		pairs = pairs[k:]
 	}
 }
@@ -749,14 +763,14 @@ func (s *Server) readersRun() bool {
 // readUPD is the reader's half of a REQ-framed UPD: it parses the line
 // once, into j.upd, and answers it here when it cannot wait (serveConn
 // says when). An empty reply leaves j to a worker's serveJob.
-func (s *Server) readUPD(j *reqJob) string {
+func (c *conn) readUPD(j *reqJob) string {
 	if !strings.EqualFold(j.fields[0], "UPD") {
 		return ""
 	}
-	start, u := time.Now(), &j.upd
+	s, start, u := c.s, time.Now(), &j.upd
 	reply := u.parse(j.fields[1:])
 	if reply == "" && s.oneShard(u.ops) && s.sessions.enterInline() {
-		reply = s.runUpdate(u, false)
+		reply = c.runUpdate(u, false)
 		s.sessions.exitInline()
 	}
 	if reply != "" {
@@ -766,13 +780,13 @@ func (s *Server) readUPD(j *reqJob) string {
 }
 
 // serveJob runs one REQ-framed request on a worker.
-func (s *Server) serveJob(j *reqJob) string {
+func (c *conn) serveJob(j *reqJob) string {
 	if j.upd.ops == nil {
-		return s.dispatch(j.fields)
+		return c.dispatch(j.fields)
 	}
 	start := time.Now()
-	reply := s.runUpdate(&j.upd, true)
-	s.observe("UPD", start)
+	reply := c.runUpdate(&j.upd, true)
+	c.s.observe("UPD", start)
 	return reply
 }
 
@@ -794,22 +808,22 @@ type op struct {
 	set   bool
 }
 
-// dispatchLine parses and serves one raw request line. It is the
-// single-string entry point the fuzzer drives; serveConn splits fields
-// itself.
+// dispatchLine parses and serves one raw request line on the server's
+// own connection (lines). It is the single-string entry point the
+// fuzzer drives; serveConn splits fields itself.
 func (s *Server) dispatchLine(line string) string {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return "ERR empty request"
 	}
-	return s.dispatch(fields)
+	return s.lines.dispatch(fields)
 }
 
-func (s *Server) dispatch(fields []string) string {
+func (c *conn) dispatch(fields []string) string {
 	verb := strings.ToUpper(fields[0])
 	start := time.Now()
-	resp := s.dispatchVerb(verb, fields[1:])
-	s.observe(verb, start)
+	resp := c.dispatchVerb(verb, fields[1:])
+	c.s.observe(verb, start)
 	return resp
 }
 
@@ -820,7 +834,8 @@ func (s *Server) observe(verb string, start time.Time) {
 	s.met.observeVerb(verb, time.Since(start))
 }
 
-func (s *Server) dispatchVerb(verb string, args []string) string {
+func (c *conn) dispatchVerb(verb string, args []string) string {
+	s := c.s
 	switch verb {
 	case "PING":
 		return "OK pong"
@@ -847,15 +862,15 @@ func (s *Server) dispatchVerb(verb string, args []string) string {
 		if err != nil {
 			return "ERR bad number"
 		}
-		return s.runUpdate(&update{ops: []op{{key: args[0], delta: n, write: true}}}, true)
+		return c.runUpdate(&update{ops: []op{{key: args[0], delta: n, write: true}}}, true)
 	case "UPD":
 		var u update
 		if bad := u.parse(args); bad != "" {
 			return bad
 		}
-		return s.runUpdate(&u, true)
+		return c.runUpdate(&u, true)
 	case "TXN":
-		return s.handleTXN(args)
+		return c.handleTXN(args)
 	case "SUM":
 		if len(args) == 0 {
 			return "ERR usage: SUM <key>..."
@@ -888,12 +903,9 @@ func (s *Server) dispatchVerb(verb string, args []string) string {
 		// honest even while the replication stream itself is
 		// backpressured, and cluster lease probes read the watermark for
 		// caught-up-ness without a REPL subscription.
-		if reply, fenced := s.fencedReplVerb(); fenced {
-			return reply
-		}
-		feed := s.Feed()
-		if feed == nil {
-			return "ERR not a replication primary"
+		feed, refused := s.replFeed()
+		if refused != "" {
+			return refused
 		}
 		return fmt.Sprintf("OK %d %d", feed.Log().LastEpoch(), feed.Log().Head())
 	case "TOPO":
@@ -969,7 +981,8 @@ func (u *update) parse(args []string) string {
 // under bare and REQ framing — and because sessions live in a
 // server-global table keyed by id, a session may even be driven from
 // several connections (though one at a time is the sane shape).
-func (s *Server) handleTXN(args []string) string {
+func (c *conn) handleTXN(args []string) string {
+	s := c.s
 	if len(args) == 0 {
 		return "ERR usage: TXN BEGIN|R|W|COMMIT|ABORT ..."
 	}
@@ -986,7 +999,7 @@ func (s *Server) handleTXN(args []string) string {
 				return "ERR bad token " + tok
 			}
 		}
-		return s.txnBegin(o)
+		return c.txnBegin(o)
 	}
 	if len(rest) == 0 {
 		return "ERR usage: TXN " + sub + " <id> ..."
@@ -1060,12 +1073,13 @@ func (s *Server) handleTXN(args []string) string {
 // Without wait it does not queue in admission: where it would, it
 // returns an empty reply with u's ledger entry open, and a call with
 // wait resumes it.
-func (s *Server) runUpdate(u *update, wait bool) string {
+func (c *conn) runUpdate(u *update, wait bool) string {
+	s := c.s
 	if !u.arrived {
 		u.arrived = true
 		write := slices.ContainsFunc(u.ops, func(o op) bool { return o.write })
 		var refused string
-		if u.r, refused = s.arrive(u.o, write, false); refused != "" {
+		if u.r, refused = c.arrive(u.o, write, false); refused != "" {
 			return refused
 		}
 	}

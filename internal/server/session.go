@@ -442,11 +442,12 @@ func (ss *session) replaySpecLocked() {
 // txnBegin admits and registers a new session. The value function is
 // fixed here; on a replica the lag gate prices the whole session before
 // the admission queue sees it.
-func (s *Server) txnBegin(o opts.T) string {
+func (c *conn) txnBegin(o opts.T) string {
 	// The slot estimate for an interactive transaction is a guess (the
 	// op list does not exist yet); 2 ops is the workload's short-txn
 	// shape. The estimate only orders the wait, it reserves nothing.
-	r, refused := s.begin(o, 2, false, true)
+	s := c.s
+	r, refused := c.begin(o, 2, false, true)
 	if refused != "" {
 		return refused
 	}
