@@ -269,7 +269,7 @@ func (h *history) transfers(t *testing.T, rng *rand.Rand, m *Manager, st *shard.
 			}
 		}
 		tr := obs.NewTrace(time.Now())
-		_, err := st.UpdateTracedResult(1, keys, nil, tr, func(tx shard.Tx) error {
+		_, err := st.UpdateTracedResult(1, keys, nil, tr, nil, func(tx shard.Tx) error {
 			for j, k := range keys {
 				v, err := tx.Get(k)
 				if err != nil {

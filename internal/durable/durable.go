@@ -381,8 +381,9 @@ func (ms *managedShard) take(epoch uint64, value float64) (uint64, bool) {
 	return idx, ms.m.opts.CkptEvery > 0 && ms.appendsSince >= ms.m.opts.CkptEvery
 }
 
-// Durable implements engine.CommitLog: Sync is an fsync.
-func (ms *managedShard) Durable() bool { return true }
+// Durable implements engine.CommitLog: Sync is an fsync unless the
+// policy is FsyncOff.
+func (ms *managedShard) Durable() bool { return ms.m.opts.Fsync != FsyncOff }
 
 // Sync implements engine.CommitLog: it syncs the node log through every
 // record written so far, then publishes the records the sync covers to

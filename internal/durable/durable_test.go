@@ -35,7 +35,7 @@ func openStore(t *testing.T, dir string, shards int, opts Options, withFeed bool
 // update path (so the commit flows through the commit-log sink).
 func put(t *testing.T, st *shard.Store, key, val string, value float64) {
 	t.Helper()
-	_, err := st.UpdateTracedResult(value, []string{key}, nil, nil, func(tx shard.Tx) error {
+	_, err := st.UpdateTracedResult(value, []string{key}, nil, nil, nil, func(tx shard.Tx) error {
 		return tx.Set(key, []byte(val))
 	})
 	if err != nil {

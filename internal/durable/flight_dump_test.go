@@ -56,7 +56,7 @@ func TestFlightDumpsAndMergedTimeline(t *testing.T) {
 	}
 	transfer := func(v0, v1 string) (uint64, error) {
 		tr := obs.NewTrace(time.Now())
-		_, err := st.UpdateTracedResult(0, []string{k0, k1}, nil, tr, func(tx shard.Tx) error {
+		_, err := st.UpdateTracedResult(0, []string{k0, k1}, nil, tr, nil, func(tx shard.Tx) error {
 			if err := tx.Set(k0, []byte(v0)); err != nil {
 				return err
 			}

@@ -58,10 +58,11 @@ type CommitLog interface {
 	// (the log's own for a standalone record).
 	AppendCommit(rec CommitRecord) uint64
 	// Sync makes everything appended so far durable. It runs outside the
-	// latch, once per batch, before any verdict of the batch is delivered.
+	// latch, once per installing batch, before any verdict of the batch is
+	// delivered.
 	Sync() error
-	// Durable reports whether Sync does I/O; logs that answer false are
-	// not synced.
+	// Durable reports whether Sync waits on a device: only before such a
+	// Sync does the commit boundary call its beforeWait hook (wait.go).
 	Durable() bool
 }
 
@@ -88,8 +89,9 @@ func (e *SyncError) Unwrap() error { return e.Err }
 // installed across the commit boundary. A non-nil result is a *SyncError:
 // every install of the batch is in memory and none may be acknowledged;
 // verdicts of requests that installed nothing are unaffected. step may
-// call only the *Locked methods of the latched stores.
-func Commit(stores []*Store, latch []int, step func()) error {
+// call only the *Locked methods of the latched stores. beforeWait, when
+// set, is called before a Sync of a Durable log.
+func Commit(stores []*Store, latch []int, beforeWait func(), step func()) error {
 	for _, i := range latch {
 		stores[i].mu.Lock()
 	}
@@ -104,7 +106,7 @@ func Commit(stores []*Store, latch []int, step func()) error {
 		if st.dirty {
 			st.dirty, installed = false, true
 			fence = st.fence
-			if sync == nil && st.log.Durable() {
+			if sync == nil {
 				sync = st.log
 			}
 		}
@@ -113,10 +115,11 @@ func Commit(stores []*Store, latch []int, step func()) error {
 	if !installed {
 		return nil
 	}
-	if sync != nil {
-		if err := sync.Sync(); err != nil {
-			return &SyncError{Err: err}
-		}
+	if beforeWait != nil && sync.Durable() {
+		beforeWait()
+	}
+	if err := sync.Sync(); err != nil {
+		return &SyncError{Err: err}
 	}
 	if fence != nil {
 		if err := fence(); err != nil {

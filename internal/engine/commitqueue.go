@@ -93,8 +93,12 @@ func NewCommitQueue(stores []*Store, latch []int, cfg GroupCommit, onFlush func(
 // *SyncError (installed, never to be acknowledged) and only ever reaches a
 // step that did. Higher prio is served first, FIFO among equals. A caller
 // that finds no flush running leads: the queue was empty before its own
-// step, and it flushes immediately.
-func (q *CommitQueue) Commit(prio int, step func() (installed bool)) error {
+// step, and it flushes immediately. beforeWait is the caller's wait seam
+// (wait.go): a leader calls it before each boundary of its flushes that
+// syncs a Durable log, and a follower before waiting for its verdict
+// behind such a flush. Behind an in-memory flush a follower waits out the
+// leader's latch hold, as it would wait for a latch, and calls nothing.
+func (q *CommitQueue) Commit(prio int, beforeWait func(), step func() (installed bool)) error {
 	req := queuedStep{prio: prio, step: step, done: make(chan error, 1)}
 	q.mu.Lock()
 	// Starvation control: when several conflicting read-modify-writes of
@@ -116,9 +120,11 @@ func (q *CommitQueue) Commit(prio int, step func() (installed bool)) error {
 	q.flushing = true
 	q.mu.Unlock()
 	if lead {
-		q.drain()
+		q.drain(beforeWait)
+	} else if !q.stores[q.latch[0]].durable.Load() {
+		beforeWait = nil
 	}
-	return <-req.done
+	return Await(req.done, beforeWait)
 }
 
 // drain flushes the queue, at most maxBatch steps per flush, until it is
@@ -129,8 +135,8 @@ func (q *CommitQueue) Commit(prio int, step func() (installed bool)) error {
 // goroutine start per batch, but under sustained load would hold its
 // caller hostage for as long as work keeps arriving, so after its first
 // batch it serves at most maxBatch further steps and then passes the queue
-// to a detached drainer.
-func (q *CommitQueue) drain() {
+// to a detached drainer, which waits for no one.
+func (q *CommitQueue) drain(beforeWait func()) {
 	budget := -1 // the first batch, as a rule the leader's own commit, is free
 	for {
 		q.mu.Lock()
@@ -149,7 +155,7 @@ func (q *CommitQueue) drain() {
 		}
 		if budget == 0 {
 			q.mu.Unlock()
-			go q.drain()
+			go q.drain(nil)
 			return
 		}
 		if budget > 0 {
@@ -159,7 +165,7 @@ func (q *CommitQueue) drain() {
 		q.pending = append(q.spare[:0], q.pending[n:]...)
 		q.mu.Unlock()
 
-		q.flush(batch)
+		q.flush(batch, beforeWait)
 		clear(batch)
 		q.spare = batch[:0]
 		if budget < 0 {
@@ -172,13 +178,13 @@ func (q *CommitQueue) drain() {
 
 // flush runs batch under one acquisition of the latches and one commit
 // boundary.
-func (q *CommitQueue) flush(batch []queuedStep) {
+func (q *CommitQueue) flush(batch []queuedStep, beforeWait func()) {
 	flushStart := time.Now()
 	// One commit boundary covers every install of the flush, and no
 	// committer learns its verdict before the batch has crossed it. A
 	// boundary failure converts every installed verdict of the batch to an
 	// error: the writes are in place but must never be acknowledged.
-	err := Commit(q.stores, q.latch, func() {
+	err := Commit(q.stores, q.latch, beforeWait, func() {
 		q.onFlush()
 		for i := range batch {
 			batch[i].installed = batch[i].step()

@@ -38,7 +38,7 @@ func (r *queueRig) submit(id, prio int, install bool) chan error {
 	r.results.Add(1)
 	go func() {
 		defer r.results.Done()
-		verdict <- r.q.Commit(prio, func() bool {
+		verdict <- r.q.Commit(prio, nil, func() bool {
 			r.ran(id)
 			if install {
 				r.s.ApplyLocked(map[string][]byte{"k": {byte(id)}}, 0)
@@ -60,7 +60,7 @@ func (r *queueRig) lead() (release, done chan struct{}) {
 	entered := make(chan struct{})
 	go func() {
 		defer close(done)
-		r.q.Commit(0, func() bool {
+		r.q.Commit(0, nil, func() bool {
 			r.ran(0)
 			close(entered)
 			<-release
@@ -88,7 +88,7 @@ func TestCommitQueueBatchCapAndHostageBound(t *testing.T) {
 	r.results.Add(1)
 	go func() {
 		defer r.results.Done()
-		r.q.Commit(0, func() bool {
+		r.q.Commit(0, nil, func() bool {
 			r.ran(max + 1)
 			close(parked)
 			<-unpark
@@ -198,7 +198,7 @@ func TestCommitQueueNeverOrphans(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if err := q.Commit(i%3, func() bool {
+				if err := q.Commit(i%3, nil, func() bool {
 					ran++
 					s.ApplyLocked(map[string][]byte{"k": {1}}, 0)
 					return true

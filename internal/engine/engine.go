@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -146,6 +147,7 @@ type Store struct {
 
 	mu        sync.Mutex
 	log       CommitLog    // never nil: nopLog without a commit log
+	durable   atomic.Bool  // log.Durable(), readable without mu
 	fence     func() error // the commit boundary's last check (SetFence); may be nil
 	dirty     bool         // installed since the last commit boundary
 	committed map[string]versioned
@@ -196,6 +198,9 @@ type txnHandle struct {
 	fn    func(*Tx) error
 	value float64
 	tr    *obs.Trace // nil unless the request asked for a lifecycle trace
+	// beforeWait is the caller's wait seam (wait.go), called by the
+	// driver only; nil when the caller may block anywhere.
+	beforeWait func()
 
 	// done is closed when the transaction commits or gives up; shadows of
 	// other transactions gate on it.
@@ -222,7 +227,8 @@ type attempt struct {
 	// conflicting transaction resolves (gateOn.done) or when its current
 	// optimistic attempt aborts (gateAtt.aborted) — the latter keeps the
 	// engine live when two transactions' shadows would otherwise gate on
-	// each other after a third party aborts both optimistic runs.
+	// each other after a third party aborts both optimistic runs. All
+	// three are fixed at the fork.
 	gateIdx int
 	gateOn  *txnHandle
 	gateAtt *attempt
@@ -320,15 +326,13 @@ func (tx *Tx) Get(key string) ([]byte, error) {
 	// A speculative shadow parks at its gate until the conflicting
 	// transaction resolves (commit or give-up) — the channel equivalent
 	// of the simulator's Blocking Rule.
-	if a.spec && a.readSeq == a.gateIdx && a.gateOn != nil {
-		gate, gateAtt := a.gateOn, a.gateAtt
-		a.gateOn, a.gateAtt = nil, nil
+	if a.spec && a.readSeq == a.gateIdx {
 		a.h.tr.Event(obs.StagePark)
 		parkStart := time.Now()
 		aborted := false
 		select {
-		case <-gate.done:
-		case <-gateAtt.aborted:
+		case <-a.gateOn.done:
+		case <-a.gateAtt.aborted:
 		case <-a.aborted:
 			aborted = true
 		}
@@ -428,6 +432,18 @@ func (tx *Tx) Set(key string, val []byte) error {
 	return nil
 }
 
+// gateShut reports whether speculative shadow a may still park at its
+// gate: the conflict it was forked on is unresolved.
+func (a *attempt) gateShut() bool {
+	select {
+	case <-a.gateOn.done:
+	case <-a.gateAtt.aborted:
+	default:
+		return true
+	}
+	return false
+}
+
 // forkShadowLocked gives h a speculative shadow gated on the resolution of
 // gateOn. SCC-2S keeps a single shadow: an existing one is kept (it parks
 // at the earliest conflict already; re-running the closure from the start
@@ -450,15 +466,15 @@ func (s *Store) forkShadowLocked(h, gateOn *txnHandle, gateIdx int) {
 // Update executes fn transactionally and blocks until an execution of fn
 // commits (or the attempt budget is exhausted / fn returns a non-conflict
 // error). All Update transactions have equal worth and run untraced; it
-// is UpdateTracedResult(0, nil, fn) with the stash dropped.
+// is UpdateTracedResult(0, nil, nil, fn) with the stash dropped.
 func (s *Store) Update(fn func(*Tx) error) error {
-	_, err := s.UpdateTracedResult(0, nil, fn)
+	_, err := s.UpdateTracedResult(0, nil, nil, fn)
 	return err
 }
 
 // UpdateTracedResult is the full form of Update: it returns the
 // committed execution's Tx.Stash value (nil if it never stashed), and
-// takes a transaction value and a lifecycle trace.
+// takes a transaction value, a lifecycle trace and a wait hook.
 //
 // value is the live-engine counterpart of SCC-VW's commit deferment: a
 // finished transaction whose in-flight conflicters include one of
@@ -473,17 +489,22 @@ func (s *Store) Update(fn func(*Tx) error) error {
 // is stamped onto it, from whichever shadow goroutine reaches the stage.
 // A nil tr costs one predictable branch per site.
 //
+// beforeWait, when non-nil, is called on the calling goroutine before
+// each blocking wait of the call (wait.go); a transaction that never
+// waits never calls it.
+//
 // h.result is published under the store latch by the winning attempt's
 // tryCommit before resolved is set, so reading it after observing the
 // commit is race-free even if a losing shadow is still executing the
 // closure.
-func (s *Store) UpdateTracedResult(value float64, tr *obs.Trace, fn func(*Tx) error) (any, error) {
+func (s *Store) UpdateTracedResult(value float64, tr *obs.Trace, beforeWait func(), fn func(*Tx) error) (any, error) {
 	h := &txnHandle{
-		store: s,
-		fn:    fn,
-		value: value,
-		tr:    tr,
-		done:  make(chan struct{}),
+		store:      s,
+		fn:         fn,
+		value:      value,
+		tr:         tr,
+		beforeWait: beforeWait,
+		done:       make(chan struct{}),
 	}
 	defer close(h.done)
 
@@ -531,8 +552,15 @@ func (s *Store) UpdateTracedResult(value float64, tr *obs.Trace, fn func(*Tx) er
 			// commit boundary (tryCommit/flush order), so even a commit
 			// already visible as resolved is acknowledged off the report,
 			// never off the flag — and a boundary error on it must surface
-			// as failure, not success.
-			sv := <-sh.report
+			// as failure, not success. The wait is one to announce while
+			// the shadow can still park at its conflict (the Blocking
+			// Rule) or commits through a log that does I/O; a shadow
+			// already running in memory is waited out like a latch.
+			wait := h.beforeWait
+			if !sh.gateShut() && !s.durable.Load() {
+				wait = nil
+			}
+			sv := Await(sh.report, wait)
 			if !resolved {
 				_, resolved = s.handOff(h, false)
 			}
@@ -608,7 +636,7 @@ func (h *txnHandle) runSync(a *attempt) verdict {
 		return verdict{err: err}
 	}
 	h.store.deferForValue(a)
-	return h.store.tryCommit(a)
+	return h.store.tryCommit(a, h.beforeWait)
 }
 
 // deferForValue implements the VW-style Termination Rule: while a strictly
@@ -656,6 +684,9 @@ func (s *Store) deferForValue(a *attempt) {
 		if wait == nil {
 			return
 		}
+		if a.h.beforeWait != nil {
+			a.h.beforeWait()
+		}
 		select {
 		case <-wait.done:
 		case <-protected.aborted:
@@ -671,7 +702,7 @@ func (h *txnHandle) runAttempt(sh *attempt) {
 		sh.report <- verdict{err: err}
 		return
 	}
-	sh.report <- h.store.tryCommit(sh)
+	sh.report <- h.store.tryCommit(sh, nil)
 }
 
 // tryCommit validates and installs an attempt's writes through the commit
@@ -680,8 +711,9 @@ func (h *txnHandle) runAttempt(sh *attempt) {
 // shadow or restarts. A successful commit is reported only once it has
 // crossed the commit boundary (Commit): a boundary failure reports
 // committed with a *SyncError — installed, but never to be acknowledged.
-func (s *Store) tryCommit(a *attempt) verdict {
-	err := s.queue.Commit(a.h.attempts, func() bool { return s.commitLocked(a) })
+// beforeWait is the driver's hook, nil on a shadow's goroutine.
+func (s *Store) tryCommit(a *attempt, beforeWait func()) verdict {
+	err := s.queue.Commit(a.h.attempts, beforeWait, func() bool { return s.commitLocked(a) })
 	return verdict{err: err, committed: a.committed}
 }
 

@@ -316,7 +316,7 @@ func TestSerializableHistory(t *testing.T) {
 			// Shadows run the closure concurrently, so the observation
 			// goes through Tx.Stash: only the committed execution's
 			// value comes back, and no captured variable is shared.
-			res, err := s.UpdateTracedResult(0, nil, func(tx *Tx) error {
+			res, err := s.UpdateTracedResult(0, nil, nil, func(tx *Tx) error {
 				v, err := getInt(tx, "seq")
 				if err != nil {
 					return err

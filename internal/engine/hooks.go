@@ -88,6 +88,7 @@ func (s *Store) SetCommitLog(cl CommitLog) {
 	}
 	s.mu.Lock()
 	s.log = cl
+	s.durable.Store(cl.Durable())
 	s.mu.Unlock()
 }
 

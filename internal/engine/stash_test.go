@@ -22,7 +22,7 @@ func TestStashUnderContention(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				res, err := s.UpdateTracedResult(0, nil, func(tx *Tx) error {
+				res, err := s.UpdateTracedResult(0, nil, nil, func(tx *Tx) error {
 					v, err := tx.Get("hot")
 					if err != nil {
 						return err
@@ -75,7 +75,7 @@ func TestStashUnderContention(t *testing.T) {
 
 func TestStashNilWhenNeverStashed(t *testing.T) {
 	s := Open(Config{})
-	res, err := s.UpdateTracedResult(0, nil, func(tx *Tx) error {
+	res, err := s.UpdateTracedResult(0, nil, nil, func(tx *Tx) error {
 		return tx.Set("k", []byte("v"))
 	})
 	if err != nil || res != nil {

@@ -13,7 +13,7 @@ import (
 
 // updateValued runs fn at the given transaction value, untraced.
 func updateValued(s *Store, value float64, fn func(*Tx) error) error {
-	_, err := s.UpdateTracedResult(value, nil, fn)
+	_, err := s.UpdateTracedResult(value, nil, nil, fn)
 	return err
 }
 

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/server/opts"
 	"repro/internal/value"
 )
@@ -146,42 +147,29 @@ func (a *Admission) Close() {
 
 // Acquire blocks until the transaction is admitted or shed. numOps sizes
 // the execution-time estimate; f orders the wait and decides shedding.
-func (a *Admission) Acquire(f value.Fn, numOps int) error {
+func (a *Admission) Acquire(f value.Fn, numOps int) error { return a.acquire(f, numOps, nil) }
+
+// acquire is Acquire with a request's wait hook, called before the
+// caller blocks in the queue.
+func (a *Admission) acquire(f value.Fn, numOps int, beforeWait func()) error {
 	a.mu.Lock()
-	if ok, err := a.tryLocked(f); ok || err != nil {
+	if a.closed || f.At(a.now()) <= 0 {
+		a.shed++
 		a.mu.Unlock()
-		return err
+		return ErrShed
+	}
+	if a.slots > 0 && len(a.waiters) == 0 {
+		a.slots--
+		a.admitted++
+		a.mu.Unlock()
+		return nil
 	}
 	w := a.enqueueLocked(f, numOps)
 	a.mu.Unlock()
 	if w == nil {
 		return ErrShed
 	}
-	return <-w.grant
-}
-
-// TryAcquire is Acquire without the wait: it admits the transaction
-// only when a slot is free and nobody queues for it, and sheds it, as
-// Acquire does, when the queue is closed or f has crossed zero. false
-// with a nil error means Acquire would have queued; nothing is counted.
-func (a *Admission) TryAcquire(f value.Fn) (bool, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.tryLocked(f)
-}
-
-// tryLocked is the door Acquire and TryAcquire share. Caller holds a.mu.
-func (a *Admission) tryLocked(f value.Fn) (bool, error) {
-	if a.closed || f.At(a.now()) <= 0 {
-		a.shed++
-		return false, ErrShed
-	}
-	if a.slots > 0 && len(a.waiters) == 0 {
-		a.slots--
-		a.admitted++
-		return true, nil
-	}
-	return false, nil
+	return engine.Await(w.grant, beforeWait)
 }
 
 // enqueueLocked appends a waiter, applying the value-cognizant overflow
@@ -219,8 +207,9 @@ func (a *Admission) enqueueLocked(f value.Fn, numOps int) *waiter {
 // competes for its own freed slot in the same expected-value sweep as
 // every parked waiter — surrendering first would hand the slot to a
 // lower-EV waiter unconditionally. On ErrShed the slot has already been
-// surrendered; the caller must not Release again.
-func (a *Admission) Readmit(f value.Fn, numOps int) error {
+// surrendered; the caller must not Release again. beforeWait, when set,
+// is called before the caller blocks for its grant.
+func (a *Admission) Readmit(f value.Fn, numOps int, beforeWait func()) error {
 	a.mu.Lock()
 	a.readmits++
 	var w *waiter
@@ -235,7 +224,7 @@ func (a *Admission) Readmit(f value.Fn, numOps int) error {
 	if w == nil {
 		return ErrShed
 	}
-	return <-w.grant
+	return engine.Await(w.grant, beforeWait)
 }
 
 // Release returns a slot and reports the observed service time, refining

@@ -42,46 +42,6 @@ func TestAdmissionShedsExpired(t *testing.T) {
 	}
 }
 
-// TestAdmissionTryAcquire: TryAcquire admits only on a free slot with
-// nobody queued, never queues or counts a refusal to wait, and sheds
-// past the zero-crossing and after Close as Acquire does.
-func TestAdmissionTryAcquire(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{MaxConcurrent: 2})
-	f := a.FnOf(opts.T{Value: 5, Deadline: 10 * time.Second})
-	if ok, err := a.TryAcquire(f); !ok || err != nil {
-		t.Fatalf("TryAcquire on a free slot = %v, %v; want true, nil", ok, err)
-	}
-	a.mu.Lock()
-	w := a.enqueueLocked(f, 1) // parked beside the free slot until the next sweep
-	a.mu.Unlock()
-	if ok, err := a.TryAcquire(f); ok || err != nil {
-		t.Fatalf("TryAcquire behind a waiter = %v, %v; want false, nil", ok, err)
-	}
-	a.mu.Lock()
-	a.dispatchLocked()
-	a.mu.Unlock()
-	if err := <-w.grant; err != nil {
-		t.Fatalf("waiter = %v, want its grant", err)
-	}
-	if ok, err := a.TryAcquire(f); ok || err != nil {
-		t.Fatalf("TryAcquire with no free slot = %v, %v; want false, nil", ok, err)
-	}
-	if st := a.Stats(); st.Admitted != 2 || st.Shed != 0 || st.Depth != 0 || st.InFlight != 2 {
-		t.Fatalf("stats = %+v, want Admitted 2, Shed 0, Depth 0, InFlight 2", st)
-	}
-	a.Release(0, 0)
-	if ok, err := a.TryAcquire(value.Fn{V: 1, Deadline: -10, Gradient: 1}); ok || !errors.Is(err, ErrShed) {
-		t.Fatalf("TryAcquire past the zero-crossing = %v, %v; want false, ErrShed", ok, err)
-	}
-	a.Close()
-	if ok, err := a.TryAcquire(f); ok || !errors.Is(err, ErrShed) {
-		t.Fatalf("TryAcquire after Close = %v, %v; want false, ErrShed", ok, err)
-	}
-	if st := a.Stats(); st.Shed != 2 || st.InFlight != 1 {
-		t.Fatalf("stats = %+v, want Shed 2, InFlight 1", st)
-	}
-}
-
 func TestAdmissionOrdersByExpectedValue(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1})
 	if err := a.Acquire(a.FnOf(opts.T{Value: 1}), 1); err != nil {
@@ -157,7 +117,7 @@ func TestReadmitShedsExpired(t *testing.T) {
 	// A cross-shard retry whose value function has crossed zero: the
 	// slot must come back even though the caller is refused.
 	expired := value.Fn{V: 1, Deadline: -10, Gradient: 1}
-	if err := a.Readmit(expired, 1); !errors.Is(err, ErrShed) {
+	if err := a.Readmit(expired, 1, nil); !errors.Is(err, ErrShed) {
 		t.Fatalf("err = %v, want ErrShed", err)
 	}
 	if st := a.Stats(); st.InFlight != 0 {
@@ -173,7 +133,7 @@ func TestReadmitKeepsLiveTransaction(t *testing.T) {
 	}
 	// With the only slot held by the caller itself, Readmit must hand
 	// the freed slot straight back — no deadlock, still in flight.
-	if err := a.Readmit(f, 1); err != nil {
+	if err := a.Readmit(f, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := a.Stats(); st.InFlight != 1 {
@@ -194,7 +154,7 @@ func TestReadmitCompetesByExpectedValue(t *testing.T) {
 	// The retrying transaction outvalues the parked waiter, so it must
 	// win its own freed slot in the same sweep — not hand it to the
 	// low-value waiter and queue behind it.
-	if err := a.Readmit(a.FnOf(opts.T{Value: 100, Deadline: 10 * time.Second}), 1); err != nil {
+	if err := a.Readmit(a.FnOf(opts.T{Value: 100, Deadline: 10 * time.Second}), 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -233,7 +193,7 @@ func TestAdmissionClose(t *testing.T) {
 	if err := a.Acquire(f, 1); !errors.Is(err, ErrShed) {
 		t.Fatalf("Acquire after Close = %v, want ErrShed", err)
 	}
-	if err := a.Readmit(f, 1); !errors.Is(err, ErrShed) {
+	if err := a.Readmit(f, 1, nil); !errors.Is(err, ErrShed) {
 		t.Fatalf("Readmit after Close = %v, want ErrShed", err)
 	}
 	if st := a.Stats(); st.Shed != 3 || st.Depth != 0 || st.Admitted != 1 {

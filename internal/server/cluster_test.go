@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -84,7 +85,7 @@ func TestDeposedEpochWriteNeverAcked(t *testing.T) {
 			// deterministic stand-in for a request that passed the entry
 			// fence before deposition landed. The install goes through, the
 			// verdict is an error naming the fence.
-			_, err := srv.execAdmitted(&request{s: srv, f: srv.adm.FnOf(opts.T{})}, []op{{key: "fencekey", delta: 99, write: true, set: true}}, time.Now())
+			_, err := srv.execAdmitted(&request{s: srv, f: srv.adm.FnOf(opts.T{})}, []op{{key: "fencekey", delta: 99, write: true, set: true}}, time.Now(), nil)
 			if err == nil || !strings.Contains(err.Error(), "fenced") {
 				t.Fatalf("zombie one-shot commit: err = %v, want a fenced error (nil is an acknowledged zombie write)", err)
 			}
@@ -103,6 +104,64 @@ func TestDeposedEpochWriteNeverAcked(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDeposedPrimaryFencesAndDumps: a clustered durable primary whose
+// one peer — a loopback fake — answers TOPO as the primary of epoch 2 is
+// fenced by its monitor's fold before it serves a connection, and keeps
+// the deposed primary's black box: TOPO reports role=fenced, a raw write
+// draws the not-primary redirect, the flight ring holds the demote event,
+// and a dump file lies under <Durable.Dir>/flight.
+func TestDeposedPrimaryFencesAndDumps(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	peer := lis.Addr().String()
+	go func() {
+		for {
+			c, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				if line, _ := bufio.NewReader(c).ReadString('\n'); strings.TrimSpace(line) == "TOPO" {
+					fmt.Fprintf(c, "%s\n", cluster.TopoReply{Role: "primary", Epoch: 2, Primary: peer, Self: peer}.Format())
+				}
+			}()
+		}
+	}()
+
+	dir := t.TempDir()
+	srv, addr := startDurableServer(t, Config{
+		Shards:  2,
+		Repl:    ReplOptions{Primary: true},
+		Cluster: ClusterConfig{Self: "127.0.0.1:0", Peers: []string{peer}, Lease: time.Hour},
+		Durable: durable.Options{Dir: dir},
+	})
+	t.Cleanup(srv.Close)
+
+	rc := dialRaw(t, addr) // accepted only after the monitor's boot probe
+	rc.send("TOPO")
+	if got := rc.recv(); !strings.HasPrefix(got, "OK role=fenced epoch=2 primary="+peer) {
+		t.Fatalf("TOPO = %q, want role=fenced at epoch 2 under %s", got, peer)
+	}
+	rc.send("ADD k 1")
+	if got := rc.recv(); got != "ERR not-primary "+peer {
+		t.Fatalf("ADD on the deposed primary = %q, want ERR not-primary %s", got, peer)
+	}
+	demoted := false
+	for _, e := range srv.Flight().Snapshot() {
+		demoted = demoted || e.Name == flight.EvDemote
+	}
+	if !demoted {
+		t.Error("no demote event in the flight ring")
+	}
+	if dumps, err := filepath.Glob(filepath.Join(dir, "flight", "*-demote.events")); err != nil || len(dumps) == 0 {
+		t.Errorf("flight dumps under %s = %v (%v), want the demotion's", dir, dumps, err)
 	}
 }
 
@@ -269,7 +328,7 @@ func TestPromoteDurableReplica(t *testing.T) {
 
 	// Deposed again: a commit already past the entry fence is never acked.
 	rep.cluster.Observe(3, "127.0.0.1:9")
-	_, err := rep.execAdmitted(&request{s: rep, f: rep.adm.FnOf(opts.T{})}, []op{{key: "zombie", delta: 1, write: true, set: true}}, time.Now())
+	_, err := rep.execAdmitted(&request{s: rep, f: rep.adm.FnOf(opts.T{})}, []op{{key: "zombie", delta: 1, write: true, set: true}}, time.Now(), nil)
 	if err == nil || !strings.Contains(err.Error(), "fenced") {
 		t.Fatalf("commit on re-deposed durable node: err = %v, want a fenced error", err)
 	}

@@ -53,7 +53,7 @@ func FuzzDispatch(f *testing.F) {
 		// the reaper runs would wedge BEGIN in the admission queue.
 		defer func() {
 			for _, ss := range s.sessions.snapshot() {
-				s.txnAbort(ss)
+				s.txnAbort(ss, nil)
 			}
 		}()
 		resp := s.dispatchLine(line)

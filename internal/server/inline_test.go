@@ -1,15 +1,17 @@
-// Tests of the reader's run-to-completion path: a REQ-framed UPD that
-// cannot wait runs on its connection's reader (serveConn), and anything
-// that can wait still goes to a worker, so the reader never stops
-// reading lines a waiting request depends on.
+// Tests of the reader's run-to-completion path: a REQ-framed request
+// runs on its connection's reader (follower.read) and leaves it for a
+// worker when it would wait (follower.handOff), so the reader never
+// stops reading lines a waiting request depends on.
 package server
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/server/opts"
 )
 
@@ -32,25 +34,27 @@ func recvWithin(t *testing.T, rc *rawConn, n int, d time.Duration) map[string]st
 }
 
 // fillReaders dials idle connections until srv serves one per
-// processor, the count from which its readers run UPDs (readersRun),
-// so the tests below run on any host.
+// processor, the count from which its readers run requests before
+// handing off, so the tests below run on any host.
 func fillReaders(t *testing.T, srv *Server, addr string) {
 	t.Helper()
-	for range srv.inlineConns {
+	procs := int32(runtime.GOMAXPROCS(0))
+	for range procs {
 		dialRaw(t, addr)
 	}
-	for deadline := time.Now().Add(2 * time.Second); !srv.readersRun(); {
+	for deadline := time.Now().Add(2 * time.Second); srv.served.Load() < procs; {
 		if time.Now().After(deadline) {
-			t.Fatalf("serving %d connections, want %d", srv.served.Load(), srv.inlineConns)
+			t.Fatalf("serving %d connections, want %d", srv.served.Load(), procs)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
 // TestInlineNeedsAConnectionPerProcessor: with fewer connections than
-// processors, readers leave every UPD to workers, which can use the
-// idle processors; from one connection per processor on, a single-shard
-// UPD runs on its reader.
+// processors, readers hand every REQ-framed request to a follower before
+// running it, so workers can use the idle processors; from one
+// connection per processor on, a UPD that does not wait runs on its
+// reader.
 func TestInlineNeedsAConnectionPerProcessor(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	srv, addr := startServer(t, Config{Shards: 4})
@@ -74,7 +78,7 @@ func TestInlineNeedsAConnectionPerProcessor(t *testing.T) {
 }
 
 // TestInlineNeverWaitsOnItsOwnConnection: a UPD that the engine defers
-// for a higher-value session's commit must not run on the reader of the
+// for a higher-value session's commit must not wait on the reader of the
 // connection that will carry that commit. The session blind-writes k
 // while live on k's shard; the UPD reads k, so the engine's Termination
 // Rule (deferForValue) holds it until the session resolves — and the
@@ -108,11 +112,12 @@ func TestInlineNeverWaitsOnItsOwnConnection(t *testing.T) {
 	}
 }
 
-// TestInlineNeverWaitsOnAnotherConnection: a live session anywhere
-// keeps UPDs off every reader. A v=100 session on one connection reads
-// k; a fresh connection that never carried TXN sends a UPD on k, which
-// the engine defers for the session's commit, then a PING. Were the UPD
-// on its reader, the PING would wait out the session's think time.
+// TestInlineNeverWaitsOnAnotherConnection: a UPD deferred for a live
+// session on another connection waits off its reader. A v=100 session
+// on one connection reads k; a fresh connection that never carried TXN
+// sends a UPD on k, which the engine defers for the session's commit,
+// then a PING. Were the UPD waiting on its reader, the PING would wait
+// out the session's think time.
 func TestInlineNeverWaitsOnAnotherConnection(t *testing.T) {
 	srv, addr := startServer(t, Config{Shards: 4})
 	fillReaders(t, srv, addr)
@@ -161,9 +166,8 @@ func TestInlineNeverWaitsOnAnotherConnection(t *testing.T) {
 // worker, not on the reader, so a PING sent after it is answered first;
 // once the slot frees, the UPD commits. A later UPD on the same
 // connection finds the slot free and runs on the reader. The only slot
-// is held either by a session on another connection, which keeps the
-// UPD off the reader outright, or by a bare admission grant, which
-// sends it there to find TryAcquire refusing.
+// is held either by a session on another connection or by a bare
+// admission grant.
 func TestInlineHeadOfLine(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -214,6 +218,46 @@ func TestInlineHeadOfLine(t *testing.T) {
 			}
 			if n := srv.met.requestsInline.Value(); n != 1 {
 				t.Fatalf("req_inline = %d after a UPD on a free slot, want 1", n)
+			}
+		})
+	}
+}
+
+// TestHandOffAtTheWait: every REQ-framed UPD starts on its reader, and
+// only one that waits leaves it. A cross-shard UPD runs there in memory
+// and over a WAL that never fsyncs; over a WAL that fsyncs each commit
+// batch, its commit boundary waits on the device, so it hands the reader
+// role off there and is answered from a worker.
+func TestHandOffAtTheWait(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		durable bool
+		fsync   durable.FsyncPolicy
+		inline  int64
+	}{
+		{"memory", false, 0, 1},
+		{"fsync-off", true, durable.FsyncOff, 1},
+		{"fsync-group", true, durable.FsyncGroup, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Shards: 4}
+			if tc.durable {
+				cfg.Durable = durable.Options{Dir: t.TempDir(), Fsync: tc.fsync}
+			}
+			srv, addr := startDurableServer(t, cfg)
+			t.Cleanup(srv.Close)
+			fillReaders(t, srv, addr)
+			a, b := "x0", "x1"
+			for i := 2; srv.Store().ShardOf(a) == srv.Store().ShardOf(b); i++ {
+				b = fmt.Sprintf("x%d", i)
+			}
+			rc := dialRaw(t, addr)
+			rc.send("REQ u UPD w:" + a + ":1 w:" + b + ":-1")
+			if got := recvWithin(t, rc, 1, 2*time.Second); got["u"] != "OK 1 -1" {
+				t.Fatalf("cross-shard UPD = %q, want u: OK 1 -1", got)
+			}
+			if n := srv.met.requestsInline.Value(); n != tc.inline {
+				t.Fatalf("req_inline = %d, want %d", n, tc.inline)
 			}
 		})
 	}

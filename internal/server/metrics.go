@@ -68,7 +68,7 @@ type serverMetrics struct {
 
 	// Event counters the server itself owns; statRows exposes them.
 	requests       obs.Counter // request lines dispatched
-	requestsInline obs.Counter // REQ-framed UPDs a connection's reader admitted and ran itself
+	requestsInline obs.Counter // REQ-framed UPDs their connection's reader ran without handing off
 	wireResponses  obs.Counter // lines written to connections' response writers
 	wireFlushes    obs.Counter // successful flushes of those writers (one write(2) each, or nearly)
 	crossShed      obs.Counter // cross-shard retries shed past their zero-crossing
@@ -238,7 +238,7 @@ var statRows = []statRow{
 		read: func(sn *statSnap) float64 { return float64(sn.s.store.NumShards()) }},
 	{key: "reqs", family: "scc_requests_total", help: "Wire requests dispatched (the STATS reqs counter).",
 		read: func(sn *statSnap) float64 { return float64(sn.s.met.requests.Value()) }},
-	{key: "req_inline", family: "scc_requests_inline_total", help: "REQ-framed UPDs a connection's reader admitted and ran to completion instead of handing to a worker.",
+	{key: "req_inline", family: "scc_requests_inline_total", help: "REQ-framed UPDs read, run and answered by one goroutine, the connection's reader, without promoting a follower.",
 		read: func(sn *statSnap) float64 { return float64(sn.s.met.requestsInline.Value()) }},
 	{key: "wire_responses", family: "scc_wire_responses_total", help: "Lines handed to connections' response writers (responses and pushed lines).",
 		read: func(sn *statSnap) float64 { return float64(sn.s.met.wireResponses.Value()) }},

@@ -224,8 +224,10 @@ func TestReplicaIsAPrefix(t *testing.T) {
 		if pos > uint64(len(recs)) {
 			t.Fatalf("stop %d: replica at position %d, past the primary's %d parts", stop, pos, len(recs))
 		}
-		if last := recs[max(pos, 1)-1]; pos > 0 && last.Cross() && last.Shard != last.Shards[len(last.Shards)-1] {
-			t.Fatalf("stop %d: position %d is inside the cross-shard record at epoch %d", stop, pos, last.Epoch)
+		if pos > 0 {
+			if last := recs[pos-1]; last.Cross() && last.Shard != last.Shards[len(last.Shards)-1] {
+				t.Fatalf("stop %d: position %d is inside the cross-shard record at epoch %d", stop, pos, last.Epoch)
+			}
 		}
 		replay := shard.Open(shard.Config{Shards: 4})
 		defer replay.Close()

@@ -51,23 +51,15 @@ var (
 	errTxnReaped  = errors.New("server: txn session reaped")
 )
 
-// begin opens the ledger entry for a request arriving now and takes it
-// through the door. A non-empty reply means the request was refused —
-// its value is already booked as lost — and must be answered with that
-// reply; otherwise the caller holds an admission slot until finish.
-func (c *conn) begin(o opts.T, numOps int, write, session bool) (request, string) {
-	r, reply := c.arrive(o, write, session)
-	if reply == "" {
-		reply, _ = r.admit(numOps, true)
-	}
-	return r, reply
-}
-
-// arrive is begin up to the admission queue: it opens the ledger entry,
-// under the next id of the connection c the request came in on, and
-// applies the refusals that never wait — a write off a primary, a read a
-// lagging replica cannot serve in time.
-func (c *conn) arrive(o opts.T, write, session bool) (request, string) {
+// begin opens the ledger entry for a request arriving now, under the
+// next id of the connection c it came in on, and takes it through the
+// door: the refusals that never wait (a write off a primary, a read a
+// lagging replica cannot serve in time), then the admission queue, which
+// calls wait, when non-nil, before the request blocks in it. A non-empty
+// reply means the request was refused — its value is already booked as
+// lost — and must be answered with that reply; otherwise the caller
+// holds an admission slot until finish.
+func (c *conn) begin(o opts.T, numOps int, write, session bool, wait func()) (request, string) {
 	// trace=1 requests always record their lifecycle into the flight
 	// recorder's server ring; untraced requests record a deterministic
 	// 1-in-flightSample slice (by the connection's request count:
@@ -106,33 +98,15 @@ func (c *conn) arrive(o opts.T, write, session bool) (request, string) {
 	// The enqueue stamp is the submit instant — the trace's own start,
 	// no clock read needed.
 	r.tr.EventOff(obs.StageEnqueue, 0)
-	return r, ""
-}
-
-// admit takes r's admission slot and reports whether r holds it; a
-// non-empty reply is a refusal, as begin's is. Without wait it never
-// queues: where Acquire would, it books nothing, and the request must
-// be admitted again, with wait, by a goroutine that may block.
-func (r *request) admit(numOps int, wait bool) (reply string, admitted bool) {
-	s := r.s
 	admitStart := time.Now()
-	var err error
-	if wait {
-		err = s.adm.Acquire(r.f, numOps)
-	} else {
-		var ok bool
-		if ok, err = s.adm.TryAcquire(r.f); !ok && err == nil {
-			return "", false
-		}
-	}
-	if err != nil {
+	if err := s.adm.acquire(r.f, numOps, wait); err != nil {
 		s.flight.Admission().Record(obs.StageShed, r.id, -1, 0)
-		return r.refuse(obs.LossAdmissionShed, "SHED"), false
+		return r, r.refuse(obs.LossAdmissionShed, "SHED")
 	}
 	r.admitAt = time.Now()
 	s.met.admitWait.Observe(int64(r.admitAt.Sub(admitStart)))
 	r.tr.EventAt(obs.StageAdmit, r.admitAt)
-	return "", true
+	return r, ""
 }
 
 // refuse settles a request that never got a slot: its whole submitted

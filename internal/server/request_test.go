@@ -193,7 +193,7 @@ func TestLossAttributionParity(t *testing.T) {
 	for _, c := range cases {
 		for _, session := range []bool{false, true} {
 			_, _, before := valueLedger(t, srv)
-			r, refused := srv.lines.begin(opts.T{Value: 2}, 1, true, session)
+			r, refused := srv.lines.begin(opts.T{Value: 2}, 1, true, session, nil)
 			if refused != "" {
 				t.Fatalf("begin refused: %q", refused)
 			}

@@ -75,9 +75,9 @@ type Config struct {
 }
 
 const (
-	// pipelineDepth caps concurrently dispatched REQ-framed requests per
-	// connection. Past the cap the connection's reader stalls — TCP
-	// backpressure, not an error.
+	// pipelineDepth caps the followers a connection pools. With all of
+	// them busy, a reader whose request would wait stalls until one
+	// rejoins — TCP backpressure, not an error.
 	pipelineDepth = 128
 	// flightSample: one in this many untraced requests records its
 	// lifecycle stamps into the flight recorder (begin, request.go).
@@ -128,7 +128,7 @@ type Server struct {
 	gateP       atomic.Pointer[repl.LagGate] // non-nil on read replicas
 	cluster     *cluster.State               // non-nil on cluster members
 	syncAcks    bool
-	inlineConns int32        // connections served before readers run UPDs (readersRun); 0 = never
+	procs       int32        // GOMAXPROCS at Open: with fewer connections, readers hand off before running
 	served      atomic.Int32 // len(conns), read without mu
 	syncTimeout time.Duration
 	durable     *durable.Manager // non-nil with a data directory
@@ -246,11 +246,9 @@ func Open(cfg Config) (*Server, error) {
 		conns:       make(map[net.Conn]struct{}),
 		dataDir:     cfg.Durable.Dir,
 		lease:       cfg.Cluster.Lease,
+		procs:       int32(runtime.GOMAXPROCS(0)),
 	}
 	srv.lines = &conn{s: srv}
-	if (man == nil || cfg.Durable.Fsync == durable.FsyncOff) && !cfg.Repl.SyncAcks {
-		srv.inlineConns = int32(runtime.GOMAXPROCS(0))
-	}
 	srv.feedP.Store(feed)
 	if cfg.ReplicaOf != "" {
 		srv.gateP.Store(repl.NewLagGate(cfg.lagBudget, 0))
@@ -337,7 +335,7 @@ func (s *Server) Serve(lis net.Listener) error {
 		s.conns[nc] = struct{}{}
 		s.served.Store(int32(len(s.conns)))
 		s.connSeq++
-		c := &conn{s: s, nc: nc, out: make(chan string, 4*pipelineDepth), stop: make(chan struct{})}
+		c := &conn{s: s, nc: nc, out: make(chan string, 4*pipelineDepth), stop: make(chan struct{}), promote: make(chan struct{})}
 		c.ids.Store(s.connSeq << connIDBits)
 		s.mu.Unlock()
 		s.wg.Add(1)
@@ -395,9 +393,9 @@ func (s *Server) Close() {
 	}
 }
 
-// conn is one client connection: the state its reader, its writer
-// goroutine, its workers and its replication feeders share, and the
-// block its valued requests draw flight-recorder ids from.
+// conn is one client connection: the state its request goroutines, its
+// writer goroutine and its replication feeders share, and the block its
+// valued requests draw flight-recorder ids from.
 type conn struct {
 	s  *Server
 	nc net.Conn
@@ -405,11 +403,21 @@ type conn struct {
 	out  chan string
 	dead atomic.Bool   // set by the writer once the socket failed
 	stop chan struct{} // closed when the reader ends: feeders stop
-	// workers counts the REQ workers and replication feeders, awaited
-	// before out closes.
+	// promote hands the reader role to an idle follower (handOff); the
+	// last reader closes it, which dismisses the followers.
+	promote chan struct{}
+	// workers counts the pooled followers and the replication feeders,
+	// awaited before out closes.
 	workers sync.WaitGroup
-	sub     *repl.Sub // lazily created ack-tracking subscription; reader only
-	// ids is the last request id handed out (arrive): the connection
+	// The reader role's state, touched only by the goroutine holding the
+	// role: the line scanner, the followers started so far, the lazily
+	// created ack-tracking subscription, and whether the last line
+	// overran the scanner.
+	scan    *bufio.Scanner
+	pooled  int
+	sub     *repl.Sub
+	tooLong bool
+	// ids is the last request id handed out (begin): the connection
 	// sequence, assigned at accept, above connIDBits, and a count of the
 	// connection's valued requests below, so drawing an id writes no
 	// word another connection writes.
@@ -436,34 +444,76 @@ func (s *Server) serveConn(c *conn) {
 	wdone := make(chan struct{})
 	go c.write(wdone)
 
-	// Bare requests run on the reader, so they stay strictly ordered
-	// among themselves. So does a REQ-framed request that cannot wait:
-	// a single-shard UPD, admitted without queueing, when readersRun
-	// (no commit waits on a device or peer, a connection per processor)
-	// and no interactive session is live (sessionTable.enterInline):
-	// the engine may defer a UPD for a session's commit, which could be
-	// a line queued behind it. Run to completion, a UPD skips the
-	// hand-off and keeps the engine near one transaction per connection
-	// instead of one per pipelined request, so a hot shard forks and
-	// scans for conflicts that concurrency made, not the traffic. Every
-	// other REQ-framed request dispatches concurrently on a lazily grown
-	// per-connection worker pool, bounded by the pipeline depth; a UPD
-	// reaches its worker already parsed. Workers are pooled rather than
-	// spawned per request because dispatch call chains run deep
-	// (admission -> shard -> engine -> commit): a fresh goroutine pays
-	// stack growth on every request (runtime.newstack dominated hot
-	// profiles), a pooled one pays it once per connection. An unbuffered
-	// job channel gives the same backpressure the old per-request
-	// semaphore did: with every worker busy, the reader blocks.
-	var reqJobs chan reqJob
-	nWorkers := 0
-	r := bufio.NewScanner(c.nc)
-	r.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for r.Scan() {
-		if c.dead.Load() {
-			break
+	c.scan = bufio.NewScanner(c.nc)
+	c.scan.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	c.follow(true)
+	c.workers.Wait()
+	if c.tooLong {
+		// The connection cannot be resynced mid-line, but the client
+		// deserves a diagnostic before the close instead of a bare EOF.
+		c.out <- "ERR request line exceeds 1MB"
+	}
+	close(c.out)
+	<-wdone
+}
+
+// follower is one goroutine of a connection's request pool, run
+// leader/followers style (Schmidt et al., PLoP 2000). The follower
+// holding the reader role reads lines and runs each one itself: bare
+// requests in order and with no wait hook, REQ-framed ones with handOff
+// as their hook, so a REQ-framed request leaves the reader when it would
+// wait. At its first wait the reader promotes another follower to read
+// the connection, finishes the request as an ordinary worker, answers
+// it and rejoins the pool. A request that never waits never changes
+// goroutine, and no line waits behind one that does. On a server with
+// fewer connections than processors the reader hands off before running
+// each REQ-framed request instead, so one connection's pipelined
+// requests can use the idle processors.
+//
+// Followers are pooled rather than started per hand-off because dispatch
+// call chains run deep (admission -> shard -> engine -> commit): a fresh
+// goroutine pays stack growth on every request (runtime.newstack
+// dominated hot profiles), a pooled one pays it once per connection. The
+// pool stops at pipelineDepth followers; past it, a hand-off waits for
+// one to rejoin.
+type follower struct {
+	c       *conn
+	reading bool   // f holds the reader role
+	hook    func() // f.handOff, bound once
+}
+
+// follow runs one follower until the connection ends: it reads while it
+// holds the reader role (from the start when reading is set) and waits to
+// be promoted while it does not.
+func (c *conn) follow(reading bool) {
+	f := &follower{c: c, reading: reading}
+	f.hook = f.handOff
+	for {
+		if !f.reading {
+			if _, ok := <-c.promote; !ok {
+				return
+			}
+			f.reading = true
 		}
-		fields := strings.Fields(r.Text())
+		if !f.read() {
+			return
+		}
+	}
+}
+
+// read serves lines while f holds the reader role. It reports false once
+// the connection has no more: then it has stopped the feeders and
+// dismissed the followers.
+func (f *follower) read() bool {
+	c := f.c
+	for f.reading {
+		if !c.scan.Scan() || c.dead.Load() {
+			c.tooLong = errors.Is(c.scan.Err(), bufio.ErrTooLong)
+			close(c.stop)
+			close(c.promote)
+			return false
+		}
+		fields := strings.Fields(c.scan.Text())
 		if len(fields) == 0 {
 			continue
 		}
@@ -475,33 +525,14 @@ func (s *Server) serveConn(c *conn) {
 			case len(fields) == 2:
 				c.out <- "RES " + fields[1] + " ERR missing verb"
 			default:
-				job := reqJob{id: fields[1], fields: fields[2:]}
-				if s.readersRun() {
-					if reply := c.readUPD(&job); reply != "" {
-						c.out <- "RES " + job.id + " " + reply
-						continue
-					}
+				if c.s.served.Load() < c.s.procs {
+					f.handOff()
 				}
-				if reqJobs == nil {
-					reqJobs = make(chan reqJob)
+				reply := c.dispatch(fields[2:], f.hook)
+				if f.reading && strings.EqualFold(fields[2], "UPD") {
+					c.s.met.requestsInline.Inc()
 				}
-				select {
-				case reqJobs <- job:
-				default:
-					// No idle worker: grow the pool up to the depth cap,
-					// then block (TCP backpressure, not an error).
-					if nWorkers < pipelineDepth {
-						nWorkers++
-						c.workers.Add(1)
-						go func() {
-							defer c.workers.Done()
-							for j := range reqJobs {
-								c.out <- "RES " + j.id + " " + c.serveJob(&j)
-							}
-						}()
-					}
-					reqJobs <- job
-				}
+				c.out <- "RES " + fields[1] + " " + reply
 			}
 		case "REPL", "ACK":
 			// Replication verbs are connection-stateful (they turn the
@@ -514,22 +545,37 @@ func (s *Server) serveConn(c *conn) {
 			// SNAPs before subscribing, keeping the stream unambiguous.
 			c.handleSnap(fields[1:])
 		default:
-			c.out <- c.dispatch(fields)
+			c.out <- c.dispatch(fields, nil)
 		}
 	}
-	tooLong := errors.Is(r.Err(), bufio.ErrTooLong)
-	close(c.stop)
-	if reqJobs != nil {
-		close(reqJobs)
+	return true
+}
+
+// handOff is a REQ-framed request's wait hook. While m holds the reader
+// role it passes the role to an idle follower, starting one while the
+// pool is below pipelineDepth, and f goes on as a worker; later calls do
+// nothing.
+func (f *follower) handOff() {
+	if !f.reading {
+		return
 	}
-	c.workers.Wait()
-	if tooLong {
-		// The connection cannot be resynced mid-line, but the client
-		// deserves a diagnostic before the close instead of a bare EOF.
-		c.out <- "ERR request line exceeds 1MB"
+	f.reading = false
+	c := f.c
+	select {
+	case c.promote <- struct{}{}:
+		return
+	default:
 	}
-	close(c.out)
-	<-wdone
+	if c.pooled == pipelineDepth {
+		c.promote <- struct{}{}
+		return
+	}
+	c.pooled++
+	c.workers.Add(1)
+	go func() {
+		defer c.workers.Done()
+		c.follow(true)
+	}()
 }
 
 // write is the connection's writer goroutine; it closes done once out
@@ -743,59 +789,6 @@ func (c *conn) handleSnap(args []string) {
 	}
 }
 
-// reqJob is one REQ-framed request handed to a connection's worker
-// pool: its fields, or, for a UPD, the update the reader parsed.
-type reqJob struct {
-	id     string
-	fields []string
-	upd    update // a UPD when upd.ops is set
-}
-
-// readersRun reports whether connection readers may run UPDs that
-// cannot wait: no commit waits on a device or a peer, and the server
-// serves a connection per processor, so work kept on readers leaves no
-// processor idle that workers would have used. With fewer connections
-// one connection's pipelined UPDs run in parallel on workers instead.
-func (s *Server) readersRun() bool {
-	return s.inlineConns > 0 && s.served.Load() >= s.inlineConns
-}
-
-// readUPD is the reader's half of a REQ-framed UPD: it parses the line
-// once, into j.upd, and answers it here when it cannot wait (serveConn
-// says when). An empty reply leaves j to a worker's serveJob.
-func (c *conn) readUPD(j *reqJob) string {
-	if !strings.EqualFold(j.fields[0], "UPD") {
-		return ""
-	}
-	s, start, u := c.s, time.Now(), &j.upd
-	reply := u.parse(j.fields[1:])
-	if reply == "" && s.oneShard(u.ops) && s.sessions.enterInline() {
-		reply = c.runUpdate(u, false)
-		s.sessions.exitInline()
-	}
-	if reply != "" {
-		s.observe("UPD", start)
-	}
-	return reply
-}
-
-// serveJob runs one REQ-framed request on a worker.
-func (c *conn) serveJob(j *reqJob) string {
-	if j.upd.ops == nil {
-		return c.dispatch(j.fields)
-	}
-	start := time.Now()
-	reply := c.runUpdate(&j.upd, true)
-	c.s.observe("UPD", start)
-	return reply
-}
-
-// oneShard reports whether every op's key hashes to one shard.
-func (s *Server) oneShard(ops []op) bool {
-	first := s.store.ShardOf(ops[0].key)
-	return !slices.ContainsFunc(ops[1:], func(o op) bool { return s.store.ShardOf(o.key) != first })
-}
-
 // op is one parsed transactional operation, shared by the one-shot
 // verbs (ADD/UPD) and interactive TXN sessions: a read dependency
 // (write false), a read-modify-write adding delta (write true), or a
@@ -810,31 +803,27 @@ type op struct {
 
 // dispatchLine parses and serves one raw request line on the server's
 // own connection (lines). It is the single-string entry point the
-// fuzzer drives; serveConn splits fields itself.
+// fuzzer drives; follower.read splits fields itself.
 func (s *Server) dispatchLine(line string) string {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return "ERR empty request"
 	}
-	return s.lines.dispatch(fields)
+	return s.lines.dispatch(fields, nil)
 }
 
-func (c *conn) dispatch(fields []string) string {
+// dispatch serves one request line; wait is its wait hook (handOff), nil
+// where the request may block its goroutine.
+func (c *conn) dispatch(fields []string, wait func()) string {
 	verb := strings.ToUpper(fields[0])
 	start := time.Now()
-	resp := c.dispatchVerb(verb, fields[1:])
-	c.s.observe(verb, start)
+	resp := c.dispatchVerb(verb, fields[1:], wait)
+	c.s.met.requests.Inc()
+	c.s.met.observeVerb(verb, time.Since(start))
 	return resp
 }
 
-// observe books one answered request: the request count and its verb's
-// service time since start.
-func (s *Server) observe(verb string, start time.Time) {
-	s.met.requests.Inc()
-	s.met.observeVerb(verb, time.Since(start))
-}
-
-func (c *conn) dispatchVerb(verb string, args []string) string {
+func (c *conn) dispatchVerb(verb string, args []string, wait func()) string {
 	s := c.s
 	switch verb {
 	case "PING":
@@ -862,15 +851,11 @@ func (c *conn) dispatchVerb(verb string, args []string) string {
 		if err != nil {
 			return "ERR bad number"
 		}
-		return c.runUpdate(&update{ops: []op{{key: args[0], delta: n, write: true}}}, true)
+		return c.runUpdate(opts.T{}, []op{{key: args[0], delta: n, write: true}}, wait)
 	case "UPD":
-		var u update
-		if bad := u.parse(args); bad != "" {
-			return bad
-		}
-		return c.runUpdate(&u, true)
+		return c.handleUPD(args, wait)
 	case "TXN":
-		return c.handleTXN(args)
+		return c.handleTXN(args, wait)
 	case "SUM":
 		if len(args) == 0 {
 			return "ERR usage: SUM <key>..."
@@ -913,7 +898,7 @@ func (c *conn) dispatchVerb(verb string, args []string) string {
 		// and catch-up position as one k=v line (cluster.TopoReply).
 		return s.handleTopo()
 	case "REPL", "ACK", "SNAP":
-		// Bare REPL/ACK/SNAP are intercepted by serveConn; reaching
+		// Bare REPL/ACK/SNAP are intercepted by follower.read; reaching
 		// dispatch means REQ framing (or the fuzzer), where a push stream
 		// or multi-line reply cannot be correlated.
 		return "ERR " + verb + " requires bare framing on a dedicated connection"
@@ -922,21 +907,12 @@ func (c *conn) dispatchVerb(verb string, args []string) string {
 	}
 }
 
-// update is one one-shot UPD or ADD on its way through the request
-// lifecycle. A connection's reader parses a REQ-framed UPD and may run
-// it itself (runUpdate without wait); when admission would queue it, a
-// worker resumes it where the reader stopped.
-type update struct {
-	o       opts.T
-	ops     []op
-	r       request // the ledger entry, open once arrived
-	arrived bool
-}
-
-// parse reads a UPD's arguments into u; a non-empty reply refuses them.
-func (u *update) parse(args []string) string {
+// handleUPD parses a UPD's options and ops and runs it.
+func (c *conn) handleUPD(args []string, wait func()) string {
+	var o opts.T
+	var ops []op
 	for _, a := range args {
-		if isOpt, err := u.o.ParseToken(a); isOpt {
+		if isOpt, err := o.ParseToken(a); isOpt {
 			if err != nil {
 				return "ERR " + err.Error()
 			}
@@ -951,7 +927,7 @@ func (u *update) parse(args []string) string {
 			if !validKey(key) {
 				return "ERR bad key " + key
 			}
-			u.ops = append(u.ops, op{key: key})
+			ops = append(ops, op{key: key})
 		case strings.HasPrefix(a, "w:"):
 			rest := a[2:]
 			i := strings.LastIndexByte(rest, ':')
@@ -965,15 +941,15 @@ func (u *update) parse(args []string) string {
 			if err != nil {
 				return "ERR bad delta in " + a
 			}
-			u.ops = append(u.ops, op{key: rest[:i], delta: n, write: true})
+			ops = append(ops, op{key: rest[:i], delta: n, write: true})
 		default:
 			return "ERR bad token " + a
 		}
 	}
-	if len(u.ops) == 0 {
+	if len(ops) == 0 {
 		return "ERR no ops"
 	}
-	return ""
+	return c.runUpdate(o, ops, wait)
 }
 
 // handleTXN routes the interactive-session verbs (session.go). Every
@@ -981,7 +957,7 @@ func (u *update) parse(args []string) string {
 // under bare and REQ framing — and because sessions live in a
 // server-global table keyed by id, a session may even be driven from
 // several connections (though one at a time is the sane shape).
-func (c *conn) handleTXN(args []string) string {
+func (c *conn) handleTXN(args []string, wait func()) string {
 	s := c.s
 	if len(args) == 0 {
 		return "ERR usage: TXN BEGIN|R|W|COMMIT|ABORT ..."
@@ -999,7 +975,7 @@ func (c *conn) handleTXN(args []string) string {
 				return "ERR bad token " + tok
 			}
 		}
-		return c.txnBegin(o)
+		return c.txnBegin(o, wait)
 	}
 	if len(rest) == 0 {
 		return "ERR usage: TXN " + sub + " <id> ..."
@@ -1032,7 +1008,7 @@ func (c *conn) handleTXN(args []string) string {
 		if !validKey(rest[1]) {
 			return "ERR bad key " + rest[1]
 		}
-		return s.txnOp(ss, op{key: rest[1]})
+		return s.txnOp(ss, op{key: rest[1]}, wait)
 	case "W":
 		if len(rest) != 3 {
 			return "ERR usage: TXN W <id> <key> <delta|=val>"
@@ -1051,17 +1027,17 @@ func (c *conn) handleTXN(args []string) string {
 			return "ERR bad delta " + rest[2]
 		}
 		o.delta = n
-		return s.txnOp(ss, o)
+		return s.txnOp(ss, o, wait)
 	case "COMMIT":
 		if len(rest) != 1 {
 			return "ERR usage: TXN COMMIT <id>"
 		}
-		return s.txnCommit(ss)
+		return s.txnCommit(ss, wait)
 	case "ABORT":
 		if len(rest) != 1 {
 			return "ERR usage: TXN ABORT <id>"
 		}
-		return s.txnAbort(ss)
+		return s.txnAbort(ss, wait)
 	default:
 		return "ERR unknown TXN subverb " + sub
 	}
@@ -1070,26 +1046,13 @@ func (c *conn) handleTXN(args []string) string {
 // runUpdate admits, executes, and answers one one-shot transactional
 // update (ADD/UPD): the request lifecycle (request.go) around one
 // call of the admitted executor interactive session commits share.
-// Without wait it does not queue in admission: where it would, it
-// returns an empty reply with u's ledger entry open, and a call with
-// wait resumes it.
-func (c *conn) runUpdate(u *update, wait bool) string {
-	s := c.s
-	if !u.arrived {
-		u.arrived = true
-		write := slices.ContainsFunc(u.ops, func(o op) bool { return o.write })
-		var refused string
-		if u.r, refused = c.arrive(u.o, write, false); refused != "" {
-			return refused
-		}
+func (c *conn) runUpdate(o opts.T, ops []op, wait func()) string {
+	write := slices.ContainsFunc(ops, func(o op) bool { return o.write })
+	r, refused := c.begin(o, len(ops), write, false, wait)
+	if refused != "" {
+		return refused
 	}
-	if reply, ok := u.r.admit(len(u.ops), wait); !ok {
-		return reply
-	}
-	if !wait {
-		s.met.requestsInline.Inc()
-	}
-	return u.r.finish(s.execAdmitted(&u.r, u.ops, u.r.admitAt))
+	return r.finish(c.s.execAdmitted(&r, ops, r.admitAt, wait))
 }
 
 // execAdmitted executes ops as one serializable transaction under r's
@@ -1100,8 +1063,9 @@ func (c *conn) runUpdate(u *update, wait bool) string {
 // queue by expected value (Readmit), where a transaction whose value
 // function crossed zero is shed (cross_shed). r's trace, when non-nil,
 // receives the engine-side lifecycle events (fork, park, promotion,
-// install) of the execution.
-func (s *Server) execAdmitted(r *request, ops []op, start time.Time) ([]int64, error) {
+// install) of the execution, and wait, when non-nil, is called before
+// each of its waits: readmission, the engine's and the semi-sync ack's.
+func (s *Server) execAdmitted(r *request, ops []op, start time.Time, wait func()) ([]int64, error) {
 	keys := make([]string, len(ops))
 	for i, o := range ops {
 		keys[i] = o.key
@@ -1116,7 +1080,7 @@ func (s *Server) execAdmitted(r *request, ops []op, start time.Time) ([]int64, e
 	f := r.f
 	gate := func(int) error {
 		t0 := time.Now()
-		if err := s.adm.Readmit(f, len(ops)); err != nil {
+		if err := s.adm.Readmit(f, len(ops), wait); err != nil {
 			retry.shed = true
 			return err
 		}
@@ -1128,7 +1092,7 @@ func (s *Server) execAdmitted(r *request, ops []op, start time.Time) ([]int64, e
 	// concurrently (engine shadows), so it must not mutate captured state:
 	// each execution builds a fresh result slice and stashes it; the
 	// committed execution's stash wins.
-	res, err := s.store.UpdateTracedResult(f.At(s.adm.now()), keys, gate, r.tr, func(tx shard.Tx) error {
+	res, err := s.store.UpdateTracedResult(f.At(s.adm.now()), keys, gate, r.tr, wait, func(tx shard.Tx) error {
 		results := make([]int64, 0, len(ops))
 		for _, o := range ops {
 			n, err := applyOp(tx, o)
@@ -1143,7 +1107,7 @@ func (s *Server) execAdmitted(r *request, ops []op, start time.Time) ([]int64, e
 		return nil
 	})
 	if err == nil {
-		retry.queued += s.awaitReplicaAcks(ops)
+		retry.queued += s.awaitReplicaAcks(ops, wait)
 	}
 	elapsed := time.Since(start)
 	s.met.service.Observe(int64(elapsed))
@@ -1159,11 +1123,14 @@ func (s *Server) execAdmitted(r *request, ops []op, start time.Time) ([]int64, e
 // commit's parts, since its commit boundary has published them — before
 // the OK leaves. It returns the time spent: replication latency, not
 // engine service, which callers keep out of the admission queue's per-op
-// estimate.
-func (s *Server) awaitReplicaAcks(ops []op) time.Duration {
+// estimate. wait, when non-nil, is called before the wait.
+func (s *Server) awaitReplicaAcks(ops []op, wait func()) time.Duration {
 	feed := s.Feed()
 	if !s.syncAcks || feed == nil || !slices.ContainsFunc(ops, func(o op) bool { return o.write }) {
 		return 0
+	}
+	if wait != nil {
+		wait()
 	}
 	t0 := time.Now()
 	if err := feed.WaitAcked(feed.Log().Head(), s.syncTimeout); err != nil {

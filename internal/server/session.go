@@ -40,9 +40,9 @@ import (
 	"errors"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/server/opts"
 	"repro/internal/shard"
@@ -121,14 +121,7 @@ type sessionTable struct {
 	sessions map[uint64]*session
 	nextID   uint64
 	reaped   map[uint64]struct{}
-	reapRing []uint64     // tombstone eviction order (oldest first)
-	live     atomic.Int32 // len(sessions), readable without mu
-
-	// inline is held shared by a connection reader running a UPD to
-	// completion (Server.readUPD) and exclusively by add, so no session
-	// is live while such a UPD runs: the engine can then defer it only
-	// for one-shot transactions, never for a session's client think time.
-	inline sync.RWMutex
+	reapRing []uint64 // tombstone eviction order (oldest first)
 
 	wake chan struct{} // signaled when the table goes non-empty
 	stop chan struct{}
@@ -167,15 +160,12 @@ func (st *sessionTable) add(req request) *session {
 	}
 	ss.cond = sync.NewCond(&ss.mu)
 	ss.token = newSessionToken()
-	st.inline.Lock()
 	st.mu.Lock()
 	st.nextID++
 	ss.id = st.nextID
 	st.sessions[ss.id] = ss
-	st.live.Store(int32(len(st.sessions)))
 	first := len(st.sessions) == 1
 	st.mu.Unlock()
-	st.inline.Unlock()
 	if first {
 		select {
 		case st.wake <- struct{}{}:
@@ -200,7 +190,6 @@ func (st *sessionTable) remove(id uint64, tombstone bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	delete(st.sessions, id)
-	st.live.Store(int32(len(st.sessions)))
 	if !tombstone {
 		return
 	}
@@ -213,22 +202,11 @@ func (st *sessionTable) remove(id uint64, tombstone bool) {
 }
 
 // active returns the number of open sessions.
-func (st *sessionTable) active() int { return int(st.live.Load()) }
-
-// enterInline reports whether a reader may run a UPD now: no session is
-// live or being added. A true return holds inline until exitInline.
-func (st *sessionTable) enterInline() bool {
-	if !st.inline.TryRLock() {
-		return false
-	}
-	if st.live.Load() != 0 {
-		st.inline.RUnlock()
-		return false
-	}
-	return true
+func (st *sessionTable) active() int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return len(st.sessions)
 }
-
-func (st *sessionTable) exitInline() { st.inline.RUnlock() }
 
 func (st *sessionTable) snapshot() []*session {
 	st.mu.Lock()
@@ -326,7 +304,7 @@ func (st *sessionTable) close() {
 // the bound shard, so the session falls back to deferred cross-shard
 // execution and re-serves the log speculatively.
 func (ss *session) runLive(firstKey string) {
-	res, err := ss.srv.store.UpdateTracedResult(ss.val, []string{firstKey}, nil, ss.req.tr, ss.liveFn)
+	res, err := ss.srv.store.UpdateTracedResult(ss.val, []string{firstKey}, nil, ss.req.tr, nil, ss.liveFn)
 	ss.mu.Lock()
 	switch {
 	case err == nil:
@@ -441,13 +419,13 @@ func (ss *session) replaySpecLocked() {
 
 // txnBegin admits and registers a new session. The value function is
 // fixed here; on a replica the lag gate prices the whole session before
-// the admission queue sees it.
-func (c *conn) txnBegin(o opts.T) string {
+// the admission queue sees it. wait is BEGIN's wait hook.
+func (c *conn) txnBegin(o opts.T, wait func()) string {
 	// The slot estimate for an interactive transaction is a guess (the
 	// op list does not exist yet); 2 ops is the workload's short-txn
 	// shape. The estimate only orders the wait, it reserves nothing.
 	s := c.s
-	r, refused := c.begin(o, 2, false, true)
+	r, refused := c.begin(o, 2, false, true, wait)
 	if refused != "" {
 		return refused
 	}
@@ -481,9 +459,9 @@ func newSessionToken() string {
 // engine execution reaches the op first — which can mean waiting for a
 // parked speculative shadow to be released by a conflicting
 // transaction's resolution, the Blocking Rule surfacing as client
-// latency. In deferred mode the result is computed inline from the
-// overlay view.
-func (s *Server) txnOp(ss *session, o op) string {
+// latency; wait, when non-nil, is called before that wait, outside ss.mu.
+// In deferred mode the result is computed inline from the overlay view.
+func (s *Server) txnOp(ss *session, o op, wait func()) string {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if late := ss.verdictLocked(); late != "" {
@@ -521,6 +499,13 @@ func (s *Server) txnOp(ss *session, o op) string {
 	}
 	ss.cond.Broadcast()
 	for !ss.delivered[i] && ss.mode == sessLive && ss.fin == finNone {
+		if wait != nil {
+			ss.mu.Unlock()
+			wait()
+			wait = nil
+			ss.mu.Lock()
+			continue
+		}
 		ss.cond.Wait()
 	}
 	switch {
@@ -548,8 +533,9 @@ func (ss *session) verdictLocked() string {
 // claim takes the session's one verdict for fin — COMMIT, ABORT and the
 // reaper race for it; the winner owes the request its finish — hands it
 // to the parked executions, and waits for a live engine transaction to
-// return. A late caller gets the reply to send instead.
-func (ss *session) claim(fin sessFin) (late string) {
+// return, calling wait first when it would block. A late caller gets the
+// reply to send instead.
+func (ss *session) claim(fin sessFin, wait func()) (late string) {
 	ss.mu.Lock()
 	if late = ss.verdictLocked(); late != "" {
 		ss.mu.Unlock()
@@ -560,7 +546,7 @@ func (ss *session) claim(fin sessFin) (late string) {
 	ld := ss.liveDone
 	ss.mu.Unlock()
 	if ld != nil {
-		<-ld
+		engine.Await(ld, wait)
 	}
 	return ""
 }
@@ -569,9 +555,10 @@ func (ss *session) claim(fin sessFin) (late string) {
 // UPD's shape: OK plus the committed execution's write results in op
 // order. Live sessions hand the verdict to the parked executions and
 // await the engine's outcome; deferred sessions replay their op log
-// through the same admitted executor one-shot verbs use.
-func (s *Server) txnCommit(ss *session) string {
-	if late := ss.claim(finCommit); late != "" {
+// through the same admitted executor one-shot verbs use. wait is COMMIT's
+// wait hook.
+func (s *Server) txnCommit(ss *session, wait func()) string {
+	if late := ss.claim(finCommit, wait); late != "" {
 		return late
 	}
 	ss.mu.Lock()
@@ -585,14 +572,14 @@ func (s *Server) txnCommit(ss *session) string {
 		// Semi-sync covers interactive commits like one-shot ones. The
 		// slot is freed without refining the service-time estimate: the
 		// engine work was interleaved with client think time.
-		s.awaitReplicaAcks(ops)
+		s.awaitReplicaAcks(ops, wait)
 	case mode == sessIdle:
 		// An empty transaction commits trivially.
 	case mode == sessDeferred:
 		// The deferred replay is pure engine service time (no think
 		// time in it), so unlike the live path it feeds the admission
 		// estimate and the service stage like a one-shot.
-		res, err = s.execAdmitted(&ss.req, ops, time.Now())
+		res, err = s.execAdmitted(&ss.req, ops, time.Now(), wait)
 	case mode == sessFailed:
 		err = failErr
 	default:
@@ -602,8 +589,8 @@ func (s *Server) txnCommit(ss *session) string {
 }
 
 // txnAbort finishes the session with an abort verdict.
-func (s *Server) txnAbort(ss *session) string {
-	if late := ss.claim(finAbort); late != "" {
+func (s *Server) txnAbort(ss *session, wait func()) string {
+	if late := ss.claim(finAbort, wait); late != "" {
 		return late
 	}
 	ss.end(false, nil, errTxnAborted)

@@ -78,12 +78,12 @@ func TestCommitBoundaryContract(t *testing.T) {
 	// order, and share the next one.
 	combine := func(t *testing.T, s *Store, k0, k1 string, writes map[string][]byte, want map[string]string) outcome {
 		q, entered, gate := s.queueFor([]int{0, 1}), make(chan struct{}), make(chan struct{})
-		go q.Commit(0, func() bool { close(entered); <-gate; return false })
+		go q.Commit(0, nil, func() bool { close(entered); <-gate; return false })
 		<-entered
 		submit := func(c *crossTx, queued int) chan verdict {
 			out := make(chan verdict, 1)
 			go func() {
-				ok, err := s.commitCross(c, true, nil)
+				ok, err := s.commitCross(c, true, nil, nil)
 				out <- verdict{ok, err}
 			}()
 			for q.Pending() < queued {
@@ -117,7 +117,7 @@ func TestCommitBoundaryContract(t *testing.T) {
 		run  func(t *testing.T, s *Store, k0, k1 string) outcome
 	}{
 		{name: "per-commit", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
-			_, err := s.UpdateTracedResult(1, []string{k0}, nil, nil, func(tx Tx) error { return set(tx, k0, "1") })
+			_, err := s.UpdateTracedResult(1, []string{k0}, nil, nil, nil, func(tx Tx) error { return set(tx, k0, "1") })
 			return outcome{installed: []error{err}, want: map[string]string{k0: "1"}, records: 1}
 		}},
 		{name: "group-flush", eng: grouped,

@@ -59,16 +59,17 @@ func (s *Store) queueFor(involved []int) *engine.CommitQueue {
 // cross-shard transaction through the commit queue of its shard set. With
 // apply false it is a pure validation pass — used to decide whether a
 // closure error came from a serializable read cut. Blocks until a flush
-// (possibly the caller's) delivers the verdict. A non-nil error means the
+// (possibly the caller's) delivers the verdict, calling beforeWait as
+// CommitQueue.Commit does. A non-nil error means the
 // transaction was installed but could not be made durable; the caller
 // must fail it and must not retry.
-func (s *Store) commitCross(c *crossTx, apply bool, tr *obs.Trace) (ok bool, err error) {
+func (s *Store) commitCross(c *crossTx, apply bool, tr *obs.Trace, beforeWait func()) (ok bool, err error) {
 	var parts []int
 	var writes []map[string][]byte
 	if apply {
 		parts, writes = c.writeSets()
 	}
-	err = s.queueFor(c.involved).Commit(c.attempt, func() bool {
+	err = s.queueFor(c.involved).Commit(c.attempt, beforeWait, func() bool {
 		for _, k := range c.keys {
 			if k.read && s.shards[k.shard].VersionLocked(k.key) != k.ver {
 				return false

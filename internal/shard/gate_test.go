@@ -46,7 +46,7 @@ func TestRetryGateInvoked(t *testing.T) {
 	_, err := s.UpdateTracedResult(1, keys, func(attempt int) error {
 		gateCalls = append(gateCalls, attempt)
 		return shed
-	}, nil, func(tx Tx) error {
+	}, nil, nil, func(tx Tx) error {
 		execs++
 		if _, err := tx.Get(a); err != nil {
 			return err
@@ -90,7 +90,7 @@ func TestRetryGateGrantsRetry(t *testing.T) {
 	res, err := s.UpdateTracedResult(1, keys, func(int) error {
 		grants++
 		return nil
-	}, nil, func(tx Tx) error {
+	}, nil, nil, func(tx Tx) error {
 		execs++
 		if _, err := tx.Get(a); err != nil {
 			return err
@@ -133,7 +133,7 @@ func TestNilGateKeepsBound(t *testing.T) {
 	keys := []string{a, b}
 
 	execs := 0
-	_, err := s.UpdateTracedResult(0, keys, nil, nil, func(tx Tx) error {
+	_, err := s.UpdateTracedResult(0, keys, nil, nil, nil, func(tx Tx) error {
 		execs++
 		if _, err := tx.Get(a); err != nil {
 			return err

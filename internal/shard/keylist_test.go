@@ -41,7 +41,7 @@ func TestCrossKeyList(t *testing.T) {
 			}
 		}},
 		{"read-your-writes", func(t *testing.T, s *Store, k keys) {
-			res, err := s.UpdateTracedResult(0, []string{k.a, k.b}, nil, nil, func(tx Tx) error {
+			res, err := s.UpdateTracedResult(0, []string{k.a, k.b}, nil, nil, nil, func(tx Tx) error {
 				if err := tx.Set(k.b, bytes8(5)); err != nil {
 					return err
 				}
@@ -95,7 +95,7 @@ func TestCrossKeyList(t *testing.T) {
 		}},
 		{"retry-starts-clean", func(t *testing.T, s *Store, k keys) {
 			execs := 0
-			res, err := s.UpdateTracedResult(0, []string{k.a, k.b}, nil, nil, func(tx Tx) error {
+			res, err := s.UpdateTracedResult(0, []string{k.a, k.b}, nil, nil, nil, func(tx Tx) error {
 				execs++
 				if _, err := tx.Get(k.a); err != nil {
 					return err

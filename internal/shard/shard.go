@@ -214,16 +214,16 @@ func shardsOf(n int, shard func(i int) int) []int {
 // Update executes fn transactionally over the declared keys and blocks
 // until it commits. keys must cover every key the closure may touch (extra
 // keys are harmless). It is UpdateTracedResult with no value, no retry
-// gate and no trace, the stash dropped.
+// gate, no trace and no wait hook, the stash dropped.
 func (s *Store) Update(keys []string, fn func(Tx) error) error {
-	_, err := s.UpdateTracedResult(0, keys, nil, nil, fn)
+	_, err := s.UpdateTracedResult(0, keys, nil, nil, nil, fn)
 	return err
 }
 
 // UpdateTracedResult is the full form of Update: it returns the
 // committed execution's Tx.Stash value (nil if it never stashed), and
-// takes a transaction value, a cross-shard retry gate and a lifecycle
-// trace.
+// takes a transaction value, a cross-shard retry gate, a lifecycle trace
+// and a wait hook.
 //
 // On the single-shard fast path value feeds the engine's VW-style commit
 // deferment; on the cross-shard path it is currently advisory
@@ -240,7 +240,12 @@ func (s *Store) Update(keys []string, fn func(Tx) error) error {
 // park/resume/promotion/restart/install) and stamped by the cross-shard
 // loop's own restarts and install. nil means untraced, at the cost of
 // one branch per stage site.
-func (s *Store) UpdateTracedResult(value float64, keys []string, gate RetryGate, tr *obs.Trace, fn func(Tx) error) (any, error) {
+//
+// beforeWait travels like tr: into the fast-path engine, and into the
+// cross-shard loop's commit queue. It is called on the calling goroutine
+// before each wait of the call (engine/wait.go); the gate, which may
+// itself wait, receives nothing and closes over it if it needs it.
+func (s *Store) UpdateTracedResult(value float64, keys []string, gate RetryGate, tr *obs.Trace, beforeWait func(), fn func(Tx) error) (any, error) {
 	if len(keys) == 0 {
 		return nil, errors.New("shard: transaction declared no keys")
 	}
@@ -250,11 +255,11 @@ func (s *Store) UpdateTracedResult(value float64, keys []string, gate RetryGate,
 	idx := s.ShardOf(keys[0])
 	if !slices.ContainsFunc(keys[1:], func(k string) bool { return s.ShardOf(k) != idx }) {
 		s.fastPath.Add(1)
-		return s.shards[idx].UpdateTracedResult(value, tr, func(etx *engine.Tx) error {
+		return s.shards[idx].UpdateTracedResult(value, tr, beforeWait, func(etx *engine.Tx) error {
 			return fn(guardTx{tx: etx, s: s, shard: idx})
 		})
 	}
-	return s.updateCross(s.newCrossTx(keys, value), gate, tr, fn)
+	return s.updateCross(s.newCrossTx(keys, value), gate, tr, beforeWait, fn)
 }
 
 // guardTx wraps the native engine transaction on the fast path, verifying
@@ -382,7 +387,7 @@ func (c *crossTx) Set(key string, val []byte) error {
 // value rides along to the shards' commit logs (pending-value accounting
 // for the durability layer); cross-shard conflict resolution itself stays
 // optimistic.
-func (s *Store) updateCross(c *crossTx, gate RetryGate, tr *obs.Trace, fn func(Tx) error) (any, error) {
+func (s *Store) updateCross(c *crossTx, gate RetryGate, tr *obs.Trace, beforeWait func(), fn func(Tx) error) (any, error) {
 	for attempt := 0; attempt < engine.MaxAttempts; attempt++ {
 		// Mirror the engine's Close semantics, which only the fast path
 		// would otherwise enforce: no new cross-shard commits either.
@@ -406,13 +411,13 @@ func (s *Store) updateCross(c *crossTx, gate RetryGate, tr *obs.Trace, fn func(T
 			// produced it; otherwise retry like any validation failure.
 			// (A validate-only pass installs nothing, so it cannot fail
 			// durability.)
-			if ok, _ := s.commitCross(c, false, nil); !ok {
+			if ok, _ := s.commitCross(c, false, nil, beforeWait); !ok {
 				s.crossRestarts.Add(1)
 				continue
 			}
 			return nil, err
 		}
-		ok, cerr := s.commitCross(c, true, tr)
+		ok, cerr := s.commitCross(c, true, tr, beforeWait)
 		if cerr != nil {
 			// Installed but never decided durable: the verdict is an
 			// error, and the transaction must not be retried — its writes
@@ -442,7 +447,7 @@ func (s *Store) ApplyReplicated(shard int, records []map[string][]byte) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("shard: ApplyReplicated to unknown shard %d of %d", shard, len(s.shards))
 	}
-	return engine.Commit(s.shards, []int{shard}, func() {
+	return engine.Commit(s.shards, []int{shard}, nil, func() {
 		for _, writes := range records {
 			s.shards[shard].ApplyLocked(writes, 0)
 		}
@@ -464,7 +469,7 @@ func (s *Store) ApplyReplicatedCross(parts []int, writes []map[string][]byte) er
 			return fmt.Errorf("shard: ApplyReplicatedCross to shards %v, want ascending indices below %d", parts, len(s.shards))
 		}
 	}
-	return engine.Commit(s.shards, parts, func() { s.installLocked(parts, writes, 0, nil) })
+	return engine.Commit(s.shards, parts, nil, func() { s.installLocked(parts, writes, 0, nil) })
 }
 
 // View runs fn as a serializable read-only transaction over the declared

@@ -362,7 +362,7 @@ func TestStashAcrossPaths(t *testing.T) {
 	s := Open(Config{Shards: 8})
 	defer s.Close()
 	// Fast path.
-	res, err := s.UpdateTracedResult(0, []string{"a"}, nil, nil, func(tx Tx) error {
+	res, err := s.UpdateTracedResult(0, []string{"a"}, nil, nil, nil, func(tx Tx) error {
 		if err := tx.Set("a", bytes8(1)); err != nil {
 			return err
 		}
@@ -374,7 +374,7 @@ func TestStashAcrossPaths(t *testing.T) {
 	}
 	// Cross path.
 	a, b := twoShardKeys(t, s)
-	res, err = s.UpdateTracedResult(0, []string{a, b}, nil, nil, func(tx Tx) error {
+	res, err = s.UpdateTracedResult(0, []string{a, b}, nil, nil, nil, func(tx Tx) error {
 		if err := tx.Set(a, bytes8(1)); err != nil {
 			return err
 		}

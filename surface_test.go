@@ -35,7 +35,7 @@ func kept(reason string) wireUse      { return wireUse{reason: reason} }
 // the build until it is deleted or its user is named here, and an entry
 // for a name that is gone fails until the entry goes too.
 var wireSurface = map[string]wireUse{
-	// Verbs: the case labels of dispatchVerb, serveConn and handleTXN.
+	// Verbs: the case labels of dispatchVerb, follower.read and handleTXN.
 	"verb PING":  user("bench/probe.go", "muxes[0].Ping()"),
 	"verb GET":   user("bench/run.go", "e.muxes[0].Get(k)"),
 	"verb ADD":   kept("the tests' one-key write (Mux.Add is in keptExports): TestProtocolConformance pins it, TestReplicationConverges and TestPromoteTakesOver commit with it"),
@@ -216,7 +216,7 @@ func wireNames(t *testing.T) []wireName {
 
 	const server = "internal/server/server.go"
 	sf := parseGo(t, server)
-	for fn, prefix := range map[string]string{"dispatchVerb": "", "serveConn": "", "handleTXN": "TXN "} {
+	for fn, prefix := range map[string]string{"dispatchVerb": "", "read": "", "handleTXN": "TXN "} {
 		for _, v := range stringLabels(funcDecl(t, sf, fn)) {
 			add("verb "+prefix+v, server, "internal/server/")
 		}
@@ -299,7 +299,7 @@ func wireNames(t *testing.T) []wireName {
 		t.Fatal(err)
 	}
 
-	// A name bound in two places (REPL in serveConn and in dispatchVerb's
+	// A name bound in two places (REPL in follower.read and in dispatchVerb's
 	// REQ-framing refusal) is one name.
 	sort.Slice(names, func(i, j int) bool { return names[i].key < names[j].key })
 	return slices.CompactFunc(names, func(a, b wireName) bool { return a.key == b.key })
