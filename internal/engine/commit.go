@@ -61,8 +61,8 @@ type CommitLog interface {
 	// latch, once per installing batch, before any verdict of the batch is
 	// delivered.
 	Sync() error
-	// Durable reports whether Sync waits on a device: only before such a
-	// Sync does the commit boundary call its beforeWait hook (wait.go).
+	// Durable reports whether Sync waits on a device: only commits through
+	// such a log announce their waits (CommitQueue.onDevice, wait.go).
 	Durable() bool
 }
 
@@ -90,7 +90,7 @@ func (e *SyncError) Unwrap() error { return e.Err }
 // every install of the batch is in memory and none may be acknowledged;
 // verdicts of requests that installed nothing are unaffected. step may
 // call only the *Locked methods of the latched stores. beforeWait, when
-// set, is called before a Sync of a Durable log.
+// set, is called before the boundary's Sync.
 func Commit(stores []*Store, latch []int, beforeWait func(), step func()) error {
 	for _, i := range latch {
 		stores[i].mu.Lock()
@@ -115,7 +115,7 @@ func Commit(stores []*Store, latch []int, beforeWait func(), step func()) error 
 	if !installed {
 		return nil
 	}
-	if beforeWait != nil && sync.Durable() {
+	if beforeWait != nil {
 		beforeWait()
 	}
 	if err := sync.Sync(); err != nil {

@@ -94,10 +94,9 @@ func NewCommitQueue(stores []*Store, latch []int, cfg GroupCommit, onFlush func(
 // step that did. Higher prio is served first, FIFO among equals. A caller
 // that finds no flush running leads: the queue was empty before its own
 // step, and it flushes immediately. beforeWait is the caller's wait seam
-// (wait.go): a leader calls it before each boundary of its flushes that
-// syncs a Durable log, and a follower before waiting for its verdict
-// behind such a flush. Behind an in-memory flush a follower waits out the
-// leader's latch hold, as it would wait for a latch, and calls nothing.
+// (wait.go), kept only when the queue's logs wait on a device (onDevice):
+// a leader calls it before each boundary of its flushes, and a follower
+// before waiting for its verdict.
 func (q *CommitQueue) Commit(prio int, beforeWait func(), step func() (installed bool)) error {
 	req := queuedStep{prio: prio, step: step, done: make(chan error, 1)}
 	q.mu.Lock()
@@ -119,10 +118,9 @@ func (q *CommitQueue) Commit(prio int, beforeWait func(), step func() (installed
 	lead := !q.flushing
 	q.flushing = true
 	q.mu.Unlock()
+	beforeWait = q.onDevice(beforeWait)
 	if lead {
 		q.drain(beforeWait)
-	} else if !q.stores[q.latch[0]].durable.Load() {
-		beforeWait = nil
 	}
 	return Await(req.done, beforeWait)
 }

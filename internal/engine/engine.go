@@ -554,11 +554,10 @@ func (s *Store) UpdateTracedResult(value float64, tr *obs.Trace, beforeWait func
 			// never off the flag — and a boundary error on it must surface
 			// as failure, not success. The wait is one to announce while
 			// the shadow can still park at its conflict (the Blocking
-			// Rule) or commits through a log that does I/O; a shadow
-			// already running in memory is waited out like a latch.
+			// Rule); past its gate, onDevice decides, as for a commit.
 			wait := h.beforeWait
-			if !sh.gateShut() && !s.durable.Load() {
-				wait = nil
+			if !sh.gateShut() {
+				wait = s.queue.onDevice(wait)
 			}
 			sv := Await(sh.report, wait)
 			if !resolved {

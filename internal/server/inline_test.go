@@ -262,3 +262,67 @@ func TestHandOffAtTheWait(t *testing.T) {
 		})
 	}
 }
+
+// TestHandOffPoolFull: a hand-off never waits for a follower, even with
+// pipelineDepth of its connection's requests unanswered. pipelineDepth
+// UPDs on k are deferred behind a live v=100 session on another
+// connection, each having handed off, so the pool is full. The next UPD,
+// on another key of the only shard, would lead a flush over an fsyncing
+// WAL and hand off before its sync; were it to wait there for a
+// follower, the deferred UPDs, released by the session's commit, would
+// queue behind that flush and none would be answered.
+func TestHandOffPoolFull(t *testing.T) {
+	srv, addr := startDurableServer(t, Config{
+		Shards:    1,
+		Admission: AdmissionConfig{MaxConcurrent: 2 * pipelineDepth},
+		Durable:   durable.Options{Dir: t.TempDir(), Fsync: durable.FsyncGroup},
+	})
+	// A wedged server cannot close; on failure the process reclaims it.
+	t.Cleanup(func() {
+		if !t.Failed() {
+			srv.Close()
+		}
+	})
+	fillReaders(t, srv, addr)
+	sess := dialRaw(t, addr)
+	sess.send("TXN BEGIN v=100")
+	id := strings.TrimPrefix(sess.recv(), "OK ")
+	sess.send("TXN R " + id + " k")
+	if got := sess.recv(); got != "OK 0" {
+		t.Fatalf("TXN R = %q, want OK 0", got)
+	}
+
+	rc := dialRaw(t, addr)
+	var lines strings.Builder
+	for i := range pipelineDepth {
+		fmt.Fprintf(&lines, "REQ u%d UPD w:k:+1 v=1\n", i)
+	}
+	if _, err := rc.c.Write([]byte(lines.String())); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.Store().Stats().Engine.Deferrals < pipelineDepth; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d UPDs deferred for the session, want %d", srv.Store().Stats().Engine.Deferrals, pipelineDepth)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rc.send("REQ z UPD w:z:1")
+	time.Sleep(50 * time.Millisecond)
+	sess.send("TXN COMMIT " + id)
+	if got := sess.recv(); got != "OK" {
+		t.Fatalf("TXN COMMIT = %q, want OK", got)
+	}
+	got := recvWithin(t, rc, pipelineDepth+1, 10*time.Second)
+	if got["z"] != "OK 1" {
+		t.Fatalf("UPD z = %q, want OK 1", got["z"])
+	}
+	seen := make(map[string]bool, pipelineDepth)
+	for i := range pipelineDepth {
+		seen[got[fmt.Sprintf("u%d", i)]] = true
+	}
+	for n := 1; n <= pipelineDepth; n++ {
+		if !seen[fmt.Sprintf("OK %d", n)] {
+			t.Fatalf("no UPD on k answered OK %d: %q", n, got)
+		}
+	}
+}

@@ -75,9 +75,9 @@ type Config struct {
 }
 
 const (
-	// pipelineDepth caps the followers a connection pools. With all of
-	// them busy, a reader whose request would wait stalls until one
-	// rejoins — TCP backpressure, not an error.
+	// pipelineDepth caps a connection's unanswered REQ-framed requests,
+	// and so its followers; past it the reader stalls — TCP
+	// backpressure, not an error.
 	pipelineDepth = 128
 	// flightSample: one in this many untraced requests records its
 	// lifecycle stamps into the flight recorder (begin, request.go).
@@ -335,7 +335,7 @@ func (s *Server) Serve(lis net.Listener) error {
 		s.conns[nc] = struct{}{}
 		s.served.Store(int32(len(s.conns)))
 		s.connSeq++
-		c := &conn{s: s, nc: nc, out: make(chan string, 4*pipelineDepth), stop: make(chan struct{}), promote: make(chan struct{})}
+		c := &conn{s: s, nc: nc, out: make(chan string, 4*pipelineDepth), stop: make(chan struct{}), promote: make(chan struct{}), inflight: make(chan struct{}, pipelineDepth)}
 		c.ids.Store(s.connSeq << connIDBits)
 		s.mu.Unlock()
 		s.wg.Add(1)
@@ -406,6 +406,8 @@ type conn struct {
 	// promote hands the reader role to an idle follower (handOff); the
 	// last reader closes it, which dismisses the followers.
 	promote chan struct{}
+	// inflight holds a token per unanswered REQ-framed request.
+	inflight chan struct{}
 	// workers counts the pooled followers and the replication feeders,
 	// awaited before out closes.
 	workers sync.WaitGroup
@@ -446,7 +448,7 @@ func (s *Server) serveConn(c *conn) {
 
 	c.scan = bufio.NewScanner(c.nc)
 	c.scan.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	c.follow(true)
+	c.follow()
 	c.workers.Wait()
 	if c.tooLong {
 		// The connection cannot be resynced mid-line, but the client
@@ -459,23 +461,21 @@ func (s *Server) serveConn(c *conn) {
 
 // follower is one goroutine of a connection's request pool, run
 // leader/followers style (Schmidt et al., PLoP 2000). The follower
-// holding the reader role reads lines and runs each one itself: bare
-// requests in order and with no wait hook, REQ-framed ones with handOff
-// as their hook, so a REQ-framed request leaves the reader when it would
-// wait. At its first wait the reader promotes another follower to read
-// the connection, finishes the request as an ordinary worker, answers
-// it and rejoins the pool. A request that never waits never changes
-// goroutine, and no line waits behind one that does. On a server with
-// fewer connections than processors the reader hands off before running
-// each REQ-framed request instead, so one connection's pipelined
-// requests can use the idle processors.
+// holding the reader role runs each line itself: bare ones in order with
+// no wait hook, REQ-framed ones with handOff as their hook. At a
+// request's first wait the reader promotes another follower to read the
+// connection, finishes the request as a worker and rejoins the pool: a
+// request that never waits never changes goroutine, and no line waits
+// behind one that does. With fewer connections than processors the
+// reader hands off before each REQ-framed request, so one connection's
+// pipelined requests can use the idle processors.
 //
-// Followers are pooled rather than started per hand-off because dispatch
-// call chains run deep (admission -> shard -> engine -> commit): a fresh
-// goroutine pays stack growth on every request (runtime.newstack
-// dominated hot profiles), a pooled one pays it once per connection. The
-// pool stops at pipelineDepth followers; past it, a hand-off waits for
-// one to rejoin.
+// Followers are pooled, at most pipelineDepth, because dispatch call
+// chains run deep: a goroutine per hand-off paid stack growth on every
+// request (runtime.newstack dominated hot profiles). A hand-off runs
+// inside a wait and never waits for a follower: the reader takes an
+// inflight token before each REQ-framed request, so a full pool has one
+// idle or on its way back.
 type follower struct {
 	c       *conn
 	reading bool   // f holds the reader role
@@ -483,21 +483,16 @@ type follower struct {
 }
 
 // follow runs one follower until the connection ends: it reads while it
-// holds the reader role (from the start when reading is set) and waits to
-// be promoted while it does not.
-func (c *conn) follow(reading bool) {
-	f := &follower{c: c, reading: reading}
+// holds the reader role, as it does from the start, and waits to be
+// promoted while it does not.
+func (c *conn) follow() {
+	f := &follower{c: c, reading: true}
 	f.hook = f.handOff
-	for {
-		if !f.reading {
-			if _, ok := <-c.promote; !ok {
-				return
-			}
-			f.reading = true
-		}
-		if !f.read() {
+	for f.read() {
+		if _, ok := <-c.promote; !ok {
 			return
 		}
+		f.reading = true
 	}
 }
 
@@ -525,6 +520,7 @@ func (f *follower) read() bool {
 			case len(fields) == 2:
 				c.out <- "RES " + fields[1] + " ERR missing verb"
 			default:
+				c.inflight <- struct{}{}
 				if c.s.served.Load() < c.s.procs {
 					f.handOff()
 				}
@@ -533,6 +529,7 @@ func (f *follower) read() bool {
 					c.s.met.requestsInline.Inc()
 				}
 				c.out <- "RES " + fields[1] + " " + reply
+				<-c.inflight
 			}
 		case "REPL", "ACK":
 			// Replication verbs are connection-stateful (they turn the
@@ -551,7 +548,7 @@ func (f *follower) read() bool {
 	return true
 }
 
-// handOff is a REQ-framed request's wait hook. While m holds the reader
+// handOff is a REQ-framed request's wait hook. While f holds the reader
 // role it passes the role to an idle follower, starting one while the
 // pool is below pipelineDepth, and f goes on as a worker; later calls do
 // nothing.
@@ -574,7 +571,7 @@ func (f *follower) handOff() {
 	c.workers.Add(1)
 	go func() {
 		defer c.workers.Done()
-		c.follow(true)
+		c.follow()
 	}()
 }
 
