@@ -76,7 +76,7 @@ func main() {
 	queue := flag.Int("queue", 1024, "admission queue bound; overflow sheds the lowest-value waiter")
 	replicaOf := flag.String("replica-of", "", "primary address to replicate from; makes this server a read replica")
 	dataDir := flag.String("data-dir", "", "durability directory: node WAL + per-shard checkpoints, recovered on boot (empty = in-memory only)")
-	fsync := flag.String("fsync", "group", "WAL fsync policy: always (per commit) | group (per commit batch: commits queue behind the running fsync and share the next) | off (OS page cache only)")
+	fsync := flag.String("fsync", "group", "WAL fsync policy: group (per commit batch: commits queue behind the running fsync and share the next) | off (OS page cache only)")
 	ckptEvery := flag.Int("ckpt-every", 4096, "with -data-dir: checkpoint a shard after this many WAL records, highest pending-value shard first, and trim the WAL below the checkpoints (must be at least 1)")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address serving GET /metrics (Prometheus text exposition of the server's telemetry registry), GET /debug/events (the flight recorder's retained events) and /debug/pprof (empty = off)")
 	logLevel := flag.String("log-level", "info", "structured-log verbosity on stderr: debug | info | warn | error")

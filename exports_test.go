@@ -27,8 +27,6 @@ var keptExports = map[string]string{
 		"TestGroupCommitCoalesces, TestGroupCommitMaxBatch, TestCommitBoundaryContract; checkQuiesced asserts none is left",
 	"repro/internal/history.Recorder.Records": "the serializability oracle's history, read back to check the paper's " +
 		"schedules: TestFig1bBroadcastRestart, TestFig2aUndevelopedConflict, TestEDFWakeOrder, TestRecordsAccessor",
-	"repro/internal/value.Fn.ZeroCrossing": "reference shed horizon the wire codec is checked against: " +
-		"FuzzParseToken, TestFnFamilies, TestZeroCrossing",
 	"repro/internal/core.OBShadowCount": "the paper's Sec. 2 SCC-OB shadow count, reproduced as a result: " +
 		"TestOBShadowCountPaperExample (Fig. 3), TestOBFactorialGrowth",
 	"repro/internal/core.CBLiveShadowBound":  "SCC-CB's Sec. 2 live-shadow bound: TestCBBoundsLinearAndQuadratic, TestOBvsCBProperty",

@@ -29,12 +29,11 @@
 //     offset taken before the fsync starts.
 //
 // The fsync policy decides when written bytes are forced to stable
-// storage: FsyncAlways syncs through every record as it is appended
-// (before the commit is acknowledged, under the shard latch), FsyncGroup
-// syncs once per commit batch at the engine's commit boundary (one fsync
-// covers every shard's records of the flush, and verdicts are delivered
-// only after it), FsyncOff never syncs (the OS page cache is the only
-// durability — survives process death, not machine crash).
+// storage: FsyncGroup syncs once per commit batch at the engine's commit
+// boundary (one fsync covers every shard's records of the flush, and
+// verdicts are delivered only after it), FsyncOff never syncs (the OS
+// page cache is the only durability — survives process death, not
+// machine crash). Neither fsyncs under a shard latch.
 
 package durable
 
@@ -63,9 +62,6 @@ const (
 	// FsyncGroup syncs once per commit batch (the engine's commit
 	// boundary), before the batch's commits are acknowledged. The default.
 	FsyncGroup FsyncPolicy = iota
-	// FsyncAlways syncs inside every append, before the commit is
-	// acknowledged — one fsync per committed transaction.
-	FsyncAlways
 	// FsyncOff never syncs. Appends still hit the file via write(2), so
 	// a killed process loses nothing; an OS crash can lose the tail.
 	FsyncOff
@@ -76,19 +72,14 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	switch strings.ToLower(s) {
 	case "group", "":
 		return FsyncGroup, nil
-	case "always":
-		return FsyncAlways, nil
 	case "off", "none":
 		return FsyncOff, nil
 	}
-	return 0, fmt.Errorf("durable: unknown fsync policy %q (want always, group, or off)", s)
+	return 0, fmt.Errorf("durable: unknown fsync policy %q (want group or off)", s)
 }
 
 func (p FsyncPolicy) String() string {
-	switch p {
-	case FsyncAlways:
-		return "always"
-	case FsyncOff:
+	if p == FsyncOff {
 		return "off"
 	}
 	return "group"
@@ -357,10 +348,9 @@ func openLog(dir string, policy FsyncPolicy, accept func(frame) bool) (*nodeLog,
 // write appends one whole record holding parts (their writes are already
 // encoded in rec) and returns the log offset past it. With ship set, the
 // record joins the publication queue as sh, in the order it reached the
-// file. Under FsyncAlways it also syncs through the record, outside the
-// append mutex. A failed log is sticky-broken: every later write fails
-// without touching the file, so the log ends at the failure instead of
-// growing a hole.
+// file. A failed log is sticky-broken: every later write fails without
+// touching the file, so the log ends at the failure instead of growing a
+// hole.
 func (l *nodeLog) write(rec []byte, parts []part, sh shipment) (int64, error) {
 	l.mu.Lock()
 	if l.broken != nil {
@@ -386,9 +376,6 @@ func (l *nodeLog) write(rec []byte, parts []part, sh shipment) (int64, error) {
 	l.appends.Add(1)
 	if len(parts) > 1 {
 		l.crossRecs.Add(1)
-	}
-	if l.policy == FsyncAlways {
-		return end, l.syncTo(end)
 	}
 	return end, nil
 }

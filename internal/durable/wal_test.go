@@ -289,9 +289,8 @@ func TestFsyncPolicyCounts(t *testing.T) {
 		wantAfterApp  int64 // fsyncs after 3 appends
 		wantAfterSync int64 // fsyncs after an explicit sync
 	}{
-		{FsyncAlways, 3, 3}, // synced per append; the sync is then a no-op
-		{FsyncGroup, 0, 1},  // synced per batch boundary only
-		{FsyncOff, 0, 0},    // never synced
+		{FsyncGroup, 0, 1}, // synced per batch boundary only
+		{FsyncOff, 0, 0},   // never synced
 	} {
 		l, _ := replay(t, t.TempDir(), tc.policy, nil)
 		appendAll(t, l, rec(1, "a", "1"), rec(2, "a", "2"), rec(3, "a", "3"))

@@ -206,7 +206,7 @@ func (m *Mux) DoContext(ctx context.Context, opts TxOpts, fn func(*Txn) error) e
 		}
 		if err := fn(tx); err != nil {
 			if !tx.fin {
-				tx.Abort() // best effort; the reaper covers a failed abort
+				tx.Abort() // best effort; the reap timer covers a failed abort
 			}
 			if errors.Is(err, ErrConflict) {
 				last = err

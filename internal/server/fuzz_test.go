@@ -50,7 +50,7 @@ func FuzzDispatch(f *testing.F) {
 		}
 		// Sessions a previous input left open must not accumulate: each
 		// holds an admission slot, and a fuzzer minting them faster than
-		// the reaper runs would wedge BEGIN in the admission queue.
+		// they are reaped would wedge BEGIN in the admission queue.
 		defer func() {
 			for _, ss := range s.sessions.snapshot() {
 				s.txnAbort(ss, nil)

@@ -306,7 +306,7 @@ var statRows = []statRow{
 		read: func(sn *statSnap) float64 { return float64(sn.s.met.txnCommitted.Value()) }},
 	{key: "txn_aborted", family: "scc_txn_aborted_total", help: "TXN sessions aborted.",
 		read: func(sn *statSnap) float64 { return float64(sn.s.met.txnAborted.Value()) }},
-	{key: "txn_reaped", family: "scc_txn_reaped_total", help: "TXN sessions reaped by the value-cognizant reaper.",
+	{key: "txn_reaped", family: "scc_txn_reaped_total", help: "TXN sessions reaped at their value zero crossing or idle cap.",
 		read: func(sn *statSnap) float64 { return float64(sn.s.met.txnReaped.Value()) }},
 
 	{key: "repl_subs", family: "scc_repl_subscribers", help: "Live replication subscriptions.", gauge: true, when: primary, promotable: true,

@@ -462,6 +462,21 @@ func TestReplicaFailover(t *testing.T) {
 	}
 }
 
+// TestSnapRefusesUnsyncedState: SNAP ships a snapshot only once its own
+// sync made it durable; a log whose sync fails draws ERR, not state a
+// joiner would bootstrap from and the primary could not recover.
+func TestSnapRefusesUnsyncedState(t *testing.T) {
+	pri, priAddr := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true}})
+	rc := dialRaw(t, priAddr)
+	rc.send("ADD snapkey 1")
+	rc.recv()
+	pri.store.Shard(0).SetCommitLog(brokenLog{})
+	rc.send("SNAP")
+	if got := rc.recv(); got != "ERR disk on fire" {
+		t.Fatalf("SNAP over a log whose sync fails -> %q, want ERR disk on fire", got)
+	}
+}
+
 // TestReplVerbErrors pins the REPL/ACK error surface.
 func TestReplVerbErrors(t *testing.T) {
 	_, priAddr := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true}})

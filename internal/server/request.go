@@ -42,8 +42,8 @@ type request struct {
 	numOps  int
 }
 
-// Verdicts that are not engine errors: a client's TXN ABORT, and the
-// reaper shedding a session at its zero-crossing or idle cap.
+// Verdicts that are not engine errors: a client's TXN ABORT, and a
+// session's timer shedding it at its zero crossing or idle cap.
 // errTxnAborted doubles as the session closure's "stop executing"
 // sentinel (session.go).
 var (

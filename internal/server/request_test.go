@@ -43,7 +43,7 @@ func sum(m map[string]float64) (total float64) {
 // TestSessionLedgerSurvivesSlowAdmission: a session that waits in the
 // admission queue past its deadline is granted with less value than it
 // submitted. Whatever exit the session then takes — COMMIT, ABORT, the
-// reaper — must settle the value it *submitted*, not the value it was
+// reap timer — must settle the value it *submitted*, not the value it was
 // granted with, or the difference leaks out of the conservation
 // invariant.
 func TestSessionLedgerSurvivesSlowAdmission(t *testing.T) {

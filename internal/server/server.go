@@ -379,7 +379,7 @@ func (s *Server) Close() {
 	// another session) or queued in admission behind slots that open
 	// sessions hold — waiting for the handlers first would deadlock.
 	// Closing admission sheds every queued waiter; aborting the sessions
-	// (reaper stopped first) unwinds their live engine transactions and
+	// (their timers stopped) unwinds their live engine transactions and
 	// wakes parked operation handlers; only then are the handlers
 	// awaited and the store closed under a quiesced engine.
 	s.adm.Close()
@@ -775,9 +775,12 @@ func (c *conn) handleSnap(args []string) {
 	// Nothing leaves the server before it is durable: the captured state
 	// can include commits whose WAL sync is still pending, so force the
 	// sync now — after it, every record the snapshot reflects is on
-	// stable storage and shipped. (A broken WAL makes this a no-op; the
-	// server is about to fail-stop anyway.)
-	s.store.Shard(0).SyncCommitLog()
+	// stable storage and shipped. A failed sync ships nothing: a joiner
+	// must not bootstrap from commits this server cannot recover.
+	if err := s.store.Shard(0).SyncCommitLog(); err != nil {
+		c.out <- "ERR " + err.Error()
+		return
+	}
 	c.out <- fmt.Sprintf("OK %d %d %d", pos, epoch, len(pairs))
 	for len(pairs) > 0 {
 		k := min(snapBatch, len(pairs))
@@ -989,7 +992,7 @@ func (c *conn) handleTXN(args []string, wait func()) string {
 	}
 	ss, reaped := s.sessions.get(id)
 	if reaped {
-		// The reaper shed this session at its value zero-crossing (or
+		// The session's timer shed it at its value zero crossing (or
 		// idle cap); every later verb on it answers SHED, matching the
 		// admission queue's verdict for worthless work.
 		return "SHED"

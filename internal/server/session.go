@@ -7,9 +7,10 @@
 // the client thinks (the paper's Sec. 2 mechanism, finally reachable
 // over the wire). Sessions are value-cognizant end to end: BEGIN
 // carries a Def. 2 value function, enters the admission queue like any
-// transaction, and a reaper sheds idle sessions whose value function
-// has crossed zero (txn_reaped in STATS) — parked speculative state for
-// worthless work is pure capacity theft.
+// transaction, and each session's own timer sheds it the moment its
+// value function crosses zero, or once its idle cap passes (txn_reaped
+// in STATS) — parked speculative state for worthless work is pure
+// capacity theft.
 //
 // Execution modes. A fresh session is idle. Its first operation binds
 // it to the owning shard's engine as a live interactive transaction
@@ -20,13 +21,15 @@
 // concurrently (optimistic shadow + speculative shadow + restarts);
 // each execution keeps its own cursor into the shared log, and the
 // first execution to produce op i's result delivers it to the client —
-// results are therefore *speculative* until COMMIT, whose reply carries
-// the committed execution's write results (exactly UPD's reply shape).
+// so the delivered results are always a prefix of the log. They are
+// *speculative* until COMMIT, whose reply carries the committed
+// execution's write results (exactly UPD's reply shape).
 //
 // An operation that routes off the bound shard aborts the live
 // transaction and falls the session back to deferred mode
-// (sessDeferred): reads are served speculatively from committed state
-// plus a private overlay, and COMMIT replays the whole op log through
+// (sessDeferred): ops are answered speculatively by applyOp on an
+// overlay of private writes over committed state, and COMMIT replays the
+// whole op log through
 // the same admitted executor one-shot UPDs use — cross-shard
 // validation, value-cognizant retry readmission, and all. Replica
 // sessions (read-only, lag-gated at BEGIN) always run deferred.
@@ -38,6 +41,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -48,25 +52,22 @@ import (
 	"repro/internal/shard"
 )
 
-const (
-	// reapEvery is the reaper's scan interval: it notices a session whose
-	// value function crossed zero, or whose idle cap expired, at most this
-	// long after the fact.
-	reapEvery = 25 * time.Millisecond
-	// txnMaxIdle reaps a session that has seen no operation for this long
-	// even while its value function is still positive — a dead client's
-	// leaked session must not pin an admission slot and speculative
-	// engine state forever. Zero-crossing reaping runs regardless.
-	txnMaxIdle = 30 * time.Second
-)
+// txnMaxIdle reaps a session that has seen no operation for this long
+// even while its value function is still positive — a dead client's
+// leaked session must not pin an admission slot and speculative engine
+// state forever. Zero-crossing reaping runs regardless.
+const txnMaxIdle = 30 * time.Second
+
+// never is the reap delay of a session with neither deadline: its timer
+// is armed but does not fire.
+const never = time.Duration(math.MaxInt64)
 
 type sessMode int
 
 const (
 	sessIdle     sessMode = iota // no operations yet
-	sessLive     sessMode = iota // live engine transaction on the bound shard
+	sessLive                     // live engine transaction on the bound shard
 	sessDeferred                 // speculative overlay; execution deferred to COMMIT
-	sessFailed                   // live transaction died with a terminal error
 )
 
 type sessFin int
@@ -75,7 +76,7 @@ const (
 	finNone   sessFin = iota
 	finCommit         // COMMIT received; executions finish and validate
 	finAbort          // client ABORT or server shutdown
-	finReap           // value-cognizant reaper shed the session
+	finReap           // the session's timer shed it
 )
 
 // session is one interactive transaction.
@@ -88,31 +89,30 @@ type session struct {
 	// cannot drive another's transaction by enumerating ids.
 	token string
 	srv   *Server
-	req   request // the ledger entry BEGIN opened; COMMIT, ABORT or the reaper finishes it
+	req   request // the ledger entry BEGIN opened; COMMIT, ABORT or the reap timer finishes it
 	val   float64 // value function at the admission grant: the engine-facing deferment value
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	mode      sessMode
-	fin       sessFin
-	ops       []op             // append-only op log, replayed by every execution
-	res       []int64          // speculative per-op results
-	delivered []bool           // res[i] has been produced (first execution wins)
-	overlay   map[string]int64 // deferred-mode read-your-writes view
-	lastOp    time.Time        // BEGIN or latest op arrival, for idle reaping
-	failErr   error            // terminal live-path error (mode == sessFailed)
+	mu     sync.Mutex
+	cond   *sync.Cond
+	mode   sessMode
+	fin    sessFin
+	ops    []op      // append-only op log, replayed by every execution
+	res    []int64   // speculative results of ops[:len(res)], each delivered once
+	over   overlay   // deferred mode's read-your-writes view
+	lastOp time.Time // BEGIN or latest op arrival, for the idle cap
+	timer  *time.Timer
 
-	// Live-path rendezvous: liveDone is closed when the session
-	// goroutine's engine call returned; on a committed transaction
-	// liveRes holds the committed execution's write results.
-	liveDone      chan struct{}
-	liveRes       []int64
-	liveCommitted bool
+	// Live-path outcome: set once by runLive, before liveDone closes.
+	// liveErr nil is a committed run whose write results are liveRes.
+	liveDone chan struct{}
+	liveRes  []int64
+	liveErr  error
 }
 
-// sessionTable owns the server's sessions: id allocation, lookup, the
-// value-cognizant reaper, and bounded tombstones so operations on a
-// reaped session answer SHED instead of a confusing "no such txn".
+// sessionTable owns the server's sessions: id allocation, lookup, and
+// bounded tombstones so operations on a reaped session answer SHED
+// instead of a confusing "no such txn". Each session reaps itself on
+// its own timer.
 type sessionTable struct {
 	srv     *Server
 	maxIdle time.Duration // txnMaxIdle unless a test overrides it; negative = no idle cap
@@ -122,10 +122,6 @@ type sessionTable struct {
 	nextID   uint64
 	reaped   map[uint64]struct{}
 	reapRing []uint64 // tombstone eviction order (oldest first)
-
-	wake chan struct{} // signaled when the table goes non-empty
-	stop chan struct{}
-	done chan struct{}
 }
 
 // maxTombstones bounds the reaped-session tombstone set; past it the
@@ -136,27 +132,23 @@ func newSessionTable(srv *Server, maxIdle time.Duration) *sessionTable {
 	if maxIdle == 0 {
 		maxIdle = txnMaxIdle
 	}
-	st := &sessionTable{
+	return &sessionTable{
 		srv:      srv,
 		maxIdle:  maxIdle,
 		sessions: make(map[uint64]*session),
 		reaped:   make(map[uint64]struct{}),
-		wake:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
-	go st.reapLoop()
-	return st
 }
 
-// add registers a new session whose BEGIN already holds an admission slot.
+// add registers a new session whose BEGIN already holds an admission
+// slot, and arms its reap timer. The timer is armed under ss.mu, so a
+// crossing that is already due cannot fire before ss.timer is set.
 func (st *sessionTable) add(req request) *session {
 	ss := &session{
-		srv:     st.srv,
-		req:     req,
-		val:     req.f.At(st.srv.adm.now()),
-		overlay: make(map[string]int64),
-		lastOp:  time.Now(),
+		srv:    st.srv,
+		req:    req,
+		val:    req.f.At(st.srv.adm.now()),
+		lastOp: time.Now(),
 	}
 	ss.cond = sync.NewCond(&ss.mu)
 	ss.token = newSessionToken()
@@ -164,14 +156,10 @@ func (st *sessionTable) add(req request) *session {
 	st.nextID++
 	ss.id = st.nextID
 	st.sessions[ss.id] = ss
-	first := len(st.sessions) == 1
 	st.mu.Unlock()
-	if first {
-		select {
-		case st.wake <- struct{}{}:
-		default:
-		}
-	}
+	ss.mu.Lock()
+	ss.timer = time.AfterFunc(ss.reapInLocked(), ss.reapCheck)
+	ss.mu.Unlock()
 	return ss
 }
 
@@ -218,65 +206,55 @@ func (st *sessionTable) snapshot() []*session {
 	return out
 }
 
-// reapLoop sheds sessions whose value functions have crossed zero —
-// Sec. 3's zero-crossing rule applied to parked interactive state — and
-// sessions idle past the configured cap. The actual teardown is
-// asynchronous: unwinding a live engine transaction can block on a
-// conflicting transaction's resolution, and one wedged session must not
-// stall the sweep.
-func (st *sessionTable) reapLoop() {
-	defer close(st.done)
-	timer := time.NewTimer(reapEvery)
-	defer timer.Stop()
-	for {
-		// Park entirely while no sessions exist: an idle (or
-		// one-shot-only) server must not pay a periodic wakeup for a
-		// feature it is not using.
-		if st.active() == 0 {
-			select {
-			case <-st.stop:
-				return
-			case <-st.wake:
-			}
-		}
-		timer.Reset(reapEvery)
-		select {
-		case <-st.stop:
-			return
-		case <-timer.C:
-		}
-		now := st.srv.adm.now()
-		for _, ss := range st.snapshot() {
-			ss.mu.Lock()
-			expired := ss.fin == finNone && ss.req.f.At(now) <= 0
-			idle := ss.fin == finNone && st.maxIdle > 0 && time.Since(ss.lastOp) > st.maxIdle
-			if !expired && !idle {
-				ss.mu.Unlock()
-				continue
-			}
-			ss.fin = finReap
-			ss.cond.Broadcast()
-			ld := ss.liveDone
-			ss.mu.Unlock()
-			go func(ss *session, ld chan struct{}) {
-				if ld != nil {
-					<-ld // let the engine transaction unwind first
-				}
-				ss.end(true, nil, errTxnReaped)
-			}(ss, ld)
-		}
+// reapInLocked returns how long until the session is reaped: the earlier
+// of its value function's zero crossing (Sec. 3's shed horizon, on the
+// admission clock) and its idle deadline; zero or less when one has
+// passed, never when it has neither. Caller holds ss.mu.
+func (ss *session) reapInLocked() time.Duration {
+	d := never
+	if ns := (ss.req.f.ZeroCrossing() - ss.srv.adm.now()) * float64(time.Second); ns < float64(never) {
+		d = time.Duration(ns)
 	}
+	if idle := ss.srv.sessions.maxIdle; idle > 0 {
+		d = min(d, idle-time.Since(ss.lastOp))
+	}
+	return d
 }
 
-// close stops the reaper and aborts every remaining session, waiting for
+// reapCheck is the session's timer. Ops only move lastOp, so a timer
+// armed for an idle deadline may find it renewed: it re-arms for the
+// new deadline. Otherwise it claims the reap verdict and tears the
+// session down here, on the timer's own goroutine — unwinding a live
+// engine transaction can block on a conflicting transaction's
+// resolution.
+func (ss *session) reapCheck() {
+	ss.mu.Lock()
+	if ss.fin != finNone {
+		ss.mu.Unlock()
+		return
+	}
+	if d := ss.reapInLocked(); d > 0 {
+		ss.timer.Reset(d)
+		ss.mu.Unlock()
+		return
+	}
+	ss.fin = finReap
+	ss.cond.Broadcast()
+	ld := ss.liveDone
+	ss.mu.Unlock()
+	if ld != nil {
+		<-ld // let the engine transaction unwind first
+	}
+	ss.end(true, nil, errTxnReaped)
+}
+
+// close aborts every remaining session and stops its timer, waiting for
 // live engine transactions to unwind so the store can close under a
 // quiesced engine. Signaling and waiting are separate phases: a session
 // mid-commit can be parked in the engine's value deferment on ANOTHER
 // session's resolution, so waiting for it before the other session has
 // been aborted would deadlock the teardown.
 func (st *sessionTable) close() {
-	close(st.stop)
-	<-st.done
 	sessions := st.snapshot()
 	for _, ss := range sessions {
 		ss.mu.Lock()
@@ -284,6 +262,7 @@ func (st *sessionTable) close() {
 			ss.fin = finAbort
 			ss.cond.Broadcast()
 		}
+		ss.timer.Stop()
 		ss.mu.Unlock()
 	}
 	for _, ss := range sessions {
@@ -300,25 +279,18 @@ func (st *sessionTable) close() {
 // runLive is the session goroutine: it binds the session to firstKey's
 // shard as one engine transaction whose closure is the session's op-log
 // replay loop (liveFn), and records the outcome. A declared-key
-// violation is not an error but a mode change: the op log has outgrown
-// the bound shard, so the session falls back to deferred cross-shard
-// execution and re-serves the log speculatively.
+// violation is not an outcome but a mode change: the op log has
+// outgrown the bound shard, so the session falls back to deferred
+// cross-shard execution and re-serves the log speculatively.
 func (ss *session) runLive(firstKey string) {
 	res, err := ss.srv.store.UpdateTracedResult(ss.val, []string{firstKey}, nil, ss.req.tr, nil, ss.liveFn)
 	ss.mu.Lock()
-	switch {
-	case err == nil:
-		ss.liveRes, _ = res.([]int64)
-		ss.liveCommitted = true
-	case errors.Is(err, shard.ErrKeyNotDeclared):
+	if errors.Is(err, shard.ErrKeyNotDeclared) {
 		ss.req.tr.Event(obs.StageDeferred)
-		ss.mode = sessDeferred
-		ss.replaySpecLocked()
-	case errors.Is(err, errTxnAborted):
-		// Client abort, reap, or shutdown: nothing to record.
-	default:
-		ss.mode = sessFailed
-		ss.failErr = err
+		ss.deferLocked()
+	} else {
+		ss.liveRes, _ = res.([]int64)
+		ss.liveErr = err
 	}
 	ss.cond.Broadcast()
 	ss.mu.Unlock()
@@ -360,61 +332,52 @@ func (ss *session) liveFn(tx shard.Tx) error {
 		if o.write {
 			results = append(results, n)
 		}
-		ss.deliverLive(i, n)
-	}
-}
-
-// deliverLive publishes op i's result if no execution beat this one to it.
-func (ss *session) deliverLive(i int, n int64) {
-	ss.mu.Lock()
-	if !ss.delivered[i] {
-		ss.delivered[i] = true
-		ss.res[i] = n
-		ss.cond.Broadcast()
-	}
-	ss.mu.Unlock()
-}
-
-// applySpecLocked applies op i to the deferred-mode speculative view
-// (committed state + private overlay) and returns its result, delivering
-// it if still undelivered. Caller holds ss.mu.
-func (ss *session) applySpecLocked(i int) int64 {
-	o := ss.ops[i]
-	cur := func(key string) int64 {
-		if v, ok := ss.overlay[key]; ok {
-			return v
+		ss.mu.Lock()
+		// Executions replay the log in order, so the first to reach op
+		// i finds exactly i results delivered.
+		if len(ss.res) == i {
+			ss.res = append(ss.res, n)
+			ss.cond.Broadcast()
 		}
-		v, _ := ss.srv.store.Get(key)
-		return parseNum(v)
+		ss.mu.Unlock()
 	}
-	var n int64
-	switch {
-	case !o.write:
-		n = cur(o.key)
-	case o.set:
-		n = o.delta
-		ss.overlay[o.key] = n
-	default:
-		n = cur(o.key) + o.delta
-		ss.overlay[o.key] = n
-	}
-	if !ss.delivered[i] {
-		ss.delivered[i] = true
-		ss.res[i] = n
-	}
-	return n
 }
 
-// replaySpecLocked rebuilds the speculative overlay from the whole op
-// log after a fall-back to deferred mode. Results the client already saw
-// keep their delivered values (they were speculative then and remain
-// so); undelivered ops get overlay-derived results. Caller holds ss.mu.
-func (ss *session) replaySpecLocked() {
-	ss.overlay = make(map[string]int64)
-	for i := range ss.ops {
-		ss.applySpecLocked(i)
+// overlay is deferred mode's speculative view as a shard.Tx, so applyOp
+// defines its ops: committed state under the session's private writes.
+type overlay struct {
+	store  *shard.Store
+	writes map[string][]byte
+}
+
+func (o overlay) Get(key string) ([]byte, error) {
+	if v, ok := o.writes[key]; ok {
+		return v, nil
 	}
-	ss.cond.Broadcast()
+	v, _ := o.store.Get(key)
+	return v, nil
+}
+
+func (o overlay) Set(key string, v []byte) error {
+	o.writes[key] = v
+	return nil
+}
+
+func (overlay) Stash(any) {}
+
+// deferLocked moves the session to deferred mode: a fresh overlay
+// replays the whole op log, answering the ops no live execution did.
+// Results the client already saw keep their values (speculative then,
+// and still). Caller holds ss.mu.
+func (ss *session) deferLocked() {
+	ss.mode = sessDeferred
+	ss.over = overlay{store: ss.srv.store, writes: make(map[string][]byte)}
+	for i, o := range ss.ops {
+		n, _ := applyOp(ss.over, o) // an overlay never fails
+		if i == len(ss.res) {
+			ss.res = append(ss.res, n)
+		}
+	}
 }
 
 // txnBegin admits and registers a new session. The value function is
@@ -474,31 +437,29 @@ func (s *Server) txnOp(ss *session, o op, wait func()) string {
 			return reply
 		}
 	}
-	if ss.mode == sessFailed {
-		return "ERR " + ss.failErr.Error()
+	if ss.liveErr != nil {
+		return "ERR " + ss.liveErr.Error()
+	}
+	if ss.mode == sessIdle && s.replGate() != nil {
+		// Replica sessions never bind a live engine transaction: they are
+		// read-only and validate at COMMIT against the replicated state.
+		ss.deferLocked()
 	}
 	i := len(ss.ops)
 	ss.ops = append(ss.ops, o)
-	ss.res = append(ss.res, 0)
-	ss.delivered = append(ss.delivered, false)
 	ss.lastOp = time.Now()
-	if ss.mode == sessIdle {
-		if s.replGate() != nil {
-			// Replica sessions never bind a live engine transaction:
-			// they are read-only and validate at COMMIT against the
-			// replicated state.
-			ss.mode = sessDeferred
-		} else {
-			ss.mode = sessLive
-			ss.liveDone = make(chan struct{})
-			go ss.runLive(o.key)
-		}
-	}
-	if ss.mode == sessDeferred {
-		return "OK " + strconv.FormatInt(ss.applySpecLocked(i), 10)
+	switch ss.mode {
+	case sessDeferred:
+		n, _ := applyOp(ss.over, o)
+		ss.res = append(ss.res, n)
+		return "OK " + strconv.FormatInt(n, 10)
+	case sessIdle:
+		ss.mode = sessLive
+		ss.liveDone = make(chan struct{})
+		go ss.runLive(o.key)
 	}
 	ss.cond.Broadcast()
-	for !ss.delivered[i] && ss.mode == sessLive && ss.fin == finNone {
+	for len(ss.res) <= i && ss.liveErr == nil && ss.fin == finNone {
 		if wait != nil {
 			ss.mu.Unlock()
 			wait()
@@ -509,10 +470,10 @@ func (s *Server) txnOp(ss *session, o op, wait func()) string {
 		ss.cond.Wait()
 	}
 	switch {
-	case ss.delivered[i]:
+	case len(ss.res) > i:
 		return "OK " + strconv.FormatInt(ss.res[i], 10)
-	case ss.mode == sessFailed:
-		return "ERR " + ss.failErr.Error()
+	case ss.liveErr != nil:
+		return "ERR " + ss.liveErr.Error()
 	default:
 		return ss.verdictLocked()
 	}
@@ -531,10 +492,10 @@ func (ss *session) verdictLocked() string {
 }
 
 // claim takes the session's one verdict for fin — COMMIT, ABORT and the
-// reaper race for it; the winner owes the request its finish — hands it
-// to the parked executions, and waits for a live engine transaction to
-// return, calling wait first when it would block. A late caller gets the
-// reply to send instead.
+// reap timer race for it; the winner owes the request its finish —
+// hands it to the parked executions, and waits for a live engine
+// transaction to return, calling wait first when it would block. A late
+// caller gets the reply to send instead.
 func (ss *session) claim(fin sessFin, wait func()) (late string) {
 	ss.mu.Lock()
 	if late = ss.verdictLocked(); late != "" {
@@ -562,28 +523,24 @@ func (s *Server) txnCommit(ss *session, wait func()) string {
 		return late
 	}
 	ss.mu.Lock()
-	mode := ss.mode // by now a live run has committed, rebound to deferred, or failed
-	ops, committed, res, failErr := ss.ops, ss.liveCommitted, ss.liveRes, ss.failErr
+	mode, ops, res, err := ss.mode, ss.ops, ss.liveRes, ss.liveErr // a live run has returned by now
 	ss.mu.Unlock()
 
-	var err error
-	switch {
-	case committed:
-		// Semi-sync covers interactive commits like one-shot ones. The
-		// slot is freed without refining the service-time estimate: the
-		// engine work was interleaved with client think time.
-		s.awaitReplicaAcks(ops, wait)
-	case mode == sessIdle:
+	switch mode {
+	case sessIdle:
 		// An empty transaction commits trivially.
-	case mode == sessDeferred:
+	case sessLive:
+		if err == nil {
+			// Semi-sync covers interactive commits like one-shot ones. The
+			// slot is freed without refining the service-time estimate:
+			// the engine work was interleaved with client think time.
+			s.awaitReplicaAcks(ops, wait)
+		}
+	case sessDeferred:
 		// The deferred replay is pure engine service time (no think
 		// time in it), so unlike the live path it feeds the admission
 		// estimate and the service stage like a one-shot.
 		res, err = s.execAdmitted(&ss.req, ops, time.Now(), wait)
-	case mode == sessFailed:
-		err = failErr
-	default:
-		err = errors.New("txn aborted")
 	}
 	return ss.end(false, res, err)
 }
@@ -598,12 +555,13 @@ func (s *Server) txnAbort(ss *session, wait func()) string {
 }
 
 // end is the one way out of a claimed session — COMMIT, ABORT and the
-// reaper all take it: drop the session from the table (a reaped one
-// leaves a tombstone), observe its length in scc_txn_session_ops, and
-// finish its request, returning the reply.
+// reap timer all take it: stop the timer, drop the session from the
+// table (a reaped one leaves a tombstone), observe its length in
+// scc_txn_session_ops, and finish its request, returning the reply.
 func (ss *session) end(reaped bool, res []int64, err error) string {
 	ss.mu.Lock()
 	n := len(ss.ops)
+	ss.timer.Stop()
 	ss.mu.Unlock()
 	ss.srv.sessions.remove(ss.id, reaped)
 	ss.srv.met.sessionOps.Observe(int64(n))

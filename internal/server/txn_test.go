@@ -277,7 +277,7 @@ func TestTxnCrossShardFallback(t *testing.T) {
 }
 
 // TestTxnReap: a session whose value function crosses zero while it sits
-// idle is shed by the reaper — later verbs on it answer SHED, the slot
+// idle is shed by its reap timer — later verbs on it answer SHED, the slot
 // is returned, and txn_reaped counts it.
 func TestTxnReap(t *testing.T) {
 	srv, addr := startServer(t, Config{
@@ -286,8 +286,9 @@ func TestTxnReap(t *testing.T) {
 	})
 	rc := dialRaw(t, addr)
 
-	// Zero-crossing ~1ms after BEGIN.
-	rc.send("TXN BEGIN v=1e-6 dl=1 grad=1e9")
+	// Zero-crossing ~50ms after BEGIN: the reap lands at the crossing, so
+	// the margin is what lets the TXN W below land first on a loaded host.
+	rc.send("TXN BEGIN v=1e-6 dl=50 grad=1e9")
 	got := rc.recv()
 	id, ok := strings.CutPrefix(got, "OK ")
 	if !ok || !validWireTxnID(id, 1) {
@@ -357,6 +358,113 @@ func TestTxnIdleReap(t *testing.T) {
 	rc.send("TXN COMMIT " + id)
 	if got := rc.recv(); got != "SHED" {
 		t.Errorf("COMMIT on idle-reaped session -> %q, want SHED", got)
+	}
+}
+
+// waitReaped polls txn_reaped until it reaches n, failing after 5 s.
+func waitReaped(t *testing.T, srv *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.met.txnReaped.Value() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("txn_reaped = %d after 5s, want %d", srv.met.txnReaped.Value(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTxnOpRenewsIdleCap: an op moves the idle deadline, and the timer
+// armed for the old one re-arms instead of reaping. A session that sends
+// an op every ~15 ms outlives its 40 ms cap several times over, then is
+// reaped no sooner than the cap after its last op.
+func TestTxnOpRenewsIdleCap(t *testing.T) {
+	const idle = 40 * time.Millisecond
+	srv, addr := startServer(t, Config{Shards: 2, txnIdle: idle})
+	rc := dialRaw(t, addr)
+	rc.send("TXN BEGIN") // no deadline: only the idle cap can reap it
+	id, ok := strings.CutPrefix(rc.recv(), "OK ")
+	if !ok {
+		t.Fatal("BEGIN refused")
+	}
+	var last time.Time
+	for start := time.Now(); time.Since(start) < 3*idle; time.Sleep(15 * time.Millisecond) {
+		last = time.Now()
+		rc.send("TXN R " + id + " renew-k")
+		if got := rc.recv(); got != "OK 0" {
+			t.Fatalf("op %v into the session -> %q, want OK 0", time.Since(start), got)
+		}
+	}
+	if n := srv.met.txnReaped.Value(); n != 0 {
+		t.Fatalf("txn_reaped = %d while ops kept arriving inside the idle cap", n)
+	}
+	waitReaped(t, srv, 1)
+	if since := time.Since(last); since < idle {
+		t.Errorf("reaped %v after its last op, want >= the %v idle cap", since, idle)
+	}
+}
+
+// TestTxnReapNeverEarly: a session whose zero crossing is ~50 ms out
+// answers its ops, and its timer does not reap it before the crossing.
+func TestTxnReapNeverEarly(t *testing.T) {
+	const crossing = 50 * time.Millisecond
+	srv, addr := startServer(t, Config{Shards: 2, txnIdle: -1})
+	rc := dialRaw(t, addr)
+	begun := time.Now() // before the server's admission clock reads BEGIN
+	rc.send("TXN BEGIN v=1e-6 dl=50 grad=1e9")
+	id, ok := strings.CutPrefix(rc.recv(), "OK ")
+	if !ok {
+		t.Fatal("BEGIN refused")
+	}
+	for _, step := range []struct{ op, want string }{
+		{"TXN W " + id + " early-k 2", "OK 2"},
+		{"TXN R " + id + " early-k", "OK 2"},
+		{"TXN W " + id + " early-k 3", "OK 5"},
+	} {
+		rc.send(step.op)
+		if got := rc.recv(); got != step.want {
+			t.Fatalf("%q before the crossing -> %q, want %q", step.op, got, step.want)
+		}
+	}
+	waitReaped(t, srv, 1)
+	if since := time.Since(begun); since < crossing {
+		t.Errorf("reaped %v after BEGIN, before its %v zero crossing", since, crossing)
+	}
+}
+
+// TestCloseStopsReapTimers: Close aborts a session whose crossing is an
+// hour away promptly, and stops its timer — it never fires into the
+// closed server.
+func TestCloseStopsReapTimers(t *testing.T) {
+	srv, addr := startServer(t, Config{Shards: 2, txnIdle: -1})
+	rc := dialRaw(t, addr)
+	rc.send("TXN BEGIN v=1 dl=3600000 vf=cliff")
+	id, ok := strings.CutPrefix(rc.recv(), "OK ")
+	if !ok {
+		t.Fatal("BEGIN refused")
+	}
+	rc.send("TXN W " + id + " close-k 1")
+	if got := rc.recv(); got != "OK 1" {
+		t.Fatalf("W -> %q", got)
+	}
+	sessions := srv.sessions.snapshot()
+	if len(sessions) != 1 || sessions[0].timer == nil {
+		t.Fatalf("want one session with an armed timer, have %d", len(sessions))
+	}
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close blocked behind a session an hour from its crossing")
+	}
+	if sessions[0].timer.Stop() {
+		t.Error("the session's reap timer was still armed after Close")
+	}
+	if n := srv.met.txnReaped.Value(); n != 0 {
+		t.Errorf("txn_reaped = %d after Close, want 0", n)
 	}
 }
 
@@ -526,7 +634,7 @@ func TestTxnClientDo(t *testing.T) {
 }
 
 // TestTxnCtxDeadlineMapsToReap: a context deadline given to BeginContext
-// becomes the session's dl= on the wire, so the server's reaper sheds
+// becomes the session's dl= on the wire, so the server's reap timer sheds
 // the session once the caller's deadline (plus the default post-deadline
 // decline) has consumed its value — client- and server-side deadlines
 // agree without the caller saying anything twice.

@@ -189,13 +189,10 @@ func TestCommitBoundaryContract(t *testing.T) {
 		for _, shape := range shapes {
 			t.Run(fault+"/"+shape.name, func(t *testing.T) {
 				logs = []*faultLog{{}, {}}
-				s := Open(Config{
-					Shards:       2,
-					Engine:       shape.eng,
-					CommitLogFor: func(i int) engine.CommitLog { return logs[i] },
-				})
+				s := Open(Config{Shards: 2, Engine: shape.eng})
 				defer s.Close()
 				for i, l := range logs {
+					s.Shard(i).SetCommitLog(l)
 					if fault == "sync" {
 						l.syncErr = cause
 					} else {

@@ -12,8 +12,10 @@
 // latched in ascending index order — deadlock-free — and every read is
 // validated and every write installed under that hold.
 // Because every install, native or cross-shard, happens under its shard's
-// commit latch, each shard has a single total commit order, which
-// Config.CommitLogFor exposes as a replication log (internal/repl).
+// commit latch, each shard has a single total commit order, which the
+// commit log a shard's engine is given (engine.Store.SetCommitLog)
+// records for replication and durability (internal/repl,
+// internal/durable).
 //
 // See docs/ARCHITECTURE.md for where this layer sits in the system and
 // docs/PROTOCOL.md for the serving protocol above it.
@@ -74,11 +76,6 @@ type Config struct {
 	// engine.MaxAttempts; exhausting it surfaces as an
 	// *engine.AttemptsError.
 	Engine engine.Config
-	// CommitLogFor, when non-nil, gives each shard's engine a commit log
-	// (shard index -> log): every install on that shard, native or
-	// cross-shard, is appended under its commit latch, yielding the
-	// per-shard total order replication ships (see internal/repl).
-	CommitLogFor func(shard int) engine.CommitLog
 	// Epochs is the global commit-epoch counter cross-shard commits
 	// allocate from; it must be the same instance the commit-log sinks
 	// stamp standalone records with. Nil gets a private counter (fine
@@ -136,11 +133,7 @@ func Open(cfg Config) *Store {
 	}
 	s.countBatch = func() { s.crossBatches.Add(1) }
 	for i := range s.shards {
-		ecfg := cfg.Engine
-		if cfg.CommitLogFor != nil {
-			ecfg.CommitLog = cfg.CommitLogFor(i)
-		}
-		s.shards[i] = engine.Open(ecfg)
+		s.shards[i] = engine.Open(cfg.Engine)
 	}
 	return s
 }
