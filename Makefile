@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench-smoke bench bench-sweep bench-race fuzz e2e e2e-recover e2e-failover e2e-interactive e2e-chaos scenario-matrix lint docs loc loc-check clean-data
+.PHONY: check build vet test race bench-smoke bench bench-sweep bench-race fuzz e2e e2e-recover e2e-failover e2e-interactive e2e-chaos scenario-matrix lint docs loc loc-check cover clean-data
 
 check: build vet race bench-smoke
 
@@ -28,12 +28,20 @@ loc:
 # when loc's total exceeds LOC_MAX, the total of the last PR that
 # lowered it. A diet PR sets LOC_MAX to its own result; a PR that must
 # raise it says why in CHANGES.md.
-LOC_MAX = 17843
+LOC_MAX = 17746
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_MAX) ]; then \
 		echo "make loc: total $$total exceeds LOC_MAX $(LOC_MAX)"; exit 1; fi; \
 	echo "make loc: total $$total <= LOC_MAX $(LOC_MAX)"
+
+# cover runs the tier-1 tests and the four e2e scripts with coverage on,
+# merges the two, and prints the tier-1 total, the merged total and every
+# production function nothing reaches; the table also lands in COVER_OUT.
+# See scripts/cover.sh.
+COVER_OUT ?= COVER.txt
+cover:
+	bash scripts/cover.sh $(COVER_OUT)
 
 build:
 	$(GO) build ./...

@@ -16,7 +16,6 @@ import (
 
 // deferral is the hook set a commit-deferment policy plugs into SCC.
 type deferral interface {
-	name() string
 	attach(c *SCC)
 	// onFinish is invoked when an optimistic shadow finishes; the policy
 	// decides when it commits.
@@ -91,8 +90,6 @@ func NewDC(k int, delta float64) *SCC {
 	c.name = "SCC-DC"
 	return c
 }
-
-func (d *DC) name() string { return "SCC-DC" }
 
 func (d *DC) attach(c *SCC) {
 	d.c = c
@@ -324,8 +321,6 @@ func NewVW(k int, delta float64) *SCC {
 	c.name = "SCC-VW"
 	return c
 }
-
-func (v *VW) name() string { return "SCC-VW" }
 
 func (v *VW) attach(c *SCC) {
 	v.c = c

@@ -59,22 +59,25 @@ func writeCheckpoint(dir string, shard int, index, epoch uint64, kvs map[string]
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
 
-	final := filepath.Join(dir, ckptName(index))
+	return writeFileSync(dir, ckptName(index), buf)
+}
+
+// writeFileSync atomically replaces dir/name with data: a tmp file is
+// written and synced, renamed into place, and the directory synced. The
+// data must be stable before the rename publishes it, or a crash could
+// leave the name pointing at empty or torn contents.
+func writeFileSync(dir, name string, data []byte) error {
+	final := filepath.Join(dir, name)
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
 	}
-	// The data must be stable before the rename publishes it: a renamed
-	// checkpoint with unsynced contents could survive as a corrupt
-	// "newest" file after an OS crash and shadow the older good one only
-	// until the CRC check rejects it — sync anyway so the common case is
-	// the clean one.
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)

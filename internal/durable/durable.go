@@ -187,15 +187,21 @@ const layout = 2
 // checkLayout pins the data directory's layout and shard count in META.
 // The shard count is baked into the key routing (FNV mod shards):
 // reopening with a different count would misroute every recovered key.
-// Mismatches fail fast.
-func checkLayout(dir string, shards int) error {
+// Mismatches fail fast. Unless policy is FsyncOff, a new META is made
+// durable before anything is logged, so a power loss cannot leave an
+// empty one in front of an intact WAL.
+func checkLayout(dir string, shards int, policy FsyncPolicy) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	path := filepath.Join(dir, "META")
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return os.WriteFile(path, []byte(fmt.Sprintf("layout=%d shards=%d\n", layout, shards)), 0o644)
+		meta := []byte(fmt.Sprintf("layout=%d shards=%d\n", layout, shards))
+		if policy == FsyncOff {
+			return os.WriteFile(path, meta, 0o644)
+		}
+		return writeFileSync(dir, "META", meta)
 	}
 	var lay, n int
 	if _, err := fmt.Sscanf(string(b), "layout=%d shards=%d", &lay, &n); err != nil || lay != layout || n <= 0 {
@@ -226,7 +232,7 @@ func Open(opts Options, store *shard.Store, feed *repl.Feed) (*Manager, error) {
 	if feed != nil && feed.Shards() != n {
 		return nil, fmt.Errorf("durable: feed has %d shards, store %d", feed.Shards(), n)
 	}
-	if err := checkLayout(opts.Dir, n); err != nil {
+	if err := checkLayout(opts.Dir, n, opts.Fsync); err != nil {
 		return nil, err
 	}
 	m := &Manager{

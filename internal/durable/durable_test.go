@@ -334,6 +334,55 @@ func TestStatsAndFsyncAccounting(t *testing.T) {
 	m.Close()
 }
 
+// TestRotateSyncsSegmentEntry: a checkpoint pass starts a new WAL
+// segment, and a file's fsync does not make its directory entry durable.
+// Under FsyncGroup the log directory must be synced before the fsync that
+// acknowledges the next commit, whose record lives in the new segment;
+// under FsyncOff nothing is synced, the directory included.
+func TestRotateSyncsSegmentEntry(t *testing.T) {
+	for _, policy := range []FsyncPolicy{FsyncGroup, FsyncOff} {
+		t.Run(policy.String(), func(t *testing.T) {
+			st, _, m := openStore(t, t.TempDir(), 2, Options{Fsync: policy}, false)
+			defer m.Close()
+			defer st.Close()
+			put(t, st, "a", "1", 0) // so the pass has a segment to seal
+			var mu sync.Mutex
+			var seen []hookPoint
+			m.log.hook = func(p hookPoint) {
+				mu.Lock()
+				seen = append(seen, p)
+				mu.Unlock()
+			}
+			if _, err := m.CheckpointAll(); err != nil {
+				t.Fatal(err)
+			}
+			put(t, st, "a", "2", 0)
+			mu.Lock()
+			defer mu.Unlock()
+			dirSync, lastFsync := -1, -1
+			for i, p := range seen {
+				switch p {
+				case hookDirSync:
+					if dirSync < 0 {
+						dirSync = i
+					}
+				case hookFsync:
+					lastFsync = i
+				}
+			}
+			if policy == FsyncOff {
+				if dirSync >= 0 || lastFsync >= 0 {
+					t.Fatalf("FsyncOff synced: hook points %v", seen)
+				}
+				return
+			}
+			if dirSync < 0 || lastFsync < dirSync {
+				t.Fatalf("hook points %v: want a directory sync before the fsync that acks the next commit", seen)
+			}
+		})
+	}
+}
+
 // TestTrimSatelliteWiring: on a durable node the in-memory replication
 // log trims by its subscribers' acks and its retention window alone — a
 // checkpoint sets no floor, since recovery reads the disk and joiners

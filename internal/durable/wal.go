@@ -229,13 +229,15 @@ func parseSegmentName(name string) (int64, bool) {
 
 // hookPoint names a crash-relevant moment the tests observe through
 // nodeLog.hook: an fsync about to start, a checkpoint file renamed into
-// place, a checkpoint pass done pruning and trimming.
+// place, a checkpoint pass done pruning and trimming, a new segment's
+// directory entry about to be synced.
 type hookPoint int
 
 const (
 	hookFsync hookPoint = iota
 	hookRename
 	hookTrim
+	hookDirSync
 )
 
 // nodeLog is a node's write-ahead log.
@@ -337,6 +339,10 @@ func openLog(dir string, policy FsyncPolicy, accept func(frame) bool) (*nodeLog,
 	if len(l.segs) == 0 {
 		if err := l.startSegmentLocked(); err != nil {
 			return nil, err
+		}
+		if policy != FsyncOff {
+			syncDir(dir)               // the first segment's entry
+			syncDir(filepath.Dir(dir)) // wal/'s, and the shard directories' made before it
 		}
 	} else if l.f, err = os.OpenFile(l.segs[len(l.segs)-1].path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		return nil, err
@@ -456,9 +462,10 @@ func (l *nodeLog) fsync(f *os.File) error {
 
 // rotate seals the active segment and starts a new one at the current
 // offset, so the sealed segment can later be trimmed as a whole file. The
-// sealed file is synced before any later syncTo may count its bytes —
-// both hold syncMu — while appends go on into the new segment. An empty
-// active segment is kept as is.
+// sealed file, and the directory entry of the new one, are synced before
+// any later syncTo may count their bytes — both hold syncMu — while
+// appends go on into the new segment: a file's fsync does not make its
+// directory entry durable. An empty active segment is kept as is.
 func (l *nodeLog) rotate() error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -476,6 +483,8 @@ func (l *nodeLog) rotate() error {
 	l.mu.Unlock()
 	defer old.Close()
 	if l.policy != FsyncOff {
+		l.at(hookDirSync)
+		syncDir(l.dir)
 		if err := l.fsync(old); err != nil {
 			return err
 		}

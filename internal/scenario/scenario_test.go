@@ -71,6 +71,34 @@ func TestSmokeGrid(t *testing.T) {
 	}
 }
 
+// TestReplicaCell runs the primary+replica cell the nightly grid runs:
+// load on the primary, then the catch-up barrier (waitCaughtUp), then
+// the conservation and acked-commit ledger audits, which read the
+// replica's copy.
+func TestReplicaCell(t *testing.T) {
+	row, err := Run(Cell{
+		Name:     "replica",
+		Role:     RolePrimaryReplica,
+		Family:   "step:0.5",
+		Duration: 400 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Committed == 0 {
+		t.Fatal("replica cell committed nothing")
+	}
+	if row.Errors != 0 {
+		t.Errorf("replica cell saw %d errors", row.Errors)
+	}
+	if !row.ConservationOK {
+		t.Error("conservation audit failed on the replica")
+	}
+	if !row.LedgerOK {
+		t.Error("acked-commit ledger audit failed on the replica")
+	}
+}
+
 // TestFailoverCell runs the primary+replica+failover cell: the primary
 // is killed at half the duration, the replica's lease monitor promotes
 // it, the workers ride the redirects, and the row carries the measured

@@ -9,7 +9,6 @@
 package client
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -186,22 +185,6 @@ func cutTrace(body string) (rest, trace string) {
 	return body, ""
 }
 
-// withCtxDeadline maps a caller's context deadline onto the request's
-// value function when no explicit deadline was given, so client- and
-// server-side deadlines agree: the server sheds (or reaps) the work at
-// the same moment the caller stops waiting for it.
-func (o TxOpts) withCtxDeadline(ctx context.Context) TxOpts {
-	if o.Deadline > 0 {
-		return o
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem > 0 {
-			o.Deadline = rem
-		}
-	}
-	return o
-}
-
 // updateLine renders ops and opts as one UPD request line, returning the
 // number of write results the response must carry.
 func updateLine(ops []Op, o TxOpts) (line string, writes int, err error) {
@@ -250,30 +233,10 @@ func parseUpdateResults(body string, writes int) ([]int64, error) {
 }
 
 // Update executes ops as one serializable transaction and returns the new
-// value of each write op, in op order.
+// value of each write op, in op order. It is a Batch of one.
 func (m *Mux) Update(ops []Op, opts TxOpts) ([]int64, error) {
-	return m.UpdateContext(context.Background(), ops, opts)
-}
-
-// UpdateContext is Update with a per-call deadline: the context's
-// deadline bounds the wait client-side and, when opts carries no
-// explicit deadline, becomes the request's dl= so the server stops
-// spending capacity on it at the same moment the caller stops waiting.
-func (m *Mux) UpdateContext(ctx context.Context, ops []Op, opts TxOpts) ([]int64, error) {
-	line, writes, err := updateLine(ops, opts.withCtxDeadline(ctx))
-	if err != nil {
-		return nil, err
-	}
-	resp, err := m.doCtx(ctx, line)
-	if err != nil {
-		return nil, err
-	}
-	body, err := parse(resp)
-	if err != nil {
-		return nil, err
-	}
-	body, _ = cutTrace(body)
-	return parseUpdateResults(body, writes)
+	r := m.Batch([]UpdateReq{{Ops: ops, Opts: opts}})[0]
+	return r.Results, r.Err
 }
 
 // Stats fetches the server's counters as a string map.

@@ -13,7 +13,6 @@ package client
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -56,21 +55,12 @@ type resp struct {
 
 // DialMux connects a pipelined client to a sccserve instance.
 func DialMux(addr string) (*Mux, error) {
-	return DialMuxContext(context.Background(), addr)
+	return DialMuxTimeout(addr, 0)
 }
 
-// DialMuxTimeout is DialMux bounded by a connect timeout.
+// DialMuxTimeout is DialMux bounded by a connect timeout (0 = none).
 func DialMuxTimeout(addr string, timeout time.Duration) (*Mux, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return DialMuxContext(ctx, addr)
-}
-
-// DialMuxContext is DialMux governed by ctx: the connect is abandoned
-// when ctx expires or is canceled.
-func DialMuxContext(ctx context.Context, addr string) (*Mux, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -187,35 +177,11 @@ func (m *Mux) register() (uint64, chan resp, error) {
 }
 
 // await blocks for the response routed to ch, preferring a delivered
-// response over a racing connection failure. (Kept distinct from
-// awaitCtx: this is the pipelined hot path, and the context arm's extra
-// select case is measurable under high request rates.)
+// response over a racing connection failure.
 func (m *Mux) await(ch chan resp) (resp, error) {
 	select {
 	case r := <-ch:
 		return r, nil
-	case <-m.done:
-		select {
-		case r := <-ch:
-			return r, nil
-		default:
-		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return resp{}, m.err
-	}
-}
-
-// awaitCtx is await bounded by ctx. An abandoned request stays
-// registered: its response channel is buffered, so the read loop's late
-// delivery neither blocks nor desyncs the stream — the reply is simply
-// discarded when it arrives.
-func (m *Mux) awaitCtx(ctx context.Context, ch chan resp) (resp, error) {
-	select {
-	case r := <-ch:
-		return r, nil
-	case <-ctx.Done():
-		return resp{}, ctx.Err()
 	case <-m.done:
 		select {
 		case r := <-ch:
@@ -242,27 +208,6 @@ func (m *Mux) do(line string) (string, error) {
 		return "", err
 	}
 	r, err := m.await(ch)
-	return r.body, err
-}
-
-// doCtx is do bounded by ctx's deadline or cancelation. The wait is
-// abandoned, not the request: the server still executes it, and the late
-// response is discarded by the read loop.
-func (m *Mux) doCtx(ctx context.Context, line string) (string, error) {
-	if ctx.Done() == nil {
-		return m.do(line) // no deadline and not cancelable: the hot path
-	}
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	id, ch, err := m.register()
-	if err != nil {
-		return "", err
-	}
-	if err := m.send(id, line); err != nil {
-		return "", err
-	}
-	r, err := m.awaitCtx(ctx, ch)
 	return r.body, err
 }
 

@@ -1,5 +1,5 @@
-// Tests of the Mux against a scripted peer: its write path, its context
-// handling and its key checks. The flush rule (Mux.write) is an
+// Tests of the Mux against a scripted peer: its write path and its key
+// checks. The flush rule (Mux.write) is an
 // ownership protocol, and a mistake in one is a hang — a frame that sits
 // in the buffer with nobody owing its flush — not a slowdown, so these
 // tests count frames and Write calls at the peer rather than trusting
@@ -8,7 +8,6 @@ package client
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -24,8 +23,7 @@ import (
 
 // wire is the peer end of a Mux under test: it records every byte and
 // every Write call, answers each complete request frame (PING with "OK
-// pong", anything else with "OK 1"), and can be told to fail writes or
-// to hold its replies back until released.
+// pong", anything else with "OK 1"), and can be told to fail writes.
 type wire struct {
 	net.Conn // nil: the Mux only reaches Read, Write and Close
 
@@ -35,8 +33,6 @@ type wire struct {
 	got      []byte // every byte written, in order
 	answered int    // got[:answered] has been replied to
 	replies  []byte // RES lines the Mux has not read yet
-	hold     bool   // when set, replies go to held instead
-	held     []byte // RES lines withheld from the Mux until release
 	failWith error  // when set, Write fails with it
 	closed   bool
 }
@@ -69,32 +65,10 @@ func (w *wire) Write(p []byte) (int, error) {
 		if fields[2] == "PING" {
 			body = "OK pong"
 		}
-		res := "RES " + fields[1] + " " + body + "\n"
-		if w.hold {
-			w.held = append(w.held, res...)
-		} else {
-			w.replies = append(w.replies, res...)
-		}
+		w.replies = append(w.replies, "RES "+fields[1]+" "+body+"\n"...)
 	}
 	w.cond.Broadcast()
 	return len(p), nil
-}
-
-// holdReplies makes the peer withhold every reply until release.
-func (w *wire) holdReplies() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.hold = true
-}
-
-// release stops holding and delivers the withheld replies, in order.
-func (w *wire) release() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.hold = false
-	w.replies = append(w.replies, w.held...)
-	w.held = nil
-	w.cond.Broadcast()
 }
 
 func (w *wire) Read(p []byte) (int, error) {
@@ -318,74 +292,6 @@ func TestMuxSendAndBatchShareTheWire(t *testing.T) {
 	})
 }
 
-// TestMuxContextDeadline: a deadline that expires while the reply is
-// held returns promptly with the context's error; the reply, arriving
-// after its caller gave up, is dropped by the read loop without failing
-// the connection, and the next request goes through.
-func TestMuxContextDeadline(t *testing.T) {
-	w := newWire()
-	m := newMux(w)
-	defer m.Close()
-	w.holdReplies()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := m.UpdateContext(ctx, []Op{{Key: "k", Delta: 1, Write: true}}, TxOpts{})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("held reply past the deadline: err = %v, want context.DeadlineExceeded", err)
-	}
-	if waited := time.Since(start); waited > time.Second {
-		t.Errorf("a 20ms deadline returned after %v", waited)
-	}
-	if n := w.writeCalls(); n != 1 {
-		t.Errorf("the request cost %d Write calls, want 1: the wait is abandoned, not the request", n)
-	}
-
-	w.release()
-	// The late RES precedes PING's on the stream, so once Ping returns
-	// the read loop has routed (and dropped) it.
-	if err := m.Ping(); err != nil {
-		t.Fatalf("Ping after a late reply: %v", err)
-	}
-	m.mu.Lock()
-	failed, pending := m.err, len(m.pending)
-	m.mu.Unlock()
-	if failed != nil || pending != 0 {
-		t.Errorf("after the late reply: err = %v, %d requests pending; want a healthy, empty Mux", failed, pending)
-	}
-}
-
-// TestMuxCanceledContextSendsNothing: a context already canceled fails
-// every context-taking call before anything is registered or written.
-func TestMuxCanceledContextSendsNothing(t *testing.T) {
-	w := newWire()
-	m := newMux(w)
-	defer m.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := m.UpdateContext(ctx, []Op{{Key: "k", Delta: 1, Write: true}}, TxOpts{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("UpdateContext: err = %v, want context.Canceled", err)
-	}
-	if _, err := m.BeginContext(ctx, TxOpts{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("BeginContext: err = %v, want context.Canceled", err)
-	}
-	if err := m.DoContext(ctx, TxOpts{}, func(*Txn) error {
-		t.Error("DoContext ran fn under a canceled context")
-		return nil
-	}); !errors.Is(err, context.Canceled) {
-		t.Errorf("DoContext: err = %v, want context.Canceled", err)
-	}
-	if n := w.writeCalls(); n != 0 {
-		t.Errorf("canceled calls cost %d Write calls, want 0", n)
-	}
-	m.mu.Lock()
-	pending := len(m.pending)
-	m.mu.Unlock()
-	if pending != 0 {
-		t.Errorf("canceled calls left %d requests pending", pending)
-	}
-}
-
 // TestInvalidKeysNeverReachTheWire: the server tokenises request lines
 // with strings.Fields, so a key holding any rune it splits on would
 // arrive as two keys (SUM "a\tb" would answer for a and b). Every
@@ -394,18 +300,17 @@ func TestInvalidKeysNeverReachTheWire(t *testing.T) {
 	w := newWire()
 	m := newMux(w)
 	defer m.Close()
-	tx := &Txn{m: m, ctx: context.Background(), id: "1-0000000000000000"}
+	tx := &Txn{m: m, id: "1-0000000000000000"}
 	write := func(key string) []Op { return []Op{{Key: key, Delta: 1, Write: true}} }
 	calls := map[string]func(key string) error{
-		"Get":           func(k string) error { _, _, err := m.Get(k); return err },
-		"Add":           func(k string) error { _, err := m.Add(k, 1); return err },
-		"Sum":           func(k string) error { _, err := m.Sum("ok", k); return err },
-		"Update":        func(k string) error { _, err := m.Update(write(k), TxOpts{}); return err },
-		"Update read":   func(k string) error { _, err := m.Update([]Op{{Key: k}}, TxOpts{}); return err },
-		"UpdateContext": func(k string) error { _, err := m.UpdateContext(context.Background(), write(k), TxOpts{}); return err },
-		"Batch":         func(k string) error { return m.Batch([]UpdateReq{{Ops: write(k)}})[0].Err },
-		"Txn.Get":       func(k string) error { _, err := tx.Get(k); return err },
-		"Txn.Add":       func(k string) error { _, err := tx.Add(k, 1); return err },
+		"Get":         func(k string) error { _, _, err := m.Get(k); return err },
+		"Add":         func(k string) error { _, err := m.Add(k, 1); return err },
+		"Sum":         func(k string) error { _, err := m.Sum("ok", k); return err },
+		"Update":      func(k string) error { _, err := m.Update(write(k), TxOpts{}); return err },
+		"Update read": func(k string) error { _, err := m.Update([]Op{{Key: k}}, TxOpts{}); return err },
+		"Batch":       func(k string) error { return m.Batch([]UpdateReq{{Ops: write(k)}})[0].Err },
+		"Txn.Get":     func(k string) error { _, err := tx.Get(k); return err },
+		"Txn.Add":     func(k string) error { _, err := tx.Add(k, 1); return err },
 	}
 	for _, sep := range []string{"\t", "\r", "\v", "\f", "\u0085", "\u00a0", " ", "\n", ":"} {
 		key := "a" + sep + "b"

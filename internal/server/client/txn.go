@@ -28,7 +28,6 @@
 package client
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -50,7 +49,6 @@ var ErrTxnFinished = errors.New("client: transaction already finished")
 // Txns over one Mux, not from racing one Txn.
 type Txn struct {
 	m     *Mux
-	ctx   context.Context
 	id    string
 	fin   bool
 	trace string
@@ -67,18 +65,10 @@ func (t *Txn) Trace() string { return t.trace }
 // Many Txns may run concurrently over one Mux: their TXN ops pipeline
 // on the shared connection.
 func (m *Mux) Begin(opts TxOpts) (*Txn, error) {
-	return m.BeginContext(context.Background(), opts)
-}
-
-// BeginContext is Begin with ctx governing every round trip of the
-// session; ctx's deadline maps onto the session's dl= when opts carries
-// no explicit deadline, so the server reaps the session at the same
-// moment the caller stops waiting.
-func (m *Mux) BeginContext(ctx context.Context, opts TxOpts) (*Txn, error) {
 	var b strings.Builder
 	b.WriteString("TXN BEGIN")
-	opts.withCtxDeadline(ctx).wire().Encode(&b)
-	resp, err := m.doCtx(ctx, b.String())
+	opts.wire().Encode(&b)
+	resp, err := m.do(b.String())
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +79,7 @@ func (m *Mux) BeginContext(ctx context.Context, opts TxOpts) (*Txn, error) {
 	if body == "" || strings.ContainsRune(body, ' ') {
 		return nil, fmt.Errorf("client: malformed TXN BEGIN reply %q", resp)
 	}
-	return &Txn{m: m, ctx: ctx, id: body}, nil
+	return &Txn{m: m, id: body}, nil
 }
 
 // op issues one session verb and parses the single-integer reply.
@@ -97,7 +87,7 @@ func (t *Txn) op(line string) (int64, error) {
 	if t.fin {
 		return 0, ErrTxnFinished
 	}
-	resp, err := t.m.doCtx(t.ctx, line)
+	resp, err := t.m.do(line)
 	if err != nil {
 		return 0, err
 	}
@@ -138,7 +128,7 @@ func (t *Txn) Commit() ([]int64, error) {
 		return nil, ErrTxnFinished
 	}
 	t.fin = true
-	resp, err := t.m.doCtx(t.ctx, "TXN COMMIT "+t.id)
+	resp, err := t.m.do("TXN COMMIT " + t.id)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +161,7 @@ func (t *Txn) Abort() error {
 		return ErrTxnFinished
 	}
 	t.fin = true
-	resp, err := t.m.doCtx(t.ctx, "TXN ABORT "+t.id)
+	resp, err := t.m.do("TXN ABORT " + t.id)
 	if err != nil {
 		return err
 	}
@@ -190,17 +180,9 @@ const maxDoAttempts = 4
 // fn aborts the transaction and is returned as-is; ErrShed is terminal
 // (the work's value is gone — retrying cannot restore it).
 func (m *Mux) Do(opts TxOpts, fn func(*Txn) error) error {
-	return m.DoContext(context.Background(), opts, fn)
-}
-
-// DoContext is Do governed by ctx (deadline mapping as in BeginContext).
-func (m *Mux) DoContext(ctx context.Context, opts TxOpts, fn func(*Txn) error) error {
 	var last error
 	for attempt := 0; attempt < maxDoAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		tx, err := m.BeginContext(ctx, opts)
+		tx, err := m.Begin(opts)
 		if err != nil {
 			return err
 		}

@@ -8,7 +8,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -633,12 +632,12 @@ func TestTxnClientDo(t *testing.T) {
 	}
 }
 
-// TestTxnCtxDeadlineMapsToReap: a context deadline given to BeginContext
-// becomes the session's dl= on the wire, so the server's reap timer sheds
-// the session once the caller's deadline (plus the default post-deadline
-// decline) has consumed its value — client- and server-side deadlines
-// agree without the caller saying anything twice.
-func TestTxnCtxDeadlineMapsToReap(t *testing.T) {
+// TestTxnDeadlineMapsToReap: TxOpts.Deadline given to Begin becomes the
+// session's dl= on the wire, so the server's reap timer sheds the session
+// once the deadline (plus the default post-deadline decline) has consumed
+// its value. The crossing is short on purpose: it is what catches a reap
+// timer armed after the session table unlocks.
+func TestTxnDeadlineMapsToReap(t *testing.T) {
 	srv, addr := startServer(t, Config{
 		Shards:  2,
 		txnIdle: -1,
@@ -649,16 +648,14 @@ func TestTxnCtxDeadlineMapsToReap(t *testing.T) {
 	}
 	defer c.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := c.BeginContext(ctx, client.TxOpts{}); err != nil {
+	if _, err := c.Begin(client.TxOpts{Deadline: 20 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	// Value 1, deadline ~20ms, default gradient => zero-crossing ~40ms.
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.met.txnReaped.Value() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("ctx-deadline session never reaped: dl= was not mapped")
+			t.Fatal("deadline session never reaped: dl= was not mapped")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -38,7 +38,7 @@ var wireSurface = map[string]wireUse{
 	// Verbs: the case labels of dispatchVerb, follower.read and handleTXN.
 	"verb PING":  user("bench/probe.go", "muxes[0].Ping()"),
 	"verb GET":   user("bench/run.go", "e.muxes[0].Get(k)"),
-	"verb ADD":   kept("the tests' one-key write (Mux.Add is in keptExports): TestProtocolConformance pins it, TestReplicationConverges and TestPromoteTakesOver commit with it"),
+	"verb ADD":   user("scripts/e2e_failover.sh", "ADD fencecheck 1"),
 	"verb UPD":   user("internal/loadgen/loadgen.go", "s.loop(r.Pipeline, m.Batch)"),
 	"verb SUM":   user("internal/loadgen/audit.go", "c.Sum(keys...)"),
 	"verb STATS": user("internal/loadgen/pool.go", "c.Stats()"),
