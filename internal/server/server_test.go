@@ -121,14 +121,14 @@ func TestShedOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// A microscopic deadline with an absurd gradient puts the value
-	// function's zero-crossing ~1µs after arrival; network round-trip
-	// latency alone exceeds that, so admission sees an expired request.
+	// The deadline is anchored when the server parses the request, and
+	// admission reads the clock again, several clock reads later. A 1ns
+	// deadline with an absurd gradient puts the value function's
+	// zero-crossing 1ns after that anchor, so admission always sees an
+	// expired request. (A 1µs deadline was often still live at admission,
+	// which made this test skip instead of checking the shed.)
 	_, err = c.Update([]client.Op{{Key: "k", Delta: 1, Write: true}},
-		client.TxOpts{Value: 1e-9, Deadline: time.Microsecond, Gradient: 1e12})
-	if err == nil {
-		t.Skip("request beat the zero-crossing; timing too fast to shed")
-	}
+		client.TxOpts{Value: 1e-9, Deadline: time.Nanosecond, Gradient: 1e12})
 	if err != client.ErrShed {
 		t.Fatalf("err = %v, want ErrShed", err)
 	}
