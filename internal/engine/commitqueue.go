@@ -51,8 +51,8 @@ type GroupCommit struct {
 type queuedStep struct {
 	prio      int
 	step      func() bool
-	installed bool // written by the flush that serves it
-	done      chan error
+	installed bool       // written by the flush that serves it
+	done      chan error // a follower's verdict; nil for a leader's own step
 }
 
 // CommitQueue is the flat-combining commit queue of one ascending set of
@@ -92,14 +92,32 @@ func NewCommitQueue(stores []*Store, latch []int, cfg GroupCommit, onFlush func(
 // whether it installed anything; a non-nil result is the boundary's
 // *SyncError (installed, never to be acknowledged) and only ever reaches a
 // step that did. Higher prio is served first, FIFO among equals. A caller
-// that finds no flush running leads: the queue was empty before its own
-// step, and it flushes immediately. beforeWait is the caller's wait seam
-// (wait.go), kept only when the queue's logs wait on a device (onDevice):
-// a leader calls it before each boundary of its flushes, and a follower
-// before waiting for its verdict.
+// that finds no flush running leads: the queue was empty, so its step is a
+// batch of its own, taken before another step can queue ahead of it, and
+// it reads its verdict from the flush it runs at once. beforeWait is the
+// caller's wait seam (wait.go), kept only when the queue's logs wait on a
+// device (onDevice): a leader calls it before each boundary of its
+// flushes, and a follower before waiting for its verdict.
 func (q *CommitQueue) Commit(prio int, beforeWait func(), step func() (installed bool)) error {
-	req := queuedStep{prio: prio, step: step, done: make(chan error, 1)}
+	beforeWait = q.onDevice(beforeWait)
+	req := queuedStep{prio: prio, step: step}
 	q.mu.Lock()
+	if !q.flushing {
+		q.flushing = true
+		batch := append(q.pending[:0], req)
+		q.pending = nil
+		q.mu.Unlock()
+		err := q.flush(batch, beforeWait)
+		installed := batch[0].installed
+		clear(batch)
+		q.spare = batch[:0]
+		q.drain(q.maxBatch, beforeWait)
+		if !installed {
+			return nil
+		}
+		return err
+	}
+	req.done = make(chan error, 1)
 	// Starvation control: when several conflicting read-modify-writes of
 	// one key are queued, only the first to validate commits — the rest
 	// restart and meet again in a later flush, so plain FIFO order can
@@ -115,27 +133,21 @@ func (q *CommitQueue) Commit(prio int, beforeWait func(), step func() (installed
 		i--
 	}
 	q.pending = slices.Insert(q.pending, i, req)
-	lead := !q.flushing
-	q.flushing = true
 	q.mu.Unlock()
-	beforeWait = q.onDevice(beforeWait)
-	if lead {
-		q.drain(beforeWait)
-	}
 	return Await(req.done, beforeWait)
 }
 
 // drain flushes the queue, at most maxBatch steps per flush, until it is
 // empty. Leadership is cleared only in the critical section that observes
 // the empty queue, so no request is ever orphaned. The leader is an
-// ordinary transaction, its own verdict as a rule delivered by its first
-// flush; draining what queued behind it inline saves the followers a
-// goroutine start per batch, but under sustained load would hold its
-// caller hostage for as long as work keeps arriving, so after its first
-// batch it serves at most maxBatch further steps and then passes the queue
-// to a detached drainer, which waits for no one.
-func (q *CommitQueue) drain(beforeWait func()) {
-	budget := -1 // the first batch, as a rule the leader's own commit, is free
+// ordinary transaction whose own verdict its first flush delivered;
+// draining what queued behind it inline saves the followers a goroutine
+// start per batch, but under sustained load would hold its caller hostage
+// for as long as work keeps arriving, so it serves at most budget further
+// steps and then passes the queue to a detached drainer, which waits for
+// no one. A negative budget makes the first batch free and then allows
+// maxBatch more.
+func (q *CommitQueue) drain(budget int, beforeWait func()) {
 	for {
 		q.mu.Lock()
 		n := min(len(q.pending), q.maxBatch)
@@ -153,7 +165,7 @@ func (q *CommitQueue) drain(beforeWait func()) {
 		}
 		if budget == 0 {
 			q.mu.Unlock()
-			go q.drain(nil)
+			go q.drain(-1, nil)
 			return
 		}
 		if budget > 0 {
@@ -175,8 +187,8 @@ func (q *CommitQueue) drain(beforeWait func()) {
 }
 
 // flush runs batch under one acquisition of the latches and one commit
-// boundary.
-func (q *CommitQueue) flush(batch []queuedStep, beforeWait func()) {
+// boundary, and returns the boundary's error.
+func (q *CommitQueue) flush(batch []queuedStep, beforeWait func()) error {
 	flushStart := time.Now()
 	// One commit boundary covers every install of the flush, and no
 	// committer learns its verdict before the batch has crossed it. A
@@ -193,12 +205,15 @@ func (q *CommitQueue) flush(batch []queuedStep, beforeWait func()) {
 		q.met.FlushSeconds.Observe(int64(time.Since(flushStart)))
 	}
 	for _, req := range batch {
-		if req.installed {
+		switch {
+		case req.done == nil: // the leader's own step: it reads the batch
+		case req.installed:
 			req.done <- err
-		} else {
+		default:
 			req.done <- nil
 		}
 	}
+	return err
 }
 
 // Pending reports how many steps are queued behind the running flush.

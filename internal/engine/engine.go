@@ -1,12 +1,15 @@
 // Package engine is a live, concurrent in-memory key-value store using
-// Speculative Concurrency Control with goroutine shadows — the systems
-// counterpart of the simulator in internal/rtdbs.
+// Speculative Concurrency Control — the systems counterpart of the
+// simulator in internal/rtdbs.
 //
 // A transaction is a deterministic closure over Tx. Its optimistic shadow
-// runs the closure immediately, reading committed values. On a detected
-// read-write conflict the engine forks a speculative shadow: a second
-// goroutine re-running the closure, parked at the conflicting read until
-// the conflicter resolves. If the conflict materializes, the optimistic
+// runs the closure immediately, on the caller's goroutine, reading
+// committed values. On a detected read-write conflict the engine forks a
+// speculative shadow: a second run of the closure on a pooled goroutine
+// (pool.go), parked at the conflicting read until the conflicter
+// resolves. A transaction carries no channel of its own until a shadow,
+// a driver or a deferral must block on it (event, wait.go). If the
+// conflict materializes, the optimistic
 // shadow aborts and the speculative one wakes with the fresh value,
 // finishing without a from-scratch restart. OCC-BC mode restarts instead
 // (the paper's baseline). Closures must be deterministic and side-effect
@@ -154,6 +157,8 @@ type Store struct {
 	active    []*txnHandle // in flight, in arrival order
 	stats     Stats
 	closed    bool
+
+	pool Pool // the speculative shadows' goroutines
 }
 
 type versioned struct {
@@ -202,9 +207,10 @@ type txnHandle struct {
 	// driver only; nil when the caller may block anywhere.
 	beforeWait func()
 
-	// done is closed when the transaction commits or gives up; shadows of
-	// other transactions gate on it.
-	done chan struct{}
+	// done fires when the driver returns: the transaction committed or
+	// gave up. Shadows of other transactions gate on it, and deferrals
+	// wait for it.
+	done event
 
 	// guarded by store.mu:
 	// opt is the current optimistic attempt. It is set before the handle
@@ -222,6 +228,7 @@ type txnHandle struct {
 // attempt is one shadow: a single run of the closure.
 type attempt struct {
 	h    *txnHandle
+	tx   Tx   // the closure's view, pointing back here
 	spec bool // speculative: parks at gateIdx until the gate opens
 	// gateIdx is the read ordinal to park at. The gate opens when the
 	// conflicting transaction resolves (gateOn.done) or when its current
@@ -233,7 +240,7 @@ type attempt struct {
 	gateOn  *txnHandle
 	gateAtt *attempt
 
-	aborted chan struct{} // closed under store.mu exactly once
+	aborted event // fired under store.mu (abortLocked)
 	// keys is every key the attempt has read or written, in first-touch
 	// order; every conflict rule looks a key up in it with find. keys,
 	// inline and index are guarded by store.mu: other transactions' rules
@@ -249,6 +256,14 @@ type attempt struct {
 	// attempt; tryCommit reads it once the queue has delivered the verdict.
 	committed bool
 	report    chan verdict // speculative shadows only: the one verdict, buffered
+}
+
+// newAttempt returns h's next optimistic attempt, or a speculative one
+// when report is non-nil.
+func newAttempt(h *txnHandle, report chan verdict) *attempt {
+	a := &attempt{h: h, spec: report != nil, report: report}
+	a.tx.a = a
+	return a
 }
 
 // txKey is one key of an attempt's key list, guarded by store.mu. read
@@ -305,10 +320,7 @@ func (a *attempt) slot(key string) *txKey {
 }
 
 func (a *attempt) abortLocked(s *Store) {
-	select {
-	case <-a.aborted:
-	default:
-		close(a.aborted)
+	if a.aborted.fire() {
 		s.stats.Aborts++
 	}
 }
@@ -324,18 +336,12 @@ func (tx *Tx) Get(key string) ([]byte, error) {
 	s := a.h.store
 
 	// A speculative shadow parks at its gate until the conflicting
-	// transaction resolves (commit or give-up) — the channel equivalent
-	// of the simulator's Blocking Rule.
+	// transaction resolves (commit or give-up) — the simulator's Blocking
+	// Rule.
 	if a.spec && a.readSeq == a.gateIdx {
 		a.h.tr.Event(obs.StagePark)
 		parkStart := time.Now()
-		aborted := false
-		select {
-		case <-a.gateOn.done:
-		case <-a.gateAtt.aborted:
-		case <-a.aborted:
-			aborted = true
-		}
+		aborted := a.park()
 		if met := s.cfg.Metrics; met != nil {
 			met.ParkSeconds.Observe(int64(time.Since(parkStart)))
 		}
@@ -344,10 +350,8 @@ func (tx *Tx) Get(key string) ([]byte, error) {
 		}
 		a.h.tr.Event(obs.StageResume)
 	}
-	select {
-	case <-a.aborted:
+	if a.aborted.fired() {
 		return nil, ErrAborted
-	default:
 	}
 
 	s.mu.Lock()
@@ -400,10 +404,8 @@ func (tx *Tx) Stash(v any) { tx.a.result = v }
 func (tx *Tx) Set(key string, val []byte) error {
 	a := tx.a
 	s := a.h.store
-	select {
-	case <-a.aborted:
+	if a.aborted.fired() {
 		return ErrAborted
-	default:
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -435,10 +437,27 @@ func (tx *Tx) Set(key string, val []byte) error {
 // gateShut reports whether speculative shadow a may still park at its
 // gate: the conflict it was forked on is unresolved.
 func (a *attempt) gateShut() bool {
+	return !a.gateOn.done.fired() && !a.gateAtt.aborted.fired()
+}
+
+// park blocks speculative shadow a at its gate until the gate opens or a
+// is aborted, and reports whether a was aborted. The events' channels are
+// made only when the gate is still shut.
+func (a *attempt) park() (aborted bool) {
+	if a.aborted.fired() {
+		return true
+	}
+	if !a.gateShut() {
+		return false
+	}
+	s := a.h.store
+	s.mu.Lock()
+	gate, gateAtt, self := a.gateOn.done.waitLocked(), a.gateAtt.aborted.waitLocked(), a.aborted.waitLocked()
+	s.mu.Unlock()
 	select {
-	case <-a.gateOn.done:
-	case <-a.gateAtt.aborted:
-	default:
+	case <-gate:
+	case <-gateAtt:
+	case <-self:
 		return true
 	}
 	return false
@@ -452,15 +471,12 @@ func (s *Store) forkShadowLocked(h, gateOn *txnHandle, gateIdx int) {
 	if h.shadow != nil || h.resolved {
 		return
 	}
-	sh := &attempt{
-		h: h, spec: true, gateIdx: gateIdx, gateOn: gateOn, gateAtt: gateOn.opt,
-		aborted: make(chan struct{}),
-		report:  make(chan verdict, 1),
-	}
+	sh := newAttempt(h, make(chan verdict, 1))
+	sh.gateIdx, sh.gateOn, sh.gateAtt = gateIdx, gateOn, gateOn.opt
 	h.shadow = sh
 	s.stats.Forks++
 	h.tr.Event(obs.StageFork)
-	go h.runAttempt(sh)
+	s.pool.Go(func() { h.runAttempt(sh) })
 }
 
 // Update executes fn transactionally and blocks until an execution of fn
@@ -504,12 +520,11 @@ func (s *Store) UpdateTracedResult(value float64, tr *obs.Trace, beforeWait func
 		value:      value,
 		tr:         tr,
 		beforeWait: beforeWait,
-		done:       make(chan struct{}),
 	}
-	defer close(h.done)
+	defer h.done.fire()
 
 	for attempts := 0; attempts < MaxAttempts; attempts++ {
-		a := &attempt{h: h, aborted: make(chan struct{})}
+		a := newAttempt(h, nil)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -631,7 +646,7 @@ type verdict struct {
 
 // runSync runs an attempt in the calling goroutine.
 func (h *txnHandle) runSync(a *attempt) verdict {
-	if err := h.fn(&Tx{a: a}); err != nil {
+	if err := h.fn(&a.tx); err != nil {
 		return verdict{err: err}
 	}
 	h.store.deferForValue(a)
@@ -654,13 +669,8 @@ func (s *Store) deferForValue(a *attempt) {
 		s.mu.Lock()
 		var wait *txnHandle
 		for _, other := range s.active {
-			if other == a.h || other.resolved || other.value <= a.h.value {
+			if other == a.h || other.resolved || other.value <= a.h.value || other.opt.aborted.fired() {
 				continue
-			}
-			select {
-			case <-other.opt.aborted:
-				continue
-			default:
 			}
 			conflict := false
 			for _, k := range a.keys {
@@ -673,23 +683,21 @@ func (s *Store) deferForValue(a *attempt) {
 				wait = other
 			}
 		}
-		var protected *attempt
-		if wait != nil {
-			protected = wait.opt
-			s.stats.Deferrals++
-			a.h.tr.Event(obs.StageDefer)
-		}
-		s.mu.Unlock()
 		if wait == nil {
+			s.mu.Unlock()
 			return
 		}
+		s.stats.Deferrals++
+		a.h.tr.Event(obs.StageDefer)
+		done, protected, self := wait.done.waitLocked(), wait.opt.aborted.waitLocked(), a.aborted.waitLocked()
+		s.mu.Unlock()
 		if a.h.beforeWait != nil {
 			a.h.beforeWait()
 		}
 		select {
-		case <-wait.done:
-		case <-protected.aborted:
-		case <-a.aborted:
+		case <-done:
+		case <-protected:
+		case <-self:
 			return
 		}
 	}
@@ -697,7 +705,7 @@ func (s *Store) deferForValue(a *attempt) {
 
 // runAttempt executes a speculative shadow to completion and reports.
 func (h *txnHandle) runAttempt(sh *attempt) {
-	if err := h.fn(&Tx{a: sh}); err != nil {
+	if err := h.fn(&sh.tx); err != nil {
 		sh.report <- verdict{err: err}
 		return
 	}
@@ -724,10 +732,8 @@ func (s *Store) PendingCommits() int { return s.queue.Pending() }
 // reads against committed state and install its writes. Caller holds s.mu.
 func (s *Store) commitLocked(a *attempt) bool {
 	h := a.h
-	select {
-	case <-a.aborted:
+	if a.aborted.fired() {
 		return false
-	default:
 	}
 	if h.resolved {
 		return false // another shadow of this transaction already won
@@ -788,7 +794,7 @@ func (s *Store) installLocked(rec CommitRecord) uint64 {
 // owing a commit boundary and broadcasts the commit: in-flight optimistic
 // shadows that read what was written are aborted. Their speculative
 // shadows (often gated on the committer) take over — the gate opens when
-// the committing handle's done channel closes. Callers hold s.mu.
+// the committing handle's done event fires. Callers hold s.mu.
 func (s *Store) applyLocked(writes map[string][]byte) {
 	s.dirty = true
 	for key, val := range writes {
@@ -808,9 +814,11 @@ func (s *Store) applyLocked(writes map[string][]byte) {
 }
 
 // Close marks the store closed; subsequent Updates fail. In-flight
-// transactions drain normally.
+// transactions drain normally, and Close returns once their shadows have
+// finished and the pooled goroutines have exited.
 func (s *Store) Close() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.closed = true
+	s.mu.Unlock()
+	s.pool.Close()
 }

@@ -7,10 +7,12 @@
 // goroutine about to block, so a caller that must not block — a
 // connection's reader in the serving layer — can hand its duties off at
 // that moment instead of predicting it. A nil hook costs one branch per
-// site. Speculative shadows run on goroutines of their own and never
-// call it.
+// site. Speculative shadows run on pooled goroutines of their own
+// (pool.go) and never call it.
 
 package engine
+
+import "sync/atomic"
 
 // Await receives from ch. When the receive would block and beforeWait is
 // set, it calls beforeWait first.
@@ -36,4 +38,53 @@ func (q *CommitQueue) onDevice(beforeWait func()) func() {
 		}
 	}
 	return nil
+}
+
+// event is a one-shot signal between transactions: a handle's done and an
+// attempt's aborted. Firing and testing it is an atomic flag; a channel
+// exists only once some goroutine has to block on the event, so a
+// transaction no conflict waits on makes none.
+type event struct {
+	state atomic.Int32  // evOpen, evFired or evWaited
+	ch    chan struct{} // made by the first blocking waiter, under store.mu
+}
+
+const (
+	evOpen   int32 = iota
+	evFired        // terminal
+	evWaited       // open, and ch exists
+)
+
+// closedCh is what a waiter gets for an event that has already fired.
+var closedCh = func() chan struct{} { ch := make(chan struct{}); close(ch); return ch }()
+
+// fired reports whether e has fired.
+func (e *event) fired() bool { return e.state.Load() == evFired }
+
+// fire fires e, closing its channel if a waiter made one, and reports
+// whether this call was the one that fired it. It takes no latch: a
+// waiter publishes ch before it publishes evWaited.
+func (e *event) fire() bool {
+	old := e.state.Swap(evFired)
+	if old == evWaited {
+		close(e.ch)
+	}
+	return old != evFired
+}
+
+// waitLocked returns a channel that is closed once e fires, making it on
+// the first call. Callers hold the store latch, which orders the waiters
+// of one event among themselves.
+func (e *event) waitLocked() <-chan struct{} {
+	switch e.state.Load() {
+	case evWaited:
+		return e.ch
+	case evFired:
+		return closedCh
+	}
+	e.ch = make(chan struct{})
+	if !e.state.CompareAndSwap(evOpen, evWaited) {
+		return closedCh // fired since the load
+	}
+	return e.ch
 }

@@ -1,5 +1,5 @@
-// Tests of the Mux against a scripted peer: its write path and its key
-// checks. The flush rule (Mux.write) is an
+// Tests of the Mux against a scripted peer: its write path, its key
+// checks and its reply parsing. The flush rule (Mux.write) is an
 // ownership protocol, and a mistake in one is a hang — a frame that sits
 // in the buffer with nobody owing its flush — not a slowdown, so these
 // tests count frames and Write calls at the peer rather than trusting
@@ -322,5 +322,27 @@ func TestInvalidKeysNeverReachTheWire(t *testing.T) {
 	}
 	if n := w.writeCalls(); n != 0 {
 		t.Errorf("invalid keys cost %d Write calls, want 0", n)
+	}
+}
+
+// TestParseNotPrimary: a not-primary refusal surfaces as a
+// *NotPrimaryError whose Addr is the redirect ("-" meaning none known),
+// and whose text names it, so a caller that only logs the error still
+// says where the primary is.
+func TestParseNotPrimary(t *testing.T) {
+	for _, c := range []struct {
+		resp, addr, text string
+	}{
+		{"ERR not-primary -", "", "client: not primary (no known primary)"},
+		{"ERR not-primary 10.0.0.7:7070", "10.0.0.7:7070", "client: not primary, redirect to 10.0.0.7:7070"},
+	} {
+		_, err := parse(c.resp)
+		var np *NotPrimaryError
+		if !errors.As(err, &np) {
+			t.Fatalf("parse(%q) = %v, want a *NotPrimaryError", c.resp, err)
+		}
+		if np.Addr != c.addr || err.Error() != c.text {
+			t.Errorf("parse(%q): Addr %q, text %q; want %q, %q", c.resp, np.Addr, err.Error(), c.addr, c.text)
+		}
 	}
 }

@@ -135,6 +135,7 @@ type Server struct {
 	met         *serverMetrics   // telemetry registry (metrics.go), always non-nil
 	flight      *flight.Recorder // always-on black-box event journal, always non-nil
 	sessions    *sessionTable    // interactive transaction sessions (session.go)
+	runs        engine.Pool      // the goroutines live sessions run their engine transactions on
 	lines       *conn            // dispatchLine's connection, sequence 0
 	dataDir     string           // Durable.Dir: the replica resume file and flight dumps
 	lease       time.Duration    // Cluster.Lease, for the monitor Serve starts
@@ -381,10 +382,13 @@ func (s *Server) Close() {
 	// Closing admission sheds every queued waiter; aborting the sessions
 	// (their timers stopped) unwinds their live engine transactions and
 	// wakes parked operation handlers; only then are the handlers
-	// awaited and the store closed under a quiesced engine.
+	// awaited, the session runs' pool and the store closed under a
+	// quiesced engine — each Close returns once its pooled goroutines
+	// have exited.
 	s.adm.Close()
 	s.sessions.close()
 	s.wg.Wait()
+	s.runs.Close()
 	s.store.Close()
 	if s.durable != nil {
 		// After the store drains: the final WAL sync in Close covers

@@ -14,7 +14,7 @@
 //
 // Execution modes. A fresh session is idle. Its first operation binds
 // it to the owning shard's engine as a live interactive transaction
-// (sessLive): a session goroutine runs the engine's closure protocol,
+// (sessLive): a pooled goroutine runs the engine's closure protocol,
 // but the "closure" replays the session's append-only op log and then
 // parks waiting for more ops, so one logical transaction spans many
 // round trips. The engine may run that closure several times
@@ -276,12 +276,13 @@ func (st *sessionTable) close() {
 	}
 }
 
-// runLive is the session goroutine: it binds the session to firstKey's
-// shard as one engine transaction whose closure is the session's op-log
-// replay loop (liveFn), and records the outcome. A declared-key
-// violation is not an outcome but a mode change: the op log has
-// outgrown the bound shard, so the session falls back to deferred
-// cross-shard execution and re-serves the log speculatively.
+// runLive is the session's engine run, on a goroutine of the server's
+// pool (Server.runs): it binds the session to firstKey's shard as one
+// engine transaction whose closure is the session's op-log replay loop
+// (liveFn), and records the outcome. A declared-key violation is not an
+// outcome but a mode change: the op log has outgrown the bound shard, so
+// the session falls back to deferred cross-shard execution and re-serves
+// the log speculatively.
 func (ss *session) runLive(firstKey string) {
 	res, err := ss.srv.store.UpdateTracedResult(ss.val, []string{firstKey}, nil, ss.req.tr, nil, ss.liveFn)
 	ss.mu.Lock()
@@ -456,7 +457,7 @@ func (s *Server) txnOp(ss *session, o op, wait func()) string {
 	case sessIdle:
 		ss.mode = sessLive
 		ss.liveDone = make(chan struct{})
-		go ss.runLive(o.key)
+		s.runs.Go(func() { ss.runLive(o.key) })
 	}
 	ss.cond.Broadcast()
 	for len(ss.res) <= i && ss.liveErr == nil && ss.fin == finNone {

@@ -984,3 +984,99 @@ func TestTxnSessionsNeverLoseAnAck(t *testing.T) {
 		}
 	}
 }
+
+// pooledGoroutines returns the ids of the goroutines now inside an
+// engine.Pool's worker loop, idle or busy.
+func pooledGoroutines() map[string]bool {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	ids := make(map[string]bool)
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "engine.(*Pool).work(") {
+			ids[strings.Fields(g)[1]] = true
+		}
+	}
+	return ids
+}
+
+// TestSessionPoolsExitOnClose: session runs and speculative shadows run
+// on pooled goroutines, and Server.Close returns only once every one of
+// them has exited — those that finished and sit idle, and those still
+// busy in a session the close aborts.
+func TestSessionPoolsExitOnClose(t *testing.T) {
+	before := pooledGoroutines()
+	srv, addr := startServer(t, Config{Shards: 1, Mode: engine.SCC2S})
+	a, err := client.DialMux(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := client.DialMux(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	// Churn: sessions over two hot keys from both connections start,
+	// finish and reuse runs and shadows. A commit that loses its conflict
+	// is part of the churn.
+	var wg sync.WaitGroup
+	for _, c := range []*client.Mux{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				tx, err := c.Begin(client.TxOpts{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tx.Get("x")
+				tx.Add("y", 1)
+				tx.Add("x", 1)
+				tx.Commit()
+			}
+		}()
+	}
+	wg.Wait()
+
+	// A session left open at Close with a forked shadow, as in
+	// TestTxnSpeculationAcrossRoundTrips: its run and its shadow are busy.
+	tx, err := a.Begin(client.TxOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Get("x"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Update([]client.Op{{Key: "x", Delta: 5, Write: true}}, client.TxOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Store().Stats(); st.Engine.Forks < 1 {
+		t.Fatalf("no shadow forked (forks=%d)", st.Engine.Forks)
+	}
+	now := pooledGoroutines()
+	pooled := 0
+	for id := range now {
+		if !before[id] {
+			pooled++
+		}
+	}
+	if pooled < 2 {
+		t.Fatalf("%d pooled goroutines with a session run and its shadow busy, want >= 2", pooled)
+	}
+
+	srv.Close()
+	for id := range pooledGoroutines() {
+		if !before[id] {
+			t.Errorf("pooled goroutine %s outlived Server.Close", id)
+		}
+	}
+}

@@ -162,9 +162,11 @@ func TestCrossKeyList(t *testing.T) {
 // path, on the benchmark probe's shape (probe.shard.cross_update_allocs):
 // two reads and two increments over four shards, no commit log. The read
 // and write maps of maps this path used to build cost ~40 allocations
-// per transaction.
+// per transaction; the commit queue's two allocations per leading commit
+// (its verdict channel among them) went once a leader read its verdict
+// from its own flush.
 func TestCrossUpdateAllocs(t *testing.T) {
-	const want = 20 // measured; the ratchet allows 2 more
+	const want = 18 // measured; the ratchet allows 2 more
 	s := Open(Config{Shards: 16, Engine: engine.Config{Mode: engine.SCC2S}})
 	defer s.Close()
 	ks := keysOnDistinctShards(t, s, 4)

@@ -38,9 +38,9 @@ DATA="$SCRATCH/data"
 SERVER_PID=
 REPLICA_PID=
 
+. "$(dirname "${BASH_SOURCE[0]}")/stop_servers.sh"
 cleanup() {
-    [ -n "$REPLICA_PID" ] && kill -9 "$REPLICA_PID" 2>/dev/null || true
-    [ -n "$SERVER_PID" ] && kill -9 "$SERVER_PID" 2>/dev/null || true
+    stop_servers "$REPLICA_PID" "$SERVER_PID"
     rm -rf "$SCRATCH"
 }
 trap cleanup EXIT

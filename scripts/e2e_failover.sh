@@ -22,9 +22,9 @@ SCRATCH=$(mktemp -d)
 PRIMARY_PID=
 REPLICA_PID=
 
+. "$(dirname "${BASH_SOURCE[0]}")/stop_servers.sh"
 cleanup() {
-    [ -n "$PRIMARY_PID" ] && kill -9 "$PRIMARY_PID" 2>/dev/null || true
-    [ -n "$REPLICA_PID" ] && kill -9 "$REPLICA_PID" 2>/dev/null || true
+    stop_servers "$PRIMARY_PID" "$REPLICA_PID"
     wait 2>/dev/null || true
     rm -rf "$SCRATCH"
 }

@@ -20,8 +20,9 @@ KEYS=128
 SCRATCH=$(mktemp -d)
 SERVER_PID=
 
+. "$(dirname "${BASH_SOURCE[0]}")/stop_servers.sh"
 cleanup() {
-    [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null || true
+    stop_servers "$SERVER_PID"
     rm -rf "$SCRATCH"
 }
 trap cleanup EXIT

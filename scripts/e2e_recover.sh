@@ -21,8 +21,9 @@ SCRATCH=$(mktemp -d)
 DATA="$SCRATCH/data"
 SERVER_PID=
 
+. "$(dirname "${BASH_SOURCE[0]}")/stop_servers.sh"
 cleanup() {
-    [ -n "$SERVER_PID" ] && kill -9 "$SERVER_PID" 2>/dev/null || true
+    stop_servers "$SERVER_PID"
     rm -rf "$SCRATCH"
 }
 trap cleanup EXIT
