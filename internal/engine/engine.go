@@ -7,13 +7,13 @@
 // committed values. On a detected read-write conflict the engine forks a
 // speculative shadow: a second run of the closure on a pooled goroutine
 // (pool.go), parked at the conflicting read until the conflicter
-// resolves. A transaction carries no channel of its own until a shadow,
-// a driver or a deferral must block on it (event, wait.go). If the
-// conflict materializes, the optimistic
-// shadow aborts and the speculative one wakes with the fresh value,
-// finishing without a from-scratch restart. OCC-BC mode restarts instead
-// (the paper's baseline). Closures must be deterministic and side-effect
-// free before Update returns: all but one concurrent run is discarded.
+// resolves. A transaction carries no channel of its own until a parked
+// shadow or a deferral must block on it (event, wait.go). If the
+// conflict materializes, the optimistic shadow aborts and the speculative
+// one wakes with the fresh value, finishing without a from-scratch
+// restart. OCC-BC mode restarts instead (the paper's baseline). Closures
+// must be deterministic and side-effect free before Update returns: all
+// but one concurrent run is discarded.
 //
 // Commits coalesce in the store's commit queue (commitqueue.go), and every
 // install is appended to Config.CommitLog under the store latch — the
