@@ -28,7 +28,7 @@ loc:
 # when loc's total exceeds LOC_MAX, the total of the last PR that
 # lowered it. A diet PR sets LOC_MAX to its own result; a PR that must
 # raise it says why in CHANGES.md.
-LOC_MAX = 17905
+LOC_MAX = 17921
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_MAX) ]; then \
@@ -82,6 +82,7 @@ bench-race:
 
 fuzz:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDispatch$$' -fuzztime 30s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSplitFields$$' -fuzztime 30s
 	$(GO) test ./internal/server/opts -run '^$$' -fuzz '^FuzzParseToken$$' -fuzztime 30s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 30s
 

@@ -11,10 +11,12 @@ package client
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/server/opts"
 )
@@ -68,9 +70,15 @@ func parse(resp string) (string, error) {
 // checkKey refuses a key the server would not read back as the same one
 // key: empty, containing ':' (the op and log encodings' separator), or
 // containing any rune strings.Fields splits on — the server tokenises
-// request lines with it, so "a\tb" would arrive as two keys.
+// request lines that way, so "a\tb" would arrive as two keys. The loop
+// skips the ASCII bytes a key may hold; the rest, from the first other
+// byte on, is decoded as runes.
 func checkKey(key string) error {
-	if key == "" || strings.ContainsFunc(key, func(r rune) bool { return r == ':' || unicode.IsSpace(r) }) {
+	i := 0
+	for i < len(key) && key[i] < utf8.RuneSelf && key[i] != ':' && key[i] != ' ' && key[i]-'\t' > '\r'-'\t' {
+		i++
+	}
+	if key == "" || strings.ContainsFunc(key[i:], func(r rune) bool { return r == ':' || unicode.IsSpace(r) }) {
 		return fmt.Errorf("client: invalid key %q", key)
 	}
 	return nil
@@ -92,17 +100,10 @@ func (m *Mux) Get(key string) (int64, bool, error) {
 		return 0, false, err
 	}
 	resp, err := m.do("GET " + key)
-	if err != nil {
-		return 0, false, err
-	}
-	if resp == "NIL" {
+	if err == nil && resp == "NIL" {
 		return 0, false, nil
 	}
-	body, err := parse(resp)
-	if err != nil {
-		return 0, false, err
-	}
-	n, err := strconv.ParseInt(body, 10, 64)
+	n, err := intReply(resp, err)
 	return n, err == nil, err
 }
 
@@ -111,15 +112,9 @@ func (m *Mux) Add(key string, delta int64) (int64, error) {
 	if err := checkKey(key); err != nil {
 		return 0, err
 	}
-	resp, err := m.do(fmt.Sprintf("ADD %s %d", key, delta))
-	if err != nil {
-		return 0, err
-	}
-	body, err := parse(resp)
-	if err != nil {
-		return 0, err
-	}
-	return strconv.ParseInt(body, 10, 64)
+	return intReply(m.call(func(b []byte) []byte {
+		return strconv.AppendInt(append(append(append(b, "ADD "...), key...), ' '), delta, 10)
+	}))
 }
 
 // Sum returns the total of the given keys as one consistent cross-shard
@@ -130,15 +125,18 @@ func (m *Mux) Sum(keys ...string) (int64, error) {
 			return 0, err
 		}
 	}
-	resp, err := m.do("SUM " + strings.Join(keys, " "))
+	return intReply(m.do("SUM " + strings.Join(keys, " ")))
+}
+
+// intReply decodes a round trip's one-integer reply.
+func intReply(resp string, err error) (int64, error) {
+	if err == nil {
+		resp, err = parse(resp)
+	}
 	if err != nil {
 		return 0, err
 	}
-	body, err := parse(resp)
-	if err != nil {
-		return 0, err
-	}
-	return strconv.ParseInt(body, 10, 64)
+	return strconv.ParseInt(resp, 10, 64)
 }
 
 // Op is one operation of a transactional update: a read dependency
@@ -185,51 +183,64 @@ func cutTrace(body string) (rest, trace string) {
 	return body, ""
 }
 
-// updateLine renders ops and opts as one UPD request line, returning the
-// number of write results the response must carry.
-func updateLine(ops []Op, o TxOpts) (line string, writes int, err error) {
+// checkOps validates a UPD's ops, returning the number of write results
+// its response must carry.
+func checkOps(ops []Op) (writes int, err error) {
 	if len(ops) == 0 {
-		return "", 0, errors.New("client: no ops")
+		return 0, errors.New("client: no ops")
 	}
-	var b strings.Builder
-	b.WriteString("UPD")
-	o.wire().Encode(&b)
 	for _, o := range ops {
 		if err := checkKey(o.Key); err != nil {
-			return "", 0, err
+			return 0, err
 		}
 		if o.Write {
-			fmt.Fprintf(&b, " w:%s:%d", o.Key, o.Delta)
 			writes++
-		} else {
-			b.WriteString(" r:" + o.Key)
 		}
 	}
-	return b.String(), writes, nil
+	return writes, nil
+}
+
+// appendUpdate appends ops and o as one REQ-framed UPD line to b, ops
+// already checked by checkOps. It grows b once up front, for the frame's
+// head, 64 bytes of options and each op at its longest delta.
+func appendUpdate(b []byte, id uint64, ops []Op, o TxOpts) []byte {
+	n := len("REQ 18446744073709551615 UPD\n") + 64
+	for _, op := range ops {
+		n += len(" w::-9223372036854775808") + len(op.Key)
+	}
+	b = o.wire().Append(append(appendReq(slices.Grow(b, n), id), "UPD"...))
+	for _, op := range ops {
+		if op.Write {
+			b = strconv.AppendInt(append(append(append(b, " w:"...), op.Key...), ':'), op.Delta, 10)
+		} else {
+			b = append(append(b, " r:"...), op.Key...)
+		}
+	}
+	return append(b, '\n')
+}
+
+// parseInts appends the space-separated integers of a reply body to dst,
+// scanning the body in place.
+func parseInts(dst []int64, body string) ([]int64, error) {
+	for f := ""; body != ""; {
+		f, body, _ = strings.Cut(body, " ")
+		n, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("client: malformed result %q", f)
+		}
+		dst = append(dst, n)
+	}
+	return dst, nil
 }
 
 // parseUpdateResults decodes the body of a successful UPD response into
 // the new value of each write op, in op order.
 func parseUpdateResults(body string, writes int) ([]int64, error) {
-	if body == "" {
-		if writes == 0 {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("client: expected %d results, got none", writes)
+	out, err := parseInts(make([]int64, 0, writes), body)
+	if err == nil && len(out) != writes {
+		return nil, fmt.Errorf("client: expected %d results, got %d", writes, len(out))
 	}
-	fields := strings.Fields(body)
-	if len(fields) != writes {
-		return nil, fmt.Errorf("client: expected %d results, got %d", writes, len(fields))
-	}
-	out := make([]int64, len(fields))
-	for i, f := range fields {
-		n, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("client: malformed result %q", f)
-		}
-		out[i] = n
-	}
-	return out, nil
+	return out, err
 }
 
 // Update executes ops as one serializable transaction and returns the new

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -163,6 +162,10 @@ func splitRes(line string) (uint64, string, bool) {
 	return id, strings.TrimSpace(rest[i+1:]), true
 }
 
+// respChans holds response channels whose one response has been
+// received, empty and free for the next request of any Mux.
+var respChans = sync.Pool{New: func() any { return make(chan resp, 1) }}
+
 // register allocates a request id and its response channel.
 func (m *Mux) register() (uint64, chan resp, error) {
 	m.mu.Lock()
@@ -171,20 +174,25 @@ func (m *Mux) register() (uint64, chan resp, error) {
 		return 0, nil, m.err
 	}
 	m.nextID++
-	ch := make(chan resp, 1)
+	ch := respChans.Get().(chan resp)
 	m.pending[m.nextID] = ch
 	return m.nextID, ch, nil
 }
 
 // await blocks for the response routed to ch, preferring a delivered
-// response over a racing connection failure.
+// response over a racing connection failure. A channel goes back to
+// respChans only once its response has been received: a caller woken by
+// the failure leaves its channel out, because the read loop may have
+// taken it from the pending table and not yet sent on it.
 func (m *Mux) await(ch chan resp) (resp, error) {
 	select {
 	case r := <-ch:
+		respChans.Put(ch)
 		return r, nil
 	case <-m.done:
 		select {
 		case r := <-ch:
+			respChans.Put(ch)
 			return r, nil
 		default:
 		}
@@ -194,36 +202,32 @@ func (m *Mux) await(ch chan resp) (resp, error) {
 	}
 }
 
-// do issues one pipelined request and waits for its response.
-//
-// Returning from send does not mean the frame has left the process: it may
-// be riding a flush another caller owes (see write). Should that flush
-// fail, fail wakes this caller's await with the error.
+// do issues one request line and waits for its response.
 func (m *Mux) do(line string) (string, error) {
+	return m.call(func(b []byte) []byte { return append(b, line...) })
+}
+
+// call issues one pipelined request, whose line appendLine appends to the
+// frame's "REQ <id> " head, and waits for its response.
+//
+// Returning from write does not mean the frame has left the process: it
+// may be riding a flush another caller owes (see write). Should that flush
+// fail, fail wakes this caller's await with the error.
+func (m *Mux) call(appendLine func([]byte) []byte) (string, error) {
 	id, ch, err := m.register()
 	if err != nil {
 		return "", err
 	}
-	if err := m.send(id, line); err != nil {
+	if err := m.write(append(appendLine(appendReq(make([]byte, 0, 128), id)), '\n')); err != nil {
 		return "", err
 	}
 	r, err := m.await(ch)
 	return r.body, err
 }
 
-// appendFrame appends "REQ <id> <line>\n" to buf, growing it once.
-func appendFrame(buf []byte, id uint64, line string) []byte {
-	buf = slices.Grow(buf, len("REQ 18446744073709551615 \n")+len(line))
-	buf = append(buf, "REQ "...)
-	buf = strconv.AppendUint(buf, id, 10)
-	buf = append(buf, ' ')
-	buf = append(buf, line...)
-	return append(buf, '\n')
-}
-
-// send writes one framed request.
-func (m *Mux) send(id uint64, line string) error {
-	return m.write(appendFrame(nil, id, line))
+// appendReq appends a frame's head, "REQ <id> ", to b.
+func appendReq(b []byte, id uint64) []byte {
+	return append(strconv.AppendUint(append(b, "REQ "...), id, 10), ' ')
 }
 
 // write is the one path onto the connection. The caller appends its
@@ -304,7 +308,7 @@ func (m *Mux) Batch(reqs []UpdateReq) []UpdateResult {
 
 	var frames []byte
 	for i, r := range reqs {
-		line, writes, err := updateLine(r.Ops, r.Opts)
+		writes, err := checkOps(r.Ops)
 		if err != nil {
 			out[i].Err = err
 			continue
@@ -314,7 +318,7 @@ func (m *Mux) Batch(reqs []UpdateReq) []UpdateResult {
 			out[i].Err = err
 			continue
 		}
-		frames = appendFrame(frames, id, line)
+		frames = appendUpdate(frames, id, r.Ops, r.Opts)
 		pend[i] = inflight{ch: ch, writes: writes, sent: time.Now()}
 	}
 	if len(frames) > 0 {

@@ -182,14 +182,19 @@ func eachProcs(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// sendOne registers and sends one PING without waiting for its reply:
-// what is under test is the state of the wire once send has returned.
+// sendOne registers and writes one PING without waiting for its reply:
+// what is under test is the state of the wire once write has returned.
 func sendOne(m *Mux) error {
 	id, _, err := m.register()
 	if err != nil {
 		return err
 	}
-	return m.send(id, "PING")
+	return writePing(m, id)
+}
+
+// writePing writes request id's PING frame.
+func writePing(m *Mux, id uint64) error {
+	return m.write(append(appendReq(nil, id), "PING\n"...))
 }
 
 func TestMuxNeverStrandsAFrame(t *testing.T) {
@@ -248,7 +253,7 @@ func TestMuxWriteFailureReachesEveryCaller(t *testing.T) {
 		burst(t, k, func(i int) error {
 			id, ch, err := m.register()
 			if err == nil {
-				if err = m.send(id, "PING"); err != nil {
+				if err = writePing(m, id); err != nil {
 					fromSend.Add(1)
 				} else {
 					_, err = m.await(ch)

@@ -65,10 +65,7 @@ func (t *Txn) Trace() string { return t.trace }
 // Many Txns may run concurrently over one Mux: their TXN ops pipeline
 // on the shared connection.
 func (m *Mux) Begin(opts TxOpts) (*Txn, error) {
-	var b strings.Builder
-	b.WriteString("TXN BEGIN")
-	opts.wire().Encode(&b)
-	resp, err := m.do(b.String())
+	resp, err := m.call(func(b []byte) []byte { return opts.wire().Append(append(b, "TXN BEGIN"...)) })
 	if err != nil {
 		return nil, err
 	}
@@ -82,41 +79,35 @@ func (m *Mux) Begin(opts TxOpts) (*Txn, error) {
 	return &Txn{m: m, id: body}, nil
 }
 
-// op issues one session verb and parses the single-integer reply.
-func (t *Txn) op(line string) (int64, error) {
+// op issues one session verb on key, "TXN <verb> <id> <key>" followed by
+// *delta when it is non-nil, and parses the single-integer reply.
+func (t *Txn) op(verb, key string, delta *int64) (int64, error) {
 	if t.fin {
 		return 0, ErrTxnFinished
 	}
-	resp, err := t.m.do(line)
-	if err != nil {
+	if err := checkKey(key); err != nil {
 		return 0, err
 	}
-	body, err := parse(resp)
-	if err != nil {
-		return 0, err
-	}
-	if body == "" {
-		return 0, nil
-	}
-	return strconv.ParseInt(body, 10, 64)
+	return intReply(t.m.call(func(b []byte) []byte {
+		b = append(append(append(append(b, "TXN "...), verb...), ' '), t.id...)
+		b = append(append(b, ' '), key...)
+		if delta != nil {
+			b = strconv.AppendInt(append(b, ' '), *delta, 10)
+		}
+		return b
+	}))
 }
 
 // Get reads key inside the transaction. Missing keys read as 0. The
 // result is speculative until Commit (see the package comment).
 func (t *Txn) Get(key string) (int64, error) {
-	if err := checkKey(key); err != nil {
-		return 0, err
-	}
-	return t.op("TXN R " + t.id + " " + key)
+	return t.op("R", key, nil)
 }
 
 // Add read-modify-writes key by delta and returns the (speculative) new
 // value; the committed value is in Commit's results.
 func (t *Txn) Add(key string, delta int64) (int64, error) {
-	if err := checkKey(key); err != nil {
-		return 0, err
-	}
-	return t.op(fmt.Sprintf("TXN W %s %s %d", t.id, key, delta))
+	return t.op("W", key, &delta)
 }
 
 // Commit finishes the transaction and returns the committed execution's
@@ -140,19 +131,7 @@ func (t *Txn) Commit() ([]int64, error) {
 		return nil, err
 	}
 	body, t.trace = cutTrace(body)
-	if body == "" {
-		return nil, nil
-	}
-	fields := strings.Fields(body)
-	out := make([]int64, len(fields))
-	for i, f := range fields {
-		n, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("client: malformed commit result %q", f)
-		}
-		out[i] = n
-	}
-	return out, nil
+	return parseInts(nil, body)
 }
 
 // Abort discards the transaction.

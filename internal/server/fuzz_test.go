@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -68,6 +69,26 @@ func FuzzDispatch(f *testing.F) {
 		}
 		if utf8.ValidString(line) && !utf8.ValidString(resp) {
 			t.Fatalf("valid input produced invalid UTF-8 response: %q -> %q", line, resp)
+		}
+	})
+}
+
+// FuzzSplitFields pins the reader's tokenizer to strings.Fields on
+// arbitrary input: the ASCII scan and the fallback for lines with other
+// bytes must split exactly where strings.Fields does, Unicode spaces
+// included, whatever the reused slice held before.
+func FuzzSplitFields(f *testing.F) {
+	for _, seed := range []string{
+		"", " ", "UPD v=2 dl=50 r:a w:b:7", "  REQ   1\tPING  ", "a\v\fb\r",
+		"a\u0085b", "a b", "  lead", "tail \u0085", "k\xff \xc2", "é w:é:1",
+	} {
+		f.Add(seed)
+	}
+	dst := []string{"stale", "fields"}
+	f.Fuzz(func(t *testing.T, s string) {
+		dst = splitFields(dst, s)
+		if want := strings.Fields(s); !slices.Equal(dst, want) {
+			t.Fatalf("splitFields(%q) = %q, strings.Fields = %q", s, dst, want)
 		}
 	})
 }

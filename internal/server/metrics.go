@@ -257,7 +257,7 @@ var statRows = []statRow{
 		read: func(sn *statSnap) float64 { return float64(sn.store().TotalCommits()) }},
 	{key: "fast", family: "scc_commits_fast_total", help: "Single-shard fast-path commits.",
 		read: func(sn *statSnap) float64 { return float64(sn.store().FastPath) }},
-	{key: "cross", family: "scc_commits_cross_total", help: "Cross-shard two-phase commits.",
+	{key: "cross", family: "scc_commits_cross_total", help: "Cross-shard commits (one node-log record each).",
 		read: func(sn *statSnap) float64 { return float64(sn.store().CrossCommits) }},
 	{key: "cross_restarts", family: "scc_cross_restarts_total", help: "Cross-shard validation restarts.",
 		read: func(sn *statSnap) float64 { return float64(sn.store().CrossRestarts) }},

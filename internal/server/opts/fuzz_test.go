@@ -1,9 +1,11 @@
 package opts
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzParseToken drives arbitrary tokens through the codec and checks
@@ -12,7 +14,8 @@ import (
 // past its deadline (the contract ParseFamily enforces for vf= shapes),
 // and Encode∘ParseToken is idempotent — re-encoding a parsed-back T
 // reproduces the same wire bytes, so the client and server can never
-// drift on what a token means.
+// drift on what a token means. Append, the client's frame encoder,
+// renders what wantTokens, a reference that shares no code with it, does.
 func FuzzParseToken(f *testing.F) {
 	for _, seed := range []string{
 		"v=2.5", "v=NaN", "v=-1", "dl=50", "dl=1e15", "dl=-5", "dl=0.0000001",
@@ -73,6 +76,9 @@ func FuzzParseToken(f *testing.F) {
 		// Idempotence: encode, parse it all back, encode again.
 		var b1 strings.Builder
 		o.Encode(&b1)
+		if a, want := string(o.Append([]byte("UPD"))), "UPD"+wantTokens(o); a != want {
+			t.Fatalf("token %q: Append %q, want %q", tok, a, want)
+		}
 		var o2 T
 		for _, tk := range strings.Fields(b1.String()) {
 			if ok, err := o2.ParseToken(tk); !ok || err != nil {
@@ -85,4 +91,36 @@ func FuzzParseToken(f *testing.F) {
 			t.Fatalf("token %q: encode not idempotent: %q vs %q", tok, b1.String(), b2.String())
 		}
 	})
+}
+
+// wantTokens renders o's tokens field by field with fmt's %g: the wire
+// bytes Append must produce, written out without strconv's append path.
+func wantTokens(o T) string {
+	var s string
+	if o.Value > 0 {
+		s += fmt.Sprintf(" v=%g", o.Value)
+	}
+	if o.Deadline > 0 {
+		ms := float64(o.Deadline.Nanoseconds()) / 1e6
+		if o.Deadline%time.Microsecond == 0 {
+			ms = float64(o.Deadline.Microseconds()) / 1000
+		}
+		s += fmt.Sprintf(" dl=%g", ms)
+	}
+	if o.Gradient > 0 {
+		s += fmt.Sprintf(" grad=%g", o.Gradient)
+	}
+	switch o.Family.Kind {
+	case "", FamilyLinear:
+	case FamilyStep:
+		s += fmt.Sprintf(" vf=step:%g", o.Family.StepFrac)
+	case FamilyRenewal:
+		s += fmt.Sprintf(" vf=renew:%d", o.Family.Renewals)
+	default:
+		s += " vf=" + o.Family.Kind
+	}
+	if o.Trace {
+		s += " trace=1"
+	}
+	return s
 }

@@ -6,7 +6,7 @@
 // client.go, and the admission path grew its own parser or encoder for
 // them. Now there is exactly one: the server
 // parses tokens with ParseToken (the single place non-finite floats are
-// rejected), the client renders them with Encode, and the admission
+// rejected), the client renders them with Append, and the admission
 // queue and the replica lag gate both obtain the resulting value.Fn
 // through Fn. docs/PROTOCOL.md specifies the tokens normatively.
 package opts
@@ -181,17 +181,15 @@ func parseFinite(s string) (float64, error) {
 	return f, nil
 }
 
-// Encode appends the canonical wire tokens for o to b, each preceded by
-// one space; zero (or negative) fields are omitted, matching the
-// protocol's defaults. The deadline is rendered in milliseconds with %g,
-// exactly what ParseToken reads back.
-func (o T) Encode(b *strings.Builder) {
+// Append appends the canonical wire tokens for o to b, each preceded by
+// one space, and returns the extended slice; zero (or negative) fields
+// are omitted, matching the protocol's defaults. The deadline is rendered
+// in milliseconds with %g, exactly what ParseToken reads back.
+func (o T) Append(b []byte) []byte {
 	if o.Value > 0 {
-		b.WriteString(" v=")
-		b.WriteString(strconv.FormatFloat(o.Value, 'g', -1, 64))
+		b = strconv.AppendFloat(append(b, " v="...), o.Value, 'g', -1, 64)
 	}
 	if o.Deadline > 0 {
-		b.WriteString(" dl=")
 		// Microsecond-multiple deadlines render exactly as before; a
 		// deadline with sub-microsecond precision falls back to the
 		// nanosecond-exact form so a tiny positive deadline never
@@ -202,28 +200,28 @@ func (o T) Encode(b *strings.Builder) {
 		} else {
 			ms = float64(o.Deadline.Nanoseconds()) / 1e6
 		}
-		b.WriteString(strconv.FormatFloat(ms, 'g', -1, 64))
+		b = strconv.AppendFloat(append(b, " dl="...), ms, 'g', -1, 64)
 	}
 	if o.Gradient > 0 {
-		b.WriteString(" grad=")
-		b.WriteString(strconv.FormatFloat(o.Gradient, 'g', -1, 64))
+		b = strconv.AppendFloat(append(b, " grad="...), o.Gradient, 'g', -1, 64)
 	}
 	switch o.Family.Kind {
 	case "", FamilyLinear:
 	case FamilyStep:
-		b.WriteString(" vf=step:")
-		b.WriteString(strconv.FormatFloat(o.Family.StepFrac, 'g', -1, 64))
+		b = strconv.AppendFloat(append(b, " vf=step:"...), o.Family.StepFrac, 'g', -1, 64)
 	case FamilyRenewal:
-		b.WriteString(" vf=renew:")
-		b.WriteString(strconv.Itoa(o.Family.Renewals))
+		b = strconv.AppendInt(append(b, " vf=renew:"...), int64(o.Family.Renewals), 10)
 	default:
-		b.WriteString(" vf=")
-		b.WriteString(o.Family.Kind)
+		b = append(append(b, " vf="...), o.Family.Kind...)
 	}
 	if o.Trace {
-		b.WriteString(" trace=1")
+		b = append(b, " trace=1"...)
 	}
+	return b
 }
+
+// Encode writes Append's tokens for o to b.
+func (o T) Encode(b *strings.Builder) { b.Write(o.Append(make([]byte, 0, 64))) }
 
 // Fn builds the value function for a request arriving at absolute time
 // now (seconds in the caller's clock base): worth Value (default 1)

@@ -29,6 +29,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/cluster"
 	"repro/internal/durable"
@@ -482,8 +483,9 @@ func (s *Server) serveConn(c *conn) {
 // idle or on its way back.
 type follower struct {
 	c       *conn
-	reading bool   // f holds the reader role
-	hook    func() // f.handOff, bound once
+	reading bool     // f holds the reader role
+	hook    func()   // f.handOff, bound once
+	fields  []string // the line f read last, split; reused for the next
 }
 
 // follow runs one follower until the connection ends: it reads while it
@@ -512,7 +514,8 @@ func (f *follower) read() bool {
 			close(c.promote)
 			return false
 		}
-		fields := strings.Fields(c.scan.Text())
+		f.fields = splitFields(f.fields, c.scan.Text())
+		fields := f.fields
 		if len(fields) == 0 {
 			continue
 		}
@@ -805,11 +808,33 @@ type op struct {
 	set   bool
 }
 
+// splitFields splits s around runs of white space exactly as
+// strings.Fields does, into dst's backing array: a reader reuses one
+// slice for every line. Lines are ASCII in practice, so it scans bytes
+// and leaves any line with a byte at or above 0x80 to strings.Fields,
+// whose Unicode spaces (U+0085, U+00A0, ...) split tokens too.
+func splitFields(dst []string, s string) []string {
+	dst, start := dst[:0], -1
+	for i := 0; i <= len(s); i++ {
+		switch {
+		case i < len(s) && s[i] >= utf8.RuneSelf:
+			return append(dst[:0], strings.Fields(s)...)
+		case i == len(s) || s[i] == ' ' || s[i]-'\t' <= '\r'-'\t':
+			if start >= 0 {
+				dst, start = append(dst, s[start:i]), -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	return dst
+}
+
 // dispatchLine parses and serves one raw request line on the server's
 // own connection (lines). It is the single-string entry point the
 // fuzzer drives; follower.read splits fields itself.
 func (s *Server) dispatchLine(line string) string {
-	fields := strings.Fields(line)
+	fields := splitFields(nil, line)
 	if len(fields) == 0 {
 		return "ERR empty request"
 	}
@@ -914,7 +939,7 @@ func (c *conn) dispatchVerb(verb string, args []string, wait func()) string {
 // handleUPD parses a UPD's options and ops and runs it.
 func (c *conn) handleUPD(args []string, wait func()) string {
 	var o opts.T
-	var ops []op
+	ops := make([]op, 0, len(args))
 	for _, a := range args {
 		if isOpt, err := o.ParseToken(a); isOpt {
 			if err != nil {
@@ -1174,13 +1199,12 @@ func applyOp(tx shard.Tx, o op) (int64, error) {
 // okResults renders a committed transaction's reply: OK plus the new
 // value of each write op, in op order.
 func okResults(results []int64) string {
-	var b strings.Builder
-	b.WriteString("OK")
+	var buf [96]byte
+	b := append(buf[:0], "OK"...)
 	for _, n := range results {
-		b.WriteByte(' ')
-		b.WriteString(strconv.FormatInt(n, 10))
+		b = strconv.AppendInt(append(b, ' '), n, 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // validKey enforces the protocol's key lexical rule: non-empty and free

@@ -92,7 +92,11 @@ SERVER_PID=$!
 wait_ready "$ADDR"
 "$SCRATCH/sccload" -addr "$ADDR" -verify-only -run-id "$RUN_ID" \
     -keys "$KEYS" -acked-in "$SCRATCH/acked.kill" -expect-recovered
-kill_server
+# No crash is under test here: stop the recovered server cleanly, so a
+# coverage build writes its counters.
+stop_servers "$SERVER_PID"
+wait "$SERVER_PID" 2>/dev/null || true
+SERVER_PID=
 
 # ---- Round 2: injected fsync failures force a fail-stop. --------------
 # After 200 successful fsyncs every further sync fails. Verdicts are
