@@ -28,7 +28,7 @@ loc:
 # when loc's total exceeds LOC_MAX, the total of the last PR that
 # lowered it. A diet PR sets LOC_MAX to its own result; a PR that must
 # raise it says why in CHANGES.md.
-LOC_MAX = 17921
+LOC_MAX = 17861
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_MAX) ]; then \
@@ -36,7 +36,8 @@ loc-check:
 	echo "make loc: total $$total <= LOC_MAX $(LOC_MAX)"
 
 # cover runs the tier-1 tests and the four e2e scripts with coverage on,
-# merges the two, and prints the tier-1 total, the merged total and every
+# merges them, and prints the tier-1 total, the merged total, every
+# function tier-1 misses with the scripts that reach it, and every
 # production function nothing reaches; the table also lands in COVER_OUT.
 # See scripts/cover.sh.
 COVER_OUT ?= COVER.txt
@@ -85,6 +86,7 @@ fuzz:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSplitFields$$' -fuzztime 30s
 	$(GO) test ./internal/server/opts -run '^$$' -fuzz '^FuzzParseToken$$' -fuzztime 30s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 30s
+	$(GO) test ./internal/durable -run '^$$' -fuzz '^FuzzNextFrame$$' -fuzztime 30s
 
 # scenario-matrix runs the full workload × value-function grid against
 # live in-process servers (internal/scenario via sccload -matrix): every

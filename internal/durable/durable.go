@@ -180,9 +180,11 @@ type managedShard struct {
 }
 
 // layout is the data-directory format pinned in META: one node log plus
-// per-shard checkpoint directories. Layout 1, one WAL per shard, wrote
-// META without a layout key and cannot be read.
-const layout = 2
+// per-shard checkpoint directories, each checkpoint one node-log frame.
+// Older layouts cannot be read: layout 1 kept one WAL per shard and wrote
+// META without a layout key, layout 2 wrote checkpoints in a format of
+// their own.
+const layout = 3
 
 // checkLayout pins the data directory's layout and shard count in META.
 // The shard count is baked into the key routing (FNV mod shards):
@@ -204,10 +206,11 @@ func checkLayout(dir string, shards int, policy FsyncPolicy) error {
 		return writeFileSync(dir, "META", meta)
 	}
 	var lay, n int
-	if _, err := fmt.Sscanf(string(b), "layout=%d shards=%d", &lay, &n); err != nil || lay != layout || n <= 0 {
-		if strings.HasPrefix(string(b), "shards=") {
-			return fmt.Errorf("durable: data directory %s has the per-shard WAL layout of an older build, which this one cannot read (use a fresh -data-dir)", dir)
-		}
+	_, err = fmt.Sscanf(string(b), "layout=%d shards=%d", &lay, &n)
+	if strings.HasPrefix(string(b), "shards=") || err == nil && lay < layout {
+		return fmt.Errorf("durable: data directory %s has the layout of an older build, which this one cannot read (use a fresh -data-dir)", dir)
+	}
+	if err != nil || lay != layout || n <= 0 {
 		return fmt.Errorf("durable: unreadable META %q in %s", string(b), dir)
 	}
 	if n != shards {
@@ -331,9 +334,9 @@ func fresh(heads []uint64, f frame) (parts []part, ok bool) {
 // epoch), accrues the participants' pending value for checkpoint
 // prioritization, and writes the record to the node log as one frame —
 // the whole-frames rule of wal.go. Publication to the replication feed
-// waits for the Sync that covers it. A failed write is recorded here and
-// surfaces at that Sync, which every install path runs before its
-// verdict.
+// waits for the Sync that covers it. A failed write, or a record too
+// large to frame, breaks the log here and surfaces at that Sync, which
+// every install path runs before its verdict.
 func (ms *managedShard) AppendCommit(c engine.CommitRecord) uint64 {
 	m := ms.m
 	if c.Epoch == 0 {
@@ -357,8 +360,14 @@ func (ms *managedShard) AppendCommit(c engine.CommitRecord) uint64 {
 		buf = appendPart(buf, p.idx, idx, writes)
 		parts = append(parts, part{shard: p.idx, index: idx})
 	}
-	ms.buf = endRecord(buf, 0)
-	if _, err := m.log.write(ms.buf, parts, shipment{shard: ms.idx, rec: c}); err != nil {
+	buf, err := endRecord(buf, 0)
+	ms.buf = buf
+	if err == nil {
+		_, err = m.log.write(buf, parts, shipment{shard: ms.idx, rec: c})
+	} else {
+		m.log.fail(err)
+	}
+	if err != nil {
 		m.errs.Add(1)
 		ms.flight.Record(flight.EvWalError, 0, ms.idx, c.Epoch)
 	}

@@ -600,3 +600,65 @@ func TestRecoveredStoreServesWhilePriorDataLarge(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordOver64MiB: a record larger than 64 MiB, and the small record
+// logged after it, survive a restart from the log, and again from a
+// checkpoint holding the large value once the log below it is trimmed. A
+// frame is bounded only by the bytes that hold it.
+func TestRecordOver64MiB(t *testing.T) {
+	dir := t.TempDir()
+	big := strings.Repeat("x", 64<<20+1<<10)
+	reopen := func(want uint64) (*shard.Store, *Manager) {
+		t.Helper()
+		st, _, m := openStore(t, dir, 1, Options{}, false)
+		if m.RecoveredIndex() != want {
+			t.Fatalf("recovered index %d, want %d", m.RecoveredIndex(), want)
+		}
+		if got := get(t, st, "big"); got != big {
+			t.Fatalf("big holds %d bytes after recovery, want %d", len(got), len(big))
+		}
+		if got := get(t, st, "small"); got != "1" {
+			t.Fatalf("small = %q after recovery, want 1", got)
+		}
+		return st, m
+	}
+	closeAll := func(st *shard.Store, m *Manager) {
+		t.Helper()
+		st.Close()
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st, _, m := openStore(t, dir, 1, Options{}, false)
+	put(t, st, "big", big, 0)
+	put(t, st, "small", "1", 0)
+	closeAll(st, m)
+
+	st, m = reopen(2)
+	// The second checkpoint pass trims the segment holding both records,
+	// so the next recovery reads them from a checkpoint only.
+	for i, k := range []string{"c", "d"} {
+		put(t, st, k, "2", 0)
+		if order, err := m.CheckpointAll(); err != nil || len(order) != 1 {
+			t.Fatalf("checkpoint pass %d captured %v, %v; want shard 0", i, order, err)
+		}
+	}
+	closeAll(st, m)
+	closeAll(reopen(4))
+}
+
+// TestLayout2Refused: a data directory of layout 2, whose checkpoints
+// had a format of their own, is refused at Open as an older build's.
+func TestLayout2Refused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "META"), []byte("layout=2 shards=2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := shard.Open(shard.Config{Shards: 2})
+	defer st.Close()
+	if _, err := Open(Options{Dir: dir}, st, nil); err == nil || !strings.Contains(err.Error(), "older build") ||
+		!strings.Contains(err.Error(), "fresh -data-dir") {
+		t.Fatalf("Open over a layout-2 directory = %v, want the older-build error naming a fresh -data-dir", err)
+	}
+}

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -89,11 +90,11 @@ func (p FsyncPolicy) String() string {
 // (IEEE) of the payload, then the payload: the commit epoch (8), the part
 // count (2), and per part the shard (4), the part's index in that shard's
 // commit order (8), the write count (4), then length-prefixed key and
-// value bytes per write.
-const (
-	recHeaderLen = 8
-	maxRecordLen = 64 << 20 // sanity bound; a "length" past this is framing debris
-)
+// value bytes per write. A checkpoint file is one such frame (see
+// checkpoint.go). A frame is bounded only by the bytes that hold it: a
+// length past them is a torn or corrupt tail, and a payload too long for
+// the 32-bit length is refused when it is framed.
+const recHeaderLen = 8
 
 var crcTable = crc32.IEEETable
 
@@ -133,12 +134,15 @@ func appendPart(buf []byte, shard int, index uint64, writes map[string][]byte) [
 }
 
 // endRecord backfills the length/CRC header of the record that begins at
-// buf[start].
-func endRecord(buf []byte, start int) []byte {
+// buf[start]. It refuses a payload whose length the header cannot hold.
+func endRecord(buf []byte, start int) ([]byte, error) {
 	payload := buf[start+recHeaderLen:]
+	if uint64(len(payload)) > math.MaxUint32 {
+		return buf, fmt.Errorf("durable: record payload of %d bytes exceeds the frame's 32-bit length", len(payload))
+	}
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
-	return buf
+	return buf, nil
 }
 
 // nextFrame decodes the record at the start of data and returns its
@@ -149,15 +153,16 @@ func nextFrame(data []byte) (f frame, n int, ok bool) {
 		return f, 0, false
 	}
 	length := binary.LittleEndian.Uint32(data)
-	if uint64(length) > maxRecordLen || len(data)-recHeaderLen < int(length) {
+	if uint64(length) > uint64(len(data)-recHeaderLen) {
 		return f, 0, false
 	}
-	payload := data[recHeaderLen : recHeaderLen+int(length)]
+	n = recHeaderLen + int(length)
+	payload := data[recHeaderLen:n]
 	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[4:]) {
 		return f, 0, false
 	}
 	f, err := decodeFrame(payload)
-	return f, recHeaderLen + int(length), err == nil
+	return f, n, err == nil
 }
 
 func decodeFrame(p []byte) (frame, error) {
@@ -177,9 +182,9 @@ func decodeFrame(p []byte) (frame, error) {
 		pt.index = binary.LittleEndian.Uint64(p[4:])
 		n := binary.LittleEndian.Uint32(p[12:])
 		p = p[16:]
-		pt.writes = make(map[string][]byte, n)
+		pt.writes = make(map[string][]byte, min(n, uint32(len(p)/8))) // a write takes 8 bytes or more
 		for j := uint32(0); j < n; j++ {
-			var k, v string
+			var k, v []byte
 			var err error
 			if k, p, err = cutBytes(p); err != nil {
 				return f, err
@@ -187,7 +192,7 @@ func decodeFrame(p []byte) (frame, error) {
 			if v, p, err = cutBytes(p); err != nil {
 				return f, err
 			}
-			pt.writes[k] = []byte(v)
+			pt.writes[string(k)] = append([]byte{}, v...)
 		}
 	}
 	if len(f.parts) == 0 || len(p) != 0 {
@@ -196,16 +201,16 @@ func decodeFrame(p []byte) (frame, error) {
 	return f, nil
 }
 
-func cutBytes(b []byte) (string, []byte, error) {
+func cutBytes(b []byte) (field, rest []byte, err error) {
 	if len(b) < 4 {
-		return "", nil, fmt.Errorf("durable: truncated record field")
+		return nil, nil, fmt.Errorf("durable: truncated record field")
 	}
 	n := binary.LittleEndian.Uint32(b)
 	b = b[4:]
 	if uint64(n) > uint64(len(b)) {
-		return "", nil, fmt.Errorf("durable: record field length %d exceeds payload", n)
+		return nil, nil, fmt.Errorf("durable: record field length %d exceeds payload", n)
 	}
-	return string(b[:n]), b[n:], nil
+	return b[:n], b[n:], nil
 }
 
 // segment is one log file. top is, per shard, the highest part index the
@@ -446,12 +451,7 @@ func (l *nodeLog) fsync(f *os.File) error {
 		err = f.Sync()
 	}
 	if err != nil {
-		l.mu.Lock()
-		if l.broken == nil {
-			l.broken = err
-		}
-		l.mu.Unlock()
-		return err
+		return l.fail(err)
 	}
 	l.fsyncs.Add(1)
 	if l.fsyncObs != nil {
@@ -540,6 +540,17 @@ func (l *nodeLog) oldest(limit int) map[int]uint64 {
 		top[s] = idx
 	}
 	return top
+}
+
+// fail breaks the log with err unless it is already broken, and returns
+// err.
+func (l *nodeLog) fail(err error) error {
+	l.mu.Lock()
+	if l.broken == nil {
+		l.broken = err
+	}
+	l.mu.Unlock()
+	return err
 }
 
 // err returns the sticky failure that broke the log, if any.

@@ -24,7 +24,11 @@ func encode(buf []byte, f frame) []byte {
 	for _, p := range f.parts {
 		buf = appendPart(buf, p.shard, p.index, p.writes)
 	}
-	return endRecord(buf, start)
+	buf, err := endRecord(buf, start)
+	if err != nil {
+		panic(err)
+	}
+	return buf
 }
 
 func appendAll(t *testing.T, l *nodeLog, frames ...frame) {

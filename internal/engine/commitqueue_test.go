@@ -20,7 +20,8 @@ type queueRig struct {
 }
 
 func newQueueRig(maxBatch int, log CommitLog) *queueRig {
-	r := &queueRig{s: Open(Config{CommitLog: log})}
+	r := &queueRig{s: Open(Config{})}
+	r.s.SetCommitLog(log)
 	r.q = NewCommitQueue([]*Store{r.s}, []int{0}, GroupCommit{Enabled: true, MaxBatch: maxBatch},
 		func() { r.flushes = append(r.flushes, nil) }, nil)
 	return r
@@ -189,7 +190,8 @@ func (l *overlapLog) Sync() error {
 // its verdict (an orphan would hang the test), and no two flushes overlap.
 func TestCommitQueueNeverOrphans(t *testing.T) {
 	const workers, rounds = 16, 200
-	s := Open(Config{CommitLog: &overlapLog{t: t}})
+	s := Open(Config{})
+	s.SetCommitLog(&overlapLog{t: t})
 	flushes, ran := 0, 0
 	q := NewCommitQueue([]*Store{s}, []int{0}, GroupCommit{Enabled: true, MaxBatch: 3}, func() { flushes++ }, nil)
 	var wg sync.WaitGroup

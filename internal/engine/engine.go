@@ -16,9 +16,9 @@
 // but one concurrent run is discarded.
 //
 // Commits coalesce in the store's commit queue (commitqueue.go), and every
-// install is appended to Config.CommitLog under the store latch — the
-// total commit order replication ships (internal/repl) — and crosses one
-// commit boundary before its verdict (commit.go). Layer map:
+// install is appended to the store's commit log (SetCommitLog) under the
+// store latch — the total commit order replication ships (internal/repl)
+// — and crosses one commit boundary before its verdict (commit.go). Layer map:
 // docs/ARCHITECTURE.md.
 package engine
 
@@ -79,12 +79,6 @@ type Config struct {
 	// finish while a flush is running commit together under one store-latch
 	// acquisition and one log sync when it completes. See commitqueue.go.
 	GroupCommit GroupCommit
-	// CommitLog, when non-nil, receives every installed write set under
-	// the store's commit latch — the store's total commit order, suitable
-	// for replication log shipping (internal/repl) and write-ahead
-	// logging (internal/durable). It can also be installed after Open
-	// with SetCommitLog, which recovery uses to replay history unlogged.
-	CommitLog CommitLog
 	// Metrics, when non-nil, receives hot-path observations (group-commit
 	// batch sizes and flush latency, speculative-shadow park waits,
 	// conflict-scan work). All fields must be populated. Each observation
@@ -170,9 +164,9 @@ type versioned struct {
 func Open(cfg Config) *Store {
 	s := &Store{
 		cfg:       cfg,
+		log:       nopLog{},
 		committed: make(map[string]versioned),
 	}
-	s.SetCommitLog(cfg.CommitLog)
 	s.queue = NewCommitQueue([]*Store{s}, []int{0}, cfg.GroupCommit, func() { s.stats.CommitBatches++ }, cfg.Metrics)
 	return s
 }

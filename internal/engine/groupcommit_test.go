@@ -72,7 +72,8 @@ func keysN(n int) []string {
 func TestGroupCommitCoalesces(t *testing.T) {
 	const n = 8
 	log := newStallLog()
-	s := Open(Config{CommitLog: log, GroupCommit: GroupCommit{Enabled: true, MaxBatch: 1 << 20}})
+	s := Open(Config{GroupCommit: GroupCommit{Enabled: true, MaxBatch: 1 << 20}})
+	s.SetCommitLog(log)
 	defer s.Close()
 	first := setAll(t, s, "first")
 	<-log.syncing // nothing to wait for: the lone commit is already at its boundary
@@ -107,7 +108,8 @@ func TestGroupCommitCoalesces(t *testing.T) {
 func TestGroupCommitMaxBatch(t *testing.T) {
 	const max = 4
 	log := newStallLog()
-	s := Open(Config{CommitLog: log, GroupCommit: GroupCommit{Enabled: true, MaxBatch: max}})
+	s := Open(Config{GroupCommit: GroupCommit{Enabled: true, MaxBatch: max}})
+	s.SetCommitLog(log)
 	defer s.Close()
 	first := setAll(t, s, "first")
 	<-log.syncing

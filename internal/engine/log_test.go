@@ -29,7 +29,8 @@ func (l *recLog) AppendCommit(rec CommitRecord) uint64 {
 // arrival order.
 func TestCommitLogOrderMatchesState(t *testing.T) {
 	log := &recLog{}
-	s := Open(Config{CommitLog: log})
+	s := Open(Config{})
+	s.SetCommitLog(log)
 	const workers, incs = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

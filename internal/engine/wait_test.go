@@ -171,7 +171,8 @@ func TestBeforeWaitCommitFollower(t *testing.T) {
 		if !durable {
 			cl = memStallLog{log}
 		}
-		s := Open(Config{CommitLog: cl, GroupCommit: GroupCommit{Enabled: true}})
+		s := Open(Config{GroupCommit: GroupCommit{Enabled: true}})
+		s.SetCommitLog(cl)
 		first := setAll(t, s, "first")
 		<-log.syncing
 		p := newHookProbe()
@@ -209,7 +210,8 @@ func (memStallLog) Durable() bool { return false }
 // hook has run.
 func TestBeforeWaitDurableBoundary(t *testing.T) {
 	log := newStallLog()
-	s := Open(Config{CommitLog: log, GroupCommit: GroupCommit{Enabled: true}})
+	s := Open(Config{GroupCommit: GroupCommit{Enabled: true}})
+	s.SetCommitLog(log)
 	defer s.Close()
 	p := newHookProbe()
 	done := make(chan error, 1)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/server/client"
-	"repro/internal/server/opts"
 	"repro/internal/stats"
 )
 
@@ -80,8 +79,7 @@ func NewResult() *Result {
 // admission uses, and clamped at zero like the server's conservation
 // ledger.
 func realizedValue(o client.TxOpts, elapsed time.Duration) float64 {
-	w := opts.T{Value: o.Value, Deadline: o.Deadline, Gradient: o.Gradient, Family: o.Family}
-	return max(0, w.Fn(0).At(elapsed.Seconds()))
+	return max(0, o.Fn(0).At(elapsed.Seconds()))
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

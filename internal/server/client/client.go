@@ -14,7 +14,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 	"unicode"
 	"unicode/utf8"
 
@@ -148,27 +147,10 @@ type Op struct {
 }
 
 // TxOpts carries the request's Def. 2 value function for admission
-// ordering and load shedding. The zero value means "worth 1, no deadline".
-type TxOpts struct {
-	Value    float64       // value added if committed by the deadline
-	Deadline time.Duration // relative soft deadline (0 = none)
-	Gradient float64       // value lost per second past it (0 = V/Deadline)
-	// Family selects the post-deadline value shape (the vf= token): the
-	// zero value is the linear decline; opts.FamilyCliff/Step/Renewal
-	// choose the scenario matrix's soft-deadline families.
-	Family opts.Family
-	// Trace asks the server for a lifecycle trace: the verdict reply's
-	// trace= token ("stage:ns,..." offsets from submit) is surfaced by
-	// UpdateResult.Trace and Txn.Trace.
-	Trace bool
-}
-
-// wire renders the options through the shared codec (internal/server/opts)
-// — the same encoder the server's parser is tested against.
-func (o TxOpts) wire() opts.T {
-	return opts.T{Value: o.Value, Deadline: o.Deadline, Gradient: o.Gradient,
-		Family: o.Family, Trace: o.Trace}
-}
+// ordering and load shedding: the options of the shared codec
+// (internal/server/opts), the same encoder the server's parser is tested
+// against. The zero value means "worth 1, no deadline".
+type TxOpts = opts.T
 
 // cutTrace splits a verdict reply body's trailing trace= token (present
 // only when the request asked for one) from the result fields.
@@ -208,7 +190,7 @@ func appendUpdate(b []byte, id uint64, ops []Op, o TxOpts) []byte {
 	for _, op := range ops {
 		n += len(" w::-9223372036854775808") + len(op.Key)
 	}
-	b = o.wire().Append(append(appendReq(slices.Grow(b, n), id), "UPD"...))
+	b = o.Append(append(appendReq(slices.Grow(b, n), id), "UPD"...))
 	for _, op := range ops {
 		if op.Write {
 			b = strconv.AppendInt(append(append(append(b, " w:"...), op.Key...), ':'), op.Delta, 10)

@@ -65,7 +65,7 @@ func (t *Txn) Trace() string { return t.trace }
 // Many Txns may run concurrently over one Mux: their TXN ops pipeline
 // on the shared connection.
 func (m *Mux) Begin(opts TxOpts) (*Txn, error) {
-	resp, err := m.call(func(b []byte) []byte { return opts.wire().Append(append(b, "TXN BEGIN"...)) })
+	resp, err := m.call(func(b []byte) []byte { return opts.Append(append(b, "TXN BEGIN"...)) })
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@
 // flushes of overlapping sets cannot deadlock. A side effect that
 // replication relies on: all installs into a shard, native or
 // cross-shard, happen under that shard's commit latch, so the shard's
-// commit log (engine.Config.CommitLog) is a single total order.
+// commit log (engine.Store.SetCommitLog) is a single total order.
 //
 // Crash atomicity. A commit whose writes span several shards mints one
 // epoch and hands the whole commit to its lowest participant's commit log
