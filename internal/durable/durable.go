@@ -98,6 +98,13 @@ type Stats struct {
 	Intents int64
 }
 
+// maxKeptBuf bounds the encode buffer a shard keeps for its next record.
+// Ordinary records are far smaller, so the steady state reuses one
+// buffer; a larger one — a durable replica's SNAP bootstrap is the whole
+// store in one record — is dropped after its write instead of pinning
+// its size for the life of the process.
+const maxKeptBuf = 64 << 10
+
 // sealedPerShard bounds the log's sealed segments at this many per shard
 // before the checkpointer goes after the shards that pin the oldest one.
 const sealedPerShard = 4
@@ -362,6 +369,9 @@ func (ms *managedShard) AppendCommit(c engine.CommitRecord) uint64 {
 	}
 	buf, err := endRecord(buf, 0)
 	ms.buf = buf
+	if cap(buf) > maxKeptBuf {
+		ms.buf = nil
+	}
 	if err == nil {
 		_, err = m.log.write(buf, parts, shipment{shard: ms.idx, rec: c})
 	} else {

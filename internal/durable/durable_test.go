@@ -648,6 +648,23 @@ func TestRecordOver64MiB(t *testing.T) {
 	closeAll(reopen(4))
 }
 
+// TestEncodeBufferShrinks: after a multi-MiB record a shard keeps no
+// encode buffer above maxKeptBuf, and after a small one it keeps the
+// small record's buffer.
+func TestEncodeBufferShrinks(t *testing.T) {
+	st, _, m := openStore(t, t.TempDir(), 1, Options{}, false)
+	defer m.Close()
+	defer st.Close()
+	put(t, st, "big", strings.Repeat("x", 4<<20), 0)
+	if c := cap(m.shards[0].buf); c > maxKeptBuf {
+		t.Fatalf("encode buffer cap %d after a 4 MiB record, want at most %d", c, maxKeptBuf)
+	}
+	put(t, st, "small", "1", 0)
+	if c := cap(m.shards[0].buf); c == 0 || c > maxKeptBuf {
+		t.Fatalf("encode buffer cap %d after a small record, want in (0, %d]", c, maxKeptBuf)
+	}
+}
+
 // TestLayout2Refused: a data directory of layout 2, whose checkpoints
 // had a format of their own, is refused at Open as an older build's.
 func TestLayout2Refused(t *testing.T) {

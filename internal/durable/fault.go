@@ -7,8 +7,9 @@
 //	                           exercising the sync-gated verdict and
 //	                           fail-stop paths
 //
-// The replica apply stall (SCC_FAULT_APPLY_DELAY_MS) lives in
-// internal/repl next to the apply loop it delays. The variable is parsed
+// The replica apply stall (SCC_FAULT_APPLY_DELAY_MS), paid once per
+// applied round, lives in internal/repl next to the apply loop it
+// delays. The variable is parsed
 // once at init and costs one atomic add per fsync when set; production
 // processes simply never set it.
 

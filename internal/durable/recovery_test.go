@@ -228,16 +228,16 @@ func TestFailedSyncNoOKVerdict(t *testing.T) {
 
 	t.Run("replica-apply", func(t *testing.T) {
 		st, _, onErr := newStore(t, engine.GroupCommit{})
-		err := st.ApplyReplicated(0, []map[string][]byte{{k0: []byte("3")}})
+		err := st.ApplyReplicated([]shard.Replicated{{Shards: []int{0}, Writes: []map[string][]byte{{k0: []byte("3")}}}})
 		wantSyncErr(t, "replica standalone apply", err, onErr)
 	})
 
 	t.Run("replica-apply-cross", func(t *testing.T) {
 		st, _, onErr := newStore(t, engine.GroupCommit{})
-		err := st.ApplyReplicatedCross([]int{0, 1}, []map[string][]byte{
+		err := st.ApplyReplicated([]shard.Replicated{{Shards: []int{0, 1}, Writes: []map[string][]byte{
 			{k0: []byte("4")},
 			{k1: []byte("4")},
-		})
+		}}})
 		wantSyncErr(t, "replica cross apply", err, onErr)
 	})
 }

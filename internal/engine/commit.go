@@ -1,7 +1,7 @@
 // The commit pipeline: the one place that knows what must be true
 // between an install and its verdict. Every path that installs writes —
 // a commit-queue flush (commitqueue.go: a store's own commits, and
-// internal/shard's cross-shard ones) and the two replica applies
+// internal/shard's cross-shard ones) and the replica apply
 // (internal/shard) — is a caller of Commit, which runs the paper's Commit
 // Rule as one staged batch:
 //

@@ -55,8 +55,8 @@ const (
 	// EvCheckpoint is a completed shard checkpoint; the epoch is the
 	// shard's watermark at capture.
 	EvCheckpoint = "checkpoint"
-	// EvReplApply is one replica apply batch; the epoch is the newest
-	// epoch installed by the batch, the shard its (first) shard.
+	// EvReplApply is one replica apply round; the epoch is the newest
+	// epoch installed by the round, the shard its first part's shard.
 	EvReplApply = "repl_apply"
 	// EvReplShed is a replica read shed by the lag gate.
 	EvReplShed = "repl_shed"

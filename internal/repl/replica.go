@@ -2,16 +2,15 @@
 // SNAP (or resume from a persisted position), subscribe once with REPL,
 // apply the pushed LOG parts in log order, and report progress with ACK.
 // Parts are applied in rounds — every part already buffered on the
-// connection — so a catching-up replica pays one latch acquisition per
-// shard per run of standalone parts, the same coalescing shape as the
-// primary's group commit.
+// connection — and a round is one shard.Store.ApplyReplicated: one latch
+// hold over the shards it touches and one local log sync, the same
+// coalescing shape as the primary's group commit.
 //
 // A round installs whole records only. A cross-shard commit's parts
-// arrive at consecutive positions, and the commit is installed through
-// ApplyReplicatedCross, under all its participants' latches, once every
-// part has been read; a record cut by the end of what is buffered waits
-// for the next round. After each round the replica's store therefore
-// equals the primary's after its first p parts, p being the position the
+// arrive at consecutive positions; a record cut by the end of what is
+// buffered waits for the next round. No reader sees part of a round, so
+// the replica's store equals the primary's after its first p parts at
+// every instant, p being a record boundary at or past the position the
 // replica acks: a prefix of one order, and a cross-shard commit is
 // visible on all of its shards or on none.
 
@@ -59,9 +58,9 @@ type ReplicaConfig struct {
 	// Metrics, when non-nil, receives apply-path observations. All
 	// fields must be populated.
 	Metrics *ReplicaMetrics
-	// Flight, when non-nil, receives one event per install — the replica
+	// Flight, when non-nil, receives one event per round — the replica
 	// half of the cross-node causal timeline: the event carries the
-	// install's newest commit epoch, so a merged flight dump joins it to
+	// round's newest commit epoch, so a merged flight dump joins it to
 	// the primary's events (fsync, WAL error) for the same epoch.
 	Flight *flight.Ring
 }
@@ -69,11 +68,11 @@ type ReplicaConfig struct {
 // ReplicaMetrics are the replica's instruments, registered by the
 // replica server in its obs registry.
 type ReplicaMetrics struct {
-	// ApplySeconds observes each install (latch hold + local commit-log
-	// sync).
+	// ApplySeconds observes each round's install (latch hold + local
+	// commit-log sync).
 	ApplySeconds *obs.Histogram
-	// ApplyBatch observes parts installed per latch hold — the
-	// replica-side coalescing win.
+	// ApplyBatch observes parts installed per round — the replica-side
+	// coalescing win.
 	ApplyBatch *obs.Histogram
 	// Resumes counts subscriptions resumed from a persisted position;
 	// Snapshots counts snapshot bootstraps. A restarting durable replica
@@ -117,10 +116,9 @@ const maxApplyBatch = 256
 // lag being measured, while the poll connection stays idle and current.
 const headInterval = 25 * time.Millisecond
 
-// faultApplyDelay stalls the replica's apply loop before each install —
-// a chaos hook (SCC_FAULT_APPLY_DELAY_MS) that widens the window in
-// which a half-applied cross-shard commit would be visible on a replica
-// that installed parts one at a time.
+// faultApplyDelay stalls the replica's apply loop before each round's
+// install — a chaos hook (SCC_FAULT_APPLY_DELAY_MS) that lets a backlog
+// build, so readers sample the replica mid catch-up.
 var faultApplyDelay = func() time.Duration {
 	if v := os.Getenv("SCC_FAULT_APPLY_DELAY_MS"); v != "" {
 		if ms, err := strconv.Atoi(v); err == nil && ms > 0 {
@@ -314,10 +312,9 @@ func (r *Replica) handshake(br *bufio.Reader) error {
 // subscribed yet, so the reply is not interleaved with pushes: an
 // "OK <pos> <epoch> <n>" header — the position and epoch watermark of
 // the cut — then the n pairs across SNAPKV lines. The pairs are routed to
-// their shards here and installed as one cross-store apply, through the
-// same pipeline as streamed records: all shards at once, native commit
-// visibility, and (on a durable or chaining replica) one record in the
-// local commit log.
+// their shards here and installed as one record through ApplyReplicated,
+// the call streamed rounds take: all shards at once, and (on a durable or
+// chaining replica) one record in the local commit log.
 func (r *Replica) bootstrap(br *bufio.Reader) error {
 	if _, err := fmt.Fprintf(r.w, "SNAP\n"); err != nil {
 		return err
@@ -362,17 +359,14 @@ func (r *Replica) bootstrap(br *bufio.Reader) error {
 			got++
 		}
 	}
-	var parts []int
-	var writes []map[string][]byte
+	var rec shard.Replicated
 	for s, w := range byShard {
 		if w != nil {
-			parts, writes = append(parts, s), append(writes, w)
+			rec.Shards, rec.Writes = append(rec.Shards, s), append(rec.Writes, w)
 		}
 	}
-	if len(parts) > 0 {
-		if err := r.store.ApplyReplicatedCross(parts, writes); err != nil {
-			return err
-		}
+	if err := r.store.ApplyReplicated([]shard.Replicated{rec}); err != nil {
+		return err
 	}
 	r.mu.Lock()
 	r.pos, r.epoch = pos, epoch
@@ -516,39 +510,45 @@ func (r *Replica) take(rec Record) error {
 	return nil
 }
 
-// apply installs every whole record of the round, in log order: a run of
-// standalone parts as one ApplyReplicated per shard, each cross-shard
-// record as one ApplyReplicatedCross. The parts of a record not yet read
-// whole stay for the next round. The new position is acknowledged, and
-// persisted, after the installs: an ack covers only applied records, and
-// on a durable replica only locally synced ones.
+// apply installs every whole record of the round, in log order, as one
+// ApplyReplicated: one latch hold over the round's shards and one local
+// log sync (after the chaos apply-delay stall, when set). The parts of a
+// record not yet read whole stay for the next round. The new position is
+// acknowledged, and persisted, after the install: an ack covers only
+// applied records, and on a durable replica only locally synced ones.
 func (r *Replica) apply() error {
 	n := len(r.batch) - r.open
 	if n == 0 {
 		return nil
 	}
 	recs := r.batch[:n]
-	var took time.Duration
-	for i, j := 0, 0; i < n; i = j {
-		var d time.Duration
-		var err error
-		if recs[i].Cross() {
-			j = i + len(recs[i].Shards)
-			d, err = r.installCross(recs[i:j])
-		} else {
-			for j = i + 1; j < n && !recs[j].Cross(); j++ {
-			}
-			d, err = r.installRun(recs[i:j])
-		}
-		if err != nil {
-			return err
-		}
-		took += d
-	}
-	epoch := uint64(0)
-	for _, rec := range recs {
+	// A record's parts arrive in ascending shard order and end with its
+	// last participant's, so its Shards and Writes are sub-slices of the
+	// round's, capped because a commit log retains them.
+	shards, writes := make([]int, n), make([]map[string][]byte, n)
+	var round []shard.Replicated
+	epoch, start := uint64(0), 0
+	for i, rec := range recs {
+		shards[i], writes[i] = rec.Shard, rec.Writes
 		epoch = max(epoch, rec.Epoch)
+		if !rec.Cross() || rec.Shard == rec.Shards[len(rec.Shards)-1] {
+			round = append(round, shard.Replicated{Shards: shards[start : i+1 : i+1], Writes: writes[start : i+1 : i+1]})
+			start = i + 1
+		}
 	}
+	if faultApplyDelay > 0 {
+		time.Sleep(faultApplyDelay)
+	}
+	t0 := time.Now()
+	if err := r.store.ApplyReplicated(round); err != nil {
+		return err
+	}
+	took := time.Since(t0)
+	if r.met != nil {
+		r.met.ApplySeconds.Observe(int64(took))
+		r.met.ApplyBatch.Observe(int64(n))
+	}
+	r.flight.Record(flight.EvReplApply, uint64(n), recs[0].Shard, epoch)
 	pos := recs[n-1].Index
 	r.batch = append(r.batch[:0], r.batch[n:]...)
 	r.mu.Lock()
@@ -562,63 +562,6 @@ func (r *Replica) apply() error {
 		return fmt.Errorf("repl: ack: %w", err)
 	}
 	return r.w.Flush()
-}
-
-// installRun installs a run of standalone parts, grouped per shard in
-// ascending shard order, each group under one latch hold.
-func (r *Replica) installRun(run []Record) (time.Duration, error) {
-	byShard := make([][]map[string][]byte, r.store.NumShards())
-	newest := make([]uint64, len(byShard))
-	for _, rec := range run {
-		byShard[rec.Shard] = append(byShard[rec.Shard], rec.Writes)
-		newest[rec.Shard] = rec.Epoch
-	}
-	var took time.Duration
-	for s, writes := range byShard {
-		if len(writes) == 0 {
-			continue
-		}
-		d, err := r.install(s, len(writes), newest[s], func() error { return r.store.ApplyReplicated(s, writes) })
-		if err != nil {
-			return 0, err
-		}
-		took += d
-	}
-	return took, nil
-}
-
-// installCross installs the parts of one cross-shard record under all
-// its participants' latches at once.
-func (r *Replica) installCross(parts []Record) (time.Duration, error) {
-	writes := make([]map[string][]byte, len(parts))
-	for k, rec := range parts {
-		writes[k] = rec.Writes
-	}
-	head := parts[0]
-	return r.install(head.Shard, len(parts), head.Epoch, func() error {
-		return r.store.ApplyReplicatedCross(head.Shards, writes)
-	})
-}
-
-// install runs one store install of n parts (with the chaos apply-delay
-// stall), observes its metrics and records its flight event, stamped
-// with the newest epoch installed (the cross-node join key; txn carries
-// the part count). It returns the time the install took.
-func (r *Replica) install(shard, n int, epoch uint64, fn func() error) (time.Duration, error) {
-	if faultApplyDelay > 0 {
-		time.Sleep(faultApplyDelay)
-	}
-	t0 := time.Now()
-	if err := fn(); err != nil {
-		return 0, err
-	}
-	took := time.Since(t0)
-	if r.met != nil {
-		r.met.ApplySeconds.Observe(int64(took))
-		r.met.ApplyBatch.Observe(int64(n))
-	}
-	r.flight.Record(flight.EvReplApply, uint64(n), shard, epoch)
-	return took, nil
 }
 
 // Position returns the primary position the replica has applied through

@@ -15,7 +15,23 @@ func streamReplica(t *testing.T, shards int) *Replica {
 	t.Helper()
 	st := shard.Open(shard.Config{Shards: shards})
 	t.Cleanup(st.Close)
+	return streamOver(st)
+}
+
+// streamOver is streamReplica over a store the caller built.
+func streamOver(st *shard.Store) *Replica {
 	return &Replica{store: st, w: bufio.NewWriter(io.Discard), next: 1}
+}
+
+// ApplyRound reads lines into a replica with no connection over st, as
+// one round, and applies it. Tests that need a durable store call it
+// from package repl_test, since internal/durable imports this package.
+func ApplyRound(st *shard.Store, lines ...string) error {
+	r := streamOver(st)
+	if err := r.read(lines...); err != nil {
+		return err
+	}
+	return r.apply()
 }
 
 // read consumes stream lines in order, stopping at the first error.

@@ -405,9 +405,9 @@ func (s *Server) statsLine() string {
 func (m *serverMetrics) replicaMetrics() *repl.ReplicaMetrics {
 	return &repl.ReplicaMetrics{
 		ApplySeconds: m.reg.NsHistogram("scc_repl_apply_seconds",
-			"Replica: one install's latch hold plus local commit-log sync."),
+			"Replica: one round's install, latch hold plus local commit-log sync."),
 		ApplyBatch: m.reg.Histogram("scc_repl_apply_batch",
-			"Replica: log parts installed per latch hold.", 0, 10, 1),
+			"Replica: log parts installed per round, under one latch hold and one sync.", 0, 10, 1),
 		Resumes: m.reg.Counter("scc_repl_resumes_total",
 			"Replica: subscriptions resumed from a persisted primary position."),
 		Snapshots: m.reg.Counter("scc_repl_snapshots_total",

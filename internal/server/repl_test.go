@@ -232,7 +232,7 @@ func TestReplicaIsAPrefix(t *testing.T) {
 		replay := shard.Open(shard.Config{Shards: 4})
 		defer replay.Close()
 		for _, rec := range recs[:pos] {
-			if err := replay.ApplyReplicated(rec.Shard, []map[string][]byte{rec.Writes}); err != nil {
+			if err := replay.ApplyReplicated([]shard.Replicated{{Shards: []int{rec.Shard}, Writes: []map[string][]byte{rec.Writes}}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -312,9 +312,9 @@ func TestReplicaLagAccounting(t *testing.T) {
 	shardOfX := rep.Store().ShardOf("x")
 	rc := dialRaw(t, repAddr)
 	for i := 1; i <= 5; i++ {
-		err := rep.Store().ApplyReplicated(shardOfX, []map[string][]byte{
+		err := rep.Store().ApplyReplicated([]shard.Replicated{{Shards: []int{shardOfX}, Writes: []map[string][]byte{
 			{"x": []byte(strconv.Itoa(i))},
-		})
+		}}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,8 @@ func (l *faultLog) Sync() error {
 // TestCommitBoundaryContract drives every caller of the engine's commit
 // pipeline — commit-queue flushes of one (per-commit), of a store's own
 // batch, and of a cross-shard batch with single- and multi-shard
-// installs, and both replica applies — against a failing commit log and
+// installs, and replica rounds of standalone, cross-shard and mixed
+// records — against a failing commit log and
 // against a tripped fence, and holds each to the same contract: the
 // writes are installed, every installed verdict of the batch is a
 // *engine.SyncError wrapping the cause, and a request of the same batch
@@ -176,12 +177,22 @@ func TestCommitBoundaryContract(t *testing.T) {
 			return outcome{installed: []error{err}, want: map[string]string{k0: "4", k1: "4"}, records: 1, epochs: 1}
 		}},
 		{name: "apply-replicated", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
-			err := s.ApplyReplicated(0, []map[string][]byte{{k0: []byte("5")}, {k0: []byte("6")}})
+			err := s.ApplyReplicated([]Replicated{one(0, k0, "5"), one(0, k0, "6")})
 			return outcome{installed: []error{err}, want: map[string]string{k0: "6"}, records: 2}
 		}},
 		{name: "apply-replicated-cross", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
-			err := s.ApplyReplicatedCross([]int{0, 1}, []map[string][]byte{{k0: []byte("7")}, {k1: []byte("7")}})
+			err := s.ApplyReplicated([]Replicated{{Shards: []int{0, 1}, Writes: []map[string][]byte{{k0: []byte("7")}, {k1: []byte("7")}}}})
 			return outcome{installed: []error{err}, want: map[string]string{k0: "7", k1: "7"}, records: 1, epochs: 1}
+		}},
+		{name: "apply-replicated-mixed", run: func(t *testing.T, s *Store, k0, k1 string) outcome {
+			// One round, one batch: standalone records on either side of a
+			// cross-shard one, installed in order.
+			err := s.ApplyReplicated([]Replicated{
+				one(0, k0, "8"),
+				{Shards: []int{0, 1}, Writes: []map[string][]byte{{k0: []byte("9")}, {k1: []byte("9")}}},
+				one(1, k1, "10"),
+			})
+			return outcome{installed: []error{err}, want: map[string]string{k0: "9", k1: "10"}, records: 3, epochs: 1}
 		}},
 	}
 	cause := errors.New("injected boundary failure")
@@ -234,6 +245,11 @@ func TestCommitBoundaryContract(t *testing.T) {
 			})
 		}
 	}
+}
+
+// one is a standalone replicated record: key=val on shard.
+func one(shard int, key, val string) Replicated {
+	return Replicated{Shards: []int{shard}, Writes: []map[string][]byte{{key: []byte(val)}}}
 }
 
 // keyOn returns a key owned by the given shard.

@@ -128,12 +128,18 @@ func TestCrossKeyList(t *testing.T) {
 		}},
 		{"replicated-parts-must-ascend", func(t *testing.T, s *Store, k keys) {
 			// The replica hands its parts over in the install shape, which
-			// Commit latches in order: any other order could deadlock.
+			// Commit latches in order: any other order could deadlock. A
+			// bad record fails the whole round before a record of it is
+			// installed.
 			w := []map[string][]byte{{k.a: bytes8(1)}, {k.b: bytes8(1)}}
+			first := Replicated{Shards: []int{s.ShardOf(k.u)}, Writes: []map[string][]byte{{k.u: bytes8(1)}}}
 			for _, parts := range [][]int{{1, 0}, {0, 0}, {0, 8}} {
-				if err := s.ApplyReplicatedCross(parts, w); err == nil {
-					t.Errorf("ApplyReplicatedCross(%v) = nil, want an error", parts)
+				if err := s.ApplyReplicated([]Replicated{first, {Shards: parts, Writes: w}}); err == nil {
+					t.Errorf("ApplyReplicated(%v) = nil, want an error", parts)
 				}
+			}
+			if _, ok := s.Get(k.u); ok {
+				t.Errorf("u installed by a round that failed its input check")
 			}
 		}},
 	}

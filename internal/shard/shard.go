@@ -427,42 +427,37 @@ func (s *Store) updateCross(c *crossTx, gate RetryGate, tr *obs.Trace, beforeWai
 	return nil, fmt.Errorf("shard: cross-shard transaction: %w", &engine.AttemptsError{Attempts: engine.MaxAttempts})
 }
 
-// ApplyReplicated installs a batch of replicated commit records on one
-// shard: one batch through the commit pipeline with no validation, each
-// record's writes applied in slice order through the same ApplyLocked
-// path cross-shard commits use, so replicated installs bump versions and
-// broadcast-abort exactly like native ones. This is the replica side of
-// log shipping (internal/repl); records must arrive in log order. The
-// replica's ACK covering these records follows this call, so an acked
-// record is a durable one on a durable replica — and a failed boundary
-// fails the apply before any ACK is cut.
-func (s *Store) ApplyReplicated(shard int, records []map[string][]byte) error {
-	if shard < 0 || shard >= len(s.shards) {
-		return fmt.Errorf("shard: ApplyReplicated to unknown shard %d of %d", shard, len(s.shards))
-	}
-	return engine.Commit(s.shards, []int{shard}, nil, func() {
-		for _, writes := range records {
-			s.shards[shard].ApplyLocked(writes, 0)
-		}
-	})
+// Replicated is one replicated commit record: Writes[j] is shard
+// Shards[j]'s part, Shards ascending. A standalone record has one part.
+type Replicated struct {
+	Shards []int
+	Writes []map[string][]byte
 }
 
-// ApplyReplicatedCross installs one replicated cross-shard commit:
-// writes[j] on shard parts[j], parts ascending, every part applied under
-// a single hold of all the participants' latches, so the commit becomes
-// visible all-shards-at-once exactly as it committed on the primary. On
-// a durable replica the parts are logged as one record like a native
-// cross-shard commit's (under a locally allocated epoch), so a replica
-// crash mid-apply also recovers all-or-nothing. The caller
-// (internal/repl's replica loop) calls it in the primary's commit order,
-// once it has read every part of the record.
-func (s *Store) ApplyReplicatedCross(parts []int, writes []map[string][]byte) error {
-	for j, idx := range parts {
-		if idx < 0 || idx >= len(s.shards) || (j > 0 && idx <= parts[j-1]) {
-			return fmt.Errorf("shard: ApplyReplicatedCross to shards %v, want ascending indices below %d", parts, len(s.shards))
+// ApplyReplicated installs a replica's round of records, in log order, as
+// one batch through the commit pipeline: one hold of the latches of every
+// shard the round touches, each record installed without validation by
+// installLocked — versions bump and local readers are broadcast-aborted as
+// for native commits, and a multi-shard record is logged as one record —
+// then one log sync. No reader sees part of a round, and the replica's ACK
+// for it follows the sync. Records come off the wire: a part on an
+// unknown shard, or parts out of ascending order, fail the whole round.
+func (s *Store) ApplyReplicated(recs []Replicated) error {
+	var latch []int
+	for _, rec := range recs {
+		for j, idx := range rec.Shards {
+			if idx < 0 || idx >= len(s.shards) || (j > 0 && idx <= rec.Shards[j-1]) {
+				return fmt.Errorf("shard: ApplyReplicated to shards %v, want ascending indices below %d", rec.Shards, len(s.shards))
+			}
 		}
+		latch = append(latch, rec.Shards...)
 	}
-	return engine.Commit(s.shards, parts, nil, func() { s.installLocked(parts, writes, 0, nil) })
+	slices.Sort(latch)
+	return engine.Commit(s.shards, slices.Compact(latch), nil, func() {
+		for _, rec := range recs {
+			s.installLocked(rec.Shards, rec.Writes, 0, nil)
+		}
+	})
 }
 
 // View runs fn as a serializable read-only transaction over the declared

@@ -12,10 +12,10 @@
 #   2. fsync failure — after N fsyncs every sync fails; the server must
 #      fail-stop (no OK verdict an unsynced WAL cannot back), and the
 #      restart must still hold every commit acked before the failure.
-#   3. stalled replica — a replica applying with an injected per-install
+#   3. stalled replica — a replica applying with an injected per-round
 #      stall is audited continuously while cross-shard load streams in:
 #      the replica holds a prefix of the primary's one commit order,
-#      applying each cross-shard record whole, so every replica read
+#      installing each round of whole records at once, so every replica read
 #      shows transfers all-shards-at-once and conservation holds
 #      mid-catch-up too.
 #
@@ -160,10 +160,11 @@ fi
 
 # ---- Round 3: stalled replica, audited mid-catch-up. ------------------
 # The primary from round 2 keeps serving. The replica applies with a
-# per-install stall, so it lags far behind while cross-shard transfers
-# stream in; every conservation sample taken against it mid-catch-up
-# must balance — the replica is always a prefix of the primary's commit
-# order, so no transfer surfaces on one shard before the other.
+# stall before each round, so it lags far behind while cross-shard
+# transfers stream in; every conservation sample taken against it
+# mid-catch-up must balance — a round installs under one latch hold, so
+# the replica is a prefix of the primary's commit order at every instant
+# and no transfer surfaces on one shard before the other.
 RUN_ID=7120
 echo "e2e-chaos: round 3: stalled replica under cross-shard load (run-id $RUN_ID)"
 SCC_FAULT_APPLY_DELAY_MS=2 "$SCRATCH/sccserve" -addr "$REPL_ADDR" -shards 8 \
