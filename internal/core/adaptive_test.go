@@ -117,3 +117,18 @@ func TestPriorityPolicyKeepsUrgentConflict(t *testing.T) {
 		t.Fatal("FIFO must ignore the later conflict")
 	}
 }
+
+// TestPolicyNamesDistinct: at one budget the three replacement policies
+// report three names, so a Priority run is never printed as LBFO's SCC-kS.
+func TestPolicyNamesDistinct(t *testing.T) {
+	for _, k := range []int{2, 3} {
+		seen := map[string]Policy{}
+		for _, p := range []Policy{LBFO, FIFO, Priority} {
+			name := NewKS(k, p).Name()
+			if q, dup := seen[name]; dup {
+				t.Fatalf("k=%d: policies %d and %d are both named %q", k, q, p, name)
+			}
+			seen[name] = p
+		}
+	}
+}

@@ -2,7 +2,9 @@
 // deferment on top of SCC-kS. Finished optimistic shadows do not commit
 // immediately; a Termination Rule weighs the value-added of committing now
 // against deferring, using transaction value functions and (for SCC-DC)
-// the shadow finish and adoption probabilities of Defs. 3-7.
+// the shadow finish and adoption probabilities of Defs. 3-7. It also
+// implements the evaluation's priority-cognizant baseline, WAIT-50, as a
+// deferral policy on OCC-BC.
 
 package core
 
@@ -22,8 +24,8 @@ type deferral interface {
 	onFinish(st *txnState)
 	// onCommitted is invoked after any commit (waiters may now proceed).
 	onCommitted(id model.TxnID)
-	// cancel is invoked when a finished shadow is aborted by a
-	// higher-value commit: its transaction resumed executing.
+	// cancel is invoked when a commit aborts a finished shadow: its
+	// transaction resumed executing from a promoted shadow or restarted.
 	cancel(st *txnState)
 }
 
@@ -462,6 +464,94 @@ func (v *VW) shouldCommit(st *txnState) bool {
 		}
 	}
 	return ci > 0.5
+}
+
+// ---------------------------------------------------------------------------
+// WAIT-50
+// ---------------------------------------------------------------------------
+
+// Wait50 is Haritsa's 50 % rule wait control [Hari90a] on OCC-BC
+// (broadcast commit, [Mena82, Robi82]): a finished transaction checks the
+// set of transactions its commit would restart; while at least half of
+// them have higher (EDF) priority it waits instead of committing. While
+// it waits it stays vulnerable: a conflicter that commits first restarts
+// it like any other reader of its writes.
+type Wait50 struct {
+	c       *SCC
+	waiting map[model.TxnID]*txnState
+	// evaluating guards against re-entrant sweeps: a commit inside the
+	// sweep triggers onCommitted, which would start another.
+	evaluating bool
+}
+
+// NewWait50 returns WAIT-50: OCC-BC (SCC-kS with k = 1) extended with the
+// 50 % rule.
+func NewWait50() *SCC {
+	c := NewKS(1, LBFO)
+	c.defr = &Wait50{waiting: make(map[model.TxnID]*txnState)}
+	c.name = "WAIT-50"
+	return c
+}
+
+func (w *Wait50) attach(c *SCC) { w.c = c }
+
+func (w *Wait50) onFinish(st *txnState) {
+	if !w.mustWait(st) {
+		w.c.rt.Commit(st.opt)
+		return
+	}
+	w.waiting[st.t.ID] = st
+	w.c.rt.Metrics.CommitWaits++
+}
+
+// onCommitted re-evaluates the waiters, committing the first (in
+// ActiveIDs order) whose wait has cleared until none can commit: each
+// commit restarts its readers and reshapes the others' conflict sets.
+func (w *Wait50) onCommitted(id model.TxnID) {
+	delete(w.waiting, id)
+	if w.evaluating {
+		return
+	}
+	w.evaluating = true
+	defer func() { w.evaluating = false }()
+	for w.commitFirstReady() {
+	}
+}
+
+func (w *Wait50) commitFirstReady() bool {
+	for _, id := range w.c.rt.ActiveIDs() {
+		if st, ok := w.waiting[id]; ok && !w.mustWait(st) {
+			delete(w.waiting, id)
+			w.c.rt.Commit(st.opt)
+			return true
+		}
+	}
+	return false
+}
+
+func (w *Wait50) cancel(st *txnState) { delete(w.waiting, st.t.ID) }
+
+// mustWait applies the 50 % rule to finished st. Its conflict set is the
+// active transactions whose optimistic shadow read a page st wrote (those
+// its commit would restart); st waits while that set is non-empty and at
+// least half of it has higher priority.
+func (w *Wait50) mustWait(st *txnState) bool {
+	ws := st.opt.Log.WritePages()
+	if len(ws) == 0 {
+		return false
+	}
+	conflicts, higher := 0, 0
+	for _, id := range w.c.rt.ActiveIDs() {
+		o := w.c.txns[id]
+		if id == st.t.ID || o == nil || o.opt.Log.FirstReadOfAny(ws) < 0 {
+			continue
+		}
+		conflicts++
+		if o.t.HigherPriority(st.t) {
+			higher++
+		}
+	}
+	return conflicts > 0 && 2*higher >= conflicts
 }
 
 func sortedKeys(m map[model.TxnID]*txnState) []model.TxnID {

@@ -1,4 +1,4 @@
-package occ
+package core
 
 // Hand-built schedules for the WAIT-50 rule and OCC-BC broadcast commit,
 // mirroring the paper's Fig. 1(b) and Haritsa's wait-control examples.
@@ -7,47 +7,16 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/rtdbs"
-	"repro/internal/sim"
-	"repro/internal/workload"
 )
-
-type scenario struct {
-	rt *rtdbs.Runtime
-}
-
-func newScenario(ccm rtdbs.CCM) *scenario {
-	return &scenario{rt: rtdbs.New(rtdbs.Config{
-		Workload:      workload.Baseline(1, 1),
-		Target:        100,
-		CheckReads:    true,
-		RecordHistory: true,
-	}, ccm)}
-}
-
-func (s *scenario) admitAt(at float64, id model.TxnID, deadline float64, opTime float64, ops []model.Op) {
-	cl := &model.Class{
-		Name: "occ", NumOps: len(ops), MeanOpTime: opTime,
-		SlackFactor: 2, Value: 100, PenaltyPerSlack: 1, Frequency: 1,
-	}
-	tx := &model.Txn{
-		ID: id, Class: cl, Arrival: sim.Time(at), Deadline: sim.Time(deadline),
-		Ops: ops, OpTime: opTime,
-	}
-	s.rt.K.At(sim.Time(at), func() { s.rt.Admit(tx) })
-}
-
-func rd(p model.PageID) model.Op { return model.Op{Page: p} }
-func wr(p model.PageID) model.Op { return model.Op{Page: p, Write: true} }
 
 // TestFig1bBroadcastRestart: the paper's Fig. 1(b): T2 read x before T1's
 // commit; when T1 commits, T2 is restarted IMMEDIATELY (not at its own
 // validation) and re-reads the new version.
 func TestFig1bBroadcastRestart(t *testing.T) {
-	s := newScenario(NewBC())
-	s.admitAt(0, 1, 100, 1.0, []model.Op{wr(1), wr(2)})        // commits at 2.0
-	s.admitAt(0, 2, 100, 1.5, []model.Op{rd(1), rd(3), rd(4)}) // reads x at 1.5
-	s.rt.K.Run()
+	s := scenarioOf(t, NewOCCBC())
+	s.admitBy(0, 1, 100, 1.0, []model.Op{w(1), w(2)})       // commits at 2.0
+	s.admitBy(0, 2, 100, 1.5, []model.Op{r(1), r(3), r(4)}) // reads x at 1.5
+	s.finish()
 	m := s.rt.Metrics
 	if m.Restarts != 1 {
 		t.Fatalf("restarts = %d, want exactly 1 (broadcast at T1's commit)", m.Restarts)
@@ -76,14 +45,14 @@ func TestFig1bBroadcastRestart(t *testing.T) {
 // conflict set has higher priority, so it waits; when the conflicting
 // transaction commits first, the waiter (stale) restarts.
 func TestWait50DefersForHigherPriorityMajority(t *testing.T) {
-	s := newScenario(NewWait50())
+	s := scenarioOf(t, NewWait50())
 	// T1: loose deadline, writes page 1, finishes first (at 2.0).
-	s.admitAt(0, 1, 100, 1.0, []model.Op{wr(1), wr(2)})
+	s.admitBy(0, 1, 100, 1.0, []model.Op{w(1), w(2)})
 	// T2: tight deadline (higher priority), READS page 1 at 1.5, still
 	// running when T1 validates -> T1's conflict set = {T2}, 100% higher
 	// priority -> T1 waits.
-	s.admitAt(0, 2, 8, 1.5, []model.Op{rd(1), rd(3), rd(4)})
-	s.rt.K.Run()
+	s.admitBy(0, 2, 8, 1.5, []model.Op{r(1), r(3), r(4)})
+	s.finish()
 	m := s.rt.Metrics
 	if m.CommitWaits != 1 {
 		t.Fatalf("commit waits = %d, want 1 (T1 deferred)", m.CommitWaits)
@@ -104,12 +73,12 @@ func TestWait50DefersForHigherPriorityMajority(t *testing.T) {
 // TestWait50CommitsAgainstLowerPriorityMinority: conflicters are lower
 // priority, so the validator commits at once and restarts them.
 func TestWait50CommitsAgainstLowerPriorityMinority(t *testing.T) {
-	s := newScenario(NewWait50())
+	s := scenarioOf(t, NewWait50())
 	// T1: TIGHT deadline, writes page 1, finishes at 2.0.
-	s.admitAt(0, 1, 5, 1.0, []model.Op{wr(1), wr(2)})
+	s.admitBy(0, 1, 5, 1.0, []model.Op{w(1), w(2)})
 	// T2: loose deadline, reads page 1 before T1 commits.
-	s.admitAt(0, 2, 100, 1.5, []model.Op{rd(1), rd(3), rd(4)})
-	s.rt.K.Run()
+	s.admitBy(0, 2, 100, 1.5, []model.Op{r(1), r(3), r(4)})
+	s.finish()
 	m := s.rt.Metrics
 	if m.CommitWaits != 0 {
 		t.Fatalf("commit waits = %d, want 0 (validator outranks its conflict set)", m.CommitWaits)
@@ -129,10 +98,10 @@ func TestWait50CommitsAgainstLowerPriorityMinority(t *testing.T) {
 // TestWait50NoConflictCommitsImmediately: an unconflicted validator never
 // waits regardless of priorities.
 func TestWait50NoConflictCommitsImmediately(t *testing.T) {
-	s := newScenario(NewWait50())
-	s.admitAt(0, 1, 100, 1.0, []model.Op{wr(1)})
-	s.admitAt(0, 2, 5, 1.0, []model.Op{rd(2), rd(3)})
-	s.rt.K.Run()
+	s := scenarioOf(t, NewWait50())
+	s.admitBy(0, 1, 100, 1.0, []model.Op{w(1)})
+	s.admitBy(0, 2, 5, 1.0, []model.Op{r(2), r(3)})
+	s.finish()
 	if s.rt.Metrics.CommitWaits != 0 {
 		t.Fatalf("unconflicted validator waited")
 	}

@@ -1,25 +1,17 @@
-package occ
+package core
+
+// OCC-BC and WAIT-50, the optimistic baselines of the evaluation, built
+// on this runtime with k = 1.
 
 import (
 	"testing"
 
 	"repro/internal/rtdbs"
-	"repro/internal/workload"
 )
-
-func cfg(rate float64, seed int64, target int) rtdbs.Config {
-	return rtdbs.Config{
-		Workload:      workload.Baseline(rate, seed),
-		Target:        target,
-		Warmup:        20,
-		CheckReads:    true,
-		RecordHistory: true,
-	}
-}
 
 func TestBCSerializable(t *testing.T) {
 	for _, rate := range []float64{40, 120} {
-		res := rtdbs.Run(cfg(rate, 1, 400), NewBC())
+		res := rtdbs.Run(cfg(rate, 1, 400), NewOCCBC())
 		if res.Truncated {
 			t.Fatalf("rate %v: truncated", rate)
 		}
@@ -33,15 +25,15 @@ func TestBCSerializable(t *testing.T) {
 }
 
 func TestBCDeterministic(t *testing.T) {
-	a := rtdbs.Run(cfg(80, 3, 300), NewBC())
-	b := rtdbs.Run(cfg(80, 3, 300), NewBC())
+	a := rtdbs.Run(cfg(80, 3, 300), NewOCCBC())
+	b := rtdbs.Run(cfg(80, 3, 300), NewOCCBC())
 	if *a.Metrics != *b.Metrics {
 		t.Fatalf("nondeterministic OCC-BC:\n%+v\n%+v", a.Metrics, b.Metrics)
 	}
 }
 
 func TestBCRestartsUnderContention(t *testing.T) {
-	res := rtdbs.Run(cfg(150, 2, 300), NewBC())
+	res := rtdbs.Run(cfg(150, 2, 300), NewOCCBC())
 	if res.Metrics.Restarts == 0 {
 		t.Fatal("expected restarts at high load")
 	}
@@ -51,7 +43,7 @@ func TestBCRestartsUnderContention(t *testing.T) {
 }
 
 func TestBCLowLoadFewMisses(t *testing.T) {
-	res := rtdbs.Run(cfg(10, 4, 300), NewBC())
+	res := rtdbs.Run(cfg(10, 4, 300), NewOCCBC())
 	if mr := res.Metrics.MissedRatio(); mr > 5 {
 		t.Fatalf("missed ratio at 10 tps = %v%%, want near zero", mr)
 	}
@@ -100,7 +92,7 @@ func TestWait50TardinessBeatsBCAtModerateLoad(t *testing.T) {
 	// tardiness than OCC-BC at low/moderate loads. Use matched seeds.
 	var bcT, wT float64
 	for seed := int64(1); seed <= 3; seed++ {
-		bc := rtdbs.Run(cfg(100, seed, 400), NewBC())
+		bc := rtdbs.Run(cfg(100, seed, 400), NewOCCBC())
 		w50 := rtdbs.Run(cfg(100, seed, 400), NewWait50())
 		bcT += bc.Metrics.AvgTardiness()
 		wT += w50.Metrics.AvgTardiness()

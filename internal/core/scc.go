@@ -18,6 +18,10 @@
 // SCC-DC and SCC-VW (Sec. 3) plug in as deferral policies: finished
 // optimistic shadows wait for a value-cognizant Termination Rule instead
 // of committing immediately; see defer.go.
+//
+// The optimistic baselines of the evaluation run on the same runtime:
+// OCC-BC is SCC-kS with k = 1 (NewOCCBC), and WAIT-50 is OCC-BC with
+// Haritsa's 50 % wait rule as a third deferral policy (NewWait50).
 package core
 
 import (
@@ -66,7 +70,7 @@ type txnState struct {
 	opt   *rtdbs.Shadow
 	specs map[model.TxnID]*spec
 	// finished marks an optimistic shadow awaiting a deferred commit
-	// (SCC-DC / SCC-VW).
+	// (SCC-DC / SCC-VW / WAIT-50).
 	finished bool
 }
 
@@ -106,14 +110,17 @@ type SCC struct {
 
 // NewKS returns an SCC-kS manager allowing at most k shadows per
 // transaction (one optimistic + k-1 speculative). k must be >= 1; k = 1
-// degenerates to OCC-BC with restarts.
+// degenerates to OCC-BC with restarts (NewOCCBC).
 func NewKS(k int, policy Policy) *SCC {
 	if k < 1 {
 		panic("core: k must be >= 1")
 	}
 	name := fmt.Sprintf("SCC-%dS", k)
-	if policy == FIFO {
+	switch policy {
+	case FIFO:
 		name += "-FIFO"
+	case Priority:
+		name += "-PRIO"
 	}
 	return &SCC{
 		k: k, policy: policy, name: name,
@@ -140,6 +147,17 @@ func NewTwoShadow() *SCC {
 func NewCB() *SCC {
 	c := NewKS(1<<30, LBFO)
 	c.name = "SCC-CB"
+	return c
+}
+
+// NewOCCBC returns OCC-BC, broadcast-commit OCC with forward validation
+// [Mena82, Robi82], the variant Haritsa showed superior for firm-deadline
+// RTDBS: SCC-kS with k = 1. Transactions run free; a finished one
+// commits at once, and every running transaction that read a page it
+// wrote restarts right then rather than at its own validation.
+func NewOCCBC() *SCC {
+	c := NewKS(1, LBFO)
+	c.name = "OCC-BC"
 	return c
 }
 

@@ -106,18 +106,13 @@ func TestSCCBeatsOCCOnMissedRatio(t *testing.T) {
 			t.Fatal("SCC truncated")
 		}
 		sccMiss += scc.Metrics.MissedRatio()
-		occR := rtdbs.Run(cfg(140, seed, 400), newBCForComparison())
+		occR := rtdbs.Run(cfg(140, seed, 400), NewOCCBC())
 		occMiss += occR.Metrics.MissedRatio()
 	}
 	if sccMiss >= occMiss {
 		t.Fatalf("SCC-2S missed %.1f%% vs OCC-BC %.1f%% (summed over seeds): speculation gave no benefit", sccMiss/3, occMiss/3)
 	}
 }
-
-// newBCForComparison builds OCC-BC semantics out of SCC-kS with k=1: the
-// protocols coincide exactly (forward validation + restart), which keeps
-// the comparison free of incidental implementation differences.
-func newBCForComparison() *SCC { return NewKS(1, LBFO) }
 
 // TestRestartsReducedByK: more speculative shadows -> fewer from-scratch
 // restarts (Sec. 2.1: k trades resources for timeliness).

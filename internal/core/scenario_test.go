@@ -20,7 +20,12 @@ type scenario struct {
 }
 
 func newScenario(t *testing.T, k int, policy Policy) *scenario {
-	c := NewKS(k, policy)
+	return scenarioOf(t, NewKS(k, policy))
+}
+
+// scenarioOf drives c, with invariant checking on, over hand-built
+// transactions.
+func scenarioOf(t *testing.T, c *SCC) *scenario {
 	c.SelfCheck = true
 	cfg := rtdbs.Config{
 		Workload:      workload.Baseline(1, 1),
@@ -31,15 +36,22 @@ func newScenario(t *testing.T, k int, policy Policy) *scenario {
 	return &scenario{t: t, c: c, rt: rtdbs.New(cfg, c)}
 }
 
-// admitAt schedules a hand-built transaction.
+// admitAt schedules a hand-built transaction with a deadline far enough
+// out not to matter.
 func (s *scenario) admitAt(at float64, id model.TxnID, opTime float64, ops []model.Op) *model.Txn {
+	return s.admitBy(at, id, at+1000, opTime, ops)
+}
+
+// admitBy schedules a hand-built transaction with the given deadline,
+// which sets its EDF priority.
+func (s *scenario) admitBy(at float64, id model.TxnID, deadline, opTime float64, ops []model.Op) *model.Txn {
 	cl := &model.Class{
 		Name: "scenario", NumOps: len(ops), MeanOpTime: opTime,
 		SlackFactor: 2, Value: 100, PenaltyPerSlack: 1, Frequency: 1,
 	}
 	tx := &model.Txn{
 		ID: id, Class: cl, Arrival: sim.Time(at),
-		Deadline: sim.Time(at + 1000),
+		Deadline: sim.Time(deadline),
 		Ops:      ops, OpTime: opTime,
 	}
 	s.rt.K.At(sim.Time(at), func() { s.rt.Admit(tx) })

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/occ"
 	"repro/internal/pcc"
 	"repro/internal/plot"
 	"repro/internal/rtdbs"
@@ -37,8 +36,8 @@ var protocols = []struct {
 	new  func() rtdbs.CCM
 }{
 	{"2PL-PA", func() rtdbs.CCM { return pcc.New() }},
-	{"OCC-BC", func() rtdbs.CCM { return occ.NewBC() }},
-	{"WAIT-50", func() rtdbs.CCM { return occ.NewWait50() }},
+	{"OCC-BC", func() rtdbs.CCM { return core.NewOCCBC() }},
+	{"WAIT-50", func() rtdbs.CCM { return core.NewWait50() }},
 	{"SCC-2S", func() rtdbs.CCM { return core.NewTwoShadow() }},
 	{"SCC-CB", func() rtdbs.CCM { return core.NewCB() }},
 	// Ration redundancy by worth: high-value classes get 4 shadows,

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -62,24 +63,30 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestQuickSweepShape runs a scaled-down fig13a and checks the structural
-// properties of the output: all series present, all rates sampled, and the
-// headline ordering (SCC-2S <= OCC-BC missed ratio at the top rate).
+// TestQuickSweepShape runs every registered experiment at a tiny scale
+// and checks the structure of its output: one series per protocol, each
+// sampled at every rate, and a table and chart that name them. fig13a
+// then runs larger for the headline ordering (SCC-2S <= OCC-BC missed
+// ratio at the top rate).
 func TestQuickSweepShape(t *testing.T) {
-	e := Experiments()["fig13a"]
+	reg := Experiments()
+	for _, id := range ExperimentIDs() {
+		t.Run(id, func(t *testing.T) {
+			e := reg[id]
+			e.Rates = []float64{e.Rates[0], e.Rates[len(e.Rates)-1]}
+			e.Target, e.Warmup, e.Seeds = 40, 5, 1
+			checkSweepShape(t, e.Run(false))
+		})
+	}
+
+	e := reg["fig13a"]
 	// Shrink further than quick mode for test speed.
 	e.Rates = []float64{20, 120}
 	e.Target, e.Warmup, e.Seeds = 250, 25, 2
 	res := e.Run(false)
-
-	if len(res.Series) != 4 {
-		t.Fatalf("series = %d, want 4", len(res.Series))
-	}
+	checkSweepShape(t, res)
 	byName := map[string][]Point{}
 	for _, s := range res.Series {
-		if len(s.Points) != 2 {
-			t.Fatalf("%s has %d points", s.Protocol, len(s.Points))
-		}
 		byName[s.Protocol] = s.Points
 	}
 	scc := byName["SCC-2S"][1].Est.Mean
@@ -93,16 +100,38 @@ func TestQuickSweepShape(t *testing.T) {
 			t.Fatalf("%s: missed ratio fell with load (%.2f -> %.2f)", name, pts[0].Est.Mean, pts[1].Est.Mean)
 		}
 	}
+}
 
-	tbl := res.Table()
-	for _, want := range []string{"fig13a", "SCC-2S", "2PL-PA", "120"} {
-		if !strings.Contains(tbl, want) {
-			t.Fatalf("table missing %q:\n%s", want, tbl)
+// checkSweepShape checks that res has one series per protocol of its
+// experiment, in order, each with a point per rate, and that its table
+// and chart name the experiment, every protocol, the top rate and the
+// y label.
+func checkSweepShape(t *testing.T, res Result) {
+	t.Helper()
+	e := res.Exp
+	if len(res.Series) != len(e.Protos) {
+		t.Fatalf("%s: series = %d, want %d", e.ID, len(res.Series), len(e.Protos))
+	}
+	tbl, chart := res.Table(), res.Chart()
+	for i, s := range res.Series {
+		if s.Protocol != e.Protos[i].Name {
+			t.Fatalf("%s: series %d is %s, want %s", e.ID, i, s.Protocol, e.Protos[i].Name)
+		}
+		if len(s.Points) != len(e.Rates) {
+			t.Fatalf("%s: %s has %d points, want %d", e.ID, s.Protocol, len(s.Points), len(e.Rates))
+		}
+		if !strings.Contains(tbl, s.Protocol) {
+			t.Fatalf("%s: table missing %q:\n%s", e.ID, s.Protocol, tbl)
 		}
 	}
-	chart := res.Chart()
-	if !strings.Contains(chart, "Missed Ratio") {
-		t.Fatalf("chart missing y label:\n%s", chart)
+	top := fmt.Sprintf("%.0f", e.Rates[len(e.Rates)-1])
+	for _, want := range []string{e.ID, e.YLabel, top} {
+		if !strings.Contains(tbl, want) {
+			t.Fatalf("%s: table missing %q:\n%s", e.ID, want, tbl)
+		}
+	}
+	if !strings.Contains(chart, e.YLabel) {
+		t.Fatalf("%s: chart missing y label %q:\n%s", e.ID, e.YLabel, chart)
 	}
 }
 
@@ -135,6 +164,31 @@ func TestSecondaryQuick(t *testing.T) {
 	tbl := SecondaryTable(rows, 100)
 	if !strings.Contains(tbl, "SCC-2S") || !strings.Contains(tbl, "p-aborts") {
 		t.Fatalf("secondary table malformed:\n%s", tbl)
+	}
+}
+
+// TestResourceAblationQuick: a scarce server pool makes every protocol
+// miss at least as many deadlines as the paper's infinite resources, and
+// the table gives one row per pool size, the infinite one as "inf".
+func TestResourceAblationQuick(t *testing.T) {
+	rows := ResourceAblation(50, []int{0, 15}, true)
+	if len(rows) != 6 {
+		t.Fatalf("rows = %d, want 2 pool sizes x 3 protocols", len(rows))
+	}
+	for i, r := range rows[:3] {
+		scarce := rows[3+i]
+		if r.Servers != 0 || scarce.Servers != 15 || scarce.Protocol != r.Protocol {
+			t.Fatalf("row order: %+v then %+v", r, scarce)
+		}
+		if scarce.MissedRatio < r.MissedRatio {
+			t.Fatalf("%s missed %.1f%% with 15 servers, %.1f%% with infinite ones",
+				r.Protocol, scarce.MissedRatio, r.MissedRatio)
+		}
+	}
+	tbl := ResourceTable(rows, 50)
+	inf, scarce := strings.Index(tbl, "\ninf "), strings.Index(tbl, "\n15 ")
+	if inf < 0 || scarce < inf || !strings.Contains(tbl, "OCC-BC") {
+		t.Fatalf("resource table malformed:\n%s", tbl)
 	}
 }
 

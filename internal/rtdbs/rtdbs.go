@@ -280,9 +280,6 @@ func (rt *Runtime) ActiveIDs() []model.TxnID {
 // NumActive returns the size of the active set.
 func (rt *Runtime) NumActive() int { return len(rt.active) }
 
-// Version returns the committed version (last committed writer) of a page.
-func (rt *Runtime) Version(p model.PageID) model.TxnID { return rt.version[p] }
-
 // Spawn creates a shadow for t starting at op index startOp with the given
 // inherited access log (nil for an empty log). The shadow is created
 // parked so the CCM can attach protocol data (e.g. a block point) first;

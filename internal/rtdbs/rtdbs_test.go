@@ -9,7 +9,7 @@ import (
 )
 
 // testOCC is a minimal broadcast-commit OCC used to exercise the runtime
-// mechanics; the real protocol lives in internal/occ.
+// mechanics; the real protocol is internal/core's NewOCCBC.
 type testOCC struct {
 	rt     *Runtime
 	shadow map[model.TxnID]*Shadow
@@ -27,28 +27,13 @@ func (c *testOCC) OnArrival(t *model.Txn) {
 func (c *testOCC) CanProceed(*Shadow) bool { return true }
 func (c *testOCC) OnOpDone(*Shadow)        {}
 func (c *testOCC) OnFinish(sh *Shadow)     { c.rt.Commit(sh) }
-func (c *testOCC) OnCommitted(t *model.Txn, _ *Shadow) {
+func (c *testOCC) OnCommitted(t *model.Txn, committed *Shadow) {
 	delete(c.shadow, t.ID)
-	ws := make([]model.PageID, 0, 8)
-	// The committed transaction's writes are already installed; find
-	// survivors that read any of those pages and restart them.
+	// Restart every survivor that read a page the committer wrote.
+	ws := committed.Log.WritePages()
 	for _, id := range c.rt.ActiveIDs() {
-		st := c.rt.State(id)
-		sh := c.shadow[id]
-		if sh == nil || sh.Aborted() {
-			continue
-		}
-		_ = st
-		stale := false
-		for _, obs := range sh.Log.Reads() {
-			if c.rt.Version(obs.Page) != obs.Version {
-				stale = true
-				break
-			}
-		}
-		_ = ws
-		if stale {
-			c.shadow[id] = c.rt.Restart(st.Txn)
+		if sh := c.shadow[id]; sh != nil && !sh.Aborted() && sh.Log.FirstReadOfAny(ws) >= 0 {
+			c.shadow[id] = c.rt.Restart(sh.Txn)
 		}
 	}
 }
