@@ -31,8 +31,6 @@ var keptExports = map[string]string{
 		"TestOBShadowCountPaperExample (Fig. 3), TestOBFactorialGrowth",
 	"repro/internal/core.CBLiveShadowBound":  "SCC-CB's Sec. 2 live-shadow bound: TestCBBoundsLinearAndQuadratic, TestOBvsCBProperty",
 	"repro/internal/core.CBTotalShadowBound": "SCC-CB's Sec. 2 total-shadow bound: TestCBBoundsLinearAndQuadratic, TestOBvsCBProperty",
-	"repro/internal/rtdbs.Runtime.NumActive": "observes the live-shadow invariant: TestCBRespectsLiveBound; " +
-		"the randomized schedules in core's fuzz test report a wedge with it",
 	"repro/internal/sim.Kernel.RunUntil": "steps the paper's figure schedules to exact instants: " +
 		"TestFig4DonorFork through TestFig8CommitRuleCase2, TestRunUntil",
 	"repro/internal/server/client.Mux.Update": "blocking one-transaction UPD round trip: TestInvalidKeysNeverReachTheWire checks it; " +

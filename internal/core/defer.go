@@ -9,7 +9,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -45,22 +45,15 @@ func execDist(cl *model.Class) value.ExecDist {
 // in either direction (they read st's writes, or st read theirs), sorted.
 func (c *SCC) conflictSet(st *txnState) []model.TxnID {
 	r := st.t.ID
-	seen := map[model.TxnID]struct{}{}
-	for _, p := range c.regWrites[r] {
-		for id := range c.readers[p] {
-			if id != r && c.txns[id] != nil {
-				seen[id] = struct{}{}
+	ids := c.appendReaders(nil, st.opt.Log.WritePages(), r)
+	for _, obs := range st.opt.Log.Reads() {
+		for _, h := range c.writers[obs.Page] {
+			if h.id != r {
+				ids = append(ids, h.id)
 			}
 		}
 	}
-	for _, p := range c.regReads[r] {
-		for id := range c.writers[p] {
-			if id != r && c.txns[id] != nil {
-				seen[id] = struct{}{}
-			}
-		}
-	}
-	return sortedIDs(seen)
+	return distinct(ids)
 }
 
 // ---------------------------------------------------------------------------
@@ -82,13 +75,13 @@ type DC struct {
 	c       *SCC
 	Delta   float64 // Termination Rule period (seconds)
 	Eps     float64 // horizon tolerance (default 0.01)
-	pending map[model.TxnID]*txnState
+	pending []*txnState
 }
 
 // NewDC returns SCC-kS extended with the SCC-DC Termination Rule.
 func NewDC(k int, delta float64) *SCC {
 	c := NewKS(k, LBFO)
-	c.defr = &DC{Delta: delta, Eps: 0.01, pending: make(map[model.TxnID]*txnState)}
+	c.defr = &DC{Delta: delta, Eps: 0.01}
 	c.name = "SCC-DC"
 	return c
 }
@@ -106,20 +99,19 @@ func (d *DC) tickLoop() {
 }
 
 func (d *DC) onFinish(st *txnState) {
-	d.pending[st.t.ID] = st
+	d.pending = insert(d.pending, st)
 	d.c.rt.Metrics.CommitWaits++
 	// Commits happen only at clock ticks ("they wait at least until the
 	// next periodic invocation of the Termination Rule").
 }
 
-func (d *DC) onCommitted(id model.TxnID) { delete(d.pending, id) }
-func (d *DC) cancel(st *txnState)        { delete(d.pending, st.t.ID) }
+func (d *DC) onCommitted(id model.TxnID) { d.pending = remove(d.pending, id) }
+func (d *DC) cancel(st *txnState)        { d.pending = remove(d.pending, st.t.ID) }
 
 // terminationRule is invoked at each tick.
 func (d *DC) terminationRule() {
 	now := float64(d.c.rt.K.Now())
 	for {
-		committed := false
 		// Adoption probabilities and conflict sets are recomputed once
 		// per sweep, not once per pending transaction: the fixed point is
 		// global and the sweep restarts after every commit anyway.
@@ -140,19 +132,12 @@ func (d *DC) terminationRule() {
 		// set has no transaction still executing, waiting cannot produce
 		// the commit V_later assumes; commit the most valuable such
 		// transaction.
-		var stalled *txnState
-		for _, id := range sortedKeys(d.pending) {
-			st, ok := d.pending[id]
-			if !ok || !st.finished {
-				delete(d.pending, id)
-				continue
-			}
-			conf := confOf(id)
+		var pick, stalled *txnState
+		for _, st := range d.pending {
+			conf := confOf(st.t.ID)
 			if len(conf) == 0 || d.commitNowWins(st, conf, pO, confOf, now) {
-				delete(d.pending, id)
-				d.c.rt.Commit(st.opt)
-				committed = true
-				break // commit reshapes every conflict set; rescan
+				pick = st
+				break
 			}
 			allFinished := true
 			for _, cid := range conf {
@@ -166,14 +151,15 @@ func (d *DC) terminationRule() {
 				stalled = st
 			}
 		}
-		if !committed && stalled != nil {
-			delete(d.pending, stalled.t.ID)
-			d.c.rt.Commit(stalled.opt)
-			committed = true
+		if pick == nil {
+			pick = stalled
 		}
-		if !committed {
+		if pick == nil {
 			return
 		}
+		// The commit reshapes every conflict set; rescan.
+		d.pending = remove(d.pending, pick.t.ID)
+		d.c.rt.Commit(pick.opt)
 	}
 }
 
@@ -190,9 +176,6 @@ func (d *DC) adoptionForCached(now float64, confOf func(model.TxnID) []model.Txn
 	for iter := 0; iter < 3; iter++ {
 		for _, id := range ids {
 			st := d.c.txns[id]
-			if st == nil {
-				continue
-			}
 			conf := confOf(id)
 			vs := make([]float64, len(conf))
 			ps := make([]float64, len(conf))
@@ -226,7 +209,7 @@ func (d *DC) shadowStates(st *txnState, pO map[model.TxnID]float64, confOf func(
 		Finished: st.finished,
 	}}
 	for i, cid := range conf {
-		sp := st.specs[cid]
+		sp := st.spec(cid)
 		if sp == nil {
 			continue // unaccounted conflict: no shadow carries its mass
 		}
@@ -287,7 +270,7 @@ func (d *DC) commitNowWins(st *txnState, conf []model.TxnID, pO map[model.TxnID]
 		var after []value.ShadowState
 		if f < 0 {
 			after = d.shadowStates(ist, pO, confOf, now)
-		} else if sp := ist.specs[u.ID]; sp != nil && sp.sh.NextOp <= f {
+		} else if sp := ist.spec(u.ID); sp != nil && sp.sh.NextOp <= f {
 			after = []value.ShadowState{{Executed: sp.sh.EstExecutedTime(), Adoption: 1}}
 		} else {
 			after = []value.ShadowState{{Executed: 0, Adoption: 1}}
@@ -310,16 +293,13 @@ func (d *DC) commitNowWins(st *txnState, conf []model.TxnID, pO map[model.TxnID]
 type VW struct {
 	c       *SCC
 	Delta   float64 // re-evaluation period for parked waiters
-	pending map[model.TxnID]*txnState
-	// evaluating guards against re-entrant sweeps: a commit inside
-	// evaluateAll triggers onCommitted, which calls evaluateAll again.
-	evaluating bool
+	pending []*txnState
 }
 
 // NewVW returns SCC-kS extended with the SCC-VW Termination Rule.
 func NewVW(k int, delta float64) *SCC {
 	c := NewKS(k, LBFO)
-	c.defr = &VW{Delta: delta, pending: make(map[model.TxnID]*txnState)}
+	c.defr = &VW{Delta: delta}
 	c.name = "SCC-VW"
 	return c
 }
@@ -331,7 +311,7 @@ func (v *VW) attach(c *SCC) {
 
 func (v *VW) tickLoop() {
 	v.c.rt.K.After(sim.Time(v.Delta), func() {
-		v.evaluateAll()
+		v.c.sweep(&v.pending, v.shouldCommit)
 		v.tickLoop()
 	})
 }
@@ -343,45 +323,17 @@ func (v *VW) onFinish(st *txnState) {
 		v.c.rt.Commit(st.opt)
 		return
 	}
-	v.pending[st.t.ID] = st
+	v.pending = insert(v.pending, st)
 	v.c.rt.Metrics.CommitWaits++
 }
 
+// onCommitted re-runs the vote for the parked waiters.
 func (v *VW) onCommitted(id model.TxnID) {
-	delete(v.pending, id)
-	v.evaluateAll()
+	v.pending = remove(v.pending, id)
+	v.c.sweep(&v.pending, v.shouldCommit)
 }
 
-func (v *VW) cancel(st *txnState) { delete(v.pending, st.t.ID) }
-
-// evaluateAll re-runs the vote for every parked waiter until none can
-// commit (each commit changes the conflict sets of the rest).
-func (v *VW) evaluateAll() {
-	if v.evaluating {
-		return
-	}
-	v.evaluating = true
-	defer func() { v.evaluating = false }()
-	for {
-		committed := false
-		for _, id := range sortedKeys(v.pending) {
-			st, ok := v.pending[id]
-			if !ok || !st.finished {
-				delete(v.pending, id)
-				continue
-			}
-			if v.shouldCommit(st) {
-				delete(v.pending, id)
-				v.c.rt.Commit(st.opt)
-				committed = true
-				break
-			}
-		}
-		if !committed {
-			return
-		}
-	}
-}
+func (v *VW) cancel(st *txnState) { v.pending = remove(v.pending, st.t.ID) }
 
 // shouldCommit computes the commit indicator CI_u (Defs. 8-10).
 func (v *VW) shouldCommit(st *txnState) bool {
@@ -434,8 +386,8 @@ func (v *VW) shouldCommit(st *txnState) bool {
 		case f < 0:
 			// T_i did not read u's writes; its optimistic shadow survives.
 			sigmaUI = ist.opt.EstExecutedTime()
-		case ist.specs[u.ID] != nil && ist.specs[u.ID].sh.NextOp <= f:
-			sigmaUI = ist.specs[u.ID].sh.EstExecutedTime()
+		case ist.spec(u.ID) != nil && ist.spec(u.ID).sh.NextOp <= f:
+			sigmaUI = ist.spec(u.ID).sh.EstExecutedTime()
 		default:
 			sigmaUI = 0 // restart from scratch
 		}
@@ -448,7 +400,7 @@ func (v *VW) shouldCommit(st *txnState) bool {
 			later = now
 		}
 		var vLater float64
-		if sp := st.specs[cid]; sp != nil {
+		if sp := st.spec(cid); sp != nil {
 			// u has a shadow for the conflict with T_i: T_i's commit
 			// aborts u's finished shadow; u resumes from the fork.
 			ecu := u.Class.MeanExec()
@@ -478,17 +430,14 @@ func (v *VW) shouldCommit(st *txnState) bool {
 // it like any other reader of its writes.
 type Wait50 struct {
 	c       *SCC
-	waiting map[model.TxnID]*txnState
-	// evaluating guards against re-entrant sweeps: a commit inside the
-	// sweep triggers onCommitted, which would start another.
-	evaluating bool
+	waiting []*txnState
 }
 
 // NewWait50 returns WAIT-50: OCC-BC (SCC-kS with k = 1) extended with the
 // 50 % rule.
 func NewWait50() *SCC {
 	c := NewKS(1, LBFO)
-	c.defr = &Wait50{waiting: make(map[model.TxnID]*txnState)}
+	c.defr = &Wait50{}
 	c.name = "WAIT-50"
 	return c
 }
@@ -500,65 +449,52 @@ func (w *Wait50) onFinish(st *txnState) {
 		w.c.rt.Commit(st.opt)
 		return
 	}
-	w.waiting[st.t.ID] = st
+	w.waiting = insert(w.waiting, st)
 	w.c.rt.Metrics.CommitWaits++
 }
 
-// onCommitted re-evaluates the waiters, committing the first (in
-// ActiveIDs order) whose wait has cleared until none can commit: each
-// commit restarts its readers and reshapes the others' conflict sets.
+// onCommitted commits the waiters whose wait has cleared.
 func (w *Wait50) onCommitted(id model.TxnID) {
-	delete(w.waiting, id)
-	if w.evaluating {
-		return
-	}
-	w.evaluating = true
-	defer func() { w.evaluating = false }()
-	for w.commitFirstReady() {
-	}
+	w.waiting = remove(w.waiting, id)
+	w.c.sweep(&w.waiting, func(st *txnState) bool { return !w.mustWait(st) })
 }
 
-func (w *Wait50) commitFirstReady() bool {
-	for _, id := range w.c.rt.ActiveIDs() {
-		if st, ok := w.waiting[id]; ok && !w.mustWait(st) {
-			delete(w.waiting, id)
-			w.c.rt.Commit(st.opt)
-			return true
-		}
-	}
-	return false
-}
-
-func (w *Wait50) cancel(st *txnState) { delete(w.waiting, st.t.ID) }
+func (w *Wait50) cancel(st *txnState) { w.waiting = remove(w.waiting, st.t.ID) }
 
 // mustWait applies the 50 % rule to finished st. Its conflict set is the
 // active transactions whose optimistic shadow read a page st wrote (those
 // its commit would restart); st waits while that set is non-empty and at
 // least half of it has higher priority.
 func (w *Wait50) mustWait(st *txnState) bool {
-	ws := st.opt.Log.WritePages()
-	if len(ws) == 0 {
-		return false
-	}
-	conflicts, higher := 0, 0
-	for _, id := range w.c.rt.ActiveIDs() {
-		o := w.c.txns[id]
-		if id == st.t.ID || o == nil || o.opt.Log.FirstReadOfAny(ws) < 0 {
-			continue
-		}
-		conflicts++
-		if o.t.HigherPriority(st.t) {
+	ids := distinct(w.c.appendReaders(nil, st.opt.Log.WritePages(), st.t.ID))
+	higher := 0
+	for _, id := range ids {
+		if w.c.txns[id].t.HigherPriority(st.t) {
 			higher++
 		}
 	}
-	return conflicts > 0 && 2*higher >= conflicts
+	return len(ids) > 0 && 2*higher >= len(ids)
 }
 
-func sortedKeys(m map[model.TxnID]*txnState) []model.TxnID {
-	ids := make([]model.TxnID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
+// sweep commits the first waiter (in ID order) that ready accepts until
+// none does: each commit restarts its readers and reshapes the others'
+// conflict sets. A commit inside the sweep re-enters through the
+// deferral's onCommitted, which must not start a second sweep.
+func (c *SCC) sweep(waiting *[]*txnState, ready func(*txnState) bool) {
+	if c.sweeping {
+		return
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	c.sweeping = true
+	defer func() { c.sweeping = false }()
+next:
+	for {
+		for i, st := range *waiting {
+			if ready(st) {
+				*waiting = slices.Delete(*waiting, i, i+1)
+				c.rt.Commit(st.opt)
+				continue next
+			}
+		}
+		return
+	}
 }

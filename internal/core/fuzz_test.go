@@ -75,8 +75,8 @@ func runRandomSchedule(t *testing.T, mk func() *SCC, txns []rawTxn) bool {
 	// RunUntil, not Run: the deferred protocols' Termination-Rule tick
 	// loops keep the event queue nonempty forever.
 	rt.K.RunUntil(500)
-	if rt.NumActive() != 0 {
-		t.Logf("schedule wedged: %d transactions never finished", rt.NumActive())
+	if len(rt.ActiveIDs()) != 0 {
+		t.Logf("schedule wedged: %d transactions never finished", len(rt.ActiveIDs()))
 		return false
 	}
 	if rt.History().Len() != admitted {

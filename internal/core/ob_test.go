@@ -110,7 +110,7 @@ func (b *boundCheckCCM) OnOpDone(sh *rtdbs.Shadow) {
 	// briefly outlive its conflict's evidence (the writer rolled back to
 	// an earlier prefix) but never the conflicting transaction itself, so
 	// the active population bounds the shadow set.
-	nActive := b.SCC.rt.NumActive()
+	nActive := len(b.SCC.rt.ActiveIDs())
 	for id, st := range b.SCC.txns {
 		if len(st.specs) > nActive-1 {
 			b.t.Fatalf("txn %d holds %d speculative shadows with only %d other active transactions",

@@ -25,8 +25,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/rtdbs"
@@ -66,23 +67,60 @@ type spec struct {
 
 // txnState is the protocol state of one active transaction.
 type txnState struct {
-	t     *model.Txn
-	opt   *rtdbs.Shadow
-	specs map[model.TxnID]*spec
+	t   *model.Txn
+	opt *rtdbs.Shadow
+	// specs are the speculative shadows, ordered by the transaction they
+	// wait for; waiters are the transactions with a speculative shadow
+	// waiting for this one.
+	specs   []*spec
+	waiters []*txnState
 	// finished marks an optimistic shadow awaiting a deferred commit
 	// (SCC-DC / SCC-VW / WAIT-50).
 	finished bool
 }
 
-// sortedSpecs returns the transaction's speculative shadows ordered by the
-// transaction they wait for (deterministic iteration).
-func (st *txnState) sortedSpecs() []*spec {
-	out := make([]*spec, 0, len(st.specs))
-	for _, sp := range st.specs {
-		out = append(out, sp)
+// spec returns st's speculative shadow waiting for u, or nil.
+func (st *txnState) spec(u model.TxnID) *spec {
+	if i, ok := find(st.specs, u); ok {
+		return st.specs[i]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].waitFor < out[j].waitFor })
-	return out
+	return nil
+}
+
+// holder is one transaction in a page's reader or writer list; at is the
+// op index of its first read of the page (readers only).
+type holder struct {
+	id model.TxnID
+	at int
+}
+
+// keyed is an element of a list kept in ascending TxnID order. Every set
+// the protocols walk is such a list, so the simulator breaks its ties by
+// TxnID without sorting.
+type keyed interface{ key() model.TxnID }
+
+func (h holder) key() model.TxnID     { return h.id }
+func (sp *spec) key() model.TxnID     { return sp.waitFor }
+func (st *txnState) key() model.TxnID { return st.t.ID }
+
+func find[E keyed](s []E, id model.TxnID) (int, bool) {
+	return slices.BinarySearchFunc(s, id, func(e E, id model.TxnID) int { return cmp.Compare(e.key(), id) })
+}
+
+// insert adds e to s unless s already holds its key.
+func insert[E keyed](s []E, e E) []E {
+	i, ok := find(s, e.key())
+	if ok {
+		return s
+	}
+	return slices.Insert(s, i, e)
+}
+
+func remove[E keyed](s []E, id model.TxnID) []E {
+	if i, ok := find(s, id); ok {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
 }
 
 // SCC is the SCC-kS concurrency control manager, optionally extended with
@@ -96,12 +134,14 @@ type SCC struct {
 	name   string
 
 	txns map[model.TxnID]*txnState
-	// readers/writers index the pages read/written by current optimistic
-	// shadows of uncommitted transactions.
-	readers   map[model.PageID]map[model.TxnID]struct{}
-	writers   map[model.PageID]map[model.TxnID]struct{}
-	regReads  map[model.TxnID][]model.PageID
-	regWrites map[model.TxnID][]model.PageID
+	// readers and writers are the conflict index: for every page, the
+	// uncommitted transactions whose optimistic shadow read or wrote it.
+	// It holds exactly the pages of each optimistic shadow's log, and is
+	// indexed by PageID: OnOpDone grows it to every page an optimistic
+	// shadow executes, and every shadow's log holds only such pages.
+	readers, writers [][]holder
+	// sweeping is set while a deferral's commit sweep runs (see sweep).
+	sweeping bool
 
 	// SelfCheck enables protocol invariant verification after every hook;
 	// a violation panics. Used by tests.
@@ -124,11 +164,7 @@ func NewKS(k int, policy Policy) *SCC {
 	}
 	return &SCC{
 		k: k, policy: policy, name: name,
-		txns:      make(map[model.TxnID]*txnState),
-		readers:   make(map[model.PageID]map[model.TxnID]struct{}),
-		writers:   make(map[model.PageID]map[model.TxnID]struct{}),
-		regReads:  make(map[model.TxnID][]model.PageID),
-		regWrites: make(map[model.TxnID][]model.PageID),
+		txns: make(map[model.TxnID]*txnState),
 	}
 }
 
@@ -210,7 +246,7 @@ func ValueRationedK(threshold float64, kHigh, kLow int) func(*model.Txn) int {
 
 // Start Rule: create the optimistic shadow.
 func (c *SCC) OnArrival(t *model.Txn) {
-	st := &txnState{t: t, specs: make(map[model.TxnID]*spec)}
+	st := &txnState{t: t}
 	c.txns[t.ID] = st
 	st.opt = c.rt.Spawn(t, 0, nil)
 	c.rt.Kick(st.opt)
@@ -241,38 +277,32 @@ func (c *SCC) OnOpDone(sh *rtdbs.Shadow) {
 	r := sh.Txn.ID
 	op := sh.Txn.Ops[sh.NextOp-1]
 	idx := sh.NextOp - 1
+	for int(op.Page) >= len(c.readers) {
+		c.readers, c.writers = append(c.readers, nil), append(c.writers, nil)
+	}
 	if op.Write {
-		c.registerWrite(r, op.Page)
+		c.writers[op.Page] = insert(c.writers[op.Page], holder{id: r})
 		// Write Rule: a write-after-read conflict develops for every
-		// uncommitted transaction whose optimistic shadow read this page.
-		for _, rid := range sortedIDs(c.readers[op.Page]) {
-			if rid == r {
-				continue
-			}
-			rst := c.txns[rid]
-			if rst == nil {
-				continue
-			}
-			if i := rst.opt.Log.FirstReadIndex(op.Page); i >= 0 {
-				c.newConflict(rst, r, i, false)
+		// uncommitted transaction whose optimistic shadow read this page,
+		// blocked before its first read of it.
+		for _, h := range c.readers[op.Page] {
+			if h.id != r {
+				c.newConflict(c.txns[h.id], r, h.at, false)
 			}
 		}
 	} else {
-		c.registerRead(r, op.Page)
+		c.readers[op.Page] = insert(c.readers[op.Page], holder{r, idx})
 		// Read Rule: a read-after-write conflict develops with every
 		// uncommitted transaction that wrote this page.
-		for _, wid := range sortedIDs(c.writers[op.Page]) {
-			if wid == r {
-				continue
-			}
-			if c.txns[wid] != nil {
-				c.newConflict(st, wid, idx, true)
+		for _, h := range c.writers[op.Page] {
+			if h.id != r {
+				c.newConflict(st, h.id, idx, true)
 			}
 		}
 	}
 	// The optimistic shadow advanced: parked speculative shadows may now
 	// replay one more operation.
-	for _, sp := range st.sortedSpecs() {
+	for _, sp := range st.specs {
 		c.rt.Kick(sp.sh)
 	}
 	c.selfCheck()
@@ -284,7 +314,7 @@ func (c *SCC) OnOpDone(sh *rtdbs.Shadow) {
 // that just completed and the optimistic shadow's pre-read state is still
 // available as a zero-cost fork point.
 func (c *SCC) newConflict(st *txnState, u model.TxnID, i int, fromRead bool) {
-	if sp := st.specs[u]; sp != nil {
+	if sp := st.spec(u); sp != nil {
 		if sp.blockAt <= i {
 			return // an earlier block point already covers this conflict
 		}
@@ -310,7 +340,7 @@ func (c *SCC) newConflict(st *txnState, u model.TxnID, i int, fromRead bool) {
 			return
 		}
 		var lowest *spec
-		for _, sp := range st.sortedSpecs() {
+		for _, sp := range st.specs {
 			wst := c.txns[sp.waitFor]
 			if wst == nil {
 				continue
@@ -328,7 +358,7 @@ func (c *SCC) newConflict(st *txnState, u model.TxnID, i int, fromRead bool) {
 	// LBFO (Fig. 6): replace the shadow with the latest block point if the
 	// new conflict blocks earlier.
 	var latest *spec
-	for _, sp := range st.sortedSpecs() {
+	for _, sp := range st.specs {
 		if latest == nil || sp.blockAt > latest.blockAt {
 			latest = sp
 		}
@@ -351,7 +381,7 @@ func (c *SCC) createSpec(st *txnState, u model.TxnID, i int, fromRead bool) {
 		sh = c.rt.ForkPrefix(st.opt, i)
 	} else {
 		var donor *spec
-		for _, sp := range st.sortedSpecs() {
+		for _, sp := range st.specs {
 			if sp.sh.NextOp <= i && (donor == nil || sp.sh.NextOp > donor.sh.NextOp) {
 				donor = sp
 			}
@@ -364,11 +394,8 @@ func (c *SCC) createSpec(st *txnState, u model.TxnID, i int, fromRead bool) {
 	}
 	sp := &spec{sh: sh, st: st, waitFor: u, blockAt: i}
 	sh.PD = sp
-	st.specs[u] = sp
-	if c.SelfCheck && sh.NextOp > st.opt.NextOp {
-		panic(fmt.Sprintf("core: createSpec txn %d waitFor %d: new spec NextOp %d > opt NextOp %d (i=%d, opt sid %d)",
-			st.t.ID, u, sh.NextOp, st.opt.NextOp, i, st.opt.SID))
-	}
+	st.specs = insert(st.specs, sp)
+	c.txns[u].waiters = insert(c.txns[u].waiters, st)
 	c.rt.Metrics.ShadowForks++
 	// The fork may need to run up to its block point (or is parked there);
 	// schedule it.
@@ -377,8 +404,17 @@ func (c *SCC) createSpec(st *txnState, u model.TxnID, i int, fromRead bool) {
 
 func (c *SCC) abortSpec(st *txnState, sp *spec) {
 	c.rt.AbortShadow(sp.sh)
-	delete(st.specs, sp.waitFor)
+	c.dropSpec(st, sp)
 	c.rt.Metrics.ShadowAborts++
+}
+
+// dropSpec removes sp from st's speculative shadows and st from the
+// waiters of the transaction sp waits for.
+func (c *SCC) dropSpec(st *txnState, sp *spec) {
+	st.specs = remove(st.specs, sp.waitFor)
+	if w := c.txns[sp.waitFor]; w != nil {
+		w.waiters = remove(w.waiters, st.t.ID)
+	}
 }
 
 // OnFinish: without a deferral policy the optimistic shadow validates and
@@ -404,11 +440,22 @@ func (c *SCC) OnFinish(sh *rtdbs.Shadow) {
 // scratch if none survives.
 func (c *SCC) OnCommitted(t *model.Txn, committed *rtdbs.Shadow) {
 	u := t.ID
-	c.unregister(u)
+	ust := c.txns[u]
+	c.unindex(u, committed.Log)
+	for len(ust.specs) > 0 {
+		c.dropSpec(ust, ust.specs[0])
+	}
 	delete(c.txns, u)
 	ws := committed.Log.WritePages()
 
-	for _, rid := range c.rt.ActiveIDs() {
+	// The transactions the commit touches are those that read a page u
+	// wrote and those speculating on u's commit. Adoption and restart
+	// change the index, so walk a copy.
+	ids := c.appendReaders(nil, ws, u)
+	for _, w := range ust.waiters {
+		ids = append(ids, w.t.ID)
+	}
+	for _, rid := range distinct(ids) {
 		st := c.txns[rid]
 		if st == nil {
 			continue
@@ -418,12 +465,12 @@ func (c *SCC) OnCommitted(t *model.Txn, committed *rtdbs.Shadow) {
 			// No materialized conflict. A shadow speculating on u's
 			// commit is now pointless: the optimistic shadow already
 			// embodies the serialization order u -> r.
-			if sp := st.specs[u]; sp != nil {
+			if sp := st.spec(u); sp != nil {
 				c.abortSpec(st, sp)
 			}
 			continue
 		}
-		c.adoptOrRestart(st, u, ws, f)
+		c.adoptOrRestart(st, u, f)
 	}
 	if c.defr != nil {
 		c.defr.onCommitted(u)
@@ -432,15 +479,15 @@ func (c *SCC) OnCommitted(t *model.Txn, committed *rtdbs.Shadow) {
 }
 
 // adoptOrRestart replaces st's invalidated optimistic shadow after the
-// commit of u, whose write set ws was first read by the optimistic shadow
-// at op index f.
-func (c *SCC) adoptOrRestart(st *txnState, u model.TxnID, ws []model.PageID, f int) {
-	// A shadow is valid iff its executed prefix read none of ws. f is the
-	// first read of any ws page in the optimistic log, every live shadow
+// commit of u, whose write set the optimistic shadow first read at op
+// index f.
+func (c *SCC) adoptOrRestart(st *txnState, u model.TxnID, f int) {
+	// A shadow is valid iff its executed prefix read none of u's writes.
+	// f is the first such read in the optimistic log, every live shadow
 	// executes the same op list, and the optimistic shadow has the
 	// furthest progress — so validity is exactly NextOp <= f.
 	var best *spec
-	for _, sp := range st.sortedSpecs() {
+	for _, sp := range st.specs {
 		if sp.sh.NextOp > f {
 			continue
 		}
@@ -450,9 +497,8 @@ func (c *SCC) adoptOrRestart(st *txnState, u model.TxnID, ws []model.PageID, f i
 			best = sp
 		}
 	}
-	wasFinished := st.finished
-	st.finished = false
-	if c.defr != nil && wasFinished {
+	if st.finished {
+		st.finished = false
 		c.defr.cancel(st)
 	}
 
@@ -460,9 +506,9 @@ func (c *SCC) adoptOrRestart(st *txnState, u model.TxnID, ws []model.PageID, f i
 		// Commit Rule, degenerate case: no valid shadow (the conflict was
 		// unaccounted and everything is exposed) — restart from scratch.
 		for len(st.specs) > 0 {
-			c.abortSpec(st, st.sortedSpecs()[0])
+			c.abortSpec(st, st.specs[0])
 		}
-		c.unregister(st.t.ID)
+		c.unindex(st.t.ID, st.opt.Log)
 		st.opt = c.rt.Restart(st.t)
 		return
 	}
@@ -470,9 +516,10 @@ func (c *SCC) adoptOrRestart(st *txnState, u model.TxnID, ws []model.PageID, f i
 	// Promotion (Commit Rule cases 1 and 2): the best valid shadow
 	// becomes the new optimistic shadow and resumes from its block point.
 	c.rt.Metrics.Promotions++
-	delete(st.specs, best.waitFor)
+	c.dropSpec(st, best)
 	best.sh.PD = nil
-	c.rt.AbortShadow(st.opt)
+	old := st.opt
+	c.rt.AbortShadow(old)
 	st.opt = best.sh
 
 	// Shadows that read past f exposed themselves to ws; abort them. A
@@ -480,105 +527,80 @@ func (c *SCC) adoptOrRestart(st *txnState, u model.TxnID, ws []model.PageID, f i
 	// Survivors may hold an in-flight operation issued while the old
 	// (further-along) optimistic shadow was current; park them so they
 	// re-gate against the promoted shadow's progress.
-	for _, sp := range st.sortedSpecs() {
+	for i := 0; i < len(st.specs); {
+		sp := st.specs[i]
 		if sp.sh.NextOp > f || sp.waitFor == u {
 			c.abortSpec(st, sp)
 			continue
 		}
 		c.rt.Park(sp.sh)
 		c.rt.Kick(sp.sh)
+		i++
 	}
 
 	// Reindex from the new optimistic log and re-run conflict detection
 	// over its inherited prefix: conflicts past the promoted shadow's
 	// progress evaporated with the old optimistic shadow; conflicts within
 	// the prefix may need (re-)covering.
-	c.reindex(st)
+	c.reindex(st, old)
 	c.rebuildConflicts(st)
 	c.rt.Kick(st.opt)
-	if c.SelfCheck {
-		for _, sp := range st.sortedSpecs() {
-			if sp.sh.NextOp > st.opt.NextOp {
-				panic(fmt.Sprintf("core: post-promotion txn %d: spec for %d NextOp %d > opt NextOp %d (f=%d, best sid %d)",
-					st.t.ID, sp.waitFor, sp.sh.NextOp, st.opt.NextOp, f, st.opt.SID))
+}
+
+// unindex removes the pages log read and wrote from id's index entries.
+func (c *SCC) unindex(id model.TxnID, log *model.AccessLog) {
+	for _, obs := range log.Reads() {
+		c.readers[obs.Page] = remove(c.readers[obs.Page], id)
+	}
+	for _, p := range log.WritePages() {
+		c.writers[p] = remove(c.writers[p], id)
+	}
+}
+
+// reindex moves st's index entries from the replaced optimistic shadow
+// old to its new one.
+func (c *SCC) reindex(st *txnState, old *rtdbs.Shadow) {
+	id := st.t.ID
+	c.unindex(id, old.Log)
+	for _, obs := range st.opt.Log.Reads() {
+		c.readers[obs.Page] = insert(c.readers[obs.Page], holder{id, obs.OpIndex})
+	}
+	for _, p := range st.opt.Log.WritePages() {
+		c.writers[p] = insert(c.writers[p], holder{id: id})
+	}
+}
+
+// appendReaders appends to dst every transaction other than self that
+// read one of pages, in page order; distinct orders and dedupes them.
+func (c *SCC) appendReaders(dst []model.TxnID, pages []model.PageID, self model.TxnID) []model.TxnID {
+	for _, p := range pages {
+		for _, h := range c.readers[p] {
+			if h.id != self {
+				dst = append(dst, h.id)
 			}
 		}
 	}
+	return dst
 }
 
-// registerRead/registerWrite/unregister maintain the page access indexes.
-func (c *SCC) registerRead(id model.TxnID, p model.PageID) {
-	m := c.readers[p]
-	if m == nil {
-		m = make(map[model.TxnID]struct{})
-		c.readers[p] = m
-	}
-	if _, ok := m[id]; !ok {
-		m[id] = struct{}{}
-		c.regReads[id] = append(c.regReads[id], p)
-	}
-}
-
-func (c *SCC) registerWrite(id model.TxnID, p model.PageID) {
-	m := c.writers[p]
-	if m == nil {
-		m = make(map[model.TxnID]struct{})
-		c.writers[p] = m
-	}
-	if _, ok := m[id]; !ok {
-		m[id] = struct{}{}
-		c.regWrites[id] = append(c.regWrites[id], p)
-	}
-}
-
-func (c *SCC) unregister(id model.TxnID) {
-	for _, p := range c.regReads[id] {
-		delete(c.readers[p], id)
-	}
-	for _, p := range c.regWrites[id] {
-		delete(c.writers[p], id)
-	}
-	delete(c.regReads, id)
-	delete(c.regWrites, id)
-}
-
-// reindex rebuilds the page indexes for st from its (new) optimistic log.
-func (c *SCC) reindex(st *txnState) {
-	id := st.t.ID
-	c.unregister(id)
-	for _, obs := range st.opt.Log.Reads() {
-		c.registerRead(id, obs.Page)
-	}
-	for _, p := range st.opt.Log.WritePages() {
-		c.registerWrite(id, p)
-	}
+func distinct(ids []model.TxnID) []model.TxnID {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // rebuildConflicts re-detects conflicts covered by the new optimistic
 // shadow's inherited prefix (both directions), re-forking speculative
-// shadows where the budget allows.
+// shadows where the budget allows. A page read again finds its conflicts
+// already settled at its first read, which blocks earlier.
 func (c *SCC) rebuildConflicts(st *txnState) {
 	r := st.t.ID
-	// Reads in our prefix against others' writes.
 	for _, obs := range st.opt.Log.Reads() {
-		for _, wid := range sortedIDs(c.writers[obs.Page]) {
-			if wid == r || c.txns[wid] == nil {
-				continue
-			}
-			if i := st.opt.Log.FirstReadIndex(obs.Page); i >= 0 {
-				c.newConflict(st, wid, i, false)
+		for _, h := range c.writers[obs.Page] {
+			if h.id != r {
+				c.newConflict(st, h.id, obs.OpIndex, false)
 			}
 		}
 	}
-}
-
-func sortedIDs(m map[model.TxnID]struct{}) []model.TxnID {
-	ids := make([]model.TxnID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // selfCheck verifies the protocol invariants (used under SelfCheck).
@@ -595,8 +617,11 @@ func (c *SCC) selfCheck() {
 // at most k-1 speculative shadows per transaction, live shadows only, the
 // optimistic shadow is always furthest along, speculative shadows never
 // run past their block point, and no speculative shadow has read a page
-// written by the transaction it waits for.
+// written by the transaction it waits for. It also checks the conflict
+// index against the optimistic logs, the waiter lists against the
+// speculative shadows, and every list's TxnID order.
 func (c *SCC) CheckInvariants() error {
+	entries := 0 // index entries the optimistic logs call for
 	for _, id := range c.rt.ActiveIDs() {
 		st := c.txns[id]
 		if st == nil {
@@ -608,7 +633,16 @@ func (c *SCC) CheckInvariants() error {
 		if k := c.budget(st.t); len(st.specs) > k-1 {
 			return fmt.Errorf("core: txn %d has %d speculative shadows, budget %d", id, len(st.specs), k-1)
 		}
-		for _, sp := range st.sortedSpecs() {
+		for _, obs := range st.opt.Log.Reads() {
+			if st.opt.Log.FirstReadIndex(obs.Page) == obs.OpIndex {
+				entries++
+			}
+		}
+		entries += len(st.opt.Log.WritePages())
+		for i, sp := range st.specs {
+			if i > 0 && st.specs[i-1].waitFor >= sp.waitFor {
+				return fmt.Errorf("core: txn %d speculative shadows out of order at %d", id, sp.waitFor)
+			}
 			if sp.sh.Aborted() {
 				return fmt.Errorf("core: txn %d keeps aborted spec shadow (waitFor %d)", id, sp.waitFor)
 			}
@@ -620,15 +654,45 @@ func (c *SCC) CheckInvariants() error {
 				return fmt.Errorf("core: txn %d spec for %d ahead of optimistic (%d > %d; spec sid %d start %d blockAt %d; opt sid %d start %d finished %v)",
 					id, sp.waitFor, sp.sh.NextOp, st.opt.NextOp, sp.sh.SID, sp.sh.StartOp, sp.blockAt, st.opt.SID, st.opt.StartOp, st.opt.Finished)
 			}
-			if wst := c.txns[sp.waitFor]; wst != nil {
-				if i := sp.sh.Log.FirstReadOfAny(wst.opt.Log.WritePages()); i >= 0 {
-					return fmt.Errorf("core: txn %d spec for %d read page written by %d at index %d",
-						id, sp.waitFor, sp.waitFor, i)
-				}
-			} else {
+			wst := c.txns[sp.waitFor]
+			if wst == nil {
 				return fmt.Errorf("core: txn %d spec waits for inactive txn %d", id, sp.waitFor)
 			}
+			if i := sp.sh.Log.FirstReadOfAny(wst.opt.Log.WritePages()); i >= 0 {
+				return fmt.Errorf("core: txn %d spec for %d read page written by %d at index %d",
+					id, sp.waitFor, sp.waitFor, i)
+			}
+			if _, ok := find(wst.waiters, id); !ok {
+				return fmt.Errorf("core: txn %d missing from the waiters of %d", id, sp.waitFor)
+			}
 		}
+		for i, w := range st.waiters {
+			if i > 0 && st.waiters[i-1].t.ID >= w.t.ID || c.txns[w.t.ID] != w || w.spec(id) == nil {
+				return fmt.Errorf("core: txn %d lists waiter %d out of order, inactive or not waiting", id, w.t.ID)
+			}
+		}
+	}
+	for write, ix := range [][][]holder{c.readers, c.writers} {
+		for pi, list := range ix {
+			p := model.PageID(pi)
+			for i, h := range list {
+				if c.rt.State(h.id) == nil || i > 0 && list[i-1].id >= h.id {
+					return fmt.Errorf("core: page %d lists txn %d inactive or out of order", p, h.id)
+				}
+				log := c.txns[h.id].opt.Log
+				if write == 0 && log.FirstReadIndex(p) != h.at {
+					return fmt.Errorf("core: page %d lists reader %d at op %d, its optimistic shadow first read it at %d",
+						p, h.id, h.at, log.FirstReadIndex(p))
+				}
+				if write == 1 && !slices.Contains(log.WritePages(), p) {
+					return fmt.Errorf("core: page %d lists writer %d, whose optimistic shadow did not write it", p, h.id)
+				}
+				entries--
+			}
+		}
+	}
+	if entries != 0 {
+		return fmt.Errorf("core: the conflict index misses %d pages of the optimistic logs", entries)
 	}
 	return nil
 }

@@ -201,7 +201,7 @@ func TestInvariantCheckerCatchesCorruption(t *testing.T) {
 	st := c.txns[tx.ID]
 	for i := 0; i < 5; i++ {
 		id := model.TxnID(10000 + i)
-		st.specs[id] = &spec{sh: st.opt, waitFor: id, blockAt: 1}
+		st.specs = append(st.specs, &spec{sh: st.opt, waitFor: id, blockAt: 1})
 	}
 	if err := c.CheckInvariants(); err == nil {
 		t.Fatal("invariant checker accepted corrupted shadow sets")

@@ -63,7 +63,7 @@ func (s *scenario) specOf(r, u model.TxnID) *spec {
 	if st == nil {
 		return nil
 	}
-	return st.specs[u]
+	return st.spec(u)
 }
 
 func (s *scenario) finish() {

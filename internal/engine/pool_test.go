@@ -1,14 +1,16 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 )
 
-// pooledGoroutines returns the ids of the goroutines now inside a Pool's
-// worker loop, idle or busy.
-func pooledGoroutines() map[string]bool {
+// pooledGoroutines returns how many goroutines are now inside p's worker
+// loop, idle or busy. It matches p as the receiver of the work frame, so
+// the workers of other stores' pools in the process do not count.
+func pooledGoroutines(p *Pool) int {
 	buf := make([]byte, 1<<16)
 	for {
 		n := runtime.Stack(buf, true)
@@ -18,42 +20,23 @@ func pooledGoroutines() map[string]bool {
 		}
 		buf = make([]byte, 2*len(buf))
 	}
-	ids := make(map[string]bool)
-	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "engine.(*Pool).work(") {
-			ids[strings.Fields(g)[1]] = true
-		}
-	}
-	return ids
-}
-
-// newPooled returns how many pooled goroutines exist now that did not in
-// before.
-func newPooled(before map[string]bool) int {
-	n := 0
-	for id := range pooledGoroutines() {
-		if !before[id] {
-			n++
-		}
-	}
-	return n
+	return strings.Count(string(buf), fmt.Sprintf("engine.(*Pool).work(%p", p))
 }
 
 // TestStorePoolExitsOnClose: the goroutine a speculative shadow ran on
 // stays pooled once its transaction is over, and Store.Close returns only
 // after it has exited.
 func TestStorePoolExitsOnClose(t *testing.T) {
-	before := pooledGoroutines()
 	s := Open(Config{Mode: SCC2S})
 	readRuleSchedule(t, s, []string{"a", "b"}, "a")
 	if st := s.Stats(); st.Forks != 1 || st.Promotions != 1 {
 		t.Fatalf("forks %d, promotions %d: want the schedule's one promoted shadow", st.Forks, st.Promotions)
 	}
-	if n := newPooled(before); n != 1 {
+	if n := pooledGoroutines(&s.pool); n != 1 {
 		t.Fatalf("%d pooled goroutines after one shadow, want 1", n)
 	}
 	s.Close()
-	if n := newPooled(before); n != 0 {
+	if n := pooledGoroutines(&s.pool); n != 0 {
 		t.Fatalf("%d pooled goroutines outlived Close", n)
 	}
 }

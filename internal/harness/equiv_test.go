@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/rtdbs"
@@ -182,4 +183,39 @@ var pinnedSCC = map[string]string{
 	"SCC-DC/twoclass120-seed4":         `SCC-DC t=14.880000 trunc=false {Committed:1502 Missed:271 TardinessSum:44.30564167277786 ValueSum:122518.33531676787 MaxValueSum:158600 Restarts:0 Promotions:946 ShadowForks:2018 ShadowAborts:206 WastedTime:152.57126672180019 UsefulTime:271.96742748508024 CommitWaits:1978 BlockedWaits:1624 DeadlockAvert:0}`,
 	"SCC-VW/rate50-seed1":              `SCC-VW t=34.328439 trunc=false {Committed:1500 Missed:45 TardinessSum:4.4482862091589155 ValueSum:149073.27370642519 MaxValueSum:150000 Restarts:0 Promotions:497 ShadowForks:1039 ShadowAborts:39 WastedTime:84.07940569585634 UsefulTime:337.44356237674464 CommitWaits:66 BlockedWaits:801 DeadlockAvert:0}`,
 	"SCC-VW/twoclass120-seed4":         `SCC-VW t=14.842163 trunc=false {Committed:1503 Missed:101 TardinessSum:13.190417208430192 ValueSum:144979.9542283616 MaxValueSum:158650 Restarts:0 Promotions:596 ShadowForks:1431 ShadowAborts:118 WastedTime:89.97220097854613 UsefulTime:281.95097957018055 CommitWaits:195 BlockedWaits:1091 DeadlockAvert:0}`,
+}
+
+// TestSimulatorAllocs is the simulator's allocation ratchet: heap
+// allocations per committed transaction on rate150-seed1 for the two
+// optimistic baselines and SCC-2S. The runs are sequential so that
+// runtime.MemStats counts one simulation at a time.
+func TestSimulatorAllocs(t *testing.T) {
+	for _, c := range []struct {
+		protocol string
+		max      float64 // measured with go1.24 (273.5, 272.2, 279.4), plus 2 %
+	}{
+		{"OCC-BC", 279},
+		{"WAIT-50", 278},
+		{"SCC-2S", 285},
+	} {
+		spec, err := Protocol(c.protocol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := rtdbs.Run(rtdbs.Config{
+			Workload:   workload.Baseline(150, 1),
+			Target:     1500,
+			Warmup:     200,
+			CheckReads: true,
+			MaxActive:  8000,
+		}, spec.New())
+		runtime.ReadMemStats(&after)
+		got := float64(after.Mallocs-before.Mallocs) / float64(res.Metrics.Committed)
+		t.Logf("%s: %.1f allocations per committed transaction", c.protocol, got)
+		if got > c.max {
+			t.Errorf("%s: %.1f allocations per committed transaction, want <= %.1f", c.protocol, got, c.max)
+		}
+	}
 }

@@ -14,6 +14,7 @@ package rtdbs
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/history"
 	"repro/internal/model"
@@ -95,10 +96,6 @@ func (s *Shadow) EstExecutedTime() float64 {
 type TxnState struct {
 	Txn     *model.Txn
 	Shadows []*Shadow
-	// Restarts counts from-scratch restarts of this transaction.
-	Restarts int
-	// PD is protocol-private per-transaction data.
-	PD any
 }
 
 // Config configures one simulation run.
@@ -152,6 +149,7 @@ type Runtime struct {
 	ccm       CCM
 	version   map[model.PageID]model.TxnID
 	active    map[model.TxnID]*TxnState
+	ids       []model.TxnID // active's keys, ascending
 	rec       *history.Recorder
 	commitSeq int
 	nextSID   int
@@ -215,8 +213,7 @@ func (rt *Runtime) scheduleArrival() {
 			rt.stopTruncated()
 			return
 		}
-		rt.active[t.ID] = &TxnState{Txn: t}
-		rt.ccm.OnArrival(t)
+		rt.enter(t)
 		rt.scheduleArrival()
 	})
 }
@@ -230,7 +227,7 @@ func (rt *Runtime) stopTruncated() {
 	rt.truncated = true
 	now := rt.K.Now()
 	m := rt.Metrics
-	for _, id := range rt.ActiveIDs() {
+	for _, id := range rt.ids {
 		t := rt.active[id].Txn
 		if now > t.Deadline {
 			m.Committed++
@@ -251,7 +248,14 @@ func (rt *Runtime) Admit(t *model.Txn) {
 	if _, dup := rt.active[t.ID]; dup {
 		panic(fmt.Sprintf("rtdbs: Admit of duplicate txn %d", t.ID))
 	}
+	rt.enter(t)
+}
+
+// enter adds t to the active set and hands it to the CCM.
+func (rt *Runtime) enter(t *model.Txn) {
 	rt.active[t.ID] = &TxnState{Txn: t}
+	i, _ := slices.BinarySearch(rt.ids, t.ID)
+	rt.ids = slices.Insert(rt.ids, i, t.ID)
 	rt.ccm.OnArrival(t)
 }
 
@@ -262,23 +266,12 @@ func (rt *Runtime) History() *history.Recorder { return rt.rec }
 func (rt *Runtime) State(id model.TxnID) *TxnState { return rt.active[id] }
 
 // ActiveIDs returns the IDs of active transactions in ascending order, the
-// deterministic iteration order CCMs must use.
-func (rt *Runtime) ActiveIDs() []model.TxnID {
-	ids := make([]model.TxnID, 0, len(rt.active))
-	for id := range rt.active {
-		ids = append(ids, id)
-	}
-	// Insertion sort: active sets are small and nearly sorted.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	return ids
-}
-
-// NumActive returns the size of the active set.
-func (rt *Runtime) NumActive() int { return len(rt.active) }
+// deterministic iteration order CCMs must use. The slice is the runtime's
+// own and changes as transactions arrive and commit, and a Kick, Restart
+// or Commit can end in a commit inside the caller's own loop. So a loop
+// that may call them walks a copy; only side-effect-free readers walk it
+// directly.
+func (rt *Runtime) ActiveIDs() []model.TxnID { return rt.ids }
 
 // Spawn creates a shadow for t starting at op index startOp with the given
 // inherited access log (nil for an empty log). The shadow is created
@@ -455,7 +448,6 @@ func (rt *Runtime) Restart(t *model.Txn) *Shadow {
 	for len(st.Shadows) > 0 {
 		rt.AbortShadow(st.Shadows[0])
 	}
-	st.Restarts++
 	rt.Metrics.Restarts++
 	rt.trace("restart txn %d (from scratch)", t.ID)
 	sh := rt.Spawn(t, 0, nil)
@@ -514,6 +506,8 @@ func (rt *Runtime) Commit(sh *Shadow) {
 		rt.AbortShadow(other)
 	}
 	delete(rt.active, t.ID)
+	i, _ := slices.BinarySearch(rt.ids, t.ID)
+	rt.ids = slices.Delete(rt.ids, i, i+1)
 
 	if rt.commitSeq > rt.cfg.Warmup {
 		m := rt.Metrics

@@ -214,7 +214,7 @@ func TestActiveIDsSorted(t *testing.T) {
 	cfg := smallCfg(10, 6, 5)
 	rt := New(cfg, newTestOCC())
 	for _, id := range []model.TxnID{5, 3, 9, 1} {
-		rt.active[id] = &TxnState{}
+		rt.Admit(&model.Txn{ID: id, Ops: []model.Op{{Page: 1}}})
 	}
 	ids := rt.ActiveIDs()
 	for i := 1; i < len(ids); i++ {
