@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -61,4 +63,41 @@ func TestBadNames(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFigAllGolden pins every line `sccsim -fig all` prints, the runtime's
+// trace format included, against testdata/fig-all.golden. A simulator
+// refactor must leave it byte-identical; regenerate it only for an
+// intended change, with `go run ./cmd/sccsim -fig all >
+// cmd/sccsim/testdata/fig-all.golden`.
+func TestFigAllGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/fig-all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := sccsim(t, "-fig", "all")
+	if code != 0 || errOut != "" {
+		t.Fatalf("-fig all: exit %d\n%s", code, errOut)
+	}
+	if out != string(want) {
+		t.Errorf("-fig all differs from testdata/fig-all.golden:\n%s", lineDiff(string(want), out))
+	}
+}
+
+// lineDiff names the first line where got departs from want.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := range max(len(w), len(g)) {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			return fmt.Sprintf("line %d:\n want %q\n  got %q", i+1, wl, gl)
+		}
+	}
+	return "(no line differs)"
 }
