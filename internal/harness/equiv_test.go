@@ -192,11 +192,11 @@ var pinnedSCC = map[string]string{
 func TestSimulatorAllocs(t *testing.T) {
 	for _, c := range []struct {
 		protocol string
-		max      float64 // measured with go1.24 (273.5, 272.2, 279.4), plus 2 %
+		max      float64 // measured with go1.24 (83.3, 88.0, 93.9), plus 2 %
 	}{
-		{"OCC-BC", 279},
-		{"WAIT-50", 278},
-		{"SCC-2S", 285},
+		{"OCC-BC", 85},
+		{"WAIT-50", 90},
+		{"SCC-2S", 96},
 	} {
 		spec, err := Protocol(c.protocol)
 		if err != nil {

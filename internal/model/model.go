@@ -6,6 +6,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -145,35 +146,27 @@ type ReadObs struct {
 }
 
 // AccessLog is the executed-prefix bookkeeping of one shadow: the paper's
-// ReadSet(T_i_r) with read order, plus WriteSet(T_i_r).
+// ReadSet(T_i_r) with read order, plus WriteSet(T_i_r). A shadow makes at
+// most a few dozen accesses, so lookups scan the lists.
 type AccessLog struct {
 	reads      []ReadObs
-	firstRead  map[PageID]int // page -> earliest op index read
-	writes     map[PageID]int // page -> earliest op index written
-	writeOrder []PageID
+	writeOrder []PageID // pages in first-write order
+	writeAt    []int    // writeAt[i]: op index of writeOrder[i]'s first write
 }
 
 // NewAccessLog returns an empty log.
-func NewAccessLog() *AccessLog {
-	return &AccessLog{
-		firstRead: make(map[PageID]int),
-		writes:    make(map[PageID]int),
-	}
-}
+func NewAccessLog() *AccessLog { return &AccessLog{} }
 
 // AddRead records a read observation.
 func (l *AccessLog) AddRead(p PageID, opIdx int, ver TxnID) {
 	l.reads = append(l.reads, ReadObs{Page: p, OpIndex: opIdx, Version: ver})
-	if old, ok := l.firstRead[p]; !ok || opIdx < old {
-		l.firstRead[p] = opIdx
-	}
 }
 
-// AddWrite records a write.
+// AddWrite records a write; a page already written keeps its first index.
 func (l *AccessLog) AddWrite(p PageID, opIdx int) {
-	if _, ok := l.writes[p]; !ok {
-		l.writes[p] = opIdx
+	if !slices.Contains(l.writeOrder, p) {
 		l.writeOrder = append(l.writeOrder, p)
+		l.writeAt = append(l.writeAt, opIdx)
 	}
 }
 
@@ -183,10 +176,7 @@ func (l *AccessLog) Reads() []ReadObs { return l.reads }
 // FirstReadIndex returns the earliest op index at which page p was read,
 // or -1 if it was not read.
 func (l *AccessLog) FirstReadIndex(p PageID) int {
-	if i, ok := l.firstRead[p]; ok {
-		return i
-	}
-	return -1
+	return l.FirstReadOfAny([]PageID{p})
 }
 
 // WritePages returns the write set in first-write order.
@@ -194,17 +184,20 @@ func (l *AccessLog) WritePages() []PageID { return l.writeOrder }
 
 // Prefix returns a copy of the log truncated to ops with index < upto.
 // This is the fork operation of the paper's Read/Write rules: a new shadow
-// inherits exactly the donor's accesses before the block point.
+// inherits exactly the donor's accesses before the block point. Reads may
+// have been added out of op order, so the entries are filtered, not
+// resliced.
 func (l *AccessLog) Prefix(upto int) *AccessLog {
-	n := NewAccessLog()
+	n := &AccessLog{}
 	for _, r := range l.reads {
 		if r.OpIndex < upto {
-			n.AddRead(r.Page, r.OpIndex, r.Version)
+			n.reads = append(n.reads, r)
 		}
 	}
-	for _, p := range l.writeOrder {
-		if idx := l.writes[p]; idx < upto {
-			n.AddWrite(p, idx)
+	for i, p := range l.writeOrder {
+		if l.writeAt[i] < upto {
+			n.writeOrder = append(n.writeOrder, p)
+			n.writeAt = append(n.writeAt, l.writeAt[i])
 		}
 	}
 	return n
@@ -216,9 +209,9 @@ func (l *AccessLog) Prefix(upto int) *AccessLog {
 // the commit of T_u iff it read a page in WriteSet(T_u).
 func (l *AccessLog) FirstReadOfAny(pages []PageID) int {
 	best := -1
-	for _, p := range pages {
-		if i, ok := l.firstRead[p]; ok && (best == -1 || i < best) {
-			best = i
+	for _, r := range l.reads {
+		if (best == -1 || r.OpIndex < best) && slices.Contains(pages, r.Page) {
+			best = r.OpIndex
 		}
 	}
 	return best

@@ -75,6 +75,7 @@ type Shadow struct {
 
 	aborted bool
 	pending *sim.Event
+	done    func() // opDone(sh), made once at Spawn
 }
 
 // Aborted reports whether the shadow has been aborted.
@@ -141,7 +142,8 @@ type Runtime struct {
 	K       *sim.Kernel
 	Metrics *stats.Metrics
 	// Trace, when set, receives a line for every runtime event (spawn,
-	// access, block, abort, restart, commit); used by `sccsim -fig`.
+	// access, block, abort, restart, commit); used by `sccsim -fig`. Each
+	// site checks it first, so an untraced run builds no arguments.
 	Trace func(at sim.Time, format string, args ...any)
 
 	cfg       Config
@@ -286,16 +288,13 @@ func (rt *Runtime) Spawn(t *model.Txn, startOp int, log *model.AccessLog) *Shado
 		log = model.NewAccessLog()
 	}
 	sh := &Shadow{Txn: t, SID: rt.nextSID, StartOp: startOp, NextOp: startOp, Log: log}
+	sh.done = func() { rt.opDone(sh) }
 	rt.nextSID++
 	st.Shadows = append(st.Shadows, sh)
-	rt.trace("spawn   txn %d shadow %d from op %d", t.ID, sh.SID, startOp)
-	return sh
-}
-
-func (rt *Runtime) trace(format string, args ...any) {
 	if rt.Trace != nil {
-		rt.Trace(rt.K.Now(), format, args...)
+		rt.Trace(rt.K.Now(), "spawn   txn %d shadow %d from op %d", t.ID, sh.SID, startOp)
 	}
+	return sh
 }
 
 // Fork clones donor from its current progress: the new shadow inherits the
@@ -345,7 +344,9 @@ func (rt *Runtime) maybeRun(sh *Shadow) {
 		if !sh.Blocked {
 			sh.Blocked = true
 			rt.Metrics.BlockedWaits++
-			rt.trace("block   txn %d shadow %d before op %d", sh.Txn.ID, sh.SID, sh.NextOp)
+			if rt.Trace != nil {
+				rt.Trace(rt.K.Now(), "block   txn %d shadow %d before op %d", sh.Txn.ID, sh.SID, sh.NextOp)
+			}
 		}
 		return
 	}
@@ -362,7 +363,7 @@ func (rt *Runtime) maybeRun(sh *Shadow) {
 		sh.holdsServer = true
 	}
 	sh.Queued = false
-	sh.pending = rt.K.After(sim.Time(sh.Txn.OpTime), func() { rt.opDone(sh) })
+	sh.pending = rt.K.After(sim.Time(sh.Txn.OpTime), sh.done)
 }
 
 // releaseServer returns sh's server (if held) to the pool and dispatches
@@ -399,10 +400,13 @@ func (rt *Runtime) opDone(sh *Shadow) {
 	op := sh.Txn.Ops[sh.NextOp]
 	if op.Write {
 		sh.Log.AddWrite(op.Page, sh.NextOp)
-		rt.trace("write   txn %d shadow %d op %d page %d", sh.Txn.ID, sh.SID, sh.NextOp, op.Page)
 	} else {
 		sh.Log.AddRead(op.Page, sh.NextOp, rt.version[op.Page])
-		rt.trace("read    txn %d shadow %d op %d page %d (version %d)", sh.Txn.ID, sh.SID, sh.NextOp, op.Page, rt.version[op.Page])
+	}
+	if rt.Trace != nil && op.Write {
+		rt.Trace(rt.K.Now(), "write   txn %d shadow %d op %d page %d", sh.Txn.ID, sh.SID, sh.NextOp, op.Page)
+	} else if rt.Trace != nil {
+		rt.Trace(rt.K.Now(), "read    txn %d shadow %d op %d page %d (version %d)", sh.Txn.ID, sh.SID, sh.NextOp, op.Page, rt.version[op.Page])
 	}
 	sh.NextOp++
 	rt.ccm.OnOpDone(sh)
@@ -426,7 +430,9 @@ func (rt *Runtime) AbortShadow(sh *Shadow) {
 	rt.K.Cancel(sh.pending)
 	sh.pending = nil
 	rt.releaseServer(sh)
-	rt.trace("abort   txn %d shadow %d at op %d", sh.Txn.ID, sh.SID, sh.NextOp)
+	if rt.Trace != nil {
+		rt.Trace(rt.K.Now(), "abort   txn %d shadow %d at op %d", sh.Txn.ID, sh.SID, sh.NextOp)
+	}
 	rt.Metrics.WastedTime += sh.OwnExecTime()
 	if st := rt.active[sh.Txn.ID]; st != nil {
 		for i, s := range st.Shadows {
@@ -449,7 +455,9 @@ func (rt *Runtime) Restart(t *model.Txn) *Shadow {
 		rt.AbortShadow(st.Shadows[0])
 	}
 	rt.Metrics.Restarts++
-	rt.trace("restart txn %d (from scratch)", t.ID)
+	if rt.Trace != nil {
+		rt.Trace(rt.K.Now(), "restart txn %d (from scratch)", t.ID)
+	}
 	sh := rt.Spawn(t, 0, nil)
 	rt.maybeRun(sh)
 	return sh
@@ -484,11 +492,8 @@ func (rt *Runtime) Commit(sh *Shadow) {
 	}
 	rt.commitSeq++
 	if rt.rec != nil {
-		reads := make([]model.ReadObs, len(sh.Log.Reads()))
-		copy(reads, sh.Log.Reads())
-		writes := make([]model.PageID, len(sh.Log.WritePages()))
-		copy(writes, sh.Log.WritePages())
-		rt.rec.Add(history.CommitRecord{ID: t.ID, Seq: rt.commitSeq, Commit: float64(now), Reads: reads, Writes: writes})
+		rt.rec.Add(history.CommitRecord{ID: t.ID, Seq: rt.commitSeq, Commit: float64(now),
+			Reads: slices.Clone(sh.Log.Reads()), Writes: slices.Clone(sh.Log.WritePages())})
 	}
 
 	// Sibling shadows are obsolete (Commit Rule: "all other shadows of
@@ -521,7 +526,9 @@ func (rt *Runtime) Commit(sh *Shadow) {
 		m.MaxValueSum += t.Class.Value
 	}
 
-	rt.trace("commit  txn %d via shadow %d (tardiness %.2f)", t.ID, sh.SID, max(0, float64(now-t.Deadline)))
+	if rt.Trace != nil {
+		rt.Trace(now, "commit  txn %d via shadow %d (tardiness %.2f)", t.ID, sh.SID, max(0, float64(now-t.Deadline)))
+	}
 	rt.ccm.OnCommitted(t, sh)
 
 	if rt.commitSeq >= rt.cfg.Warmup+rt.cfg.Target {
