@@ -416,14 +416,16 @@ func (ms *managedShard) Durable() bool { return ms.m.opts.Fsync != FsyncOff }
 // paths) call it before any commit of the batch is acknowledged, so
 // subscribers only ever stream records that are already durable here.
 // The watermark is taken before the sync: a record written concurrently
-// (by the next batch) is left for the sync that covers it.
+// (by the next batch) is left for the sync that covers it. The flight
+// ring gets a wal_fsync only when the sync ran an fsync.
 func (ms *managedShard) Sync() error {
 	m := ms.m
 	ms.mu.Lock()
 	epoch := ms.maxEpoch
 	ms.mu.Unlock()
 	end := m.log.end()
-	if err := m.log.syncTo(end); err != nil {
+	ran, err := m.log.syncTo(end)
+	if err != nil {
 		// A broken log also stops shipping: replicas must not apply
 		// records this primary can no longer recover. The queue is simply
 		// never drained further — the log is sticky-broken, the operator
@@ -433,7 +435,9 @@ func (ms *managedShard) Sync() error {
 		m.fail(err)
 		return err
 	}
-	ms.flight.Record(flight.EvFsync, 0, ms.idx, epoch)
+	if ran {
+		ms.flight.Record(flight.EvFsync, 0, ms.idx, epoch)
+	}
 	if m.feed != nil {
 		m.shipMu.Lock()
 		for _, sh := range m.log.shippable(end) {
@@ -583,7 +587,7 @@ func (m *Manager) checkpointShard(ms *managedShard) error {
 	})
 	eng.UnlockCommit()
 
-	if err := m.log.syncTo(end); err != nil {
+	if _, err := m.log.syncTo(end); err != nil {
 		return err
 	}
 	if err := writeCheckpoint(ms.dir, ms.idx, head, epoch, kvs); err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs/flight"
 	"repro/internal/repl"
 	"repro/internal/shard"
 )
@@ -332,6 +333,57 @@ func TestStatsAndFsyncAccounting(t *testing.T) {
 	}
 	st.Close()
 	m.Close()
+}
+
+// TestFsyncEventOnlyWhenFsyncRan: the flight recorder's wal_fsync marks
+// an fsync of the node log. A sync that has nothing to do — every sync
+// under FsyncOff, or one whose records an earlier fsync already covered —
+// records none.
+func TestFsyncEventOnlyWhenFsyncRan(t *testing.T) {
+	fsyncEvents := func(fl *flight.Recorder) int64 {
+		var n int64
+		for _, e := range fl.Snapshot() {
+			if e.Name == flight.EvFsync {
+				n++
+			}
+		}
+		return n
+	}
+
+	t.Run("off", func(t *testing.T) {
+		fl := flight.New(2, 0)
+		st, _, m := openStore(t, t.TempDir(), 2, Options{Fsync: FsyncOff, Flight: fl}, false)
+		defer m.Close()
+		defer st.Close()
+		for i := range 20 {
+			put(t, st, "k"+strconv.Itoa(i), "1", 0)
+		}
+		if n := fsyncEvents(fl); n != 0 {
+			t.Fatalf("%d %s events after 20 commits under FsyncOff, want 0", n, flight.EvFsync)
+		}
+	})
+
+	t.Run("group", func(t *testing.T) {
+		fl := flight.New(2, 0)
+		st, _, m := openStore(t, t.TempDir(), 2, Options{Fsync: FsyncGroup, Flight: fl}, false)
+		defer m.Close()
+		defer st.Close()
+		before := m.Stats().WALFsyncs
+		for i := range 20 {
+			put(t, st, "k"+strconv.Itoa(i), "1", 0)
+		}
+		fsyncs := m.Stats().WALFsyncs - before
+		n := fsyncEvents(fl)
+		if n == 0 || n > fsyncs {
+			t.Fatalf("%d %s events for %d fsyncs, want between 1 and %d", n, flight.EvFsync, fsyncs, fsyncs)
+		}
+		if err := m.shards[0].Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fsyncEvents(fl); got != n {
+			t.Fatalf("a Sync with nothing new to sync recorded %d %s events", got-n, flight.EvFsync)
+		}
+	})
 }
 
 // TestRotateSyncsSegmentEntry: a checkpoint pass starts a new WAL

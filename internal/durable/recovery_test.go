@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/obs/flight"
 	"repro/internal/shard"
 )
 
@@ -240,4 +241,77 @@ func TestFailedSyncNoOKVerdict(t *testing.T) {
 		}}})
 		wantSyncErr(t, "replica cross apply", err, onErr)
 	})
+}
+
+// TestInjectedFsyncFailure drives nodeLog.fsync's failure branch in
+// process: the first real fsync fails, as a device error would. The
+// batch's verdict must be a *engine.SyncError, the log must refuse later
+// appends, OnError must fire exactly once, and the failure must reach the
+// flight ring and the error counter.
+func TestInjectedFsyncFailure(t *testing.T) {
+	armed, left := faultFsyncArmed, faultFsyncLeft.Load()
+	t.Cleanup(func() {
+		faultFsyncArmed = armed
+		faultFsyncLeft.Store(left)
+	})
+	faultFsyncArmed = true
+	faultFsyncLeft.Store(0)
+
+	fl := flight.New(1, 0)
+	onErr := make(chan error, 4)
+	st := shard.Open(shard.Config{Shards: 1})
+	m, err := Open(Options{Dir: t.TempDir(), Flight: fl, OnError: func(e error) { onErr <- e }}, st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		st.Close()
+		m.Close() // the log's close error is the fault itself
+	})
+	before := m.Stats()
+	commit := func(val string) error {
+		_, err := st.UpdateTracedResult(1, []string{"k"}, nil, nil, nil, func(tx shard.Tx) error {
+			return tx.Set("k", []byte(val))
+		})
+		return err
+	}
+
+	var se *engine.SyncError
+	if err := commit("1"); !errors.As(err, &se) || !errors.Is(err, errInjectedFsync) {
+		t.Fatalf("commit over a failing fsync returned %v, want a *engine.SyncError wrapping the injected fault", err)
+	}
+	if err := commit("2"); !errors.As(err, &se) || !errors.Is(err, errInjectedFsync) {
+		t.Fatalf("commit after the failed fsync returned %v, want the sticky injected fault", err)
+	}
+	after := m.Stats()
+	if got := after.WALAppends - before.WALAppends; got != 1 {
+		t.Errorf("%d records appended, want 1: the broken log must refuse the second", got)
+	}
+	if after.Errors <= before.Errors {
+		t.Errorf("Stats().Errors = %d after the failure, want more than %d", after.Errors, before.Errors)
+	}
+	if got := faultFsyncLeft.Load(); got != -1 {
+		t.Errorf("fault countdown at %d, want -1: exactly one fsync should have been attempted", got)
+	}
+
+	select {
+	case <-onErr:
+	case <-time.After(5 * time.Second):
+		t.Fatal("OnError fail-stop hook never fired")
+	}
+	select {
+	case e := <-onErr:
+		t.Fatalf("OnError fired a second time (%v)", e)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	var fsyncErrs int
+	for _, e := range fl.Snapshot() {
+		if e.Name == flight.EvFsyncError {
+			fsyncErrs++
+		}
+	}
+	if fsyncErrs == 0 {
+		t.Errorf("flight ring holds no %s", flight.EvFsyncError)
+	}
 }

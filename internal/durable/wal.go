@@ -415,12 +415,12 @@ func (l *nodeLog) shippable(through int64) []shipment {
 }
 
 // syncTo makes the log durable through offset target (under FsyncOff it
-// only reports a broken log). The watermark taken before the fsync is
-// what the fsync covers: records written while it runs wait for the next
-// one.
-func (l *nodeLog) syncTo(target int64) error {
+// only reports a broken log) and reports whether it ran an fsync to do
+// so. The watermark taken before the fsync is what the fsync covers:
+// records written while it runs wait for the next one.
+func (l *nodeLog) syncTo(target int64) (bool, error) {
 	if l.policy == FsyncOff {
-		return l.err()
+		return false, l.err()
 	}
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -428,15 +428,15 @@ func (l *nodeLog) syncTo(target int64) error {
 	f, w, synced, err := l.f, l.written, l.synced, l.broken
 	l.mu.Unlock()
 	if err != nil || synced >= target {
-		return err
+		return false, err
 	}
 	if err := l.fsync(f); err != nil {
-		return err
+		return true, err
 	}
 	l.mu.Lock()
 	l.synced = w
 	l.mu.Unlock()
-	return nil
+	return true, nil
 }
 
 // fsync forces f to stable storage, breaking the log on failure. Callers

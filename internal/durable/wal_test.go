@@ -95,7 +95,7 @@ func TestWALRoundTrip(t *testing.T) {
 		rec(5, "key.with.dots", "100"),
 	}
 	appendAll(t, l, want...)
-	if err := l.syncTo(l.written); err != nil {
+	if _, err := l.syncTo(l.written); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.close(); err != nil {
@@ -301,7 +301,7 @@ func TestFsyncPolicyCounts(t *testing.T) {
 		if got := l.fsyncs.Load(); got != tc.wantAfterApp {
 			t.Errorf("%v: %d fsyncs after appends, want %d", tc.policy, got, tc.wantAfterApp)
 		}
-		if err := l.syncTo(l.written); err != nil {
+		if _, err := l.syncTo(l.written); err != nil {
 			t.Fatal(err)
 		}
 		if got := l.fsyncs.Load(); got != tc.wantAfterSync {
