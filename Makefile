@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench-smoke bench bench-sweep bench-race fuzz e2e e2e-recover e2e-failover e2e-interactive e2e-chaos scenario-matrix sim-equiv lint docs loc loc-check cover clean-data
+.PHONY: check build vet test race bench-smoke bench bench-sweep bench-race fuzz e2e e2e-recover e2e-failover e2e-interactive e2e-chaos scenario-matrix sim-equiv paper-fake lint docs loc loc-check cover clean-data
 
 check: build vet race bench-smoke
 
@@ -50,6 +50,16 @@ cover:
 # aside; see scripts/sim_equiv.sh.
 sim-equiv:
 	bash scripts/sim_equiv.sh $(BASE)
+
+# paper-fake runs the engine on the paper's baseline workload in fake
+# time (testing/synctest, go1.24's GOEXPERIMENT=synctest): both engine
+# modes beside the simulator's SCC-2S and OCC-BC at seeds 1-2 and 50 /
+# 100 / 150 txn/s, and the lockstep hot-key test. It prints the tables;
+# it asserts that every arrival resolves, that a rerun of a seed is
+# identical, and that the hot key loses no update. Plain `go test ./...`
+# skips both files. About 10 s on 2 vCPUs.
+paper-fake:
+	GOEXPERIMENT=synctest $(GO) test -count=1 -v -run '^(TestPaperWorkloadFakeTime|TestLockstepHotKey)$$' ./internal/harness ./internal/engine
 
 build:
 	$(GO) build ./...
