@@ -416,8 +416,7 @@ func (ms *managedShard) Durable() bool { return ms.m.opts.Fsync != FsyncOff }
 // paths) call it before any commit of the batch is acknowledged, so
 // subscribers only ever stream records that are already durable here.
 // The watermark is taken before the sync: a record written concurrently
-// (by the next batch) is left for the sync that covers it. The flight
-// ring gets a wal_fsync only when the sync ran an fsync.
+// (by the next batch) is left for the sync that covers it.
 func (ms *managedShard) Sync() error {
 	m := ms.m
 	ms.mu.Lock()

@@ -55,8 +55,12 @@ func fakeDuration(t sim.Time) time.Duration { return time.Duration(float64(t) * 
 // every arrival's Update has returned: one stuck for good leaves every
 // goroutine of the bubble blocked, and synctest.Run panics.
 func runEngineFake(mode engine.Mode, wl workload.Config) fakeCell {
-	var c fakeCell
+	// The cell leaves the bubble through a channel made outside it: the
+	// race detector does not order synctest.Run's return after the
+	// bubble's writes.
+	out := make(chan fakeCell, 1)
 	synctest.Run(func() {
+		var c fakeCell
 		st := engine.Open(engine.Config{Mode: mode, GroupCommit: engine.GroupCommit{Enabled: true}})
 		gen := workload.NewGenerator(wl)
 		start := time.Now()
@@ -118,8 +122,9 @@ func runEngineFake(mode engine.Mode, wl workload.Config) fakeCell {
 		c.tardiness = tardy.Seconds() / float64(c.measured)
 		c.forks = float64(s.Forks) / float64(s.Commits)
 		c.restarts = float64(s.Restarts) / float64(s.Commits)
+		out <- c
 	})
-	return c
+	return <-out
 }
 
 // runCoreFake runs the simulator's protocol on the same arrival stream.

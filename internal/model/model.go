@@ -146,12 +146,11 @@ type ReadObs struct {
 }
 
 // AccessLog is the executed-prefix bookkeeping of one shadow: the paper's
-// ReadSet(T_i_r) with read order, plus WriteSet(T_i_r). A shadow makes at
-// most a few dozen accesses, so lookups scan the lists.
+// ReadSet(T_i_r) with read order, plus WriteSet(T_i_r).
 type AccessLog struct {
-	reads      []ReadObs
-	writeOrder []PageID // pages in first-write order
-	writeAt    []int    // writeAt[i]: op index of writeOrder[i]'s first write
+	reads      []ReadObs // in execution order; a few dozen at most, so lookups scan
+	writeOrder []PageID  // pages in first-write order
+	writeAt    []int     // writeAt[i]: op index of writeOrder[i]'s first write
 }
 
 // NewAccessLog returns an empty log.
@@ -182,11 +181,10 @@ func (l *AccessLog) FirstReadIndex(p PageID) int {
 // WritePages returns the write set in first-write order.
 func (l *AccessLog) WritePages() []PageID { return l.writeOrder }
 
-// Prefix returns a copy of the log truncated to ops with index < upto.
+// Prefix returns a copy of the log truncated to ops with index < upto
+// (filtered, not resliced: reads may have been added out of op order).
 // This is the fork operation of the paper's Read/Write rules: a new shadow
-// inherits exactly the donor's accesses before the block point. Reads may
-// have been added out of op order, so the entries are filtered, not
-// resliced.
+// inherits exactly the donor's accesses before the block point.
 func (l *AccessLog) Prefix(upto int) *AccessLog {
 	n := &AccessLog{}
 	for _, r := range l.reads {

@@ -43,10 +43,8 @@ import (
 // names). docs/PROTOCOL.md lists every name normatively; the
 // conformance test in internal/server keeps the two in sync.
 const (
-	// EvFsync is an fsync of the node log that a shard's sync ran; the
-	// epoch is the shard's high-water commit epoch covered by it. A sync
-	// that runs no fsync (FsyncOff, or records already durable) records
-	// none.
+	// EvFsync is an fsync of the node log run by a shard's sync; the
+	// epoch is the shard's high-water commit epoch covered by it.
 	EvFsync = "wal_fsync"
 	// EvFsyncError is a failed WAL fsync, recorded with the shard's
 	// epoch watermark.

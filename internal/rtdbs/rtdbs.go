@@ -141,9 +141,8 @@ type Result struct {
 type Runtime struct {
 	K       *sim.Kernel
 	Metrics *stats.Metrics
-	// Trace, when set, receives a line for every runtime event (spawn,
-	// access, block, abort, restart, commit); used by `sccsim -fig`. Each
-	// site checks it first, so an untraced run builds no arguments.
+	// Trace, when set, receives a line for every runtime event (`sccsim
+	// -fig`); each site checks it first, so untraced runs box nothing.
 	Trace func(at sim.Time, format string, args ...any)
 
 	cfg       Config
