@@ -593,7 +593,6 @@ func (m *Manager) checkpointShard(ms *managedShard) error {
 		return err
 	}
 	m.log.at(hookRename)
-	ms.flight.Record(flight.EvCheckpoint, 0, ms.idx, epoch)
 	ms.mu.Lock()
 	ms.prevCkpt, ms.ckptIdx = ms.ckptIdx, head
 	// Subtract what this checkpoint covered rather than zeroing: commits

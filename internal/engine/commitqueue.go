@@ -62,7 +62,7 @@ type CommitQueue struct {
 	latch    []int
 	maxBatch int
 	onFlush  func()   // the owner's batch counter; runs under the latches, once per flush
-	met      *Metrics // BatchSize and FlushSeconds; nil = unobserved
+	met      *Metrics // FlushSeconds; nil = unobserved
 
 	mu       sync.Mutex
 	pending  []queuedStep // highest prio first, FIFO among equals
@@ -201,7 +201,6 @@ func (q *CommitQueue) flush(batch []queuedStep, beforeWait func()) error {
 		}
 	})
 	if q.met != nil {
-		q.met.BatchSize.Observe(int64(len(batch)))
 		q.met.FlushSeconds.Observe(int64(time.Since(flushStart)))
 	}
 	for _, req := range batch {

@@ -92,9 +92,6 @@ type Config struct {
 // counters aggregate; the per-shard split is not worth the label
 // cardinality).
 type Metrics struct {
-	// BatchSize observes commits processed per commit-latch acquisition;
-	// the coalescing win is its mean.
-	BatchSize *obs.Histogram
 	// FlushSeconds observes commit-queue flush latency: latch acquisition
 	// through log sync and fence — how long the commits queueing behind the
 	// flush wait for theirs to start.
@@ -119,8 +116,7 @@ type Stats struct {
 	// CommitBatches counts commit-latch acquisitions spent processing
 	// commit attempts, one per flush of the commit queue. A flush whose
 	// steps all fail validation counts too, so under contention
-	// Commits/CommitBatches falls below 1 and is not the coalescing win;
-	// Metrics.BatchSize's mean (attempts per flush) is.
+	// Commits/CommitBatches falls below 1 and is not the coalescing win.
 	CommitBatches int64
 }
 

@@ -15,10 +15,10 @@
 // same epoch, so dumps from a primary and its replicas merge into one
 // causal timeline (see MergeTimeline and `sccload -events-merge`).
 //
-// The recorder keeps one ring per shard (durability events: WAL fsync,
-// WAL error, checkpoint) plus three named rings:
-// "server" (per-request lifecycle stamps via obs.Trace), "admission"
-// (shed decisions), and "repl" (replica apply batches). Rings are
+// The recorder keeps one ring per shard (durability events: WAL fsync
+// and WAL errors) plus three named rings: "server" (per-request
+// lifecycle stamps via obs.Trace), "admission" (replica reads shed by
+// the lag gate), and "repl" (replica apply batches). Rings are
 // independently mutex-guarded — writers to different rings never
 // contend, and a dump racing a writer is safe — and bounded: an idle
 // ring costs its fixed buffer, a hot one overwrites its oldest events.
@@ -52,9 +52,6 @@ const (
 	// EvWalError is a failed WAL append (non-fsync failure); the epoch
 	// is the commit whose record could not be written.
 	EvWalError = "wal_error"
-	// EvCheckpoint is a completed shard checkpoint; the epoch is the
-	// shard's watermark at capture.
-	EvCheckpoint = "checkpoint"
 	// EvReplApply is one replica apply round; the epoch is the newest
 	// epoch installed by the round, the shard its first part's shard.
 	EvReplApply = "repl_apply"
@@ -106,67 +103,38 @@ type packed struct {
 	shard int32
 }
 
-// names interns event-name strings to packed codes. The live table is
-// an immutable snapshot behind an atomic pointer, so the record path
-// pays one atomic load and a map read — no lock. Registering a NEW name
-// clones the snapshot under namesMu (the set is a couple dozen protocol
-// constants, preregistered below, so the clone path runs ~never).
-type nameTable struct {
-	idx  map[string]uint32
-	list []string
+// names is the closed event vocabulary, and a name's packed code is its
+// index: the Ev* constants plus the obs.Stage* lifecycle names (spelled
+// out — obs imports this package, not the reverse; the conformance test
+// in internal/server keeps the spellings honest). A name outside it
+// records as unknown, which nameOf renders "?".
+var names = [...]string{
+	EvFsync, EvFsyncError, EvWalError, EvReplApply, EvReplShed,
+	EvPromote, EvDemote, EvFenceReject,
+	"enqueue", "admit", "fork", "park", "resume", "promotion",
+	"restart", "defer", "install", "commit",
 }
 
-var (
-	names   atomic.Pointer[nameTable]
-	namesMu sync.Mutex
-)
-
-func init() {
-	// The canonical set: the Ev* constants plus the obs.Stage* lifecycle
-	// names (spelled out — obs imports this package, not the reverse;
-	// the doc-conformance test in internal/server keeps the spellings
-	// honest). Preregistration is not required for correctness, it just
-	// keeps the steady state on the lock-free path.
-	names.Store(&nameTable{idx: make(map[string]uint32)})
-	for _, n := range []string{
-		EvFsync, EvFsyncError, EvWalError, EvCheckpoint, EvReplApply, EvReplShed,
-		EvPromote, EvDemote, EvFenceReject,
-		"enqueue", "admit", "fork", "park", "resume", "promotion",
-		"restart", "defer", "deferred", "install", "commit", "abort",
-		"shed", "reap",
-	} {
-		nameCode(n)
+var nameCodes = func() map[string]uint32 {
+	m := make(map[string]uint32, len(names))
+	for i, n := range names {
+		m[n] = uint32(i)
 	}
-}
+	return m
+}()
 
 func nameCode(name string) uint32 {
-	if c, ok := names.Load().idx[name]; ok {
+	if c, ok := nameCodes[name]; ok {
 		return c
 	}
-	namesMu.Lock()
-	defer namesMu.Unlock()
-	old := names.Load()
-	if c, ok := old.idx[name]; ok {
-		return c
-	}
-	next := &nameTable{idx: make(map[string]uint32, len(old.idx)+1), list: make([]string, len(old.list), len(old.list)+1)}
-	for k, v := range old.idx {
-		next.idx[k] = v
-	}
-	copy(next.list, old.list)
-	c := uint32(len(next.list))
-	next.list = append(next.list, name)
-	next.idx[name] = c
-	names.Store(next)
-	return c
+	return uint32(len(names))
 }
 
 func nameOf(code uint32) string {
-	t := names.Load()
-	if int(code) >= len(t.list) {
+	if int(code) >= len(names) {
 		return "?"
 	}
-	return t.list[code]
+	return names[code]
 }
 
 // Ring is one bounded event buffer. A nil *Ring records nothing, so
@@ -357,15 +325,6 @@ func (r *Recorder) Shard(i int) *Ring {
 		return nil
 	}
 	return r.shards[i]
-}
-
-// Seq returns how many events have been recorded since start — the
-// scc_flight_events_total bridge.
-func (r *Recorder) Seq() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.seq.Load()
 }
 
 // Snapshot merges every ring's retained events into one slice ordered

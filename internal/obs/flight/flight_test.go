@@ -26,8 +26,24 @@ func TestRingWraparound(t *testing.T) {
 			t.Fatalf("sequence not monotone: %d then %d", evs[i-1].Seq, evs[i].Seq)
 		}
 	}
-	if got := r.Seq(); got != 50 {
-		t.Fatalf("Seq() = %d, want 50", got)
+	if got := evs[len(evs)-1].Seq; got != 50 {
+		t.Fatalf("newest event's seq = %d, want 50", got)
+	}
+}
+
+// TestNamesAreClosed: every name of the vocabulary survives a dump, and
+// a name outside it records as "?".
+func TestNamesAreClosed(t *testing.T) {
+	r := New(0, len(names)+1)
+	for _, n := range names {
+		r.Server().Record(n, 0, -1, 0)
+	}
+	r.Server().Record("nonesuch", 0, -1, 0)
+	evs := r.Snapshot()
+	for i, n := range append(names[:], "?") {
+		if evs[i].Name != n {
+			t.Errorf("event %d: name %q, want %q", i, evs[i].Name, n)
+		}
 	}
 }
 
@@ -67,7 +83,7 @@ func TestConcurrentRecordAndDump(t *testing.T) {
 				}
 				r.Server().Record("admit", uint64(i), -1, 0)
 				r.Shard(w).Record(EvFsync, 0, w, uint64(i))
-				r.Admission().Record("shed", uint64(i), -1, 0)
+				r.Admission().Record(EvReplShed, uint64(i), -1, 0)
 				r.Repl().Record(EvReplApply, 0, w, uint64(i))
 			}
 		}(w)
@@ -90,7 +106,7 @@ func TestNilRecorderAndRing(t *testing.T) {
 	r.Server().Record("admit", 1, -1, 0) // must not panic
 	var g *Ring
 	g.Record("admit", 1, -1, 0)
-	if r.Snapshot() != nil || r.Seq() != 0 || r.Shard(3) != nil {
+	if r.Snapshot() != nil || r.Shard(3) != nil {
 		t.Fatal("nil recorder must be inert")
 	}
 	if p, err := r.DumpDir(t.TempDir(), "x"); err != nil || p != "" {

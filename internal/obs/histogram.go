@@ -64,41 +64,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var total uint64
-	for i := range h.counts {
-		total += h.counts[i].Load()
-	}
-	return total
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) of every observation so
-// far, in the exported unit. The estimate interpolates geometrically
-// inside the power-of-two bucket holding the rank, so it is off by less
-// than one bucket; ranks in the +Inf bucket report the top finite bound.
-// An empty histogram reports 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	rank := q * float64(h.Count())
-	if rank <= 0 {
-		return 0
-	}
-	var cum uint64
-	for i := range h.counts {
-		below := cum
-		cum += h.counts[i].Load()
-		if float64(cum) < rank {
-			continue
-		}
-		if i == len(h.counts)-1 {
-			break
-		}
-		frac := (rank - float64(below)) / float64(cum-below)
-		return h.scale * math.Ldexp(1, h.minExp+i-1) * math.Exp2(frac)
-	}
-	return h.scale * math.Ldexp(1, h.maxExp)
-}
-
 func (h *Histogram) expose(w io.Writer, fam *family, label string) {
 	var cum uint64
 	for i := range h.counts {

@@ -1,5 +1,5 @@
 // Package obs is the telemetry substrate: a zero-dependency metrics
-// registry (atomic counters, gauges, and log-scale latency histograms)
+// registry (atomic counters and log-scale latency histograms)
 // plus the per-transaction lifecycle trace (trace.go). Everything here
 // is built to be cheap enough for the engine's per-operation hot path —
 // an observation is one or two uncontended atomic adds, no maps, no
@@ -174,11 +174,6 @@ func (s funcSeries) expose(w io.Writer, fam *family, label string) {
 // cumulative stat) and safe to call from any goroutine.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(name, help, "counter", "").add("", funcSeries{fn})
-}
-
-// GaugeFunc registers a gauge sampled from fn at exposition time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(name, help, "gauge", "").add("", funcSeries{fn})
 }
 
 // Expose renders every family in Prometheus text exposition format

@@ -23,12 +23,8 @@ const (
 	StagePromotion = "promotion" // speculative shadow committed the transaction
 	StageRestart   = "restart"   // from-scratch re-execution (OCC-BC / give-up path)
 	StageDefer     = "defer"     // yielded to a higher-value conflicter (VW rule)
-	StageDeferred  = "deferred"  // session fell back to the deferred overlay path
 	StageInstall   = "install"   // writes installed under the commit latch
 	StageCommit    = "commit"    // verdict delivered (post WAL sync)
-	StageAbort     = "abort"     // transaction aborted
-	StageShed      = "shed"      // refused or evicted by admission control
-	StageReap      = "reap"      // session reaped (value zero-crossed or idle)
 )
 
 // Lost-value attribution stages: where realized value fell short of the

@@ -395,22 +395,6 @@ func (f *Feed) Subscribers() int {
 	return len(f.subs)
 }
 
-// MaxLag returns, over all live subscribers, the largest number of
-// unacked parts (head minus acked position) — the primary's repl_lag
-// stat. Zero with no subscribers.
-func (f *Feed) MaxLag() uint64 {
-	head := f.log.Head()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var worst uint64
-	for s := range f.subs {
-		if head > s.acked {
-			worst = max(worst, head-s.acked)
-		}
-	}
-	return worst
-}
-
 // Sub is one subscriber's ack state.
 type Sub struct {
 	feed  *Feed

@@ -175,28 +175,33 @@ func TestFeedAckLag(t *testing.T) {
 	f.Sink(0).AppendCommit(engine.CommitRecord{Writes: wr("a", "1")})
 	f.Sink(0).AppendCommit(engine.CommitRecord{Writes: wr("a", "2")})
 	f.Sink(1).AppendCommit(engine.CommitRecord{Writes: wr("b", "1")})
-	if f.MaxLag() != 0 {
-		t.Fatalf("lag with no subscribers = %d, want 0", f.MaxLag())
+	if f.Subscribers() != 0 {
+		t.Fatalf("subscribers = %d, want 0", f.Subscribers())
 	}
 	s1 := f.Subscribe()
 	s2 := f.Subscribe()
 	if f.Subscribers() != 2 {
 		t.Fatalf("subscribers = %d, want 2", f.Subscribers())
 	}
-	// s1 fully acked; s2 acked only the first part: lag 2.
+	acked := func(s *Sub) uint64 {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return s.acked
+	}
+	// s1 fully acked; s2 acked only the first part: two parts behind.
 	s1.Ack(3)
 	s2.Ack(1)
-	if got := f.MaxLag(); got != 2 {
-		t.Fatalf("MaxLag = %d, want 2 (s2 two parts behind)", got)
+	if a1, a2 := acked(s1), acked(s2); a1 != 3 || a2 != 1 {
+		t.Fatalf("acked = %d, %d, want 3, 1", a1, a2)
 	}
 	// Stale acks are ignored: s2 still owes two parts.
 	s2.Ack(0)
-	if got := f.MaxLag(); got != 2 {
-		t.Fatalf("MaxLag after a stale ack = %d, want 2", got)
+	if got := acked(s2); got != 1 {
+		t.Fatalf("acked after a stale ack = %d, want 1", got)
 	}
 	s2.Close()
-	if got := f.MaxLag(); got != 0 {
-		t.Fatalf("MaxLag after laggard unsubscribed = %d, want 0", got)
+	if f.Subscribers() != 1 {
+		t.Fatalf("subscribers after the laggard unsubscribed = %d, want 1", f.Subscribers())
 	}
 }
 

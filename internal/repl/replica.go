@@ -68,12 +68,6 @@ type ReplicaConfig struct {
 // ReplicaMetrics are the replica's instruments, registered by the
 // replica server in its obs registry.
 type ReplicaMetrics struct {
-	// ApplySeconds observes each round's install (latch hold + local
-	// commit-log sync).
-	ApplySeconds *obs.Histogram
-	// ApplyBatch observes parts installed per round — the replica-side
-	// coalescing win.
-	ApplyBatch *obs.Histogram
 	// Resumes counts subscriptions resumed from a persisted position;
 	// Snapshots counts snapshot bootstraps. A restarting durable replica
 	// should grow Resumes, not Snapshots.
@@ -544,10 +538,6 @@ func (r *Replica) apply() error {
 		return err
 	}
 	took := time.Since(t0)
-	if r.met != nil {
-		r.met.ApplySeconds.Observe(int64(took))
-		r.met.ApplyBatch.Observe(int64(n))
-	}
 	r.flight.Record(flight.EvReplApply, uint64(n), recs[0].Shard, epoch)
 	pos := recs[n-1].Index
 	r.batch = append(r.batch[:0], r.batch[n:]...)

@@ -56,15 +56,12 @@ func (c *AdmissionConfig) defaults() {
 }
 
 // AdmissionStats are cumulative admission counters. Admitted counts
-// grants, including re-grants to readmitted cross-shard retries;
-// Readmits counts retry re-entries (whether re-granted or shed); Shed
-// includes readmission sheds. Front-door sheds are therefore Shed minus
-// the server's cross_shed counter, and front-door grants are
-// Admitted - (Readmits - cross_shed).
+// grants, including re-grants to readmitted cross-shard retries; Shed
+// includes readmission sheds, so front-door sheds are Shed minus the
+// server's cross_shed counter.
 type AdmissionStats struct {
 	Admitted int64
 	Shed     int64
-	Readmits int64   // Readmit calls (cross-shard retries re-entering the queue)
 	Depth    int     // current queue depth
 	InFlight int     // currently admitted
 	OpTime   float64 // current per-op service-time estimate (seconds)
@@ -89,7 +86,6 @@ type Admission struct {
 	opTime   float64 // EWMA of per-op service time, seconds
 	admitted int64
 	shed     int64
-	readmits int64
 }
 
 // NewAdmission returns an admission queue with all slots free.
@@ -211,7 +207,6 @@ func (a *Admission) enqueueLocked(f value.Fn, numOps int) *waiter {
 // is called before the caller blocks for its grant.
 func (a *Admission) Readmit(f value.Fn, numOps int, beforeWait func()) error {
 	a.mu.Lock()
-	a.readmits++
 	var w *waiter
 	if a.closed || f.At(a.now()) <= 0 {
 		a.shed++
@@ -281,7 +276,6 @@ func (a *Admission) Stats() AdmissionStats {
 	return AdmissionStats{
 		Admitted: a.admitted,
 		Shed:     a.shed,
-		Readmits: a.readmits,
 		Depth:    len(a.waiters),
 		InFlight: a.cfg.MaxConcurrent - a.slots,
 		OpTime:   a.opTime,

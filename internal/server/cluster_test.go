@@ -526,6 +526,9 @@ func TestSyncAcksDegradesWithoutSubscriber(t *testing.T) {
 			t.Fatalf("%s: %d degraded waits, want 1 (the commit must wait for a replica ack)", p.name, n)
 		}
 	}
+	if got := statsOf(srv)["repl_sync_degraded"]; got != "2" {
+		t.Errorf("STATS repl_sync_degraded = %q, want the 2 degraded waits", got)
+	}
 }
 
 // TestCloseWakesSemiSyncWait: a commit parked in the semi-sync wait

@@ -24,9 +24,8 @@ func canonicalEventNames() []string {
 	return []string{
 		obspkg.StageEnqueue, obspkg.StageAdmit, obspkg.StageFork, obspkg.StagePark,
 		obspkg.StageResume, obspkg.StagePromotion, obspkg.StageRestart, obspkg.StageDefer,
-		obspkg.StageDeferred, obspkg.StageInstall, obspkg.StageCommit, obspkg.StageAbort,
-		obspkg.StageShed, obspkg.StageReap,
-		flight.EvFsync, flight.EvFsyncError, flight.EvWalError, flight.EvCheckpoint,
+		obspkg.StageInstall, obspkg.StageCommit,
+		flight.EvFsync, flight.EvFsyncError, flight.EvWalError,
 		flight.EvReplApply, flight.EvReplShed,
 		flight.EvPromote, flight.EvDemote, flight.EvFenceReject,
 	}
@@ -186,7 +185,8 @@ func TestRequestIDsPerConnection(t *testing.T) {
 }
 
 // TestEventNameConformance cross-checks the event vocabulary against
-// docs/PROTOCOL.md's event-name table in both directions.
+// docs/PROTOCOL.md's event-name table in both directions, and against
+// the flight recorder's closed name table.
 func TestEventNameConformance(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/PROTOCOL.md")
 	if err != nil {
@@ -207,10 +207,18 @@ func TestEventNameConformance(t *testing.T) {
 		}
 	}
 	known := make(map[string]bool)
+	rec := flight.New(0, len(canonicalEventNames()))
 	for _, name := range canonicalEventNames() {
 		known[name] = true
 		if !documented[name] {
 			t.Errorf("event %q can be emitted but is absent from the Event names table", name)
+		}
+		rec.Server().Record(name, 0, -1, 0)
+	}
+	// The recorder's vocabulary is closed: a name it lacks records as "?".
+	for i, e := range rec.Snapshot() {
+		if want := canonicalEventNames()[i]; e.Name != want {
+			t.Errorf("event %q records as %q", want, e.Name)
 		}
 	}
 	for name := range documented {

@@ -7,6 +7,7 @@ package server
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -74,6 +75,42 @@ func TestInlineNeedsAConnectionPerProcessor(t *testing.T) {
 	}
 	if n := srv.met.requestsInline.Value(); n != 1 {
 		t.Fatalf("req_inline = %d with a connection per processor, want 1", n)
+	}
+}
+
+// TestStatsCountInlineAndFlushes: pipelined single-shard UPDs on one
+// connection are read, run and answered by its reader, and STATS counts
+// each in req_inline; their replies are wire_responses, carried by at
+// least one flush and at most one per reply.
+func TestStatsCountInlineAndFlushes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	srv, addr := startServer(t, Config{Shards: 4})
+	fillReaders(t, srv, addr)
+	rc := dialRaw(t, addr)
+	const n = 8
+	lines := make([]string, n)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("REQ u%d UPD w:k%d:1", i, i)
+	}
+	rc.send(strings.Join(lines, "\n"))
+	for id, got := range recvWithin(t, rc, n, 2*time.Second) {
+		if got != "OK 1" {
+			t.Fatalf("UPD %s = %q, want OK 1", id, got)
+		}
+	}
+	// wire_flushes moves just after the flush that carried the replies,
+	// so the client may hold them a moment before it does.
+	st := statsOf(srv)
+	for deadline := time.Now().Add(5 * time.Second); st["wire_flushes"] == "0" && time.Now().Before(deadline); st = statsOf(srv) {
+		time.Sleep(time.Millisecond)
+	}
+	if st["req_inline"] != fmt.Sprint(n) {
+		t.Errorf("req_inline = %s after %d pipelined single-shard UPDs, want %d", st["req_inline"], n, n)
+	}
+	responses, _ := strconv.Atoi(st["wire_responses"])
+	flushes, _ := strconv.Atoi(st["wire_flushes"])
+	if responses != n || flushes < 1 || flushes > responses {
+		t.Errorf("wire_responses = %d, wire_flushes = %d; want %d responses in 1..%d flushes", responses, flushes, n, n)
 	}
 }
 

@@ -1,18 +1,18 @@
 // Server-side telemetry: one obs.Registry per Server, exposed via
 // Server.Metrics as Prometheus text exposition 0.0.4 on an operator HTTP
-// endpoint (cmd/sccserve -metrics-addr, GET /metrics). Two kinds of
-// series coexist:
+// endpoint (cmd/sccserve -metrics-addr, GET /metrics), beside the STATS
+// line. Every number has one home: the surface something reads it on.
+// The exercised-by ratchet (surface_test.go, TestTelemetrySurface) names
+// the reader of every STATS key, metric family and flight event name.
 //
-//   - Native instruments — latency histograms, lost-value counters —
+//   - Native instruments — latency histograms, value counters — are
 //     updated on the hot path. Each observation is one or two uncontended
 //     atomic adds; the histograms use power-of-two buckets so no floating
 //     point ever runs per request.
-//   - Derived series — commit, fork, promotion, admission counters — are
-//     func-backed bridges sampled from the layers' Stats structs at
-//     exposition time, so the hot path is never billed twice for a number
-//     a layer already maintains. They are the rows of statRows, the one
-//     table the STATS line is rendered from too: a counter has one
-//     source and one listing, whichever surface reads it.
+//   - statRows, the STATS line's one listing, reads the layers' Stats
+//     structs at render time, so the hot path is never billed twice for
+//     a number a layer already maintains. A row with a family is sampled
+//     into /metrics through the same read function.
 //
 // The value accounting is conservation-shaped, after the paper's Def. 2:
 // every valued request contributes its submit-time value to
@@ -25,7 +25,6 @@
 package server
 
 import (
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -57,7 +56,6 @@ type serverMetrics struct {
 	service    *obs.Histogram    // stage="service": one execAdmitted call, admit to engine verdict
 	sessionOps *obs.Histogram    // ops per interactive session
 
-	batchSize     *obs.Histogram // commits per group-commit flush
 	conflictScans *obs.Counter
 
 	submitted    *obs.FloatCounter
@@ -65,18 +63,15 @@ type serverMetrics struct {
 	lost         *obs.FloatCounterVec
 	lostByReason map[string]*obs.FloatCounter
 	traces       *obs.Counter
+	requests     *obs.Counter // request lines dispatched
 
 	// Event counters the server itself owns; statRows exposes them.
-	requests       obs.Counter // request lines dispatched
 	requestsInline obs.Counter // REQ-framed UPDs their connection's reader ran without handing off
 	wireResponses  obs.Counter // lines written to connections' response writers
 	wireFlushes    obs.Counter // successful flushes of those writers (one write(2) each, or nearly)
 	crossShed      obs.Counter // cross-shard retries shed past their zero-crossing
 	syncDegraded   obs.Counter // SyncAcks waits that timed out (commit acked anyway)
-	txnBegun       obs.Counter
-	txnCommitted   obs.Counter
-	txnAborted     obs.Counter
-	txnReaped      obs.Counter
+	txnReaped      obs.Counter // TXN sessions reaped at their zero crossing or idle cap
 }
 
 func newServerMetrics() *serverMetrics {
@@ -87,8 +82,6 @@ func newServerMetrics() *serverMetrics {
 			"Time spent in one transaction lifecycle stage.", "stage"),
 		sessionOps: reg.Histogram("scc_txn_session_ops",
 			"Operations per interactive TXN session at its verdict.", 0, 10, 1),
-		batchSize: reg.Histogram("scc_commit_batch_size",
-			"Commits processed per commit-latch acquisition.", 0, 10, 1),
 		conflictScans: reg.Counter("scc_conflict_key_scans_total",
 			"Key comparisons performed by the engine's Read/Write Rule conflict scans."),
 		submitted: reg.FloatCounter("scc_value_submitted_total",
@@ -99,6 +92,7 @@ func newServerMetrics() *serverMetrics {
 			"Submitted value not realized, attributed to the lifecycle stage that lost it.", "reason"),
 		traces: reg.Counter("scc_traces_total",
 			"Requests that asked for a trace= lifecycle timeline."),
+		requests: reg.Counter("scc_requests_total", "Wire requests dispatched."),
 	}
 	verbs := reg.NsHistogramVec("scc_request_seconds",
 		"Wire request latency by verb (dispatch to reply).", "verb")
@@ -125,7 +119,6 @@ func newServerMetrics() *serverMetrics {
 // stages so one family carries the whole lifecycle.
 func (m *serverMetrics) engineMetrics() *engine.Metrics {
 	return &engine.Metrics{
-		BatchSize:     m.batchSize,
 		FlushSeconds:  m.stage.With("commit_flush"),
 		ParkSeconds:   m.stage.With("park"),
 		ConflictScans: m.conflictScans,
@@ -187,205 +180,89 @@ func (sn *statSnap) adm() *AdmissionStats    { return lazy(&sn.ad, sn.s.adm.Stat
 func (sn *statSnap) durable() *durable.Stats { return lazy(&sn.dur, sn.s.durable.Stats) }
 
 // Role predicates for role-conditional rows: STATS emits such a row's
-// key, and its derived series reads its source, only while the server
-// holds the role.
+// key only while the server holds the role.
 func primary(sn *statSnap) bool   { return sn.feed != nil }
 func semiSync(sn *statSnap) bool  { return sn.feed != nil && sn.s.syncAcks }
 func replica(sn *statSnap) bool   { return sn.gate != nil }
 func clustered(sn *statSnap) bool { return sn.s.cluster != nil }
 func hasWAL(sn *statSnap) bool    { return sn.s.durable != nil }
 
-// statRow is one number the server reports about itself: a STATS key, a
-// derived metric family, or both — then both surfaces show the same
-// number, because both call read.
+// statRow is one STATS key. A row with a family is also a /metrics
+// counter — then both surfaces show the same number, because both call
+// read — which only a number read on both surfaces earns.
 type statRow struct {
-	key    string // STATS key; "" = /metrics only
-	family string // derived metric family; "" = STATS only
+	key    string
+	family string // counter family on every server; "" = STATS only
 	help   string
-	gauge  bool                 // family type: gauge, else counter
 	when   func(*statSnap) bool // role predicate; nil = every server
 	read   func(*statSnap) float64
-	text   func(*statSnap) string // STATS-only rows that are not plain integers
-	// promotable marks primary-side families: registration happens once,
-	// at Open, but promotion can mint a feed later, so a cluster member
-	// registers them up front and they answer zero until the role is held.
-	promotable bool
-}
-
-// replLagKey is emitted by both replication roles — a primary's worst
-// subscriber lag and a replica's own lag. A chained primary-and-replica
-// reports both; the replica-side one comes last and wins in last-wins
-// k=v parsers.
-const replLagKey = "repl_lag"
-
-func us(seconds float64, prec int) string {
-	return strconv.FormatFloat(seconds*1e6, 'f', prec, 64)
-}
-
-func memStats() *runtime.MemStats {
-	// ReadMemStats stops the world briefly — exposition time only, never
-	// on the request path.
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return &ms
+	text   func(*statSnap) string // rows that are not plain integers
 }
 
 // statRows is the server's one stats listing. Row order is STATS key
-// order and exposition order; docs/PROTOCOL.md documents both
-// vocabularies and TestMetricsConformance holds them to it.
+// order; docs/PROTOCOL.md documents every key and family, and
+// TestMetricsConformance holds them to it.
 var statRows = []statRow{
-	{key: "shards", family: "scc_shards", help: "Partition count of the backing store.", gauge: true,
-		read: func(sn *statSnap) float64 { return float64(sn.s.store.NumShards()) }},
-	{key: "reqs", family: "scc_requests_total", help: "Wire requests dispatched (the STATS reqs counter).",
-		read: func(sn *statSnap) float64 { return float64(sn.s.met.requests.Value()) }},
-	{key: "req_inline", family: "scc_requests_inline_total", help: "REQ-framed UPDs read, run and answered by one goroutine, the connection's reader, without promoting a follower.",
-		read: func(sn *statSnap) float64 { return float64(sn.s.met.requestsInline.Value()) }},
-	{key: "wire_responses", family: "scc_wire_responses_total", help: "Lines handed to connections' response writers (responses and pushed lines).",
-		read: func(sn *statSnap) float64 { return float64(sn.s.met.wireResponses.Value()) }},
-	{key: "wire_flushes", family: "scc_wire_flushes_total", help: "Successful response-writer flushes; wire_responses / wire_flushes is lines per write(2).",
-		read: func(sn *statSnap) float64 { return float64(sn.s.met.wireFlushes.Value()) }},
-	{family: "scc_flight_events_total", help: "Events recorded by the always-on flight recorder.",
-		read: func(sn *statSnap) float64 { return float64(sn.s.flight.Seq()) }},
-	{family: "scc_go_goroutines", help: "Live goroutines in the server process.", gauge: true,
-		read: func(*statSnap) float64 { return float64(runtime.NumGoroutine()) }},
-	{family: "scc_go_heap_inuse_bytes", help: "Bytes of heap memory in use (runtime.MemStats.HeapInuse).", gauge: true,
-		read: func(*statSnap) float64 { return float64(memStats().HeapInuse) }},
-	{family: "scc_go_gc_total", help: "Completed garbage-collection cycles.",
-		read: func(*statSnap) float64 { return float64(memStats().NumGC) }},
+	{key: "shards", read: func(sn *statSnap) float64 { return float64(sn.s.store.NumShards()) }},
+	{key: "req_inline", read: func(sn *statSnap) float64 { return float64(sn.s.met.requestsInline.Value()) }},
+	{key: "wire_responses", read: func(sn *statSnap) float64 { return float64(sn.s.met.wireResponses.Value()) }},
+	{key: "wire_flushes", read: func(sn *statSnap) float64 { return float64(sn.s.met.wireFlushes.Value()) }},
 
 	{key: "commits", family: "scc_commits_total", help: "Committed transactions across all shards.",
 		read: func(sn *statSnap) float64 { return float64(sn.store().TotalCommits()) }},
-	{key: "fast", family: "scc_commits_fast_total", help: "Single-shard fast-path commits.",
-		read: func(sn *statSnap) float64 { return float64(sn.store().FastPath) }},
-	{key: "cross", family: "scc_commits_cross_total", help: "Cross-shard commits (one node-log record each).",
-		read: func(sn *statSnap) float64 { return float64(sn.store().CrossCommits) }},
-	{key: "cross_restarts", family: "scc_cross_restarts_total", help: "Cross-shard validation restarts.",
-		read: func(sn *statSnap) float64 { return float64(sn.store().CrossRestarts) }},
-	{key: "cross_shed", family: "scc_cross_shed_total", help: "Cross-shard retries shed past their value zero-crossing.",
-		read: func(sn *statSnap) float64 { return float64(sn.s.met.crossShed.Value()) }},
-	{key: "cross_batches", family: "scc_cross_batches_total", help: "Cross-shard commit batches.",
-		read: func(sn *statSnap) float64 { return float64(sn.store().CrossBatches) }},
-	{key: "aborts", family: "scc_aborts_total", help: "Engine transaction aborts.",
-		read: func(sn *statSnap) float64 { return float64(sn.store().Engine.Aborts) }},
-	{key: "restarts", family: "scc_restarts_total", help: "Engine transaction restarts.",
-		read: func(sn *statSnap) float64 { return float64(sn.store().Engine.Restarts) }},
-	{key: "forks", family: "scc_forks_total", help: "Speculative shadows forked (SCC Conflict Rule).",
-		read: func(sn *statSnap) float64 { return float64(sn.store().Engine.Forks) }},
-	{key: "promotions", family: "scc_promotions_total", help: "Speculative shadows promoted at commit.",
-		read: func(sn *statSnap) float64 { return float64(sn.store().Engine.Promotions) }},
-	{key: "deferrals", family: "scc_deferrals_total", help: "Commits deferred by the value-cognizant Commit Rule.",
-		read: func(sn *statSnap) float64 { return float64(sn.store().Engine.Deferrals) }},
-	{key: "commit_batches", family: "scc_commit_batches_total", help: "Group-commit flushes.",
-		read: func(sn *statSnap) float64 { return float64(sn.store().Engine.CommitBatches) }},
-	{key: "views", family: "scc_views_total", help: "Read-only snapshot transactions.",
-		read: func(sn *statSnap) float64 { return float64(sn.store().Views) }},
+	{key: "fast", read: func(sn *statSnap) float64 { return float64(sn.store().FastPath) }},
+	{key: "cross", read: func(sn *statSnap) float64 { return float64(sn.store().CrossCommits) }},
+	{key: "cross_restarts", read: func(sn *statSnap) float64 { return float64(sn.store().CrossRestarts) }},
+	{key: "cross_shed", read: func(sn *statSnap) float64 { return float64(sn.s.met.crossShed.Value()) }},
+	{key: "aborts", read: func(sn *statSnap) float64 { return float64(sn.store().Engine.Aborts) }},
+	{key: "restarts", read: func(sn *statSnap) float64 { return float64(sn.store().Engine.Restarts) }},
+	{key: "forks", read: func(sn *statSnap) float64 { return float64(sn.store().Engine.Forks) }},
+	{key: "promotions", read: func(sn *statSnap) float64 { return float64(sn.store().Engine.Promotions) }},
+	{key: "deferrals", read: func(sn *statSnap) float64 { return float64(sn.store().Engine.Deferrals) }},
+	{key: "commit_batches", read: func(sn *statSnap) float64 { return float64(sn.store().Engine.CommitBatches) }},
+	{key: "shed", read: func(sn *statSnap) float64 { return float64(sn.adm().Shed) }},
 
-	{key: "admitted", family: "scc_admission_admitted_total", help: "Admission grants, including readmitted retries.",
-		read: func(sn *statSnap) float64 { return float64(sn.adm().Admitted) }},
-	{key: "shed", family: "scc_admission_shed_total", help: "Transactions refused admission (zero-crossed or evicted).",
-		read: func(sn *statSnap) float64 { return float64(sn.adm().Shed) }},
-	{key: "readmits", family: "scc_admission_readmits_total", help: "Cross-shard retries re-entering the admission queue.",
-		read: func(sn *statSnap) float64 { return float64(sn.adm().Readmits) }},
-	{key: "depth", family: "scc_admission_queue_depth", help: "Waiters queued for admission.", gauge: true,
-		read: func(sn *statSnap) float64 { return float64(sn.adm().Depth) }},
-	{key: "inflight", family: "scc_admission_inflight", help: "Admitted transactions currently holding slots.", gauge: true,
-		read: func(sn *statSnap) float64 { return float64(sn.adm().InFlight) }},
-	{family: "scc_admission_op_time_seconds", help: "Online per-operation service-time estimate.", gauge: true,
-		read: func(sn *statSnap) float64 { return sn.adm().OpTime }},
-	{key: "op_time_us", text: func(sn *statSnap) string { return us(sn.adm().OpTime, 1) }},
-	// Lifetime quantiles of the service stage, interpolated inside its
-	// power-of-two buckets; an idle server reports zeros.
-	{key: "p50_us", text: func(sn *statSnap) string { return us(sn.s.met.service.Quantile(0.50), 0) }},
-	{key: "p99_us", text: func(sn *statSnap) string { return us(sn.s.met.service.Quantile(0.99), 0) }},
+	{key: "txn_active", read: func(sn *statSnap) float64 { return float64(sn.s.sessions.active()) }},
+	{key: "txn_reaped", read: func(sn *statSnap) float64 { return float64(sn.s.met.txnReaped.Value()) }},
 
-	{key: "txn_active", family: "scc_txn_active", help: "Open interactive TXN sessions.", gauge: true,
-		read: func(sn *statSnap) float64 { return float64(sn.s.sessions.active()) }},
-	{key: "txn_begun", family: "scc_txn_begun_total", help: "TXN sessions begun.",
-		read: func(sn *statSnap) float64 { return float64(sn.s.met.txnBegun.Value()) }},
-	{key: "txn_committed", family: "scc_txn_committed_total", help: "TXN sessions committed.",
-		read: func(sn *statSnap) float64 { return float64(sn.s.met.txnCommitted.Value()) }},
-	{key: "txn_aborted", family: "scc_txn_aborted_total", help: "TXN sessions aborted.",
-		read: func(sn *statSnap) float64 { return float64(sn.s.met.txnAborted.Value()) }},
-	{key: "txn_reaped", family: "scc_txn_reaped_total", help: "TXN sessions reaped at their value zero crossing or idle cap.",
-		read: func(sn *statSnap) float64 { return float64(sn.s.met.txnReaped.Value()) }},
+	{key: "repl_subs", when: primary, read: func(sn *statSnap) float64 { return float64(sn.feed.Subscribers()) }},
+	{key: "log_trimmed", when: primary, read: func(sn *statSnap) float64 { return float64(sn.feed.Log().Trimmed()) }},
+	{key: "repl_sync_degraded", when: semiSync, read: func(sn *statSnap) float64 { return float64(sn.s.met.syncDegraded.Value()) }},
 
-	{key: "repl_subs", family: "scc_repl_subscribers", help: "Live replication subscriptions.", gauge: true, when: primary, promotable: true,
-		read: func(sn *statSnap) float64 { return float64(sn.feed.Subscribers()) }},
-	{key: replLagKey, family: "scc_repl_max_lag_records", help: "Largest subscriber lag in log parts.", gauge: true, when: primary, promotable: true,
-		read: func(sn *statSnap) float64 { return float64(sn.feed.MaxLag()) }},
-	{key: "log_trimmed", family: "scc_log_trimmed_total", help: "Commit-log parts trimmed below the retention and ack floors.", when: primary, promotable: true,
-		read: func(sn *statSnap) float64 { return float64(sn.feed.Log().Trimmed()) }},
-	{key: "repl_sync_degraded", family: "scc_repl_sync_degraded_total", help: "Semi-sync ack waits that timed out (commit acked anyway).", when: semiSync, promotable: true,
-		read: func(sn *statSnap) float64 { return float64(sn.s.met.syncDegraded.Value()) }},
+	{key: "repl_applied", when: replica, read: func(sn *statSnap) float64 { return float64(sn.gate.Applied()) }},
+	{key: "repl_lag", when: replica, read: func(sn *statSnap) float64 { return float64(sn.gate.LagRecords()) }},
+	{key: "repl_shed", when: replica, read: func(sn *statSnap) float64 { return float64(sn.gate.Shed()) }},
 
-	{key: "repl_applied", family: "scc_repl_applied_records", help: "Replica: primary position applied through.", gauge: true, when: replica,
-		read: func(sn *statSnap) float64 { return float64(sn.gate.Applied()) }},
-	{key: replLagKey, family: "scc_repl_lag_records", help: "Replica: log parts the primary is ahead.", gauge: true, when: replica,
-		read: func(sn *statSnap) float64 { return float64(sn.gate.LagRecords()) }},
-	{key: "repl_shed", family: "scc_repl_shed_total", help: "Replica: reads shed for lag-priced value loss.", when: replica,
-		read: func(sn *statSnap) float64 { return float64(sn.gate.Shed()) }},
-
-	{key: "cluster_epoch", family: "scc_cluster_epoch", help: "Current fencing epoch of this cluster member.", gauge: true, when: clustered,
-		read: func(sn *statSnap) float64 { return float64(sn.epoch) }},
+	{key: "cluster_epoch", when: clustered, read: func(sn *statSnap) float64 { return float64(sn.epoch) }},
 	{key: "cluster_role", when: clustered, text: func(sn *statSnap) string { return sn.crole.String() }},
-	{family: "scc_cluster_primary", help: "1 when this node is the cluster primary, else 0.", gauge: true, when: clustered,
-		read: func(sn *statSnap) float64 {
-			if sn.crole == cluster.RolePrimary {
-				return 1
-			}
-			return 0
-		}},
 
-	{key: "wal_appends", family: "scc_wal_appends_total", help: "Records appended to the node WAL.", when: hasWAL,
-		read: func(sn *statSnap) float64 { return float64(sn.durable().WALAppends) }},
-	{key: "wal_fsyncs", family: "scc_wal_fsyncs_total", help: "WAL fsync batches.", when: hasWAL,
-		read: func(sn *statSnap) float64 { return float64(sn.durable().WALFsyncs) }},
-	{key: "ckpt_count", family: "scc_checkpoints_total", help: "Shard checkpoints taken.", when: hasWAL,
-		read: func(sn *statSnap) float64 { return float64(sn.durable().Checkpoints) }},
-	{key: "recovered_index", family: "scc_recovered_index", help: "Committed records recovered at the last boot.", gauge: true, when: hasWAL,
-		read: func(sn *statSnap) float64 { return float64(sn.durable().RecoveredIndex) }},
-	{key: "dur_errors", family: "scc_durable_errors_total", help: "Durability-layer errors (WAL or checkpoint failures).", when: hasWAL,
-		read: func(sn *statSnap) float64 { return float64(sn.durable().Errors) }},
-	{key: "dur_cross_records", family: "scc_wal_cross_records_total", help: "Cross-shard commits appended to the node WAL, one record each.", when: hasWAL,
-		read: func(sn *statSnap) float64 { return float64(sn.durable().Intents) }},
+	{key: "wal_appends", when: hasWAL, read: func(sn *statSnap) float64 { return float64(sn.durable().WALAppends) }},
+	{key: "wal_fsyncs", when: hasWAL, read: func(sn *statSnap) float64 { return float64(sn.durable().WALFsyncs) }},
+	{key: "ckpt_count", when: hasWAL, read: func(sn *statSnap) float64 { return float64(sn.durable().Checkpoints) }},
+	{key: "recovered_index", when: hasWAL, read: func(sn *statSnap) float64 { return float64(sn.durable().RecoveredIndex) }},
+	{key: "dur_errors", when: hasWAL, read: func(sn *statSnap) float64 { return float64(sn.durable().Errors) }},
 }
 
-// registerStats bridges statRows into the registry as func-backed
-// series, in row order. Called once from Open, after the server's
-// subsystems exist; exposition samples them live through the same read
-// functions STATS uses, so /metrics and STATS can never disagree about
-// what a counter is, only about when it was read.
+// registerStats bridges the rows with a family into the registry as
+// func-backed counters, in row order. Called once from Open; exposition
+// samples them live through the same read functions STATS uses.
 func (s *Server) registerStats() {
-	boot := s.snap()
 	for i := range statRows {
-		row := &statRows[i]
-		registers := row.when == nil || row.when(boot) || row.promotable && clustered(boot)
-		if row.family == "" || !registers {
-			continue
-		}
-		sample := func() float64 {
-			if sn := s.snap(); row.when == nil || row.when(sn) {
-				return row.read(sn)
-			}
-			return 0
-		}
-		if row.gauge {
-			s.met.reg.GaugeFunc(row.family, row.help, sample)
-		} else {
-			s.met.reg.CounterFunc(row.family, row.help, sample)
+		if row := &statRows[i]; row.family != "" {
+			s.met.reg.CounterFunc(row.family, row.help, func() float64 { return row.read(s.snap()) })
 		}
 	}
 }
 
-// statsLine renders the STATS reply: every keyed row whose role the
-// server holds, in row order, from one snapshot.
+// statsLine renders the STATS reply: every row whose role the server
+// holds, in row order, from one snapshot.
 func (s *Server) statsLine() string {
 	sn := s.snap()
 	var b strings.Builder
 	b.WriteString("OK")
 	for i := range statRows {
 		row := &statRows[i]
-		if row.key == "" || row.when != nil && !row.when(sn) {
+		if row.when != nil && !row.when(sn) {
 			continue
 		}
 		b.WriteByte(' ')
@@ -404,10 +281,6 @@ func (s *Server) statsLine() string {
 // every stream the replica runs observes into.
 func (m *serverMetrics) replicaMetrics() *repl.ReplicaMetrics {
 	return &repl.ReplicaMetrics{
-		ApplySeconds: m.reg.NsHistogram("scc_repl_apply_seconds",
-			"Replica: one round's install, latch hold plus local commit-log sync."),
-		ApplyBatch: m.reg.Histogram("scc_repl_apply_batch",
-			"Replica: log parts installed per round, under one latch hold and one sync.", 0, 10, 1),
 		Resumes: m.reg.Counter("scc_repl_resumes_total",
 			"Replica: subscriptions resumed from a persisted primary position."),
 		Snapshots: m.reg.Counter("scc_repl_snapshots_total",

@@ -140,6 +140,46 @@ func TestMetricsExposition(t *testing.T) {
 	checkStatsTable(t, "traffic", srv, "")
 }
 
+// statsOf parses srv's STATS reply into its key=value pairs.
+func statsOf(srv *Server) map[string]string {
+	st := make(map[string]string)
+	for _, kv := range strings.Fields(strings.TrimPrefix(srv.dispatchLine("STATS"), "OK ")) {
+		k, v, _ := strings.Cut(kv, "=")
+		st[k] = v
+	}
+	return st
+}
+
+// TestStatsCountsADeferral: a lower-value UPD that conflicts with a live
+// higher-value session yields to it under the value-cognizant Commit
+// Rule, commits once the session has, and moves STATS deferrals by one.
+func TestStatsCountsADeferral(t *testing.T) {
+	srv, _ := startServer(t, Config{Shards: 1})
+	id := strings.TrimPrefix(srv.dispatchLine("TXN BEGIN v=100"), "OK ")
+	if got := srv.dispatchLine("TXN W " + id + " k =5"); got != "OK 5" {
+		t.Fatalf("TXN W = %q, want OK 5", got)
+	}
+	if got := statsOf(srv)["deferrals"]; got != "0" {
+		t.Fatalf("deferrals = %q before any conflict, want 0", got)
+	}
+	upd := make(chan string, 1)
+	go func() { upd <- srv.dispatchLine("UPD v=10 w:k:+1") }()
+	for deadline := time.Now().Add(2 * time.Second); statsOf(srv)["deferrals"] == "0"; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("STATS deferrals never moved while the UPD conflicted with the session")
+		}
+	}
+	if got := srv.dispatchLine("TXN COMMIT " + id); got != "OK 5" {
+		t.Fatalf("TXN COMMIT = %q, want OK 5", got)
+	}
+	if got := <-upd; got != "OK 6" {
+		t.Fatalf("deferred UPD = %q, want OK 6 (after the session's write)", got)
+	}
+	if got := statsOf(srv)["deferrals"]; got != "1" {
+		t.Errorf("deferrals = %q after one yield, want 1", got)
+	}
+}
+
 // checkStatsTable walks statRows on a quiescent server: every row with
 // both a STATS key and a metric family reports the same number on both
 // surfaces, and the role-conditional keys emitted are exactly roleKeys —
@@ -159,9 +199,9 @@ func checkStatsTable(t *testing.T, name string, srv *Server, roleKeys string) {
 			t.Fatalf("%s: %d connections still open; the server never went quiescent", name, open())
 		}
 	}
-	roleKey := make(map[string]bool) // repl_lag is keyed by two rows
+	roleKey := make(map[string]bool)
 	for _, row := range statRows {
-		roleKey[row.key] = roleKey[row.key] || row.when != nil
+		roleKey[row.key] = row.when != nil
 	}
 	stats := make(map[string]string)
 	var emittedRoleKeys []string
@@ -200,7 +240,7 @@ func checkStatsTable(t *testing.T, name string, srv *Server, roleKeys string) {
 // server role, after traffic that moves the role's own counters.
 func TestStatsTableOneSource(t *testing.T) {
 	_, priAddr := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true}})
-	const primaryKeys = "repl_subs repl_lag log_trimmed"
+	const primaryKeys = "repl_subs log_trimmed"
 	for _, c := range []struct {
 		name     string
 		cfg      Config
@@ -209,7 +249,7 @@ func TestStatsTableOneSource(t *testing.T) {
 		{"plain", Config{Shards: 2}, ""},
 		{"primary", Config{Shards: 2, Repl: ReplOptions{Primary: true}}, primaryKeys},
 		{"durable", Config{Shards: 2, Durable: durable.Options{Dir: t.TempDir()}},
-			"wal_appends wal_fsyncs ckpt_count recovered_index dur_errors dur_cross_records"},
+			"wal_appends wal_fsyncs ckpt_count recovered_index dur_errors"},
 		{"replica", Config{Shards: 2, ReplicaOf: priAddr},
 			"repl_applied repl_lag repl_shed"},
 		{"clustered", Config{Shards: 2, Repl: ReplOptions{Primary: true, SyncAcks: true, SyncTimeout: time.Millisecond}, Cluster: ClusterConfig{Self: "127.0.0.1:0"}},

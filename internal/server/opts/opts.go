@@ -187,7 +187,7 @@ func parseFinite(s string) (float64, error) {
 // in milliseconds with %g, exactly what ParseToken reads back.
 func (o T) Append(b []byte) []byte {
 	if o.Value > 0 {
-		b = strconv.AppendFloat(append(b, " v="...), o.Value, 'g', -1, 64)
+		b = appendNum(append(b, " v="...), o.Value)
 	}
 	if o.Deadline > 0 {
 		// Microsecond-multiple deadlines render exactly as before; a
@@ -200,10 +200,10 @@ func (o T) Append(b []byte) []byte {
 		} else {
 			ms = float64(o.Deadline.Nanoseconds()) / 1e6
 		}
-		b = strconv.AppendFloat(append(b, " dl="...), ms, 'g', -1, 64)
+		b = appendNum(append(b, " dl="...), ms)
 	}
 	if o.Gradient > 0 {
-		b = strconv.AppendFloat(append(b, " grad="...), o.Gradient, 'g', -1, 64)
+		b = appendNum(append(b, " grad="...), o.Gradient)
 	}
 	switch o.Family.Kind {
 	case "", FamilyLinear:
@@ -218,6 +218,17 @@ func (o T) Append(b []byte) []byte {
 		b = append(b, " trace=1"...)
 	}
 	return b
+}
+
+// appendNum appends v as strconv's 'g', -1 form renders it. That form
+// prints a whole number below 1e6 as plain digits, so such values take
+// the integer formatter; 1e6 and up print with an exponent and stay on
+// the float path.
+func appendNum(b []byte, v float64) []byte {
+	if v > 0 && v < 1e6 && v == math.Trunc(v) {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // Encode writes Append's tokens for o to b.

@@ -2,6 +2,7 @@ package opts
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -95,6 +96,20 @@ func TestEncodeTinyDeadlineNeverZero(t *testing.T) {
 	}
 	if o.Deadline <= 0 {
 		t.Fatalf("tiny deadline round-tripped to %v, want > 0", o.Deadline)
+	}
+}
+
+// TestAppendNumMatchesFloatForm: appendNum's integer path prints exactly
+// what the 'g', -1 float form prints, on both sides of its 1e6 bound.
+func TestAppendNumMatchesFloatForm(t *testing.T) {
+	for _, v := range []float64{1, 10, 100, 999999, 1e6, 1234567, 0.5, 2.5, 1e21} {
+		if got, want := string(appendNum(nil, v)), strconv.FormatFloat(v, 'g', -1, 64); got != want {
+			t.Errorf("appendNum(%v) = %q, want %q", v, got, want)
+		}
+	}
+	o := T{Value: 10, Deadline: 1500 * time.Nanosecond, Gradient: 1e6}
+	if got, want := string(o.Append(nil)), " v=10 dl=0.0015 grad=1e+06"; got != want {
+		t.Errorf("Append = %q, want %q", got, want)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs/flight"
 	"repro/internal/repl"
 	"repro/internal/server/client"
 	"repro/internal/shard"
@@ -156,6 +157,17 @@ func TestReplicationConverges(t *testing.T) {
 	// One connection carries the replica's one subscription.
 	if pst["repl_subs"] != "1" {
 		t.Fatalf("primary repl_subs=%s, want 1", pst["repl_subs"])
+	}
+	// Each apply round leaves a repl_apply event carrying its newest
+	// commit epoch: the replica's half of a merged cross-node timeline.
+	rounds := 0
+	for _, e := range rep.Flight().Snapshot() {
+		if e.Name == flight.EvReplApply && e.Epoch > 0 {
+			rounds++
+		}
+	}
+	if rounds == 0 {
+		t.Fatal("the replica's flight ring holds no epoch-stamped repl_apply event")
 	}
 }
 

@@ -100,7 +100,6 @@ func (c *conn) begin(o opts.T, numOps int, write, session bool, wait func()) (re
 	r.tr.EventOff(obs.StageEnqueue, 0)
 	admitStart := time.Now()
 	if err := s.adm.acquire(r.f, numOps, wait); err != nil {
-		s.flight.Admission().Record(obs.StageShed, r.id, -1, 0)
 		return r, r.refuse(obs.LossAdmissionShed, "SHED")
 	}
 	r.admitAt = time.Now()
@@ -118,19 +117,18 @@ func (r *request) refuse(reason, reply string) string {
 }
 
 // finish delivers an admitted request's verdict, exactly once: it frees
-// the slot, settles the ledger entry, stamps the closing stage and
-// renders the reply. A commit (err == nil) realizes the value
-// function's value now and books the decay since submit; every other
-// verdict realizes nothing, so the whole submitted value goes to the one
-// reason lossReason reads off err — booking only the residual would
-// leak the decayed part out of the conservation invariant.
+// the slot, settles the ledger entry, stamps a commit and renders the
+// reply. A commit (err == nil) realizes the value function's value now
+// and books the decay since submit; every other verdict realizes
+// nothing, so the whole submitted value goes to the one reason
+// lossReason reads off err — booking only the residual would leak the
+// decayed part out of the conservation invariant.
 func (r *request) finish(results []int64, err error) string {
 	s := r.s
 	if !r.shed {
 		s.adm.Release(r.service, r.numOps)
 	}
 	var reply string
-	verdict := &s.met.txnCommitted // the session counter this verdict moves
 	if err == nil {
 		vEnd := max(r.f.At(s.adm.now()), 0)
 		s.met.realized.Add(vEnd)
@@ -147,15 +145,9 @@ func (r *request) finish(results []int64, err error) string {
 	} else {
 		reason := lossReason(err)
 		s.met.lostValue(reason, r.v0)
-		verdict = &s.met.txnAborted
-		stage := obs.StageAbort
 		switch {
-		case reason == obs.LossReap:
-			verdict = &s.met.txnReaped
-			stage = obs.StageReap
 		case reason == obs.LossCrossShed:
 			s.met.crossShed.Inc()
-			s.flight.Admission().Record(obs.StageShed, r.id, -1, 0)
 			reply = "SHED"
 		case r.session && reason == obs.LossConflictAbort:
 			// Retryable conflicts are marked distinctly so session
@@ -165,14 +157,8 @@ func (r *request) finish(results []int64, err error) string {
 		default:
 			reply = "ERR " + err.Error()
 		}
-		r.tr.Event(stage)
 	}
 	r.tr.Flush()
-	if r.session {
-		// Counted last: whoever sees the counter move sees the settled
-		// ledger (and, for a reap, the tombstone) behind it.
-		verdict.Inc()
-	}
 	return reply
 }
 

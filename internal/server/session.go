@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/server/opts"
 	"repro/internal/shard"
 )
@@ -287,7 +286,6 @@ func (ss *session) runLive(firstKey string) {
 	res, err := ss.srv.store.UpdateTracedResult(ss.val, []string{firstKey}, nil, ss.req.tr, nil, ss.liveFn)
 	ss.mu.Lock()
 	if errors.Is(err, shard.ErrKeyNotDeclared) {
-		ss.req.tr.Event(obs.StageDeferred)
 		ss.deferLocked()
 	} else {
 		ss.liveRes, _ = res.([]int64)
@@ -397,7 +395,6 @@ func (c *conn) txnBegin(o opts.T, wait func()) string {
 	// verdict that may be a long think time away.
 	r.tr.Flush()
 	ss := s.sessions.add(r)
-	s.met.txnBegun.Inc()
 	return "OK " + ss.wireID()
 }
 
@@ -566,5 +563,11 @@ func (ss *session) end(reaped bool, res []int64, err error) string {
 	ss.mu.Unlock()
 	ss.srv.sessions.remove(ss.id, reaped)
 	ss.srv.met.sessionOps.Observe(int64(n))
-	return ss.req.finish(res, err)
+	reply := ss.req.finish(res, err)
+	if reaped {
+		// Counted last: whoever sees txn_reaped move sees the settled
+		// ledger and the tombstone behind it.
+		ss.srv.met.txnReaped.Inc()
+	}
+	return reply
 }

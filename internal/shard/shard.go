@@ -94,7 +94,6 @@ type Stats struct {
 	CrossCommits  int64 // multi-shard transactions committed
 	CrossRestarts int64 // multi-shard validation failures (re-executions)
 	CrossBatches  int64 // latch-acquisition rounds spent on cross-shard commits
-	Views         int64 // read-only multi-shard snapshots served
 }
 
 // TotalCommits returns all committed transactions regardless of path.
@@ -114,7 +113,6 @@ type Store struct {
 	crossCommits  atomic.Int64
 	crossRestarts atomic.Int64
 	crossBatches  atomic.Int64
-	views         atomic.Int64
 }
 
 // Open returns an empty sharded store.
@@ -179,7 +177,6 @@ func (s *Store) Stats() Stats {
 	out.CrossCommits = s.crossCommits.Load()
 	out.CrossRestarts = s.crossRestarts.Load()
 	out.CrossBatches = s.crossBatches.Load()
-	out.Views = s.views.Load()
 	return out
 }
 
@@ -477,7 +474,6 @@ func (s *Store) View(keys []string, fn func(Tx) error) error {
 			s.shards[idx].UnlockCommit()
 		}
 	}()
-	s.views.Add(1)
 	return fn(viewTx{s: s, involved: involved})
 }
 
