@@ -12,8 +12,8 @@ lint:
 
 # docs checks every tracked markdown file for broken relative links, and
 # runs the exercised-by ratchets: a verb, flag, option token or env var
-# that nothing reaches, or a STATS key, metric family or flight event
-# that nothing reads, fails here, before the race jobs start.
+# that nothing reaches, or a STATS key, metric family, label value or
+# flight event that nothing reads, fails here, before the race jobs start.
 docs:
 	$(GO) test -run '^(TestDocLinks|TestWireSurface|TestTelemetrySurface)$$' .
 
@@ -29,7 +29,7 @@ loc:
 # when loc's total exceeds LOC_MAX, the total of the last PR that
 # lowered it. A diet PR sets LOC_MAX to its own result; a PR that must
 # raise it says why in CHANGES.md.
-LOC_MAX = 17437
+LOC_MAX = 17325
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_MAX) ]; then \

@@ -32,10 +32,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/repl"
 	"repro/internal/shard"
@@ -56,9 +54,6 @@ type Options struct {
 	// by hand do; sccserve refuses it, since nothing would then trim the
 	// WAL.
 	CkptEvery int
-	// Metrics, when non-nil, receives durability observations (fsync and
-	// checkpoint latency). All fields must be populated.
-	Metrics *Metrics
 	// OnError, when non-nil, is invoked (once, from its own goroutine)
 	// with the first sticky WAL failure. The serving layer uses it to
 	// fail-stop the process the moment durability is lost, instead of
@@ -66,22 +61,11 @@ type Options struct {
 	// every install path also surfaces the same failure synchronously in
 	// its verdict.
 	OnError func(error)
-	// Flight, when non-nil, receives durability events (fsync, WAL error,
-	// checkpoint) on its per-shard rings, and is dumped to <Dir>/flight/
+	// Flight, when non-nil, receives durability events (fsync, fsync and
+	// WAL errors) on its per-shard rings, and is dumped to <Dir>/flight/
 	// on the first sticky WAL failure, before OnError fail-stops the
 	// process.
 	Flight *flight.Recorder
-}
-
-// Metrics are the durability layer's instruments, registered by the
-// serving layer and shared across shards.
-type Metrics struct {
-	// FsyncSeconds observes each WAL fsync — the stall every commit in a
-	// batch waits out before its verdict under the group policy.
-	FsyncSeconds *obs.Histogram
-	// CheckpointSeconds observes each shard checkpoint: latched snapshot,
-	// log sync, atomic file write.
-	CheckpointSeconds *obs.Histogram
 }
 
 // Stats are cumulative durability counters.
@@ -298,9 +282,6 @@ func Open(opts Options, store *shard.Store, feed *repl.Feed) (*Manager, error) {
 	}
 	m.log = log
 	log.ship = feed != nil
-	if opts.Metrics != nil {
-		log.fsyncObs = opts.Metrics.FsyncSeconds
-	}
 	// New epochs allocate above everything stamped on disk.
 	m.epochs.Observe(maxEpoch)
 	for i, ms := range m.shards {
@@ -568,10 +549,6 @@ func (m *Manager) checkpoint(shards []*managedShard) ([]int, error) {
 // sync through the shard's newest record, then the atomic checkpoint
 // write.
 func (m *Manager) checkpointShard(ms *managedShard) error {
-	if met := m.opts.Metrics; met != nil {
-		start := time.Now()
-		defer func() { met.CheckpointSeconds.Observe(int64(time.Since(start))) }()
-	}
 	eng := m.store.Shard(ms.idx)
 	eng.LockCommit()
 	ms.mu.Lock()

@@ -50,10 +50,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 )
 
 // FsyncPolicy selects when WAL appends are forced to stable storage.
@@ -247,11 +245,10 @@ const (
 
 // nodeLog is a node's write-ahead log.
 type nodeLog struct {
-	dir      string
-	policy   FsyncPolicy
-	fsyncObs *obs.Histogram  // observes each fsync's duration; may be nil
-	hook     func(hookPoint) // test seam; nil in production
-	ship     bool            // queue written records for the replication feed
+	dir    string
+	policy FsyncPolicy
+	hook   func(hookPoint) // test seam; nil in production
+	ship   bool            // queue written records for the replication feed
 
 	syncMu sync.Mutex // serializes fsyncs and rotation; never taken by an append
 
@@ -443,7 +440,6 @@ func (l *nodeLog) syncTo(target int64) (bool, error) {
 // hold syncMu, never mu.
 func (l *nodeLog) fsync(f *os.File) error {
 	l.at(hookFsync)
-	start := time.Now()
 	var err error
 	if faultFsyncErr() {
 		err = errInjectedFsync
@@ -454,9 +450,6 @@ func (l *nodeLog) fsync(f *os.File) error {
 		return l.fail(err)
 	}
 	l.fsyncs.Add(1)
-	if l.fsyncObs != nil {
-		l.fsyncObs.Observe(int64(time.Since(start)))
-	}
 	return nil
 }
 

@@ -61,8 +61,7 @@ type CommitQueue struct {
 	stores   []*Store
 	latch    []int
 	maxBatch int
-	onFlush  func()   // the owner's batch counter; runs under the latches, once per flush
-	met      *Metrics // FlushSeconds; nil = unobserved
+	onFlush  func() // the owner's batch counter; runs under the latches, once per flush
 
 	mu       sync.Mutex
 	pending  []queuedStep // highest prio first, FIFO among equals
@@ -76,14 +75,14 @@ type CommitQueue struct {
 
 // NewCommitQueue returns the queue for commits that latch stores[i] for
 // every i in latch (ascending; retained).
-func NewCommitQueue(stores []*Store, latch []int, cfg GroupCommit, onFlush func(), met *Metrics) *CommitQueue {
+func NewCommitQueue(stores []*Store, latch []int, cfg GroupCommit, onFlush func()) *CommitQueue {
 	maxBatch := 1
 	if cfg.Enabled {
 		if maxBatch = cfg.MaxBatch; maxBatch <= 0 {
 			maxBatch = 64
 		}
 	}
-	return &CommitQueue{stores: stores, latch: latch, maxBatch: maxBatch, onFlush: onFlush, met: met}
+	return &CommitQueue{stores: stores, latch: latch, maxBatch: maxBatch, onFlush: onFlush}
 }
 
 // Commit enqueues step and blocks until a flush has run it — under the
@@ -189,7 +188,6 @@ func (q *CommitQueue) drain(budget int, beforeWait func()) {
 // flush runs batch under one acquisition of the latches and one commit
 // boundary, and returns the boundary's error.
 func (q *CommitQueue) flush(batch []queuedStep, beforeWait func()) error {
-	flushStart := time.Now()
 	// One commit boundary covers every install of the flush, and no
 	// committer learns its verdict before the batch has crossed it. A
 	// boundary failure converts every installed verdict of the batch to an
@@ -200,9 +198,6 @@ func (q *CommitQueue) flush(batch []queuedStep, beforeWait func()) error {
 			batch[i].installed = batch[i].step()
 		}
 	})
-	if q.met != nil {
-		q.met.FlushSeconds.Observe(int64(time.Since(flushStart)))
-	}
 	for _, req := range batch {
 		switch {
 		case req.done == nil: // the leader's own step: it reads the batch

@@ -28,7 +28,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -79,30 +78,6 @@ type Config struct {
 	// finish while a flush is running commit together under one store-latch
 	// acquisition and one log sync when it completes. See commitqueue.go.
 	GroupCommit GroupCommit
-	// Metrics, when non-nil, receives hot-path observations (group-commit
-	// batch sizes and flush latency, speculative-shadow park waits,
-	// conflict-scan work). All fields must be populated. Each observation
-	// is an atomic add or two, so leaving this enabled in production is
-	// the intended configuration.
-	Metrics *Metrics
-}
-
-// Metrics are the engine's optional instruments, registered by the
-// serving layer in its obs.Registry and shared across shards (the
-// counters aggregate; the per-shard split is not worth the label
-// cardinality).
-type Metrics struct {
-	// FlushSeconds observes commit-queue flush latency: latch acquisition
-	// through log sync and fence — how long the commits queueing behind the
-	// flush wait for theirs to start.
-	FlushSeconds *obs.Histogram
-	// ParkSeconds observes how long speculative shadows sit parked at
-	// their gate — the park→promotion gap when the shadow goes on to win.
-	ParkSeconds *obs.Histogram
-	// ConflictScans counts in-flight handles examined by the Read and
-	// Write Rules — the O(active) work that makes conflict detection
-	// expensive under load.
-	ConflictScans *obs.Counter
 }
 
 // Stats are cumulative engine counters.
@@ -118,6 +93,10 @@ type Stats struct {
 	// steps all fail validation counts too, so under contention
 	// Commits/CommitBatches falls below 1 and is not the coalescing win.
 	CommitBatches int64
+	// ConflictScans counts in-flight handles examined by the Read and
+	// Write Rules — the O(active) work that makes conflict detection
+	// expensive under load.
+	ConflictScans int64
 }
 
 // Add accumulates other's counters into s (shard-level aggregation lives
@@ -131,6 +110,7 @@ func (s *Stats) Add(other Stats) {
 	s.Promotions += other.Promotions
 	s.Deferrals += other.Deferrals
 	s.CommitBatches += other.CommitBatches
+	s.ConflictScans += other.ConflictScans
 }
 
 // Store is the engine.
@@ -163,7 +143,7 @@ func Open(cfg Config) *Store {
 		log:       nopLog{},
 		committed: make(map[string]versioned),
 	}
-	s.queue = NewCommitQueue([]*Store{s}, []int{0}, cfg.GroupCommit, func() { s.stats.CommitBatches++ }, cfg.Metrics)
+	s.queue = NewCommitQueue([]*Store{s}, []int{0}, cfg.GroupCommit, func() { s.stats.CommitBatches++ })
 	return s
 }
 
@@ -330,12 +310,7 @@ func (tx *Tx) Get(key string) ([]byte, error) {
 	// Rule.
 	if a.spec && a.readSeq == a.gateIdx {
 		a.h.tr.Event(obs.StagePark)
-		parkStart := time.Now()
-		aborted := a.park()
-		if met := s.cfg.Metrics; met != nil {
-			met.ParkSeconds.Observe(int64(time.Since(parkStart)))
-		}
-		if aborted {
+		if a.park() {
 			return nil, ErrAborted
 		}
 		a.h.tr.Event(obs.StageResume)
@@ -363,18 +338,14 @@ func (tx *Tx) Get(key string) ([]byte, error) {
 
 	// Read Rule: this read conflicts with every in-flight writer of key.
 	if !a.spec && s.cfg.Mode == SCC2S {
-		scanned := 0
 		for _, other := range s.active {
 			if other == a.h || other.resolved {
 				continue
 			}
-			scanned++
+			s.stats.ConflictScans++
 			if o := other.opt.find(key); o != nil && o.write {
 				s.forkShadowLocked(a.h, other, idx)
 			}
-		}
-		if met := s.cfg.Metrics; met != nil && scanned > 0 {
-			met.ConflictScans.Add(int64(scanned))
 		}
 	}
 	out := make([]byte, len(v.val))
@@ -406,18 +377,14 @@ func (tx *Tx) Set(key string, val []byte) error {
 	if !a.spec {
 		// Write Rule: in-flight readers of key gain a conflict with us.
 		if s.cfg.Mode == SCC2S {
-			scanned := 0
 			for _, other := range s.active {
 				if other == a.h || other.resolved {
 					continue
 				}
-				scanned++
+				s.stats.ConflictScans++
 				if o := other.opt.find(key); o != nil && o.read {
 					s.forkShadowLocked(other, a.h, o.readAt)
 				}
-			}
-			if met := s.cfg.Metrics; met != nil && scanned > 0 {
-				met.ConflictScans.Add(int64(scanned))
 			}
 		}
 	}

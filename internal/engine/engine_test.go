@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -383,5 +384,25 @@ func TestClosedStore(t *testing.T) {
 	s.Close()
 	if err := s.Update(func(tx *Tx) error { return nil }); err == nil {
 		t.Fatal("Update on closed store succeeded")
+	}
+}
+
+// TestStatsAddSumsEveryField: Add sums every counter of Stats, so a
+// field added to the struct but not to Add fails here.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		if av.Field(i).Kind() != reflect.Int64 {
+			t.Fatalf("Stats.%s is a %s; extend this test to it", av.Type().Field(i).Name, av.Field(i).Kind())
+		}
+		av.Field(i).SetInt(int64(i + 1))
+		bv.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := av.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("after Add, Stats.%s = %d, want %d: Add drops it", av.Type().Field(i).Name, got, want)
+		}
 	}
 }

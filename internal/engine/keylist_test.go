@@ -277,3 +277,69 @@ func TestConflictRules(t *testing.T) {
 		}
 	}
 }
+
+// TestConflictScans pins Stats.ConflictScans to the in-flight
+// transactions each Read and Write Rule examines, on a conflict-free
+// schedule fixed by held closures: A reads a and holds, B reads and
+// writes b and holds, C reads and writes c and commits, then A writes a
+// and B finishes. OCC-BC has no rules to scan for.
+func TestConflictScans(t *testing.T) {
+	for _, tc := range []struct {
+		mode Mode
+		want [4]int64 // after B holds, C commits, A finishes, B finishes
+	}{
+		// B's read and write see A (2); C's see A and B (4); A's write
+		// sees B (1), C having resolved; B does no more.
+		{SCC2S, [4]int64{2, 6, 7, 7}},
+		{OCCBC, [4]int64{}},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			s := Open(Config{Mode: tc.mode, GroupCommit: GroupCommit{Enabled: true}})
+			defer s.Close()
+			var got [4]int64
+			scans := func() int64 { return s.Stats().ConflictScans }
+			A := startHeld(s, func(tx *Tx, hold func(*Tx)) error {
+				v, err := getInt(tx, "a")
+				if err != nil {
+					return err
+				}
+				hold(tx)
+				return setInt(tx, "a", v+1)
+			})
+			if n := scans(); n != 0 {
+				t.Fatalf("a lone read scanned %d transactions, want 0", n)
+			}
+			B := startHeld(s, func(tx *Tx, hold func(*Tx)) error {
+				v, err := getInt(tx, "b")
+				if err != nil {
+					return err
+				}
+				if err := setInt(tx, "b", v+1); err != nil {
+					return err
+				}
+				hold(tx)
+				return nil
+			})
+			got[0] = scans()
+			update(t, s, func(tx *Tx) error {
+				v, err := getInt(tx, "c")
+				if err != nil {
+					return err
+				}
+				return setInt(tx, "c", v+1)
+			})
+			got[1] = scans()
+			A.finish(t)
+			got[2] = scans()
+			B.finish(t)
+			got[3] = scans()
+			checkQuiesced(t, s)
+			if got != tc.want {
+				t.Errorf("ConflictScans after each step = %v, want %v", got, tc.want)
+			}
+			if st := s.Stats(); st.Forks != 0 || st.Restarts != 0 || st.Commits != 3 {
+				t.Errorf("schedule was not conflict-free: %+v", st)
+			}
+		})
+	}
+}

@@ -16,9 +16,9 @@
 // causal timeline (see MergeTimeline and `sccload -events-merge`).
 //
 // The recorder keeps one ring per shard (durability events: WAL fsync
-// and WAL errors) plus three named rings: "server" (per-request
-// lifecycle stamps via obs.Trace), "admission" (replica reads shed by
-// the lag gate), and "repl" (replica apply batches). Rings are
+// and WAL errors) plus two named rings: "server" (per-request
+// lifecycle stamps via obs.Trace, and replica reads shed by the lag
+// gate) and "repl" (replica apply batches). Rings are
 // independently mutex-guarded — writers to different rings never
 // contend, and a dump racing a writer is safe — and bounded: an idle
 // ring costs its fixed buffer, a hot one overwrites its oldest events.
@@ -81,7 +81,7 @@ const DefaultSize = 1024
 type Event struct {
 	Seq   uint64 // node-wide monotonic sequence (shared across rings)
 	At    int64  // wall clock, unix nanoseconds
-	Ring  string // ring name: "server", "admission", "repl", "shardN"
+	Ring  string // ring name: "server", "repl", "shardN"
 	Name  string // event name (obs stage or Ev* constant)
 	Txn   uint64 // serving-layer request/session id; 0 when not request-scoped
 	Shard int    // owning shard; -1 when not shard-scoped
@@ -245,14 +245,13 @@ type Recorder struct {
 	nodeMu sync.Mutex
 	node   string
 
-	server    *Ring
-	admission *Ring
-	repl      *Ring
-	shards    []*Ring
+	server *Ring
+	repl   *Ring
+	shards []*Ring
 }
 
-// New returns a recorder with one ring per shard plus the server,
-// admission, and repl rings. size <= 0 uses DefaultSize.
+// New returns a recorder with one ring per shard plus the server and
+// repl rings. size <= 0 uses DefaultSize.
 func New(shards, size int) *Recorder {
 	if size <= 0 {
 		size = DefaultSize
@@ -265,7 +264,6 @@ func New(shards, size int) *Recorder {
 		return &Ring{name: name, seq: &r.seq, buf: make([]packed, n)}
 	}
 	r.server = mk("server", 4*size)
-	r.admission = mk("admission", size)
 	r.repl = mk("repl", size)
 	r.shards = make([]*Ring, shards)
 	for i := range r.shards {
@@ -303,14 +301,6 @@ func (r *Recorder) Server() *Ring {
 	return r.server
 }
 
-// Admission returns the shed-decision ring.
-func (r *Recorder) Admission() *Ring {
-	if r == nil {
-		return nil
-	}
-	return r.admission
-}
-
 // Repl returns the replication ring.
 func (r *Recorder) Repl() *Ring {
 	if r == nil {
@@ -335,7 +325,6 @@ func (r *Recorder) Snapshot() []Event {
 	}
 	var all []Event
 	all = append(all, r.server.snapshot()...)
-	all = append(all, r.admission.snapshot()...)
 	all = append(all, r.repl.snapshot()...)
 	for _, g := range r.shards {
 		all = append(all, g.snapshot()...)

@@ -83,7 +83,6 @@ func TestConcurrentRecordAndDump(t *testing.T) {
 				}
 				r.Server().Record("admit", uint64(i), -1, 0)
 				r.Shard(w).Record(EvFsync, 0, w, uint64(i))
-				r.Admission().Record(EvReplShed, uint64(i), -1, 0)
 				r.Repl().Record(EvReplApply, 0, w, uint64(i))
 			}
 		}(w)
@@ -93,7 +92,7 @@ func TestConcurrentRecordAndDump(t *testing.T) {
 		if err := r.WriteTo(&buf, "test"); err != nil {
 			t.Fatalf("WriteTo: %v", err)
 		}
-		if n := len(r.Snapshot()); n > 4*size+size*4+size+size {
+		if n := len(r.Snapshot()); n > 4*size+size*4+size {
 			t.Fatalf("snapshot retained %d events, exceeds ring bounds", n)
 		}
 	}

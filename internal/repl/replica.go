@@ -29,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/shard"
 )
@@ -55,24 +54,11 @@ type ReplicaConfig struct {
 	// trimmed its log past the resume point, StartReplica falls back to a
 	// fresh snapshot bootstrap automatically.
 	ResumePath string
-	// Metrics, when non-nil, receives apply-path observations. All
-	// fields must be populated.
-	Metrics *ReplicaMetrics
 	// Flight, when non-nil, receives one event per round — the replica
 	// half of the cross-node causal timeline: the event carries the
 	// round's newest commit epoch, so a merged flight dump joins it to
 	// the primary's events (fsync, WAL error) for the same epoch.
 	Flight *flight.Ring
-}
-
-// ReplicaMetrics are the replica's instruments, registered by the
-// replica server in its obs registry.
-type ReplicaMetrics struct {
-	// Resumes counts subscriptions resumed from a persisted position;
-	// Snapshots counts snapshot bootstraps. A restarting durable replica
-	// should grow Resumes, not Snapshots.
-	Resumes   *obs.Counter
-	Snapshots *obs.Counter
 }
 
 // Replica is a live replication client. Create one with StartReplica.
@@ -82,8 +68,12 @@ type Replica struct {
 	gate       *LagGate
 	w          *bufio.Writer
 	resumePath string
-	met        *ReplicaMetrics
 	flight     *flight.Ring
+
+	// resumed and snaps record the bootstrap, set before run starts: the
+	// position came from ResumePath, and how many SNAPs were installed.
+	resumed bool
+	snaps   int
 
 	mu     sync.Mutex
 	pos    uint64 // primary position applied through: always a record boundary
@@ -134,7 +124,6 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 		store:      cfg.Store,
 		gate:       cfg.Gate,
 		resumePath: cfg.ResumePath,
-		met:        cfg.Metrics,
 		flight:     cfg.Flight,
 		done:       make(chan struct{}),
 	}
@@ -157,9 +146,7 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 		return nil, err
 	}
 	r.next = r.pos + 1
-	if resumed && r.met != nil {
-		r.met.Resumes.Inc()
-	}
+	r.resumed = resumed
 	go r.run(br)
 	if r.gate != nil {
 		go r.pollHeads(cfg.Primary)
@@ -365,9 +352,7 @@ func (r *Replica) bootstrap(br *bufio.Reader) error {
 	r.mu.Lock()
 	r.pos, r.epoch = pos, epoch
 	r.mu.Unlock()
-	if r.met != nil {
-		r.met.Snapshots.Inc()
-	}
+	r.snaps++
 	if r.gate != nil {
 		r.gate.ObserveApplied(pos, 0, 0)
 	}
@@ -553,6 +538,11 @@ func (r *Replica) apply() error {
 	}
 	return r.w.Flush()
 }
+
+// Bootstrap reports how the stream started: whether its position came
+// from ResumePath, and how many SNAPs it installed — independently, as a
+// resume at position 0 still SNAPs and a refused resume falls back to one.
+func (r *Replica) Bootstrap() (resumed bool, snaps int) { return r.resumed, r.snaps }
 
 // Position returns the primary position the replica has applied through
 // — always a record boundary of the primary's commit order — and its

@@ -40,9 +40,9 @@ type ClusterConfig struct {
 
 // startReplica streams primary's commit order into the store: the stream
 // bootstraps by SNAP (a durable replica resumes from its resume file
-// instead), feeds the lag gate, and records into the replica metrics and
-// the repl flight ring. A stream that ends leaves the store serving its
-// last consistent snapshot.
+// instead), feeds the lag gate, and records into the repl flight ring;
+// the server counts the bootstrap in its replica counters. A stream that
+// ends leaves the store serving its last consistent snapshot.
 func (s *Server) startReplica(primary string) error {
 	resume := ""
 	if s.dataDir != "" {
@@ -53,11 +53,17 @@ func (s *Server) startReplica(primary string) error {
 		Store:      s.store,
 		Gate:       s.replGate(),
 		ResumePath: resume,
-		Metrics:    s.replMet,
 		Flight:     s.flight.Repl(),
 	})
 	if err != nil {
 		return err
+	}
+	if m := s.met; m.replResumes != nil {
+		resumed, snaps := r.Bootstrap()
+		if resumed {
+			m.replResumes.Inc()
+		}
+		m.replSnapshots.Add(int64(snaps))
 	}
 	s.repMu.Lock()
 	s.rep = r

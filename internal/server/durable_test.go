@@ -9,6 +9,8 @@ package server
 import (
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -350,9 +352,9 @@ func TestDurableReplicaResumesWithoutReSnap(t *testing.T) {
 	repCfg := Config{Shards: 4, ReplicaOf: priAddr, Durable: durable.Options{Dir: repDir}}
 	rep1, _ := startDurableServer(t, repCfg)
 	// First start over an empty directory: snapshot bootstrap, no resume.
-	if m := rep1.replMet; m.Snapshots.Value() == 0 || m.Resumes.Value() != 0 {
+	if m := rep1.met; m.replSnapshots.Value() == 0 || m.replResumes.Value() != 0 {
 		t.Fatalf("fresh start: snapshots=%d resumes=%d, want snapshots>0 resumes=0",
-			m.Snapshots.Value(), m.Resumes.Value())
+			m.replSnapshots.Value(), m.replResumes.Value())
 	}
 	waitCaughtUp(t, pri, rep1)
 	rep1.Close()
@@ -364,16 +366,45 @@ func TestDurableReplicaResumesWithoutReSnap(t *testing.T) {
 	// persisted primary position, with no snapshot fetch at all.
 	rep2, repAddr2 := startDurableServer(t, repCfg)
 	defer rep2.Close()
-	if rep2.replMet.Resumes.Value() == 0 {
+	if rep2.met.replResumes.Value() == 0 {
 		t.Fatal("restart did not resume from the persisted position")
 	}
-	if n := rep2.replMet.Snapshots.Value(); n != 0 {
+	if n := rep2.met.replSnapshots.Value(); n != 0 {
 		t.Fatalf("restart fetched %d snapshots, want 0 (the re-SNAP bug)", n)
 	}
 	waitCaughtUp(t, pri, rep2)
 	want := snapshotKeys(t, priAddr, keys)
 	if got := snapshotKeys(t, repAddr2, keys); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("resumed replica state %v, want %v", got, want)
+	}
+}
+
+// TestDurableReplicaResumeAtZeroSnapshots: a resume file at position 0 —
+// what a replica of an empty primary persists right after its bootstrap
+// — resumes the stream and still SNAPs, and the server counts both.
+func TestDurableReplicaResumeAtZeroSnapshots(t *testing.T) {
+	priDir, repDir := t.TempDir(), t.TempDir()
+	pri, priAddr := startDurableServer(t, Config{
+		Shards:  2,
+		Repl:    ReplOptions{Primary: true},
+		Durable: durable.Options{Dir: priDir},
+	})
+	defer pri.Close()
+	keys := driveMixedLoad(t, priAddr, 2)
+	if err := os.WriteFile(filepath.Join(repDir, "replica.resume"), []byte("v3 0 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, repAddr := startDurableServer(t, Config{Shards: 2, ReplicaOf: priAddr, Durable: durable.Options{Dir: repDir}})
+	defer rep.Close()
+	if m := rep.met; m.replResumes.Value() != 1 || m.replSnapshots.Value() != 1 {
+		t.Fatalf("resume at 0: resumes=%d snapshots=%d, want 1 and 1",
+			m.replResumes.Value(), m.replSnapshots.Value())
+	}
+	waitCaughtUp(t, pri, rep)
+	want := snapshotKeys(t, priAddr, keys)
+	if got := snapshotKeys(t, repAddr, keys); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replica state %v, want %v", got, want)
 	}
 }
 
@@ -408,7 +439,7 @@ func TestDurableReplicaResumeFallsBackToSnapshot(t *testing.T) {
 
 	rep2, repAddr2 := startDurableServer(t, repCfg)
 	defer rep2.Close()
-	if rep2.replMet.Snapshots.Value() == 0 {
+	if rep2.met.replSnapshots.Value() == 0 {
 		t.Fatal("trimmed-log restart did not fall back to snapshot bootstrap")
 	}
 	waitCaughtUp(t, pri, rep2)

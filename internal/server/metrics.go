@@ -27,36 +27,22 @@ package server
 import (
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/durable"
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/repl"
 	"repro/internal/shard"
 )
 
-// metricVerbs are the dispatch verbs that get their own
-// scc_request_seconds series; anything else shares "other", so a typo
-// storm cannot mint unbounded label values.
-var metricVerbs = []string{
-	"PING", "GET", "ADD", "UPD", "SUM", "STATS", "HEAD", "TXN", "TOPO",
-}
-
 // serverMetrics owns the registry and the pre-resolved hot-path series.
 type serverMetrics struct {
 	reg *obs.Registry
 
-	verbSeconds map[string]*obs.Histogram // per-verb request latency
-	otherVerb   *obs.Histogram
-
-	stage      *obs.HistogramVec // scc_stage_seconds{stage=...}
-	admitWait  *obs.Histogram    // stage="admission_wait"
-	service    *obs.Histogram    // stage="service": one execAdmitted call, admit to engine verdict
-	sessionOps *obs.Histogram    // ops per interactive session
-
-	conflictScans *obs.Counter
+	// scc_request_seconds has a series for the two verbs bench/ reads; no
+	// other verb pays a clock read for it.
+	updSeconds, txnSeconds *obs.Histogram
+	sessionOps             *obs.Histogram // ops per interactive session
 
 	submitted    *obs.FloatCounter
 	realized     *obs.FloatCounter
@@ -64,6 +50,10 @@ type serverMetrics struct {
 	lostByReason map[string]*obs.FloatCounter
 	traces       *obs.Counter
 	requests     *obs.Counter // request lines dispatched
+
+	// replResumes and replSnapshots count a replica's streams by how each
+	// bootstrapped; nil on a server not opened as a replica.
+	replResumes, replSnapshots *obs.Counter
 
 	// Event counters the server itself owns; statRows exposes them.
 	requestsInline obs.Counter // REQ-framed UPDs their connection's reader ran without handing off
@@ -78,12 +68,8 @@ func newServerMetrics() *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{
 		reg: reg,
-		stage: reg.NsHistogramVec("scc_stage_seconds",
-			"Time spent in one transaction lifecycle stage.", "stage"),
 		sessionOps: reg.Histogram("scc_txn_session_ops",
 			"Operations per interactive TXN session at its verdict.", 0, 10, 1),
-		conflictScans: reg.Counter("scc_conflict_key_scans_total",
-			"Key comparisons performed by the engine's Read/Write Rule conflict scans."),
 		submitted: reg.FloatCounter("scc_value_submitted_total",
 			"Sum of Def. 2 value-function values at transaction submit."),
 		realized: reg.FloatCounter("scc_value_realized_total",
@@ -96,13 +82,7 @@ func newServerMetrics() *serverMetrics {
 	}
 	verbs := reg.NsHistogramVec("scc_request_seconds",
 		"Wire request latency by verb (dispatch to reply).", "verb")
-	m.verbSeconds = make(map[string]*obs.Histogram, len(metricVerbs))
-	for _, v := range metricVerbs {
-		m.verbSeconds[v] = verbs.With(strings.ToLower(v))
-	}
-	m.otherVerb = verbs.With("other")
-	m.admitWait = m.stage.With("admission_wait")
-	m.service = m.stage.With("service")
+	m.updSeconds, m.txnSeconds = verbs.With("upd"), verbs.With("txn")
 	m.lostByReason = make(map[string]*obs.FloatCounter)
 	for _, r := range []string{
 		obs.LossExecution, obs.LossSession, obs.LossAdmissionShed,
@@ -114,17 +94,6 @@ func newServerMetrics() *serverMetrics {
 	return m
 }
 
-// engineMetrics builds the instrument set internal/engine observes into;
-// the flush and park stages share scc_stage_seconds with the server's own
-// stages so one family carries the whole lifecycle.
-func (m *serverMetrics) engineMetrics() *engine.Metrics {
-	return &engine.Metrics{
-		FlushSeconds:  m.stage.With("commit_flush"),
-		ParkSeconds:   m.stage.With("park"),
-		ConflictScans: m.conflictScans,
-	}
-}
-
 // lostValue attributes v of lost value to reason (no-op for v <= 0).
 func (m *serverMetrics) lostValue(reason string, v float64) {
 	if c, ok := m.lostByReason[reason]; ok {
@@ -134,13 +103,16 @@ func (m *serverMetrics) lostValue(reason string, v float64) {
 	m.lost.With(reason).Add(v)
 }
 
-// observeVerb records one dispatch round trip.
-func (m *serverMetrics) observeVerb(verb string, d time.Duration) {
-	h, ok := m.verbSeconds[verb]
-	if !ok {
-		h = m.otherVerb
+// verbSeconds returns verb's scc_request_seconds series, nil for a verb
+// that has none.
+func (m *serverMetrics) verbSeconds(verb string) *obs.Histogram {
+	switch verb {
+	case "UPD":
+		return m.updSeconds
+	case "TXN":
+		return m.txnSeconds
 	}
-	h.Observe(int64(d))
+	return nil
 }
 
 // statSnap is one reader's view of the server: the role pointers and
@@ -244,14 +216,18 @@ var statRows = []statRow{
 }
 
 // registerStats bridges the rows with a family into the registry as
-// func-backed counters, in row order. Called once from Open; exposition
-// samples them live through the same read functions STATS uses.
+// func-backed counters, in row order, then the layer counters /metrics
+// alone reads. Called once from Open; exposition samples them live
+// through the same read functions STATS uses.
 func (s *Server) registerStats() {
 	for i := range statRows {
 		if row := &statRows[i]; row.family != "" {
 			s.met.reg.CounterFunc(row.family, row.help, func() float64 { return row.read(s.snap()) })
 		}
 	}
+	s.met.reg.CounterFunc("scc_conflict_key_scans_total",
+		"In-flight transactions the engine's Read/Write Rule conflict scans examined.",
+		func() float64 { return float64(s.store.Stats().Engine.ConflictScans) })
 }
 
 // statsLine renders the STATS reply: every row whose role the server
@@ -277,15 +253,13 @@ func (s *Server) statsLine() string {
 	return b.String()
 }
 
-// replicaMetrics registers a replica's apply-path instruments, which
-// every stream the replica runs observes into.
-func (m *serverMetrics) replicaMetrics() *repl.ReplicaMetrics {
-	return &repl.ReplicaMetrics{
-		Resumes: m.reg.Counter("scc_repl_resumes_total",
-			"Replica: subscriptions resumed from a persisted primary position."),
-		Snapshots: m.reg.Counter("scc_repl_snapshots_total",
-			"Replica: snapshot bootstraps fetched via SNAP."),
-	}
+// registerReplica registers the counters of a replica's stream
+// bootstraps, which every stream the replica starts moves.
+func (m *serverMetrics) registerReplica() {
+	m.replResumes = m.reg.Counter("scc_repl_resumes_total",
+		"Replica: subscriptions resumed from a persisted primary position.")
+	m.replSnapshots = m.reg.Counter("scc_repl_snapshots_total",
+		"Replica: snapshot bootstraps fetched via SNAP.")
 }
 
 // Metrics exposes the server's telemetry registry (operator binaries

@@ -95,7 +95,7 @@ func TestMetricsExposition(t *testing.T) {
 	samples := parseExposition(t, text)
 
 	// Histograms end at +Inf and carry _sum/_count.
-	for _, h := range []string{"scc_request_seconds", "scc_stage_seconds"} {
+	for _, h := range []string{"scc_request_seconds", "scc_txn_session_ops"} {
 		if !strings.Contains(text, h+`_bucket{`) {
 			t.Errorf("%s has no bucket series", h)
 		}
@@ -138,6 +138,29 @@ func TestMetricsExposition(t *testing.T) {
 
 	// STATS and the exposition sample the same counters, row by row.
 	checkStatsTable(t, "traffic", srv, "")
+}
+
+// TestConflictScansExposed: scc_conflict_key_scans_total samples the
+// engine's own count. An UPD of two keys beside an open session scans
+// the session's transaction at each of its two reads and two writes.
+func TestConflictScansExposed(t *testing.T) {
+	srv, _ := startServer(t, Config{Shards: 1, Mode: engine.SCC2S})
+	id := strings.TrimPrefix(srv.dispatchLine("TXN BEGIN"), "OK ")
+	if got := srv.dispatchLine("TXN R " + id + " a"); got != "OK 0" {
+		t.Fatalf("TXN R = %q", got)
+	}
+	if got := srv.dispatchLine("UPD w:b:1 w:c:1"); got != "OK 1 1" {
+		t.Fatalf("UPD = %q", got)
+	}
+	if got := srv.dispatchLine("TXN COMMIT " + id); got != "OK" {
+		t.Fatalf("TXN COMMIT = %q", got)
+	}
+	var b strings.Builder
+	srv.Metrics().Expose(&b)
+	got := parseExposition(t, b.String())["scc_conflict_key_scans_total"]
+	if want := srv.Store().Stats().Engine.ConflictScans; got != float64(want) || want != 4 {
+		t.Errorf("scc_conflict_key_scans_total = %v, engine ConflictScans = %d; want both 4", got, want)
+	}
 }
 
 // statsOf parses srv's STATS reply into its key=value pairs.

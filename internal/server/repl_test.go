@@ -347,6 +347,17 @@ func TestReplicaLagAccounting(t *testing.T) {
 	if got := rc.recv(); got != "SHED" {
 		t.Fatalf("doomed read on lagging replica = %q, want SHED", got)
 	}
+	// The shed lands in the server ring, beside the request's other
+	// serving-layer events.
+	var sheds []flight.Event
+	for _, ev := range rep.Flight().Snapshot() {
+		if ev.Name == flight.EvReplShed {
+			sheds = append(sheds, ev)
+		}
+	}
+	if len(sheds) != 1 || sheds[0].Ring != "server" {
+		t.Fatalf("flight %s events %+v, want one in ring server", flight.EvReplShed, sheds)
+	}
 	// A long-lived read is still worth serving stale.
 	rc.send("UPD v=5 dl=3600000 r:x")
 	if got := rc.recv(); got != "OK" {

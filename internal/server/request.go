@@ -91,19 +91,17 @@ func (c *conn) begin(o opts.T, numOps int, write, session bool, wait func()) (re
 		// catch-up — a stale read it could never deliver while it still
 		// carries value.
 		if err := gate.Admit(r.f, s.adm.now()); err != nil {
-			s.flight.Admission().Record(flight.EvReplShed, r.id, -1, 0)
+			s.flight.Server().Record(flight.EvReplShed, r.id, -1, 0)
 			return r, r.refuse(obs.LossReplicaLag, "SHED")
 		}
 	}
 	// The enqueue stamp is the submit instant — the trace's own start,
 	// no clock read needed.
 	r.tr.EventOff(obs.StageEnqueue, 0)
-	admitStart := time.Now()
 	if err := s.adm.acquire(r.f, numOps, wait); err != nil {
 		return r, r.refuse(obs.LossAdmissionShed, "SHED")
 	}
 	r.admitAt = time.Now()
-	s.met.admitWait.Observe(int64(r.admitAt.Sub(admitStart)))
 	r.tr.EventAt(obs.StageAdmit, r.admitAt)
 	return r, ""
 }

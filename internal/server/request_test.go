@@ -14,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
+	"repro/internal/repl"
 	"repro/internal/server/opts"
 )
 
@@ -87,6 +88,12 @@ func TestSessionLedgerSurvivesSlowAdmission(t *testing.T) {
 			if diff := math.Abs(sub - (real + sum(lost))); diff > 1e-9 {
 				t.Errorf("value leak after %s: submitted %v != realized %v + lost %v (diff %v)", exit, sub, real, lost, diff)
 			}
+			// The exit's reason carries every loss: the decay of a commit, the
+			// whole submitted value of an abort or a reap.
+			reason := map[string]string{"COMMIT": obs.LossSession, "ABORT": obs.LossClientAbort, "reap": obs.LossReap}[exit]
+			if lost[reason] <= 0 || lost[reason] != sum(lost) || exit != "COMMIT" && lost[reason] != sub {
+				t.Errorf("after %s: lost = %v, want it all under %s", exit, lost, reason)
+			}
 		})
 	}
 }
@@ -118,6 +125,44 @@ func TestSessionOpsCountsEveryExit(t *testing.T) {
 	if reaped := srv.met.txnReaped.Value(); n != 3 || reaped != 1 {
 		t.Errorf("scc_txn_session_ops count = %v, txn_reaped = %d; want 3 sessions ended, 1 of them reaped", n, reaped)
 	}
+}
+
+// TestRefusalsBookTheirReason: a request refused before it runs books
+// its whole submitted value under the refusal's reason — a newcomer the
+// full admission queue evicts under admission_shed, a read a lagging
+// replica sheds under replica_lag.
+func TestRefusalsBookTheirReason(t *testing.T) {
+	t.Run(obs.LossAdmissionShed, func(t *testing.T) {
+		srv, _ := startServer(t, Config{Shards: 1, Admission: AdmissionConfig{MaxConcurrent: 1, MaxQueue: 1}})
+		if err := srv.adm.Acquire(srv.adm.FnOf(opts.T{Value: 1}), 1); err != nil {
+			t.Fatal(err)
+		}
+		queued := make(chan string, 1)
+		go func() { queued <- srv.dispatchLine("UPD v=100 w:a:1") }()
+		waitDepth(t, srv.adm, 1)
+		if got := srv.dispatchLine("UPD v=2 w:b:1"); got != "SHED" {
+			t.Fatalf("lower-value newcomer at a full queue = %q, want SHED", got)
+		}
+		srv.adm.Release(0, 0)
+		if got := <-queued; got != "OK 1" {
+			t.Fatalf("queued UPD = %q, want OK 1", got)
+		}
+		if _, _, lost := valueLedger(t, srv); lost[obs.LossAdmissionShed] != 2 {
+			t.Errorf("lost = %v, want the shed UPD's v=2 under %s", lost, obs.LossAdmissionShed)
+		}
+	})
+	t.Run(obs.LossReplicaLag, func(t *testing.T) {
+		srv, _ := startServer(t, Config{Shards: 1})
+		gate := repl.NewLagGate(10*time.Millisecond, time.Millisecond)
+		gate.ObserveHead(10000)
+		srv.gateP.Store(gate)
+		if got := srv.dispatchLine("UPD v=2 dl=100 r:x"); got != "SHED" {
+			t.Fatalf("doomed read on a lagging replica = %q, want SHED", got)
+		}
+		if _, _, lost := valueLedger(t, srv); lost[obs.LossReplicaLag] != 2 || sum(lost) != 2 {
+			t.Errorf("lost = %v, want the shed read's v=2 under %s", lost, obs.LossReplicaLag)
+		}
+	})
 }
 
 // brokenLog is a commit log whose sync always fails: every commit that

@@ -141,8 +141,6 @@ type Server struct {
 	dataDir     string           // Durable.Dir: the replica resume file and flight dumps
 	lease       time.Duration    // Cluster.Lease, for the monitor Serve starts
 
-	// replMet is a replica's apply-path instruments, shared by its streams.
-	replMet *repl.ReplicaMetrics
 	// repMu guards rep, the replica's live replication stream, which the
 	// failover monitor swaps: promotion consumes it, a follow re-points it.
 	repMu sync.Mutex
@@ -206,7 +204,7 @@ func Open(cfg Config) (*Server, error) {
 	store := shard.Open(shard.Config{
 		Shards: cfg.Shards,
 		Epochs: epochs,
-		Engine: engine.Config{Mode: cfg.Mode, GroupCommit: cfg.GroupCommit, Metrics: met.engineMetrics()},
+		Engine: engine.Config{Mode: cfg.Mode, GroupCommit: cfg.GroupCommit},
 	})
 	var feed *repl.Feed
 	if cfg.Repl.Primary {
@@ -214,10 +212,6 @@ func Open(cfg Config) (*Server, error) {
 	}
 	var man *durable.Manager
 	if cfg.Durable.Dir != "" {
-		cfg.Durable.Metrics = &durable.Metrics{
-			FsyncSeconds:      met.stage.With("wal_fsync"),
-			CheckpointSeconds: met.stage.With("checkpoint"),
-		}
 		cfg.Durable.Flight = fl
 		var err error
 		man, err = durable.Open(cfg.Durable, store, feed)
@@ -254,7 +248,7 @@ func Open(cfg Config) (*Server, error) {
 	srv.feedP.Store(feed)
 	if cfg.ReplicaOf != "" {
 		srv.gateP.Store(repl.NewLagGate(cfg.lagBudget, 0))
-		srv.replMet = met.replicaMetrics()
+		met.registerReplica()
 	}
 	if cfg.Cluster.Self != "" {
 		srv.cluster = cluster.NewState(cfg.Cluster.Self, cfg.Cluster.Peers, cfg.ReplicaOf)
@@ -845,10 +839,16 @@ func (s *Server) dispatchLine(line string) string {
 // where the request may block its goroutine.
 func (c *conn) dispatch(fields []string, wait func()) string {
 	verb := strings.ToUpper(fields[0])
-	start := time.Now()
+	h := c.s.met.verbSeconds(verb)
+	var start time.Time
+	if h != nil {
+		start = time.Now()
+	}
 	resp := c.dispatchVerb(verb, fields[1:], wait)
 	c.s.met.requests.Inc()
-	c.s.met.observeVerb(verb, time.Since(start))
+	if h != nil {
+		h.Observe(int64(time.Since(start)))
+	}
 	return resp
 }
 
@@ -1139,7 +1139,6 @@ func (s *Server) execAdmitted(r *request, ops []op, start time.Time, wait func()
 		retry.queued += s.awaitReplicaAcks(ops, wait)
 	}
 	elapsed := time.Since(start)
-	s.met.service.Observe(int64(elapsed))
 	r.shed, r.service, r.numOps = retry.shed, elapsed-retry.queued, len(ops)
 	results, _ := res.([]int64)
 	return results, err

@@ -49,7 +49,7 @@ func (s *Store) queueFor(involved []int) *engine.CommitQueue {
 	defer s.queuesMu.Unlock()
 	q := s.queues[string(sig)]
 	if q == nil {
-		q = engine.NewCommitQueue(s.shards, involved, s.groupCommit, s.countBatch, nil)
+		q = engine.NewCommitQueue(s.shards, involved, s.groupCommit, s.countBatch)
 		s.queues[string(sig)] = q
 	}
 	return q

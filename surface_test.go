@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/server"
 )
 
 // wireUse is one entry of an exercised-by table. Either file and token
@@ -21,15 +23,20 @@ import (
 // contain the token), or test names a test that asserts it (the test's
 // file must contain token: the name or the Go handle it reads), or
 // reason says which deployment setting keeps the name without either.
+// also, when set, is a second reader that must hold as well.
 type wireUse struct {
 	file, token string
 	test        string
 	reason      string
+	also        *wireUse
 }
 
 func user(file, token string) wireUse { return wireUse{file: file, token: token} }
 func pin(test, token string) wireUse  { return wireUse{test: test, token: token} }
 func kept(reason string) wireUse      { return wireUse{reason: reason} }
+
+// and returns u with v as its second reader.
+func (u wireUse) and(v wireUse) wireUse { u.also = &v; return u }
 
 // wireSurface maps every name on the operator surface — wire verbs,
 // option tokens, vf= families, sccserve and sccload flags, environment
@@ -117,7 +124,8 @@ var wireSurface = map[string]wireUse{
 }
 
 // telemetrySurface maps every name on the telemetry surface — STATS
-// keys, metric families and flight event names — to what reads it: a
+// keys, metric families, the label values a family is registered with
+// at Open, and flight event names — to what reads it: a
 // binary, script or benchmark file outside the code that binds the
 // name, or a test that asserts it. A deployment reason keeps only the
 // failure signals in failureSignals. TestTelemetrySurface reads the
@@ -160,18 +168,32 @@ var telemetrySurface = map[string]wireUse{
 
 	// Metric families: statRows' family fields and the families
 	// internal/server registers natively.
-	"family scc_commits_total":            user("scripts/e2e_recover.sh", `$1 == "scc_commits_total"`),
-	"family scc_requests_total":           pin("TestMetricsExposition", `samples["scc_requests_total"]`),
-	"family scc_request_seconds":          user("bench/metrics.go", `scc_request_seconds_bucket{verb="`),
-	"family scc_stage_seconds":            pin("TestMetricsExposition", "scc_stage_seconds"),
-	"family scc_txn_session_ops":          pin("TestSessionOpsCountsEveryExit", "scc_txn_session_ops_count"),
-	"family scc_conflict_key_scans_total": user("bench/metrics.go", `series["scc_conflict_key_scans_total"]`),
-	"family scc_value_submitted_total":    pin("TestMetricsExposition", `samples["scc_value_submitted_total"]`),
-	"family scc_value_realized_total":     pin("TestMetricsExposition", `samples["scc_value_realized_total"]`),
-	"family scc_value_lost_total":         pin("TestMetricsExposition", "scc_value_lost_total{"),
-	"family scc_traces_total":             pin("TestMetricsExposition", `samples["scc_traces_total"]`),
-	"family scc_repl_resumes_total":       pin("TestDurableReplicaResumesWithoutReSnap", "Resumes.Value()"),
-	"family scc_repl_snapshots_total":     pin("TestDurableReplicaResumesWithoutReSnap", "Snapshots.Value()"),
+	"family scc_commits_total":   user("scripts/e2e_recover.sh", `$1 == "scc_commits_total"`),
+	"family scc_requests_total":  pin("TestMetricsExposition", `samples["scc_requests_total"]`),
+	"family scc_request_seconds": user("bench/metrics.go", `scc_request_seconds_bucket{verb="`),
+	"family scc_txn_session_ops": pin("TestSessionOpsCountsEveryExit", "scc_txn_session_ops_count"),
+	"family scc_conflict_key_scans_total": user("bench/metrics.go", `series["scc_conflict_key_scans_total"]`).
+		and(pin("TestConflictScansExposed", `["scc_conflict_key_scans_total"]`)),
+	"family scc_value_submitted_total": pin("TestMetricsExposition", `samples["scc_value_submitted_total"]`),
+	"family scc_value_realized_total":  pin("TestMetricsExposition", `samples["scc_value_realized_total"]`),
+	"family scc_value_lost_total":      pin("TestMetricsExposition", "scc_value_lost_total{"),
+	"family scc_traces_total":          pin("TestMetricsExposition", `samples["scc_traces_total"]`),
+	"family scc_repl_resumes_total":    pin("TestDurableReplicaResumesWithoutReSnap", "replResumes.Value()"),
+	"family scc_repl_snapshots_total":  pin("TestDurableReplicaResumesWithoutReSnap", "replSnapshots.Value()"),
+
+	// Label values: the labelled series a server exposes from Open.
+	`label scc_request_seconds{verb="upd"}`:               user("bench/metrics.go", `verb := "upd"`),
+	`label scc_request_seconds{verb="txn"}`:               user("bench/metrics.go", `verb = "txn"`),
+	`label scc_value_lost_total{reason="execution"}`:      pin("TestSessionDecayBooksUnderSession", "lost[obs.LossExecution]"),
+	`label scc_value_lost_total{reason="session"}`:        pin("TestSessionDecayBooksUnderSession", "lost[obs.LossSession]"),
+	`label scc_value_lost_total{reason="admission_shed"}`: pin("TestRefusalsBookTheirReason", "lost[obs.LossAdmissionShed]"),
+	`label scc_value_lost_total{reason="cross_shed"}`:     pin("TestLossAttributionParity", "obs.LossCrossShed"),
+	`label scc_value_lost_total{reason="conflict_abort"}`: pin("TestLossAttributionParity", "obs.LossConflictAbort"),
+	`label scc_value_lost_total{reason="client_abort"}`:   pin("TestSessionLedgerSurvivesSlowAdmission", "obs.LossClientAbort"),
+	`label scc_value_lost_total{reason="reap"}`:           pin("TestSessionLedgerSurvivesSlowAdmission", "obs.LossReap"),
+	`label scc_value_lost_total{reason="error"}`:          pin("TestLossAttributionParity", "obs.LossError"),
+	`label scc_value_lost_total{reason="replica_lag"}`:    pin("TestRefusalsBookTheirReason", "lost[obs.LossReplicaLag]"),
+	`label scc_value_lost_total{reason="wal_error"}`:      pin("TestSyncErrorBooksWALErrorOnEveryVerb", "lost[obs.LossWALError]"),
 
 	// Flight event names: the flight.Ev* constants and the obs.Stage*
 	// lifecycle names the server ring records.
@@ -189,7 +211,7 @@ var telemetrySurface = map[string]wireUse{
 	"event wal_fsync_error": pin("TestFlightDumpsAndMergedTimeline", "flight.EvFsyncError"),
 	"event wal_error":       pin("TestFlightDumpsAndMergedTimeline", "flight.EvWalError"),
 	"event repl_apply":      pin("TestReplicationConverges", "flight.EvReplApply"),
-	"event repl_shed":       kept("deployment: a replica read shed for lag, the failure signal of a lagging replica"),
+	"event repl_shed":       pin("TestReplicaLagAccounting", "flight.EvReplShed"),
 	"event promote":         pin("TestFailoverFollowsNewPrimary", "flight.EvPromote"),
 	"event demote":          pin("TestDeposedPrimaryFencesAndDumps", "flight.EvDemote"),
 	"event fence_reject":    pin("TestSessionWriteFenceRecordsReject", "flight.EvFenceReject"),
@@ -240,10 +262,10 @@ func TestWireSurface(t *testing.T) {
 }
 
 // TestTelemetrySurface is the exercised-by ratchet for the telemetry
-// surface: every STATS key, metric family and flight event name must
-// have an entry in telemetrySurface naming what reads it, and every
-// entry must still hold. The planted cases check each way an entry can
-// fail, each with a message that names the fix.
+// surface: every STATS key, metric family, label value and flight event
+// name must have an entry in telemetrySurface naming what reads it, and
+// every entry must still hold. The planted cases check each way an
+// entry can fail, each with a message that names the fix.
 func TestTelemetrySurface(t *testing.T) {
 	names := telemetryNames(t)
 	r := ratchet{table: "telemetrySurface", entries: telemetrySurface, tests: testFiles(t), deployOnly: failureSignals,
@@ -256,14 +278,18 @@ func TestTelemetrySurface(t *testing.T) {
 	r.entries["family scc_commits_total"] = pin("TestStatsTableOneSource", "statRows")
 	r.entries["stats forks"] = kept("deployment: an operator watches it")
 	r.entries["event checkpoint"] = pin("TestCheckpointAndRecovery", "ckpt_count")
+	r.entries["family scc_traces_total"] = telemetrySurface["family scc_traces_total"].and(pin("TestFrob", "frob"))
 	planted := append(slices.Clip(names),
 		wireName{key: "stats frob", src: "internal/server/metrics.go", owner: "internal/server/"},
-		wireName{key: "event frob", src: "internal/obs/flight/flight.go", owner: "internal/"})
+		wireName{key: "event frob", src: "internal/obs/flight/flight.go", owner: "internal/"},
+		wireName{key: `label scc_request_seconds{verb="frob"}`, src: "internal/server/metrics.go", owner: "internal/server/"})
 	checkPlanted(t, r.errors(planted), map[string]string{
-		"stats frob":               "stats frob (internal/server/metrics.go): nothing is known to read it; delete it, or name its reader in telemetrySurface",
-		"event frob":               "event frob (internal/obs/flight/flight.go): nothing is known to read it; delete it, or name its reader in telemetrySurface",
-		"family scc_commits_total": "family scc_commits_total: TestStatsTableOneSource is a table test, not a pin; name a test that asserts the number, or delete the name",
-		"stats forks":              "stats forks: a deployment reason keeps only a failure signal; name its reader, or a test that asserts it",
+		"stats frob":                              "stats frob (internal/server/metrics.go): nothing is known to read it; delete it, or name its reader in telemetrySurface",
+		"event frob":                              "event frob (internal/obs/flight/flight.go): nothing is known to read it; delete it, or name its reader in telemetrySurface",
+		`label scc_request_seconds{verb="frob"}`:  `label scc_request_seconds{verb="frob"} (internal/server/metrics.go): nothing is known to read it; delete it, or name its reader in telemetrySurface`,
+		"family scc_commits_total":                "family scc_commits_total: TestStatsTableOneSource is a table test, not a pin; name a test that asserts the number, or delete the name",
+		"stats forks":                             "stats forks: a deployment reason keeps only a failure signal; name its reader, or a test that asserts it",
+		"family scc_traces_total":                 "family scc_traces_total: no test file defines TestFrob",
 		"telemetrySurface lists event checkpoint": "telemetrySurface lists event checkpoint, which no source defines any more; drop the entry",
 	})
 }
@@ -309,30 +335,13 @@ func (r ratchet) errors(names []wireName) []string {
 	for _, n := range names {
 		defined[n.key] = true
 		use, ok := r.entries[n.key]
-		switch {
-		case !ok:
+		if !ok {
 			errs = append(errs, n.key+" ("+n.src+"): "+r.unread)
-		case use.reason != "":
-			if !strings.Contains(use.reason, "deployment") {
-				errs = append(errs, n.key+": kept for "+strconv.Quote(use.reason)+", which names no deployment setting")
-			} else if r.deployOnly != nil && !r.deployOnly[n.key] {
-				errs = append(errs, n.key+": a deployment reason keeps only a failure signal; name its reader, or a test that asserts it")
-			}
-		case use.test != "":
-			if e := r.pinError(use); e != "" {
+			continue
+		}
+		for u := &use; u != nil; u = u.also {
+			if e := r.useError(n, *u); e != "" {
 				errs = append(errs, n.key+": "+e)
-			}
-		case strings.HasPrefix(use.file, n.owner):
-			errs = append(errs, n.key+": "+use.file+" binds it, so it is not a user; name a driver outside "+n.owner)
-		case strings.HasSuffix(use.file, "_test.go"):
-			errs = append(errs, n.key+": "+use.file+" is test code; a test that asserts the name is a pin, not a user")
-		default:
-			body, err := readFile(use.file)
-			if err != nil {
-				errs = append(errs, n.key+": user "+use.file+": "+err.Error())
-			} else if !strings.Contains(body, use.token) {
-				errs = append(errs, n.key+": "+use.file+" no longer contains "+strconv.Quote(use.token)+
-					"; delete the name, or name its current user in "+r.table)
 			}
 		}
 	}
@@ -343,6 +352,33 @@ func (r ratchet) errors(names []wireName) []string {
 	}
 	sort.Strings(errs)
 	return errs
+}
+
+// useError says what is wrong with one reader of n, or returns "".
+func (r ratchet) useError(n wireName, use wireUse) string {
+	switch {
+	case use.reason != "":
+		if !strings.Contains(use.reason, "deployment") {
+			return "kept for " + strconv.Quote(use.reason) + ", which names no deployment setting"
+		} else if r.deployOnly != nil && !r.deployOnly[n.key] {
+			return "a deployment reason keeps only a failure signal; name its reader, or a test that asserts it"
+		}
+	case use.test != "":
+		return r.pinError(use)
+	case strings.HasPrefix(use.file, n.owner):
+		return use.file + " binds it, so it is not a user; name a driver outside " + n.owner
+	case strings.HasSuffix(use.file, "_test.go"):
+		return use.file + " is test code; a test that asserts the name is a pin, not a user"
+	default:
+		body, err := readFile(use.file)
+		if err != nil {
+			return "user " + use.file + ": " + err.Error()
+		} else if !strings.Contains(body, use.token) {
+			return use.file + " no longer contains " + strconv.Quote(use.token) +
+				"; delete the name, or name its current user in " + r.table
+		}
+	}
+	return ""
 }
 
 // pinError says what is wrong with a pin, or returns "".
@@ -496,7 +532,8 @@ func wireNames(t *testing.T) []wireName {
 
 // telemetryNames reads every name on the telemetry surface from its
 // single source: statRows' keys and families, the scc_* families
-// internal/server registers natively, and the flight event names.
+// internal/server registers natively, the label values of the series a
+// freshly opened server exposes, and the flight event names.
 func telemetryNames(t *testing.T) []wireName {
 	t.Helper()
 	var names []wireName
@@ -536,6 +573,9 @@ func telemetryNames(t *testing.T) []wireName {
 			return true
 		})
 	}
+	for _, label := range labelValues(t) {
+		names = append(names, wireName{"label " + label, metrics, server})
+	}
 	// Every recorder of an event lives under internal/, so a reader is
 	// outside it.
 	for src, prefix := range map[string]string{"internal/obs/flight/flight.go": "Ev", "internal/obs/trace.go": "Stage"} {
@@ -549,6 +589,33 @@ func telemetryNames(t *testing.T) []wireName {
 		t.Fatal("no telemetry names found: the sources moved, so move telemetryNames with them")
 	}
 	return names
+}
+
+// labelValues opens a server and returns each labelled series of its
+// exposition once, as family{label="value"}; a histogram's le label is
+// not a value the family was registered with.
+func labelValues(t *testing.T) []string {
+	t.Helper()
+	srv, err := server.Open(server.Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var b strings.Builder
+	srv.Metrics().Expose(&b)
+	var out []string
+	family := ""
+	for _, line := range strings.Split(b.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family, _, _ = strings.Cut(rest, " ")
+		} else if _, labels, ok := strings.Cut(line, "{"); ok && !strings.HasPrefix(labels, "le=") {
+			label, _, _ := strings.Cut(labels, ",")
+			label, _, _ = strings.Cut(label, "}")
+			out = append(out, family+"{"+label+"}")
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func parseGo(t *testing.T, path string) *ast.File {
