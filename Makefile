@@ -29,7 +29,7 @@ loc:
 # when loc's total exceeds LOC_MAX, the total of the last PR that
 # lowered it. A diet PR sets LOC_MAX to its own result; a PR that must
 # raise it says why in CHANGES.md.
-LOC_MAX = 17325
+LOC_MAX = 17264
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_MAX) ]; then \

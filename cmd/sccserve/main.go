@@ -139,8 +139,7 @@ func main() {
 			MaxConcurrent: *concurrency,
 			MaxQueue:      *queue,
 		},
-		GroupCommit: engine.GroupCommit{Enabled: true},
-		ReplicaOf:   *replicaOf,
+		ReplicaOf: *replicaOf,
 		Repl: server.ReplOptions{
 			Primary:     true,
 			SyncAcks:    *replSync,

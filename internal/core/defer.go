@@ -1,10 +1,15 @@
-// This file implements SCC-DC and SCC-VW (Sec. 3): value-cognizant commit
-// deferment on top of SCC-kS. Finished optimistic shadows do not commit
-// immediately; a Termination Rule weighs the value-added of committing now
-// against deferring, using transaction value functions and (for SCC-DC)
-// the shadow finish and adoption probabilities of Defs. 3-7. It also
-// implements the evaluation's priority-cognizant baseline, WAIT-50, as a
-// deferral policy on OCC-BC.
+// This file implements commit deferment (Sec. 3) over SCC's waiting
+// room. Under a deferral a finished optimistic shadow enters the room
+// instead of committing, and a Termination Rule picks which waiter
+// commits next: when the shadow finishes, after every commit, and every
+// period seconds. The room, its sweep and its tick are SCC's; each policy
+// is only its rule.
+//
+// SCC-DC and SCC-VW weigh the value-added of committing now against
+// deferring, using transaction value functions and (for SCC-DC) the
+// shadow finish and adoption probabilities of Defs. 3-7. WAIT-50, the
+// evaluation's priority-cognizant baseline, is Haritsa's 50 % rule on
+// OCC-BC.
 
 package core
 
@@ -12,21 +17,109 @@ import (
 	"slices"
 
 	"repro/internal/model"
+	"repro/internal/rtdbs"
 	"repro/internal/sim"
 	"repro/internal/value"
 )
 
-// deferral is the hook set a commit-deferment policy plugs into SCC.
-type deferral interface {
-	attach(c *SCC)
-	// onFinish is invoked when an optimistic shadow finishes; the policy
-	// decides when it commits.
-	onFinish(st *txnState)
-	// onCommitted is invoked after any commit (waiters may now proceed).
-	onCommitted(id model.TxnID)
-	// cancel is invoked when a commit aborts a finished shadow: its
-	// transaction resumed executing from a promoted shadow or restarted.
-	cancel(st *txnState)
+// deferral is a commit-deferment policy: its Termination Rule and when
+// SCC runs it.
+type deferral struct {
+	// pick returns the waiter to commit now, or nil to keep them all
+	// waiting; waiting is in ID order.
+	pick func(waiting []*txnState) *txnState
+	// period is the seconds between the rule's periodic sweeps of the
+	// waiting room; 0 runs none.
+	period float64
+	// atTicks confines commits to the periodic sweeps. Otherwise the rule
+	// also runs on a finishing shadow alone ("whenever an optimistic
+	// shadow finishes") and over the room after every commit.
+	atTicks bool
+}
+
+// enter puts st, whose optimistic shadow just finished, in the waiting
+// room, unless the rule commits it at once.
+func (c *SCC) enter(st *txnState) {
+	st.finished = true
+	i, _ := find(c.waiting, st.t.ID)
+	c.waiting = slices.Insert(c.waiting, i, st)
+	if !c.defr.atTicks && c.defr.pick(c.waiting[i:i+1]) != nil {
+		c.rt.Commit(st.opt)
+		return
+	}
+	c.rt.Metrics.CommitWaits++
+}
+
+// sweep commits what the rule picks until it picks nothing: each commit
+// restarts its readers and reshapes the others' conflict sets, so the
+// rule looks again after every one. A commit inside the sweep re-enters
+// through OnCommitted, which must not start a second sweep.
+func (c *SCC) sweep() {
+	if c.sweeping {
+		return
+	}
+	c.sweeping = true
+	defer func() { c.sweeping = false }()
+	for len(c.waiting) > 0 {
+		st := c.defr.pick(c.waiting)
+		if st == nil {
+			return
+		}
+		c.rt.Commit(st.opt)
+	}
+}
+
+// tick sweeps the waiting room every period seconds.
+func (c *SCC) tick() {
+	c.rt.K.After(sim.Time(c.defr.period), func() {
+		c.sweep()
+		c.tick()
+	})
+}
+
+// first returns the rule that picks the first waiter, in ID order, that
+// ready accepts.
+func first(ready func(*txnState) bool) func([]*txnState) *txnState {
+	return func(waiting []*txnState) *txnState {
+		if i := slices.IndexFunc(waiting, ready); i >= 0 {
+			return waiting[i]
+		}
+		return nil
+	}
+}
+
+// noneExecuting reports whether no transaction in conf is still
+// executing: every one has finished and waits in the room.
+//
+// SCC-DC and SCC-VW use it for stall safety, an engineering addition and
+// not the paper's rule. Their V_later side assumes that a conflicter
+// still executing will finish and commit; when none is, waiting cannot
+// produce that commit, and a cluster of finished transactions deferring
+// to each other could stay on "defer" while every value function decays
+// in lockstep. So SCC-VW commits such a waiter, and SCC-DC commits the
+// most valuable one when its comparison picks none.
+func (c *SCC) noneExecuting(conf []model.TxnID) bool {
+	for _, id := range conf {
+		if !c.txns[id].finished {
+			return false
+		}
+	}
+	return true
+}
+
+// survivor returns the shadow st carries on with if u, whose write set is
+// ws, commits now: its optimistic shadow if that read none of ws, else
+// its speculative shadow waiting for u if that read none either, else
+// nil (a restart from scratch).
+func (st *txnState) survivor(u model.TxnID, ws []model.PageID) *rtdbs.Shadow {
+	f := st.opt.Log.FirstReadOfAny(ws)
+	if f < 0 {
+		return st.opt
+	}
+	if sp := st.spec(u); sp != nil && sp.sh.NextOp <= f {
+		return sp.sh
+	}
+	return nil
 }
 
 // execDist returns the Def. 3 execution-time distribution of a class. The
@@ -72,95 +165,52 @@ func (c *SCC) conflictSet(st *txnState) []model.TxnID {
 // the cumulative form printed in the paper double-counts ticks and would
 // make deferring always win.
 type DC struct {
-	c       *SCC
-	Delta   float64 // Termination Rule period (seconds)
-	Eps     float64 // horizon tolerance (default 0.01)
-	pending []*txnState
+	c     *SCC
+	Delta float64 // Termination Rule period (seconds)
+	Eps   float64 // horizon tolerance (default 0.01)
 }
 
-// NewDC returns SCC-kS extended with the SCC-DC Termination Rule.
+// NewDC returns SCC-kS extended with the SCC-DC Termination Rule. Commits
+// happen only at clock ticks ("they wait at least until the next periodic
+// invocation of the Termination Rule").
 func NewDC(k int, delta float64) *SCC {
 	c := NewKS(k, LBFO)
-	c.defr = &DC{Delta: delta, Eps: 0.01}
+	d := &DC{c: c, Delta: delta, Eps: 0.01}
+	c.defr = &deferral{pick: d.terminationRule, period: delta, atTicks: true}
 	c.name = "SCC-DC"
 	return c
 }
 
-func (d *DC) attach(c *SCC) {
-	d.c = c
-	d.tickLoop()
-}
-
-func (d *DC) tickLoop() {
-	d.c.rt.K.After(sim.Time(d.Delta), func() {
-		d.terminationRule()
-		d.tickLoop()
-	})
-}
-
-func (d *DC) onFinish(st *txnState) {
-	d.pending = insert(d.pending, st)
-	d.c.rt.Metrics.CommitWaits++
-	// Commits happen only at clock ticks ("they wait at least until the
-	// next periodic invocation of the Termination Rule").
-}
-
-func (d *DC) onCommitted(id model.TxnID) { d.pending = remove(d.pending, id) }
-func (d *DC) cancel(st *txnState)        { d.pending = remove(d.pending, st.t.ID) }
-
-// terminationRule is invoked at each tick.
-func (d *DC) terminationRule() {
+// terminationRule picks the waiter to commit at a tick: the first for
+// which committing now wins, else the most valuable one that no
+// executing conflicter can release (see noneExecuting).
+func (d *DC) terminationRule(waiting []*txnState) *txnState {
 	now := float64(d.c.rt.K.Now())
-	for {
-		// Adoption probabilities and conflict sets are recomputed once
-		// per sweep, not once per pending transaction: the fixed point is
-		// global and the sweep restarts after every commit anyway.
-		confCache := make(map[model.TxnID][]model.TxnID)
-		confOf := func(id model.TxnID) []model.TxnID {
-			if c, ok := confCache[id]; ok {
-				return c
-			}
-			c := d.c.conflictSet(d.c.txns[id])
-			confCache[id] = c
+	// Adoption probabilities and conflict sets are computed once per
+	// pick, not once per waiter: the fixed point is global and the sweep
+	// picks again after every commit anyway.
+	confCache := make(map[model.TxnID][]model.TxnID)
+	confOf := func(id model.TxnID) []model.TxnID {
+		if c, ok := confCache[id]; ok {
 			return c
 		}
-		pO := d.adoptionForCached(now, confOf)
-		// Stall safety (documented in DESIGN.md): in a cluster of finished
-		// transactions all deferring to each other, the V_now/V_later
-		// comparison can stay on "defer" indefinitely while every value
-		// function decays in lockstep. If a pending transaction's conflict
-		// set has no transaction still executing, waiting cannot produce
-		// the commit V_later assumes; commit the most valuable such
-		// transaction.
-		var pick, stalled *txnState
-		for _, st := range d.pending {
-			conf := confOf(st.t.ID)
-			if len(conf) == 0 || d.commitNowWins(st, conf, pO, confOf, now) {
-				pick = st
-				break
-			}
-			allFinished := true
-			for _, cid := range conf {
-				if !d.c.txns[cid].finished {
-					allFinished = false
-					break
-				}
-			}
-			if allFinished && (stalled == nil ||
-				st.t.Value(d.c.rt.K.Now()) > stalled.t.Value(d.c.rt.K.Now())) {
-				stalled = st
-			}
-		}
-		if pick == nil {
-			pick = stalled
-		}
-		if pick == nil {
-			return
-		}
-		// The commit reshapes every conflict set; rescan.
-		d.pending = remove(d.pending, pick.t.ID)
-		d.c.rt.Commit(pick.opt)
+		c := d.c.conflictSet(d.c.txns[id])
+		confCache[id] = c
+		return c
 	}
+	pO := d.adoptionForCached(now, confOf)
+	var stalled *txnState
+	for _, st := range waiting {
+		conf := confOf(st.t.ID)
+		if len(conf) == 0 || d.commitNowWins(st, conf, pO, confOf, now) {
+			return st
+		}
+		if d.c.noneExecuting(conf) && (stalled == nil ||
+			st.t.Value(d.c.rt.K.Now()) > stalled.t.Value(d.c.rt.K.Now())) {
+			stalled = st
+		}
+	}
+	return stalled
 }
 
 // adoptionForCached computes Def. 5 adoption probabilities for all active
@@ -175,26 +225,15 @@ func (d *DC) adoptionForCached(now float64, confOf func(model.TxnID) []model.Txn
 	}
 	for iter := 0; iter < 3; iter++ {
 		for _, id := range ids {
-			st := d.c.txns[id]
-			conf := confOf(id)
-			vs := make([]float64, len(conf))
-			ps := make([]float64, len(conf))
-			for i, cid := range conf {
-				vs[i] = d.c.txns[cid].t.Value(sim.Time(now))
-				ps[i] = pOpt[cid]
-			}
-			po, _ := value.Adoption(st.t.Value(sim.Time(now)), vs, ps)
-			pOpt[id] = po
+			pOpt[id], _ = d.adoption(d.c.txns[id], pOpt, confOf, now)
 		}
 	}
 	return pOpt
 }
 
-// shadowStates assembles the Def. 6 shadow list of transaction st. The
-// optimistic shadow carries pO adoption mass; speculative shadows split
-// the rest proportionally to the value-weight of the conflict they cover
-// (Def. 5's P_i_u).
-func (d *DC) shadowStates(st *txnState, pO map[model.TxnID]float64, confOf func(model.TxnID) []model.TxnID, now float64) []value.ShadowState {
+// adoption returns st's Def. 5 adoption probabilities, P_o_u and P_i_u
+// per conflict in confOf order, given its conflicters' P_o in pO.
+func (d *DC) adoption(st *txnState, pO map[model.TxnID]float64, confOf func(model.TxnID) []model.TxnID, now float64) (float64, []float64) {
 	conf := confOf(st.t.ID)
 	vs := make([]float64, len(conf))
 	ps := make([]float64, len(conf))
@@ -202,13 +241,21 @@ func (d *DC) shadowStates(st *txnState, pO map[model.TxnID]float64, confOf func(
 		vs[i] = d.c.txns[cid].t.Value(sim.Time(now))
 		ps[i] = pO[cid]
 	}
-	po, pSpec := value.Adoption(st.t.Value(sim.Time(now)), vs, ps)
+	return value.Adoption(st.t.Value(sim.Time(now)), vs, ps)
+}
+
+// shadowStates assembles the Def. 6 shadow list of transaction st. The
+// optimistic shadow carries pO adoption mass; speculative shadows split
+// the rest proportionally to the value-weight of the conflict they cover
+// (Def. 5's P_i_u).
+func (d *DC) shadowStates(st *txnState, pO map[model.TxnID]float64, confOf func(model.TxnID) []model.TxnID, now float64) []value.ShadowState {
+	po, pSpec := d.adoption(st, pO, confOf, now)
 	out := []value.ShadowState{{
 		Executed: st.opt.EstExecutedTime(),
 		Adoption: po,
 		Finished: st.finished,
 	}}
-	for i, cid := range conf {
+	for i, cid := range confOf(st.t.ID) {
 		sp := st.spec(cid)
 		if sp == nil {
 			continue // unaccounted conflict: no shadow carries its mass
@@ -263,17 +310,16 @@ func (d *DC) commitNowWins(st *txnState, conf []model.TxnID, pO map[model.TxnID]
 	for _, cid := range conf {
 		ist := d.c.txns[cid]
 		// Later: T_i continues with its current shadows.
-		vLater += d.expectedDeferredValue(ist.t, d.shadowStates(ist, pO, confOf, now), now)
+		cur := d.shadowStates(ist, pO, confOf, now)
+		vLater += d.expectedDeferredValue(ist.t, cur, now)
 		// Now: if T_i read u's writes its optimistic shadow dies; the
 		// shadow waiting for u (or a scratch restart) carries on alone.
-		f := ist.opt.Log.FirstReadOfAny(ws)
-		var after []value.ShadowState
-		if f < 0 {
-			after = d.shadowStates(ist, pO, confOf, now)
-		} else if sp := ist.spec(u.ID); sp != nil && sp.sh.NextOp <= f {
-			after = []value.ShadowState{{Executed: sp.sh.EstExecutedTime(), Adoption: 1}}
-		} else {
-			after = []value.ShadowState{{Executed: 0, Adoption: 1}}
+		after := cur
+		if sh := ist.survivor(u.ID, ws); sh != ist.opt {
+			after = []value.ShadowState{{Adoption: 1}}
+			if sh != nil {
+				after[0].Executed = sh.EstExecutedTime()
+			}
 		}
 		vNow += d.expectedDeferredValue(ist.t, after, now)
 	}
@@ -290,70 +336,24 @@ func (d *DC) commitNowWins(st *txnState, conf []model.TxnID, pO map[model.TxnID]
 // built from class-mean remaining execution times; votes are weighed by
 // relative transaction value and the shadow commits iff the weighted
 // commit indicator exceeds 50%.
-type VW struct {
-	c       *SCC
-	Delta   float64 // re-evaluation period for parked waiters
-	pending []*txnState
-}
+type VW struct{ c *SCC }
 
-// NewVW returns SCC-kS extended with the SCC-VW Termination Rule.
+// NewVW returns SCC-kS extended with the SCC-VW Termination Rule, which
+// also re-runs the vote for the waiters every delta seconds.
 func NewVW(k int, delta float64) *SCC {
 	c := NewKS(k, LBFO)
-	c.defr = &VW{Delta: delta}
+	v := &VW{c}
+	c.defr = &deferral{pick: first(v.shouldCommit), period: delta}
 	c.name = "SCC-VW"
 	return c
 }
-
-func (v *VW) attach(c *SCC) {
-	v.c = c
-	v.tickLoop()
-}
-
-func (v *VW) tickLoop() {
-	v.c.rt.K.After(sim.Time(v.Delta), func() {
-		v.c.sweep(&v.pending, v.shouldCommit)
-		v.tickLoop()
-	})
-}
-
-// onFinish evaluates the finished shadow immediately (the paper's
-// Termination Rule fires "whenever an optimistic shadow finishes").
-func (v *VW) onFinish(st *txnState) {
-	if v.shouldCommit(st) {
-		v.c.rt.Commit(st.opt)
-		return
-	}
-	v.pending = insert(v.pending, st)
-	v.c.rt.Metrics.CommitWaits++
-}
-
-// onCommitted re-runs the vote for the parked waiters.
-func (v *VW) onCommitted(id model.TxnID) {
-	v.pending = remove(v.pending, id)
-	v.c.sweep(&v.pending, v.shouldCommit)
-}
-
-func (v *VW) cancel(st *txnState) { v.pending = remove(v.pending, st.t.ID) }
 
 // shouldCommit computes the commit indicator CI_u (Defs. 8-10).
 func (v *VW) shouldCommit(st *txnState) bool {
 	now := float64(v.c.rt.K.Now())
 	conf := v.c.conflictSet(st)
-	if len(conf) == 0 {
-		return true
-	}
-	// Stall safety (engineering addition, documented in DESIGN.md): if no
-	// conflicting transaction is still executing, waiting cannot help —
-	// the V_later estimates assumed a conflicter would finish and commit.
-	anyRunning := false
-	for _, cid := range conf {
-		if !v.c.txns[cid].finished {
-			anyRunning = true
-			break
-		}
-	}
-	if !anyRunning {
-		return true
+	if v.c.noneExecuting(conf) {
+		return true // no conflict, or stall safety
 	}
 
 	u := st.t
@@ -379,17 +379,11 @@ func (v *VW) shouldCommit(st *txnState) bool {
 		eci := ti.Class.MeanExec()
 
 		// sigma_u_i: executed time of T_i's shadow that accounts for the
-		// conflict with u — the shadow T_i falls back on if u commits now.
+		// conflict with u — the shadow T_i falls back on if u commits now
+		// (0 for a restart from scratch).
 		var sigmaUI float64
-		f := ist.opt.Log.FirstReadOfAny(ws)
-		switch {
-		case f < 0:
-			// T_i did not read u's writes; its optimistic shadow survives.
-			sigmaUI = ist.opt.EstExecutedTime()
-		case ist.spec(u.ID) != nil && ist.spec(u.ID).sh.NextOp <= f:
-			sigmaUI = ist.spec(u.ID).sh.EstExecutedTime()
-		default:
-			sigmaUI = 0 // restart from scratch
+		if sh := ist.survivor(u.ID, ws); sh != nil {
+			sigmaUI = sh.EstExecutedTime()
 		}
 		vNow := vU + ti.Value(sim.Time(now+eci-sigmaUI))
 
@@ -428,38 +422,17 @@ func (v *VW) shouldCommit(st *txnState) bool {
 // them have higher (EDF) priority it waits instead of committing. While
 // it waits it stays vulnerable: a conflicter that commits first restarts
 // it like any other reader of its writes.
-type Wait50 struct {
-	c       *SCC
-	waiting []*txnState
-}
+type Wait50 struct{ c *SCC }
 
 // NewWait50 returns WAIT-50: OCC-BC (SCC-kS with k = 1) extended with the
-// 50 % rule.
+// 50 % rule. It has no period: only a commit can clear a wait.
 func NewWait50() *SCC {
 	c := NewKS(1, LBFO)
-	c.defr = &Wait50{}
+	w := &Wait50{c}
+	c.defr = &deferral{pick: first(func(st *txnState) bool { return !w.mustWait(st) })}
 	c.name = "WAIT-50"
 	return c
 }
-
-func (w *Wait50) attach(c *SCC) { w.c = c }
-
-func (w *Wait50) onFinish(st *txnState) {
-	if !w.mustWait(st) {
-		w.c.rt.Commit(st.opt)
-		return
-	}
-	w.waiting = insert(w.waiting, st)
-	w.c.rt.Metrics.CommitWaits++
-}
-
-// onCommitted commits the waiters whose wait has cleared.
-func (w *Wait50) onCommitted(id model.TxnID) {
-	w.waiting = remove(w.waiting, id)
-	w.c.sweep(&w.waiting, func(st *txnState) bool { return !w.mustWait(st) })
-}
-
-func (w *Wait50) cancel(st *txnState) { w.waiting = remove(w.waiting, st.t.ID) }
 
 // mustWait applies the 50 % rule to finished st. Its conflict set is the
 // active transactions whose optimistic shadow read a page st wrote (those
@@ -474,27 +447,4 @@ func (w *Wait50) mustWait(st *txnState) bool {
 		}
 	}
 	return len(ids) > 0 && 2*higher >= len(ids)
-}
-
-// sweep commits the first waiter (in ID order) that ready accepts until
-// none does: each commit restarts its readers and reshapes the others'
-// conflict sets. A commit inside the sweep re-enters through the
-// deferral's onCommitted, which must not start a second sweep.
-func (c *SCC) sweep(waiting *[]*txnState, ready func(*txnState) bool) {
-	if c.sweeping {
-		return
-	}
-	c.sweeping = true
-	defer func() { c.sweeping = false }()
-next:
-	for {
-		for i, st := range *waiting {
-			if ready(st) {
-				*waiting = slices.Delete(*waiting, i, i+1)
-				c.rt.Commit(st.opt)
-				continue next
-			}
-		}
-		return
-	}
 }

@@ -15,13 +15,14 @@
 // speculative shadow, under the LBFO replacement policy, ends up blocked
 // at the earliest detected conflict — the paper's pessimistic shadow.
 //
-// SCC-DC and SCC-VW (Sec. 3) plug in as deferral policies: finished
-// optimistic shadows wait for a value-cognizant Termination Rule instead
-// of committing immediately; see defer.go.
+// SCC-DC and SCC-VW (Sec. 3) defer commits: a finished optimistic shadow
+// enters SCC's waiting room, and a value-cognizant Termination Rule picks
+// which waiter commits next; see defer.go.
 //
 // The optimistic baselines of the evaluation run on the same runtime:
 // OCC-BC is SCC-kS with k = 1 (NewOCCBC), and WAIT-50 is OCC-BC with
-// Haritsa's 50 % wait rule as a third deferral policy (NewWait50).
+// Haritsa's 50 % wait rule as a third rule over the waiting room
+// (NewWait50).
 package core
 
 import (
@@ -74,8 +75,7 @@ type txnState struct {
 	// waiting for this one.
 	specs   []*spec
 	waiters []*txnState
-	// finished marks an optimistic shadow awaiting a deferred commit
-	// (SCC-DC / SCC-VW / WAIT-50).
+	// finished marks an optimistic shadow in the waiting room.
 	finished bool
 }
 
@@ -124,13 +124,13 @@ func remove[E keyed](s []E, id model.TxnID) []E {
 }
 
 // SCC is the SCC-kS concurrency control manager, optionally extended with
-// a value-cognizant commit deferral (SCC-DC, SCC-VW).
+// a commit deferral (SCC-DC, SCC-VW, WAIT-50).
 type SCC struct {
 	rt     *rtdbs.Runtime
 	k      int
 	kFunc  func(*model.Txn) int // per-transaction budget override (SCC-AK)
 	policy Policy
-	defr   deferral
+	defr   *deferral // nil: a finished optimistic shadow commits at once
 	name   string
 
 	txns map[model.TxnID]*txnState
@@ -140,7 +140,10 @@ type SCC struct {
 	// indexed by PageID: OnOpDone grows it to every page an optimistic
 	// shadow executes, and every shadow's log holds only such pages.
 	readers, writers [][]holder
-	// sweeping is set while a deferral's commit sweep runs (see sweep).
+	// waiting is the deferral's waiting room: the transactions whose
+	// finished optimistic shadow awaits its commit, in ID order.
+	waiting []*txnState
+	// sweeping is set while the waiting room's sweep runs (see sweep).
 	sweeping bool
 
 	// SelfCheck enables protocol invariant verification after every hook;
@@ -203,8 +206,8 @@ func (c *SCC) Name() string { return c.name }
 // Attach implements rtdbs.CCM.
 func (c *SCC) Attach(rt *rtdbs.Runtime) {
 	c.rt = rt
-	if c.defr != nil {
-		c.defr.attach(c)
+	if c.defr != nil && c.defr.period > 0 {
+		c.tick()
 	}
 }
 
@@ -417,18 +420,16 @@ func (c *SCC) dropSpec(st *txnState, sp *spec) {
 	}
 }
 
-// OnFinish: without a deferral policy the optimistic shadow validates and
-// commits immediately (forward validation always succeeds).
+// OnFinish: the optimistic shadow validates (forward validation always
+// succeeds) and commits at once, or under a deferral enters the waiting
+// room.
 func (c *SCC) OnFinish(sh *rtdbs.Shadow) {
 	st := c.txns[sh.Txn.ID]
 	if st == nil || st.opt != sh {
 		panic(fmt.Sprintf("core: non-optimistic shadow %d of txn %d finished", sh.SID, sh.Txn.ID))
 	}
 	if c.defr != nil {
-		if !st.finished {
-			st.finished = true
-			c.defr.onFinish(st)
-		}
+		c.enter(st)
 		return
 	}
 	c.rt.Commit(sh)
@@ -446,6 +447,7 @@ func (c *SCC) OnCommitted(t *model.Txn, committed *rtdbs.Shadow) {
 		c.dropSpec(ust, ust.specs[0])
 	}
 	delete(c.txns, u)
+	c.waiting = remove(c.waiting, u)
 	ws := committed.Log.WritePages()
 
 	// The transactions the commit touches are those that read a page u
@@ -472,8 +474,8 @@ func (c *SCC) OnCommitted(t *model.Txn, committed *rtdbs.Shadow) {
 		}
 		c.adoptOrRestart(st, u, f)
 	}
-	if c.defr != nil {
-		c.defr.onCommitted(u)
+	if c.defr != nil && !c.defr.atTicks {
+		c.sweep() // the commit may have cleared a wait
 	}
 	c.selfCheck()
 }
@@ -499,7 +501,7 @@ func (c *SCC) adoptOrRestart(st *txnState, u model.TxnID, f int) {
 	}
 	if st.finished {
 		st.finished = false
-		c.defr.cancel(st)
+		c.waiting = remove(c.waiting, st.t.ID)
 	}
 
 	if best == nil {

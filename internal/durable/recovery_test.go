@@ -209,7 +209,7 @@ func TestFailedSyncNoOKVerdict(t *testing.T) {
 	})
 
 	t.Run("group-flush", func(t *testing.T) {
-		st, _, onErr := newStore(t, engine.GroupCommit{Enabled: true, MaxBatch: 8})
+		st, _, onErr := newStore(t, engine.GroupCommit{MaxBatch: 8})
 		_, err := st.UpdateTracedResult(1, []string{k0}, nil, nil, nil, func(tx shard.Tx) error {
 			return tx.Set(k0, []byte("1"))
 		})

@@ -34,14 +34,12 @@ import (
 
 // GroupCommit configures commit coalescing for a Store.
 type GroupCommit struct {
-	// Enabled turns group commit on. Off, the commit queue flushes one
-	// commit at a time: every commit attempt is its own latch acquisition.
+	// Enabled and Window are ignored: flushes always batch, and are driven
+	// by the completion of the one before, not by a timer. The fields are
+	// kept for source compatibility with bench/, which sets both (frozen
+	// outside a [benchmark] PR, which is where their removal is queued).
 	Enabled bool
-	// Window is ignored: flushes are driven by the completion of the one
-	// before, not by a timer. The field is kept for source compatibility
-	// with bench/ (frozen outside a [benchmark] PR, which is where its
-	// removal is queued).
-	Window time.Duration
+	Window  time.Duration
 	// MaxBatch caps how many queued commits one flush takes (default 64);
 	// the remainder is the next batch.
 	MaxBatch int
@@ -76,11 +74,9 @@ type CommitQueue struct {
 // NewCommitQueue returns the queue for commits that latch stores[i] for
 // every i in latch (ascending; retained).
 func NewCommitQueue(stores []*Store, latch []int, cfg GroupCommit, onFlush func()) *CommitQueue {
-	maxBatch := 1
-	if cfg.Enabled {
-		if maxBatch = cfg.MaxBatch; maxBatch <= 0 {
-			maxBatch = 64
-		}
+	maxBatch := cfg.MaxBatch
+	if maxBatch <= 0 {
+		maxBatch = 64
 	}
 	return &CommitQueue{stores: stores, latch: latch, maxBatch: maxBatch, onFlush: onFlush}
 }

@@ -22,7 +22,7 @@ type queueRig struct {
 func newQueueRig(maxBatch int, log CommitLog) *queueRig {
 	r := &queueRig{s: Open(Config{})}
 	r.s.SetCommitLog(log)
-	r.q = NewCommitQueue([]*Store{r.s}, []int{0}, GroupCommit{Enabled: true, MaxBatch: maxBatch},
+	r.q = NewCommitQueue([]*Store{r.s}, []int{0}, GroupCommit{MaxBatch: maxBatch},
 		func() { r.flushes = append(r.flushes, nil) })
 	return r
 }
@@ -193,7 +193,7 @@ func TestCommitQueueNeverOrphans(t *testing.T) {
 	s := Open(Config{})
 	s.SetCommitLog(&overlapLog{t: t})
 	flushes, ran := 0, 0
-	q := NewCommitQueue([]*Store{s}, []int{0}, GroupCommit{Enabled: true, MaxBatch: 3}, func() { flushes++ })
+	q := NewCommitQueue([]*Store{s}, []int{0}, GroupCommit{MaxBatch: 3}, func() { flushes++ })
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

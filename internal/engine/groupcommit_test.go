@@ -67,37 +67,31 @@ func keysN(n int) []string {
 // TestGroupCommitCoalesces is the deterministic coalescing test: a lone
 // commit flushes at once and stalls in its log sync; the n commits that
 // finish meanwhile queue behind it and, when it completes, commit under
-// ONE further latch acquisition and one sync — versus n on the per-commit
-// path.
+// ONE further latch acquisition and one sync. The zero GroupCommit
+// batches too: no configuration commits one latch acquisition at a time.
 func TestGroupCommitCoalesces(t *testing.T) {
 	const n = 8
-	log := newStallLog()
-	s := Open(Config{GroupCommit: GroupCommit{Enabled: true, MaxBatch: 1 << 20}})
-	s.SetCommitLog(log)
-	defer s.Close()
-	first := setAll(t, s, "first")
-	<-log.syncing // nothing to wait for: the lone commit is already at its boundary
-	rest := setAll(t, s, keysN(n)...)
-	waitPending(t, s, n)
-	log.release <- struct{}{}
-	<-log.syncing
-	if got := s.PendingCommits(); got != 0 {
-		t.Errorf("pending behind the second flush = %d, want 0 (it took the whole queue)", got)
-	}
-	log.release <- struct{}{}
-	first.Wait()
-	rest.Wait()
-	if st := s.Stats(); st.Commits != n+1 || st.CommitBatches != 2 {
-		t.Errorf("grouped: commits = %d, batches = %d, want %d commits under 2 latch acquisitions",
-			st.Commits, st.CommitBatches, n+1)
-	}
-
-	p := Open(Config{})
-	defer p.Close()
-	setAll(t, p, keysN(n)...).Wait()
-	if st := p.Stats(); st.Commits != n || st.CommitBatches != n {
-		t.Errorf("per-commit: commits = %d, batches = %d, want %d each (one latch per commit)",
-			st.Commits, st.CommitBatches, n)
+	for _, gc := range []GroupCommit{{MaxBatch: 1 << 20}, {}} {
+		log := newStallLog()
+		s := Open(Config{GroupCommit: gc})
+		s.SetCommitLog(log)
+		defer s.Close()
+		first := setAll(t, s, "first")
+		<-log.syncing // nothing to wait for: the lone commit is already at its boundary
+		rest := setAll(t, s, keysN(n)...)
+		waitPending(t, s, n)
+		log.release <- struct{}{}
+		<-log.syncing
+		if got := s.PendingCommits(); got != 0 {
+			t.Fatalf("%+v: pending behind the second flush = %d, want 0 (it took the whole queue)", gc, got)
+		}
+		log.release <- struct{}{}
+		first.Wait()
+		rest.Wait()
+		if st := s.Stats(); st.Commits != n+1 || st.CommitBatches != 2 {
+			t.Errorf("%+v: commits = %d, batches = %d, want %d commits under 2 latch acquisitions",
+				gc, st.Commits, st.CommitBatches, n+1)
+		}
 	}
 }
 
@@ -108,7 +102,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 func TestGroupCommitMaxBatch(t *testing.T) {
 	const max = 4
 	log := newStallLog()
-	s := Open(Config{GroupCommit: GroupCommit{Enabled: true, MaxBatch: max}})
+	s := Open(Config{GroupCommit: GroupCommit{MaxBatch: max}})
 	s.SetCommitLog(log)
 	defer s.Close()
 	first := setAll(t, s, "first")
@@ -139,7 +133,7 @@ func TestGroupCommitMaxBatch(t *testing.T) {
 func TestGroupCommitConflicts(t *testing.T) {
 	for _, mode := range []Mode{SCC2S, OCCBC} {
 		t.Run(mode.String(), func(t *testing.T) {
-			s := Open(Config{Mode: mode, GroupCommit: GroupCommit{Enabled: true, MaxBatch: 8}})
+			s := Open(Config{Mode: mode, GroupCommit: GroupCommit{MaxBatch: 8}})
 			defer s.Close()
 			const workers, iters = 8, 25
 			var wg sync.WaitGroup

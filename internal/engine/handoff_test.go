@@ -32,7 +32,7 @@ func TestHandOffNeverLosesACommit(t *testing.T) {
 	// hand-off split in two again this fails about every second run at 4,
 	// one run in ten at 2).
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
-	s := Open(Config{Mode: SCC2S, GroupCommit: GroupCommit{Enabled: true}})
+	s := Open(Config{Mode: SCC2S})
 	defer s.Close()
 	key := func(i int) string { return fmt.Sprintf("acct%d", i) }
 

@@ -14,7 +14,7 @@ import (
 // the attempt's channels, the separate Tx and the commit leader's verdict
 // channel cost 5 more of the remaining 15.
 func TestUpdateAllocs(t *testing.T) {
-	s := Open(Config{Mode: SCC2S, GroupCommit: GroupCommit{Enabled: true}})
+	s := Open(Config{Mode: SCC2S})
 	defer s.Close()
 	for _, c := range []struct {
 		name string
@@ -252,7 +252,7 @@ func TestConflictRules(t *testing.T) {
 		c := min(40, n-1)
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("%s/%d keys", tc.name, n), func(t *testing.T) {
-				s := Open(Config{Mode: tc.mode, GroupCommit: GroupCommit{Enabled: true}})
+				s := Open(Config{Mode: tc.mode})
 				defer s.Close()
 				T := tc.run(t, s, keys, keys[c])
 				checkQuiesced(t, s)
@@ -294,7 +294,7 @@ func TestConflictScans(t *testing.T) {
 		{OCCBC, [4]int64{}},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
-			s := Open(Config{Mode: tc.mode, GroupCommit: GroupCommit{Enabled: true}})
+			s := Open(Config{Mode: tc.mode})
 			defer s.Close()
 			var got [4]int64
 			scans := func() int64 { return s.Stats().ConflictScans }

@@ -26,7 +26,7 @@ import (
 func TestLockstepHotKey(t *testing.T) {
 	modes(t, func(t *testing.T, mode Mode) {
 		synctest.Run(func() {
-			s := Open(Config{Mode: mode, GroupCommit: GroupCommit{Enabled: true}})
+			s := Open(Config{Mode: mode})
 			defer s.Close()
 			const workers, increments = 8, 50
 			var (

@@ -48,7 +48,7 @@ func incr(key string) func(*Tx) error {
 // its hook — a one-key increment through group commit leads its own
 // flush, over a log that does no I/O, and finds its verdict delivered.
 func TestBeforeWaitUncontended(t *testing.T) {
-	s := Open(Config{GroupCommit: GroupCommit{Enabled: true}})
+	s := Open(Config{})
 	defer s.Close()
 	p := newHookProbe()
 	for range 100 {
@@ -171,7 +171,7 @@ func TestBeforeWaitCommitFollower(t *testing.T) {
 		if !durable {
 			cl = memStallLog{log}
 		}
-		s := Open(Config{GroupCommit: GroupCommit{Enabled: true}})
+		s := Open(Config{})
 		s.SetCommitLog(cl)
 		first := setAll(t, s, "first")
 		<-log.syncing
@@ -210,7 +210,7 @@ func (memStallLog) Durable() bool { return false }
 // hook has run.
 func TestBeforeWaitDurableBoundary(t *testing.T) {
 	log := newStallLog()
-	s := Open(Config{GroupCommit: GroupCommit{Enabled: true}})
+	s := Open(Config{})
 	s.SetCommitLog(log)
 	defer s.Close()
 	p := newHookProbe()

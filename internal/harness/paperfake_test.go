@@ -61,7 +61,7 @@ func runEngineFake(mode engine.Mode, wl workload.Config) fakeCell {
 	out := make(chan fakeCell, 1)
 	synctest.Run(func() {
 		var c fakeCell
-		st := engine.Open(engine.Config{Mode: mode, GroupCommit: engine.GroupCommit{Enabled: true}})
+		st := engine.Open(engine.Config{Mode: mode})
 		gen := workload.NewGenerator(wl)
 		start := time.Now()
 		done := make([]time.Duration, fakeArrivals)

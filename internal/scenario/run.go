@@ -71,7 +71,6 @@ func bootCluster(c Cell) (*cluster, error) {
 			MaxConcurrent: 32,
 			MaxQueue:      4096,
 		},
-		GroupCommit: engine.GroupCommit{Enabled: true},
 	}
 	cl := &cluster{}
 	switch c.Role {

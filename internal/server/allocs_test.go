@@ -19,7 +19,7 @@ import (
 // ceiling is the measured count plus 2, as in TestUpdateAllocs.
 func TestWireUpdateAllocs(t *testing.T) {
 	srv, addr := startServer(t, Config{Shards: 16, Mode: engine.SCC2S,
-		GroupCommit: engine.GroupCommit{Enabled: true, MaxBatch: 64}})
+		GroupCommit: engine.GroupCommit{MaxBatch: 64}})
 	m, err := client.DialMux(addr)
 	if err != nil {
 		t.Fatal(err)

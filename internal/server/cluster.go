@@ -58,13 +58,11 @@ func (s *Server) startReplica(primary string) error {
 	if err != nil {
 		return err
 	}
-	if m := s.met; m.replResumes != nil {
-		resumed, snaps := r.Bootstrap()
-		if resumed {
-			m.replResumes.Inc()
-		}
-		m.replSnapshots.Add(int64(snaps))
+	resumed, snaps := r.Bootstrap()
+	if resumed {
+		s.met.replResumes.Inc()
 	}
+	s.met.replSnapshots.Add(int64(snaps))
 	s.repMu.Lock()
 	s.rep = r
 	s.repMu.Unlock()

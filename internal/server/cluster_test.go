@@ -165,6 +165,30 @@ func TestDeposedPrimaryFencesAndDumps(t *testing.T) {
 	}
 }
 
+// TestFollowCountsItsBootstrap: a server opened as a primary, not with
+// ReplicaOf, counts the snapshot bootstrap of a stream it starts later
+// on /metrics, as a server opened as a replica does. A deposed cluster
+// primary never gets this far: it stays fenced, and its commit fence
+// refuses the snapshot's install.
+func TestFollowCountsItsBootstrap(t *testing.T) {
+	pri, priAddr := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true}})
+	if got := pri.dispatchLine("ADD k 1"); got != "OK 1" {
+		t.Fatalf("ADD on the new primary = %q", got)
+	}
+	old, _ := startServer(t, Config{Shards: 2, Repl: ReplOptions{Primary: true}})
+	if err := old.follow(priAddr); err != nil {
+		t.Fatalf("following %s: %v", priAddr, err)
+	}
+	var b strings.Builder
+	old.Metrics().Expose(&b)
+	if n := parseExposition(t, b.String())["scc_repl_snapshots_total"]; n < 1 {
+		t.Fatalf("scc_repl_snapshots_total = %v after following %s, want at least 1", n, priAddr)
+	}
+	if got := old.dispatchLine("GET k"); got != "OK 1" {
+		t.Fatalf("GET k after the snapshot = %q, want OK 1", got)
+	}
+}
+
 // TestTopoVerb pins the TOPO surface: ERR off-cluster, a parseable
 // k=v reply on members, and role/epoch tracking across deposition.
 func TestTopoVerb(t *testing.T) {

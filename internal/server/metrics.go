@@ -51,8 +51,9 @@ type serverMetrics struct {
 	traces       *obs.Counter
 	requests     *obs.Counter // request lines dispatched
 
-	// replResumes and replSnapshots count a replica's streams by how each
-	// bootstrapped; nil on a server not opened as a replica.
+	// replResumes and replSnapshots count the replication streams this
+	// server started (as a replica, or following a new primary) by how
+	// each bootstrapped.
 	replResumes, replSnapshots *obs.Counter
 
 	// Event counters the server itself owns; statRows exposes them.
@@ -91,6 +92,10 @@ func newServerMetrics() *serverMetrics {
 	} {
 		m.lostByReason[r] = m.lost.With(r)
 	}
+	m.replResumes = reg.Counter("scc_repl_resumes_total",
+		"Replica: subscriptions resumed from a persisted primary position.")
+	m.replSnapshots = reg.Counter("scc_repl_snapshots_total",
+		"Replica: snapshot bootstraps fetched via SNAP.")
 	return m
 }
 
@@ -251,15 +256,6 @@ func (s *Server) statsLine() string {
 		}
 	}
 	return b.String()
-}
-
-// registerReplica registers the counters of a replica's stream
-// bootstraps, which every stream the replica starts moves.
-func (m *serverMetrics) registerReplica() {
-	m.replResumes = m.reg.Counter("scc_repl_resumes_total",
-		"Replica: subscriptions resumed from a persisted primary position.")
-	m.replSnapshots = m.reg.Counter("scc_repl_snapshots_total",
-		"Replica: snapshot bootstraps fetched via SNAP.")
 }
 
 // Metrics exposes the server's telemetry registry (operator binaries

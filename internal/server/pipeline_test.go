@@ -298,7 +298,7 @@ func TestPipelinedSerializableHistory(t *testing.T) {
 		{"group-commit", Config{
 			Shards:      8,
 			Mode:        engine.SCC2S,
-			GroupCommit: engine.GroupCommit{Enabled: true, MaxBatch: 16},
+			GroupCommit: engine.GroupCommit{MaxBatch: 16},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

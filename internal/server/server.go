@@ -49,7 +49,7 @@ type Config struct {
 	// Admission configures the value-cognizant admission queue.
 	Admission AdmissionConfig
 	// GroupCommit coalesces per-shard commit latch acquisitions across
-	// concurrent connections (disabled unless Enabled is set).
+	// concurrent connections.
 	GroupCommit engine.GroupCommit
 	// ReplicaOf, when set, makes the server a read replica of the primary
 	// at this address (docs/PROTOCOL.md, "Replication"): Open bootstraps
@@ -248,7 +248,6 @@ func Open(cfg Config) (*Server, error) {
 	srv.feedP.Store(feed)
 	if cfg.ReplicaOf != "" {
 		srv.gateP.Store(repl.NewLagGate(cfg.lagBudget, 0))
-		met.registerReplica()
 	}
 	if cfg.Cluster.Self != "" {
 		srv.cluster = cluster.NewState(cfg.Cluster.Self, cfg.Cluster.Peers, cfg.ReplicaOf)

@@ -893,8 +893,7 @@ func TestTxnSessionsNeverLoseAnAck(t *testing.T) {
 	// Oversubscribed Ps, as in the engine test: the OS preempting a driver
 	// between critical sections is what the window needs.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
-	srv, addr := startServer(t, Config{Shards: 16, Mode: engine.SCC2S,
-		GroupCommit: engine.GroupCommit{Enabled: true}})
+	srv, addr := startServer(t, Config{Shards: 16, Mode: engine.SCC2S})
 	store := srv.Store()
 	var keys []string // hot keys first, then one counter per worker, all co-located
 	for i := 0; len(keys) < hot+conns*perConn; i++ {

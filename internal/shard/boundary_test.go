@@ -111,7 +111,7 @@ func TestCommitBoundaryContract(t *testing.T) {
 	var logs []*faultLog // this subtest's commit logs, one per shard
 	// OCC-BC keeps the flush population exact: no speculative shadow
 	// enqueues a commit of its own behind the stalled flush.
-	grouped := engine.Config{Mode: engine.OCCBC, GroupCommit: engine.GroupCommit{Enabled: true, MaxBatch: 1 << 20}}
+	grouped := engine.Config{Mode: engine.OCCBC, GroupCommit: engine.GroupCommit{MaxBatch: 1 << 20}}
 	shapes := []struct {
 		name string
 		eng  engine.Config
